@@ -18,6 +18,10 @@ with one common denominator, reduced after every level.  Caps keep each
 level polynomial; a deterministic seeded sample is retained together with
 the full chain lattice over the per-level designated extremal coordinates,
 so every chain witness the estimates need stays representable.
+
+Candidates are streamed as integer index keys (m, e0, e1, index(s0),
+index(s1)); an element object is built only for the keys a level keeps.
+Elements are canonical and compare by identity (see ``GammaElement``).
 """
 
 from __future__ import annotations
@@ -39,6 +43,12 @@ DEFAULT_LEVELS = 4
 DEFAULT_CAP = 200
 
 
+def _check_headroom(*bounds: int) -> None:
+    """Refuse integer magnitudes that int64 arithmetic could not hold."""
+    if max(bounds) >= 1 << 62:
+        raise DomainError("integer coordinate magnitudes too large")
+
+
 @dataclass(frozen=True)
 class BDParams:
     lam: Fraction = DEFAULT_LAMBDA
@@ -57,9 +67,15 @@ class BDParams:
             raise DomainError("need cap >= 2 and levels >= 0")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GammaElement:
-    """Root, a level-1 bootstrap pair, or a full quintuple."""
+    """Root, a level-1 bootstrap pair, or a full quintuple.
+
+    Elements are canonical: each is built exactly once, when its level is
+    built, and its children are the already built elements of lower levels.
+    They therefore hash and compare by identity, which makes membership in
+    ``Gamma.index`` and the chain set O(1) instead of a walk of the subtree.
+    """
 
     level: int
     kind: str  # "root" | "boot" | "quin"
@@ -68,6 +84,12 @@ class GammaElement:
     eps1: int = 0
     sigma0: "GammaElement | None" = None
     sigma1: "GammaElement | None" = None
+
+
+def _level_order(item) -> tuple:
+    """Within a level, elements sort by (m, index(s0), index(s1), -e0, -e1)."""
+    (m, e0, e1, i0, i1), _ = item
+    return m, i0, i1, -e0, -e1
 
 
 class Gamma:
@@ -111,14 +133,14 @@ class Gamma:
     # -- construction ---------------------------------------------------------
 
     def _candidates(self, lvl: int):
-        """Canonical stream of admissible new elements for Delta_lvl.
+        """Canonical stream of admissible new elements for Delta_lvl, as
+        index keys (m, e0, e1, index(s0), index(s1)).
 
         s0 may live anywhere in the union up to level m+1 (the chain
         recursion requires reaching the elements born at level m+1), s1
         anywhere strictly above level m.
         """
         n_prev = lvl - 1
-        flat = self.elements()
         for m in range(0, n_prev):
             hi0 = self.gamma_size(min(m + 1, n_prev))
             lo1 = self.gamma_size(m)
@@ -127,9 +149,7 @@ class Gamma:
                 for i1 in range(lo1, hi1):
                     for e0 in (1, -1):
                         for e1 in (1, -1):
-                            yield GammaElement(
-                                lvl, "quin", m, e0, e1, flat[i0], flat[i1]
-                            )
+                            yield (m, e0, e1, i0, i1)
 
     def _chain_elements(self, lvl: int) -> list[GammaElement]:
         """Chain-lattice members of Delta_lvl over designated coordinates.
@@ -167,14 +187,18 @@ class Gamma:
                 for e0 in (1, -1)
             ]
         else:
-            mandatory = self._chain_elements(lvl)
-            seen = set(mandatory)
+            index = self.index
+            mandatory = [
+                ((e.m, e.eps0, e.eps1, index[e.sigma0], index[e.sigma1]), e)
+                for e in self._chain_elements(lvl)
+            ]
+            seen = {k for k, _ in mandatory}
             # the chain lattice is always kept in full, and at least one
             # further element is sampled so a non-chain designated extremal
             # coordinate exists (the cap is a soft target)
             budget = max(1, params.cap - len(mandatory))
             rng = random.Random(derive_seed(params.seed, lvl))
-            reservoir: list[GammaElement] = []
+            reservoir: list[tuple] = []
             n_seen = 0
             for cand in self._candidates(lvl):
                 if cand in seen:
@@ -186,10 +210,15 @@ class Gamma:
                     j = rng.randrange(n_seen)
                     if j < budget:
                         reservoir[j] = cand
-            new = mandatory + reservoir
-            key = lambda e: (e.m, self.index[e.sigma0] if e.sigma0 in self.index else self.size,
-                             self.index[e.sigma1], -e.eps0, -e.eps1)
-            new.sort(key=key)
+            # only the kept keys become elements
+            flat = self.elements()
+            kept = mandatory + [
+                ((m, e0, e1, i0, i1),
+                 GammaElement(lvl, "quin", m, e0, e1, flat[i0], flat[i1]))
+                for m, e0, e1, i0, i1 in reservoir
+            ]
+            kept.sort(key=_level_order)
+            new = [e for _, e in kept]
         old = self.size
         for k, e in enumerate(new):
             self.index[e] = old + k
@@ -210,6 +239,16 @@ class Gamma:
         total = old + len(new)
         b_num, b_den = params.b.numerator, params.b.denominator
         sc = b_den * self.d_scale * self.s_scale
+        d_scale_new = sc * self.d_scale
+        # Bounds, as Python ints, on every int64 entry filled below, so the
+        # arrays cannot wrap silently: c_max bounds the c rows and their
+        # projection terms, and the c row sums bound the new rows of D.
+        m_d = int(np.abs(self.D).max())
+        m_s = int(np.abs(self.Dstar).max())
+        c_max = sc + b_num * (self.d_scale * self.s_scale + m_d * m_s * old)
+        _check_headroom(
+            d_scale_new, m_d * sc, m_s * (sc // self.s_scale), c_max * old
+        )
         # c rows: coordinates of c_sigma* over the old index set, times sc
         c_rows = np.zeros((len(new), old), dtype=np.int64)
         for r, e in enumerate(new):
@@ -223,13 +262,13 @@ class Gamma:
             # P_m* u_{s1} = sum over the first gm duals of (d_rho)_{s1} d_rho*
             proj = self.D[i1, :gm] @ self.Dstar[:gm, :old]
             c_rows[r, :] -= e.eps1 * b_num * proj
+        _check_headroom(int(np.abs(c_rows).sum(axis=1).max()) * m_d)
         # dual vectors: d* = u - c*, common scale sc
         star = np.zeros((total, total), dtype=np.int64)
         star[:old, :old] = self.Dstar * (sc // self.s_scale)
         star[old:, :old] = -c_rows
         star[old:, old:] = sc * np.eye(len(new), dtype=np.int64)
         # basis vectors gain coordinates <c_sigma*, d_tau> at the new slots
-        d_scale_new = sc * self.d_scale
         dd = np.zeros((total, total), dtype=np.int64)
         dd[:old, :old] = self.D * (d_scale_new // self.d_scale)
         dd[old:, :old] = c_rows @ self.D
@@ -241,9 +280,10 @@ class Gamma:
         g = int(np.gcd.reduce(np.abs(star).ravel()) or 1)
         g = gcd(g, sc)
         self.Dstar, self.s_scale = star // g, sc // g
-        limit = np.abs(self.D).max() * np.abs(self.Dstar).max() * self.size
-        if limit >= (1 << 62):
-            raise ArithmeticError("integer coordinate magnitudes too large")
+        # Python ints, so the bound itself cannot wrap
+        _check_headroom(
+            int(np.abs(self.D).max()) * int(np.abs(self.Dstar).max()) * self.size
+        )
 
     # -- exact queries ----------------------------------------------------------
 
@@ -288,10 +328,6 @@ def projection_matrix(gamma: Gamma, m: int) -> tuple[np.ndarray, int]:
     gm = gamma.gamma_size(m)
     mat = (gamma.D[:, :gm] @ gamma.Dstar[:gm, :]).T
     return mat, gamma.d_scale * gamma.s_scale
-
-
-#: spec-facing name of the dual-side projection matrix
-projection_p_star = projection_matrix
 
 
 class BdBasisSpace(Space):

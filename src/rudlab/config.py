@@ -201,7 +201,7 @@ class SpaceFactory:
         return self._gamma
 
     def space(self, spec) -> Space:
-        """Engine for a spec string like "lp:2" or a SpaceSpec value."""
+        """Engine for a spec string like "lp:2"."""
         key = str(spec)
         if key not in self._spaces:
             self._spaces[key] = self._build(key)

@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .batches import ExactBatch
-from .coeffs import Coeffs, DomainError
+from .coeffs import DomainError
 from .spaces import Space, _float_values, _int_mult_values
 
 DEFAULT_GRID_CAP = 20
@@ -131,11 +131,3 @@ class HaarL1Space(Space):
         levels = self._levels(a.support)
         h = haar_atom_matrix(a.support, levels)
         return np.abs(h @ v).mean(axis=0)
-
-
-def haar_block(level_range: tuple[int, int], weights: Coeffs) -> Coeffs:
-    """A block vector supported on tree indices p..q (inclusive)."""
-    p, q = level_range
-    if not all(p <= i <= q for i in weights.support):
-        raise DomainError("block weights must live inside the index range")
-    return weights

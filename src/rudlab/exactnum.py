@@ -318,10 +318,6 @@ def sign_of(x: Scalar) -> int:
     return (x > 0) - (x < 0)
 
 
-def scalar_float(x: Scalar) -> float:
-    return float(x)
-
-
 def scalar_le(x: Scalar, y: Scalar, rtol: float = 0.0) -> bool:
     """x <= y, exactly for exact scalars, with relative slack for floats."""
     if is_exact(x) and is_exact(y):

@@ -66,10 +66,6 @@ def sign_vector(seed: int, m: int, index: int) -> list[int]:
     return out
 
 
-def uniform01(seed: int, index: int, word: int = 0) -> float:
-    return counter_u64(seed, index, word) / float(1 << 64)
-
-
 def derive_seed(seed: int, *tags: int) -> int:
     """A child seed for a named sub-stream (worker, experiment, ...)."""
     z = seed & _MASK

@@ -16,7 +16,6 @@ their engines from their own modules.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, inf
 from typing import Callable, Sequence
@@ -26,19 +25,6 @@ import numpy as np
 from .batches import ExactBatch
 from .coeffs import Coeffs, DomainError, NormingFunctional, pair
 from .exactnum import QSum, Scalar, split_square
-
-
-@dataclass(frozen=True)
-class SpaceSpec:
-    """A closed description of one norm engine: family tag plus parameters."""
-
-    family: str
-    params: tuple = ()
-
-    def __str__(self) -> str:
-        if not self.params:
-            return self.family
-        return self.family + ":" + ":".join(str(p) for p in self.params)
 
 
 def _lcm(a: int, b: int) -> int:

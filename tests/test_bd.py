@@ -193,3 +193,65 @@ def test_chain_witness_trivial(gamma):
     assert chain_witness(gamma, (0,)) == []
     with pytest.raises(DomainError, match="one sign per level"):
         chain_witness(gamma, (0, 1), (1,))
+
+
+def _tree_digest(g):
+    """SHA-256 over the matrices, scales, level sizes, element descriptors,
+    designated coordinates and chains of a build, all as indices."""
+    import hashlib
+
+    h = hashlib.sha256()
+
+    def put(x):
+        h.update(repr(x).encode())
+        h.update(b"\n")
+
+    idx = lambda e: -1 if e is None else g.index[e]
+    put((g.D.shape, g.D.tolist(), g.Dstar.tolist(), int(g.d_scale), int(g.s_scale)))
+    put([len(l) for l in g.levels])
+    put([(e.level, e.kind, e.m, e.eps0, e.eps1, idx(e.sigma0), idx(e.sigma1))
+         for e in g.elements()])
+    put([g.index[e] for e in g.designated])
+    put(sorted((k, g.index[e]) for k, e in g.chains.items()))
+    return h.hexdigest()
+
+
+# pinned digests: the sampled tree must not depend on how candidates and
+# elements are represented, since every bd report is derived from it
+_GOLDEN_TREES = [
+    (BDParams(), "d962052350450a106b8ca89bfa13d94bca8214e5eaa809c92a6ebd852e53f5cf"),
+    (BDParams(levels=5, cap=60, seed=1),
+     "d8949591364b2477e9e4ba76d4cdec8352ea6e5a691e6a6ae75eb97e16f21f8d"),
+    (BDParams(lam=F(3), b=F(1, 3), levels=3, cap=40, seed=4),
+     "8978f129013251cc5328035ffbeddf34789e91c8a37b79b9e3de61e31e7d77f1"),
+]
+
+
+@pytest.mark.parametrize("params,digest", _GOLDEN_TREES)
+def test_golden_tree(params, digest):
+    assert _tree_digest(build_gamma(params)) == digest
+
+
+def test_level_keys_unique_and_children_below():
+    g = build_gamma(BDParams(levels=5, cap=60, seed=1))
+    assert len(g.index) == len(g.elements())
+    for level in g.levels[1:]:
+        keys = set()
+        for e in level:
+            i = g.index[e]
+            kids = [c for c in (e.sigma0, e.sigma1) if c is not None]
+            assert all(g.index[c] < i for c in kids)
+            keys.add((e.kind, e.m, e.eps0, e.eps1) + tuple(g.index[c] for c in kids))
+        assert len(keys) == len(level)
+
+
+def test_large_scales_raise_domain_error(capsys):
+    from rudlab.cli import main
+
+    params = BDParams(lam=F(97, 11), b=F(11, 97), levels=5, cap=30)
+    with pytest.raises(DomainError, match="magnitudes too large"):
+        build_gamma(params)
+    code = main(["norm", "--space", "bd", "--coeffs", "1",
+                 "--set", "bd.lambda=97/11", "--set", "bd.b=11/97",
+                 "--set", "bd.levels=5", "--set", "bd.cap=30"])
+    assert code == 2 and "magnitudes too large" in capsys.readouterr().err
