@@ -143,8 +143,11 @@ class ExactBatch:
     def argmax(self) -> int:
         return self._extreme(True)[1]
 
-    def mean(self) -> Scalar:
-        n = len(self)
+    def mean(self, over: int | None = None) -> Scalar:
+        """Exact mean of the values.  With ``over``, their sum is divided by
+        ``over`` instead of by their count: one chunk's share of the mean of
+        a longer walk."""
+        n = len(self) if over is None else over
         if self.scalars is not None:
             total: Scalar = 0
             for v in self.scalars:
@@ -160,9 +163,9 @@ class ExactBatch:
                 total = total + QSum.root(r, Fraction(c, n * self.roots_scale))
         return total.as_fraction() if total.is_rational() else total
 
-    def mean_sq(self) -> Scalar:
-        """Exact mean of the squared values."""
-        n = len(self)
+    def mean_sq(self, over: int | None = None) -> Scalar:
+        """Exact mean of the squared values (``over`` as in :meth:`mean`)."""
+        n = len(self) if over is None else over
         if self.scalars is not None:
             total: Scalar = 0
             for v in self.scalars:

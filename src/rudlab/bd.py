@@ -59,6 +59,8 @@ class BDParams:
 
     def __post_init__(self):
         lam, b = Fraction(self.lam), Fraction(self.b)
+        object.__setattr__(self, "lam", lam)  # the build needs exact values
+        object.__setattr__(self, "b", b)
         if not (lam > 1 and 0 < b < Fraction(1, 2)):
             raise DomainError("need lambda > 1 and 0 < b < 1/2")
         if 1 + 2 * b * lam > lam:

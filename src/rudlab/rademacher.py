@@ -4,32 +4,41 @@ Exact expectation over all sign patterns, exact subset (0/1 mask) and
 permutation averages, second moments, and seeded Monte-Carlo estimation
 with Student-t confidence brackets.
 
-Exact enumeration walks the 2^m canonical bitmask patterns in fixed-size
-chunks; partial sums are combined by exact addition, so results do not
-depend on the chunking.  Monte-Carlo sample i is a pure function of
-(seed, i) via the counter-based generator, so estimates are bit-identical
-across runs and worker counts.
+Exact enumeration is one walk over the canonical bitmask range in chunks
+of ``_CHUNK`` columns.  Each chunk is one exact batch; its sums are folded
+by exact addition and its extremes by exact comparison, the earlier index
+winning ties, so results do not depend on the chunking and memory is
+bounded by the chunk, not by 2^m.  Sign averages walk only the 2^(m-1)
+patterns whose top bit is clear: a pattern and its complement give the
+same norm, so the mean, mean square and extremes are those of all 2^m
+patterns.  So is the first maximiser: had it its top bit set, its
+complement would be a smaller maximiser.  Subset averages walk all 2^m
+masks.
+
+Monte-Carlo sample i is a pure function of (seed, i) via the counter-based
+generator, so estimates are bit-identical across runs and worker counts.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .batches import ExactBatch
+from .batches import ExactBatch, _scalar_gt
 from .coeffs import (
     Coeffs,
     DomainError,
     EnumerationCapError,
     DEFAULT_ENUM_CAP,
-    enumerate_sign_patterns,
+    SignPattern,
     apply_signs,
-    mask_matrix_full,
-    sign_matrix_full,
+    mask_matrix_range,
+    sign_matrix_range,
 )
 from .exactnum import Scalar
 from .rng import DEFAULT_SEED, sign_matrix
@@ -86,85 +95,134 @@ def _check_cap(a: Coeffs, cap: int) -> int:
     return m
 
 
-def sign_stats(space: Space, a: Coeffs, cap: int = DEFAULT_ENUM_CAP) -> ExactBatch:
-    """Exact norms of a under all 2^m sign patterns (canonical order)."""
-    m = _check_cap(a, cap)
-    try:
-        batch = space.mult_batch(a, sign_matrix_full(m), 1)
-    except ValueError:  # radical-valued entries: no integer matrix form
-        batch = None
-    if batch is not None:
-        return batch
-    values = [space.norm(apply_signs(a, e)) for e in enumerate_sign_patterns(a.support, cap)]
-    return ExactBatch.from_scalars(values)
+@dataclass(frozen=True)
+class FoldedStats:
+    """Exact reductions of a walk longer than one chunk, folded chunk by
+    chunk in one pass; answers the same queries as an :class:`ExactBatch`."""
+
+    _mean: Scalar
+    _mean_sq: Scalar
+    _min: Scalar
+    _max: Scalar
+    _argmax: int
+    #: as on ExactBatch: None unless some chunk took the scalar fallback
+    scalars: int | None = None
+
+    def mean(self) -> Scalar:
+        return self._mean
+
+    def mean_sq(self) -> Scalar:
+        return self._mean_sq
+
+    def min(self) -> Scalar:
+        return self._min
+
+    def max(self) -> Scalar:
+        return self._max
+
+    def argmax(self) -> int:
+        return self._argmax
 
 
-def subset_stats(space: Space, a: Coeffs, cap: int = DEFAULT_ENUM_CAP) -> ExactBatch:
-    """Exact norms of a under all 2^m coordinate masks."""
-    m = _check_cap(a, cap)
-    try:
-        batch = space.mult_batch(a, mask_matrix_full(m), 1)
-    except ValueError:
-        batch = None
-    if batch is not None:
-        return batch
+def _walk_length(m: int, masks: bool) -> int:
+    """All 2^m masks, or the 2^(m-1) sign patterns whose top bit is clear."""
+    return 1 << m if masks else 1 << max(m - 1, 0)
+
+
+def _walk(space: Space, a: Coeffs, masks: bool) -> Iterator[tuple[int, ExactBatch]]:
+    """(first bitmask, exact batch) for each chunk of the walk, in order;
+    a chunk without an integer batch form is evaluated pattern by pattern."""
+    m = len(a)
     sup = a.support
-    values: list[Scalar] = []
-    for mask in range(1 << m):
-        keep = [sup[k] for k in range(m) if (mask >> k) & 1]
-        values.append(space.norm(a.restrict(keep)))
-    return ExactBatch.from_scalars(values)
-
-
-#: full per-pattern batches are materialised up to this support size;
-#: beyond it the bitmask range is walked in chunks and the exact partial
-#: means are combined, so the result never depends on the chunking
-_FULL_BATCH_BITS = 16
-
-
-def _chunked_mean(space: Space, a: Coeffs, m: int, masks: bool, squared: bool) -> Scalar:
-    from .coeffs import mask_matrix_range, sign_matrix_range
-
     build = mask_matrix_range if masks else sign_matrix_range
-    total: Scalar = 0
-    chunk = _CHUNK
-    for start in range(0, 1 << m, chunk):
-        stop = min(start + chunk, 1 << m)
-        batch = space.mult_batch(a, build(m, start, stop), 1)
+    total = _walk_length(m, masks)
+    for start in range(0, total, _CHUNK):
+        stop = min(start + _CHUNK, total)
+        try:
+            batch = space.mult_batch(a, build(m, start, stop), 1)
+        except ValueError:  # radical-valued entries: no integer matrix form
+            batch = None
         if batch is None:
-            raise EnumerationCapError(
-                "no exact batch path for a support this large; use expect_mc"
-            )
-        part = batch.mean_sq() if squared else batch.mean()
-        total = total + part * Fraction(stop - start, 1 << m)
-    return total
+            if masks:
+                values = [
+                    space.norm(a.restrict(sup[k] for k in range(m) if (mask >> k) & 1))
+                    for mask in range(start, stop)
+                ]
+            else:
+                values = [
+                    space.norm(apply_signs(a, SignPattern.from_mask(sup, mask)))
+                    for mask in range(start, stop)
+                ]
+            batch = ExactBatch.from_scalars(values)
+        yield start, batch
+
+
+def _stats(space: Space, a: Coeffs, cap: int, masks: bool) -> ExactBatch | FoldedStats:
+    m = _check_cap(a, cap)
+    total = _walk_length(m, masks)
+    if total <= _CHUNK:
+        return next(_walk(space, a, masks))[1]
+    mean: Scalar = 0
+    mean_sq: Scalar = 0
+    lo = hi = None
+    scalars = None
+    for start, batch in _walk(space, a, masks):
+        mean = mean + batch.mean(total)
+        mean_sq = mean_sq + batch.mean_sq(total)
+        v = batch.min()
+        if lo is None or _scalar_gt(lo, v):
+            lo = v
+        i = batch.argmax()
+        v = batch.value(i)
+        if hi is None or _scalar_gt(v, hi[0]):  # ties keep the earlier index
+            hi = (v, start + i)
+        if batch.scalars is not None:
+            scalars = (scalars or 0) + len(batch)
+    return FoldedStats(mean, mean_sq, lo, hi[0], hi[1], scalars)
+
+
+def _fold_mean(space: Space, a: Coeffs, cap: int, masks: bool, squared: bool) -> Scalar:
+    total = _walk_length(_check_cap(a, cap), masks)
+    acc: Scalar = 0
+    for _, batch in _walk(space, a, masks):
+        acc = acc + (batch.mean_sq(total) if squared else batch.mean(total))
+    return acc
+
+
+def sign_stats(space: Space, a: Coeffs, cap: int = DEFAULT_ENUM_CAP) -> ExactBatch | FoldedStats:
+    """Exact mean, mean square, min, max and first argmax of the norms of a
+    under all 2^m sign patterns (canonical bitmask order).
+
+    Only the patterns with the top bit clear are evaluated, in chunks of
+    ``_CHUNK`` columns.  A walk that fits in one chunk returns that chunk's
+    ExactBatch; a longer one returns the reductions folded exactly over its
+    chunks, so memory is bounded by the chunk, not by 2^m.
+    """
+    return _stats(space, a, cap, masks=False)
+
+
+def subset_stats(space: Space, a: Coeffs, cap: int = DEFAULT_ENUM_CAP) -> ExactBatch | FoldedStats:
+    """Exact reductions of the norms of a under all 2^m coordinate masks,
+    walked and folded as in :func:`sign_stats`."""
+    return _stats(space, a, cap, masks=True)
 
 
 def expect_exact(space: Space, a: Coeffs, cap: int = DEFAULT_ENUM_CAP) -> ExpectationEstimate:
     if not a:
         return ExpectationEstimate(0, "exact")
-    m = _check_cap(a, cap)
-    if m > _FULL_BATCH_BITS:
-        return ExpectationEstimate(_chunked_mean(space, a, m, False, False), "exact")
-    return ExpectationEstimate(sign_stats(space, a, cap).mean(), "exact")
+    return ExpectationEstimate(_fold_mean(space, a, cap, masks=False, squared=False), "exact")
 
 
 def expect_second_moment(space: Space, a: Coeffs, cap: int = DEFAULT_ENUM_CAP) -> ExpectationEstimate:
     if not a:
         return ExpectationEstimate(0, "exact")
-    m = _check_cap(a, cap)
-    if m > _FULL_BATCH_BITS:
-        return ExpectationEstimate(_chunked_mean(space, a, m, False, True), "exact")
-    return ExpectationEstimate(sign_stats(space, a, cap).mean_sq(), "exact")
+    return ExpectationEstimate(_fold_mean(space, a, cap, masks=False, squared=True), "exact")
 
 
 def expect_subsets(space: Space, a: Coeffs, cap: int = DEFAULT_ENUM_CAP) -> ExpectationEstimate:
     if not a:
         return ExpectationEstimate(0, "subsets")
-    m = _check_cap(a, cap)
-    if m > _FULL_BATCH_BITS:
-        return ExpectationEstimate(_chunked_mean(space, a, m, True, False), "subsets")
-    return ExpectationEstimate(subset_stats(space, a, cap).mean(), "subsets")
+    return ExpectationEstimate(_fold_mean(space, a, cap, masks=True, squared=False), "subsets")
 
 
 def expect_perm(

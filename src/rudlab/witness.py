@@ -8,9 +8,9 @@ stores its witness so the value can be replayed.
 
 Search strategies: seeded Gaussian draws, cyclic coordinate ascent over a
 multiplicative move grid, and engine-supplied extremal candidates.  Sample
-i of a search stream is a pure function of (seed, i), so splitting a budget
-across workers cannot change the result; ties between equal values go to
-the lexicographically smaller witness.
+i of a search stream is a pure function of (seed, i), so a search replays
+exactly from its seed and budget; ties between equal values go to the
+lexicographically smaller witness.
 """
 
 from __future__ import annotations
@@ -135,7 +135,6 @@ def search_constant(
     seed: int = DEFAULT_SEED,
     strategy: str = "random_search",
     enum_cap: int = 16,
-    workers: int = 1,
 ) -> ConstantCertificate:
     """Best ratio found over the budget; a reproducible lower bound."""
     if dim > enum_cap:

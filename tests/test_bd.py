@@ -33,6 +33,14 @@ def test_params_validation():
     BDParams(lam=F(2), b=F(1, 4))  # tight instance is admissible
 
 
+def test_float_params_build_the_fraction_tree():
+    params = BDParams(b=0.25, levels=2)
+    assert params.b == F(1, 4) and isinstance(params.b, F)
+    assert isinstance(params.lam, F)
+    want = build_gamma(BDParams(b=F(1, 4), levels=2))
+    assert _tree_digest(build_gamma(params)) == _tree_digest(want)
+
+
 def test_level_zero():
     g = build_gamma(BDParams(levels=0))
     assert g.size == 1

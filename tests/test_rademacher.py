@@ -5,6 +5,7 @@ import pytest
 
 from rudlab.coeffs import Coeffs, EnumerationCapError
 from rudlab.exactnum import QSum, le_times_square
+from rudlab.experiments import SWEEP_SPECS
 from rudlab.rademacher import (
     expect_exact,
     expect_mc,
@@ -123,24 +124,107 @@ def test_summing_dual_mean_closed_form():
         assert got == want
 
 
-def test_chunked_enumeration_matches_full():
+def _same(x, y) -> bool:
+    return (QSum.of(x) - QSum.of(y)).sign() == 0
+
+
+def _reductions(st):
+    return st.mean(), st.mean_sq(), st.min(), st.max(), st.argmax()
+
+
+def _assert_same_reductions(got, want, label):
+    *gv, garg = _reductions(got)
+    *wv, warg = _reductions(want)
+    for name, x, y in zip(("mean", "mean_sq", "min", "max"), gv, wv):
+        assert _same(x, y), (label, name, x, y)
+    assert garg == warg, (label, "argmax", garg, warg)
+
+
+def test_chunked_enumeration_matches_full(monkeypatch):
     """Splitting the bitmask range into chunks cannot change exact results."""
     import rudlab.rademacher as rad
+    from rudlab.config import RunConfig, SpaceFactory
 
-    a = Coeffs.from_values([1, -2, 3, -1, 2, 1])
-    full_mean = rad.expect_exact(s, a).value
-    full_sq = rad.expect_second_moment(s, a).value
-    full_sub = rad.expect_subsets(s, a).value
-    old = rad._FULL_BATCH_BITS, rad._CHUNK
-    try:
-        rad._FULL_BATCH_BITS = 2
+    fac = SpaceFactory(RunConfig())
+    default = rad._CHUNK
+    for spec in ("summing", "bmo", "smax:2", "norming_set", "james:chain", "zmr"):
+        space = fac.space(spec)
+        universe = space.sweep_indices or tuple(range(8))
+        a = Coeffs.from_pairs(zip(universe[:8], [1, -2, 3, -1, 2, 1, F(1, 2), -3]))
+        monkeypatch.setattr(rad, "_CHUNK", default)
+        want = sign_stats(space, a)  # one chunk: 128 sign patterns, 256 masks
+        want_sq = expect_second_moment(space, a).value
+        want_sub = expect_subsets(space, a).value
         for chunk in (4, 16, 64):
-            rad._CHUNK = chunk
-            assert rad.expect_exact(s, a).value == full_mean
-            assert rad.expect_second_moment(s, a).value == full_sq
-            assert rad.expect_subsets(s, a).value == full_sub
+            monkeypatch.setattr(rad, "_CHUNK", chunk)
+            got = sign_stats(space, a)
+            assert isinstance(got, rad.FoldedStats)
+            _assert_same_reductions(got, want, (spec, chunk))
+            assert _same(expect_exact(space, a).value, want.mean())
+            assert _same(expect_second_moment(space, a).value, want_sq)
+            assert _same(expect_subsets(space, a).value, want_sub)
+
+
+def _full_range_oracle(space, a):
+    """Reductions over all 2^m sign patterns, evaluated in one batch."""
+    from rudlab.coeffs import sign_matrix_full
+
+    return space.mult_batch(a, sign_matrix_full(len(a)), 1)
+
+
+@pytest.mark.parametrize("spec", SWEEP_SPECS)
+def test_half_enumeration_matches_full_range(spec, monkeypatch):
+    """Walking only the top-bit-clear sign patterns gives the full range's
+    mean, mean square, extremes and first maximiser, folded or not."""
+    import rudlab.rademacher as rad
+    from rudlab.config import RunConfig, SpaceFactory
+    from rudlab.experiments import sample_vector
+
+    space = SpaceFactory(RunConfig()).space(spec)
+    vectors = [a for a in (sample_vector(space, 17, i) for i in range(6)) if a]
+    oracles = [_full_range_oracle(space, a) for a in vectors]
+    for chunk in (rad._CHUNK, 16):
+        monkeypatch.setattr(rad, "_CHUNK", chunk)
+        for a, want in zip(vectors, oracles):
+            _assert_same_reductions(sign_stats(space, a), want, (spec, chunk, a))
+
+
+def test_half_enumeration_scalar_fallback(monkeypatch):
+    """A radical-valued vector has no integer batch form; the scalar
+    fallback walks the same half range and agrees with every pattern."""
+    import rudlab.rademacher as rad
+    from rudlab.batches import ExactBatch
+    from rudlab.coeffs import apply_signs, enumerate_sign_patterns
+    from rudlab.config import RunConfig, SpaceFactory
+    from rudlab.exactnum import SQRT2
+
+    space = SpaceFactory(RunConfig()).space("norming_set")
+    a = Coeffs.from_values([1, SQRT2, F(-1, 2), 2 * SQRT2, 3])
+    want = ExactBatch.from_scalars(
+        [space.norm(apply_signs(a, e)) for e in enumerate_sign_patterns(a.support)]
+    )
+    for chunk in (rad._CHUNK, 4):
+        monkeypatch.setattr(rad, "_CHUNK", chunk)
+        got = sign_stats(space, a)
+        assert got.scalars is not None
+        _assert_same_reductions(got, want, chunk)
+
+
+def test_memory_bounded_by_chunk():
+    """Peak traced allocation of m = 18 sweeps stays far below one
+    materialised 2^18-column batch."""
+    import tracemalloc
+
+    a = Coeffs.from_values([(-1) ** k * (1 + k % 5) for k in range(18)])
+    tracemalloc.start()
+    try:
+        st = sign_stats(s, a)
+        sub = expect_subsets(s, a)
+        _, peak = tracemalloc.get_traced_memory()
     finally:
-        rad._FULL_BATCH_BITS, rad._CHUNK = old
+        tracemalloc.stop()
+    assert QSum.of(st.max()).sign() > 0 and QSum.of(sub.value).sign() > 0
+    assert peak < 16 << 20, peak
 
 
 def test_mc_zero_vector():
