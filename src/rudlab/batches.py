@@ -13,8 +13,10 @@ patterns produces values of a very constrained shape:
 
 The min/max/mean/second-moment reductions stay exact throughout.  Extremes
 over mixed-radical batches are located by a float pass and then certified by
-exact comparison of every near-tied candidate; sums of products are taken
-over Python integers so no intermediate can overflow.
+exact comparison of the near-tied candidates, one per distinct integer key
+(equal keys under one scale are equal values); sums of products are taken
+over Python integers so no intermediate can overflow, and the affine
+adjustments refuse, rather than wrap, results that leave int64.
 """
 
 from __future__ import annotations
@@ -28,10 +30,22 @@ import numpy as np
 from .exactnum import QSum, Scalar, split_square
 
 _TIE_RTOL = 1e-9
+_INT64_MAX = (1 << 63) - 1
 
 
 def _ints(arr: np.ndarray) -> list[int]:
     return [int(x) for x in arr.tolist()]
+
+
+def _peak(arr: np.ndarray) -> int:
+    """Largest magnitude in ``arr``, as a Python int."""
+    return max(int(arr.max()), -int(arr.min())) if len(arr) else 0
+
+
+def _check_int64(bound: int) -> None:
+    """Refuse a result whose magnitude bound int64 cannot hold."""
+    if bound > _INT64_MAX:
+        raise ValueError("batch entries would leave int64: no integer form")
 
 
 def _scalar_gt(a: Scalar, b: Scalar) -> bool:
@@ -122,17 +136,27 @@ class ExactBatch:
             ((_, arr),) = self.classes.items()
             i = int(np.argmax(arr) if want_max else np.argmin(arr))
             return self.value(i), i
-        # Mixed radicals: locate by float, certify near-ties exactly.
+        # Mixed radicals: locate by float, then certify the near-ties exactly,
+        # one candidate per distinct integer key (the class entries and the
+        # root radicand; the batch shares one scale, so equal keys mean equal
+        # values).  Each key is represented by its first index and the keys
+        # are compared in first-index order, so the first exact extreme wins.
         fv = self.float_values()
         target = fv.max() if want_max else fv.min()
         tol = _TIE_RTOL * (1.0 + abs(target))
         cand = np.nonzero(np.abs(fv - target) <= tol)[0]
+        parts = [arr[cand] for arr in (self.classes or {}).values()]
+        if self.roots is not None:
+            parts.append(self.roots[cand])
+        _, first = np.unique(np.stack(parts, axis=1), axis=0, return_index=True)
+        cand = cand[np.sort(first)]
         best = int(cand[0])
+        vb = self.value(best)
         for i in cand[1:]:
-            vi, vb = self.value(int(i)), self.value(best)
+            vi = self.value(int(i))
             if (want_max and _scalar_gt(vi, vb)) or (not want_max and _scalar_gt(vb, vi)):
-                best = int(i)
-        return self.value(best), best
+                best, vb = int(i), vi
+        return vb, best
 
     def max(self) -> Scalar:
         return self._extreme(True)[0]
@@ -211,11 +235,14 @@ class ExactBatch:
             return ExactBatch.from_scalars([v + offset for v in self.scalars])
         offset = Fraction(offset)
         classes = dict(self.classes) if self.classes is not None else {}
-        base = classes.get(1, np.zeros(len(self), dtype=np.int64))
         new_scale = self.scale * offset.denominator // gcd(self.scale, offset.denominator)
         mul = new_scale // self.scale
+        shift = int(offset * new_scale)
+        for c, arr in classes.items():
+            _check_int64(_peak(arr) * mul + (abs(shift) if c == 1 else 0))
+        _check_int64(abs(shift))
         classes = {c: arr.astype(np.int64) * mul for c, arr in classes.items()}
-        classes[1] = classes.get(1, base * 0) + int(offset * new_scale)
+        classes[1] = classes.get(1, np.zeros(len(self), dtype=np.int64)) + shift
         return ExactBatch(
             scale=new_scale,
             classes=classes,
@@ -231,6 +258,10 @@ class ExactBatch:
         if self.scalars is not None:
             return ExactBatch.from_scalars([v * factor for v in self.scalars])
         num, den = factor.numerator, factor.denominator
+        for arr in (self.classes or {}).values():
+            _check_int64(_peak(arr) * num)
+        if self.roots is not None:
+            _check_int64(_peak(self.roots) * num * num)
         classes = (
             {c: arr * num for c, arr in self.classes.items()}
             if self.classes is not None

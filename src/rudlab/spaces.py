@@ -406,17 +406,27 @@ def _normingset_reduce_exact(
     """max over functionals of |sum_c (M_c v) sqrt(c)| as an exact batch."""
     pairs = {c: m @ v for c, m in mats.items()}  # (F, N) per class
     approx = sum(p.astype(np.float64) * (c**0.5) for c, p in pairs.items())
-    best = np.abs(approx).argmax(axis=0)
+    gap = np.abs(approx)
+    best = gap.argmax(axis=0)
     n = v.shape[1]
     cols = np.arange(n)
-    fv = np.abs(approx[best, cols])
-    # certify float argmax choices on near-tied columns
-    gap = np.abs(approx)
-    gap_max = fv[None, :] - gap
-    tol = 1e-9 * (1.0 + np.abs(fv))[None, :]
-    tied_cols = np.nonzero((gap_max < tol).sum(axis=0) > 1)[0]
-    for j in tied_cols:
-        cand = np.nonzero(gap_max[:, j] < tol[0, j])[0]
+    fv = gap[best, cols]
+    # Certify the float argmax on near-tied columns.  A candidate whose
+    # per-class entries equal the winner's, or are all negated, has exactly
+    # the winner's absolute value and cannot beat it; only columns holding a
+    # candidate with another key are compared exactly.
+    np.subtract(fv[None, :], gap, out=gap)
+    tol = 1e-9 * (1.0 + fv)
+    fi, ji = np.nonzero(gap < tol[None, :])
+    win = best[ji]
+    same = np.ones(len(fi), dtype=bool)
+    flip = np.ones(len(fi), dtype=bool)
+    for p in pairs.values():
+        cv, bv = p[fi, ji], p[win, ji]
+        same &= cv == bv
+        flip &= cv == -bv
+    for j in np.unique(ji[~(same | flip)]):
+        cand = fi[ji == j]
         bi = int(best[j])
         bval = _qval(pairs, bi, j)
         for f in cand:

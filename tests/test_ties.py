@@ -1,0 +1,190 @@
+"""Tie certification: near-tied extremes are decided exactly, candidates
+with equal integer keys are compared once, and the first exact extreme
+wins."""
+
+from fractions import Fraction as F
+
+import numpy as np
+import pytest
+
+from rudlab import exactnum
+from rudlab.batches import ExactBatch, _scalar_gt
+from rudlab.coeffs import Coeffs, mask_matrix_full, sign_matrix_full
+from rudlab.config import RunConfig, SpaceFactory
+from rudlab.exactnum import QSum
+from rudlab.experiments import sample_vector
+from rudlab.rademacher import sign_stats, subset_stats
+from rudlab.rng import derive_seed
+from rudlab.spaces import NormingSetSpace
+
+RT2 = QSum({2: F(1)})
+
+# Pell pairs x^2 - 2 y^2 = 1, so x exceeds y*sqrt(2) by about 1/(2x):
+# relative gap about 1e-12 (inside the float tie tolerance), and about
+# 2.5e-20 (below float resolution: the float argmax cannot tell them apart).
+NEAR = (665857, 470832)
+FAR_BELOW_FLOAT = (4478554083, 3166815962)
+
+
+def _same(x, y) -> bool:
+    return (QSum.of(x) - QSum.of(y)).sign() == 0
+
+
+def _two_functional_space(rational: list, radical: list, radical_first: bool):
+    """Norming set of two functionals: ``rational . a`` and
+    ``sqrt(2) * (radical . a)``."""
+    phi_q = Coeffs.from_pairs(list(enumerate(rational)))
+    phi_r = Coeffs.from_pairs([(i, w * RT2) for i, w in enumerate(radical)])
+    family = [phi_r, phi_q] if radical_first else [phi_q, phi_r]
+    return NormingSetSpace("pell", lambda sup: family)
+
+
+@pytest.mark.parametrize("radical_first", [False, True])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_norming_set_distinct_near_tie(sign, radical_first):
+    x, y = NEAR
+    assert x * x - 2 * y * y == 1
+    space = _two_functional_space([x], [y], radical_first)
+    got = space.norm(Coeffs.from_values([sign]))
+    assert got == x  # the rational functional is the larger, by about 7.5e-7
+    assert (QSum.of(got) - y * RT2).sign() > 0
+    assert _same(got, space.norm_slow(Coeffs.from_values([sign])))
+
+
+@pytest.mark.parametrize("radical_first", [False, True])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_norming_set_tie_below_float_resolution(sign, radical_first):
+    """With a = (2^16, 1) the two pairings are x and y*sqrt(2) for a Pell
+    pair near 4.5e9, which round to the same float; the exact path must
+    still take the rational one, whichever functional comes first."""
+    x, y = FAR_BELOW_FLOAT
+    assert x * x - 2 * y * y == 1
+    hi = 1 << 16
+    space = _two_functional_space(
+        [x // hi, x % hi], [y // hi, y % hi], radical_first
+    )
+    a = Coeffs.from_values([sign * hi, sign])
+    assert float(x) == float(y * 2**0.5)
+    assert space.norm(a) == x
+    assert space.norm_slow(a) == x
+
+
+def _first_extreme(batch: ExactBatch, want_max: bool) -> int:
+    """Oracle: first index of the exact extreme, by pairwise comparison."""
+    best = 0
+    for i in range(1, len(batch)):
+        vi, vb = batch.value(i), batch.value(best)
+        if _scalar_gt(vi, vb) if want_max else _scalar_gt(vb, vi):
+            best = i
+    return best
+
+
+def _check_extremes(batch: ExactBatch, want_max_idx: int, want_min_idx: int):
+    for want_max, idx in ((True, want_max_idx), (False, want_min_idx)):
+        value, got = batch._extreme(want_max)
+        assert got == idx == _first_extreme(batch, want_max)
+        assert _same(value, batch.value(idx))
+    assert batch.argmax() == want_max_idx
+
+
+def test_extreme_repeated_keys():
+    """Keys repeat and two distinct keys are near-tied: the first index of
+    the larger key wins, not the first near-tied index nor a later copy."""
+    x, y = NEAR
+    batch = ExactBatch.from_classes(
+        {
+            1: np.array([0, x, 0, x, 5, x], dtype=np.int64),
+            2: np.array([y, 0, y, 0, 0, 0], dtype=np.int64),
+        },
+        3,
+    )
+    _check_extremes(batch, 1, 4)
+    assert batch.max() == F(x, 3)
+    # the same keys with the larger value first
+    batch = ExactBatch.from_classes(
+        {
+            1: np.array([x, 0, x, 0], dtype=np.int64),
+            2: np.array([0, y, 0, y], dtype=np.int64),
+        },
+        1,
+    )
+    _check_extremes(batch, 0, 1)
+
+
+def test_extreme_equal_values_under_different_keys():
+    """sqrt(8) as a root radicand, 2*sqrt(2) as a class-2 entry and
+    sqrt(2) + sqrt(2) split between both are one value under three keys;
+    the first index holding it wins, although its key sorts last."""
+    classes = {
+        1: np.array([0, 0, 0, 0, 1], dtype=np.int64),
+        2: np.array([2, 0, 1, 0, 0], dtype=np.int64),
+    }
+    roots = np.array([0, 8, 2, 8, 0], dtype=np.int64)
+    batch = ExactBatch(scale=1, classes=classes, roots=roots, roots_scale=1)
+    assert all(_same(batch.value(i), 2 * RT2) for i in range(4))
+    _check_extremes(batch, 0, 4)
+    # a smaller value first: the first maximiser is the root-radicand one
+    classes = {1: np.array([2, 0, 0, 0], dtype=np.int64),
+               2: np.array([0, 0, 2, 1], dtype=np.int64)}
+    batch = ExactBatch(
+        scale=1, classes=classes, roots=np.array([0, 8, 0, 2], dtype=np.int64),
+        roots_scale=1,
+    )
+    _check_extremes(batch, 1, 0)
+
+
+ORACLE_SPECS = ["norming_set", "zmr", "zrud"]
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS)
+def test_batches_match_norm_slow(spec):
+    """Every sign and every mask column of sweep vectors against the
+    explicit pairing oracle ``NormingSetSpace.norm_slow``."""
+    cfg = RunConfig()
+    space = SpaceFactory(cfg).space(spec)
+    seed = derive_seed(cfg.seed, len(spec), sum(map(ord, spec)))
+    checked = 0
+    for i in range(40):
+        a = sample_vector(space, seed, i)
+        if not a or len(a) > 4:
+            continue
+        m = len(a)
+        for mult in (sign_matrix_full(m), mask_matrix_full(m)):
+            batch = space.mult_batch(a, mult, 1)
+            for col in range(mult.shape[1]):
+                masked = Coeffs.from_pairs(
+                    (i, v * int(c)) for (i, v), c in zip(a.entries, mult[:, col])
+                )
+                want = space.norm_slow(masked) if masked else 0
+                assert _same(batch.value(col), want), (spec, a, col)
+        checked += 1
+        if checked == 6:
+            break
+    assert checked == 6
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS)
+def test_sweep_qsum_sign_count(spec, monkeypatch):
+    """Near-ties whose key equals the winner's up to sign are certified
+    without QSum: the first 20 sweep vectors need at most 200 exact signs
+    (about 19,000 to 60,000 when every near-tie was compared in QSum)."""
+    calls = 0
+    sign = QSum.sign
+
+    def counting(self):
+        nonlocal calls
+        calls += 1
+        return sign(self)
+
+    cfg = RunConfig()
+    space = SpaceFactory(cfg).space(spec)
+    seed = derive_seed(cfg.seed, len(spec), sum(map(ord, spec)))
+    monkeypatch.setattr(exactnum.QSum, "sign", counting)
+    for i in range(20):
+        a = sample_vector(space, seed, i)
+        if not a:
+            continue
+        st = sign_stats(space, a, cfg.cap)
+        st.mean(), st.min(), st.max()
+        subset_stats(space, a, cfg.cap).mean()
+    assert calls <= 200, calls
