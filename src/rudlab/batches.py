@@ -11,12 +11,13 @@ patterns produces values of a very constrained shape:
   (square function plus partial-sum supremum, branchwise maxima).
 * ``scalars``: a plain list of exact scalars (slow fallback).
 
-The min/max/mean/second-moment reductions stay exact throughout.  Extremes
-over mixed-radical batches are located by a float pass and then certified by
-exact comparison of the near-tied candidates, one per distinct integer key
-(equal keys under one scale are equal values); sums of products are taken
-over Python integers so no intermediate can overflow, and the affine
-adjustments refuse, rather than wrap, results that leave int64.
+The min/max/mean/second-moment reductions stay exact throughout.  Every
+near-tie in rudlab is settled by :func:`first_extreme`: a float pass locates
+the extreme, and the candidates within ``_TIE_RTOL`` of it are compared
+exactly, one per distinct integer key (equal keys are equal values).  Sums
+of products are taken over Python integers so no intermediate can overflow,
+and the affine adjustments refuse, rather than wrap, results that leave
+int64.
 """
 
 from __future__ import annotations
@@ -24,9 +25,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
+from typing import Callable, Sequence
 
 import numpy as np
 
+from .coeffs import NoIntegerForm
 from .exactnum import QSum, Scalar, split_square
 
 _TIE_RTOL = 1e-9
@@ -45,13 +48,44 @@ def _peak(arr: np.ndarray) -> int:
 def _check_int64(bound: int) -> None:
     """Refuse a result whose magnitude bound int64 cannot hold."""
     if bound > _INT64_MAX:
-        raise ValueError("batch entries would leave int64: no integer form")
+        raise NoIntegerForm("batch entries would leave int64: no integer form")
 
 
 def _scalar_gt(a: Scalar, b: Scalar) -> bool:
     if isinstance(a, QSum) or isinstance(b, QSum):
         return (QSum.of(a) - QSum.of(b)).sign() > 0
     return a > b
+
+
+def first_extreme(
+    approx: np.ndarray,
+    keys: Sequence[np.ndarray],
+    value: Callable[[int], Scalar],
+    want_max: bool,
+) -> tuple[Scalar, int]:
+    """(value, index) of the first exact extreme of ``value(i)`` over the
+    items ``i`` whose float approximations are ``approx``.
+
+    The candidates are the items within ``_TIE_RTOL`` of the float extreme.
+    Each item's integer key is its entry in every array of ``keys``; equal
+    keys must mean equal values, so each key is represented by its first
+    index, and the distinct keys are compared exactly in first-index order.
+    """
+    target = approx.max() if want_max else approx.min()
+    tol = _TIE_RTOL * (1.0 + abs(target))
+    cand = np.nonzero(np.abs(approx - target) <= tol)[0]
+    k = np.stack([key[cand] for key in keys])
+    order = np.lexsort(k)  # stable: equal keys stay in index order
+    k = k[:, order]
+    first = np.ones(len(cand), dtype=bool)
+    first[1:] = (k[:, 1:] != k[:, :-1]).any(axis=0)
+    cand = np.sort(cand[order[first]]).tolist()
+    best, vb = cand[0], value(cand[0])
+    for i in cand[1:]:
+        vi = value(i)
+        if _scalar_gt(vi, vb) if want_max else _scalar_gt(vb, vi):
+            best, vb = i, vi
+    return vb, best
 
 
 @dataclass
@@ -136,27 +170,11 @@ class ExactBatch:
             ((_, arr),) = self.classes.items()
             i = int(np.argmax(arr) if want_max else np.argmin(arr))
             return self.value(i), i
-        # Mixed radicals: locate by float, then certify the near-ties exactly,
-        # one candidate per distinct integer key (the class entries and the
-        # root radicand; the batch shares one scale, so equal keys mean equal
-        # values).  Each key is represented by its first index and the keys
-        # are compared in first-index order, so the first exact extreme wins.
-        fv = self.float_values()
-        target = fv.max() if want_max else fv.min()
-        tol = _TIE_RTOL * (1.0 + abs(target))
-        cand = np.nonzero(np.abs(fv - target) <= tol)[0]
-        parts = [arr[cand] for arr in (self.classes or {}).values()]
+        keys = list((self.classes or {}).values())
         if self.roots is not None:
-            parts.append(self.roots[cand])
-        _, first = np.unique(np.stack(parts, axis=1), axis=0, return_index=True)
-        cand = cand[np.sort(first)]
-        best = int(cand[0])
-        vb = self.value(best)
-        for i in cand[1:]:
-            vi = self.value(int(i))
-            if (want_max and _scalar_gt(vi, vb)) or (not want_max and _scalar_gt(vb, vi)):
-                best, vb = int(i), vi
-        return vb, best
+            keys.append(self.roots)
+        # one batch shares one scale, so equal keys are equal values
+        return first_extreme(self.float_values(), keys, self.value, want_max)
 
     def max(self) -> Scalar:
         return self._extreme(True)[0]

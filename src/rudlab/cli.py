@@ -150,9 +150,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--set", action="append", metavar="KEY=VALUE",
         help="config override (repeatable); unknown keys are rejected",
     )
-    common.add_argument("--threads", type=int, default=None,
-                        help="cap engine parallelism (engines are "
-                        "scheduling-independent by construction)")
 
     p = sub.add_parser("norm", parents=[common], help="evaluate one norm")
     p.add_argument("--space", required=True, help="engine spec, e.g. lp:2, summing, james")
@@ -178,8 +175,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.threads is not None and args.threads < 1:
-            raise DomainError("threads must be >= 1")
         return args.fn(args)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -27,6 +27,12 @@ class EnumerationCapError(DomainError):
     """Exhaustive sign enumeration refused; use the Monte-Carlo path."""
 
 
+class NoIntegerForm(DomainError):
+    """Values with no int64 matrix form: float or radical-valued entries,
+    or magnitudes beyond the integer path.  Callers with a per-vector norm
+    fall back to it."""
+
+
 DEFAULT_ENUM_CAP = 24
 
 
@@ -92,7 +98,8 @@ class Coeffs:
     def int_values(self) -> tuple[np.ndarray, int]:
         """Values as an int64 array with a common denominator ``den``.
 
-        Only valid for rational entries; the true value at slot ``j`` is
+        Only valid for rational entries (others raise
+        :class:`NoIntegerForm`); the true value at slot ``j`` is
         ``ints[j] / den``.  Magnitudes are capped so that every downstream
         integer reduction (atom sums, squared tails, chain squares) stays
         inside 64 bits.
@@ -100,9 +107,11 @@ class Coeffs:
         fracs = []
         for _, v in self.entries:
             if isinstance(v, QSum):
+                if not v.is_rational():
+                    raise NoIntegerForm("radical-valued entry: no integer form")
                 fracs.append(v.as_fraction())
             elif isinstance(v, float):
-                raise DomainError("exact path requires rational coefficients")
+                raise NoIntegerForm("exact path requires rational coefficients")
             else:
                 fracs.append(Fraction(v))
         den = 1
@@ -110,7 +119,7 @@ class Coeffs:
             den = den * f.denominator // np.gcd(den, f.denominator)
         scaled = [int(f * den) for f in fracs]
         if any(abs(x) > (1 << 26) for x in scaled):
-            raise DomainError(
+            raise NoIntegerForm(
                 "coefficient magnitudes too large for the exact integer path "
                 "(scaled entries must fit in 26 bits)"
             )

@@ -68,6 +68,25 @@ def _sqrt_bracket(core: int, bits: int) -> tuple[Fraction, Fraction]:
     return hit
 
 
+def _bracket(terms: dict[int, Fraction], bits: int) -> tuple[Fraction, Fraction]:
+    """Rational bracket lo <= sum q sqrt(core) <= hi, each root to 2**-bits."""
+    lo = Fraction(0)
+    hi = Fraction(0)
+    for core, q in terms.items():
+        if core == 1:
+            lo += q
+            hi += q
+            continue
+        blo, bhi = _sqrt_bracket(core, bits)
+        if q > 0:
+            lo += q * blo
+            hi += q * bhi
+        else:
+            lo += q * bhi
+            hi += q * blo
+    return lo, hi
+
+
 def _canonicalise(terms: dict[int, Fraction]) -> dict[int, Fraction]:
     """Fully squarefree-reduce all radicands (slow path, rarely needed)."""
     from sympy import factorint
@@ -238,20 +257,7 @@ class QSum:
             return 1 if q > 0 else -1
         bits = 32
         while bits <= _MAX_SIGN_BITS:
-            lo = Fraction(0)
-            hi = Fraction(0)
-            for core, q in t.items():
-                if core == 1:
-                    lo += q
-                    hi += q
-                    continue
-                blo, bhi = _sqrt_bracket(core, bits)
-                if q > 0:
-                    lo += q * blo
-                    hi += q * bhi
-                else:
-                    lo += q * bhi
-                    hi += q * blo
+            lo, hi = _bracket(t, bits)
             if lo > 0:
                 return 1
             if hi < 0:
@@ -312,41 +318,12 @@ def is_exact(x: Scalar) -> bool:
     return isinstance(x, (int, Fraction, QSum))
 
 
-def sign_of(x: Scalar) -> int:
-    if isinstance(x, QSum):
-        return x.sign()
-    return (x > 0) - (x < 0)
-
-
-def scalar_le(x: Scalar, y: Scalar, rtol: float = 0.0) -> bool:
-    """x <= y, exactly for exact scalars, with relative slack for floats."""
-    if is_exact(x) and is_exact(y):
-        d = (QSum.of(y) - QSum.of(x)) if (isinstance(x, QSum) or isinstance(y, QSum)) else (y - x)
-        return sign_of(d) >= 0
-    fx, fy = float(x), float(y)
-    return fx <= fy + rtol * max(1.0, abs(fx), abs(fy))
-
-
 def qsum_interval(x: Scalar, bits: int) -> tuple[Fraction, Fraction]:
     """Exact rational bracket for any exact scalar."""
     if not isinstance(x, QSum):
         q = Fraction(x)
         return q, q
-    lo = Fraction(0)
-    hi = Fraction(0)
-    for core, q in x.terms.items():
-        if core == 1:
-            lo += q
-            hi += q
-            continue
-        blo, bhi = _sqrt_bracket(core, bits)
-        if q > 0:
-            lo += q * blo
-            hi += q * bhi
-        else:
-            lo += q * bhi
-            hi += q * blo
-    return lo, hi
+    return _bracket(x.terms, bits)
 
 
 def le_times_square(x: Scalar, c: Fraction, y: Scalar) -> bool:

@@ -34,6 +34,7 @@ from math import comb
 
 import numpy as np
 
+from .batches import ExactBatch
 from .coeffs import Coeffs, DomainError, NormingFunctional
 from .exactnum import QSum, Scalar, sqrt_exact
 from .spaces import NormingSetSpace, RenormSpace, Space
@@ -583,14 +584,6 @@ def mr_witness(
     return WitnessReport(x, AdmissibleTuple(tuple(blocks)), norm, est, bound)
 
 
-def _exact_max(values: list[Scalar]) -> Scalar:
-    best = values[0]
-    for v in values[1:]:
-        if (QSum.of(v) - QSum.of(best)).sign() > 0:
-            best = v
-    return best
-
-
 def _greedy_fill(block_units: list[tuple[Scalar, int]], budget: int) -> Scalar:
     """Largest sum of at most ``budget`` unit slots with positive values;
     ``block_units`` holds (slot value, slot count) per block, exact."""
@@ -655,7 +648,7 @@ def zrud_block_norm(ctx: MrContext, a_blocks: list) -> Scalar:
             [(QSum.of(v) * -1, c) for v, c in avail], half
         )
         cands.append(abs(w * QSum.of(dec)))
-    best = _exact_max(cands)
+    best = ExactBatch.from_scalars(cands).max()
     return best.as_fraction() if isinstance(best, QSum) and best.is_rational() else best
 
 

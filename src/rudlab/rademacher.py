@@ -16,7 +16,9 @@ complement would be a smaller maximiser.  Subset averages walk all 2^m
 masks.
 
 Monte-Carlo sample i is a pure function of (seed, i) via the counter-based
-generator, so estimates are bit-identical across runs and worker counts.
+generator, so for a fixed seed and sample count an estimate is the same in
+every run.  Its last bits depend on ``_MC_CHUNK``, which sets the order of
+the float summation.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from .coeffs import (
     DomainError,
     EnumerationCapError,
     DEFAULT_ENUM_CAP,
+    NoIntegerForm,
     SignPattern,
     apply_signs,
     mask_matrix_range,
@@ -140,7 +143,7 @@ def _walk(space: Space, a: Coeffs, masks: bool) -> Iterator[tuple[int, ExactBatc
         stop = min(start + _CHUNK, total)
         try:
             batch = space.mult_batch(a, build(m, start, stop), 1)
-        except ValueError:  # radical-valued entries: no integer matrix form
+        except NoIntegerForm:
             batch = None
         if batch is None:
             if masks:

@@ -22,8 +22,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .batches import ExactBatch
-from .coeffs import Coeffs, DomainError, NormingFunctional, pair
+from .batches import _TIE_RTOL, ExactBatch, first_extreme
+from .coeffs import Coeffs, DomainError, NoIntegerForm, NormingFunctional, pair
 from .exactnum import QSum, Scalar, split_square
 
 
@@ -400,24 +400,21 @@ def functional_class_matrices(
     return mats, scale
 
 
-def _normingset_reduce_exact(
-    mats: dict[int, np.ndarray], fscale: int, v: np.ndarray, vscale: int
-) -> ExactBatch:
-    """max over functionals of |sum_c (M_c v) sqrt(c)| as an exact batch."""
-    pairs = {c: m @ v for c, m in mats.items()}  # (F, N) per class
+def _normingset_reduce_exact(pairs: dict[int, np.ndarray], scale: int) -> ExactBatch:
+    """max over functionals of |sum_c P_c sqrt(c)| / scale as an exact batch,
+    from the (functional, column) pairings ``P_c`` of each radicand class."""
     approx = sum(p.astype(np.float64) * (c**0.5) for c, p in pairs.items())
     gap = np.abs(approx)
     best = gap.argmax(axis=0)
-    n = v.shape[1]
+    n = gap.shape[1]
     cols = np.arange(n)
     fv = gap[best, cols]
     # Certify the float argmax on near-tied columns.  A candidate whose
     # per-class entries equal the winner's, or are all negated, has exactly
     # the winner's absolute value and cannot beat it; only columns holding a
-    # candidate with another key are compared exactly.
+    # candidate with another key go to first_extreme.
     np.subtract(fv[None, :], gap, out=gap)
-    tol = 1e-9 * (1.0 + fv)
-    fi, ji = np.nonzero(gap < tol[None, :])
+    fi, ji = np.nonzero(gap <= _TIE_RTOL * (1.0 + fv)[None, :])
     win = best[ji]
     same = np.ones(len(fi), dtype=bool)
     flip = np.ones(len(fi), dtype=bool)
@@ -425,15 +422,15 @@ def _normingset_reduce_exact(
         cv, bv = p[fi, ji], p[win, ji]
         same &= cv == bv
         flip &= cv == -bv
-    for j in np.unique(ji[~(same | flip)]):
-        cand = fi[ji == j]
-        bi = int(best[j])
-        bval = _qval(pairs, bi, j)
-        for f in cand:
-            val = _qval(pairs, int(f), j)
-            if (abs(val) - abs(bval)).sign() > 0:
-                bi, bval = int(f), val
-        best[j] = bi
+    for j in np.unique(ji[~(same | flip)]).tolist():
+        # key: the pairings up to sign, normalised by the first non-zero
+        # entry (a float sign is unusable: a pairing can round to 0.0)
+        key = np.stack([p[:, j] for p in pairs.values()])
+        lead = key[(key != 0).argmax(axis=0), np.arange(key.shape[1])]
+        key = key * np.where(lead < 0, -1, 1)
+        best[j] = first_extreme(
+            np.abs(approx[:, j]), key, lambda f: abs(_qval(pairs, f, j)), True
+        )[1]
     # orient so the stored class entries add up to a non-negative value
     signs = np.sign(approx[best, cols])
     signs[signs == 0] = 1
@@ -442,7 +439,7 @@ def _normingset_reduce_exact(
         s = _qval(pairs, int(best[j]), int(j)).sign()
         signs[j] = s if s else 1
     classes = {c: (p[best, cols] * signs.astype(np.int64)) for c, p in pairs.items()}
-    return ExactBatch.from_classes(classes, fscale * vscale)
+    return ExactBatch.from_classes(classes, scale)
 
 
 def _qval(pairs: dict[int, np.ndarray], f: int, j: int) -> QSum:
@@ -515,14 +512,14 @@ class NormingSetSpace(Space):
         if a.is_exact():
             try:
                 return super().norm(a)
-            except (ValueError, DomainError):
+            except NoIntegerForm:
                 return self._norm_radical(a)
         return super().norm(a)
 
     def _norm_radical(self, a: Coeffs) -> Scalar:
-        """Exact norm for vectors whose entries carry radical factors."""
-        support = a.support
-        mats, fscale = self.class_mats(support)
+        """Exact norm for vectors with no integer form (radical-valued
+        entries, or magnitudes beyond the integer path), in Python ints."""
+        mats, fscale = self.class_mats(a.support)
         vclasses: dict[int, list[Fraction]] = {}
         vden = 1
         for k, (_, w) in enumerate(a.entries):
@@ -531,34 +528,22 @@ class NormingSetSpace(Space):
                 vclasses.setdefault(core, [Fraction(0)] * len(a))[k] = q
                 vden = _lcm(vden, q.denominator)
         vmats = {
-            c: np.array([int(q * vden) for q in col], dtype=np.int64)
+            c: np.array([int(q * vden) for q in col], dtype=object)
             for c, col in vclasses.items()
         }
         pairs: dict[int, np.ndarray] = {}
         for fc, m in mats.items():
             for vc, col in vmats.items():
                 outer, core = split_square(fc * vc)
-                acc = (m @ col) * outer
-                pairs[core] = pairs.get(core, 0) + acc
-        approx = sum(p.astype(np.float64) * (c**0.5) for c, p in pairs.items())
-        order = np.argsort(-np.abs(approx))
-        best = QSum()
-        target = abs(approx[order[0]])
-        for f in order:
-            if abs(approx[f]) < target - 1e-9 * (1.0 + target):
-                break
-            val = QSum()
-            for c, p in pairs.items():
-                val = val + QSum.root(c, Fraction(int(p[f])))
-            if (abs(val) - abs(best)).sign() > 0:
-                best = abs(val)
-        best = best * Fraction(1, fscale * vden)
-        return best.as_fraction() if best.is_rational() else best
+                pairs[core] = pairs.get(core, 0) + (m @ col) * outer
+        one_col = {c: p[:, None] for c, p in pairs.items()}
+        return _normingset_reduce_exact(one_col, fscale * vden).value(0)
 
     def mult_batch(self, a, mult, den=1):
         v, vscale = _int_mult_values(a, mult, den)
         mats, fscale = self.class_mats(a.support)
-        return _normingset_reduce_exact(mats, fscale, v, vscale)
+        pairs = {c: m @ v for c, m in mats.items()}  # (F, N) per class
+        return _normingset_reduce_exact(pairs, fscale * vscale)
 
     def mult_batch_float(self, a, mult):
         v = _float_values(a, mult)

@@ -157,3 +157,30 @@ def test_every_experiment_registered():
         "duality", "zmr", "zruc", "zrud", "bd", "haar-blocks",
         "khintchine-kahane", "contraction", "parallelogram",
     }
+
+
+# SHA-256 of the ``certify`` report file at the default config, as
+# ``rudlab certify <name> --out FILE`` writes it.  Reports carrying
+# Monte-Carlo float sums are left out: numpy's summation order may differ
+# across CPUs.  zmr is one of them; its exact norm strings are pinned.
+_REPORT_DIGESTS = {
+    "sandwich": "26b65e0f689ed96b3d3611af57113e37b0103717d3cc3d65f3397ef6faa2cc2c",
+    "subsets": "6f4ab4be3bb157b3f14e311fa123ac57ab61df0c9846d8fe45fdd669c5680009",
+    "bd": "d1103dd94bc2a563b6fda27a123b7135144716db080792099c555e5e02605cd6",
+    "partition": "40b6b2796429b35a33a6279043c56888530f856bb3890ecfa2beda6575353567",
+    "zruc": "8e69369f4c20e487b30fe802f869781e0301ce9c91e7e614eb35b13154285350",
+    "zrud": "6ac7a6268a0c42a9ca60e6ea8f756e65d929f9746f8113c970d5f6e9810d4161",
+}
+
+
+def test_report_bytes_pinned(tmp_path):
+    import hashlib
+
+    from rudlab.cli import _report_payload, _write_report
+
+    for name, digest in _REPORT_DIGESTS.items():
+        path = tmp_path / f"{name}.json"
+        _write_report(str(path), _report_payload(name, CFG, _report(name)), CFG.format)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, name
+    exact = {r.rid: r.exact for r in _report("zmr").rows if r.rid.startswith("zmr.norm.")}
+    assert exact == {"zmr.norm.n=1": "1", "zmr.norm.n=2": "2", "zmr.norm.n=3": "3"}

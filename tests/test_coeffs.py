@@ -8,6 +8,7 @@ from rudlab.coeffs import (
     Coeffs,
     DomainError,
     EnumerationCapError,
+    NoIntegerForm,
     SignPattern,
     apply_signs,
     enumerate_sign_patterns,
@@ -123,3 +124,15 @@ def test_int_values_magnitude_guard():
     ok = Coeffs.from_values([F(3, 2), -7])
     ints, den = ok.int_values()
     assert ints.tolist() == [3, -14] and den == 2
+
+
+def test_int_values_no_integer_form():
+    """Float or radical entries and magnitudes beyond the cap raise the
+    named no-integer-form signal (a DomainError: the CLI exits with 2)."""
+    with pytest.raises(NoIntegerForm, match="radical"):
+        Coeffs.from_values([1, SQRT2]).int_values()
+    with pytest.raises(NoIntegerForm, match="rational"):
+        Coeffs.from_values([1, 0.5]).int_values()
+    with pytest.raises(NoIntegerForm, match="26 bits"):
+        Coeffs.from_values([1 << 30]).int_values()
+    assert Coeffs.from_values([QSum.of(F(5, 2))]).int_values()[0].tolist() == [5]

@@ -210,6 +210,44 @@ def test_half_enumeration_scalar_fallback(monkeypatch):
         _assert_same_reductions(got, want, chunk)
 
 
+def test_scalar_fallback_beyond_the_coefficient_cap():
+    """Entries beyond the 26-bit cap have no integer form either: a
+    norming-set engine takes the scalar fallback and stays exact."""
+    from rudlab.batches import ExactBatch
+    from rudlab.coeffs import apply_signs, enumerate_sign_patterns
+    from rudlab.config import RunConfig, SpaceFactory
+
+    space = SpaceFactory(RunConfig()).space("norming_set")
+    a = Coeffs.from_values([1 << 27, 1, -3, 5])
+    want = ExactBatch.from_scalars(
+        [space.norm_slow(apply_signs(a, e)) for e in enumerate_sign_patterns(a.support)]
+    )
+    got = sign_stats(space, a)
+    assert got.scalars is not None
+    _assert_same_reductions(got, want, a)
+
+
+class _NegatingL1(LpSpace):
+    """l1 whose batch path raises an unrelated ValueError (it negates a norm
+    batch) while its per-vector norm does not use the batch path."""
+
+    def __init__(self):
+        super().__init__(1)
+
+    def mult_batch(self, a, mult, den=1):
+        return super().mult_batch(a, mult, den).scale_rational(F(-1))
+
+    def norm(self, a):
+        return sum(abs(v) for _, v in a)
+
+
+def test_unrelated_value_error_surfaces():
+    """Only the no-integer-form signal selects the scalar fallback; any
+    other ValueError from a batch path propagates."""
+    with pytest.raises(ValueError, match="negated"):
+        sign_stats(_NegatingL1(), Coeffs.from_values([1, 2, 3]))
+
+
 def test_memory_bounded_by_chunk():
     """Peak traced allocation of m = 18 sweeps stays far below one
     materialised 2^18-column batch."""

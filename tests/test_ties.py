@@ -188,3 +188,30 @@ def test_sweep_qsum_sign_count(spec, monkeypatch):
         st.mean(), st.min(), st.max()
         subset_stats(space, a, cfg.cap).mean()
     assert calls <= 200, calls
+
+
+def test_radical_path_matches_norm_slow():
+    """Vectors that ``NormingSetSpace.norm`` sends to its Python-int path
+    (entries beyond the 26-bit cap, radical-valued entries) agree with the
+    pairing oracle.  With int64 pairings, norm([2^62]*3) on norming_set
+    wrapped to 2^62*sqrt(2) instead of 3*2^62."""
+    fac = SpaceFactory(RunConfig())
+    ctx = fac.mr_context
+    big3 = Coeffs.from_values([1 << 62] * 3)
+    x, y = FAR_BELOW_FLOAT
+    pell = Coeffs.from_pairs([(0, y * RT2), (1, -x)])
+    # mr block vectors: entries 1/sqrt(#s) on the canonical blocks
+    blocks = [ctx.block_vector(1), ctx.block_vector(2),
+              ctx.single_block(1) + ctx.single_block(2).scale(-3)]
+    cases = [(spec, big3) for spec in ORACLE_SPECS]
+    cases.append(("norming_set", Coeffs.from_values([1 << 61] * 4)))
+    cases += [("norming_set", a) for a in blocks + [ctx.block_vector(3), pell]]
+    cases += [("zmr", a) for a in blocks]
+    cases += [("zrud", a) for a in blocks[:2]]
+    for spec, a in cases:
+        space = fac.space(spec)
+        assert _same(space.norm(a), space.norm_slow(a)), (spec, a)
+    norming_set = fac.space("norming_set")
+    assert norming_set.norm(big3) == 3 << 62
+    # the two coordinate functionals tie below float resolution
+    assert norming_set.norm(pell) == x
