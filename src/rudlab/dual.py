@@ -174,36 +174,10 @@ def dual_norm_with_maximizer(f: Coeffs, space: Space, dim: int):
     raise DomainError(f"no dual-norm branch for space {space.name}")
 
 
-def dual_norm_lp_polytope(f: Coeffs, functionals: list[Coeffs], dim: int,
-                          exact_dim_cap: int = 12):
-    """max <f, x> subject to |<phi, x>| <= 1.
-
-    Exact-rational simplex up to ``exact_dim_cap`` variables; beyond that a
-    float solver with 1e-9 feasibility tolerance takes over and the result
-    is statistical rather than exact.
-    """
+def dual_norm_lp_polytope(f: Coeffs, functionals: list[Coeffs], dim: int):
+    """max <f, x> subject to |<phi, x>| <= 1, by the exact-rational simplex."""
     if not functionals:
         raise DomainError("empty norming set")
-    if dim > exact_dim_cap:
-        from scipy.optimize import linprog
-
-        A = np.zeros((2 * len(functionals), dim))
-        for r, phi in enumerate(functionals):
-            for i, v in phi.entries:
-                if i < dim:
-                    A[2 * r, i] = float(v)
-            A[2 * r + 1] = -A[2 * r]
-        c = np.zeros(dim)
-        for i, v in f.entries:
-            if i < dim:
-                c[i] = -float(v)
-        res = linprog(c, A_ub=A, b_ub=np.ones(A.shape[0]), bounds=(None, None))
-        if not res.success:
-            raise DomainError("functional escapes the restricted polar")
-        x = Coeffs.from_pairs(
-            (i, float(v)) for i, v in enumerate(res.x) if abs(v) > 1e-12
-        )
-        return -float(res.fun), x
     rows: list[list[Fraction]] = []
     rhs: list[Fraction] = []
     for phi in functionals:
@@ -309,7 +283,6 @@ def duality_report(
     dim: int,
     samples: int,
     seed: int,
-    dual_engine=None,
 ) -> DualityReport:
     """Sampled check that the biorthogonal system of the coordinate basis is
     divergence-side bounded by twice the measured convergence-side constant.
@@ -331,27 +304,18 @@ def duality_report(
         if not any(vals):
             vals[0] = 1
         b = Coeffs.from_pairs((i, v) for i, v in enumerate(vals) if v)
-        if dual_engine is not None:
-            dn = dual_engine.norm(b)
-            st = sign_stats(dual_engine, b)
-            de = float(st.mean())
-            norming = None
-        else:
-            dn, norming = dual_norm_with_maximizer(b, space, dim)
-            total = 0.0
-            m = len(b)
-            sup = b.support
-            for mask in range(1 << m):
-                flipped = Coeffs.from_pairs(
-                    (i, v if not (mask >> k) & 1 else -v)
-                    for k, (i, v) in enumerate(b.entries)
-                )
-                total += float(dual_norm(flipped, space, dim))
-            de = total / (1 << m)
+        dn, norming = dual_norm_with_maximizer(b, space, dim)
+        total = 0.0
+        m = len(b)
+        for mask in range(1 << m):
+            flipped = Coeffs.from_pairs(
+                (i, v if not (mask >> k) & 1 else -v)
+                for k, (i, v) in enumerate(b.entries)
+            )
+            total += float(dual_norm(flipped, space, dim))
+        de = total / (1 << m)
         ratio = float(dn) / de if de else 0.0
-        cval = 0.0
-        if norming is not None and norming:
-            cval = _ratio_ruc_float(space, norming)
+        cval = _ratio_ruc_float(space, norming) if norming else 0.0
         rows.append(DualityRow(tuple(vals), float(dn), de, ratio, cval))
         max_c = max(max_c, cval)
         max_ratio = max(max_ratio, ratio)

@@ -6,6 +6,12 @@ compare exact scalars (zero tolerance); statistical rows say so and carry
 their confidence brackets.  The acceptance test suite and the command-line
 ``certify`` command both run these functions, so a report file is exactly
 reproducible from its embedded config and seed.
+
+Sampled checks share one driver: :func:`_vectors` draws an engine's seeded
+coefficient vectors, :func:`_tally` counts the vectors failing each boolean
+a check returns, :func:`_worst` also keeps the largest ratio, and
+:meth:`Report.count` turns a failure count into a row.  :func:`_sweep` runs
+one check over every engine in ``SWEEP_SPECS``.
 """
 
 from __future__ import annotations
@@ -60,6 +66,10 @@ class Report:
         verdict = "PASS" if ok else ("WARN" if warn_only else "FAIL")
         self.rows.append(Row(rid, statement, float(measured), bound, verdict, exact))
 
+    def count(self, rid, statement, bad):
+        """A row that passes when no sample failed."""
+        self.add(rid, statement, bad, 0, bad == 0)
+
     @property
     def passed(self) -> bool:
         return all(r.verdict != "FAIL" for r in self.rows)
@@ -95,27 +105,59 @@ def _ge(x: Scalar, y: Scalar) -> bool:
     return (QSum.of(x) - QSum.of(y)).sign() >= 0
 
 
+def _ssq(a: Coeffs) -> Fraction:
+    """Exact square sum of the coefficients."""
+    return sum((Fraction(v) ** 2 for _, v in a.entries), Fraction(0))
+
+
+# ---------------------------------------------------------------------------
+# the sampled-check driver
+# ---------------------------------------------------------------------------
+
+
+def _vectors(space: Space, seed: int, count: int, max_m: int = 12) -> list[Coeffs]:
+    """The seeded samples 0 .. count-1, in index order (none is zero)."""
+    return [sample_vector(space, seed, i, max_m) for i in range(count)]
+
+
+def _tally(vectors, check) -> list[int]:
+    """For each boolean in the tuples ``check(a)`` returns, how many of the
+    vectors fail it."""
+    return [sum(not ok for ok in col) for col in zip(*map(check, vectors))]
+
+
+def _worst(vectors, check) -> tuple:
+    """(largest ratio, failure count, ...) over the tuples ``(ratio, ok, ...)``
+    that ``check(a)`` returns."""
+    worst = 0.0
+
+    def oks(a):
+        nonlocal worst
+        ratio, *rest = check(a)
+        worst = max(worst, ratio)
+        return rest
+
+    bad = _tally(vectors, oks)  # fills in ``worst``
+    return (worst, *bad)
+
+
 # ---------------------------------------------------------------------------
 # criteria 1, 2, 4: sandwich, subset average, square-mean step
 # ---------------------------------------------------------------------------
 
 
-def _sweep_rows(cfg, count, rid, statement, check) -> Report:
-    rep = Report(rid)
+def _sweep(cfg, name, rows, check) -> Report:
+    """Per engine of ``SWEEP_SPECS`` and per ``(rid, statement)`` of ``rows``,
+    a row counting the engine's 200 seeded vectors that fail the matching
+    boolean of ``check(space, a)``."""
+    rep = Report(name)
     fac = SpaceFactory.shared(cfg)
     for spec in SWEEP_SPECS:
         space = fac.space(spec)
-        seed = derive_seed(cfg.seed, len(spec), sum(map(ord, spec)))
-        bad = 0
-        used = 0
-        for i in range(count):
-            a = sample_vector(space, seed, i)
-            if not a:
-                continue
-            used += 1
-            if not check(space, a):
-                bad += 1
-        rep.add(f"{rid}.{spec}", f"{statement} [{used} vectors]", bad, 0, bad == 0)
+        vectors = _vectors(space, derive_seed(cfg.seed, len(spec), sum(map(ord, spec))), 200)
+        bad = _tally(vectors, lambda a: check(space, a))
+        for (rid, statement), b in zip(rows, bad):
+            rep.count(f"{rid}.{spec}", f"{statement} [{len(vectors)} vectors]", b)
     return rep
 
 
@@ -123,10 +165,10 @@ def exp_sandwich(cfg: RunConfig) -> Report:
     def check(space, a):
         st = sign_stats(space, a, cfg.cap)
         mean = st.mean()
-        return _ge(mean, st.min()) and _ge(st.max(), mean)
+        return (_ge(mean, st.min()) and _ge(st.max(), mean),)
 
-    return _sweep_rows(cfg, 200, "sandwich",
-                       "min over signs <= mean <= max over signs, exact", check)
+    return _sweep(cfg, "sandwich",
+                  [("sandwich", "min over signs <= mean <= max over signs, exact")], check)
 
 
 def exp_subsets(cfg: RunConfig) -> Report:
@@ -138,39 +180,25 @@ def exp_subsets(cfg: RunConfig) -> Report:
     subset average strictly above the sign average -- so those rows fail
     honestly; see the decisions ledger.
     """
-    rep = Report("subsets")
-    fac = SpaceFactory.shared(cfg)
-    for spec in SWEEP_SPECS:
-        space = fac.space(spec)
-        seed = derive_seed(cfg.seed, len(spec), sum(map(ord, spec)))
-        bad_hi = bad_lo = used = 0
-        for i in range(200):
-            a = sample_vector(space, seed, i)
-            if not a:
-                continue
-            used += 1
-            mean = sign_stats(space, a, cfg.cap).mean()
-            e0 = subset_stats(space, a, cfg.cap).mean()
-            if not _ge(2 * QSum.of(e0), mean):
-                bad_hi += 1
-            if not _ge(mean, e0):
-                bad_lo += 1
-        rep.add(f"subsets.upper.{spec}",
-                f"sign average <= twice the subset average, exact [{used} vectors]",
-                bad_hi, 0, bad_hi == 0)
-        rep.add(f"subsets.lower.{spec}",
-                f"subset average <= sign average, exact as displayed [{used} vectors]",
-                bad_lo, 0, bad_lo == 0)
-    return rep
+    def check(space, a):
+        mean = sign_stats(space, a, cfg.cap).mean()
+        e0 = subset_stats(space, a, cfg.cap).mean()
+        return _ge(2 * QSum.of(e0), mean), _ge(mean, e0)
+
+    return _sweep(cfg, "subsets", [
+        ("subsets.upper", "sign average <= twice the subset average, exact"),
+        ("subsets.lower", "subset average <= sign average, exact as displayed"),
+    ], check)
 
 
 def exp_khintchine_kahane(cfg: RunConfig) -> Report:
     def check(space, a):
         st = sign_stats(space, a, cfg.cap)
-        return le_times_square(st.mean_sq(), Fraction(2), st.mean())
+        return (le_times_square(st.mean_sq(), Fraction(2), st.mean()),)
 
-    return _sweep_rows(cfg, 200, "khintchine-kahane",
-                       "second moment <= 2 * (first moment)^2, exact", check)
+    return _sweep(cfg, "khintchine-kahane",
+                  [("khintchine-kahane", "second moment <= 2 * (first moment)^2, exact")],
+                  check)
 
 
 # ---------------------------------------------------------------------------
@@ -187,10 +215,7 @@ def exp_contraction(cfg: RunConfig) -> Report:
         seed = derive_seed(cfg.seed, 5, sum(map(ord, spec)))
         bad = 0
         trials = 0
-        for i in range(12):
-            a = sample_vector(space, seed, i, max_m=10)
-            if not a:
-                continue
+        for i, a in enumerate(_vectors(space, seed, 12, max_m=10)):
             ea = sign_stats(space, a, cfg.cap).mean()
             for j in range(8):
                 mults = [
@@ -205,9 +230,9 @@ def exp_contraction(cfg: RunConfig) -> Report:
                 trials += 1
                 if not _ge(ea, sign_stats(space, ba, cfg.cap).mean()):
                     bad += 1
-        rep.add(f"contraction.{spec}",
-                f"mean norm never grows under multipliers in {{0,+-1/2,+-1}} [{trials} pairs]",
-                bad, 0, bad == 0)
+        rep.count(f"contraction.{spec}",
+                  f"mean norm never grows under multipliers in {{0,+-1/2,+-1}} [{trials} pairs]",
+                  bad)
     return rep
 
 
@@ -223,19 +248,10 @@ def exp_parallelogram(cfg: RunConfig) -> Report:
     got = sign_stats(l2, a0, cfg.cap).mean_sq()
     rep.add("parallelogram.3-4", "mean squared norm of (3,4) equals 25",
             got, 25.0, QSum.of(got) == 25, exact=scalar_repr(got))
-    seed = derive_seed(cfg.seed, 3)
-    bad = 0
-    for i in range(60):
-        a = sample_vector(l2, seed, i)
-        if not a:
-            continue
-        ms = sign_stats(l2, a, cfg.cap).mean_sq()
-        ssq = sum((Fraction(v) ** 2 for _, v in a.entries), Fraction(0))
-        if QSum.of(ms) != ssq:
-            bad += 1
-    rep.add("parallelogram.random",
-            "mean squared norm equals the coefficient square sum [60 vectors]",
-            bad, 0, bad == 0)
+    bad, = _tally(_vectors(l2, derive_seed(cfg.seed, 3), 60),
+                  lambda a: (QSum.of(sign_stats(l2, a, cfg.cap).mean_sq()) == _ssq(a),))
+    rep.count("parallelogram.random",
+              "mean squared norm equals the coefficient square sum [60 vectors]", bad)
     return rep
 
 
@@ -250,21 +266,15 @@ def exp_summing(cfg: RunConfig) -> Report:
     s = fac.space("summing")
     sd = fac.space("summing_dual")
     seed = derive_seed(cfg.seed, 6)
-    bad_lo = bad_hi = 0
-    for i in range(200):
-        a = sample_vector(s, seed, i)
-        if not a:
-            continue
-        e = sign_stats(s, a, cfg.cap).mean()
-        ssq = sum((Fraction(v) ** 2 for _, v in a.entries), Fraction(0))
-        if not _ge(QSum.of(e) * QSum.of(e) * 2, ssq):
-            bad_lo += 1
-        if not _ge(4 * ssq, QSum.of(e) * QSum.of(e)):
-            bad_hi += 1
-    rep.add("summing.lower", "l2 norm over root-two <= sign average [200 vectors]",
-            bad_lo, 0, bad_lo == 0)
-    rep.add("summing.upper", "sign average <= twice the l2 norm [200 vectors]",
-            bad_hi, 0, bad_hi == 0)
+
+    def sandwich(a):
+        e = QSum.of(sign_stats(s, a, cfg.cap).mean())
+        e2 = e * e
+        return _ge(e2 * 2, _ssq(a)), _ge(4 * _ssq(a), e2)
+
+    bad_lo, bad_hi = _tally(_vectors(s, seed, 200), sandwich)
+    rep.count("summing.lower", "l2 norm over root-two <= sign average [200 vectors]", bad_lo)
+    rep.count("summing.upper", "sign average <= twice the l2 norm [200 vectors]", bad_hi)
 
     alt = Coeffs.from_values([(-1) ** i for i in range(16)])
     nrm = s.norm(alt)
@@ -281,21 +291,14 @@ def exp_summing(cfg: RunConfig) -> Report:
     rep.add("summing.rud_witness", "constant-ones length-16 witness: norm over mean >= 2",
             float(ratio), 2.0, ratio >= 2, exact=scalar_repr(ratio))
 
-    bad_l1 = bad_2e = 0
-    for i in range(150):
-        a = sample_vector(sd, seed + 7, i)
-        if not a:
-            continue
+    def dual(a):
         e = sign_stats(sd, a, cfg.cap).mean()
-        l1 = sum((abs(Fraction(v)) for _, v in a.entries), Fraction(0))
-        if not e >= l1:
-            bad_l1 += 1
-        if not 2 * e >= Fraction(sd.norm(a)):
-            bad_2e += 1
-    rep.add("summing.dual_lower", "coefficient l1 norm <= dual sign average [150 vectors]",
-            bad_l1, 0, bad_l1 == 0)
-    rep.add("summing.dual_upper", "dual norm <= twice its sign average [150 vectors]",
-            bad_2e, 0, bad_2e == 0)
+        return e >= sum(abs(Fraction(v)) for _, v in a.entries), 2 * e >= Fraction(sd.norm(a))
+
+    bad_l1, bad_2e = _tally(_vectors(sd, seed + 7, 150), dual)
+    rep.count("summing.dual_lower", "coefficient l1 norm <= dual sign average [150 vectors]",
+              bad_l1)
+    rep.count("summing.dual_upper", "dual norm <= twice its sign average [150 vectors]", bad_2e)
     return rep
 
 
@@ -320,43 +323,27 @@ def exp_james(cfg: RunConfig) -> Report:
     fac = SpaceFactory.shared(cfg)
     chain = fac.space("james:chain")
     seed = derive_seed(cfg.seed, 8)
-    bad = 0
-    for i in range(500):
-        a = sample_vector(chain, seed, i)
-        if not a:
-            continue
-        n = chain.norm(a)
-        ssq = sum((Fraction(v) ** 2 for _, v in a.entries), Fraction(0))
-        if not le_times_square(QSum.of(n) * QSum.of(n), Fraction(4), sqrt_exact(ssq)):
-            bad += 1
-    rep.add("james.upper", "chain norm <= twice the l2 norm [500 vectors]",
-            bad, 0, bad == 0)
 
-    bad = 0
-    for i in range(120):
-        a = _gapped_vector(seed + 1, i)
-        n = chain.norm(a)
-        ssq = sum((Fraction(v) ** 2 for _, v in a.entries), Fraction(0))
-        if not _ge(QSum.of(n) * QSum.of(n), ssq):
-            bad += 1
-    rep.add("james.skipped", "gap-2 supports: chain norm >= l2 norm [120 vectors]",
-            bad, 0, bad == 0)
+    def norm_sq(a):
+        n = QSum.of(chain.norm(a))
+        return n * n
+
+    bad, = _tally(_vectors(chain, seed, 500),
+                  lambda a: (le_times_square(norm_sq(a), Fraction(4), sqrt_exact(_ssq(a))),))
+    rep.count("james.upper", "chain norm <= twice the l2 norm [500 vectors]", bad)
+    bad, = _tally([_gapped_vector(seed + 1, i) for i in range(120)],
+                  lambda a: (_ge(norm_sq(a), _ssq(a)),))
+    rep.count("james.skipped", "gap-2 supports: chain norm >= l2 norm [120 vectors]", bad)
+
+    def rud(space, a):
+        e = sign_stats(space, a, cfg.cap).mean()
+        n = space.norm(a)
+        return float(n) / float(e), _ge(4 * QSum.of(e), n)
 
     for spec, bound in (("james:chain", 4.0), ("james:pairs", 4.0),
                         ("james_x:1", 4.0), ("james_x:2", 4.0)):
         space = fac.space(spec)
-        worst = 0.0
-        bad = 0
-        for i in range(100):
-            a = sample_vector(space, seed + 2, i)
-            if not a:
-                continue
-            st = sign_stats(space, a, cfg.cap)
-            n = space.norm(a)
-            ok = _ge(4 * QSum.of(st.mean()), n)
-            worst = max(worst, float(n) / float(st.mean()))
-            if not ok:
-                bad += 1
+        worst, bad = _worst(_vectors(space, seed + 2, 100), lambda a: rud(space, a))
         rep.add(f"james.rud.{spec}",
                 f"divergence-side ratio <= {bound} [100 vectors]",
                 worst, bound, bad == 0)
@@ -368,40 +355,35 @@ def exp_james(cfg: RunConfig) -> Report:
 # ---------------------------------------------------------------------------
 
 
+def _walsh_vector(seed: int, i: int) -> Coeffs:
+    """2 to 10 seeded palette entries on Walsh sets below 1024."""
+    m = 2 + counter_u64(seed, i, 0) % 9
+    order = sorted(range(1024), key=lambda k: counter_u64(seed, i, 1000 + k % 97) ^ k)
+    return Coeffs.from_pairs(
+        (idx, _PALETTE[counter_u64(seed, i, 300 + slot) % len(_PALETTE)])
+        for slot, idx in enumerate(sorted(order[:m]))
+    )
+
+
 def exp_walsh(cfg: RunConfig) -> Report:
     rep = Report("walsh")
     fac = SpaceFactory.shared(cfg)
     w = fac.space("walsh")
     seed = derive_seed(cfg.seed, 9)
-    bad_max = bad_kh = bad_ratio = 0
-    worst_ratio = 0.0
-    for i in range(200):
-        m = 2 + counter_u64(seed, i, 0) % 9
-        order = sorted(range(1024), key=lambda k: counter_u64(seed, i, 1000 + k % 97) ^ k)
-        support = sorted(order[:m])
-        a = Coeffs.from_pairs(
-            (idx, _PALETTE[counter_u64(seed, i, 300 + slot) % len(_PALETTE)])
-            for slot, idx in enumerate(support)
-        )
-        if not a:
-            continue
+
+    def check(a):
         st = sign_stats(w, a, cfg.cap)
         e = st.mean()
-        mx = st.max()
-        ssq = sum((Fraction(v) ** 2 for _, v in a.entries), Fraction(0))
-        l2 = sqrt_exact(ssq)
-        if not _ge(l2, mx):
-            bad_max += 1
-        if not le_times_square(ssq, Fraction(2), e):
-            bad_kh += 1
         n = Fraction(w.norm(a))
-        ok = le_times_square(n * n, Fraction(2), e)
-        worst_ratio = max(worst_ratio, float(n) / float(e))
-        if not ok:
-            bad_ratio += 1
-    rep.add("walsh.max", "max over signs <= l2 norm of the coefficients [200 samples]",
-            bad_max, 0, bad_max == 0)
-    rep.add("walsh.lower", "l2 norm <= root-two times the sign average", bad_kh, 0, bad_kh == 0)
+        ssq = _ssq(a)
+        return (float(n) / float(e), _ge(sqrt_exact(ssq), st.max()),
+                le_times_square(ssq, Fraction(2), e), le_times_square(n * n, Fraction(2), e))
+
+    worst_ratio, bad_max, bad_kh, bad_ratio = _worst(
+        [_walsh_vector(seed, i) for i in range(200)], check)
+    rep.count("walsh.max", "max over signs <= l2 norm of the coefficients [200 samples]",
+              bad_max)
+    rep.count("walsh.lower", "l2 norm <= root-two times the sign average", bad_kh)
     rep.add("walsh.rud", "divergence-side ratio <= sqrt(2) + 1e-12",
             worst_ratio, 2 ** 0.5 + 1e-12, bad_ratio == 0)
     return rep
@@ -416,22 +398,15 @@ def exp_bmo(cfg: RunConfig) -> Report:
     rep = Report("bmo")
     fac = SpaceFactory.shared(cfg)
     b = fac.space("bmo")
-    seed = derive_seed(cfg.seed, 10)
-    bad_e = bad_n = 0
-    for i in range(200):
-        a = sample_vector(b, seed, i)
-        if not a:
-            continue
-        e = sign_stats(b, a, cfg.cap).mean()
-        ssq = sum((Fraction(v) ** 2 for _, v in a.entries), Fraction(0))
-        l2 = sqrt_exact(ssq)
-        if not le_times_square(QSum.of(e) * QSum.of(e), Fraction(9), l2):
-            bad_e += 1
-        if not _ge(b.norm(a), l2):
-            bad_n += 1
-    rep.add("bmo.mean", "sign average <= three times the l2 norm [200 vectors]",
-            bad_e, 0, bad_e == 0)
-    rep.add("bmo.norm", "l2 norm <= the full norm", bad_n, 0, bad_n == 0)
+
+    def check(a):
+        e = QSum.of(sign_stats(b, a, cfg.cap).mean())
+        l2 = sqrt_exact(_ssq(a))
+        return le_times_square(e * e, Fraction(9), l2), _ge(b.norm(a), l2)
+
+    bad_e, bad_n = _tally(_vectors(b, derive_seed(cfg.seed, 10), 200), check)
+    rep.count("bmo.mean", "sign average <= three times the l2 norm [200 vectors]", bad_e)
+    rep.count("bmo.norm", "l2 norm <= the full norm", bad_n)
     return rep
 
 
@@ -446,19 +421,13 @@ def exp_renorm(cfg: RunConfig) -> Report:
     seed = derive_seed(cfg.seed, 11)
     for delta in (Fraction(1), Fraction(1, 2)):
         space = fac.space(f"renorm:summing:{delta}")
-        bad = 0
-        worst = 0.0
-        for i in range(100):
-            a = sample_vector(space, seed, i, max_m=10)
-            if not a:
-                continue
-            st = sign_stats(space, a, cfg.cap)
-            e = st.mean()
+
+        def check(a):
+            e = sign_stats(space, a, cfg.cap).mean()
             n = space.norm(a)
-            ok = _ge((1 + delta) * QSum.of(n), e)
-            worst = max(worst, float(e) / float(n))
-            if not ok:
-                bad += 1
+            return float(e) / float(n), _ge((1 + delta) * QSum.of(n), e)
+
+        worst, bad = _worst(_vectors(space, seed, 100, max_m=10), check)
         rep.add(f"renorm.delta={delta}",
                 f"convergence-side ratio <= 1 + {delta} after renorming [100 vectors]",
                 worst, float(1 + delta), bad == 0)
@@ -476,18 +445,15 @@ def exp_partition(cfg: RunConfig) -> Report:
     seed = derive_seed(cfg.seed, 12)
 
     l1 = fac.space("lp:1")
-    samples = [sample_vector(l1, seed, i, max_m=8) for i in range(20)]
-    samples = [a for a in samples if a]
     classes = [tuple(range(0, 48, 2)), tuple(range(1, 48, 2))]
-    pr = partition_rud_bound(l1, classes, samples, enum_cap=cfg.cap)
+    pr = partition_rud_bound(l1, classes, _vectors(l1, seed, 20, max_m=8), enum_cap=cfg.cap)
     rep.add("partition.l1", "class-ratio sum bounds the full ratio on every sample",
             max(r.full_ratio for r in pr.rows), pr.sum_bound, pr.all_ok)
 
     s = fac.space("summing")
     ones = Coeffs.from_values([1, 1, 1, 1])
-    more = [sample_vector(s, seed + 1, i, max_m=4) for i in range(10)]
-    pr = partition_rud_bound(s, [(0,), (1,), (2,), (3,)], [ones] + [a for a in more if a and max(a.support) <= 3],
-                             enum_cap=cfg.cap)
+    more = [a for a in _vectors(s, seed + 1, 10, max_m=4) if max(a.support) <= 3]
+    pr = partition_rud_bound(s, [(0,), (1,), (2,), (3,)], [ones] + more, enum_cap=cfg.cap)
     rep.add("partition.summing", "singleton classes on four points bound the full ratio",
             max(r.full_ratio for r in pr.rows), pr.sum_bound, pr.all_ok)
 
@@ -497,8 +463,7 @@ def exp_partition(cfg: RunConfig) -> Report:
     cls_a = tuple(i for m in range(0, top, 2) for i in g.level_indices(m))
     cls_b = tuple(i for m in range(1, top, 2) for i in g.level_indices(m))
     cls_c = tuple(g.level_indices(top))
-    samples = [sample_vector(bd, seed + 2, i, max_m=9) for i in range(12)]
-    pr = partition_rud_bound(bd, [cls_a, cls_b, cls_c], [a for a in samples if a],
+    pr = partition_rud_bound(bd, [cls_a, cls_b, cls_c], _vectors(bd, seed + 2, 12, max_m=9),
                              enum_cap=cfg.cap)
     lam, b = g.params.lam, g.params.b
     stated_bound = float(lam * (2 / b + 1))
@@ -582,9 +547,8 @@ def exp_bd(cfg: RunConfig) -> Report:
             mx = max(abs(Fraction(v)) for _, v in a.entries)
             if not (mx <= n <= lam * mx):
                 bad += 1
-    rep.add("bd.level_sandwich",
-            "single-level combinations sit between max|a| and lambda max|a|, exact",
-            bad, 0, bad == 0)
+    rep.count("bd.level_sandwich",
+              "single-level combinations sit between max|a| and lambda max|a|, exact", bad)
 
     bad = 0
     top = len(g.levels) - 1
@@ -606,9 +570,8 @@ def exp_bd(cfg: RunConfig) -> Report:
         summax = l + 1
         if not (n / lam <= summax <= n / b):
             bad += 1
-    rep.add("bd.multilevel",
-            "multilevel combinations: 1/lambda and 1/b two-sided bounds, exact",
-            bad, 0, bad == 0)
+    rep.count("bd.multilevel",
+              "multilevel combinations: 1/lambda and 1/b two-sided bounds, exact", bad)
 
     growth = []
     ok_replay = True
@@ -628,18 +591,13 @@ def exp_bd(cfg: RunConfig) -> Report:
             exact=",".join(f"{l}:{y:g}" for l, y in growth))
     rep.curves["bd_chain_growth"] = growth
 
-    worst = 0.0
-    bad = 0
     bound = float(lam * (2 / b + 1))
-    for i in range(30):
-        a = sample_vector(space, seed + 3, i, max_m=10)
-        if not a:
-            continue
-        st = sign_stats(space, a, cfg.cap)
-        r = float(space.norm(a)) / float(st.mean())
-        worst = max(worst, r)
-        if r > bound:
-            bad += 1
+
+    def rud(a):
+        r = float(space.norm(a)) / float(sign_stats(space, a, cfg.cap).mean())
+        return r, r <= bound
+
+    worst, bad = _worst(_vectors(space, seed + 3, 30, max_m=10), rud)
     rep.add("bd.rud", f"divergence-side ratio <= lambda(2/b + 1) = {bound:g} [30 vectors]",
             worst, bound, bad == 0)
 
@@ -701,19 +659,13 @@ def exp_zruc(cfg: RunConfig) -> Report:
     rep = Report("zruc")
     fac = SpaceFactory.shared(cfg)
     space = fac.space("zruc")
-    seed = derive_seed(cfg.seed, 16)
-    bad = 0
-    worst = 0.0
-    for i in range(30):
-        a = sample_vector(space, seed, i, max_m=6)
-        if not a:
-            continue
+
+    def check(a):
         e = sign_stats(space, a, cfg.cap).mean()
         n = space.norm(a)
-        ok = _ge(2 * QSum.of(n), e)
-        worst = max(worst, float(e) / float(n))
-        if not ok:
-            bad += 1
+        return float(e) / float(n), _ge(2 * QSum.of(n), e)
+
+    worst, bad = _worst(_vectors(space, derive_seed(cfg.seed, 16), 30, max_m=6), check)
     rep.add("zruc.two_ruc",
             "sign average of the convergence-side norm <= twice the norm, "
             "exact on the first two levels [30 vectors]",
@@ -730,43 +682,36 @@ def exp_zrud(cfg: RunConfig) -> Report:
     space = fac.space("zrud")
     seed = derive_seed(cfg.seed, 17)
 
-    bad = 0
     nblocks = min(3, len(ctx.levels.prefix))
-    for i in range(100):
+
+    def blocks(i):
         coeffs = [
             Fraction((counter_u64(seed, i, k) % 9) - 4, 1 + counter_u64(seed, i, 20 + k) % 2)
             for k in range(nblocks)
         ]
-        if not any(coeffs):
-            coeffs[0] = Fraction(1)
+        return coeffs if any(coeffs) else [Fraction(1)] + coeffs[1:]
+
+    def sandwich(coeffs):
         sup, norm, const = zrud_block_sandwich(ctx, coeffs)
-        lo_ok = _ge(norm, sup)
-        hi_ok = _ge(QSum.of(const) * QSum.of(sup), norm)
-        if not (lo_ok and hi_ok):
-            bad += 1
+        return (_ge(norm, sup) and _ge(QSum.of(const) * QSum.of(sup), norm),)
+
+    bad, = _tally([blocks(i) for i in range(100)], sandwich)
     dh = float(QSum.of(3 + 4 * ctx.levels.delta_hat))
-    rep.add("zrud.block_sandwich",
-            f"block combinations sit between the partial-sum sup and "
-            f"(3 + 4*delta_hat) = {dh:.4f} times it, exact [100 vectors]",
-            bad, 0, bad == 0)
+    rep.count("zrud.block_sandwich",
+              f"block combinations sit between the partial-sum sup and "
+              f"(3 + 4*delta_hat) = {dh:.4f} times it, exact [100 vectors]", bad)
 
     first_two = tuple(range(sum(ctx.levels.prefix[:2])))
     rho_used = ctx.levels.rho_used(ctx.levels.prefix[:2])
     inv_rho = Fraction(1) / rho_used
-    bad = 0
-    worst = 0.0
-    for i in range(30):
-        a = sample_vector(space, seed + 1, i, max_m=6)
-        a = a.restrict(first_two)
-        if not a:
-            continue
-        st = sign_stats(space, a, cfg.cap)
-        e = st.mean()
+
+    def ratio(a):
+        e = sign_stats(space, a, cfg.cap).mean()
         n = space.norm(a)
-        ok = _ge(inv_rho * QSum.of(e), n)
-        worst = max(worst, float(n) / float(e))
-        if not ok:
-            bad += 1
+        return float(n) / float(e), _ge(inv_rho * QSum.of(e), n)
+
+    restricted = [a.restrict(first_two) for a in _vectors(space, seed + 1, 30, max_m=6)]
+    worst, bad = _worst([a for a in restricted if a], ratio)
     rep.add("zrud.ratio",
             f"divergence-side ratio <= 1/rho_hat_used = {float(inv_rho):.4f} "
             "+ 1e-9 on the first two levels [30 vectors]",
@@ -856,30 +801,17 @@ def exp_smax(cfg: RunConfig) -> Report:
     rep = Report("smax")
     fac = SpaceFactory.shared(cfg)
     space = fac.space("smax:2")
-    seed = derive_seed(cfg.seed, 19)
-    bad_triv = bad_lo = bad_hi = bad_ruc = 0
-    worst_ruc = 0.0
-    for i in range(200):
-        a = sample_vector(space, seed, i)
-        if not a:
-            continue
-        st = sign_stats(space, a, cfg.cap)
-        e = QSum.of(st.mean())
-        ssq = sum((Fraction(v) ** 2 for _, v in a.entries), Fraction(0))
-        l2 = sqrt_exact(ssq)
-        if not _ge(e + l2, l2):
-            bad_triv += 1
-        if not _ge(e, Fraction(1, 2) * l2):
-            bad_lo += 1
-        if not _ge(3 * l2, e):
-            bad_hi += 1
+
+    def check(a):
+        e = QSum.of(sign_stats(space, a, cfg.cap).mean())
+        l2 = sqrt_exact(_ssq(a))
         n = space.norm(a)
-        ok = _ge(3 * QSum.of(n), e)
-        worst_ruc = max(worst_ruc, float(e) / float(n))
-        if not ok:
-            bad_ruc += 1
-    rep.add("smax.trivial", "lp part <= mean + lp part [200 vectors]",
-            bad_triv, 0, bad_triv == 0)
+        return (float(e) / float(n), _ge(3 * QSum.of(n), e), _ge(e + l2, l2),
+                _ge(e, Fraction(1, 2) * l2), _ge(3 * l2, e))
+
+    worst_ruc, bad_ruc, bad_triv, bad_lo, bad_hi = _worst(
+        _vectors(space, derive_seed(cfg.seed, 19), 200), check)
+    rep.count("smax.trivial", "lp part <= mean + lp part [200 vectors]", bad_triv)
     rep.add("smax.bracket", "mean within [l2/2, 3*l2], exact",
             bad_lo + bad_hi, 0, bad_lo == 0 and bad_hi == 0)
     rep.add("smax.ruc", "convergence-side ratio <= 3",

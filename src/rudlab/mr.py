@@ -461,6 +461,9 @@ class ZmrSpace(NormingSetSpace):
         self.sweep_indices = tuple(range(min(8, ctx.universe)))
         self.sweep_max_m = 8
 
+    def mult_batch_float(self, a, mult):
+        return zmr_fast_norms(self.ctx, a.support, a.values_float()[:, None] * mult)
+
     def paper_witnesses(self, kind, dim):
         n = min(self.ctx.max_n, len(self.ctx.levels.prefix))
         return [self.ctx.block_vector(k) for k in range(1, n + 1)]
@@ -544,39 +547,13 @@ def mr_witness(
     Monte-Carlo bracket beyond it.  The analytic upper bound carried along
     is 1 + 2*delta_hat + 2*sqrt(sum 1/#s_i) with the measured delta_hat.
     """
-    from .rademacher import ExpectationEstimate, expect_exact
-    from .rng import DEFAULT_SEED, sign_matrix
+    from .rademacher import expect_auto
+    from .rng import DEFAULT_SEED
 
-    if seed is None:
-        seed = DEFAULT_SEED
     blocks = ctx.canonical_blocks(n)
     x = ctx.block_vector(n)
     norm = ctx.zmr.norm(x)
-    m = len(x)
-    if m <= enum_cap:
-        est = expect_exact(ctx.zmr, x)
-    else:
-        xf = x.values_float()
-        total = 0.0
-        total_sq = 0.0
-        done = 0
-        while done < mc_samples:
-            take = min(1 << 14, mc_samples - done)
-            signs = sign_matrix(seed, m, take, start=done).astype(np.float64)
-            vals = zmr_fast_norms(ctx, x.support, xf[:, None] * signs)
-            total += float(vals.sum())
-            total_sq += float((vals * vals).sum())
-            done += take
-        import math as _math
-
-        from scipy.stats import t as _t
-
-        mean = total / mc_samples
-        var = max(0.0, (total_sq - mc_samples * mean * mean) / (mc_samples - 1))
-        half = float(_t.ppf(0.975, mc_samples - 1)) * _math.sqrt(var / mc_samples)
-        est = ExpectationEstimate(
-            mean, "monte_carlo", mc_samples, seed, (mean - half, mean + half), 0.95
-        )
+    est = expect_auto(ctx.zmr, x, enum_cap, mc_samples, DEFAULT_SEED if seed is None else seed)
     inv = Fraction(0)
     for s in blocks:
         inv += Fraction(1, len(s))

@@ -13,7 +13,8 @@ patterns whose top bit is clear: a pattern and its complement give the
 same norm, so the mean, mean square and extremes are those of all 2^m
 patterns.  So is the first maximiser: had it its top bit set, its
 complement would be a smaller maximiser.  Subset averages walk all 2^m
-masks.
+masks.  A vector with float entries walks the same chunks through the
+engine's float batch, and its reductions are float.
 
 Monte-Carlo sample i is a pure function of (seed, i) via the counter-based
 generator, so for a fixed seed and sample count an estimate is the same in
@@ -133,16 +134,24 @@ def _walk_length(m: int, masks: bool) -> int:
 
 
 def _walk(space: Space, a: Coeffs, masks: bool) -> Iterator[tuple[int, ExactBatch]]:
-    """(first bitmask, exact batch) for each chunk of the walk, in order;
-    a chunk without an integer batch form is evaluated pattern by pattern."""
+    """(first bitmask, exact batch) for each chunk of the walk, in order.
+
+    A vector with float entries takes one float batch per chunk; an exact
+    chunk without an integer batch form is evaluated pattern by pattern."""
     m = len(a)
     sup = a.support
     build = mask_matrix_range if masks else sign_matrix_range
     total = _walk_length(m, masks)
+    exact = a.is_exact()
     for start in range(0, total, _CHUNK):
         stop = min(start + _CHUNK, total)
+        mult = build(m, start, stop)
+        if not exact:
+            vals = space.mult_batch_float(a, mult.astype(np.float64))
+            yield start, ExactBatch.from_scalars(vals.tolist())
+            continue
         try:
-            batch = space.mult_batch(a, build(m, start, stop), 1)
+            batch = space.mult_batch(a, mult, 1)
         except NoIntegerForm:
             batch = None
         if batch is None:

@@ -166,25 +166,16 @@ def test_subspace_dual_vs_ambient():
     assert _subspace_dual_norm_summing(g, 2) <= sd.norm(g)
 
 
-def test_lp_float_fallback_matches_exact():
-    """Above the exact-dimension cap the float solver agrees with the
-    simplex to statistical tolerance."""
+def test_lp_polytope_is_exact_above_twelve_dimensions():
+    """Every dimension goes through the exact simplex: against the
+    coordinate functionals in dimension 13 the value is the exact l1 norm."""
     rng = np.random.default_rng(9)
     dim = 13
     coords = [Coeffs.from_pairs([(i, 1)]) for i in range(dim)]
     f = Coeffs.from_pairs(
-        [(i, int(v)) for i, v in enumerate(rng.integers(-3, 4, size=dim)) if v]
+        [(i, F(int(v), 2)) for i, v in enumerate(rng.integers(-3, 4, size=dim)) if v]
     )
-    exact, _ = dual_norm_lp_polytope(f, coords, dim, exact_dim_cap=16)
-    approx, _ = dual_norm_lp_polytope(f, coords, dim, exact_dim_cap=12)
-    assert approx == pytest.approx(float(exact), abs=1e-8)
-
-
-def test_duality_report_with_engine():
-    from rudlab.dual import DualityReport
-
-    rep = duality_report(SummingSpace(), 6, 5, seed=2,
-                         dual_engine=SummingDualSpace())
-    assert isinstance(rep, DualityReport)
-    assert rep.max_dual_ratio <= 2 + 1e-9
-    assert rep.bound_ok(1e-9)
+    val, x = dual_norm_lp_polytope(f, coords, dim)
+    assert isinstance(val, F)
+    assert val == sum(abs(F(v)) for _, v in f.entries)
+    assert pair(f, x) == val

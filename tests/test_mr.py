@@ -124,6 +124,21 @@ def test_zmr_fast_norms_match_exact(ctx):
     assert vals[0] == pytest.approx(float(QSum.of(ctx.zmr.norm(x))), abs=1e-12)
 
 
+def test_zmr_float_batch_matches_exact_batch(ctx):
+    """The engine's float batch (the Monte-Carlo path) agrees with the float
+    values of its exact batch on random sign columns."""
+    rng = np.random.default_rng(11)
+    support = tuple(sorted(rng.choice(ctx.universe, size=8, replace=False).tolist()))
+    a = Coeffs.from_pairs(
+        (i, F(int(rng.integers(-4, 5)) or 1, int(rng.integers(1, 4)))) for i in support
+    )
+    signs = sign_matrix(7, len(a), 64)
+    exact = ctx.zmr.mult_batch(a, signs, 1)
+    fast = ctx.zmr.mult_batch_float(a, signs.astype(np.float64))
+    for j in range(64):
+        assert fast[j] == pytest.approx(float(QSum.of(exact.value(j))), rel=1e-12)
+
+
 def test_equi_decorations_kill_constants(ctx):
     """Balanced decorations pair to zero against constant-on-level vectors."""
     from rudlab.coeffs import pair

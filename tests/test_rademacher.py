@@ -268,3 +268,28 @@ def test_memory_bounded_by_chunk():
 def test_mc_zero_vector():
     est = expect_mc(s, Coeffs.zero(), samples=500, seed=1)
     assert est.value == 0.0 and est.bracket == (0.0, 0.0)
+
+
+def test_float_vector_walks_float_batches(monkeypatch):
+    """A float-valued vector takes one float batch per chunk: its sign mean
+    equals the per-pattern float mean bit for bit, folded chunk by chunk as
+    before, and no per-pattern norm is evaluated."""
+    import rudlab.rademacher as rad
+    from rudlab.coeffs import SignPattern, apply_signs
+    from rudlab.spaces import SmaxSpace
+
+    space = SmaxSpace(2)
+    a = Coeffs.from_values([0.1 * (k + 1) * (-1) ** k + 0.37 for k in range(12)])
+    half = 1 << (len(a) - 1)
+    vals = [space.norm(apply_signs(a, SignPattern.from_mask(a.support, mask)))
+            for mask in range(half)]
+    calls = []
+    norm = space.norm
+    monkeypatch.setattr(space, "norm", lambda b: calls.append(b) or norm(b))
+    for chunk in (rad._CHUNK, 16):
+        monkeypatch.setattr(rad, "_CHUNK", chunk)
+        want = 0
+        for start in range(0, half, chunk):
+            want = want + sum(vals[start:start + chunk]) / half
+        assert sign_stats(space, a).mean() == want
+    assert calls == []
