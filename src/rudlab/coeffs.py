@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -114,16 +115,14 @@ class Coeffs:
                 raise NoIntegerForm("exact path requires rational coefficients")
             else:
                 fracs.append(Fraction(v))
-        den = 1
-        for f in fracs:
-            den = den * f.denominator // np.gcd(den, f.denominator)
+        den = lcm(*(f.denominator for f in fracs))
         scaled = [int(f * den) for f in fracs]
         if any(abs(x) > (1 << 26) for x in scaled):
             raise NoIntegerForm(
                 "coefficient magnitudes too large for the exact integer path "
                 "(scaled entries must fit in 26 bits)"
             )
-        return np.array(scaled, dtype=np.int64), int(den)
+        return np.array(scaled, dtype=np.int64), den
 
     # -- algebra ------------------------------------------------------------
 

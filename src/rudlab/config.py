@@ -73,7 +73,7 @@ class RunConfig:
             attr = self._KEYMAP.get(key)
             if attr is None:
                 raise DomainError(f"unknown config key {key!r}")
-            updates[attr] = _parse_value(attr, raw)
+            updates[attr] = _parse_value(key, attr, raw)
         return replace(self, **updates)
 
     def to_dict(self) -> dict:
@@ -88,18 +88,36 @@ class RunConfig:
         return out
 
 
-def _parse_value(attr: str, raw: str):
-    if attr in ("cap", "samples", "seed", "threads", "mr_universe", "mr_max_n",
-                "mr_width", "bd_levels", "bd_cap", "bd_seed"):
-        return int(raw, 0)
-    if attr == "confidence":
-        return float(raw)
-    if attr in ("arithmetic", "format", "plot"):
+#: the values a string-valued key accepts
+_CHOICES = {
+    "arithmetic": ("exact", "float"),
+    "format": ("json", "csv"),
+    "plot": ("none", "svg"),
+}
+
+
+def _parse_value(key: str, attr: str, raw: str):
+    """The typed value of one config entry; a malformed value is a
+    DomainError that names the key and the raw text."""
+    if attr in _CHOICES:
+        if raw not in _CHOICES[attr]:
+            raise DomainError(
+                f"config key {key!r} takes one of {', '.join(_CHOICES[attr])}, "
+                f"not {raw!r}"
+            )
         return raw
-    if attr == "mr_levels":
-        return tuple(int(x) for x in raw.split(","))
-    if attr in ("bd_lambda", "bd_b"):
-        return Fraction(raw)
+    try:
+        if attr in ("cap", "samples", "seed", "threads", "mr_universe", "mr_max_n",
+                    "mr_width", "bd_levels", "bd_cap", "bd_seed"):
+            return int(raw, 0)
+        if attr == "confidence":
+            return float(raw)
+        if attr == "mr_levels":
+            return tuple(int(x) for x in raw.split(","))
+        if attr in ("bd_lambda", "bd_b"):
+            return Fraction(raw)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise DomainError(f"bad value {raw!r} for config key {key!r}") from exc
     raise DomainError(f"unknown config attribute {attr!r}")
 
 

@@ -3,11 +3,13 @@ check.
 
 ``biorthogonals`` solves the biorthogonality linear system exactly.
 ``dual_norm`` evaluates the norm of a coefficient functional against a
-concrete engine: closed forms where the dual is classical, an exact-rational
-simplex over the polar polytope where the unit ball is polyhedral, and a
-small exact active-set enumeration for the max-of-summing-and-l2 ball
-(polyhedron intersected with the Euclidean ball, so the optimum sits on a
-face-sphere intersection that linear algebra finds directly).
+concrete engine: closed forms where the dual is classical (lp for p in
+{1, 2, inf} and the summing norm), and a small active-set enumeration for
+the max-of-summing-and-l2 ball (polyhedron intersected with the Euclidean
+ball, so the optimum sits on a face-sphere intersection that linear algebra
+finds directly).  The summing norm's dual restricted to the span of the
+first partial-sum vectors also has a closed form, which the reverse duality
+check uses.
 
 ``duality_report`` measures, sample by sample, the convergence-side ratio of
 the norming vector produced by the dual optimiser and checks that the
@@ -26,14 +28,7 @@ import numpy as np
 from .coeffs import Coeffs, DomainError
 from .exactnum import Scalar, sqrt_exact
 from .rademacher import sign_stats
-from .simplex import simplex_max
-from .spaces import (
-    LpSpace,
-    SmaxSpace,
-    Space,
-    SummingDualSpace,
-    SummingSpace,
-)
+from .spaces import LpSpace, SmaxSpace, Space, SummingSpace
 
 
 @dataclass(frozen=True)
@@ -117,8 +112,9 @@ def dual_norm_with_maximizer(f: Coeffs, space: Space, dim: int):
     """(norm, norming vector) of a coefficient functional.
 
     The norming vector x satisfies <f, x> = norm and space-norm(x) = 1
-    (exactly on the analytic and simplex branches, numerically for the
-    mixed ball).
+    (exactly on the closed-form branches, numerically for the mixed ball;
+    the lp:2 vector is f itself, unnormalised).  Spaces without a branch
+    raise DomainError.
     """
     if isinstance(space, LpSpace):
         p = space.p
@@ -144,10 +140,6 @@ def dual_norm_with_maximizer(f: Coeffs, space: Space, dim: int):
             # the norming direction is f itself; ratio measurements are
             # scale-invariant, so the unnormalised vector is returned
             return sqrt_exact(sq), f
-        q = p / (p - 1)
-        vals = f.values_float()
-        nrm = float((np.abs(vals) ** q).sum() ** (1 / q))
-        return nrm, Coeffs.zero()
     if isinstance(space, SummingSpace):
         # ambient identification: the functional acts through its image in
         # l1, whose dual ball is the coordinate cube
@@ -159,36 +151,9 @@ def dual_norm_with_maximizer(f: Coeffs, space: Space, dim: int):
             (i, y[i] - y[i + 1]) for i in range(dim + 1) if y[i] != y[i + 1]
         )
         return value, coeff
-    if isinstance(space, SummingDualSpace):
-        # dual of the difference-image l1 norm: sup-norm of partial sums
-        acc = Fraction(0)
-        best = Fraction(0)
-        for i in range(dim):
-            acc += Fraction(f.value(i))
-            best = max(best, abs(acc))
-        # norming vector: scaled partial-sum vector hitting the extreme
-        return best, Coeffs.zero()
     if isinstance(space, SmaxSpace) and space.p == 2:
-        val, x = _smax_dual(f, dim)
-        return val, x
+        return _smax_dual(f, dim)
     raise DomainError(f"no dual-norm branch for space {space.name}")
-
-
-def dual_norm_lp_polytope(f: Coeffs, functionals: list[Coeffs], dim: int):
-    """max <f, x> subject to |<phi, x>| <= 1, by the exact-rational simplex."""
-    if not functionals:
-        raise DomainError("empty norming set")
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    for phi in functionals:
-        row = [Fraction(phi.value(i)) for i in range(dim)]
-        rows.append(row)
-        rhs.append(Fraction(1))
-        rows.append([-v for v in row])
-        rhs.append(Fraction(1))
-    c = [Fraction(f.value(i)) for i in range(dim)]
-    val, x = simplex_max(c, rows, rhs)
-    return val, Coeffs.from_pairs((i, v) for i, v in enumerate(x))
 
 
 _SMAX_CACHE: dict[int, list] = {}
@@ -333,10 +298,14 @@ def duality_report(
 
 def _subspace_dual_norm_summing(b: Coeffs, dim: int) -> Fraction:
     """Norm of the coefficient functional b on the span of the first dim
-    partial-sum vectors: max b.a over the tail-functional polytope."""
-    tails = [Coeffs.from_pairs((i, 1) for i in range(k, dim)) for k in range(dim)]
-    val, _ = dual_norm_lp_polytope(b, tails, dim)
-    return val
+    partial-sum vectors: max b.a subject to |a_k + ... + a_{dim-1}| <= 1.
+
+    With the tails t_k as variables the feasible set is the cube |t_k| <= 1
+    and b.a = sum_k t_k (b_k - b_{k-1}) (b_{-1} = 0), so the maximum is
+    sum_{k<dim} |b_k - b_{k-1}|.
+    """
+    vals = [Fraction(b.value(k)) for k in range(dim)]
+    return sum((abs(x - y) for x, y in zip(vals, [Fraction(0)] + vals)), Fraction(0))
 
 
 def reverse_duality_summing(dim: int, samples: int, seed: int):
@@ -346,12 +315,11 @@ def reverse_duality_summing(dim: int, samples: int, seed: int):
     the subspace-dual norm (value = norm, dual norm <= 1), so the argument
     gives primal divergence ratio <= 2 x (that functional's measured
     convergence ratio in the subspace-dual norm); both sides are exact
-    rational computations (simplex for the dual, enumeration for the
+    rational computations (closed form for the dual, enumeration for the
     averages).  Returns (worst slack, rows).
     """
     from .coeffs import apply_signs, enumerate_sign_patterns
     from .rng import counter_u64
-    from .spaces import SummingSpace
 
     s = SummingSpace()
     rows = []
@@ -363,18 +331,18 @@ def reverse_duality_summing(dim: int, samples: int, seed: int):
             continue
         nrm = Fraction(s.norm(a))
         # norming tail functional: the argmax tail, oriented positively
-        best_m, best_v = 0, Fraction(0)
+        best_m, best_tv = 0, Fraction(0)
         for m in range(dim):
             tv = sum(Fraction(a.value(i)) for i in range(m, dim))
-            if abs(tv) > best_v:
-                best_m, best_v = m, abs(tv)
-        sgn = 1 if sum(Fraction(a.value(i)) for i in range(best_m, dim)) >= 0 else -1
+            if abs(tv) > abs(best_tv):
+                best_m, best_tv = m, tv
+        sgn = 1 if best_tv >= 0 else -1
         b = Coeffs.from_pairs((k, sgn * (k - best_m + 1)) for k in range(best_m, dim))
         bn = _subspace_dual_norm_summing(b, dim)
         total = Fraction(0)
         count = 0
         for e in enumerate_sign_patterns(b.support):
-            total += Fraction(_subspace_dual_norm_summing(apply_signs(b, e), dim))
+            total += _subspace_dual_norm_summing(apply_signs(b, e), dim)
             count += 1
         cstar = (total / count) / bn
         st = sign_stats(s, a)

@@ -496,7 +496,7 @@ def exp_duality(cfg: RunConfig) -> Report:
     ok, rows = reverse_duality_summing(6, 6, derive_seed(cfg.seed, 132))
     rep.add("duality.reverse.summing",
             "primal divergence ratio <= twice the norming functional's dual "
-            "convergence ratio, exact subspace-dual simplex (dim 6, 6 samples)",
+            "convergence ratio, exact closed-form subspace dual (dim 6, 6 samples)",
             max((r[1] for r in rows), default=0.0), None, ok)
     return rep
 

@@ -607,60 +607,41 @@ class RenormSpace(Space):
         return est.value + float(tail), (lo + float(tail), hi + float(tail))
 
     def norm(self, a: Coeffs) -> Scalar:
-        if not a:
-            return 0
-        est = self._inner_estimate(a)
-        tail = self.delta * self.base.norm(a)
-        if est.method == "exact":
-            return est.value + tail
-        return est.value + float(tail)
+        return self.norm_with_bracket(a)[0]
+
+    def _inner_columns(self, a: Coeffs, mult: np.ndarray, unit, entry) -> tuple[list, np.ndarray]:
+        """Inner sign averages of the columns' masked vectors: one per
+        distinct |column|, since the average is sign-invariant, and each
+        column's index into them.
+
+        A column of units masks nothing and averages ``a`` itself;
+        ``entry(v, c)`` builds a masked coefficient."""
+        cols, which = np.unique(np.abs(mult), axis=1, return_inverse=True)
+        inner = []
+        for col in cols.T:
+            masked = a if np.all(col == unit) else Coeffs.from_pairs(
+                (i, entry(v, c)) for (i, v), c in zip(a.entries, col)
+            )
+            inner.append(self._inner_expectation(masked) if masked else 0)
+        return inner, which
 
     def mult_batch(self, a, mult, den=1):
         base_batch = self.base.mult_batch(a, mult, den)
         if base_batch is None:
             return None
         scaled = base_batch.scale_rational(self.delta)
-        if np.all(np.abs(mult) == den):
-            # pure sign columns: the inner average is sign-invariant
-            inner = self._inner_expectation(a)
-            if isinstance(inner, (int, Fraction)):
-                return scaled.shift_rational(Fraction(inner))
-            return ExactBatch.from_scalars(
-                [inner + scaled.value(i) for i in range(len(scaled))]
-            )
-        # general multipliers: group columns by their masked support
-        sup = a.support
-        memo: dict[tuple, Scalar] = {}
-        values: list[Scalar] = []
-        for j in range(mult.shape[1]):
-            col = mult[:, j]
-            key = tuple(int(x) for x in col)
-            if key not in memo:
-                masked = Coeffs.from_pairs(
-                    (i, v * Fraction(int(c), den))
-                    for (i, v), c in zip(a.entries, col)
-                )
-                memo[key] = self._inner_expectation(masked) if masked else 0
-            values.append(memo[key] + scaled.value(j))
-        return ExactBatch.from_scalars(values)
+        inner, which = self._inner_columns(
+            a, mult, den, lambda v, c: v * Fraction(int(c), den)
+        )
+        if len(inner) == 1 and isinstance(inner[0], (int, Fraction)):
+            return scaled.shift_rational(Fraction(inner[0]))
+        return ExactBatch.from_scalars(
+            [inner[k] + scaled.value(j) for j, k in enumerate(which)]
+        )
 
     def mult_batch_float(self, a, mult):
         base = self.base.mult_batch_float(a, mult)
-        out = np.empty_like(base)
-        memo: dict[tuple, float] = {}
-        signlike = np.all(np.abs(mult) == 1.0)
-        inner_const = float(self._inner_expectation(a)) if signlike else None
-        for j in range(mult.shape[1]):
-            if signlike:
-                inner = inner_const
-            else:
-                key = tuple(np.nonzero(mult[:, j])[0].tolist())
-                if key not in memo:
-                    masked = Coeffs.from_pairs(
-                        (i, float(v) * float(c))
-                        for (i, v), c in zip(a.entries, mult[:, j])
-                    )
-                    memo[key] = float(self._inner_expectation(masked)) if masked else 0.0
-                inner = memo[key]
-            out[j] = inner + float(self.delta) * base[j]
-        return out
+        inner, which = self._inner_columns(
+            a, mult, 1.0, lambda v, c: float(v) * float(c)
+        )
+        return np.array([float(x) for x in inner])[which] + float(self.delta) * base

@@ -121,6 +121,23 @@ def test_c13_duality():
            _report("duality"))
 
 
+# (measured, bound, verdict) of the duality rows that no LAPACK call
+# touches; duality.smax:2 goes through np.linalg.pinv and stays unpinned
+_DUALITY_ROWS = {
+    "duality.lp:1": (1.0, 2.000000001, "PASS"),
+    "duality.lp:2": (1.0000000000000044, 2.000000001, "PASS"),
+    "duality.linf": (1.0, 2.000000001, "PASS"),
+    "duality.summing": (1.2727272727272727, 12.687500001, "PASS"),
+    "duality.reverse.summing": (2.0317460317460316, None, "PASS"),
+}
+
+
+def test_duality_rows_pinned():
+    got = {r.rid: (r.measured, r.bound, r.verdict)
+           for r in _report("duality").rows if r.rid in _DUALITY_ROWS}
+    assert got == _DUALITY_ROWS
+
+
 def test_c14_bd():
     _check(14, "tree construction: biorthogonality, sandwiches, chains, ratio <= 18",
            _report("bd"))

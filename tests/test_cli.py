@@ -127,3 +127,34 @@ def test_expect_other_methods(capsys):
     code, out, _ = run(capsys, "expect", "--space", "summing", "--coeffs", "1,2",
                        "--method", "perm")
     assert code == 0 and json.loads(out)["method"] == "permutation"
+
+
+@pytest.mark.parametrize("item", [
+    "cap=abc", "confidence=x", "bd.lambda=x", "bd.b=1/0", "mr.levels=a,b",
+    "format=xml", "arithmetic=fuzzy", "plot=png",
+])
+def test_malformed_config_value_is_domain_error(capsys, item):
+    """A malformed value exits 2 with one error line naming the key,
+    before any experiment runs."""
+    code, out, err = run(capsys, "certify", "parallelogram", "--set", item)
+    key, _, raw = item.partition("=")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert repr(key) in err and repr(raw) in err
+
+
+def test_malformed_env_seed_is_domain_error(capsys, monkeypatch):
+    monkeypatch.setenv("RUDLAB_SEED", "zz")
+    code, _, err = run(capsys, "norm", "--space", "lp:1", "--coeffs", "1")
+    assert code == 2 and "'seed'" in err and "'zz'" in err
+
+
+def test_norm_refuses_wrapping_denominators(capsys):
+    """The common denominator 2^64 - 1 of these entries does not fit the
+    exact integer path: the norm refuses instead of printing 0."""
+    code, out, err = run(capsys, "norm", "--space", "lp:1",
+                         "--coeffs", "1/4294967297,1/4294967295")
+    assert code == 2 and out == "" and "26 bits" in err
+    code, out, _ = run(capsys, "norm", "--space", "norming_set",
+                       "--coeffs", "1/4294967297,1/4294967295")
+    assert code == 0 and out.strip() == "8589934592/18446744073709551615"

@@ -136,3 +136,14 @@ def test_int_values_no_integer_form():
     with pytest.raises(NoIntegerForm, match="26 bits"):
         Coeffs.from_values([1 << 30]).int_values()
     assert Coeffs.from_values([QSum.of(F(5, 2))]).int_values()[0].tolist() == [5]
+
+
+def test_int_values_common_denominator_never_wraps():
+    """The common denominator is a Python int: a product of denominators
+    beyond 64 bits refuses instead of wrapping, and one large denominator
+    normalises exactly."""
+    with pytest.raises(NoIntegerForm, match="26 bits"):
+        Coeffs.from_values([F(1, 4294967297), F(1, 4294967295)]).int_values()
+    ints, den = Coeffs.from_values([F(1, 18446744073709551619)]).int_values()
+    assert ints.tolist() == [1] and den == 18446744073709551619
+    assert isinstance(den, int)

@@ -1,5 +1,7 @@
-"""Biorthogonal systems, dual norms, duality reports, exact simplex."""
+"""Biorthogonal systems, dual norms, duality reports, the closed-form
+subspace dual norm."""
 
+import itertools
 from fractions import Fraction as F
 from math import inf
 
@@ -11,13 +13,12 @@ from rudlab.dual import (
     FiniteBasis,
     biorthogonals,
     dual_norm,
-    dual_norm_lp_polytope,
     dual_norm_with_maximizer,
     duality_report,
     summing_basis,
     _smax_dual,
+    _subspace_dual_norm_summing,
 )
-from rudlab.simplex import UnboundedError, simplex_max
 from rudlab.spaces import LpSpace, SmaxSpace, SummingDualSpace, SummingSpace
 
 
@@ -78,25 +79,11 @@ def test_dual_norm_summing_matches_formula():
         assert pair(f, x) == val
 
 
-def test_simplex_against_analytic():
-    # l1 image against the coordinate cube equals the l1 norm
-    coords = [Coeffs.from_pairs([(i, 1)]) for i in range(4)]
-    f = Coeffs.from_pairs([(0, 1), (1, -2), (3, F(3, 2))])
-    val, x = dual_norm_lp_polytope(f, coords, 4)
-    assert val == F(9, 2)
-    assert pair(f, x) == val
-    # simplex detects escape from a non-norming family
-    with pytest.raises(UnboundedError, match="escapes"):
-        dual_norm_lp_polytope(Coeffs.from_values([1, 1]), [coords[0]], 2)
-
-
-def test_simplex_basic():
-    val, x = simplex_max(
-        [F(1), F(1)],
-        [[F(1), F(0)], [F(0), F(1)], [F(1), F(1)]],
-        [F(1), F(1), F(3, 2)],
-    )
-    assert val == F(3, 2)
+def test_dual_norm_without_branch_refuses():
+    with pytest.raises(DomainError, match="no dual-norm branch"):
+        dual_norm(Coeffs.from_values([1, 1]), LpSpace(3), 2)
+    with pytest.raises(DomainError, match="no dual-norm branch"):
+        dual_norm(Coeffs.from_values([1, 1]), SummingDualSpace(), 2)
 
 
 def test_smax_dual_properties():
@@ -155,9 +142,6 @@ def test_reverse_duality_summing():
 def test_subspace_dual_vs_ambient():
     """The subspace-restricted dual norm never exceeds the ambient one and
     differs where the ambient image uses room outside the span."""
-    from rudlab.dual import _subspace_dual_norm_summing
-    from rudlab.spaces import SummingDualSpace
-
     sd = SummingDualSpace()
     f = Coeffs.from_values([1, -1])
     assert _subspace_dual_norm_summing(f, 2) == 3  # ambient formula gives 4
@@ -166,16 +150,20 @@ def test_subspace_dual_vs_ambient():
     assert _subspace_dual_norm_summing(g, 2) <= sd.norm(g)
 
 
-def test_lp_polytope_is_exact_above_twelve_dimensions():
-    """Every dimension goes through the exact simplex: against the
-    coordinate functionals in dimension 13 the value is the exact l1 norm."""
-    rng = np.random.default_rng(9)
-    dim = 13
-    coords = [Coeffs.from_pairs([(i, 1)]) for i in range(dim)]
-    f = Coeffs.from_pairs(
-        [(i, F(int(v), 2)) for i, v in enumerate(rng.integers(-3, 4, size=dim)) if v]
-    )
-    val, x = dual_norm_lp_polytope(f, coords, dim)
-    assert isinstance(val, F)
-    assert val == sum(abs(F(v)) for _, v in f.entries)
-    assert pair(f, x) == val
+def test_subspace_dual_closed_form_vs_vertices():
+    """The closed form equals the maximum of b.x over the vertices of the
+    polytope |x_k + ... + x_{dim-1}| <= 1: x_i = t_i - t_{i+1} for t in
+    {-1, 1}^dim and t_dim = 0."""
+    rng = np.random.default_rng(11)
+    for _ in range(60):
+        dim = int(rng.integers(1, 9))
+        vals = [F(int(n), int(d)) for n, d in
+                zip(rng.integers(-9, 10, size=dim), rng.integers(1, 8, size=dim))]
+        best = None
+        for t in itertools.product((-1, 1), repeat=dim):
+            t = t + (0,)
+            val = sum(v * (t[i] - t[i + 1]) for i, v in enumerate(vals))
+            best = val if best is None else max(best, val)
+        got = _subspace_dual_norm_summing(Coeffs.from_values(vals), dim)
+        assert isinstance(got, F)
+        assert got == best

@@ -153,6 +153,28 @@ def test_renorm_examples():
     assert rs.norm(Coeffs.from_values([1, 1])) == F(7, 2)
 
 
+def test_renorm_inner_average_once_per_abs_column(monkeypatch):
+    """The inner sign average is sign-invariant, so columns that differ
+    only in sign share one evaluation, in the exact and the float batch."""
+    space = SpaceFactory(RunConfig()).space("renorm:summing:1")
+    calls = []
+    inner = space._inner_expectation
+    monkeypatch.setattr(space, "_inner_expectation",
+                        lambda a: calls.append(a) or inner(a))
+    a = Coeffs.from_values([1, F(-1, 2), 2])
+    mult = np.array([[1, -1, 1, -1], [-1, 1, 1, 1], [0, 0, 1, -1]], dtype=np.int8)
+    batch = space.mult_batch(a, mult, 1)
+    assert len(calls) == 2
+    floats = space.mult_batch_float(a, mult.astype(np.float64))
+    assert len(calls) == 4
+    for j in range(4):
+        masked = Coeffs.from_pairs(
+            (i, v * int(c)) for (i, v), c in zip(a.entries, mult[:, j])
+        )
+        assert batch.value(j) == space.norm(masked)
+        assert floats[j] == pytest.approx(float(space.norm(masked)), rel=1e-12)
+
+
 EXACT_SPECS = [
     "lp:1", "lp:2", "linf", "summing", "summing_dual", "james:chain",
     "james:pairs", "james_x:1", "james_x:2", "bmo", "smax:2", "walsh",
