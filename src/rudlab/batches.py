@@ -14,10 +14,11 @@ patterns produces values of a very constrained shape:
 The min/max/mean/second-moment reductions stay exact throughout.  Every
 near-tie in rudlab is settled by :func:`first_extreme`: a float pass locates
 the extreme, and the candidates within ``_TIE_RTOL`` of it are compared
-exactly, one per distinct integer key (equal keys are equal values).  Sums
-of products are taken over Python integers so no intermediate can overflow,
-and the affine adjustments refuse, rather than wrap, results that leave
-int64.
+exactly, one per distinct integer key (equal keys are equal values).  Means
+sum integer numerators, in int64 only where no sum can leave it, and build
+one exact value per result.  Sums of products are taken over Python
+integers so no intermediate can overflow, and the affine adjustments
+refuse, rather than wrap, results that leave int64.
 """
 
 from __future__ import annotations
@@ -189,21 +190,71 @@ class ExactBatch:
         """Exact mean of the values.  With ``over``, their sum is divided by
         ``over`` instead of by their count: one chunk's share of the mean of
         a longer walk."""
-        n = len(self) if over is None else over
+        return self.group_means([0], [len(self) if over is None else over])[0]
+
+    def group_means(self, starts: Sequence[int], overs: Sequence[int]) -> list[Scalar]:
+        """Exact means of consecutive pieces of the batch: piece ``p`` holds
+        the values from ``starts[p]`` (``starts[0] == 0``) up to the next
+        start, none of them empty, and its sum is divided by ``overs[p]``.
+
+        Numerators are summed as integers, in int64 where no sum can leave
+        it, and each piece's value is built once: every class with its own
+        radicand, then the roots part, one term per square-free core in the
+        order the ascending radicands first reach it."""
+        n = len(self)
+        bounds = list(starts) + [n]
         if self.scalars is not None:
-            total: Scalar = 0
-            for v in self.scalars:
-                total = total + v
-            return total / n if isinstance(total, float) else total * Fraction(1, n)
-        total = QSum()
-        if self.classes is not None:
-            for core, arr in self.classes.items():
-                total = total + QSum.root(core, Fraction(sum(_ints(arr)), n * self.scale))
+            out = []
+            for p, over in enumerate(overs):
+                total: Scalar = 0
+                for v in self.scalars[bounds[p] : bounds[p + 1]]:
+                    total = total + v
+                out.append(total / over if isinstance(total, float) else total * Fraction(1, over))
+            return out
+        class_sums = []
+        for core, arr in (self.classes or {}).items():
+            if _peak(arr) * n <= _INT64_MAX:
+                sums = np.add.reduceat(arr, starts, dtype=np.int64).tolist()
+            else:
+                vals = _ints(arr)
+                sums = [sum(vals[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+            class_sums.append((core, sums))
+        runs: list[list[tuple[int, int]]] = [[] for _ in overs]
         if self.roots is not None:
-            cores, counts = np.unique(self.roots, return_counts=True)
-            for r, c in zip(_ints(cores), _ints(counts)):
-                total = total + QSum.root(r, Fraction(c, n * self.roots_scale))
-        return total.as_fraction() if total.is_rational() else total
+            # distinct radicands of each piece, ascending, with their counts
+            piece = np.repeat(np.arange(len(overs)), np.diff(bounds))
+            order = np.lexsort((self.roots, piece))
+            r, pc = self.roots[order], piece[order]
+            first = np.ones(n, dtype=bool)
+            first[1:] = (r[1:] != r[:-1]) | (pc[1:] != pc[:-1])
+            at = np.flatnonzero(first)
+            counts = np.diff(np.append(at, n))
+            for p, rad, c in zip(pc[at].tolist(), _ints(r[at]), counts.tolist()):
+                runs[p].append((rad, c))
+        rs = self.roots_scale or 1
+        out = []
+        for p, over in enumerate(overs):
+            # per core: numerators over the class scale and over the roots scale
+            nums: dict[int, list[int]] = {}
+            for core, sums in class_sums:
+                if sums[p]:
+                    outer, c = split_square(core)
+                    nums.setdefault(c, [0, 0])[0] += sums[p] * outer
+            for rad, c in runs[p]:
+                if rad:
+                    outer, core = split_square(rad)
+                    nums.setdefault(core, [0, 0])[1] += c * outer
+            terms = {}
+            for core, (x, y) in nums.items():
+                if x * rs + y * self.scale:
+                    terms[core] = (
+                        Fraction(x, over * self.scale) if not y
+                        else Fraction(y, over * rs) if not x
+                        else Fraction(x * rs + y * self.scale, over * self.scale * rs)
+                    )
+            total = QSum(terms)
+            out.append(total.as_fraction() if total.is_rational() else total)
+        return out
 
     def mean_sq(self, over: int | None = None) -> Scalar:
         """Exact mean of the squared values (``over`` as in :meth:`mean`)."""

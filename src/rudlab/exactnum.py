@@ -5,19 +5,25 @@ positive integer radicands ``k_i``.  This is exactly the number field needed
 by the norm engines: Euclidean norms of rational vectors, the ``1/sqrt(k)``
 functional weights, and their averages all live here.
 
-Comparisons are exact.  A nonzero combination of square roots of distinct
-squarefree integers is never zero (linear independence over Q), so the sign
-of a difference is decided by interval arithmetic with integer-square-root
-brackets, tightened until the interval excludes zero.  Radicands are kept
-only semi-canonical (small square factors extracted); if an undetected
-square factor ever makes two terms collide, the slow full factorisation
-path merges them before the sign loop continues.
+Comparisons are exact.  A sign is first read from a float evaluation with
+an a-priori error bound (a float filter, as in Shewchuk's adaptive
+predicates): integer division, int-to-float conversion and ``math.sqrt``
+are correctly rounded, so when the float sum is larger than the bound its
+sign is the exact sign.  Otherwise, as for near-zero sums, the sign is
+decided exactly: a nonzero combination of square roots of distinct
+squarefree integers is never zero (linear independence over Q), so
+interval arithmetic with integer-square-root brackets, tightened until the
+interval excludes zero, terminates.  Radicands are kept only semi-canonical
+(small square factors extracted); if an undetected square factor ever makes
+two terms collide, the slow full factorisation path merges them before the
+sign loop continues.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from functools import lru_cache
+from math import inf, isqrt, sqrt
 from typing import Union
 
 _SMALL_PRIMES = (
@@ -28,10 +34,18 @@ _SMALL_PRIMES = (
 #: Precision at which the sign loop re-canonicalises via full factorisation.
 _FACTOR_FALLBACK_BITS = 512
 _MAX_SIGN_BITS = 1 << 16
+#: the float filter defers to the exact loop below this magnitude sum, so
+#: that its error bound is computed without underflow
+_FILTER_FLOOR = 2.0**-900
+_UNIT_ROUNDOFF = 2.0**-53
+_MIN_NORMAL = 2.0**-1022
 
 
+@lru_cache(maxsize=1 << 16)
 def split_square(k: int) -> tuple[int, int]:
-    """Write ``k = outer**2 * core`` with core free of small square factors."""
+    """Write ``k = outer**2 * core`` with core free of small square factors.
+
+    Cached: the norm engines see few distinct radicands, many times over."""
     if k <= 0:
         raise ValueError("radicand must be positive")
     r = isqrt(k)
@@ -85,6 +99,41 @@ def _bracket(terms: dict[int, Fraction], bits: int) -> tuple[Fraction, Fraction]
             lo += q * bhi
             hi += q * blo
     return lo, hi
+
+
+def _float_sign(terms: dict[int, Fraction]) -> int:
+    """Sign of ``sum q sqrt(core)`` read from floats, or 0 when undecided.
+
+    Each term ``q*sqrt(core)`` is computed with relative error at most
+    about 3.5 units of roundoff (three correctly rounded operations and the
+    rounding of ``core``, halved by the square root), provided ``q`` does
+    not round into the subnormal range; a recursive float sum of n such
+    terms is off by at most (n+3) units times the sum of their magnitudes.
+    ``2*(n+4)`` units of the computed magnitude sum bound both with room to
+    spare.  Overflow, a subnormal ``q`` and magnitude sums under
+    ``_FILTER_FLOOR`` return 0 (undecided).
+    """
+    total = 0.0
+    mag = 0.0
+    try:
+        for core, q in terms.items():
+            x = q.numerator / q.denominator
+            if -_MIN_NORMAL < x < _MIN_NORMAL:
+                return 0
+            if core != 1:
+                x *= sqrt(core)
+            total += x
+            mag += abs(x)
+    except OverflowError:
+        return 0
+    if not _FILTER_FLOOR <= mag < inf:
+        return 0
+    bound = 2 * (len(terms) + 4) * _UNIT_ROUNDOFF * mag
+    if total > bound:
+        return 1
+    if total < -bound:
+        return -1
+    return 0
 
 
 def _canonicalise(terms: dict[int, Fraction]) -> dict[int, Fraction]:
@@ -255,6 +304,9 @@ class QSum:
         if len(t) == 1:
             ((_, q),) = t.items()
             return 1 if q > 0 else -1
+        s = _float_sign(t)
+        if s:
+            return s
         bits = 32
         while bits <= _MAX_SIGN_BITS:
             lo, hi = _bracket(t, bits)

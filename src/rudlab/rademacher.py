@@ -281,8 +281,12 @@ def expect_mc(
     """Seeded Monte-Carlo mean of norms over i.i.d. uniform sign patterns.
 
     The bracket is a two-sided Student-t confidence interval from the
-    sample mean and sample variance; it is statistical, not rigorous.
+    sample mean and sample variance; it is statistical, not rigorous.  The
+    variance merges each chunk's mean and sum of squared deviations as in
+    Chan, Golub & LeVeque (1983), so a constant sample has variance 0.
     """
+    if not 0 < confidence < 1:
+        raise DomainError(f"confidence must lie strictly between 0 and 1, got {confidence}")
     if samples < 100:
         raise DomainError("Monte-Carlo estimation requires at least 100 samples")
     if not a:
@@ -291,18 +295,21 @@ def expect_mc(
         )
     m = len(a)
     total = 0.0
-    total_sq = 0.0
+    mu = 0.0  # running mean and sum of squared deviations of the done samples
+    m2 = 0.0
     done = 0
     while done < samples:
         n = min(_MC_CHUNK, samples - done)
         signs = sign_matrix(seed, m, n, start=done).astype(np.float64)
         vals = space.mult_batch_float(a, signs)
         total += float(vals.sum())
-        total_sq += float((vals * vals).sum())
+        mu_b = float(vals.mean())
+        delta = mu_b - mu
+        m2 += float(((vals - mu_b) ** 2).sum()) + delta * delta * done * n / (done + n)
+        mu += delta * n / (done + n)
         done += n
     mean = total / samples
-    var = max(0.0, (total_sq - samples * mean * mean) / max(1, samples - 1))
-    half = _t_quantile(samples - 1, confidence) * math.sqrt(var / samples)
+    half = _t_quantile(samples - 1, confidence) * math.sqrt(m2 / (samples - 1) / samples)
     return ExpectationEstimate(
         mean, "monte_carlo", samples, seed, (mean - half, mean + half), confidence
     )

@@ -590,9 +590,6 @@ class RenormSpace(Space):
             seed=DEFAULT_SEED if self.mc_seed is None else self.mc_seed,
         )
 
-    def _inner_expectation(self, a: Coeffs) -> Scalar:
-        return self._inner_estimate(a).value
-
     def norm_with_bracket(self, a: Coeffs):
         """(value, (lower, upper)) with the sign-average bracket carried
         through the affine combination."""
@@ -609,20 +606,53 @@ class RenormSpace(Space):
     def norm(self, a: Coeffs) -> Scalar:
         return self.norm_with_bracket(a)[0]
 
-    def _inner_columns(self, a: Coeffs, mult: np.ndarray, unit, entry) -> tuple[list, np.ndarray]:
+    def _inner_columns(self, a: Coeffs, mult: np.ndarray, entry, evaluate) -> tuple[list, np.ndarray]:
         """Inner sign averages of the columns' masked vectors: one per
         distinct |column|, since the average is sign-invariant, and each
         column's index into them.
 
-        A column of units masks nothing and averages ``a`` itself;
-        ``entry(v, c)`` builds a masked coefficient."""
+        Under the enumeration cap they come from one grouped walk: each
+        distinct |column| contributes its top-bit-clear sign patterns scaled
+        by the column, in pieces of at most ``_CHUNK`` patterns; the pieces
+        are concatenated, evaluated by ``evaluate`` (an :class:`ExactBatch`
+        of the base engine) in slices of at most ``_CHUNK`` columns, and
+        each group's piece means are folded in walk order, as the sign walk
+        folds its chunks.  A masked full-support column is the norm of the
+        masked vector, so this is the sign average of each masked vector.
+        Past the cap the masked vector, built by ``entry(v, c)``, takes
+        ``expect_auto``'s Monte-Carlo estimate."""
+        from .rademacher import _CHUNK
+
         cols, which = np.unique(np.abs(mult), axis=1, return_inverse=True)
-        inner = []
-        for col in cols.T:
-            masked = a if np.all(col == unit) else Coeffs.from_pairs(
-                (i, entry(v, c)) for (i, v), c in zip(a.entries, col)
-            )
-            inner.append(self._inner_expectation(masked) if masked else 0)
+        inner: list = [0] * cols.shape[1]
+        slices: list[list[tuple[int, int, int, int]]] = []
+        width = _CHUNK  # of the open slice; a full one makes the first piece open one
+        for g, k in enumerate(np.count_nonzero(cols, axis=0).tolist()):
+            if k > self.enum_cap:
+                inner[g] = self._inner_estimate(Coeffs.from_pairs(
+                    (i, entry(v, c)) for (i, v), c in zip(a.entries, cols[:, g])
+                )).value
+                continue
+            total = (1 << k) >> 1
+            for start in range(0, total, _CHUNK):  # the chunks of the group's walk
+                stop = min(start + _CHUNK, total)
+                if width + stop - start > _CHUNK:
+                    slices.append([])
+                    width = 0
+                slices[-1].append((g, start, stop, total))
+                width += stop - start
+        for part in slices:
+            widths = [stop - start for _, start, stop, _ in part]
+            starts = np.cumsum([0] + widths[:-1])
+            group = np.repeat([p[0] for p in part], widths)
+            masks = np.arange(sum(widths)) + np.repeat([p[1] for p in part] - starts, widths)
+            c = cols[:, group]
+            # bit j of a pattern's mask flips the j-th row of its group's support
+            place = np.maximum(np.cumsum(c != 0, axis=0) - 1, 0)
+            pats = np.where((masks >> place) & 1, -c, c)
+            means = evaluate(pats).group_means(starts.tolist(), [p[3] for p in part])
+            for (g, *_), mu in zip(part, means):
+                inner[g] = inner[g] + mu
         return inner, which
 
     def mult_batch(self, a, mult, den=1):
@@ -631,7 +661,8 @@ class RenormSpace(Space):
             return None
         scaled = base_batch.scale_rational(self.delta)
         inner, which = self._inner_columns(
-            a, mult, den, lambda v, c: v * Fraction(int(c), den)
+            a, mult, lambda v, c: v * Fraction(int(c), den),
+            lambda pats: self.base.mult_batch(a, pats, den),
         )
         if len(inner) == 1 and isinstance(inner[0], (int, Fraction)):
             return scaled.shift_rational(Fraction(inner[0]))
@@ -642,6 +673,7 @@ class RenormSpace(Space):
     def mult_batch_float(self, a, mult):
         base = self.base.mult_batch_float(a, mult)
         inner, which = self._inner_columns(
-            a, mult, 1.0, lambda v, c: float(v) * float(c)
+            a, mult, lambda v, c: float(v) * float(c),
+            lambda pats: ExactBatch.from_scalars(self.base.mult_batch_float(a, pats).tolist()),
         )
         return np.array([float(x) for x in inner])[which] + float(self.delta) * base

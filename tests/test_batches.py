@@ -56,3 +56,45 @@ def test_renorm_batch_refuses_int64_wrap():
     a = Coeffs.from_values([(1 << 26) * (-1) ** k for k in range(12)])
     with pytest.raises(NoIntegerForm, match="int64"):
         space.mult_batch(a, np.ones((12, 1), dtype=np.int8), 1)
+
+
+def test_mean_past_int64_headroom():
+    """peak * len one past 2^63 - 1 takes the Python-int sum: the class sum
+    2^63 would wrap in int64."""
+    top = np.array([1 << 62, 1 << 62], dtype=np.int64)
+    batch = ExactBatch.from_classes({1: top, 2: np.array([1, 3], dtype=np.int64)}, 3)
+    assert batch.mean() == QSum.of(F(1 << 63, 6)) + QSum.root(2, F(4, 6))
+    below = ExactBatch.from_rational(np.array([(1 << 62) - 1, 1 << 62], dtype=np.int64), 1)
+    assert below.mean(5) == F((1 << 63) - 1, 5)
+
+
+def test_group_means_match_sliced_means():
+    """Each piece's mean is the mean of that slice of the batch, with the
+    same terms in the same order, so it converts to the same float."""
+    rng = np.random.default_rng(8)
+    n = 40
+    roots = rng.integers(0, 30, size=n) ** 2 * rng.choice([1, 2, 3, 8, 12], size=n)
+    batch = ExactBatch(
+        scale=6,
+        classes={1: rng.integers(0, 50, size=n), 3: rng.integers(-5, 50, size=n)},
+        roots=roots,
+        roots_scale=4,
+    )
+    starts, overs = [0, 7, 8, 25], [7, 2, 20, 64]
+    bounds = starts + [n]
+    got = batch.group_means(starts, overs)
+    for p, over in enumerate(overs):
+        lo, hi = bounds[p], bounds[p + 1]
+        piece = ExactBatch(scale=6, classes={c: x[lo:hi] for c, x in batch.classes.items()},
+                           roots=roots[lo:hi], roots_scale=4)
+        want = piece.mean(over)
+        assert QSum.of(got[p]) == QSum.of(want)
+        assert list(QSum.of(got[p]).terms) == list(QSum.of(want).terms)
+        assert float(got[p]) == float(want)
+        slow = sum(QSum.of(batch.value(i)) for i in range(lo, hi)) * F(1, over)
+        assert QSum.of(got[p]) == slow
+    floats = ExactBatch.from_scalars([0.1 * k for k in range(n)])
+    total = 0.0
+    for k in range(8, 25):  # left to right, as the walk folds a float chunk
+        total += 0.1 * k
+    assert floats.group_means(starts, overs)[2] == total / 20

@@ -129,6 +129,15 @@ def test_expect_other_methods(capsys):
     assert code == 0 and json.loads(out)["method"] == "permutation"
 
 
+def test_expect_mc_refuses_confidence_outside_unit_interval(capsys):
+    """A confidence outside (0, 1) is named in the error, instead of
+    surfacing as a NaN bracket that "must contain the estimate"."""
+    code, out, err = run(capsys, "expect", "--space", "summing", "--coeffs", "1,1,1",
+                         "--method", "mc", "--set", "confidence=1.5")
+    assert code == 2 and out == ""
+    assert "confidence" in err and "bracket" not in err
+
+
 @pytest.mark.parametrize("item", [
     "cap=abc", "confidence=x", "bd.lambda=x", "bd.b=1/0", "mr.levels=a,b",
     "format=xml", "arithmetic=fuzzy", "plot=png",

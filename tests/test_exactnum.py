@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -84,3 +85,83 @@ def test_float_mixing_rejected():
         SQRT2 < 1.5
     # explicit conversion is the supported route
     assert float(SQRT2) < 1.5
+
+
+def _bracket_loop_sign(terms):
+    """The exact sign loop on its own, without the float filter: integer
+    square-root brackets doubled in precision until they exclude zero, with
+    the full factorisation at 1024 bits.  The oracle for the filter."""
+    from rudlab.exactnum import _bracket, _canonicalise
+
+    t = dict(terms)
+    bits = 32
+    while bits <= 1 << 16:
+        if not t:
+            return 0
+        if len(t) == 1:
+            return 1 if next(iter(t.values())) > 0 else -1
+        lo, hi = _bracket(t, bits)
+        if lo > 0:
+            return 1
+        if hi < 0:
+            return -1
+        bits *= 2
+        if bits == 1024:
+            t = _canonicalise(t)
+    raise AssertionError("oracle undecided")
+
+
+def _check_sign(terms):
+    assert QSum(dict(terms)).sign() == _bracket_loop_sign(terms), terms
+
+
+_CORES = st.sampled_from([1, 2, 3, 5, 6, 7, 10, 11, 13, 101, 20402, 9999991])
+
+
+@given(st.dictionaries(_CORES, st.fractions(max_denominator=10**6).filter(bool),
+                       min_size=2, max_size=8))
+@settings(max_examples=300, deadline=None)
+def test_float_filter_matches_bracket_loop(terms):
+    _check_sign(terms)
+
+
+@given(st.integers(2, 10**6).filter(lambda d: split_square(d)[1] == d),
+       st.integers(1, 10**12), st.integers(-1, 1), st.fractions(max_denominator=50).filter(bool))
+@settings(max_examples=300, deadline=None)
+def test_float_filter_near_zero_pairs(d, q, off, scale):
+    """p - q*sqrt(d) with p the nearest integer to q*sqrt(d): within about
+    1/q of zero, under the float filter's bound, so the exact loop decides."""
+    p = isqrt(d * q * q) + off
+    _check_sign({1: scale * p, d: -scale * q})
+    _check_sign({1: scale * p, d: -scale * q, 2: F(1, 10**30)})
+
+
+def test_float_filter_edge_cases():
+    from rudlab.exactnum import _float_sign
+
+    # near-zero Pell pairs (7.5e-7 and 1.1e-10 from zero); the filter
+    # decides the first and leaves the second to the exact loop
+    assert _float_sign({1: F(665857), 2: F(-470832)}) == 1
+    assert _float_sign({1: F(4478554083), 2: F(-3166815962)}) == 0
+    for p, q in ((665857, 470832), (4478554083, 3166815962)):
+        _check_sign({1: F(p), 2: F(-q)})
+        _check_sign({1: F(-p), 2: F(q)})
+    assert (QSum.of(665857) - QSum.root(2, F(470832))).sign() == 1
+    # a semi-canonical collision is exactly zero
+    zero = {20402: F(1), 2: F(-101)}
+    assert _float_sign(zero) == 0 and QSum(zero).sign() == 0
+    _check_sign({20402: F(1), 2: F(-101), 3: F(1, 10**40)})
+    # numerators past the float range overflow the filter, not the sign
+    big = 1 << 1100
+    assert _float_sign({1: F(big + 1), 2: F(-isqrt(2 * big * big))}) == 0
+    _check_sign({1: F(big + 1), 2: F(-isqrt(2 * big * big))})
+    _check_sign({1: F(big, 3), 5: F(-big, 7)})
+    # values under 1e-300: subnormal terms and tiny magnitude sums defer
+    tiny = 10**310
+    assert _float_sign({1: F(1, tiny), 2: F(-1, tiny)}) == 0
+    assert _float_sign({1: F(1, 10**300), 2: F(-1, 10**300)}) == 0
+    _check_sign({1: F(1, tiny), 2: F(-1, tiny)})
+    _check_sign({3: F(7, 10**301), 2: F(-8, 10**301)})
+    # ordinary sums are decided by the filter alone
+    assert _float_sign({1: F(3, 2), 2: F(-1)}) == 1
+    assert _float_sign({5: F(1), 6: F(-1), 1: F(1, 1000)}) == -1

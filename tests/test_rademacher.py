@@ -82,6 +82,25 @@ def test_mc_bit_identical():
     assert e3.value != e1.value
 
 
+def test_mc_constant_sample_has_zero_variance():
+    """lp:2 is sign-invariant, so every sample has the same norm and the
+    bracket has width 0; the naive ``sum_sq - n*mean^2`` variance cancelled
+    catastrophically here and gave a half-width of about 0.057."""
+    a = Coeffs.from_values([1 << 26, 3, -7] * 13 + [1])
+    est = expect_mc(l2, a, samples=100_000, seed=3)
+    half = (est.bracket[1] - est.bracket[0]) / 2
+    assert half <= 1e-12 * est.value
+
+
+@pytest.mark.parametrize("confidence", [0.0, 1.0, 1.5, -0.2, float("nan")])
+def test_mc_refuses_confidence_outside_unit_interval(confidence):
+    from rudlab.coeffs import DomainError
+
+    with pytest.raises(DomainError, match="confidence"):
+        expect_mc(s, Coeffs.from_values([1, 1]), samples=1000, seed=1,
+                  confidence=confidence)
+
+
 def test_mc_requires_samples():
     from rudlab.coeffs import DomainError
 

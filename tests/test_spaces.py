@@ -8,7 +8,7 @@ from math import inf
 import numpy as np
 import pytest
 
-from rudlab.coeffs import Coeffs
+from rudlab.coeffs import Coeffs, mask_matrix_range, sign_matrix_range
 from rudlab.config import SpaceFactory, RunConfig
 from rudlab.exactnum import QSum, SQRT2, sqrt_exact
 from rudlab.spaces import (
@@ -155,24 +155,67 @@ def test_renorm_examples():
 
 def test_renorm_inner_average_once_per_abs_column(monkeypatch):
     """The inner sign average is sign-invariant, so columns that differ
-    only in sign share one evaluation, in the exact and the float batch."""
+    only in sign share one group of patterns, and all groups go to the base
+    engine in one grouped batch, in the exact and the float path."""
     space = SpaceFactory(RunConfig()).space("renorm:summing:1")
+    base = space.base
     calls = []
-    inner = space._inner_expectation
-    monkeypatch.setattr(space, "_inner_expectation",
-                        lambda a: calls.append(a) or inner(a))
+    for name in ("mult_batch", "mult_batch_float"):
+        method = getattr(base, name)
+        monkeypatch.setattr(base, name, lambda a, mult, *rest, method=method, name=name:
+                            calls.append((name, mult.shape[1])) or method(a, mult, *rest))
     a = Coeffs.from_values([1, F(-1, 2), 2])
     mult = np.array([[1, -1, 1, -1], [-1, 1, 1, 1], [0, 0, 1, -1]], dtype=np.int8)
     batch = space.mult_batch(a, mult, 1)
-    assert len(calls) == 2
+    # the outer batch, then 4 + 2 patterns for |columns| (1,1,0) and (1,1,1)
+    assert calls == [("mult_batch", 4), ("mult_batch", 6)]
     floats = space.mult_batch_float(a, mult.astype(np.float64))
-    assert len(calls) == 4
+    assert calls[2:] == [("mult_batch_float", 4), ("mult_batch_float", 6)]
     for j in range(4):
         masked = Coeffs.from_pairs(
             (i, v * int(c)) for (i, v), c in zip(a.entries, mult[:, j])
         )
         assert batch.value(j) == space.norm(masked)
         assert floats[j] == pytest.approx(float(space.norm(masked)), rel=1e-12)
+
+
+@pytest.mark.parametrize("spec", ["renorm:summing:1", "zruc", "lp2_half"])
+def test_renorm_grouped_walk_across_chunks(monkeypatch, spec):
+    """With 16-column chunks the grouped inner walk spans several base
+    batches, and a group larger than a chunk several pieces; every mask and
+    sign column still equals the norm of its masked vector (``lp2_half``,
+    the renorming of lp:2 with delta 1/2, has radical inner averages)."""
+    import rudlab.rademacher as rad
+
+    monkeypatch.setattr(rad, "_CHUNK", 16)
+    if spec == "lp2_half":
+        space = RenormSpace(LpSpace(2), F(1, 2))
+        a = Coeffs.from_values([1, F(-1, 2), 2, 3, F(1, 3), -1, 2])
+    else:
+        space = SpaceFactory(RunConfig()).space(spec)
+        universe = space.sweep_indices or tuple(range(12))
+        vals = [1, F(-1, 2), 2, -3, F(3, 2), 1]
+        a = Coeffs.from_pairs(zip(universe, vals))
+    m = len(a)
+    base_calls = []
+    method = space.base.mult_batch
+    monkeypatch.setattr(space.base, "mult_batch",
+                        lambda b, mult, den=1: base_calls.append(mult.shape[1])
+                        or method(b, mult, den))
+    masks = mask_matrix_range(m, 0, 1 << m)[:, ::3]
+    signs = sign_matrix_range(m, 0, 1 << m)[:, ::5]
+    for mult in (masks, signs):
+        base_calls.clear()
+        batch = space.mult_batch(a, mult, 1)
+        floats = space.mult_batch_float(a, mult.astype(np.float64))
+        assert len(base_calls) > 2 and max(base_calls[1:]) <= 16
+        for j in range(mult.shape[1]):
+            masked = Coeffs.from_pairs(
+                (i, v * int(c)) for (i, v), c in zip(a.entries, mult[:, j])
+            )
+            want = space.norm(masked) if masked else 0
+            assert QSum.of(batch.value(j)) == QSum.of(want), (spec, j)
+            assert floats[j] == pytest.approx(float(want), rel=1e-12)
 
 
 EXACT_SPECS = [
@@ -248,6 +291,24 @@ def test_norm_axioms_on_random_pairs():
             assert (q(space.norm(a.scale(F(-3, 2)))) - F(3, 2) * na).sign() == 0
             # triangle inequality
             assert (na + nb - q(space.norm(a + b))).sign() >= 0, spec
+
+
+def test_renorm_batch_mixes_grouped_walk_and_monte_carlo():
+    """Columns whose support passes the cap take the Monte-Carlo estimate of
+    their masked vector, the others the grouped exact walk, in one batch."""
+    space = RenormSpace(SummingSpace(), F(1), enum_cap=4, mc_samples=2000, mc_seed=5)
+    a = Coeffs.from_values([1, -1, 2, 1, -2, 1])
+    mult = mask_matrix_range(6, 0, 64)[:, [63, 62, 15, 5, 0]]
+    batch = space.mult_batch(a, mult, 1)
+    floats = space.mult_batch_float(a, mult.astype(np.float64))
+    for j in range(5):
+        masked = Coeffs.from_pairs(
+            (i, v * int(c)) for (i, v), c in zip(a.entries, mult[:, j])
+        )
+        want = space.norm(masked) if masked else 0
+        assert isinstance(want, float) == (j < 2)
+        assert batch.value(j) == want
+        assert floats[j] == pytest.approx(float(want), rel=1e-12)
 
 
 def test_renorm_monte_carlo_fallback():
