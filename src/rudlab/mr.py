@@ -30,6 +30,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 
 import numpy as np
@@ -306,7 +307,9 @@ def closure_families(coder: SigmaCoder, levels: LevelSequence, max_n: int) -> li
     return families
 
 
+@lru_cache(maxsize=None)
 def _weight(card: int) -> QSum:
+    """1/sqrt(card), shared per cardinality (no QSum is mutated in place)."""
     return QSum({1: Fraction(1)}) / sqrt_exact(card)
 
 
@@ -477,9 +480,6 @@ class ZrudSpace(NormingSetSpace):
         self.ctx = ctx
         self.sweep_indices = tuple(range(min(6, ctx.universe)))
         self.sweep_max_m = 6
-        # functional families on the tiny first-level supports recur across
-        # every sweep; keep them all
-        self.cache_limit = 512
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,10 @@
 Every engine maps a :class:`~rudlab.coeffs.Coeffs` to a scalar and, for the
 sign-average machinery, evaluates whole batches of entrywise multiplier
 columns at once (``mult_batch`` exact over integers, ``mult_batch_float``
-for Monte-Carlo).  The exact batch path and the scalar ``norm`` must agree;
-the test suite cross-checks them against independent brute-force oracles.
+for Monte-Carlo).  Exact batches other than the norming-set ones refuse
+radical-valued entries and scaled entries past 26 bits (``NoIntegerForm``).
+The exact batch path and the scalar ``norm`` must agree; the test suite
+cross-checks them against independent brute-force oracles.
 
 Engines here: lp / linf, the summing norm and its dual, the chain-difference
 supremum norms (two conventions, plus the lp-accumulating generalisation),
@@ -17,18 +19,14 @@ their engines from their own modules.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, inf
+from math import inf, lcm
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .batches import _TIE_RTOL, ExactBatch, first_extreme
-from .coeffs import Coeffs, DomainError, NoIntegerForm, NormingFunctional, pair
+from .batches import _INT64_MAX, _TIE_RTOL, ExactBatch, _peak, first_extreme
+from .coeffs import Coeffs, DomainError, NormingFunctional, pair
 from .exactnum import QSum, Scalar, split_square
-
-
-def _lcm(a: int, b: int) -> int:
-    return a * b // gcd(a, b)
 
 
 def _int_mult_values(a: Coeffs, mult: np.ndarray, den: int) -> tuple[np.ndarray, int]:
@@ -369,35 +367,51 @@ class SmaxSpace(Space):
 # norming-set suprema
 # ---------------------------------------------------------------------------
 
+#: supports whose functionals a norming-set engine keeps before it drops them all
+_CACHE_LIMIT = 256
+#: a support's functional class matrices, their common denominator and peaks
+_ClassMats = tuple[dict[int, np.ndarray], int, dict[int, int]]
+
 
 def functional_class_matrices(
     functionals: Sequence[NormingFunctional], support: Sequence[int]
-) -> tuple[dict[int, np.ndarray], int]:
+) -> _ClassMats:
     """Weights of the functionals on ``support`` as per-radicand-class
-    integer matrices with one common denominator."""
+    integer matrices with one common denominator, and each matrix's largest
+    magnitude.  A matrix is int64 when that peak fits, Python ints
+    otherwise; functionals that all vanish on the support give one zero
+    matrix."""
     pos = {idx: k for k, idx in enumerate(support)}
-    rows: list[dict[int, dict[int, Fraction]]] = []
+    cells: dict[int, list[tuple[int, int, Fraction]]] = {}  # (functional, slot, weight)
     scale = 1
-    for phi in functionals:
-        row: dict[int, dict[int, Fraction]] = {}
+    for f, phi in enumerate(functionals):
         for i, w in phi.entries:
             k = pos.get(i)
             if k is None:
                 continue
-            terms = w.terms if isinstance(w, QSum) else {1: Fraction(w)}
-            for core, q in terms.items():
-                row.setdefault(core, {})[k] = q
-                scale = _lcm(scale, q.denominator)
-        rows.append(row)
-    cores = sorted({c for row in rows for c in row})
-    mats = {
-        c: np.zeros((len(functionals), len(support)), dtype=np.int64) for c in cores
-    }
-    for f, row in enumerate(rows):
-        for core, entries in row.items():
-            for k, q in entries.items():
-                mats[core][f, k] = int(q * scale)
-    return mats, scale
+            for core, q in (w.terms if isinstance(w, QSum) else {1: Fraction(w)}).items():
+                cells.setdefault(core, []).append((f, k, q))
+                scale = lcm(scale, q.denominator)
+    mats, peaks = {}, {}
+    for c in sorted(cells) or [1]:
+        fkq = cells.get(c, [])
+        nums = [int(q * scale) for _, _, q in fkq]
+        peaks[c] = max(map(abs, nums), default=0)
+        mats[c] = np.zeros((len(functionals), len(support)),
+                           dtype=np.int64 if peaks[c] <= _INT64_MAX else object)
+        mats[c][[f for f, _, _ in fkq], [k for _, k, _ in fkq]] = nums
+    return mats, scale, peaks
+
+
+def _class_columns(a: Coeffs) -> tuple[dict[int, list[int]], int]:
+    """Entries of ``a`` split by square-free class: per class, integer
+    numerators over one common denominator, in the order of first use."""
+    cols: dict[int, list[Fraction]] = {}
+    for k, (_, w) in enumerate(a.entries):
+        for core, q in (w.terms if isinstance(w, QSum) else {1: Fraction(w)}).items():
+            cols.setdefault(core, [Fraction(0)] * len(a))[k] = q
+    den = lcm(*(q.denominator for col in cols.values() for q in col))
+    return {c: [int(q * den) for q in col] for c, col in cols.items()}, den
 
 
 def _normingset_reduce_exact(pairs: dict[int, np.ndarray], scale: int) -> ExactBatch:
@@ -456,6 +470,11 @@ class NormingSetSpace(Space):
     The provider returns, for a finite support, the restriction of the
     family to that support; the owning construction guarantees that this
     restriction is complete.
+
+    ``mult_batch`` is the one exact path, for rational and radical-valued
+    vectors: each functional class is paired with each class of the
+    vector's entries, in int64 when a Python-int bound shows that no sum
+    can leave it, and in Python-int object arrays otherwise.
     """
 
     def __init__(
@@ -467,9 +486,8 @@ class NormingSetSpace(Space):
         self.name = name
         self._provider = provider
         self.include_coord_sup = include_coord_sup
-        self.cache_limit = 256
         self._cache: dict[tuple[int, ...], list[NormingFunctional]] = {}
-        self._mats_cache: dict[tuple[int, ...], tuple[dict[int, np.ndarray], int]] = {}
+        self._mats_cache: dict[tuple[int, ...], _ClassMats] = {}
 
     def functionals(self, support: tuple[int, ...]) -> list[NormingFunctional]:
         key = tuple(support)
@@ -479,18 +497,16 @@ class NormingSetSpace(Space):
                 fams.extend(Coeffs.from_pairs([(i, 1)]) for i in key)
             if not fams:
                 raise DomainError("empty norming set")
-            if len(self._cache) > self.cache_limit:
+            if len(self._cache) > _CACHE_LIMIT:
                 self._cache.clear()
                 self._mats_cache.clear()
             self._cache[key] = fams
         return self._cache[key]
 
-    def class_mats(self, support: tuple[int, ...]) -> tuple[dict[int, np.ndarray], int]:
+    def class_mats(self, support: tuple[int, ...]) -> _ClassMats:
         key = tuple(support)
         if key not in self._mats_cache:
-            self._mats_cache[key] = functional_class_matrices(
-                self.functionals(key), key
-            )
+            self._mats_cache[key] = functional_class_matrices(self.functionals(key), key)
         return self._mats_cache[key]
 
     def norm_slow(self, a: Coeffs) -> Scalar:
@@ -506,51 +522,34 @@ class NormingSetSpace(Space):
                 best = v
         return best
 
-    def norm(self, a: Coeffs) -> Scalar:
-        if not a:
-            return 0
-        if a.is_exact():
-            try:
-                return super().norm(a)
-            except NoIntegerForm:
-                return self._norm_radical(a)
-        return super().norm(a)
-
-    def _norm_radical(self, a: Coeffs) -> Scalar:
-        """Exact norm for vectors with no integer form (radical-valued
-        entries, or magnitudes beyond the integer path), in Python ints."""
-        mats, fscale = self.class_mats(a.support)
-        vclasses: dict[int, list[Fraction]] = {}
-        vden = 1
-        for k, (_, w) in enumerate(a.entries):
-            terms = w.terms if isinstance(w, QSum) else {1: Fraction(w)}
-            for core, q in terms.items():
-                vclasses.setdefault(core, [Fraction(0)] * len(a))[k] = q
-                vden = _lcm(vden, q.denominator)
-        vmats = {
-            c: np.array([int(q * vden) for q in col], dtype=object)
-            for c, col in vclasses.items()
-        }
-        pairs: dict[int, np.ndarray] = {}
-        for fc, m in mats.items():
-            for vc, col in vmats.items():
-                outer, core = split_square(fc * vc)
-                pairs[core] = pairs.get(core, 0) + (m @ col) * outer
-        one_col = {c: p[:, None] for c, p in pairs.items()}
-        return _normingset_reduce_exact(one_col, fscale * vden).value(0)
-
     def mult_batch(self, a, mult, den=1):
-        v, vscale = _int_mult_values(a, mult, den)
-        mats, fscale = self.class_mats(a.support)
-        pairs = {c: m @ v for c, m in mats.items()}  # (F, N) per class
-        return _normingset_reduce_exact(pairs, fscale * vscale)
+        vcols, vden = _class_columns(a)
+        mats, fscale, peaks = self.class_mats(a.support)
+        # a bound on every partial pairing sum and, its factors being at
+        # least 1, on every weight, numerator and multiplier
+        reach = max(_peak(mult), 1)
+        bound = sum(
+            max(peaks[fc], 1) * split_square(fc * vc)[0] * reach * sum(map(abs, col))
+            for fc in mats for vc, col in vcols.items()
+        )
+        dtype = np.int64 if bound <= _INT64_MAX else object
+        mult = mult.astype(dtype)
+        vals = {vc: np.array(col, dtype=dtype)[:, None] * mult for vc, col in vcols.items()}
+        pairs: dict[int, np.ndarray] = {}  # (F, N) per class
+        for fc, m in mats.items():
+            m = m.astype(dtype, copy=False)
+            for vc, v in vals.items():
+                outer, core = split_square(fc * vc)
+                p = m @ v if outer == 1 else (m @ v) * outer
+                pairs[core] = pairs[core] + p if core in pairs else p
+        return _normingset_reduce_exact(pairs, fscale * vden * den)
 
     def mult_batch_float(self, a, mult):
         v = _float_values(a, mult)
-        mats, fscale = self.class_mats(a.support)
+        mats, fscale, _ = self.class_mats(a.support)
         acc = np.zeros((next(iter(mats.values())).shape[0], v.shape[1]))
         for c, m in mats.items():
-            acc += (m @ v) * (c**0.5)
+            acc += (m.astype(np.float64) @ v) * (c**0.5)
         return np.abs(acc).max(axis=0) / fscale
 
 

@@ -148,6 +148,20 @@ def test_c15_zmr():
            _report("zmr"))
 
 
+# (measured, bound, verdict) of the zmr rows whose sign averages are exact
+# walks over radical-valued witnesses; zmr has no pinned report digest
+_ZMR_BOUND_ROWS = {
+    "zmr.bound.n=1": (0.8535533905932737, 10.071067811865476, "PASS"),
+    "zmr.bound.n=2": (1.254901695296637, 10.388905057061256, "PASS"),
+}
+
+
+def test_zmr_bound_rows_pinned():
+    got = {r.rid: (r.measured, r.bound, r.verdict)
+           for r in _report("zmr").rows if r.rid in _ZMR_BOUND_ROWS}
+    assert got == _ZMR_BOUND_ROWS
+
+
 def test_c16_zruc():
     _check(16, "convergence-side construction is 2-bounded on the first two levels",
            _report("zruc"))

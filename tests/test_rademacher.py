@@ -209,8 +209,9 @@ def test_half_enumeration_matches_full_range(spec, monkeypatch):
 
 
 def test_half_enumeration_scalar_fallback(monkeypatch):
-    """A radical-valued vector has no integer batch form; the scalar
-    fallback walks the same half range and agrees with every pattern."""
+    """A radical-valued vector on a norming-set engine walks the same half
+    range in integer batches (no scalar fallback), and the reductions agree
+    with the pairing oracle on every pattern."""
     import rudlab.rademacher as rad
     from rudlab.batches import ExactBatch
     from rudlab.coeffs import apply_signs, enumerate_sign_patterns
@@ -220,18 +221,18 @@ def test_half_enumeration_scalar_fallback(monkeypatch):
     space = SpaceFactory(RunConfig()).space("norming_set")
     a = Coeffs.from_values([1, SQRT2, F(-1, 2), 2 * SQRT2, 3])
     want = ExactBatch.from_scalars(
-        [space.norm(apply_signs(a, e)) for e in enumerate_sign_patterns(a.support)]
+        [space.norm_slow(apply_signs(a, e)) for e in enumerate_sign_patterns(a.support)]
     )
     for chunk in (rad._CHUNK, 4):
         monkeypatch.setattr(rad, "_CHUNK", chunk)
         got = sign_stats(space, a)
-        assert got.scalars is not None
+        assert got.scalars is None
         _assert_same_reductions(got, want, chunk)
 
 
 def test_scalar_fallback_beyond_the_coefficient_cap():
-    """Entries beyond the 26-bit cap have no integer form either: a
-    norming-set engine takes the scalar fallback and stays exact."""
+    """Entries beyond the 26-bit cap: a norming-set engine still returns an
+    integer batch, and it stays exact."""
     from rudlab.batches import ExactBatch
     from rudlab.coeffs import apply_signs, enumerate_sign_patterns
     from rudlab.config import RunConfig, SpaceFactory
@@ -242,7 +243,28 @@ def test_scalar_fallback_beyond_the_coefficient_cap():
         [space.norm_slow(apply_signs(a, e)) for e in enumerate_sign_patterns(a.support)]
     )
     got = sign_stats(space, a)
-    assert got.scalars is not None
+    assert got.scalars is None
+    _assert_same_reductions(got, want, a)
+
+
+def test_walk_falls_back_to_per_pattern_norms():
+    """A renorm batch that would leave int64 refuses with NoIntegerForm,
+    and the walk evaluates its chunk pattern by pattern instead.  Delta 99
+    takes the scaled chain radicands past int64; with delta 9 they fit."""
+    from rudlab.batches import ExactBatch
+    from rudlab.coeffs import (NoIntegerForm, apply_signs, enumerate_sign_patterns,
+                               sign_matrix_range)
+    from rudlab.config import RunConfig, SpaceFactory
+
+    space = SpaceFactory(RunConfig()).space("renorm:james:chain:99")
+    a = Coeffs.from_values([1 << 26, -(1 << 26), 1 << 26, -(1 << 26)])
+    with pytest.raises(NoIntegerForm, match="int64"):
+        space.mult_batch(a, sign_matrix_range(4, 0, 8), 1)
+    want = ExactBatch.from_scalars(
+        [space.norm(apply_signs(a, e)) for e in enumerate_sign_patterns(a.support)]
+    )
+    got = sign_stats(space, a)
+    assert len(got.scalars) == 8
     _assert_same_reductions(got, want, a)
 
 

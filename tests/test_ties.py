@@ -6,6 +6,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from rudlab import exactnum
 from rudlab.batches import ExactBatch, _scalar_gt
@@ -191,7 +192,7 @@ def test_sweep_qsum_sign_count(spec, monkeypatch):
 
 
 def test_radical_path_matches_norm_slow():
-    """Vectors that ``NormingSetSpace.norm`` sends to its Python-int path
+    """Vectors that ``NormingSetSpace.mult_batch`` pairs in Python ints
     (entries beyond the 26-bit cap, radical-valued entries) agree with the
     pairing oracle.  With int64 pairings, norm([2^62]*3) on norming_set
     wrapped to 2^62*sqrt(2) instead of 3*2^62."""
@@ -215,3 +216,56 @@ def test_radical_path_matches_norm_slow():
     assert norming_set.norm(big3) == 3 << 62
     # the two coordinate functionals tie below float resolution
     assert norming_set.norm(pell) == x
+
+
+_RATIONAL = st.builds(F, st.integers(-(1 << 40), 1 << 40), st.integers(1, 1 << 30))
+_CORE = st.sampled_from([2, 3, 6])
+_ENTRY = st.one_of(
+    _RATIONAL,
+    st.builds(lambda q, r, c: QSum.root(c, r) + q, _RATIONAL, _RATIONAL, _CORE),
+)
+# weights with denominators far past 2^26, some of them radical
+_WEIGHT = st.one_of(
+    st.builds(F, st.integers(-(1 << 20), 1 << 20), st.integers(1, 1 << 50)),
+    st.builds(lambda q, c: QSum.root(c, q), _RATIONAL, _CORE),
+)
+_FAMILY = st.lists(
+    st.dictionaries(st.integers(0, 3), _WEIGHT, min_size=1, max_size=4)
+    .map(lambda w: Coeffs.from_pairs(w.items())),
+    min_size=1, max_size=3,
+)
+
+
+@given(
+    family=_FAMILY,
+    a=st.dictionaries(st.integers(0, 3), _ENTRY, min_size=1, max_size=4)
+    .map(lambda e: Coeffs.from_pairs(e.items())),
+)
+# int64 pairings wrapped here: 2^40 * 2^25 leaves int64, and the norm read
+# 1/2^40 instead of (2^65 + 1)/2^40
+@example(
+    family=[Coeffs.from_pairs([(0, 1), (1, F(1, 2**40))])],
+    a=Coeffs.from_values([2**25, 1]),
+)
+# weights whose numerators over their common denominator leave int64
+@example(family=[Coeffs.from_pairs([(0, F(1, 3 << 61)), (1, 2)])],
+         a=Coeffs.from_values([1, 1]))
+# no functional meets the support: the norm is 0
+@example(family=[Coeffs.from_pairs([(3, 1)])], a=Coeffs.from_values([2]))
+@settings(max_examples=60, deadline=None)
+def test_norming_set_batches_at_the_integer_limits(family, a):
+    """Rational and radical-valued entries past 2^26 against functionals
+    with large denominators: every sign and mask column of ``mult_batch``
+    equals ``norm_slow`` of that pattern."""
+    if not a:
+        return
+    space = NormingSetSpace("limits", lambda sup: family)
+    m = len(a)
+    for mult in (sign_matrix_full(m), mask_matrix_full(m)):
+        batch = space.mult_batch(a, mult, 1)
+        for col in range(mult.shape[1]):
+            masked = Coeffs.from_pairs(
+                (i, v * int(c)) for (i, v), c in zip(a.entries, mult[:, col])
+            )
+            want = space.norm_slow(masked) if masked else 0
+            assert _same(batch.value(col), want), (a, col)
