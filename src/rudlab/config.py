@@ -12,6 +12,7 @@ from fractions import Fraction
 from math import inf
 
 from .coeffs import Coeffs, DomainError
+from .exactnum import Scalar
 from .rng import DEFAULT_SEED
 from .spaces import (
     BmoRademacherSpace,
@@ -187,6 +188,8 @@ class SpaceFactory:
         self._mr = None
         self._gamma = None
         self._spaces: dict[str, Space] = {}
+        #: spec -> vector index -> exact sign mean, filled by the sweep driver
+        self.sweep_means: dict[str, dict[int, Scalar]] = {}
 
     @classmethod
     def shared(cls, cfg: RunConfig) -> "SpaceFactory":

@@ -24,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import inf, isqrt, sqrt
-from typing import Union
+from typing import Iterable, Union
 
 _SMALL_PRIMES = (
     2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
@@ -101,8 +101,9 @@ def _bracket(terms: dict[int, Fraction], bits: int) -> tuple[Fraction, Fraction]
     return lo, hi
 
 
-def _float_sign(terms: dict[int, Fraction]) -> int:
-    """Sign of ``sum q sqrt(core)`` read from floats, or 0 when undecided.
+def _float_sign(items: Iterable[tuple[int, Fraction]]) -> int:
+    """Sign of ``sum q sqrt(core)`` over a list of ``(core, q)`` terms, read
+    from floats, or 0 when undecided.  The cores need not be distinct.
 
     Each term ``q*sqrt(core)`` is computed with relative error at most
     about 3.5 units of roundoff (three correctly rounded operations and the
@@ -115,8 +116,9 @@ def _float_sign(terms: dict[int, Fraction]) -> int:
     """
     total = 0.0
     mag = 0.0
+    n = 0
     try:
-        for core, q in terms.items():
+        for core, q in items:
             x = q.numerator / q.denominator
             if -_MIN_NORMAL < x < _MIN_NORMAL:
                 return 0
@@ -124,11 +126,12 @@ def _float_sign(terms: dict[int, Fraction]) -> int:
                 x *= sqrt(core)
             total += x
             mag += abs(x)
+            n += 1
     except OverflowError:
         return 0
     if not _FILTER_FLOOR <= mag < inf:
         return 0
-    bound = 2 * (len(terms) + 4) * _UNIT_ROUNDOFF * mag
+    bound = 2 * (n + 4) * _UNIT_ROUNDOFF * mag
     if total > bound:
         return 1
     if total < -bound:
@@ -154,6 +157,41 @@ def _canonicalise(terms: dict[int, Fraction]) -> dict[int, Fraction]:
             out[rem] = acc
         elif rem in out:
             del out[rem]
+    return out
+
+
+def _product(t1: dict[int, Fraction], t2: dict[int, Fraction]) -> dict[int, Fraction]:
+    """Terms of the product of two term dicts, cores in first-appearance order."""
+    out: dict[int, Fraction] = {}
+    for c1, q1 in t1.items():
+        for c2, q2 in t2.items():
+            if c1 == c2:
+                core, mult = 1, c1
+            else:
+                outer, core = split_square(c1 * c2)
+                mult = outer
+            acc = out.get(core, Fraction(0)) + q1 * q2 * mult
+            if acc:
+                out[core] = acc
+            elif core in out:
+                del out[core]
+    return out
+
+
+def _scale(t: dict[int, Fraction], q: Fraction) -> dict[int, Fraction]:
+    """``_product(t, {1: q})`` with one multiplication per term: the same
+    keys in the same order (a key with a square factor still moves to its
+    core through ``split_square``)."""
+    out: dict[int, Fraction] = {}
+    for c, q1 in t.items():
+        outer, core = split_square(c)
+        v = q1 * q if outer == 1 else q1 * q * outer
+        if core in out:
+            v += out[core]
+        if v:
+            out[core] = v
+        elif core in out:
+            del out[core]
     return out
 
 
@@ -253,20 +291,9 @@ class QSum:
         if isinstance(other, float):
             return NotImplemented
         o = QSum.of(other)._t
-        out: dict[int, Fraction] = {}
-        for c1, q1 in self._t.items():
-            for c2, q2 in o.items():
-                if c1 == c2:
-                    core, mult = 1, c1
-                else:
-                    outer, core = split_square(c1 * c2)
-                    mult = outer
-                acc = out.get(core, Fraction(0)) + q1 * q2 * mult
-                if acc:
-                    out[core] = acc
-                elif core in out:
-                    del out[core]
-        return QSum(out)
+        if len(o) == 1 and 1 in o:
+            return QSum(_scale(self._t, Fraction(o[1])))
+        return QSum(_product(self._t, o))
 
     __rmul__ = __mul__
 
@@ -304,7 +331,7 @@ class QSum:
         if len(t) == 1:
             ((_, q),) = t.items()
             return 1 if q > 0 else -1
-        s = _float_sign(t)
+        s = _float_sign(t.items())
         if s:
             return s
         bits = 32

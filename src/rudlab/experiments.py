@@ -11,21 +11,23 @@ Sampled checks share one driver: :func:`_vectors` draws an engine's seeded
 coefficient vectors, :func:`_tally` counts the vectors failing each boolean
 a check returns, :func:`_worst` also keeps the largest ratio, and
 :meth:`Report.count` turns a failure count into a row.  :func:`_sweep` runs
-one check over every engine in ``SWEEP_SPECS``.
+one check over every engine in ``SWEEP_SPECS`` and memoises each vector's
+sign mean for the run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
 from .coeffs import Coeffs, DomainError
 from .config import RunConfig, SpaceFactory
-from .exactnum import QSum, Scalar, le_times_square, scalar_repr, sqrt_exact
+from .exactnum import QSum, Scalar, _float_sign, le_times_square, scalar_repr, sqrt_exact
 from .rademacher import expect_mc, sign_stats, subset_stats
-from .rng import counter_u64, derive_seed
+from .rng import counter_u64, counter_words_np, derive_seed
 from .spaces import LpSpace, Space
 from .witness import partition_rud_bound
 
@@ -91,8 +93,11 @@ def sample_vector(space: Space, seed: int, i: int, max_m: int = 12) -> Coeffs:
     universe = space.sweep_indices if space.sweep_indices is not None else tuple(range(48))
     mm = min(max_m, space.sweep_max_m, len(universe))
     m = 1 + counter_u64(seed, i, 0) % mm
-    order = sorted(range(len(universe)), key=lambda k: counter_u64(seed, i, 100 + k))
-    support = sorted(universe[k] for k in order[:m])
+    # the universe in the order of the keys counter_u64(seed, i, 100 + k),
+    # ties by position
+    keys = counter_words_np(seed, i, np.arange(100, 100 + len(universe), dtype=np.uint64))
+    order = np.argsort(keys, kind="stable")
+    support = sorted(universe[k] for k in order[:m].tolist())
     pairs = []
     for slot, idx in enumerate(support):
         v = _PALETTE[counter_u64(seed, i, 200 + slot) % len(_PALETTE)]
@@ -101,8 +106,13 @@ def sample_vector(space: Space, seed: int, i: int, max_m: int = 12) -> Coeffs:
 
 
 def _ge(x: Scalar, y: Scalar) -> bool:
-    """Exact x >= y for exact scalars."""
-    return (QSum.of(x) - QSum.of(y)).sign() >= 0
+    """Exact x >= y for exact scalars.
+
+    The float filter reads the sign of x - y from the two term lists side
+    by side; only a difference it cannot decide is built as a ``QSum``."""
+    x, y = QSum.of(x), QSum.of(y)
+    s = _float_sign(chain(x.terms.items(), ((c, -q) for c, q in y.terms.items())))
+    return (s or (x - y).sign()) >= 0
 
 
 def _ssq(a: Coeffs) -> Fraction:
@@ -146,24 +156,65 @@ def _worst(vectors, check) -> tuple:
 # ---------------------------------------------------------------------------
 
 
+class _SignView:
+    """One sweep vector's sign-walk statistics, for the length of a check.
+
+    ``mean()`` reads or fills ``memo`` under the vector's index; ``min``,
+    ``max`` and ``mean_sq`` come from the walk's batch, taken on first use
+    and dropped with the view."""
+
+    __slots__ = ("_space", "_a", "_cap", "_memo", "_i", "_stats")
+
+    def __init__(self, space: Space, a: Coeffs, cap: int, memo: dict[int, Scalar], i: int):
+        self._space, self._a, self._cap, self._memo, self._i = space, a, cap, memo, i
+        self._stats = None
+
+    def _walk(self):
+        if self._stats is None:
+            self._stats = sign_stats(self._space, self._a, self._cap)
+        return self._stats
+
+    def mean(self) -> Scalar:
+        if self._i not in self._memo:
+            self._memo[self._i] = self._walk().mean()
+        return self._memo[self._i]
+
+    def mean_sq(self) -> Scalar:
+        return self._walk().mean_sq()
+
+    def min(self) -> Scalar:
+        return self._walk().min()
+
+    def max(self) -> Scalar:
+        return self._walk().max()
+
+
 def _sweep(cfg, name, rows, check) -> Report:
     """Per engine of ``SWEEP_SPECS`` and per ``(rid, statement)`` of ``rows``,
     a row counting the engine's 200 seeded vectors that fail the matching
-    boolean of ``check(space, a)``."""
+    boolean of ``check(space, a, st)``, where ``st`` is the vector's
+    :class:`_SignView`.
+
+    The sign means are memoised on the config's shared factory, keyed on
+    (spec, vector index), so the sweep experiments of one run walk each
+    vector's signs once for its mean.  The key is sound because vector i
+    of an engine is a pure function of ``(cfg.seed, spec, i)`` and the
+    factory is one per config."""
     rep = Report(name)
     fac = SpaceFactory.shared(cfg)
     for spec in SWEEP_SPECS:
         space = fac.space(spec)
+        memo = fac.sweep_means.setdefault(spec, {})
         vectors = _vectors(space, derive_seed(cfg.seed, len(spec), sum(map(ord, spec))), 200)
-        bad = _tally(vectors, lambda a: check(space, a))
+        bad = _tally(range(len(vectors)), lambda i: check(
+            space, vectors[i], _SignView(space, vectors[i], cfg.cap, memo, i)))
         for (rid, statement), b in zip(rows, bad):
             rep.count(f"{rid}.{spec}", f"{statement} [{len(vectors)} vectors]", b)
     return rep
 
 
 def exp_sandwich(cfg: RunConfig) -> Report:
-    def check(space, a):
-        st = sign_stats(space, a, cfg.cap)
+    def check(space, a, st):
         mean = st.mean()
         return (_ge(mean, st.min()) and _ge(st.max(), mean),)
 
@@ -180,8 +231,8 @@ def exp_subsets(cfg: RunConfig) -> Report:
     subset average strictly above the sign average -- so those rows fail
     honestly; see the decisions ledger.
     """
-    def check(space, a):
-        mean = sign_stats(space, a, cfg.cap).mean()
+    def check(space, a, st):
+        mean = st.mean()
         e0 = subset_stats(space, a, cfg.cap).mean()
         return _ge(2 * QSum.of(e0), mean), _ge(mean, e0)
 
@@ -192,8 +243,7 @@ def exp_subsets(cfg: RunConfig) -> Report:
 
 
 def exp_khintchine_kahane(cfg: RunConfig) -> Report:
-    def check(space, a):
-        st = sign_stats(space, a, cfg.cap)
+    def check(space, a, st):
         return (le_times_square(st.mean_sq(), Fraction(2), st.mean()),)
 
     return _sweep(cfg, "khintchine-kahane",

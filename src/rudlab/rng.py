@@ -43,6 +43,15 @@ def counter_u64_np(seed: int, indices: np.ndarray, word: int = 0) -> np.ndarray:
     return _mix_np(base + np.uint64((_WORDK * word) & _MASK))
 
 
+def counter_words_np(seed: int, index: int, words: np.ndarray) -> np.ndarray:
+    """``counter_u64(seed, index, w)`` for every word ``w`` of ``words``.
+
+    The scalar part is summed in Python ints, masked to 64 bits: a numpy
+    *scalar* wrapping past 2^64 raises a RuntimeWarning, an array does not."""
+    base = ((seed & _MASK) + _GOLDEN * (index + 1)) & _MASK
+    return _mix_np(np.uint64(base) + np.uint64(_WORDK) * words.astype(np.uint64))
+
+
 def sign_matrix(seed: int, m: int, count: int, start: int = 0) -> np.ndarray:
     """(m, count) int8 matrix of +-1 signs for samples start..start+count-1."""
     idx = np.arange(start, start + count, dtype=np.uint64)

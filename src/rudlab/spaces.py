@@ -367,7 +367,8 @@ class SmaxSpace(Space):
 # norming-set suprema
 # ---------------------------------------------------------------------------
 
-#: supports whose functionals a norming-set engine keeps before it drops them all
+#: supports whose families or class matrices a norming-set engine keeps
+#: before it drops them all
 _CACHE_LIMIT = 256
 #: a support's functional class matrices, their common denominator and peaks
 _ClassMats = tuple[dict[int, np.ndarray], int, dict[int, int]]
@@ -489,24 +490,31 @@ class NormingSetSpace(Space):
         self._cache: dict[tuple[int, ...], list[NormingFunctional]] = {}
         self._mats_cache: dict[tuple[int, ...], _ClassMats] = {}
 
+    def _family(self, key: tuple[int, ...]) -> list[NormingFunctional]:
+        """The family restricted to ``key``, built afresh (not cached)."""
+        fams = list(self._provider(key))
+        if self.include_coord_sup:
+            fams.extend(Coeffs.from_pairs([(i, 1)]) for i in key)
+        if not fams:
+            raise DomainError("empty norming set")
+        return fams
+
     def functionals(self, support: tuple[int, ...]) -> list[NormingFunctional]:
+        """The family on a support, cached for :meth:`norm_slow`; the batch
+        paths keep only its class matrices."""
         key = tuple(support)
         if key not in self._cache:
-            fams = list(self._provider(key))
-            if self.include_coord_sup:
-                fams.extend(Coeffs.from_pairs([(i, 1)]) for i in key)
-            if not fams:
-                raise DomainError("empty norming set")
             if len(self._cache) > _CACHE_LIMIT:
                 self._cache.clear()
-                self._mats_cache.clear()
-            self._cache[key] = fams
+            self._cache[key] = self._family(key)
         return self._cache[key]
 
     def class_mats(self, support: tuple[int, ...]) -> _ClassMats:
         key = tuple(support)
         if key not in self._mats_cache:
-            self._mats_cache[key] = functional_class_matrices(self.functionals(key), key)
+            if len(self._mats_cache) > _CACHE_LIMIT:
+                self._mats_cache.clear()
+            self._mats_cache[key] = functional_class_matrices(self._family(key), key)
         return self._mats_cache[key]
 
     def norm_slow(self, a: Coeffs) -> Scalar:

@@ -141,27 +141,57 @@ def test_float_filter_edge_cases():
 
     # near-zero Pell pairs (7.5e-7 and 1.1e-10 from zero); the filter
     # decides the first and leaves the second to the exact loop
-    assert _float_sign({1: F(665857), 2: F(-470832)}) == 1
-    assert _float_sign({1: F(4478554083), 2: F(-3166815962)}) == 0
+    assert _float_sign({1: F(665857), 2: F(-470832)}.items()) == 1
+    assert _float_sign({1: F(4478554083), 2: F(-3166815962)}.items()) == 0
     for p, q in ((665857, 470832), (4478554083, 3166815962)):
         _check_sign({1: F(p), 2: F(-q)})
         _check_sign({1: F(-p), 2: F(q)})
     assert (QSum.of(665857) - QSum.root(2, F(470832))).sign() == 1
     # a semi-canonical collision is exactly zero
     zero = {20402: F(1), 2: F(-101)}
-    assert _float_sign(zero) == 0 and QSum(zero).sign() == 0
+    assert _float_sign(zero.items()) == 0 and QSum(zero).sign() == 0
     _check_sign({20402: F(1), 2: F(-101), 3: F(1, 10**40)})
     # numerators past the float range overflow the filter, not the sign
     big = 1 << 1100
-    assert _float_sign({1: F(big + 1), 2: F(-isqrt(2 * big * big))}) == 0
+    assert _float_sign({1: F(big + 1), 2: F(-isqrt(2 * big * big))}.items()) == 0
     _check_sign({1: F(big + 1), 2: F(-isqrt(2 * big * big))})
     _check_sign({1: F(big, 3), 5: F(-big, 7)})
     # values under 1e-300: subnormal terms and tiny magnitude sums defer
     tiny = 10**310
-    assert _float_sign({1: F(1, tiny), 2: F(-1, tiny)}) == 0
-    assert _float_sign({1: F(1, 10**300), 2: F(-1, 10**300)}) == 0
+    assert _float_sign({1: F(1, tiny), 2: F(-1, tiny)}.items()) == 0
+    assert _float_sign({1: F(1, 10**300), 2: F(-1, 10**300)}.items()) == 0
     _check_sign({1: F(1, tiny), 2: F(-1, tiny)})
     _check_sign({3: F(7, 10**301), 2: F(-8, 10**301)})
     # ordinary sums are decided by the filter alone
-    assert _float_sign({1: F(3, 2), 2: F(-1)}) == 1
-    assert _float_sign({5: F(1), 6: F(-1), 1: F(1, 1000)}) == -1
+    assert _float_sign({1: F(3, 2), 2: F(-1)}.items()) == 1
+    assert _float_sign({5: F(1), 6: F(-1), 1: F(1, 1000)}.items()) == -1
+
+
+def _items(x):
+    return [(c, type(q), q) for c, q in x.terms.items()]
+
+
+@given(st.dictionaries(st.sampled_from([1, 2, 3, 6, 8, 12, 18, 20402, 9999991]),
+                       st.fractions(max_denominator=10**6), max_size=8),
+       st.fractions(max_denominator=10**6) | st.integers(-50, 50))
+@settings(max_examples=300, deadline=None)
+def test_rational_product_matches_the_general_loop(terms, r):
+    """Scaling by a lone rational gives the general product's terms dict:
+    the same keys, order and values, radicands with square factors (8, 12,
+    18) moved to their cores and merged as the general loop merges them."""
+    from rudlab.exactnum import _product
+
+    x = QSum(dict(terms))
+    want = _items(QSum(_product(x.terms, QSum.of(r).terms)))
+    assert _items(x * r) == want
+    assert _items(r * x) == want
+    assert _items(x * QSum.of(r)) == want
+
+
+def test_rational_product_of_a_square_radicand():
+    from rudlab.exactnum import _product
+
+    for r in (2, F(-3, 7), 0):
+        got = QSum({8: 1}) * r
+        assert _items(got) == _items(QSum(_product({8: 1}, QSum.of(r).terms)))
+    assert _items(QSum({8: 1}) * 2) == [(2, F, F(4))]
