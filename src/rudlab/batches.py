@@ -54,7 +54,7 @@ def _check_int64(bound: int) -> None:
 
 def _scalar_gt(a: Scalar, b: Scalar) -> bool:
     if isinstance(a, QSum) or isinstance(b, QSum):
-        return (QSum.of(a) - QSum.of(b)).sign() > 0
+        return QSum.of(a) > b
     return a > b
 
 

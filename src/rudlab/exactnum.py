@@ -101,9 +101,11 @@ def _bracket(terms: dict[int, Fraction], bits: int) -> tuple[Fraction, Fraction]
     return lo, hi
 
 
-def _float_sign(items: Iterable[tuple[int, Fraction]]) -> int:
-    """Sign of ``sum q sqrt(core)`` over a list of ``(core, q)`` terms, read
-    from floats, or 0 when undecided.  The cores need not be distinct.
+def _float_sign(items: Iterable[tuple[int, Fraction]],
+                minus: Iterable[tuple[int, Fraction]] = ()) -> int:
+    """Sign of ``sum q sqrt(core)`` over the ``(core, q)`` terms of
+    ``items`` less those of ``minus``, read from floats, or 0 when
+    undecided.  The cores need not be distinct, within or across the lists.
 
     Each term ``q*sqrt(core)`` is computed with relative error at most
     about 3.5 units of roundoff (three correctly rounded operations and the
@@ -111,22 +113,24 @@ def _float_sign(items: Iterable[tuple[int, Fraction]]) -> int:
     not round into the subnormal range; a recursive float sum of n such
     terms is off by at most (n+3) units times the sum of their magnitudes.
     ``2*(n+4)`` units of the computed magnitude sum bound both with room to
-    spare.  Overflow, a subnormal ``q`` and magnitude sums under
-    ``_FILTER_FLOOR`` return 0 (undecided).
+    spare.  Subtracting a term is adding its exact float negation.
+    Overflow, a subnormal ``q`` and magnitude sums under ``_FILTER_FLOOR``
+    return 0 (undecided).
     """
     total = 0.0
     mag = 0.0
     n = 0
     try:
-        for core, q in items:
-            x = q.numerator / q.denominator
-            if -_MIN_NORMAL < x < _MIN_NORMAL:
-                return 0
-            if core != 1:
-                x *= sqrt(core)
-            total += x
-            mag += abs(x)
-            n += 1
+        for terms, sub in ((items, False), (minus, True)):
+            for core, q in terms:
+                x = q.numerator / q.denominator
+                if -_MIN_NORMAL < x < _MIN_NORMAL:
+                    return 0
+                if core != 1:
+                    x *= sqrt(core)
+                total = total - x if sub else total + x
+                mag += abs(x)
+                n += 1
     except OverflowError:
         return 0
     if not _FILTER_FLOOR <= mag < inf:
@@ -168,30 +172,14 @@ def _product(t1: dict[int, Fraction], t2: dict[int, Fraction]) -> dict[int, Frac
             if c1 == c2:
                 core, mult = 1, c1
             else:
-                outer, core = split_square(c1 * c2)
-                mult = outer
-            acc = out.get(core, Fraction(0)) + q1 * q2 * mult
-            if acc:
-                out[core] = acc
+                mult, core = split_square(c1 * c2)
+            v = q1 * q2 if mult == 1 else q1 * q2 * mult
+            if core in out:
+                v += out[core]
+            if v:
+                out[core] = v
             elif core in out:
                 del out[core]
-    return out
-
-
-def _scale(t: dict[int, Fraction], q: Fraction) -> dict[int, Fraction]:
-    """``_product(t, {1: q})`` with one multiplication per term: the same
-    keys in the same order (a key with a square factor still moves to its
-    core through ``split_square``)."""
-    out: dict[int, Fraction] = {}
-    for c, q1 in t.items():
-        outer, core = split_square(c)
-        v = q1 * q if outer == 1 else q1 * q * outer
-        if core in out:
-            v += out[core]
-        if v:
-            out[core] = v
-        elif core in out:
-            del out[core]
     return out
 
 
@@ -290,10 +278,7 @@ class QSum:
     def __mul__(self, other):
         if isinstance(other, float):
             return NotImplemented
-        o = QSum.of(other)._t
-        if len(o) == 1 and 1 in o:
-            return QSum(_scale(self._t, Fraction(o[1])))
-        return QSum(_product(self._t, o))
+        return QSum(_product(self._t, QSum.of(other)._t))
 
     __rmul__ = __mul__
 
@@ -352,7 +337,12 @@ class QSum:
         raise ArithmeticError(f"sign undecided at {_MAX_SIGN_BITS} bits: {self!r}")
 
     def _cmp(self, other) -> int:
-        return (self - other).sign()
+        """Sign of ``self - other``: the float filter over the two term
+        lists, and the exact difference only when it cannot decide."""
+        if isinstance(other, float):
+            raise TypeError("exact values are not compared with floats")
+        o = QSum.of(other)._t
+        return _float_sign(self._t.items(), o.items()) or self._merge(o, flip=True).sign()
 
     def __lt__(self, other):
         return self._cmp(other) < 0

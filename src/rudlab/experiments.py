@@ -19,13 +19,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain
 
 import numpy as np
 
 from .coeffs import Coeffs, DomainError
 from .config import RunConfig, SpaceFactory
-from .exactnum import QSum, Scalar, _float_sign, le_times_square, scalar_repr, sqrt_exact
+from .exactnum import QSum, Scalar, le_times_square, scalar_repr, sqrt_exact
 from .rademacher import expect_mc, sign_stats, subset_stats
 from .rng import counter_u64, counter_words_np, derive_seed
 from .spaces import LpSpace, Space
@@ -106,13 +105,8 @@ def sample_vector(space: Space, seed: int, i: int, max_m: int = 12) -> Coeffs:
 
 
 def _ge(x: Scalar, y: Scalar) -> bool:
-    """Exact x >= y for exact scalars.
-
-    The float filter reads the sign of x - y from the two term lists side
-    by side; only a difference it cannot decide is built as a ``QSum``."""
-    x, y = QSum.of(x), QSum.of(y)
-    s = _float_sign(chain(x.terms.items(), ((c, -q) for c, q in y.terms.items())))
-    return (s or (x - y).sign()) >= 0
+    """Exact x >= y for exact scalars."""
+    return QSum.of(x) >= y
 
 
 def _ssq(a: Coeffs) -> Fraction:

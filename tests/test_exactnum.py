@@ -165,33 +165,56 @@ def test_float_filter_edge_cases():
     # ordinary sums are decided by the filter alone
     assert _float_sign({1: F(3, 2), 2: F(-1)}.items()) == 1
     assert _float_sign({5: F(1), 6: F(-1), 1: F(1, 1000)}.items()) == -1
+    # a second list is subtracted, its cores shared with the first or not
+    assert _float_sign({1: F(3, 2)}.items(), {2: F(1)}.items()) == 1
+    assert _float_sign({2: F(1)}.items(), {2: F(1), 1: F(1, 10**6)}.items()) == -1
+    assert _float_sign({1: F(665857)}.items(), {2: F(470832)}.items()) == 1
+
+
+_QSUMS = st.dictionaries(_CORES, st.fractions(max_denominator=10**6).filter(bool),
+                         max_size=6).map(QSum)
+# x^2 - 2 y^2 = 1: x and y*sqrt(2) differ by about 1/(2x)
+_PELL = [(665857, 470832), (4478554083, 3166815962)]
+
+
+def _check_order(x, y):
+    """Every comparison of x with y agrees with the oracle's sign of x - y."""
+    s = _bracket_loop_sign((QSum.of(x) - QSum.of(y)).terms)
+    X = QSum.of(x)
+    assert (X < y, X <= y, X > y, X >= y, X == y) == (s < 0, s <= 0, s > 0, s >= 0, s == 0), (x, y)
+
+
+@given(_QSUMS, _QSUMS, st.fractions(max_denominator=10**9))
+@settings(max_examples=300, deadline=None)
+def test_comparisons_match_the_difference_sign(x, y, r):
+    shared = QSum({c: q + F(1, 10**12) for c, q in x.terms.items()})  # every core shared
+    for a, b in ((x, y), (y, x), (x, x), (x, -x), (x, shared), (shared, x),
+                 (x, x + r), (x + r, x), (r, x), (x, r), (r, r)):
+        _check_order(a, b)
+
+
+def test_comparisons_on_pell_pairs_and_ties():
+    for p, q in _PELL:
+        hi, lo = QSum.of(p), QSum.root(2, F(q))
+        for a, b in ((hi, lo), (lo, hi), (-hi, -lo), (hi + lo, lo + hi)):
+            _check_order(a, b)
+        assert hi > lo and not lo >= hi
+    # the same value under a semi-canonical radicand: an exact tie
+    assert QSum({20402: F(1)}) == QSum.root(2, F(101))
+    _check_order(QSum({20402: F(1)}), QSum.root(2, F(101)))
+    assert QSum.of(F(3, 2)) >= 1 and not QSum.of(1) >= F(3, 2) and QSum.of(0) >= QSum()
 
 
 def _items(x):
     return [(c, type(q), q) for c, q in x.terms.items()]
 
 
-@given(st.dictionaries(st.sampled_from([1, 2, 3, 6, 8, 12, 18, 20402, 9999991]),
-                       st.fractions(max_denominator=10**6), max_size=8),
-       st.fractions(max_denominator=10**6) | st.integers(-50, 50))
-@settings(max_examples=300, deadline=None)
-def test_rational_product_matches_the_general_loop(terms, r):
-    """Scaling by a lone rational gives the general product's terms dict:
-    the same keys, order and values, radicands with square factors (8, 12,
-    18) moved to their cores and merged as the general loop merges them."""
-    from rudlab.exactnum import _product
-
-    x = QSum(dict(terms))
-    want = _items(QSum(_product(x.terms, QSum.of(r).terms)))
-    assert _items(x * r) == want
-    assert _items(r * x) == want
-    assert _items(x * QSum.of(r)) == want
-
-
-def test_rational_product_of_a_square_radicand():
-    from rudlab.exactnum import _product
-
-    for r in (2, F(-3, 7), 0):
-        got = QSum({8: 1}) * r
-        assert _items(got) == _items(QSum(_product({8: 1}, QSum.of(r).terms)))
+def test_rational_product_moves_square_radicands_to_their_cores():
+    """A radicand with a square factor moves to its core, cores keep their
+    first-appearance order, and terms that meet on one core merge."""
     assert _items(QSum({8: 1}) * 2) == [(2, F, F(4))]
+    assert _items(2 * QSum({8: 1})) == [(2, F, F(4))]
+    x = QSum({8: F(1), 2: F(1), 3: F(1)})
+    assert _items(x * F(-3, 7)) == [(2, F, F(-9, 7)), (3, F, F(-3, 7))]
+    assert _items(QSum({8: F(1), 2: F(-2)}) * 5) == []
+    assert _items(x * 0) == []

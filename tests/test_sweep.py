@@ -1,18 +1,15 @@
-"""The sweep driver: seeded samples, the per-run sign-mean memo and the
-exact comparison the sweep checks use."""
+"""The sweep driver: seeded samples and the per-run sign-mean memo."""
 
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from rudlab import experiments
 from rudlab.cli import _report_payload
 from rudlab.coeffs import Coeffs
 from rudlab.config import RunConfig, SpaceFactory
 from rudlab.exactnum import QSum
-from rudlab.experiments import (SWEEP_SPECS, _PALETTE, _ge, _SignView, run_experiment,
-                                sample_vector)
+from rudlab.experiments import SWEEP_SPECS, _PALETTE, _SignView, run_experiment, sample_vector
 from rudlab.rademacher import sign_stats
 from rudlab.rng import counter_u64, derive_seed
 
@@ -96,35 +93,3 @@ def test_memoised_sweeps_give_the_same_reports(monkeypatch):
     alone = run_experiment("khintchine-kahane", cfg)
     name = "khintchine-kahane"
     assert _report_payload(name, cfg, after) == _report_payload(name, cfg, alone)
-
-
-_CORES = st.sampled_from([1, 2, 3, 5, 6, 7, 10, 101, 20402])
-_QSUMS = st.dictionaries(_CORES, st.fractions(max_denominator=10**6).filter(bool),
-                         max_size=6).map(QSum)
-# x^2 - 2 y^2 = 1: x and y*sqrt(2) differ by about 1/(2x)
-_PELL = [(665857, 470832), (4478554083, 3166815962)]
-
-
-def _ge_by_difference(x, y):
-    return (QSum.of(x) - QSum.of(y)).sign() >= 0
-
-
-@given(_QSUMS, _QSUMS, st.fractions(max_denominator=10**9))
-@settings(max_examples=300, deadline=None)
-def test_ge_matches_the_difference_sign(x, y, r):
-    shared = QSum({c: q + F(1, 10**12) for c, q in x.terms.items()})  # every core shared
-    for a, b in ((x, y), (y, x), (x, x), (x, -x), (x, shared), (shared, x),
-                 (x, x + r), (x + r, x), (r, x), (x, r), (r, r)):
-        assert _ge(a, b) == _ge_by_difference(a, b), (a, b)
-
-
-def test_ge_on_pell_pairs_and_ties():
-    for p, q in _PELL:
-        hi, lo = QSum.of(p), QSum.root(2, F(q))
-        for a, b in ((hi, lo), (lo, hi), (-hi, -lo), (hi + lo, lo + hi)):
-            assert _ge(a, b) == _ge_by_difference(a, b), (a, b)
-        assert _ge(hi, lo) and not _ge(lo, hi)
-    # the same value under a semi-canonical radicand: an exact tie
-    assert _ge(QSum({20402: F(1)}), QSum.root(2, F(101)))
-    assert _ge(QSum.root(2, F(101)), QSum({20402: F(1)}))
-    assert _ge(F(3, 2), 1) and not _ge(1, F(3, 2)) and _ge(0, QSum())
