@@ -9,7 +9,11 @@ patterns produces values of a very constrained shape:
 * ``roots``: sqrt(R[i]) / roots_scale with the radicand varying per pattern
   (Euclidean and chain-difference norms).  The two parts may coexist
   (square function plus partial-sum supremum, branchwise maxima).
-* ``scalars``: a plain list of exact scalars (slow fallback).
+
+Every exact batch is these integer arrays, int64 where a Python-int bound
+shows that no entry can leave it (:func:`int_dtype`) and Python ints
+otherwise.  The one other kind, ``scalars``, holds the floats of a float
+chunk: a vector with float entries, or an engine without an exact batch.
 
 The min/max/mean/second-moment reductions stay exact throughout.  Every
 near-tie in rudlab is settled by :func:`first_extreme`: a float pass locates
@@ -17,20 +21,18 @@ the extreme, and the candidates within ``_TIE_RTOL`` of it are compared
 exactly, one per distinct integer key (equal keys are equal values).  Means
 sum integer numerators, in int64 only where no sum can leave it, and build
 one exact value per result.  Sums of products are taken over Python
-integers so no intermediate can overflow, and the affine adjustments
-refuse, rather than wrap, results that leave int64.
+integers so no intermediate can overflow.  Float batches reduce by numpy
+argmax and left-to-right float sums.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .coeffs import NoIntegerForm
 from .exactnum import QSum, Scalar, split_square
 
 _TIE_RTOL = 1e-9
@@ -46,10 +48,24 @@ def _peak(arr: np.ndarray) -> int:
     return max(int(arr.max()), -int(arr.min())) if len(arr) else 0
 
 
-def _check_int64(bound: int) -> None:
-    """Refuse a result whose magnitude bound int64 cannot hold."""
-    if bound > _INT64_MAX:
-        raise NoIntegerForm("batch entries would leave int64: no integer form")
+def int_dtype(bound: int) -> type:
+    """int64 when ``bound``, a Python int, bounds every magnitude an integer
+    array will hold; Python-int object arrays otherwise."""
+    return np.int64 if bound <= _INT64_MAX else object
+
+
+def float_group_means(values: Sequence[float], starts: Sequence[int],
+                      overs: Sequence[int]) -> list[float]:
+    """Float means of consecutive pieces of ``values`` (as in
+    :meth:`ExactBatch.group_means`), each summed left to right."""
+    bounds = list(starts) + [len(values)]
+    out = []
+    for lo, hi, over in zip(bounds, bounds[1:], overs):
+        total = 0
+        for v in values[lo:hi]:
+            total = total + v
+        out.append(total / over)
+    return out
 
 
 def _scalar_gt(a: Scalar, b: Scalar) -> bool:
@@ -97,7 +113,7 @@ class ExactBatch:
     classes: dict[int, np.ndarray] | None = None
     roots: np.ndarray | None = None
     roots_scale: int | None = None
-    scalars: list[Scalar] | None = None
+    scalars: list[float] | None = None
     _floats: np.ndarray | None = field(default=None, repr=False)
 
     # -- constructors -------------------------------------------------------
@@ -115,8 +131,9 @@ class ExactBatch:
         return ExactBatch(scale=scale, classes=classes)
 
     @staticmethod
-    def from_scalars(values: list[Scalar]) -> "ExactBatch":
-        return ExactBatch(scalars=values)
+    def from_scalars(values: Sequence[float]) -> "ExactBatch":
+        """A float batch."""
+        return ExactBatch(scalars=np.asarray(values, dtype=np.float64).tolist())
 
     # -- basics ---------------------------------------------------------------
 
@@ -143,7 +160,7 @@ class ExactBatch:
     def float_values(self) -> np.ndarray:
         if self._floats is None:
             if self.scalars is not None:
-                self._floats = np.array([float(v) for v in self.scalars])
+                self._floats = np.array(self.scalars, dtype=np.float64)
             else:
                 acc = np.zeros(len(self), dtype=np.float64)
                 if self.classes is not None:
@@ -158,12 +175,9 @@ class ExactBatch:
 
     def _extreme(self, want_max: bool) -> tuple[Scalar, int]:
         if self.scalars is not None:
-            best = 0
-            for i in range(1, len(self.scalars)):
-                vi, vb = self.scalars[i], self.scalars[best]
-                if (want_max and _scalar_gt(vi, vb)) or (not want_max and _scalar_gt(vb, vi)):
-                    best = i
-            return self.scalars[best], best
+            f = self.float_values()
+            i = int(np.argmax(f) if want_max else np.argmin(f))
+            return self.scalars[i], i
         if self.classes is None and self.roots is not None:
             i = int(np.argmax(self.roots) if want_max else np.argmin(self.roots))
             return self.value(i), i
@@ -201,16 +215,10 @@ class ExactBatch:
         it, and each piece's value is built once: every class with its own
         radicand, then the roots part, one term per square-free core in the
         order the ascending radicands first reach it."""
+        if self.scalars is not None:
+            return float_group_means(self.scalars, starts, overs)
         n = len(self)
         bounds = list(starts) + [n]
-        if self.scalars is not None:
-            out = []
-            for p, over in enumerate(overs):
-                total: Scalar = 0
-                for v in self.scalars[bounds[p] : bounds[p + 1]]:
-                    total = total + v
-                out.append(total / over if isinstance(total, float) else total * Fraction(1, over))
-            return out
         class_sums = []
         for core, arr in (self.classes or {}).items():
             if _peak(arr) * n <= _INT64_MAX:
@@ -260,10 +268,7 @@ class ExactBatch:
         """Exact mean of the squared values (``over`` as in :meth:`mean`)."""
         n = len(self) if over is None else over
         if self.scalars is not None:
-            total: Scalar = 0
-            for v in self.scalars:
-                total = total + v * v
-            return total / n if isinstance(total, float) else total * Fraction(1, n)
+            return float_group_means([v * v for v in self.scalars], [0], [n])[0]
         total = QSum()
         items = (
             [(c, _ints(arr)) for c, arr in self.classes.items()]
@@ -295,51 +300,3 @@ class ExactBatch:
                             Fraction(2 * s * outer, n * self.scale * self.roots_scale),
                         )
         return total.as_fraction() if total.is_rational() else total
-
-    # -- affine adjustments -------------------------------------------------
-
-    def shift_rational(self, offset: Fraction) -> "ExactBatch":
-        """Add an exact rational constant to every value."""
-        if self.scalars is not None:
-            return ExactBatch.from_scalars([v + offset for v in self.scalars])
-        offset = Fraction(offset)
-        classes = dict(self.classes) if self.classes is not None else {}
-        new_scale = self.scale * offset.denominator // gcd(self.scale, offset.denominator)
-        mul = new_scale // self.scale
-        shift = int(offset * new_scale)
-        for c, arr in classes.items():
-            _check_int64(_peak(arr) * mul + (abs(shift) if c == 1 else 0))
-        _check_int64(abs(shift))
-        classes = {c: arr.astype(np.int64) * mul for c, arr in classes.items()}
-        classes[1] = classes.get(1, np.zeros(len(self), dtype=np.int64)) + shift
-        return ExactBatch(
-            scale=new_scale,
-            classes=classes,
-            roots=self.roots,
-            roots_scale=self.roots_scale,
-        )
-
-    def scale_rational(self, factor: Fraction) -> "ExactBatch":
-        """Multiply every value by a positive rational factor."""
-        factor = Fraction(factor)
-        if factor < 0:
-            raise ValueError("norm batches cannot be negated")
-        if self.scalars is not None:
-            return ExactBatch.from_scalars([v * factor for v in self.scalars])
-        num, den = factor.numerator, factor.denominator
-        for arr in (self.classes or {}).values():
-            _check_int64(_peak(arr) * num)
-        if self.roots is not None:
-            _check_int64(_peak(self.roots) * num * num)
-        classes = (
-            {c: arr * num for c, arr in self.classes.items()}
-            if self.classes is not None
-            else None
-        )
-        roots = self.roots * (num * num) if self.roots is not None else None
-        return ExactBatch(
-            scale=self.scale * den,
-            classes=classes,
-            roots=roots,
-            roots_scale=self.roots_scale * den if roots is not None else None,
-        )

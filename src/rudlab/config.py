@@ -178,6 +178,16 @@ def _demo_norming_family(support: tuple[int, ...]):
     return out
 
 
+def _exponent(spec: str, text: str) -> int | float:
+    """The exponent of an engine spec: an integer or a decimal."""
+    if text.isdigit():
+        return int(text)
+    try:
+        return float(text)
+    except ValueError:
+        raise DomainError(f"space spec {spec!r}: exponent {text!r} is not a number") from None
+
+
 class SpaceFactory:
     """Builds and caches engines (heavy contexts are shared per config)."""
 
@@ -238,9 +248,9 @@ class SpaceFactory:
     def _build(self, spec: str) -> Space:
         head, _, rest = spec.partition(":")
         if head == "lp":
-            p = inf if rest in ("inf", "oo") else (
-                int(rest) if rest.isdigit() else float(rest)
-            )
+            p = inf if rest in ("inf", "oo") else _exponent(spec, rest)
+            if not p >= 1:
+                raise DomainError(f"space spec {spec!r}: lp requires p >= 1")
             return LpSpace(p)
         if head == "linf":
             return LpSpace(inf)
@@ -251,7 +261,10 @@ class SpaceFactory:
         if head == "james":
             return JamesSpace(rest or "chain")
         if head == "james_x":
-            return JamesXSpace(int(rest) if rest.isdigit() else float(rest))
+            p = _exponent(spec, rest)
+            if not 1 <= p < inf:
+                raise DomainError(f"space spec {spec!r}: james_x requires 1 <= p < inf")
+            return JamesXSpace(p)
         if head in ("bmo", "bmo_rademacher"):
             return BmoRademacherSpace()
         if head in ("walsh", "walsh_l1"):
@@ -263,7 +276,7 @@ class SpaceFactory:
 
             return HaarL1Space()
         if head == "smax":
-            return SmaxSpace(int(rest) if rest.isdigit() else float(rest))
+            return SmaxSpace(_exponent(spec, rest))
         if head == "norming_set":
             return NormingSetSpace(
                 "norming_set:demo", _demo_norming_family, include_coord_sup=True
@@ -272,7 +285,12 @@ class SpaceFactory:
             base_spec, _, delta = rest.rpartition(":")
             if not base_spec:
                 raise DomainError("renorm spec is renorm:<base>:<delta>")
-            return RenormSpace(self.space(base_spec), Fraction(delta))
+            try:
+                d = Fraction(delta)
+            except (ValueError, ZeroDivisionError):
+                raise DomainError(
+                    f"space spec {spec!r}: delta {delta!r} is not a rational") from None
+            return RenormSpace(self.space(base_spec), d)
         if head == "zmr":
             return self.mr_context.zmr
         if head == "zruc":

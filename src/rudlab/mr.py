@@ -31,11 +31,10 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, prod
 
 import numpy as np
 
-from .batches import ExactBatch
 from .coeffs import Coeffs, DomainError, NormingFunctional
 from .exactnum import QSum, Scalar, sqrt_exact
 from .spaces import NormingSetSpace, RenormSpace, Space
@@ -43,6 +42,9 @@ from .spaces import NormingSetSpace, RenormSpace, Space
 DEFAULT_LEVELS = (2, 4, 8)
 DEFAULT_UNIVERSE = 14
 DEFAULT_MAX_N = 3
+#: most members a zrud family may have on one support (the largest that
+#: `certify all` builds has 793; its largest support has 2,118 functionals)
+ZRUD_FAMILY_CAP = 20_000
 
 
 def k_m(m: int) -> int:
@@ -361,38 +363,38 @@ def zrud_functionals(
     sup_set = set(sup)
     out: list[NormingFunctional] = [Coeffs.from_pairs([(i, 1)]) for i in sup]
     for fam in ctx.families:
-        level_slots: list[tuple[list[int], int, bool]] = []
+        level_slots: list[tuple[list[int], int]] = []
+        # decorated members: per-level balanced signs, tails capped
+        options: list[list[tuple[tuple[int, ...], tuple[int, ...]]]] = []
         for s in fam.fixed:
             visible = sorted(s & sup_set)
-            level_slots.append((visible, len(s), len(visible) == len(s)))
-        tail_avail = [i for i in sup if i > fam.tail_min]
+            level_slots.append((visible, len(s)))
+            pats = _restricted_sign_patterns(
+                len(visible), len(s) // 2, len(visible) == len(s), ctx.width)
+            options.append([(tuple(visible), sv) for sv in pats])
+        tails = list(_subsets_upto([i for i in sup if i > fam.tail_min], fam.tail_card))
+        tpats = {k: _restricted_sign_patterns(k, fam.tail_card // 2, False, ctx.width)
+                 for k in {len(t) for t in tails}}
+        levels = prod(map(len, options))
+        members = sum(1 + levels * len(tpats[len(t)]) for t in tails)
+        if members > ZRUD_FAMILY_CAP:
+            raise DomainError(
+                f"a zrud family has {members} members on this {len(sup)}-index "
+                f"support, past the cap {ZRUD_FAMILY_CAP}")
         wt = _weight(fam.tail_card)
-        for t in _subsets_upto(tail_avail, fam.tail_card):
+        cards = [len(s) for s in fam.fixed] + [fam.tail_card]
+        for t in tails:
             # undecorated member of the family
             pairs = [(i, wt) for i in t]
-            for (visible, card, _), s in zip(level_slots, fam.fixed):
+            for visible, card in level_slots:
                 w = _weight(card)
                 pairs.extend((i, w) for i in visible)
             if pairs:
                 out.append(Coeffs.from_pairs(pairs))
-            # decorated members: per-level balanced signs, tails capped
-            options: list[list[tuple[tuple[int, ...], tuple[int, ...]]]] = []
-            feasible = True
-            for visible, card, full in level_slots:
-                pats = _restricted_sign_patterns(len(visible), card // 2, full, ctx.width)
-                if not pats:
-                    feasible = False
-                    break
-                options.append([(tuple(visible), sv) for sv in pats])
-            tpats = _restricted_sign_patterns(len(t), fam.tail_card // 2, False, ctx.width)
-            if not feasible:
-                continue
-            options.append([(tuple(t), sv) for sv in tpats])
-            for chosen in itertools.product(*options):
+            for chosen in itertools.product(
+                    *options, [(tuple(t), sv) for sv in tpats[len(t)]]):
                 pairs = []
-                for (slots, sv), card in zip(
-                    chosen, [len(s) for s in fam.fixed] + [fam.tail_card]
-                ):
+                for (slots, sv), card in zip(chosen, cards):
                     w = _weight(card)
                     pairs.extend((i, e * w) for i, e in zip(slots, sv))
                 if pairs:
@@ -625,7 +627,7 @@ def zrud_block_norm(ctx: MrContext, a_blocks: list) -> Scalar:
             [(QSum.of(v) * -1, c) for v, c in avail], half
         )
         cands.append(abs(w * QSum.of(dec)))
-    best = ExactBatch.from_scalars(cands).max()
+    best = max(cands, key=QSum.of)  # the first of equal maxima
     return best.as_fraction() if isinstance(best, QSum) and best.is_rational() else best
 
 

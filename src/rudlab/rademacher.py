@@ -13,8 +13,9 @@ patterns whose top bit is clear: a pattern and its complement give the
 same norm, so the mean, mean square and extremes are those of all 2^m
 patterns.  So is the first maximiser: had it its top bit set, its
 complement would be a smaller maximiser.  Subset averages walk all 2^m
-masks.  A vector with float entries walks the same chunks through the
-engine's float batch, and its reductions are float.
+masks.  A vector with float entries, and a chunk whose engine returns no
+exact batch, walk the same chunks through the engine's float batch, and
+their reductions are float.
 
 Monte-Carlo sample i is a pure function of (seed, i) via the counter-based
 generator, so for a fixed seed and sample count an estimate is the same in
@@ -38,9 +39,6 @@ from .coeffs import (
     DomainError,
     EnumerationCapError,
     DEFAULT_ENUM_CAP,
-    NoIntegerForm,
-    SignPattern,
-    apply_signs,
     mask_matrix_range,
     sign_matrix_range,
 )
@@ -109,7 +107,8 @@ class FoldedStats:
     _min: Scalar
     _max: Scalar
     _argmax: int
-    #: as on ExactBatch: None unless some chunk took the scalar fallback
+    #: as on ExactBatch: None unless some chunk was a float batch (then the
+    #: number of float columns)
     scalars: int | None = None
 
     def mean(self) -> Scalar:
@@ -134,38 +133,19 @@ def _walk_length(m: int, masks: bool) -> int:
 
 
 def _walk(space: Space, a: Coeffs, masks: bool) -> Iterator[tuple[int, ExactBatch]]:
-    """(first bitmask, exact batch) for each chunk of the walk, in order.
+    """(first bitmask, batch) for each chunk of the walk, in order.
 
-    A vector with float entries takes one float batch per chunk; an exact
-    chunk without an integer batch form is evaluated pattern by pattern."""
+    A vector with float entries, and a chunk for which the engine returns no
+    exact batch, take the engine's float batch."""
     m = len(a)
-    sup = a.support
     build = mask_matrix_range if masks else sign_matrix_range
     total = _walk_length(m, masks)
     exact = a.is_exact()
     for start in range(0, total, _CHUNK):
-        stop = min(start + _CHUNK, total)
-        mult = build(m, start, stop)
-        if not exact:
-            vals = space.mult_batch_float(a, mult.astype(np.float64))
-            yield start, ExactBatch.from_scalars(vals.tolist())
-            continue
-        try:
-            batch = space.mult_batch(a, mult, 1)
-        except NoIntegerForm:
-            batch = None
+        mult = build(m, start, min(start + _CHUNK, total))
+        batch = space.mult_batch(a, mult, 1) if exact else None
         if batch is None:
-            if masks:
-                values = [
-                    space.norm(a.restrict(sup[k] for k in range(m) if (mask >> k) & 1))
-                    for mask in range(start, stop)
-                ]
-            else:
-                values = [
-                    space.norm(apply_signs(a, SignPattern.from_mask(sup, mask)))
-                    for mask in range(start, stop)
-                ]
-            batch = ExactBatch.from_scalars(values)
+            batch = ExactBatch.from_scalars(space.mult_batch_float(a, mult.astype(np.float64)))
         yield start, batch
 
 

@@ -3,10 +3,14 @@
 Every engine maps a :class:`~rudlab.coeffs.Coeffs` to a scalar and, for the
 sign-average machinery, evaluates whole batches of entrywise multiplier
 columns at once (``mult_batch`` exact over integers, ``mult_batch_float``
-for Monte-Carlo).  Exact batches other than the norming-set ones refuse
-radical-valued entries and scaled entries past 26 bits (``NoIntegerForm``).
-The exact batch path and the scalar ``norm`` must agree; the test suite
-cross-checks them against independent brute-force oracles.
+for Monte-Carlo and float vectors).  An exact batch is integer arrays only;
+an engine or batch without one (``lp:P``, ``james_x:P`` and ``smax:P`` off
+their exact exponents, a renorm column past the enumeration cap) returns
+None and is evaluated in floats.  Exact batches other than the norming-set
+ones refuse radical-valued entries and scaled entries past 26 bits
+(``NoIntegerForm``).  The exact batch path and the scalar ``norm`` must
+agree; the test suite cross-checks them against independent brute-force
+oracles.
 
 Engines here: lp / linf, the summing norm and its dual, the chain-difference
 supremum norms (two conventions, plus the lp-accumulating generalisation),
@@ -24,7 +28,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .batches import _INT64_MAX, _TIE_RTOL, ExactBatch, _peak, first_extreme
+from .batches import (_TIE_RTOL, ExactBatch, _peak, first_extreme,
+                      float_group_means, int_dtype)
 from .coeffs import Coeffs, DomainError, NormingFunctional, pair
 from .exactnum import QSum, Scalar, split_square
 
@@ -55,11 +60,9 @@ class Space:
         if not a:
             return 0
         one = np.ones((len(a), 1), dtype=np.int8)
-        if a.is_exact():
-            batch = self.mult_batch(a, one, 1)
-            if batch is not None:
-                return batch.value(0)
-            raise NotImplementedError(f"{self.name}: no exact norm path")
+        batch = self.mult_batch(a, one, 1) if a.is_exact() else None
+        if batch is not None:
+            return batch.value(0)
         return float(self.mult_batch_float(a, one.astype(np.float64))[0])
 
     # -- batched norms ------------------------------------------------------
@@ -68,7 +71,8 @@ class Space:
         """Exact norms of the columns of ``diag(a) @ mult / den``.
 
         ``mult`` rows follow the sorted support of ``a``.  Returns None when
-        the engine has no exact batch path.
+        the batch has no exact form; its columns are then evaluated by
+        :meth:`mult_batch_float`.
         """
         return None
 
@@ -94,14 +98,6 @@ class LpSpace(Space):
     def __init__(self, p):
         self.p = p
         self.name = "linf" if p == inf else f"lp:{p}"
-
-    def norm(self, a: Coeffs) -> Scalar:
-        if not a:
-            return 0
-        if a.is_exact() and self.p not in (1, 2, inf):
-            vals = a.values_float()
-            return float((np.abs(vals) ** self.p).sum() ** (1 / self.p))
-        return super().norm(a)
 
     def mult_batch(self, a, mult, den=1):
         if self.p not in (1, 2, inf):
@@ -399,7 +395,7 @@ def functional_class_matrices(
         nums = [int(q * scale) for _, _, q in fkq]
         peaks[c] = max(map(abs, nums), default=0)
         mats[c] = np.zeros((len(functionals), len(support)),
-                           dtype=np.int64 if peaks[c] <= _INT64_MAX else object)
+                           dtype=int_dtype(peaks[c]))
         mats[c][[f for f, _, _ in fkq], [k for _, k, _ in fkq]] = nums
     return mats, scale, peaks
 
@@ -540,7 +536,7 @@ class NormingSetSpace(Space):
             max(peaks[fc], 1) * split_square(fc * vc)[0] * reach * sum(map(abs, col))
             for fc in mats for vc, col in vcols.items()
         )
-        dtype = np.int64 if bound <= _INT64_MAX else object
+        dtype = int_dtype(bound)
         mult = mult.astype(dtype)
         vals = {vc: np.array(col, dtype=dtype)[:, None] * mult for vc, col in vcols.items()}
         pairs: dict[int, np.ndarray] = {}  # (F, N) per class
@@ -613,7 +609,7 @@ class RenormSpace(Space):
     def norm(self, a: Coeffs) -> Scalar:
         return self.norm_with_bracket(a)[0]
 
-    def _inner_columns(self, a: Coeffs, mult: np.ndarray, entry, evaluate) -> tuple[list, np.ndarray]:
+    def _inner_columns(self, a: Coeffs, mult: np.ndarray, means) -> tuple[list, np.ndarray]:
         """Inner sign averages of the columns' masked vectors: one per
         distinct |column|, since the average is sign-invariant, and each
         column's index into them.
@@ -621,13 +617,14 @@ class RenormSpace(Space):
         Under the enumeration cap they come from one grouped walk: each
         distinct |column| contributes its top-bit-clear sign patterns scaled
         by the column, in pieces of at most ``_CHUNK`` patterns; the pieces
-        are concatenated, evaluated by ``evaluate`` (an :class:`ExactBatch`
-        of the base engine) in slices of at most ``_CHUNK`` columns, and
-        each group's piece means are folded in walk order, as the sign walk
+        are concatenated and handed to ``means(pats, starts, overs)`` in
+        slices of at most ``_CHUNK`` columns, which returns each piece's
+        share of its group's mean (as :meth:`ExactBatch.group_means`), and
+        each group's shares are folded in walk order, as the sign walk
         folds its chunks.  A masked full-support column is the norm of the
         masked vector, so this is the sign average of each masked vector.
-        Past the cap the masked vector, built by ``entry(v, c)``, takes
-        ``expect_auto``'s Monte-Carlo estimate."""
+        Past the cap, which only float batches reach, the masked vector
+        takes ``expect_auto``'s Monte-Carlo estimate."""
         from .rademacher import _CHUNK
 
         cols, which = np.unique(np.abs(mult), axis=1, return_inverse=True)
@@ -637,7 +634,7 @@ class RenormSpace(Space):
         for g, k in enumerate(np.count_nonzero(cols, axis=0).tolist()):
             if k > self.enum_cap:
                 inner[g] = self._inner_estimate(Coeffs.from_pairs(
-                    (i, entry(v, c)) for (i, v), c in zip(a.entries, cols[:, g])
+                    (i, float(v) * float(c)) for (i, v), c in zip(a.entries, cols[:, g])
                 )).value
                 continue
             total = (1 << k) >> 1
@@ -657,30 +654,59 @@ class RenormSpace(Space):
             # bit j of a pattern's mask flips the j-th row of its group's support
             place = np.maximum(np.cumsum(c != 0, axis=0) - 1, 0)
             pats = np.where((masks >> place) & 1, -c, c)
-            means = evaluate(pats).group_means(starts.tolist(), [p[3] for p in part])
-            for (g, *_), mu in zip(part, means):
+            shares = means(pats, starts.tolist(), [p[3] for p in part])
+            for (g, *_), mu in zip(part, shares):
                 inner[g] = inner[g] + mu
         return inner, which
 
     def mult_batch(self, a, mult, den=1):
-        base_batch = self.base.mult_batch(a, mult, den)
-        if base_batch is None:
+        """delta * base + inner[which] as one integer batch: the base
+        classes and the inner means' numerators over one common scale, the
+        base roots times p^2 over ``roots_scale * q`` for delta = p/q.  The
+        classes keep the base batch's order, then the inner-only cores in
+        order of first column, so a mean adds its terms in the order a
+        column-by-column sum gives them.  A column past the enumeration cap
+        has a Monte-Carlo inner mean and no exact form: None."""
+        if np.count_nonzero(mult, axis=0).max() > self.enum_cap:
             return None
-        scaled = base_batch.scale_rational(self.delta)
+        base = self.base.mult_batch(a, mult, den)
+        if base is None:
+            return None
         inner, which = self._inner_columns(
-            a, mult, lambda v, c: v * Fraction(int(c), den),
-            lambda pats: self.base.mult_batch(a, pats, den),
+            a, mult,
+            lambda pats, starts, overs:
+                self.base.mult_batch(a, pats, den).group_means(starts, overs),
         )
-        if len(inner) == 1 and isinstance(inner[0], (int, Fraction)):
-            return scaled.shift_rational(Fraction(inner[0]))
-        return ExactBatch.from_scalars(
-            [inner[k] + scaled.value(j) for j, k in enumerate(which)]
-        )
+        p, q = self.delta.numerator, self.delta.denominator
+        terms = [QSum.of(v).terms for v in inner]
+        scale = lcm(q * base.scale, *(x.denominator for t in terms for x in t.values()))
+        mul = scale // (q * base.scale) * p
+        base_classes = base.classes or {}
+        inner_nums: dict[int, list[int]] = {}
+        for g in dict.fromkeys(which.tolist()):  # groups in order of first column
+            for core, x in terms[g].items():
+                inner_nums.setdefault(core, [0] * len(terms))[g] = int(x * scale)
+        classes = {}
+        for core in dict.fromkeys([*base_classes, *inner_nums]):
+            arr, nums = base_classes.get(core), inner_nums.get(core, [0])
+            peak = _peak(arr) * mul if arr is not None else 0
+            dtype = int_dtype(peak + max(map(abs, nums)))
+            col = arr.astype(dtype) * mul if arr is not None else np.zeros(len(which), dtype)
+            if core in inner_nums:
+                col = col + np.array(nums, dtype=dtype)[which]
+            classes[core] = col
+        if base.roots is None:
+            return ExactBatch.from_classes(classes, scale)
+        # delta * sqrt(R) / rs = sqrt(R * p^2) / (rs * q)
+        roots = base.roots.astype(int_dtype(_peak(base.roots) * p * p)) * (p * p)
+        return ExactBatch(scale=scale, classes=classes or None,
+                          roots=roots, roots_scale=base.roots_scale * q)
 
     def mult_batch_float(self, a, mult):
         base = self.base.mult_batch_float(a, mult)
         inner, which = self._inner_columns(
-            a, mult, lambda v, c: float(v) * float(c),
-            lambda pats: ExactBatch.from_scalars(self.base.mult_batch_float(a, pats).tolist()),
+            a, mult,
+            lambda pats, starts, overs:
+                float_group_means(self.base.mult_batch_float(a, pats).tolist(), starts, overs),
         )
         return np.array([float(x) for x in inner])[which] + float(self.delta) * base

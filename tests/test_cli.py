@@ -167,3 +167,27 @@ def test_norm_refuses_wrapping_denominators(capsys):
     code, out, _ = run(capsys, "norm", "--space", "norming_set",
                        "--coeffs", "1/4294967297,1/4294967295")
     assert code == 0 and out.strip() == "8589934592/18446744073709551615"
+
+
+@pytest.mark.parametrize("spec", [
+    "lp:x", "lp:0", "lp:-1", "lp:0.5", "lp:nan", "smax:3/2", "james_x:x",
+    "james_x:0", "renorm:summing:x", "renorm:summing:1/0",
+])
+def test_malformed_engine_spec_is_domain_error(capsys, spec):
+    """A malformed or out-of-range engine parameter exits 2 with one error
+    line naming the spec, instead of a traceback or a value that is not a
+    norm."""
+    code, out, err = run(capsys, "norm", "--space", spec, "--coeffs", "1,1")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ") and repr(spec) in err
+
+
+@pytest.mark.parametrize("spec", ["james_x:3", "smax:1.5", "lp:3"])
+def test_engine_without_exact_batch_walks_floats(capsys, spec):
+    """Off their exact exponents these engines have only a float batch, and
+    an exact-method walk over an exact vector takes it."""
+    code, out, _ = run(capsys, "expect", "--space", spec, "--coeffs", "1,2,3",
+                       "--method", "exact")
+    assert code == 0
+    value = json.loads(out)["value"]
+    assert value > 0

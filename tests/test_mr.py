@@ -1,6 +1,7 @@
 """Coding-function spaces: coder audit, tuples, norms, witnesses, blocks."""
 
 import itertools
+import time
 from fractions import Fraction as F
 
 import numpy as np
@@ -180,6 +181,16 @@ def test_zrud_block_norm_vs_enumeration():
         x = Coeffs.from_pairs(pairs)
         want = QSum.of(small.zrud.norm(x))
         assert (got - want).sign() == 0, (coeffs, float(got), float(want))
+
+
+def test_zrud_family_cap_refuses_quickly(ctx):
+    """On the block vector's 14-index support a zrud family would have
+    hundreds of thousands of members; counted before any is built, it is
+    refused within a second."""
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match="past the cap"):
+        ctx.zrud.functionals(ctx.block_vector(3).support)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_zrud_block_sandwich(ctx):

@@ -151,6 +151,29 @@ def _reductions(st):
     return st.mean(), st.mean_sq(), st.min(), st.max(), st.argmax()
 
 
+class _ExactReductions:
+    """The reductions of a list of exact values, one value at a time: the
+    oracle for the walk's batched and folded reductions."""
+
+    def __init__(self, values):
+        self.values = [QSum.of(v) for v in values]
+
+    def mean(self):
+        return sum(self.values, QSum()) * F(1, len(self.values))
+
+    def mean_sq(self):
+        return sum((v * v for v in self.values), QSum()) * F(1, len(self.values))
+
+    def min(self):
+        return min(self.values)
+
+    def max(self):
+        return max(self.values)
+
+    def argmax(self):  # the first of equal maxima
+        return max(range(len(self.values)), key=self.values.__getitem__)
+
+
 def _assert_same_reductions(got, want, label):
     *gv, garg = _reductions(got)
     *wv, warg = _reductions(want)
@@ -210,17 +233,16 @@ def test_half_enumeration_matches_full_range(spec, monkeypatch):
 
 def test_half_enumeration_scalar_fallback(monkeypatch):
     """A radical-valued vector on a norming-set engine walks the same half
-    range in integer batches (no scalar fallback), and the reductions agree
+    range in integer batches (no float batch), and the reductions agree
     with the pairing oracle on every pattern."""
     import rudlab.rademacher as rad
-    from rudlab.batches import ExactBatch
     from rudlab.coeffs import apply_signs, enumerate_sign_patterns
     from rudlab.config import RunConfig, SpaceFactory
     from rudlab.exactnum import SQRT2
 
     space = SpaceFactory(RunConfig()).space("norming_set")
     a = Coeffs.from_values([1, SQRT2, F(-1, 2), 2 * SQRT2, 3])
-    want = ExactBatch.from_scalars(
+    want = _ExactReductions(
         [space.norm_slow(apply_signs(a, e)) for e in enumerate_sign_patterns(a.support)]
     )
     for chunk in (rad._CHUNK, 4):
@@ -233,13 +255,12 @@ def test_half_enumeration_scalar_fallback(monkeypatch):
 def test_scalar_fallback_beyond_the_coefficient_cap():
     """Entries beyond the 26-bit cap: a norming-set engine still returns an
     integer batch, and it stays exact."""
-    from rudlab.batches import ExactBatch
     from rudlab.coeffs import apply_signs, enumerate_sign_patterns
     from rudlab.config import RunConfig, SpaceFactory
 
     space = SpaceFactory(RunConfig()).space("norming_set")
     a = Coeffs.from_values([1 << 27, 1, -3, 5])
-    want = ExactBatch.from_scalars(
+    want = _ExactReductions(
         [space.norm_slow(apply_signs(a, e)) for e in enumerate_sign_patterns(a.support)]
     )
     got = sign_stats(space, a)
@@ -247,44 +268,36 @@ def test_scalar_fallback_beyond_the_coefficient_cap():
     _assert_same_reductions(got, want, a)
 
 
-def test_walk_falls_back_to_per_pattern_norms():
-    """A renorm batch that would leave int64 refuses with NoIntegerForm,
-    and the walk evaluates its chunk pattern by pattern instead.  Delta 99
-    takes the scaled chain radicands past int64; with delta 9 they fit."""
-    from rudlab.batches import ExactBatch
-    from rudlab.coeffs import (NoIntegerForm, apply_signs, enumerate_sign_patterns,
-                               sign_matrix_range)
+def test_walk_takes_object_batches_past_int64():
+    """Delta 99 takes the scaled chain radicands past int64: the renorm
+    batch holds them as Python ints, and the walk's reductions are exact."""
+    from rudlab.coeffs import apply_signs, enumerate_sign_patterns, sign_matrix_range
     from rudlab.config import RunConfig, SpaceFactory
 
     space = SpaceFactory(RunConfig()).space("renorm:james:chain:99")
     a = Coeffs.from_values([1 << 26, -(1 << 26), 1 << 26, -(1 << 26)])
-    with pytest.raises(NoIntegerForm, match="int64"):
-        space.mult_batch(a, sign_matrix_range(4, 0, 8), 1)
-    want = ExactBatch.from_scalars(
+    batch = space.mult_batch(a, sign_matrix_range(4, 0, 8), 1)
+    assert batch.roots.dtype == object and batch.scalars is None
+    want = _ExactReductions(
         [space.norm(apply_signs(a, e)) for e in enumerate_sign_patterns(a.support)]
     )
     got = sign_stats(space, a)
-    assert len(got.scalars) == 8
+    assert got.scalars is None
     _assert_same_reductions(got, want, a)
 
 
 class _NegatingL1(LpSpace):
-    """l1 whose batch path raises an unrelated ValueError (it negates a norm
-    batch) while its per-vector norm does not use the batch path."""
+    """l1 whose batch path raises an unrelated ValueError."""
 
     def __init__(self):
         super().__init__(1)
 
     def mult_batch(self, a, mult, den=1):
-        return super().mult_batch(a, mult, den).scale_rational(F(-1))
-
-    def norm(self, a):
-        return sum(abs(v) for _, v in a)
+        raise ValueError("norm batches cannot be negated")
 
 
 def test_unrelated_value_error_surfaces():
-    """Only the no-integer-form signal selects the scalar fallback; any
-    other ValueError from a batch path propagates."""
+    """A ValueError from a batch path propagates out of the walk."""
     with pytest.raises(ValueError, match="negated"):
         sign_stats(_NegatingL1(), Coeffs.from_values([1, 2, 3]))
 

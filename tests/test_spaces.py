@@ -7,6 +7,7 @@ from math import inf
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from rudlab.coeffs import Coeffs, mask_matrix_range, sign_matrix_range
 from rudlab.config import SpaceFactory, RunConfig
@@ -294,12 +295,14 @@ def test_norm_axioms_on_random_pairs():
 
 
 def test_renorm_batch_mixes_grouped_walk_and_monte_carlo():
-    """Columns whose support passes the cap take the Monte-Carlo estimate of
-    their masked vector, the others the grouped exact walk, in one batch."""
+    """In a float batch, columns whose support passes the cap take the
+    Monte-Carlo estimate of their masked vector, the others the grouped
+    walk.  Such a batch has no exact form; without those columns it has."""
     space = RenormSpace(SummingSpace(), F(1), enum_cap=4, mc_samples=2000, mc_seed=5)
     a = Coeffs.from_values([1, -1, 2, 1, -2, 1])
     mult = mask_matrix_range(6, 0, 64)[:, [63, 62, 15, 5, 0]]
-    batch = space.mult_batch(a, mult, 1)
+    assert space.mult_batch(a, mult, 1) is None
+    batch = space.mult_batch(a, mult[:, 2:], 1)
     floats = space.mult_batch_float(a, mult.astype(np.float64))
     for j in range(5):
         masked = Coeffs.from_pairs(
@@ -307,8 +310,69 @@ def test_renorm_batch_mixes_grouped_walk_and_monte_carlo():
         )
         want = space.norm(masked) if masked else 0
         assert isinstance(want, float) == (j < 2)
-        assert batch.value(j) == want
+        if j >= 2:
+            assert batch.value(j - 2) == want
         assert floats[j] == pytest.approx(float(want), rel=1e-12)
+
+
+@pytest.mark.parametrize("spec", ["renorm:lp:2:1", "renorm:bmo:1", "renorm:james:chain:3/2",
+                                  "zruc"])
+def test_renorm_batch_means_add_like_their_columns(spec):
+    """A renorm batch's mean is the column-by-column sum of the masked
+    vectors' norms over the count, term for term, so it converts to the same
+    float; the root bases' inner-only cores must keep their order of first
+    column for that."""
+    from rudlab.experiments import sample_vector
+
+    space = SpaceFactory(RunConfig()).space(spec)
+    for i in range(8):
+        a = sample_vector(space, 99 + i, i)
+        if not a or len(a) > 6:
+            continue
+        m = len(a)
+        for mult in (mask_matrix_range(m, 0, 1 << m), sign_matrix_range(m, 0, 1 << (m - 1))):
+            total = 0
+            for j in range(mult.shape[1]):
+                masked = Coeffs.from_pairs(
+                    (k, v * int(c)) for (k, v), c in zip(a.entries, mult[:, j]))
+                total = total + (space.norm(masked) if masked else 0)
+            want = QSum.of(total * F(1, mult.shape[1]))
+            got = QSum.of(space.mult_batch(a, mult, 1).mean())
+            assert got == want and float(got) == float(want), (spec, i)
+
+
+_RENORM_FAC = SpaceFactory(RunConfig())
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    base=st.sampled_from(["summing", "james:chain", "zmr"]),
+    delta=st.one_of(
+        st.sampled_from([F(1), F(1, 2), F(3)]),
+        st.builds(F, st.integers(1, 1 << 40), st.integers(1, 1 << 40)),
+    ),
+    values=st.lists(
+        st.fractions(-4, 4, max_denominator=3).filter(bool), min_size=1, max_size=4
+    ),
+)
+@example(base="james:chain", delta=F(99), values=[1 << 26, -(1 << 26), 1 << 26, -(1 << 26)])
+def test_renorm_integer_batches_match_norms(base, delta, values):
+    """Every sign and mask column of a renorm batch is an integer batch
+    entry equal to the per-pattern norm of its masked vector, for rational
+    and radical base classes (zmr) and for any rational delta, also where
+    the entries pass int64 (delta 99 on the chain example)."""
+    space = RenormSpace(_RENORM_FAC.space(base), delta)
+    a = Coeffs.from_values(values)
+    m = len(a)
+    for mult in (sign_matrix_range(m, 0, 1 << m), mask_matrix_range(m, 0, 1 << m)):
+        batch = space.mult_batch(a, mult, 1)
+        assert batch.scalars is None
+        for j in range(mult.shape[1]):
+            masked = Coeffs.from_pairs(
+                (i, v * int(c)) for (i, v), c in zip(a.entries, mult[:, j])
+            )
+            want = space.norm(masked) if masked else 0
+            assert QSum.of(batch.value(j)) == QSum.of(want), (j, mult[:, j])
 
 
 def test_renorm_monte_carlo_fallback():
