@@ -185,9 +185,16 @@ def test_malformed_engine_spec_is_domain_error(capsys, spec):
 @pytest.mark.parametrize("spec", ["james_x:3", "smax:1.5", "lp:3"])
 def test_engine_without_exact_batch_walks_floats(capsys, spec):
     """Off their exact exponents these engines have only a float batch, and
-    an exact-method walk over an exact vector takes it."""
+    an exact-method walk over an exact vector takes it: the float mean of
+    the per-pattern norms."""
+    from rudlab.coeffs import Coeffs, apply_signs, enumerate_sign_patterns
+    from rudlab.config import SpaceFactory
+
     code, out, _ = run(capsys, "expect", "--space", spec, "--coeffs", "1,2,3",
                        "--method", "exact")
     assert code == 0
-    value = json.loads(out)["value"]
-    assert value > 0
+    space = SpaceFactory(RunConfig()).space(spec)
+    a = Coeffs.from_values([1, 2, 3])
+    norms = [space.norm(apply_signs(a, e)) for e in enumerate_sign_patterns(a.support)]
+    assert all(isinstance(x, float) for x in norms)
+    assert json.loads(out)["value"] == pytest.approx(sum(norms) / len(norms), rel=1e-12)
