@@ -14,9 +14,9 @@ decided exactly: a nonzero combination of square roots of distinct
 squarefree integers is never zero (linear independence over Q), so
 interval arithmetic with integer-square-root brackets, tightened until the
 interval excludes zero, terminates.  Radicands are kept only semi-canonical
-(small square factors extracted); if an undetected square factor ever makes
-two terms collide, the slow full factorisation path merges them before the
-sign loop continues.
+(small primes divided out, a square cofactor extracted); if an undetected
+square factor ever makes two terms collide, the slow full factorisation
+path merges them before the sign loop continues.
 """
 
 from __future__ import annotations
@@ -43,26 +43,31 @@ _MIN_NORMAL = 2.0**-1022
 
 @lru_cache(maxsize=1 << 16)
 def split_square(k: int) -> tuple[int, int]:
-    """Write ``k = outer**2 * core`` with core free of small square factors.
+    """Write ``k = outer**2 * core`` with no square of a small prime
+    dividing core, and no square left once the small primes are divided out.
 
-    Cached: the norm engines see few distinct radicands, many times over."""
+    Each small prime is divided out in full, its odd exponents going to the
+    core; a cofactor that is a perfect square joins ``outer``.  Cached: the
+    norm engines see few distinct radicands, many times over."""
     if k <= 0:
         raise ValueError("radicand must be positive")
-    r = isqrt(k)
-    if r * r == k:
-        return r, 1
-    outer = 1
+    outer = core = 1
     for p in _SMALL_PRIMES:
-        pp = p * p
-        while k % pp == 0:
-            k //= pp
-            outer *= p
-        if pp > k:
+        if p * p > k:
             break
+        if k % p:
+            continue
+        e = 0
+        while k % p == 0:
+            k //= p
+            e += 1
+        outer *= p ** (e >> 1)
+        if e & 1:
+            core *= p
     r = isqrt(k)
     if r * r == k:
-        return outer * r, 1
-    return outer, k
+        return outer * r, core
+    return outer, core * k
 
 
 _BRACKET_CACHE: dict[tuple[int, int], tuple[Fraction, Fraction]] = {}

@@ -22,7 +22,12 @@ stated against ``1/rho_hat``.
 Norming families are restricted to a finite support by enumerating, for
 every sigma-consistent tuple prefix, all intersections a free final set can
 have with the support ("tail closure"); this is what makes the finite
-restriction complete.
+restriction complete.  The engines never list these members: per family
+and column the supremum is attained by a few members read off the entries
+sorted by magnitude (the best tails, and for the divergence side the best
+decorations), the top-k structure of Ogryczak & Tamir, "Minimizing the sum
+of the k largest functions in linear time" (IPL 2003).  The enumerated
+families serve as the test oracle.
 """
 
 from __future__ import annotations
@@ -31,19 +36,21 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, prod
+from math import comb, lcm, prod
 
 import numpy as np
 
+from .batches import _peak
 from .coeffs import Coeffs, DomainError, NormingFunctional
-from .exactnum import QSum, Scalar, sqrt_exact
-from .spaces import NormingSetSpace, RenormSpace, Space
+from .exactnum import QSum, Scalar, split_square, sqrt_exact
+from .spaces import (_CACHE_LIMIT, NormingSetSpace, RenormSpace, Space,
+                     _class_values, _normingset_reduce_exact)
 
 DEFAULT_LEVELS = (2, 4, 8)
 DEFAULT_UNIVERSE = 14
 DEFAULT_MAX_N = 3
-#: most members a zrud family may have on one support (the largest that
-#: `certify all` builds has 793; its largest support has 2,118 functionals)
+#: most members a zrud family may have on one support when the
+#: ``norm_slow`` oracle enumerates it (the engines never do)
 ZRUD_FAMILY_CAP = 20_000
 
 
@@ -457,12 +464,201 @@ class MrContext:
         return Coeffs.from_pairs((i, w) for i in s)
 
 
-class ZmrSpace(NormingSetSpace):
-    def __init__(self, ctx: MrContext):
-        super().__init__(
-            "zmr", lambda sup: zmr_functionals(ctx, sup), include_coord_sup=True
-        )
+def _plus_range(k: int, card: int, width: int) -> tuple[int, int]:
+    """Least and most plus signs a decorated level of ``card`` slots allows
+    on its ``k`` visible slots, as ``_restricted_sign_patterns`` lists them."""
+    if k == card:
+        ok = [p for p in range(k + 1) if (2 * p - k) ** 2 <= width * width * k]
+        return ok[0], ok[-1]
+    half = card // 2
+    return max(0, k - half), min(k, half)
+
+
+@dataclass(frozen=True)
+class _Layout:
+    """Where the tuple families sit on one support (m entries), whatever
+    the columns: F families, G distinct ``tail_min``, L decorated levels
+    (one per family and fixed set seen on the support) and R rows, the
+    families' high rows, then their low rows, then, if decorated, their
+    decorated rows."""
+
+    decorated: bool
+    cards: np.ndarray  # (R, m) cardinality whose 1/sqrt weights an entry (0: none)
+    #: per functional core, ascending, (R, m) integer weight numerators
+    #: over ``fscale``: 1/sqrt(c) = sqrt(core)/(outer*core), c = outer^2*core
+    weights: dict[int, np.ndarray]
+    fscale: int
+    peaks: dict[int, int]  # largest numerator per core, the coordinates' included
+    fixed: np.ndarray  # (F, m, 1) int8: 1 on the entries of the fixed sets
+    tail_card: np.ndarray  # (F, 1, 1)
+    group: np.ndarray  # (F,) each family's row of ``avail``
+    avail: np.ndarray  # (G, m, 1) entries a free tail may take
+    level_family: np.ndarray  # (L,)
+    inside: np.ndarray  # (L, m, 1) the level's visible entries
+    visible: np.ndarray  # (L, 1, 1) their count
+    plus_lo: np.ndarray  # (L, 1, 1) least and most plus signs the level allows
+    plus_hi: np.ndarray
+
+
+def _layout(ctx: MrContext, support: tuple[int, ...], decorated: bool) -> _Layout:
+    sup = np.array(support, dtype=np.int64)
+    fams = ctx.families
+    cards = np.zeros((len(fams), len(sup)), dtype=np.int64)
+    groups = {t: g for g, t in enumerate(dict.fromkeys(fam.tail_min for fam in fams))}
+    levels: list[tuple[int, np.ndarray, int, int, int]] = []
+    for f, fam in enumerate(fams):
+        for s in fam.fixed:
+            inside = np.isin(sup, list(s))
+            cards[f, inside] = len(s)
+            k = int(inside.sum())
+            if k:
+                levels.append((f, inside, k, *_plus_range(k, len(s), ctx.width)))
+    fixed = (cards > 0).astype(np.int8)[:, :, None]
+    for f, fam in enumerate(fams):
+        cards[f, sup > fam.tail_min] = fam.tail_card
+    cards = np.tile(cards, (3 if decorated else 2, 1))
+    split = {c: split_square(c) for c in set(cards[cards > 0].tolist())}
+    fscale = lcm(1, *(o * c for o, c in split.values()))
+    weights = {1: np.zeros(cards.shape, dtype=np.int64)}
+    peaks = {1: fscale}
+    for c, (o, core) in sorted(split.items(), key=lambda kv: kv[1][1]):
+        weights.setdefault(core, np.zeros(cards.shape, dtype=np.int64))[cards == c] = \
+            fscale // (o * core)
+        peaks[core] = max(peaks.get(core, 0), fscale // (o * core))
+
+    def col(xs: list[int]) -> np.ndarray:
+        return np.array(xs, dtype=np.int64).reshape(-1, 1, 1)
+
+    return _Layout(
+        decorated=decorated,
+        cards=cards,
+        weights=weights,
+        fscale=fscale,
+        peaks=peaks,
+        fixed=fixed,
+        tail_card=col([fam.tail_card for fam in fams]),
+        group=np.array([groups[fam.tail_min] for fam in fams], dtype=np.intp),
+        avail=np.array([sup > t for t in groups], dtype=bool).reshape(len(groups), len(sup), 1),
+        level_family=np.array([lv[0] for lv in levels], dtype=np.intp),
+        inside=np.array([lv[1] for lv in levels], dtype=bool).reshape(len(levels), len(sup), 1),
+        visible=col([lv[2] for lv in levels]),
+        plus_lo=col([lv[3] for lv in levels]),
+        plus_hi=col([lv[4] for lv in levels]),
+    )
+
+
+def _family_rows(lay: _Layout, signs: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """Per tuple family, the members that attain its supremum on each column.
+
+    ``signs`` (m, N) are the signs of the column entries and ``order`` (m, N)
+    lists each column's rows by decreasing magnitude.  Returns the signs
+    (R, m, N) that each row's functional puts on each entry of each column;
+    ``lay.cards`` gives the weights.  Per family there is a high row (the
+    fixed part plus the largest positive entries the tail may take, at most
+    ``tail_card``) and a low row (the fixed part plus the most negative
+    ones): the best tails, read off counts in magnitude order, so one of
+    the two pairs to the family's supremum of |<phi, a>|.  A decorated
+    family adds one row, the sum of its parts' maxima (the family is
+    closed under a global sign flip, so this is its supremum): on each
+    fixed level the p largest entries take plus signs, p the count of
+    positive entries clamped to the level's allowed range, and the tail
+    takes up to ``tail_card // 2`` entries of each sign.
+    """
+    pos, neg = signs > 0, signs < 0
+    g = len(lay.avail)
+    parts = [pos & lay.avail, neg & lay.avail]
+    if lay.decorated:
+        parts += [pos & lay.inside, neg & lay.inside]
+    masks = np.concatenate(parts)
+    # at each entry, the count of its mask's entries up to it in its
+    # column's magnitude order
+    cols = np.arange(order.shape[1])
+    counts = np.empty(masks.shape, dtype=np.int64)
+    counts[:, order, cols] = masks[:, order, cols].cumsum(axis=1)
+    tp, tn = masks[:g][lay.group], masks[g:2 * g][lay.group]
+    cp, cn = counts[:g][lay.group], counts[g:2 * g][lay.group]
+    rows = [lay.fixed + (tp & (cp <= lay.tail_card)), lay.fixed + (tn & (cn <= lay.tail_card))]
+    if lay.decorated:
+        half = lay.tail_card // 2
+        dec = (tp & (cp <= half)).astype(np.int8) - (tn & (cn <= half))
+        nl = len(lay.inside)
+        vp, vn = masks[2 * g:2 * g + nl], masks[2 * g + nl:]
+        cvp, cvn = counts[2 * g:2 * g + nl], counts[2 * g + nl:]
+        p = np.clip(vp.sum(axis=1, keepdims=True), lay.plus_lo, lay.plus_hi)
+        # plus signs on the p largest entries: the first p positive ones,
+        # then zeros, then the least negative ones
+        level = (np.where(vp, np.where(cvp <= p, 1, -1), 0)
+                 + np.where(vn, np.where(cvn <= lay.visible - p, -1, 1), 0))
+        np.add.at(dec, lay.level_family, level.astype(np.int8))
+        rows.append(dec)
+    return np.concatenate(rows).astype(np.int8)
+
+
+def _magnitude_order(a: Coeffs, mult: np.ndarray) -> np.ndarray:
+    """(m, N) row indices: each column's entries ``a_i * mult_ij`` by
+    decreasing magnitude, compared exactly.  One sort serves every column
+    with multipliers in {-1, 0, 1}; a column with a larger multiplier is
+    sorted by its |column|, once per distinct |column|."""
+    mags = [abs(v) for _, v in a.entries]
+    rows = range(len(mags))
+    out = np.empty(mult.shape, dtype=np.intp)
+    out[:] = np.array(sorted(rows, key=mags.__getitem__, reverse=True), dtype=np.intp)[:, None]
+    big = np.flatnonzero(np.abs(mult).max(axis=0) > 1) if _peak(mult) > 1 else ()
+    if len(big):
+        cols, which = np.unique(np.abs(mult[:, big]), axis=1, return_inverse=True)
+        orders = [sorted(rows, key=lambda i: mags[i] * c[i], reverse=True)
+                  for c in cols.T.tolist()]
+        out[:, big] = np.array(orders, dtype=np.intp).T[:, which.ravel()]
+    return out
+
+
+class _CodingSpace(NormingSetSpace):
+    """A coding-function space: the supremum over its tuple families and
+    the coordinate functionals, evaluated in closed form.
+
+    The exact batch pairs the few rows of :func:`_family_rows` and the
+    coordinate rows with the entries' square-free classes and reduces
+    them with the norming-set reduction.  The enumerated family
+    (:meth:`functionals`) serves only the ``norm_slow`` oracle.
+    """
+
+    decorated = False
+
+    def __init__(self, name: str, ctx: MrContext, provider, include_coord_sup: bool):
+        super().__init__(name, provider, include_coord_sup)
         self.ctx = ctx
+        self._layouts: dict[tuple[int, ...], _Layout] = {}
+
+    def _layout(self, support: tuple[int, ...]) -> _Layout:
+        if support not in self._layouts:
+            if len(self._layouts) > _CACHE_LIMIT:
+                self._layouts.clear()
+            self._layouts[support] = _layout(self.ctx, support, self.decorated)
+        return self._layouts[support]
+
+    def mult_batch(self, a, mult, den=1):
+        lay = self._layout(a.support)
+        entry_signs = np.array([1 if v > 0 else -1 for _, v in a.entries], dtype=np.int8)
+        order = _magnitude_order(a, mult)
+        vals, vden, dtype = _class_values(a, mult, lay.peaks)
+        phi = _family_rows(lay, entry_signs[:, None] * np.sign(mult), order).astype(dtype)
+        pairs: dict[int, np.ndarray] = {}  # (R + m, N) per class
+        for fc, weights in lay.weights.items():
+            signed = phi * weights.astype(dtype)[:, :, None]
+            for vc, v in vals.items():
+                outer, core = split_square(fc * vc)
+                # the family rows, then the coordinate rows (weight 1)
+                p = np.concatenate([np.einsum("rij,ij->rj", signed, v),
+                                    v * lay.fscale if fc == 1 else np.zeros_like(v)])
+                if outer != 1:
+                    p *= outer
+                pairs[core] = pairs[core] + p if core in pairs else p
+        return _normingset_reduce_exact(pairs, lay.fscale * vden * den)
+
+
+class ZmrSpace(_CodingSpace):
+    def __init__(self, ctx: MrContext):
+        super().__init__("zmr", ctx, lambda sup: zmr_functionals(ctx, sup), True)
         self.sweep_indices = tuple(range(min(8, ctx.universe)))
         self.sweep_max_m = 8
 
@@ -474,14 +670,22 @@ class ZmrSpace(NormingSetSpace):
         return [self.ctx.block_vector(k) for k in range(1, n + 1)]
 
 
-class ZrudSpace(NormingSetSpace):
+class ZrudSpace(_CodingSpace):
+    decorated = True
+
     def __init__(self, ctx: MrContext):
-        super().__init__(
-            "zrud", lambda sup: zrud_functionals(ctx, sup), include_coord_sup=False
-        )
-        self.ctx = ctx
+        super().__init__("zrud", ctx, lambda sup: zrud_functionals(ctx, sup), False)
         self.sweep_indices = tuple(range(min(6, ctx.universe)))
         self.sweep_max_m = 6
+
+    def mult_batch_float(self, a, mult):
+        v = a.values_float()[:, None] * mult
+        order = np.argsort(-np.abs(v), axis=0, kind="stable")
+        lay = self._layout(a.support)
+        phi = _family_rows(lay, np.sign(v), order)
+        weights = np.where(lay.cards > 0, 1.0 / np.sqrt(np.maximum(lay.cards, 1)), 0.0)
+        fams = np.abs(np.einsum("rij,ri,ij->rj", phi, weights, v))
+        return np.maximum(fams.max(axis=0, initial=0.0), np.abs(v).max(axis=0, initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -493,27 +697,33 @@ def zmr_fast_norms(ctx: MrContext, support: tuple[int, ...], values: np.ndarray)
     """Base-space norms of column vectors on ``support`` (float path).
 
     Equivalent to the explicit family enumeration: per family the best free
-    tail is read off sorted prefix sums.  Cross-checked against the exact
-    engine in the tests.
+    tail is read off sorted prefix sums, sorted and summed once per distinct
+    ``tail_min`` and read at each family's ``tail_card``.  Cross-checked
+    against the exact engine in the tests.
     """
     sup = sorted(set(support))
     pos = {i: k for k, i in enumerate(sup)}
     n = values.shape[1]
     best = np.abs(values).max(axis=0)  # coordinate supremum
+    prefixes: dict[int, tuple[np.ndarray, np.ndarray] | None] = {}
     for fam in ctx.families:
         fixed = np.zeros(n)
         for s in fam.fixed:
             rows = [pos[i] for i in s if i in pos]
             if rows:
                 fixed += values[rows].sum(axis=0) / len(s) ** 0.5
-        rows = [pos[i] for i in sup if i > fam.tail_min]
-        w = 1.0 / fam.tail_card**0.5
-        if rows:
+        if fam.tail_min not in prefixes:
+            rows = [pos[i] for i in sup if i > fam.tail_min]
             sub = np.sort(values[rows], axis=0)
-            gains = np.maximum(sub[::-1], 0.0)[: fam.tail_card]
-            losses = np.minimum(sub, 0.0)[: fam.tail_card]
-            tail_hi = gains.cumsum(axis=0).max(axis=0) if len(gains) else 0.0
-            tail_lo = losses.cumsum(axis=0).min(axis=0) if len(losses) else 0.0
+            prefixes[fam.tail_min] = (
+                np.maximum(sub[::-1], 0.0).cumsum(axis=0),
+                np.minimum(sub, 0.0).cumsum(axis=0),
+            ) if rows else None
+        w = 1.0 / fam.tail_card**0.5
+        if prefixes[fam.tail_min] is not None:
+            gains, losses = prefixes[fam.tail_min]
+            tail_hi = gains[: fam.tail_card].max(axis=0)
+            tail_lo = losses[: fam.tail_card].min(axis=0)
         else:
             tail_hi = tail_lo = 0.0
         cand = np.maximum(fixed + w * tail_hi, -(fixed + w * tail_lo))

@@ -408,7 +408,29 @@ def _class_columns(a: Coeffs) -> tuple[dict[int, list[int]], int]:
         for core, q in (w.terms if isinstance(w, QSum) else {1: Fraction(w)}).items():
             cols.setdefault(core, [Fraction(0)] * len(a))[k] = q
     den = lcm(*(q.denominator for col in cols.values() for q in col))
-    return {c: [int(q * den) for q in col] for c, col in cols.items()}, den
+    return {c: [q.numerator * (den // q.denominator) for q in col]
+            for c, col in cols.items()}, den
+
+
+def _class_values(a: Coeffs, mult: np.ndarray,
+                  peaks: dict[int, int]) -> tuple[dict[int, np.ndarray], int, type]:
+    """The columns of ``diag(a) @ mult`` split by the entries' square-free
+    classes, as integer numerators over the entries' common denominator,
+    with that denominator and their dtype: int64 when a Python-int bound
+    shows that no pairing sum with functional weights up to ``peaks[c]``
+    (per functional class c) can leave it, Python ints otherwise."""
+    vcols, vden = _class_columns(a)
+    # a bound on every partial pairing sum and, its factors being at
+    # least 1, on every weight, numerator and multiplier
+    reach = max(_peak(mult), 1)
+    bound = sum(
+        max(peak, 1) * split_square(fc * vc)[0] * reach * sum(map(abs, col))
+        for fc, peak in peaks.items() for vc, col in vcols.items()
+    )
+    dtype = int_dtype(bound)
+    mult = mult.astype(dtype)
+    return ({vc: np.array(col, dtype=dtype)[:, None] * mult for vc, col in vcols.items()},
+            vden, dtype)
 
 
 def _normingset_reduce_exact(pairs: dict[int, np.ndarray], scale: int) -> ExactBatch:
@@ -527,18 +549,8 @@ class NormingSetSpace(Space):
         return best
 
     def mult_batch(self, a, mult, den=1):
-        vcols, vden = _class_columns(a)
         mats, fscale, peaks = self.class_mats(a.support)
-        # a bound on every partial pairing sum and, its factors being at
-        # least 1, on every weight, numerator and multiplier
-        reach = max(_peak(mult), 1)
-        bound = sum(
-            max(peaks[fc], 1) * split_square(fc * vc)[0] * reach * sum(map(abs, col))
-            for fc in mats for vc, col in vcols.items()
-        )
-        dtype = int_dtype(bound)
-        mult = mult.astype(dtype)
-        vals = {vc: np.array(col, dtype=dtype)[:, None] * mult for vc, col in vcols.items()}
+        vals, vden, dtype = _class_values(a, mult, peaks)
         pairs: dict[int, np.ndarray] = {}  # (F, N) per class
         for fc, m in mats.items():
             m = m.astype(dtype, copy=False)

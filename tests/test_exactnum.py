@@ -19,9 +19,15 @@ def test_split_square():
     assert split_square(8) == (2, 2)
     assert split_square(12) == (2, 3)
     assert split_square(49) == (7, 1)
-    # large square factors may stay in the core (semi-canonical), but the
-    # value-level comparison must still detect the collision
-    assert (QSum.root(2 * 101 * 101) - QSum.root(2, F(101))).sign() == 0
+    # a square cofactor past the small primes joins the outer factor
+    assert split_square(153015) == (101, 15)  # 101^2 * 3 * 5
+    assert split_square(2 * 101 * 101) == (101, 2)
+    assert split_square(101 * 103) == (1, 101 * 103)
+    # a square of a large prime times another large prime stays in the core
+    # (semi-canonical), but the value-level comparison still detects the
+    # collision
+    assert split_square(101 * 101 * 103) == (1, 101 * 101 * 103)
+    assert (QSum.root(101 * 101 * 103) - QSum.root(103, F(101))).sign() == 0
 
 
 def test_sqrt_identities():

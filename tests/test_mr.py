@@ -6,8 +6,10 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from rudlab.coeffs import Coeffs, DomainError
+from rudlab import mr
+from rudlab.coeffs import Coeffs, DomainError, mask_matrix_full, pair, sign_matrix_full
 from rudlab.exactnum import QSum, sqrt_exact
 from rudlab.mr import (
     AdmissibleTuple,
@@ -22,8 +24,9 @@ from rudlab.mr import (
     zrud_block_norm,
     zrud_block_sandwich,
 )
-from rudlab.rademacher import sign_stats
+from rudlab.rademacher import sign_stats, subset_stats
 from rudlab.rng import sign_matrix
+from rudlab.spaces import NormingSetSpace
 
 
 @pytest.fixture(scope="module")
@@ -140,10 +143,148 @@ def test_zmr_float_batch_matches_exact_batch(ctx):
         assert fast[j] == pytest.approx(float(QSum.of(exact.value(j))), rel=1e-12)
 
 
+def _zmr_fast_norms_per_family(ctx, support, values):
+    """The float closed form family by family, sorting each family's tail
+    afresh: the oracle for the shared prefix sums of ``zmr_fast_norms``."""
+    sup = sorted(set(support))
+    pos = {i: k for k, i in enumerate(sup)}
+    n = values.shape[1]
+    best = np.abs(values).max(axis=0)
+    for fam in ctx.families:
+        fixed = np.zeros(n)
+        for s in fam.fixed:
+            rows = [pos[i] for i in s if i in pos]
+            if rows:
+                fixed += values[rows].sum(axis=0) / len(s) ** 0.5
+        rows = [pos[i] for i in sup if i > fam.tail_min]
+        w = 1.0 / fam.tail_card**0.5
+        if rows:
+            sub = np.sort(values[rows], axis=0)
+            gains = np.maximum(sub[::-1], 0.0)[: fam.tail_card]
+            losses = np.minimum(sub, 0.0)[: fam.tail_card]
+            tail_hi = gains.cumsum(axis=0).max(axis=0)
+            tail_lo = losses.cumsum(axis=0).min(axis=0)
+        else:
+            tail_hi = tail_lo = 0.0
+        best = np.maximum(best, np.maximum(fixed + w * tail_hi, -(fixed + w * tail_lo)))
+    return best
+
+
+def test_zmr_fast_norms_match_per_family_loop(ctx):
+    """Sorting and summing once per distinct tail_min gives the per-family
+    loop's floats bit for bit, zeros included."""
+    rng = np.random.default_rng(12)
+    for trial in range(60):
+        m = int(rng.integers(1, 15))
+        support = tuple(sorted(rng.choice(16, size=m, replace=False).tolist()))
+        values = rng.normal(size=(m, 32)) * rng.integers(0, 2, size=(m, 32))
+        got = zmr_fast_norms(ctx, support, values)
+        want = _zmr_fast_norms_per_family(ctx, support, values)
+        assert np.array_equal(got, want), trial
+
+
+_CTX_BY_WIDTH = {0: MrContext(), 1: MrContext(width=1)}
+_ENTRY = st.builds(
+    lambda q, r: q if r == 1 else q * sqrt_exact(r),
+    st.fractions(-3, 3, max_denominator=3).filter(bool),
+    st.sampled_from([1, 1, 2, 3]),
+)
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    width=st.sampled_from([0, 1]),
+    name=st.sampled_from(["zmr", "zrud"]),
+    # a whole level set ({0, 1} or {2, ..., 5}) is seen with its full
+    # cardinality, other indices only partly
+    full=st.sampled_from([(), (0, 1), (2, 3, 4, 5)]),
+    extra=st.sets(st.integers(0, 11), max_size=1),
+    values=st.lists(_ENTRY, min_size=5, max_size=5),
+    big=st.lists(st.integers(-3, 3), min_size=15, max_size=15),
+)
+@example(width=0, name="zrud", full=(2, 3, 4, 5), extra={7},
+         values=[F(1), F(-2), F(3, 2), F(-1, 2), 2 * sqrt_exact(2)], big=[2] * 15)
+@example(width=1, name="zrud", full=(0, 1), extra={3},
+         values=[F(1), F(-3), F(2), F(1), F(1)], big=[-3, 1, 2] * 5)
+def test_coding_batches_match_norm_slow(width, name, full, extra, values, big):
+    """Every sign and mask column of a zmr or zrud batch, and a batch with
+    multipliers up to 3 in magnitude, equals norm_slow's supremum over the
+    family enumerated on the batch's support, paired with the column's
+    vector, for rational and radical entries, widths 0 and 1, and fully and
+    partly visible levels."""
+    ctx = _CTX_BY_WIDTH[width]
+    space = getattr(ctx, name)
+    support = sorted(set(full) | extra) or [7]
+    a = Coeffs.from_pairs(zip(support, values))
+    m = len(a)
+    big = np.array(big[:3 * m], dtype=np.int64).reshape(m, 3)
+    assert QSum.of(space.norm(a)) == QSum.of(space.norm_slow(a))
+    family = space.functionals(a.support)
+    slow = {}  # per column, up to a global sign
+    for mult in (sign_matrix_full(m), mask_matrix_full(m), big):
+        batch = space.mult_batch(a, mult, 1)
+        floats = space.mult_batch_float(a, mult.astype(np.float64))
+        for j in range(mult.shape[1]):
+            c = mult[:, j].tolist()
+            lead = next((x for x in c if x), 1)
+            key = tuple(x if lead > 0 else -x for x in c)
+            if key not in slow:
+                col = Coeffs.from_pairs((i, v * x) for (i, v), x in zip(a.entries, key))
+                slow[key] = max((abs(QSum.of(pair(phi, col))) for phi in family),
+                                default=QSum())
+            want = slow[key]
+            assert QSum.of(batch.value(j)) == want, (c, batch.value(j), want)
+            assert floats[j] == pytest.approx(float(want), rel=1e-12, abs=1e-12)
+
+
+def test_zrud_on_the_block_support_matches_block_norm(ctx):
+    """On the 14-index block support, where the enumerated family is
+    refused, the zrud batch equals the closed-form block norm of
+    sum a_j x_j for 100 seeded block coefficient vectors."""
+    rng = np.random.default_rng(14)
+    blocks = ctx.canonical_blocks(3)
+    for _ in range(100):
+        coeffs = [F(int(rng.integers(-4, 5)), int(rng.integers(1, 3))) for _ in blocks]
+        if not any(coeffs):
+            coeffs[0] = F(1)
+        x = Coeffs.from_pairs(
+            (i, mr._weight(len(s)) * a) for a, s in zip(coeffs, blocks) for i in s)
+        got = QSum.of(ctx.zrud.norm(x))
+        assert got == QSum.of(zrud_block_norm(ctx, coeffs)), coeffs
+
+
+def test_coding_engines_enumerate_no_family(monkeypatch):
+    """The zmr, zruc and zrud walks of the sweep's vectors, and the witness
+    at depth 3, never list a tuple-functional family nor build its class
+    matrices."""
+    from rudlab.config import RunConfig, SpaceFactory
+    from rudlab.experiments import _vectors, derive_seed
+
+    calls = {"class_mats": 0, "zmr_functionals": 0, "zrud_functionals": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(NormingSetSpace, "class_mats",
+                        counted("class_mats", NormingSetSpace.class_mats))
+    monkeypatch.setattr(mr, "zmr_functionals", counted("zmr_functionals", mr.zmr_functionals))
+    monkeypatch.setattr(mr, "zrud_functionals", counted("zrud_functionals", mr.zrud_functionals))
+    cfg = RunConfig()
+    fac = SpaceFactory(cfg)
+    for spec in ("zmr", "zruc", "zrud"):
+        space = fac.space(spec)
+        for a in _vectors(space, derive_seed(cfg.seed, len(spec), sum(map(ord, spec))), 200):
+            sign_stats(space, a, cfg.cap).mean()
+            subset_stats(space, a, cfg.cap).mean()
+    mr_witness(3, fac.mr_context, mc_samples=4096)
+    assert calls == {"class_mats": 0, "zmr_functionals": 0, "zrud_functionals": 0}
+
+
 def test_equi_decorations_kill_constants(ctx):
     """Balanced decorations pair to zero against constant-on-level vectors."""
-    from rudlab.coeffs import pair
-
     sup = tuple(range(6))
     x = Coeffs.from_pairs((i, 1) for i in range(2, 6))  # constant on a 4-set
     for phi in ctx.zrud.functionals(sup):

@@ -375,6 +375,19 @@ def test_renorm_integer_batches_match_norms(base, delta, values):
             assert QSum.of(batch.value(j)) == QSum.of(want), (j, mult[:, j])
 
 
+def test_renorm_radicands_are_canonical():
+    """A delta numerator with a prime factor past the small primes leaves no
+    square in the renorm batch's radicands: the sign mean of
+    renorm:lp:2:101 on [1, 2, -1, 3] is 102*sqrt(15), its norm."""
+    from rudlab.rademacher import sign_stats
+
+    space = _RENORM_FAC.space("renorm:lp:2:101")
+    a = Coeffs.from_values([1, 2, -1, 3])
+    mean = QSum.of(sign_stats(space, a).mean())
+    assert mean.terms == {15: F(102)}
+    assert mean == QSum.of(space.norm(a))
+
+
 def test_renorm_monte_carlo_fallback():
     """Past the enumeration cap the sign average switches to Monte-Carlo
     and the norm carries its bracket."""
