@@ -219,14 +219,10 @@ class ExactBatch:
             return float_group_means(self.scalars, starts, overs)
         n = len(self)
         bounds = list(starts) + [n]
-        class_sums = []
-        for core, arr in (self.classes or {}).items():
-            if _peak(arr) * n <= _INT64_MAX:
-                sums = np.add.reduceat(arr, starts, dtype=np.int64).tolist()
-            else:
-                vals = _ints(arr)
-                sums = [sum(vals[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
-            class_sums.append((core, sums))
+        class_sums = [
+            (core, np.add.reduceat(arr, starts, dtype=int_dtype(_peak(arr) * n)).tolist())
+            for core, arr in (self.classes or {}).items()
+        ]
         runs: list[list[tuple[int, int]]] = [[] for _ in overs]
         if self.roots is not None:
             # distinct radicands of each piece, ascending, with their counts

@@ -345,9 +345,9 @@ class BdBasisSpace(Space):
         from .spaces import _int_mult_values
         from .batches import ExactBatch
 
-        v, scale = _int_mult_values(a, mult, den)
-        cols = list(a.support)
-        image = self.gamma.D[:, cols] @ v
+        d = self.gamma.D[:, list(a.support)]
+        v, scale = _int_mult_values(a, mult, den, int(np.abs(d).sum(axis=1).max()))
+        image = d @ v
         return ExactBatch.from_rational(
             np.abs(image).max(axis=0), scale * self.gamma.d_scale
         )

@@ -11,8 +11,6 @@ All types are immutable after construction and all operations are pure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import lcm
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -29,9 +27,9 @@ class EnumerationCapError(DomainError):
 
 
 class NoIntegerForm(DomainError):
-    """Values with no int64 matrix form: float or radical-valued entries,
-    or magnitudes beyond the integer path.  Callers with a per-vector norm
-    fall back to it."""
+    """Values with no exact integer batch: float entries, radical-valued
+    entries on an engine that pairs only rationals, or magnitudes past the
+    float range that exact tie location reads.  The refusal propagates."""
 
 
 DEFAULT_ENUM_CAP = 24
@@ -94,35 +92,10 @@ class Coeffs:
         return all(is_exact(v) for _, v in self.entries)
 
     def values_float(self) -> np.ndarray:
-        return np.array([float(v) for _, v in self.entries], dtype=np.float64)
-
-    def int_values(self) -> tuple[np.ndarray, int]:
-        """Values as an int64 array with a common denominator ``den``.
-
-        Only valid for rational entries (others raise
-        :class:`NoIntegerForm`); the true value at slot ``j`` is
-        ``ints[j] / den``.  Magnitudes are capped so that every downstream
-        integer reduction (atom sums, squared tails, chain squares) stays
-        inside 64 bits.
-        """
-        fracs = []
-        for _, v in self.entries:
-            if isinstance(v, QSum):
-                if not v.is_rational():
-                    raise NoIntegerForm("radical-valued entry: no integer form")
-                fracs.append(v.as_fraction())
-            elif isinstance(v, float):
-                raise NoIntegerForm("exact path requires rational coefficients")
-            else:
-                fracs.append(Fraction(v))
-        den = lcm(*(f.denominator for f in fracs))
-        scaled = [int(f * den) for f in fracs]
-        if any(abs(x) > (1 << 26) for x in scaled):
-            raise NoIntegerForm(
-                "coefficient magnitudes too large for the exact integer path "
-                "(scaled entries must fit in 26 bits)"
-            )
-        return np.array(scaled, dtype=np.int64), den
+        try:
+            return np.array([float(v) for _, v in self.entries], dtype=np.float64)
+        except OverflowError:
+            raise DomainError("an entry past the float range has no float value") from None
 
     # -- algebra ------------------------------------------------------------
 

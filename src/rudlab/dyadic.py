@@ -58,8 +58,8 @@ class WalshL1Space(Space):
         return k
 
     def mult_batch(self, a, mult, den=1):
-        v, scale = _int_mult_values(a, mult, den)
         levels = self._levels(a.support)
+        v, scale = _int_mult_values(a, mult, den, 1 << levels)
         w = walsh_atom_matrix(a.support, levels)
         values = w @ v  # (atoms, N)
         return ExactBatch.from_rational(np.abs(values).sum(axis=0), scale << levels)
@@ -121,8 +121,8 @@ class HaarL1Space(Space):
     def mult_batch(self, a, mult, den=1):
         if min(a.support, default=1) < 1:
             raise DomainError("tree indices start at 1")
-        v, scale = _int_mult_values(a, mult, den)
         levels = self._levels(a.support)
+        v, scale = _int_mult_values(a, mult, den, 1 << levels)
         h = haar_atom_matrix(a.support, levels)
         return ExactBatch.from_rational(np.abs(h @ v).sum(axis=0), scale << levels)
 

@@ -348,17 +348,12 @@ def zmr_functionals(
     return out
 
 
-def _restricted_sign_patterns(k: int, half_cap: int, full: bool, width: int):
-    """Sign patterns on k visible slots of a set whose balanced signs have
-    half_cap entries of each sign; partial visibility only caps the counts."""
-    if full:
-        return equi_sign_vectors(k, width) if k else [()]
-    out = []
-    for sv in itertools.product((-1, 1), repeat=k):
-        plus = sum(1 for x in sv if x > 0)
-        if plus <= half_cap and k - plus <= half_cap:
-            out.append(sv)
-    return out
+@lru_cache(maxsize=None)
+def _restricted_sign_patterns(k: int, card: int, width: int) -> tuple[tuple[int, ...], ...]:
+    """Sign patterns on k visible slots of a decorated set of ``card``
+    slots: the restrictions of its sign vectors ``equi_sign_vectors(card,
+    width)`` (the slots are interchangeable, so the first k stand for any)."""
+    return tuple(sorted({sv[:k] for sv in equi_sign_vectors(card, width)}))
 
 
 def zrud_functionals(
@@ -376,11 +371,10 @@ def zrud_functionals(
         for s in fam.fixed:
             visible = sorted(s & sup_set)
             level_slots.append((visible, len(s)))
-            pats = _restricted_sign_patterns(
-                len(visible), len(s) // 2, len(visible) == len(s), ctx.width)
+            pats = _restricted_sign_patterns(len(visible), len(s), ctx.width)
             options.append([(tuple(visible), sv) for sv in pats])
         tails = list(_subsets_upto([i for i in sup if i > fam.tail_min], fam.tail_card))
-        tpats = {k: _restricted_sign_patterns(k, fam.tail_card // 2, False, ctx.width)
+        tpats = {k: _restricted_sign_patterns(k, fam.tail_card, ctx.width)
                  for k in {len(t) for t in tails}}
         levels = prod(map(len, options))
         members = sum(1 + levels * len(tpats[len(t)]) for t in tails)
@@ -465,13 +459,13 @@ class MrContext:
 
 
 def _plus_range(k: int, card: int, width: int) -> tuple[int, int]:
-    """Least and most plus signs a decorated level of ``card`` slots allows
-    on its ``k`` visible slots, as ``_restricted_sign_patterns`` lists them."""
-    if k == card:
-        ok = [p for p in range(k + 1) if (2 * p - k) ** 2 <= width * width * k]
-        return ok[0], ok[-1]
-    half = card // 2
-    return max(0, k - half), min(k, half)
+    """Least and most plus signs that the sign vectors of a decorated set of
+    ``card`` slots put on ``k`` of its slots, the counts that
+    ``_restricted_sign_patterns`` lists.  The width rule allows P plus signs
+    when |2P - card| <= width * sqrt(card), a range symmetric about card/2,
+    so its most plus signs are also its most minus signs."""
+    most = max(p for p in range(card + 1) if (2 * p - card) ** 2 <= width * width * card)
+    return max(0, k - most), min(k, most)
 
 
 @dataclass(frozen=True)
@@ -491,6 +485,7 @@ class _Layout:
     peaks: dict[int, int]  # largest numerator per core, the coordinates' included
     fixed: np.ndarray  # (F, m, 1) int8: 1 on the entries of the fixed sets
     tail_card: np.ndarray  # (F, 1, 1)
+    tail_signs: np.ndarray  # (F, 1, 1) most entries of one sign a decorated tail takes
     group: np.ndarray  # (F,) each family's row of ``avail``
     avail: np.ndarray  # (G, m, 1) entries a free tail may take
     level_family: np.ndarray  # (L,)
@@ -537,6 +532,7 @@ def _layout(ctx: MrContext, support: tuple[int, ...], decorated: bool) -> _Layou
         peaks=peaks,
         fixed=fixed,
         tail_card=col([fam.tail_card for fam in fams]),
+        tail_signs=col([_plus_range(f.tail_card, f.tail_card, ctx.width)[1] for f in fams]),
         group=np.array([groups[fam.tail_min] for fam in fams], dtype=np.intp),
         avail=np.array([sup > t for t in groups], dtype=bool).reshape(len(groups), len(sup), 1),
         level_family=np.array([lv[0] for lv in levels], dtype=np.intp),
@@ -562,7 +558,10 @@ def _family_rows(lay: _Layout, signs: np.ndarray, order: np.ndarray) -> np.ndarr
     closed under a global sign flip, so this is its supremum): on each
     fixed level the p largest entries take plus signs, p the count of
     positive entries clamped to the level's allowed range, and the tail
-    takes up to ``tail_card // 2`` entries of each sign.
+    takes the largest entries, each with its own sign, greedily in
+    magnitude order under three caps: at most ``tail_signs`` plus signs,
+    as many minus signs and ``tail_card`` entries.  These caps form a
+    laminar matroid, so the greedy choice is optimal.
     """
     pos, neg = signs > 0, signs < 0
     g = len(lay.avail)
@@ -579,8 +578,12 @@ def _family_rows(lay: _Layout, signs: np.ndarray, order: np.ndarray) -> np.ndarr
     cp, cn = counts[:g][lay.group], counts[g:2 * g][lay.group]
     rows = [lay.fixed + (tp & (cp <= lay.tail_card)), lay.fixed + (tn & (cn <= lay.tail_card))]
     if lay.decorated:
-        half = lay.tail_card // 2
-        dec = (tp & (cp <= half)).astype(np.int8) - (tn & (cn <= half))
+        # an entry is taken while its sign's cap and the total cap hold
+        # after it: cp (cn) at an entry counts the positive (negative) tail
+        # entries up to it in magnitude order
+        cap = lay.tail_signs
+        fits = np.minimum(cp, cap) + np.minimum(cn, cap) <= lay.tail_card
+        dec = (tp & (cp <= cap) & fits).astype(np.int8) - (tn & (cn <= cap) & fits)
         nl = len(lay.inside)
         vp, vn = masks[2 * g:2 * g + nl], masks[2 * g + nl:]
         cvp, cvn = counts[2 * g:2 * g + nl], counts[2 * g + nl:]
@@ -799,7 +802,8 @@ def zrud_block_norm(ctx: MrContext, a_blocks: list) -> Scalar:
     family reduces to a slot-allocation problem across blocks; balanced
     decorations pair to zero against full blocks and only the capped tails
     contribute.  Cross-checked against the explicit family enumeration at
-    small scale in the tests.
+    small scale in the tests.  It assumes width 0 (``ctx.width``): balanced
+    decorations and tails capped at ``tail_card // 2`` entries of each sign.
     """
     n = len(a_blocks)
     blocks = ctx.canonical_blocks(n)

@@ -6,11 +6,12 @@ columns at once (``mult_batch`` exact over integers, ``mult_batch_float``
 for Monte-Carlo and float vectors).  An exact batch is integer arrays only;
 an engine or batch without one (``lp:P``, ``james_x:P`` and ``smax:P`` off
 their exact exponents, a renorm column past the enumeration cap) returns
-None and is evaluated in floats.  Exact batches other than the norming-set
-ones refuse radical-valued entries and scaled entries past 26 bits
-(``NoIntegerForm``).  The exact batch path and the scalar ``norm`` must
-agree; the test suite cross-checks them against independent brute-force
-oracles.
+None and is evaluated in floats.  Its arrays are int64 where a Python-int
+bound shows that no value can leave it and Python ints otherwise; values or
+denominators past the float range, and radical-valued entries outside the
+norming-set engines, are refused (``NoIntegerForm``).  The exact batch path
+and the scalar ``norm`` must agree; the test suite cross-checks them against
+independent brute-force oracles.
 
 Engines here: lp / linf, the summing norm and its dual, the chain-difference
 supremum norms (two conventions, plus the lp-accumulating generalisation),
@@ -30,15 +31,35 @@ import numpy as np
 
 from .batches import (_TIE_RTOL, ExactBatch, _peak, first_extreme,
                       float_group_means, int_dtype)
-from .coeffs import Coeffs, DomainError, NormingFunctional, pair
+from .coeffs import Coeffs, DomainError, NoIntegerForm, NormingFunctional, pair
 from .exactnum import QSum, Scalar, split_square
 
 
-def _int_mult_values(a: Coeffs, mult: np.ndarray, den: int) -> tuple[np.ndarray, int]:
-    """Exact (m, N) int64 value matrix and its common denominator."""
-    ints, d = a.int_values()
-    v = ints[:, None].astype(np.int64) * mult.astype(np.int64)
-    return v, d * den
+def _int_width(bound: int, den: int) -> type:
+    """:func:`int_dtype` of ``bound``, once it and the common denominator
+    ``den`` are checked against the float range: tie location reads float
+    approximations (``ExactBatch.float_values``, ``_normingset_reduce_exact``)."""
+    if max(bound, den) > 1 << 1000:
+        raise NoIntegerForm("values or their common denominator past 2^1000, "
+                            "the float range that exact tie location reads")
+    return int_dtype(bound)
+
+
+def _int_mult_values(a: Coeffs, mult: np.ndarray, den: int,
+                     gain: int = 1) -> tuple[np.ndarray, int]:
+    """Exact (m, N) integer matrix of ``diag(a) @ mult`` for rational ``a``
+    and its common denominator times ``den``.  With S the numerators'
+    magnitudes summed times the multipliers' peak, ``gain * (2S)^2`` bounds
+    every sum, difference and square a linear or root engine reduces, when
+    ``gain`` bounds the weight a reduction puts on its inputs (2^levels
+    dyadic atoms, a matrix's row sums); the matrix is int64 under that
+    bound and Python ints past it."""
+    cols, d = _class_columns(a)
+    ints = cols.pop(1, [])
+    if cols:
+        raise NoIntegerForm("radical-valued entry: no integer form")
+    dtype = _int_width(gain * (2 * sum(map(abs, ints)) * _peak(mult)) ** 2, d)
+    return np.array(ints, dtype=dtype)[:, None] * mult.astype(dtype), d * den
 
 
 def _float_values(a: Coeffs, mult: np.ndarray) -> np.ndarray:
@@ -107,7 +128,7 @@ class LpSpace(Space):
             return ExactBatch.from_rational(np.abs(v).sum(axis=0), scale)
         if self.p == inf:
             return ExactBatch.from_rational(np.abs(v).max(axis=0), scale)
-        return ExactBatch.from_roots((v.astype(np.int64) ** 2).sum(axis=0), scale)
+        return ExactBatch.from_roots((v**2).sum(axis=0), scale)
 
     def mult_batch_float(self, a, mult):
         v = _float_values(a, mult)
@@ -319,7 +340,7 @@ class BmoRademacherSpace(Space):
     def mult_batch(self, a, mult, den=1):
         v, scale = _int_mult_values(a, mult, den)
         pref = _prefix_maxabs(v)
-        rad = (v.astype(np.int64) ** 2).sum(axis=0)
+        rad = (v**2).sum(axis=0)
         return ExactBatch(scale=scale, classes={1: pref}, roots=rad, roots_scale=scale)
 
     def mult_batch_float(self, a, mult):
@@ -341,9 +362,9 @@ class SmaxSpace(Space):
             return None
         v, scale = _int_mult_values(a, mult, den)
         s = _tail_maxabs(v)
-        rad = (v.astype(np.int64) ** 2).sum(axis=0)
+        rad = (v**2).sum(axis=0)
         # per column the max is the summing branch iff s^2 >= rad
-        use_s = s.astype(np.int64) ** 2 >= rad
+        use_s = s**2 >= rad
         return ExactBatch(
             scale=scale,
             classes={1: np.where(use_s, s, 0)},
@@ -402,11 +423,14 @@ def functional_class_matrices(
 
 def _class_columns(a: Coeffs) -> tuple[dict[int, list[int]], int]:
     """Entries of ``a`` split by square-free class: per class, integer
-    numerators over one common denominator, in the order of first use."""
-    cols: dict[int, list[Fraction]] = {}
+    numerators over one common denominator, in the order of first use.
+    Float entries raise :class:`NoIntegerForm`."""
+    cols: dict[int, list[int | Fraction]] = {}
     for k, (_, w) in enumerate(a.entries):
-        for core, q in (w.terms if isinstance(w, QSum) else {1: Fraction(w)}).items():
-            cols.setdefault(core, [Fraction(0)] * len(a))[k] = q
+        if isinstance(w, float):
+            raise NoIntegerForm("exact path requires rational coefficients")
+        for core, q in (w.terms.items() if isinstance(w, QSum) else ((1, w),)):
+            cols.setdefault(core, [0] * len(a))[k] = q
     den = lcm(*(q.denominator for col in cols.values() for q in col))
     return {c: [q.numerator * (den // q.denominator) for q in col]
             for c, col in cols.items()}, den
@@ -418,7 +442,8 @@ def _class_values(a: Coeffs, mult: np.ndarray,
     classes, as integer numerators over the entries' common denominator,
     with that denominator and their dtype: int64 when a Python-int bound
     shows that no pairing sum with functional weights up to ``peaks[c]``
-    (per functional class c) can leave it, Python ints otherwise."""
+    (per functional class c) can leave it, Python ints otherwise
+    (:func:`_int_width`, which also refuses values past the float range)."""
     vcols, vden = _class_columns(a)
     # a bound on every partial pairing sum and, its factors being at
     # least 1, on every weight, numerator and multiplier
@@ -427,7 +452,7 @@ def _class_values(a: Coeffs, mult: np.ndarray,
         max(peak, 1) * split_square(fc * vc)[0] * reach * sum(map(abs, col))
         for fc, peak in peaks.items() for vc, col in vcols.items()
     )
-    dtype = int_dtype(bound)
+    dtype = _int_width(bound, vden)
     mult = mult.astype(dtype)
     return ({vc: np.array(col, dtype=dtype)[:, None] * mult for vc, col in vcols.items()},
             vden, dtype)
@@ -702,7 +727,7 @@ class RenormSpace(Space):
         for core in dict.fromkeys([*base_classes, *inner_nums]):
             arr, nums = base_classes.get(core), inner_nums.get(core, [0])
             peak = _peak(arr) * mul if arr is not None else 0
-            dtype = int_dtype(peak + max(map(abs, nums)))
+            dtype = _int_width(peak + max(map(abs, nums)), scale)
             col = arr.astype(dtype) * mul if arr is not None else np.zeros(len(which), dtype)
             if core in inner_nums:
                 col = col + np.array(nums, dtype=dtype)[which]
@@ -710,7 +735,8 @@ class RenormSpace(Space):
         if base.roots is None:
             return ExactBatch.from_classes(classes, scale)
         # delta * sqrt(R) / rs = sqrt(R * p^2) / (rs * q)
-        roots = base.roots.astype(int_dtype(_peak(base.roots) * p * p)) * (p * p)
+        roots = base.roots.astype(
+            _int_width(_peak(base.roots) * p * p, base.roots_scale * q)) * (p * p)
         return ExactBatch(scale=scale, classes=classes or None,
                           roots=roots, roots_scale=base.roots_scale * q)
 

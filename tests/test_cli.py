@@ -158,15 +158,26 @@ def test_malformed_env_seed_is_domain_error(capsys, monkeypatch):
     assert code == 2 and "'seed'" in err and "'zz'" in err
 
 
-def test_norm_refuses_wrapping_denominators(capsys):
-    """The common denominator 2^64 - 1 of these entries does not fit the
-    exact integer path: the norm refuses instead of printing 0."""
-    code, out, err = run(capsys, "norm", "--space", "lp:1",
-                         "--coeffs", "1/4294967297,1/4294967295")
-    assert code == 2 and out == "" and "26 bits" in err
-    code, out, _ = run(capsys, "norm", "--space", "norming_set",
-                       "--coeffs", "1/4294967297,1/4294967295")
-    assert code == 0 and out.strip() == "8589934592/18446744073709551615"
+def test_norm_takes_denominators_past_int64(capsys):
+    """The common denominator 2^64 - 1 of these entries does not fit int64:
+    every exact engine computes over Python ints instead of wrapping."""
+    for spec in ("lp:1", "norming_set"):
+        code, out, _ = run(capsys, "norm", "--space", spec,
+                           "--coeffs", "1/4294967297,1/4294967295")
+        assert code == 0 and out.strip() == "8589934592/18446744073709551615"
+    code, out, _ = run(capsys, "expect", "--space", "lp:1",
+                       "--coeffs", "1/18446744073709551619,1/3")
+    assert code == 0 and json.loads(out)["method"] == "exact"
+
+
+@pytest.mark.parametrize("spec", ["norming_set", "zmr", "lp:2", "renorm:summing:1"])
+@pytest.mark.parametrize("command", ["norm", "expect"])
+def test_past_the_float_range_is_domain_error(capsys, spec, command):
+    """A common denominator past the float range that tie location reads
+    exits 2 with the named refusal, not an OverflowError traceback."""
+    code, out, err = run(capsys, command, "--space", spec, "--coeffs", f"1/{3**700},1,2")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "float range" in err
 
 
 @pytest.mark.parametrize("spec", [

@@ -18,6 +18,7 @@ from rudlab.coeffs import (
 )
 from rudlab.exactnum import QSum, SQRT2
 from rudlab.rng import sign_matrix, sign_vector
+from rudlab.spaces import _int_mult_values
 
 
 def test_apply_signs_examples():
@@ -114,36 +115,39 @@ def test_counter_rng_chunk_invariance():
 
 
 def test_int_values_magnitude_guard():
-    big = Coeffs.from_values([1 << 30])
-    with pytest.raises(DomainError, match="26 bits"):
-        big.int_values()
+    """Integer values take int64 while the width bound fits and Python ints
+    past it; only the float range that tie location reads bounds them."""
+    ones = np.ones((2, 1), dtype=np.int8)
+    v, den = _int_mult_values(Coeffs.from_values([F(3, 2), -7]), ones, 1)
+    assert v.dtype == np.int64 and v[:, 0].tolist() == [3, -14] and den == 2
     # denominators count toward the scaled magnitude
-    mixed = Coeffs.from_values([F(1, 1 << 20), F(1 << 10)])
-    with pytest.raises(DomainError):
-        mixed.int_values()
-    ok = Coeffs.from_values([F(3, 2), -7])
-    ints, den = ok.int_values()
-    assert ints.tolist() == [3, -14] and den == 2
+    v, den = _int_mult_values(Coeffs.from_values([F(1, 1 << 40), F(1 << 10)]), ones, 1)
+    assert v.dtype == object and v[:, 0].tolist() == [1, 1 << 50] and den == 1 << 40
+    with pytest.raises(NoIntegerForm, match="float range"):
+        _int_mult_values(Coeffs.from_values([1 << 500]), ones[:1], 1)
+    with pytest.raises(NoIntegerForm, match="float range"):
+        _int_mult_values(Coeffs.from_values([F(1, 3**700)]), ones[:1], 1)
 
 
 def test_int_values_no_integer_form():
-    """Float or radical entries and magnitudes beyond the cap raise the
-    named no-integer-form signal (a DomainError: the CLI exits with 2)."""
+    """Float or radical entries raise the named no-integer-form signal (a
+    DomainError: the CLI exits with 2)."""
+    one = np.ones((2, 1), dtype=np.int8)
     with pytest.raises(NoIntegerForm, match="radical"):
-        Coeffs.from_values([1, SQRT2]).int_values()
+        _int_mult_values(Coeffs.from_values([1, SQRT2]), one, 1)
     with pytest.raises(NoIntegerForm, match="rational"):
-        Coeffs.from_values([1, 0.5]).int_values()
-    with pytest.raises(NoIntegerForm, match="26 bits"):
-        Coeffs.from_values([1 << 30]).int_values()
-    assert Coeffs.from_values([QSum.of(F(5, 2))]).int_values()[0].tolist() == [5]
+        _int_mult_values(Coeffs.from_values([1, 0.5]), one, 1)
+    v, den = _int_mult_values(Coeffs.from_values([QSum.of(F(5, 2))]), one[:1], 1)
+    assert v[:, 0].tolist() == [5] and den == 2
 
 
 def test_int_values_common_denominator_never_wraps():
     """The common denominator is a Python int: a product of denominators
-    beyond 64 bits refuses instead of wrapping, and one large denominator
-    normalises exactly."""
-    with pytest.raises(NoIntegerForm, match="26 bits"):
-        Coeffs.from_values([F(1, 4294967297), F(1, 4294967295)]).int_values()
-    ints, den = Coeffs.from_values([F(1, 18446744073709551619)]).int_values()
-    assert ints.tolist() == [1] and den == 18446744073709551619
+    beyond 64 bits gives exact Python-int values instead of wrapping, and
+    one large denominator normalises exactly."""
+    one = np.ones((2, 1), dtype=np.int8)
+    v, den = _int_mult_values(Coeffs.from_values([F(1, 4294967297), F(1, 4294967295)]), one, 1)
+    assert den == 4294967297 * 4294967295 and v[:, 0].tolist() == [4294967295, 4294967297]
+    v, den = _int_mult_values(Coeffs.from_values([F(1, 18446744073709551619)]), one[:1], 1)
+    assert v[:, 0].tolist() == [1] and den == 18446744073709551619
     assert isinstance(den, int)

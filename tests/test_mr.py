@@ -206,12 +206,16 @@ _ENTRY = st.builds(
          values=[F(1), F(-2), F(3, 2), F(-1, 2), 2 * sqrt_exact(2)], big=[2] * 15)
 @example(width=1, name="zrud", full=(0, 1), extra={3},
          values=[F(1), F(-3), F(2), F(1), F(1)], big=[-3, 1, 2] * 5)
+@example(width=1, name="zrud", full=(2, 3, 4, 5), extra={7},
+         values=[F(1), F(-1), F(1), F(-1), F(1)], big=[2, -1, 0] * 5)
 def test_coding_batches_match_norm_slow(width, name, full, extra, values, big):
     """Every sign and mask column of a zmr or zrud batch, and a batch with
-    multipliers up to 3 in magnitude, equals norm_slow's supremum over the
-    family enumerated on the batch's support, paired with the column's
-    vector, for rational and radical entries, widths 0 and 1, and fully and
-    partly visible levels."""
+    multipliers up to 3 in magnitude, equals the supremum of the enumerated
+    family over the column's vector, for rational and radical entries,
+    widths 0 and 1, and fully and partly visible levels: ``norm_slow`` of
+    that vector, over the family of its own support, when the column has a
+    zero (every mask column but the full one), and the family of the
+    batch's support otherwise."""
     ctx = _CTX_BY_WIDTH[width]
     space = getattr(ctx, name)
     support = sorted(set(full) | extra) or [7]
@@ -230,11 +234,27 @@ def test_coding_batches_match_norm_slow(width, name, full, extra, values, big):
             key = tuple(x if lead > 0 else -x for x in c)
             if key not in slow:
                 col = Coeffs.from_pairs((i, v * x) for (i, v), x in zip(a.entries, key))
-                slow[key] = max((abs(QSum.of(pair(phi, col))) for phi in family),
-                                default=QSum())
+                slow[key] = (
+                    QSum.of(space.norm_slow(col)) if 0 in key and col
+                    else max((abs(QSum.of(pair(phi, col))) for phi in family),
+                             default=QSum()))
             want = slow[key]
             assert QSum.of(batch.value(j)) == want, (c, batch.value(j), want)
             assert floats[j] == pytest.approx(float(want), rel=1e-12, abs=1e-12)
+
+
+def test_zrud_mask_column_matches_masked_norm_at_width_1():
+    """A mask column that zeroes an entry of a fully seen level set is the
+    norm of the masked vector: a partly seen level allows the plus counts of
+    the restrictions of its width-rule sign vectors, not the half-caps."""
+    ctx = _CTX_BY_WIDTH[1]
+    a = Coeffs.from_pairs([(0, 3), (2, -1), (3, -2), (4, 1), (5, -1)])
+    mask = np.array([[1], [1], [1], [0], [1]], dtype=np.int8)
+    masked = Coeffs.from_pairs([(0, 3), (2, -1), (3, -2), (5, -1)])
+    want = QSum.of(ctx.zrud.norm_slow(masked))
+    assert want == QSum.of(2) + QSum.of(F(3, 2)) * sqrt_exact(2)
+    assert QSum.of(ctx.zrud.mult_batch(a, mask, 1).value(0)) == want
+    assert QSum.of(ctx.zrud.norm(masked)) == want
 
 
 def test_zrud_on_the_block_support_matches_block_norm(ctx):

@@ -253,8 +253,8 @@ def test_half_enumeration_scalar_fallback(monkeypatch):
 
 
 def test_scalar_fallback_beyond_the_coefficient_cap():
-    """Entries beyond the 26-bit cap: a norming-set engine still returns an
-    integer batch, and it stays exact."""
+    """Entries past 26 bits, the cap the other engines once had: a
+    norming-set engine returns an integer batch, and it stays exact."""
     from rudlab.coeffs import apply_signs, enumerate_sign_patterns
     from rudlab.config import RunConfig, SpaceFactory
 

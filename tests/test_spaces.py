@@ -400,3 +400,107 @@ def test_renorm_monte_carlo_fallback():
     assert isinstance(v, float) and lo < hi
     assert lo <= v <= hi
     assert space.norm(big) == v
+
+
+# ---------------------------------------------------------------------------
+# integer width: int64 under the bound, Python ints past it
+# ---------------------------------------------------------------------------
+
+_WIDE_SPECS = [
+    "lp:1", "lp:2", "linf", "summing", "summing_dual", "james:chain", "james:pairs",
+    "james_x:1", "james_x:2", "bmo", "walsh", "haar", "smax:2", "bd", "renorm:summing:1",
+]
+_D64 = (1 << 64) + 3
+_WIDE_ENTRY = st.one_of(
+    st.integers(-3, 3).filter(bool).map(lambda k: k << 26),  # at the old 26-bit cap
+    st.builds(lambda x, s: s * x, st.integers((1 << 31) + 1, 1 << 40), st.sampled_from([1, -1])),
+    st.integers(-7, 7).filter(bool).map(lambda k: F(k, _D64)),
+    st.sampled_from([1, -2, F(1, 3)]),
+)
+#: closed forms of the column vector x, a list of Fractions
+_WIDE_ORACLES = {
+    "lp:1": lambda x: sum(map(abs, x)),
+    "linf": lambda x: max(map(abs, x)),
+    "summing": lambda x: max(abs(sum(x[k:])) for k in range(len(x))),
+}
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    spec=st.sampled_from(_WIDE_SPECS),
+    picks=st.lists(st.integers(0, 40), min_size=1, max_size=5, unique=True),
+    values=st.lists(_WIDE_ENTRY, min_size=5, max_size=5),
+)
+@example(spec="lp:2", picks=[0, 1, 2], values=[(1 << 40) - 1, -(1 << 26), F(5, _D64), 1, 1])
+def test_exact_batches_past_the_old_cap(spec, picks, values):
+    """Entries at 2^26, past 2^31 and over the denominator 2^64 + 3: every
+    sign and mask column of an integer engine's exact batch matches its
+    float batch, and the closed forms of lp:1, linf, lp:2 and summing."""
+    space = SpaceFactory.shared(RunConfig()).space(spec)
+    universe = space.sweep_indices or tuple(range(48))
+    a = Coeffs.from_pairs((universe[k], v) for k, v in zip(picks, values))
+    m = len(a)
+    for mult in (sign_matrix_range(m, 0, 1 << m), mask_matrix_range(m, 0, 1 << m)):
+        batch = space.mult_batch(a, mult, 1)
+        floats = space.mult_batch_float(a, mult.astype(np.float64))
+        for j in range(mult.shape[1]):
+            got = QSum.of(batch.value(j))
+            assert float(got) == pytest.approx(floats[j], rel=1e-12), (spec, j)
+            x = [F(v) * int(c) for (_, v), c in zip(a.entries, mult[:, j])]
+            if spec in _WIDE_ORACLES:
+                assert got == _WIDE_ORACLES[spec](x), (spec, j)
+            elif spec == "lp:2":
+                assert got * got == sum(v * v for v in x), (spec, j)
+
+
+def test_wide_walk_is_chunk_invariant():
+    """A 16-entry vector past 2^31 walks four chunks of Python-int batches;
+    their folded mean and maximum equal those of one batch of all 2^15
+    patterns whose top bit is clear."""
+    from rudlab.rademacher import FoldedStats, _CHUNK, sign_stats
+
+    a = Coeffs.from_values([((1 << 33) + 7 * k) * (-1) ** (k // 3) for k in range(16)])
+    assert (1 << 15) == 4 * _CHUNK
+    for spec in ("summing", "lp:2"):
+        space = SpaceFactory.shared(RunConfig()).space(spec)
+        stats = sign_stats(space, a)
+        assert isinstance(stats, FoldedStats) and stats.scalars is None
+        whole = space.mult_batch(a, sign_matrix_range(16, 0, 1 << 15), 1)
+        arr = whole.roots if whole.roots is not None else whole.classes[1]
+        assert arr.dtype == object
+        assert stats.mean() == whole.mean() and stats.max() == whole.max()
+
+
+@pytest.mark.parametrize("spec", _WIDE_SPECS)
+def test_sweep_vectors_take_int64_batches(spec):
+    """The sweep's default vectors stay on int64 batches on every integer
+    engine: the width rule moves only wider vectors to Python ints."""
+    from rudlab.experiments import _vectors, derive_seed
+
+    cfg = RunConfig()
+    space = SpaceFactory.shared(cfg).space(spec)
+    for a in _vectors(space, derive_seed(cfg.seed, len(spec), sum(map(ord, spec))), 40):
+        m = len(a)
+        batch = space.mult_batch(a, sign_matrix_range(m, 0, 1 << (m - 1)), 1)
+        arrays = [*(batch.classes or {}).values()]
+        if batch.roots is not None:
+            arrays.append(batch.roots)
+        assert all(arr.dtype == np.int64 for arr in arrays), (spec, a)
+
+
+@pytest.mark.parametrize("spec", ["lp:1", "lp:2", "summing", "james:chain", "bmo",
+                                  "walsh", "bd", "smax:2"])
+def test_sign_means_over_a_denominator_past_int64(spec):
+    """The sign mean of [1/(2^64+3), 1/3, 1] is exact on every integer
+    engine; a radical entry still has no integer form there."""
+    from rudlab.coeffs import NoIntegerForm
+    from rudlab.rademacher import sign_stats
+
+    space = SpaceFactory.shared(RunConfig()).space(spec)
+    a = Coeffs.from_values([F(1, _D64), F(1, 3), 1])
+    mean = sign_stats(space, a).mean()
+    assert isinstance(mean, (F, QSum))
+    floats = space.mult_batch_float(a, sign_matrix_range(3, 0, 4).astype(np.float64))
+    assert float(mean) == pytest.approx(floats.mean(), rel=1e-12)
+    with pytest.raises(NoIntegerForm, match="radical"):
+        sign_stats(space, Coeffs.from_values([SQRT2, 1, F(1, 3)]))

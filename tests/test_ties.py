@@ -193,7 +193,7 @@ def test_sweep_qsum_sign_count(spec, monkeypatch):
 
 def test_radical_path_matches_norm_slow():
     """Vectors that ``NormingSetSpace.mult_batch`` pairs in Python ints
-    (entries beyond the 26-bit cap, radical-valued entries) agree with the
+    (entries near 2^62, radical-valued entries) agree with the
     pairing oracle.  With int64 pairings, norm([2^62]*3) on norming_set
     wrapped to 2^62*sqrt(2) instead of 3*2^62."""
     fac = SpaceFactory(RunConfig())
