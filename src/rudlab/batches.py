@@ -12,8 +12,10 @@ patterns produces values of a very constrained shape:
 
 Every exact batch is these integer arrays, int64 where a Python-int bound
 shows that no entry can leave it (:func:`int_dtype`) and Python ints
-otherwise.  The one other kind, ``scalars``, holds the floats of a float
-chunk: a vector with float entries, or an engine without an exact batch.
+otherwise; a batch refuses to hold a value or scale past 2^1000, the float
+range its float approximations read (:func:`check_float_range`).  The one
+other kind, ``scalars``, holds the floats of a float chunk: a vector with
+float entries, or an engine without an exact batch.
 
 The min/max/mean/second-moment reductions stay exact throughout.  Every
 near-tie in rudlab is settled by :func:`first_extreme`: a float pass locates
@@ -33,6 +35,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .coeffs import NoIntegerForm
 from .exactnum import QSum, Scalar, split_square
 
 _TIE_RTOL = 1e-9
@@ -52,6 +55,14 @@ def int_dtype(bound: int) -> type:
     """int64 when ``bound``, a Python int, bounds every magnitude an integer
     array will hold; Python-int object arrays otherwise."""
     return np.int64 if bound <= _INT64_MAX else object
+
+
+def check_float_range(magnitude: int) -> None:
+    """Refuse a value or denominator past 2^1000 (:class:`NoIntegerForm`):
+    exact tie location reads float approximations of the integers."""
+    if magnitude > 1 << 1000:
+        raise NoIntegerForm("values or their common denominator past 2^1000, "
+                            "the float range that exact tie location reads")
 
 
 def float_group_means(values: Sequence[float], starts: Sequence[int],
@@ -115,6 +126,12 @@ class ExactBatch:
     roots_scale: int | None = None
     scalars: list[float] | None = None
     _floats: np.ndarray | None = field(default=None, repr=False)
+
+    def __post_init__(self):
+        # int64 arrays are inside the float range; Python-int ones are checked
+        arrays = [*(self.classes or {}).values(), *(() if self.roots is None else (self.roots,))]
+        check_float_range(max(self.scale, self.roots_scale or 1,
+                              *(_peak(arr) for arr in arrays if arr.dtype == object)))
 
     # -- constructors -------------------------------------------------------
 

@@ -92,10 +92,15 @@ class Coeffs:
         return all(is_exact(v) for _, v in self.entries)
 
     def values_float(self) -> np.ndarray:
+        """The entries as floats; an entry past the float range, or one so
+        small that its float is 0.0, is refused (no entry is zero)."""
         try:
-            return np.array([float(v) for _, v in self.entries], dtype=np.float64)
+            out = np.array([float(v) for _, v in self.entries], dtype=np.float64)
         except OverflowError:
             raise DomainError("an entry past the float range has no float value") from None
+        if not out.all():
+            raise DomainError("an entry below the float range underflows to 0.0")
+        return out
 
     # -- algebra ------------------------------------------------------------
 

@@ -7,7 +7,7 @@ together with the seed that makes reports reproducible bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from math import inf
 
@@ -48,30 +48,10 @@ class RunConfig:
     bd_cap: int = 200
     bd_seed: int = 0
 
-    _KEYMAP = {
-        "arithmetic": "arithmetic",
-        "cap": "cap",
-        "samples": "samples",
-        "confidence": "confidence",
-        "seed": "seed",
-        "format": "format",
-        "plot": "plot",
-        "threads": "threads",
-        "mr.levels": "mr_levels",
-        "mr.universe": "mr_universe",
-        "mr.max_n": "mr_max_n",
-        "mr.width": "mr_width",
-        "bd.lambda": "bd_lambda",
-        "bd.b": "bd_b",
-        "bd.levels": "bd_levels",
-        "bd.cap": "bd_cap",
-        "bd.seed": "bd_seed",
-    }
-
     def with_overrides(self, pairs: dict[str, str]) -> "RunConfig":
         updates = {}
         for key, raw in pairs.items():
-            attr = self._KEYMAP.get(key)
+            attr = _KEYS.get(key)
             if attr is None:
                 raise DomainError(f"unknown config key {key!r}")
             updates[attr] = _parse_value(key, attr, raw)
@@ -79,7 +59,7 @@ class RunConfig:
 
     def to_dict(self) -> dict:
         out = {}
-        for key, attr in self._KEYMAP.items():
+        for key, attr in _KEYS.items():
             v = getattr(self, attr)
             if isinstance(v, Fraction):
                 v = str(v)
@@ -89,11 +69,23 @@ class RunConfig:
         return out
 
 
+#: config key -> RunConfig attribute, in field order: the first "_" of an
+#: attribute is the "." of its key (``mr_levels`` is ``mr.levels``)
+_KEYS = {f.name.replace("_", ".", 1): f.name for f in fields(RunConfig)}
+
 #: the values a string-valued key accepts
 _CHOICES = {
     "arithmetic": ("exact", "float"),
     "format": ("json", "csv"),
     "plot": ("none", "svg"),
+}
+
+#: parsers of the other keys, by the type of their default
+_PARSERS = {
+    int: lambda raw: int(raw, 0),
+    float: float,
+    Fraction: Fraction,
+    tuple: lambda raw: tuple(int(x) for x in raw.split(",")),
 }
 
 
@@ -108,18 +100,9 @@ def _parse_value(key: str, attr: str, raw: str):
             )
         return raw
     try:
-        if attr in ("cap", "samples", "seed", "threads", "mr_universe", "mr_max_n",
-                    "mr_width", "bd_levels", "bd_cap", "bd_seed"):
-            return int(raw, 0)
-        if attr == "confidence":
-            return float(raw)
-        if attr == "mr_levels":
-            return tuple(int(x) for x in raw.split(","))
-        if attr in ("bd_lambda", "bd_b"):
-            return Fraction(raw)
+        return _PARSERS[type(getattr(RunConfig, attr))](raw)
     except (ValueError, ZeroDivisionError) as exc:
         raise DomainError(f"bad value {raw!r} for config key {key!r}") from exc
-    raise DomainError(f"unknown config attribute {attr!r}")
 
 
 def load_config_file(path: str) -> dict[str, str]:

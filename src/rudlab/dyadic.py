@@ -46,14 +46,11 @@ class WalshL1Space(Space):
     sweep_indices = tuple(range(64))
     sweep_max_m = 10
 
-    def __init__(self, grid_cap: int = DEFAULT_GRID_CAP):
-        self.grid_cap = grid_cap
-
     def _levels(self, support: tuple[int, ...]) -> int:
         k = max((int(i).bit_length() for i in support), default=0)
-        if k > self.grid_cap:
+        if k > DEFAULT_GRID_CAP:
             raise DomainError(
-                f"finest sign-function index {k} exceeds the grid cap {self.grid_cap}"
+                f"finest sign-function index {k} exceeds the grid cap {DEFAULT_GRID_CAP}"
             )
         return k
 
@@ -104,17 +101,14 @@ class HaarL1Space(Space):
     sweep_indices = tuple(range(1, 256))
     sweep_max_m = 10
 
-    def __init__(self, grid_cap: int = DEFAULT_GRID_CAP):
-        self.grid_cap = grid_cap
-
     def _levels(self, support: tuple[int, ...]) -> int:
         deepest = 0
         for j in support:
             if j >= 2:
                 deepest = max(deepest, haar_level(j)[0] + 1)
-        if deepest > self.grid_cap:
+        if deepest > DEFAULT_GRID_CAP:
             raise DomainError(
-                f"finest dyadic level {deepest} exceeds the grid cap {self.grid_cap}"
+                f"finest dyadic level {deepest} exceeds the grid cap {DEFAULT_GRID_CAP}"
             )
         return deepest
 

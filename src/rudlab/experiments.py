@@ -22,7 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .coeffs import Coeffs, DomainError
+from .coeffs import Coeffs, DomainError, sign_matrix_range
 from .config import RunConfig, SpaceFactory
 from .exactnum import QSum, Scalar, le_times_square, scalar_repr, sqrt_exact
 from .rademacher import expect_mc, sign_stats, subset_stats
@@ -810,8 +810,7 @@ def exp_haar_blocks(cfg: RunConfig) -> Report:
             continue
         # block-level signs: one epsilon per block, copied to its rows
         nb = len(block_rows)
-        masks = np.arange(1 << nb, dtype=np.uint32)
-        bsigns = 1 - 2 * ((masks[None, :] >> np.arange(nb, dtype=np.uint32)[:, None]) & 1)
+        bsigns = sign_matrix_range(nb, 0, 1 << nb)
         order = {idx: slot for slot, (idx, _) in enumerate(combo.entries)}
         mult = np.zeros((len(combo), 1 << nb), dtype=np.int8)
         for k, rows in enumerate(block_rows):

@@ -43,7 +43,7 @@ import numpy as np
 from .batches import _peak
 from .coeffs import Coeffs, DomainError, NormingFunctional
 from .exactnum import QSum, Scalar, split_square, sqrt_exact
-from .spaces import (_CACHE_LIMIT, NormingSetSpace, RenormSpace, Space,
+from .spaces import (_CACHE_LIMIT, NormingSetSpace, RenormSpace,
                      _class_values, _normingset_reduce_exact)
 
 DEFAULT_LEVELS = (2, 4, 8)
@@ -177,13 +177,6 @@ class SigmaCoder:
         """Position of sigma(s) in the level sequence, or None off-domain."""
         return self._index.get(frozenset(s))
 
-    def sigma_in_prefix(self, s: frozenset[int]) -> int | None:
-        """sigma(s) when it lands inside the declared prefix, else None."""
-        k = self._index.get(frozenset(s))
-        if k is None or k >= len(self.levels.prefix):
-            return None
-        return self.levels.prefix[k]
-
     def sigma_capped(self, s: frozenset[int], cap: int) -> int | None:
         """sigma(s) when it is <= cap, else None (avoids huge virtual values)."""
         k = self._index.get(frozenset(s))
@@ -206,7 +199,6 @@ class AdmissibleTuple:
     """Successive sets s_1 < ... < s_n with sigma-forced cardinalities."""
 
     sets: tuple[frozenset[int], ...]
-    flavor: str = "B0"  # B0: undecorated family; B: decorated variant
 
     def __post_init__(self):
         prev_max = -1
@@ -214,41 +206,6 @@ class AdmissibleTuple:
             if min(s) <= prev_max:
                 raise DomainError("tuple sets must be successive")
             prev_max = max(s)
-
-
-def enumerate_tuples(
-    support: tuple[int, ...],
-    coder: SigmaCoder,
-    levels: LevelSequence,
-    max_n: int = DEFAULT_MAX_N,
-    flavor: str = "B0",
-) -> list[AdmissibleTuple]:
-    """All admissible tuples with every set contained in the support."""
-    sup = sorted(set(support))
-    out: list[AdmissibleTuple] = []
-    if max_n <= 0:
-        return out
-
-    def extend(prefix: list[frozenset[int]], union: frozenset[int], min_next: int):
-        if prefix:
-            out.append(AdmissibleTuple(tuple(prefix), flavor))
-        if len(prefix) == max_n:
-            return
-        if prefix:
-            nxt = coder.sigma_in_prefix(union) if coder.in_domain(union) else None
-            cards = [] if nxt is None else [nxt]
-        else:
-            cards = list(levels.prefix)
-        avail = [i for i in sup if i > min_next]
-        for card in cards:
-            if card > len(avail) or (prefix and card <= len(prefix[-1])):
-                continue
-            for combo in itertools.combinations(avail, card):
-                s = frozenset(combo)
-                extend(prefix + [s], union | s, max(combo))
-
-    extend([], frozenset(), -1)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -778,7 +735,8 @@ def mr_witness(
 
 def _greedy_fill(block_units: list[tuple[Scalar, int]], budget: int) -> Scalar:
     """Largest sum of at most ``budget`` unit slots with positive values;
-    ``block_units`` holds (slot value, slot count) per block, exact."""
+    ``block_units`` holds (slot value, slot count) per block, exact.  Used
+    only by the :func:`zrud_block_norm` test oracle."""
     import functools
 
     def cmp(x, y):
@@ -796,7 +754,10 @@ def _greedy_fill(block_units: list[tuple[Scalar, int]], budget: int) -> Scalar:
 
 
 def zrud_block_norm(ctx: MrContext, a_blocks: list) -> Scalar:
-    """Exact divergence-side norm of sum_j a_j x_j over the canonical blocks.
+    """Exact divergence-side norm of sum_j a_j x_j over the canonical
+    blocks, in closed form: the test oracle for the zrud engine on the
+    block support, where the enumerated family is refused.  No production
+    path calls it; :func:`zrud_block_sandwich` takes the engine's norm.
 
     Entries are constant on each block, so the supremum over each tail
     family reduces to a slot-allocation problem across blocks; balanced
@@ -808,14 +769,12 @@ def zrud_block_norm(ctx: MrContext, a_blocks: list) -> Scalar:
     n = len(a_blocks)
     blocks = ctx.canonical_blocks(n)
     entry: dict[int, Scalar] = {}
-    block_of: dict[int, int] = {}
     values: list[Scalar] = []
-    for j, (a, s) in enumerate(zip(a_blocks, blocks)):
+    for a, s in zip(a_blocks, blocks):
         e = _weight(len(s)) * Fraction(a)
         values.append(e)
         for i in s:
             entry[i] = e
-            block_of[i] = j
     cands: list[Scalar] = [abs(QSum.of(e)) for e in values]  # coordinate functionals
     for fam in ctx.families:
         a_fixed = QSum()
@@ -846,8 +805,11 @@ def zrud_block_norm(ctx: MrContext, a_blocks: list) -> Scalar:
 
 
 def zrud_block_sandwich(ctx: MrContext, a_blocks: list) -> tuple[Scalar, Scalar, Scalar]:
-    """(sup of partial sums, exact norm, upper constant) for sum a_j x_j."""
-    norm = zrud_block_norm(ctx, a_blocks)
+    """(sup of partial sums, exact norm, upper constant) for sum a_j x_j,
+    the norm from the zrud engine (at any ``ctx.width``)."""
+    blocks = ctx.canonical_blocks(len(a_blocks))
+    norm = ctx.zrud.norm(Coeffs.from_pairs(
+        (i, _weight(len(s)) * Fraction(a)) for a, s in zip(a_blocks, blocks) for i in s))
     sup: Scalar = 0
     acc = Fraction(0)
     for a in a_blocks:
@@ -856,7 +818,3 @@ def zrud_block_sandwich(ctx: MrContext, a_blocks: list) -> tuple[Scalar, Scalar,
             sup = abs(acc)
     return sup, norm, 3 + 4 * ctx.levels.delta_hat
 
-
-def zrud_block(n: int, ctx: MrContext) -> Coeffs:
-    """The n-th normalized block vector x_n = (#s_n)^(-1/2) 1_{s_n}."""
-    return ctx.single_block(n)

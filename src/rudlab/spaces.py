@@ -1,17 +1,18 @@
 """Norm engines.
 
-Every engine maps a :class:`~rudlab.coeffs.Coeffs` to a scalar and, for the
-sign-average machinery, evaluates whole batches of entrywise multiplier
-columns at once (``mult_batch`` exact over integers, ``mult_batch_float``
-for Monte-Carlo and float vectors).  An exact batch is integer arrays only;
-an engine or batch without one (``lp:P``, ``james_x:P`` and ``smax:P`` off
-their exact exponents, a renorm column past the enumeration cap) returns
-None and is evaluated in floats.  Its arrays are int64 where a Python-int
-bound shows that no value can leave it and Python ints otherwise; values or
-denominators past the float range, and radical-valued entries outside the
-norming-set engines, are refused (``NoIntegerForm``).  The exact batch path
-and the scalar ``norm`` must agree; the test suite cross-checks them against
-independent brute-force oracles.
+Every engine evaluates whole batches of entrywise multiplier columns of a
+:class:`~rudlab.coeffs.Coeffs` at once (``mult_batch`` exact over
+integers, ``mult_batch_float`` for Monte-Carlo and float vectors), and its
+``norm`` is the one-column batch: exact where the batch has an exact form,
+float otherwise.  An exact batch is integer arrays only; an engine or
+batch without one (``lp:P``, ``james_x:P`` and ``smax:P`` off their exact
+exponents, a renorm column past the enumeration cap, whose sign average is
+the base engine's seeded Monte-Carlo mean) returns None and is evaluated
+in floats.  Its arrays are int64 where a Python-int bound shows that no
+value can leave it and Python ints otherwise; a value or denominator that a
+batch would hold past the float range, and radical-valued entries outside
+the norming-set engines, are refused (``NoIntegerForm``).  The test suite
+cross-checks the batches against independent brute-force oracles.
 
 Engines here: lp / linf, the summing norm and its dual, the chain-difference
 supremum norms (two conventions, plus the lp-accumulating generalisation),
@@ -29,20 +30,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .batches import (_TIE_RTOL, ExactBatch, _peak, first_extreme,
-                      float_group_means, int_dtype)
+from .batches import (_TIE_RTOL, ExactBatch, _peak, check_float_range,
+                      first_extreme, float_group_means, int_dtype)
 from .coeffs import Coeffs, DomainError, NoIntegerForm, NormingFunctional, pair
 from .exactnum import QSum, Scalar, split_square
-
-
-def _int_width(bound: int, den: int) -> type:
-    """:func:`int_dtype` of ``bound``, once it and the common denominator
-    ``den`` are checked against the float range: tie location reads float
-    approximations (``ExactBatch.float_values``, ``_normingset_reduce_exact``)."""
-    if max(bound, den) > 1 << 1000:
-        raise NoIntegerForm("values or their common denominator past 2^1000, "
-                            "the float range that exact tie location reads")
-    return int_dtype(bound)
+from .rng import DEFAULT_SEED
 
 
 def _int_mult_values(a: Coeffs, mult: np.ndarray, den: int,
@@ -53,12 +45,13 @@ def _int_mult_values(a: Coeffs, mult: np.ndarray, den: int,
     every sum, difference and square a linear or root engine reduces, when
     ``gain`` bounds the weight a reduction puts on its inputs (2^levels
     dyadic atoms, a matrix's row sums); the matrix is int64 under that
-    bound and Python ints past it."""
+    bound and Python ints past it.  The batch an engine builds from it
+    refuses what it would hold past the float range (:class:`ExactBatch`)."""
     cols, d = _class_columns(a)
     ints = cols.pop(1, [])
     if cols:
         raise NoIntegerForm("radical-valued entry: no integer form")
-    dtype = _int_width(gain * (2 * sum(map(abs, ints)) * _peak(mult)) ** 2, d)
+    dtype = int_dtype(gain * (2 * sum(map(abs, ints)) * _peak(mult)) ** 2)
     return np.array(ints, dtype=dtype)[:, None] * mult.astype(dtype), d * den
 
 
@@ -442,8 +435,9 @@ def _class_values(a: Coeffs, mult: np.ndarray,
     classes, as integer numerators over the entries' common denominator,
     with that denominator and their dtype: int64 when a Python-int bound
     shows that no pairing sum with functional weights up to ``peaks[c]``
-    (per functional class c) can leave it, Python ints otherwise
-    (:func:`_int_width`, which also refuses values past the float range)."""
+    (per functional class c) can leave it, Python ints otherwise.  A bound
+    or denominator past the float range is refused: the reduction's float
+    pass reads the pairings before any batch is built."""
     vcols, vden = _class_columns(a)
     # a bound on every partial pairing sum and, its factors being at
     # least 1, on every weight, numerator and multiplier
@@ -452,7 +446,8 @@ def _class_values(a: Coeffs, mult: np.ndarray,
         max(peak, 1) * split_square(fc * vc)[0] * reach * sum(map(abs, col))
         for fc, peak in peaks.items() for vc, col in vcols.items()
     )
-    dtype = _int_width(bound, vden)
+    check_float_range(max(bound, vden))
+    dtype = int_dtype(bound)
     mult = mult.astype(dtype)
     return ({vc: np.array(col, dtype=dtype)[:, None] * mult for vc, col in vcols.items()},
             vden, dtype)
@@ -602,14 +597,14 @@ class NormingSetSpace(Space):
 class RenormSpace(Space):
     """norm_delta(a) = E ||sum eps_i a_i x_i||_base + delta * ||a||_base.
 
-    While the support fits under the enumeration cap the sign average is
-    exact; beyond it a seeded Monte-Carlo estimate is used and
-    ``norm_with_bracket`` carries its confidence bracket (the plain norm
-    then returns the statistical point value as a float).
+    The norm is the one-column batch.  While a column's support fits under
+    the enumeration cap its sign average is exact and the batch is an
+    integer batch; a column past the cap takes the base engine's seeded
+    Monte-Carlo mean (``expect_mc``) and the batch is a float batch.
     """
 
     def __init__(self, base: Space, delta: Fraction, enum_cap: int = 20,
-                 mc_samples: int = 100_000, mc_seed: int | None = None):
+                 mc_samples: int = 100_000, mc_seed: int = DEFAULT_SEED):
         if delta <= 0:
             raise DomainError("renorm requires delta > 0")
         self.base = base
@@ -619,32 +614,6 @@ class RenormSpace(Space):
         self.mc_seed = mc_seed
         self.name = f"renorm:{base.name}:{delta}"
         self.sweep_max_m = 8
-
-    def _inner_estimate(self, a: Coeffs):
-        from .rademacher import expect_auto
-        from .rng import DEFAULT_SEED
-
-        return expect_auto(
-            self.base, a, cap=self.enum_cap,
-            samples=self.mc_samples,
-            seed=DEFAULT_SEED if self.mc_seed is None else self.mc_seed,
-        )
-
-    def norm_with_bracket(self, a: Coeffs):
-        """(value, (lower, upper)) with the sign-average bracket carried
-        through the affine combination."""
-        if not a:
-            return 0, (0, 0)
-        est = self._inner_estimate(a)
-        tail = self.delta * self.base.norm(a)
-        lo, hi = est.bracket
-        if est.method == "exact":
-            value = est.value + tail
-            return value, (value, value)
-        return est.value + float(tail), (lo + float(tail), hi + float(tail))
-
-    def norm(self, a: Coeffs) -> Scalar:
-        return self.norm_with_bracket(a)[0]
 
     def _inner_columns(self, a: Coeffs, mult: np.ndarray, means) -> tuple[list, np.ndarray]:
         """Inner sign averages of the columns' masked vectors: one per
@@ -661,8 +630,8 @@ class RenormSpace(Space):
         folds its chunks.  A masked full-support column is the norm of the
         masked vector, so this is the sign average of each masked vector.
         Past the cap, which only float batches reach, the masked vector
-        takes ``expect_auto``'s Monte-Carlo estimate."""
-        from .rademacher import _CHUNK
+        takes the base engine's Monte-Carlo mean (``expect_mc``)."""
+        from .rademacher import _CHUNK, expect_mc
 
         cols, which = np.unique(np.abs(mult), axis=1, return_inverse=True)
         inner: list = [0] * cols.shape[1]
@@ -670,9 +639,9 @@ class RenormSpace(Space):
         width = _CHUNK  # of the open slice; a full one makes the first piece open one
         for g, k in enumerate(np.count_nonzero(cols, axis=0).tolist()):
             if k > self.enum_cap:
-                inner[g] = self._inner_estimate(Coeffs.from_pairs(
+                inner[g] = expect_mc(self.base, Coeffs.from_pairs(
                     (i, float(v) * float(c)) for (i, v), c in zip(a.entries, cols[:, g])
-                )).value
+                ), self.mc_samples, self.mc_seed).value
                 continue
             total = (1 << k) >> 1
             for start in range(0, total, _CHUNK):  # the chunks of the group's walk
@@ -727,7 +696,7 @@ class RenormSpace(Space):
         for core in dict.fromkeys([*base_classes, *inner_nums]):
             arr, nums = base_classes.get(core), inner_nums.get(core, [0])
             peak = _peak(arr) * mul if arr is not None else 0
-            dtype = _int_width(peak + max(map(abs, nums)), scale)
+            dtype = int_dtype(peak + max(map(abs, nums)))
             col = arr.astype(dtype) * mul if arr is not None else np.zeros(len(which), dtype)
             if core in inner_nums:
                 col = col + np.array(nums, dtype=dtype)[which]
@@ -735,8 +704,7 @@ class RenormSpace(Space):
         if base.roots is None:
             return ExactBatch.from_classes(classes, scale)
         # delta * sqrt(R) / rs = sqrt(R * p^2) / (rs * q)
-        roots = base.roots.astype(
-            _int_width(_peak(base.roots) * p * p, base.roots_scale * q)) * (p * p)
+        roots = base.roots.astype(int_dtype(_peak(base.roots) * p * p)) * (p * p)
         return ExactBatch(scale=scale, classes=classes or None,
                           roots=roots, roots_scale=base.roots_scale * q)
 

@@ -100,9 +100,23 @@ def test_config_file_and_unknown_key(tmp_path, capsys):
     assert cfg.seed == 9 and cfg.mr_levels == (2, 4)
     with pytest.raises(DomainError, match="unknown config key"):
         RunConfig().with_overrides({"nope": "1"})
+    with pytest.raises(DomainError, match="unknown config key"):
+        RunConfig().with_overrides({"mr_levels": "2,4"})
     code, _, err = run(capsys, "norm", "--space", "lp:1", "--coeffs", "1",
                        "--set", "bogus=3")
     assert code == 2 and "unknown config key" in err
+
+
+def test_config_keys_round_trip():
+    """Every key of to_dict(), in its printed form, parses back to an equal
+    config, at the defaults and at values off them."""
+    for cfg in (RunConfig(), RunConfig().with_overrides(
+            {"seed": "0x2a", "confidence": "0.9", "mr.levels": "2,6", "bd.b": "1/8",
+             "format": "csv", "mr.max_n": "2"})):
+        text = {k: str(v) for k, v in cfg.to_dict().items()}
+        assert RunConfig().with_overrides(text) == cfg
+    assert list(RunConfig().to_dict())[-5:] == ["bd.lambda", "bd.b", "bd.levels",
+                                                "bd.cap", "bd.seed"]
 
 
 def test_parse_coeffs_exact_decimals():
@@ -178,6 +192,33 @@ def test_past_the_float_range_is_domain_error(capsys, spec, command):
     code, out, err = run(capsys, command, "--space", spec, "--coeffs", f"1/{3**700},1,2")
     assert code == 2 and out == ""
     assert err.count("\n") == 1 and "float range" in err
+
+
+@pytest.mark.parametrize("spec", ["lp:1", "linf", "summing", "walsh"])
+def test_linear_engines_take_values_past_the_squared_bound(capsys, spec):
+    """Every value a sum or max engine holds is at most its input's scale,
+    so 2^600 has an exact norm although its square passes 2^1000."""
+    code, out, _ = run(capsys, "norm", "--space", spec, "--coeffs", str(1 << 600))
+    assert code == 0 and out.strip() == str(1 << 600)
+
+
+@pytest.mark.parametrize("spec,coeffs", [("lp:2", str(1 << 600)),
+                                         ("lp:1", f"1/{1 << 1100}")])
+def test_batches_refuse_what_they_would_hold_past_the_float_range(capsys, spec, coeffs):
+    """lp:2 would hold the radicand 2^1200, lp:1 the scale 2^1100: both
+    exit 2 with the named refusal."""
+    code, out, err = run(capsys, "norm", "--space", spec, "--coeffs", coeffs)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "float range" in err
+
+
+@pytest.mark.parametrize("spec", ["lp:3", "james_x:3", "smax:1.5"])
+def test_float_engines_refuse_underflow(capsys, spec):
+    """An entry whose float is 0.0 gives a float-only engine no norm: it
+    exits 2 instead of printing the norm 0.0 of a nonzero vector."""
+    code, out, err = run(capsys, "norm", "--space", spec, "--coeffs", f"1/{1 << 1100}")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "underflow" in err
 
 
 @pytest.mark.parametrize("spec", [

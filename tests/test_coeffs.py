@@ -18,7 +18,7 @@ from rudlab.coeffs import (
 )
 from rudlab.exactnum import QSum, SQRT2
 from rudlab.rng import sign_matrix, sign_vector
-from rudlab.spaces import _int_mult_values
+from rudlab.spaces import LpSpace, _int_mult_values
 
 
 def test_apply_signs_examples():
@@ -116,17 +116,21 @@ def test_counter_rng_chunk_invariance():
 
 def test_int_values_magnitude_guard():
     """Integer values take int64 while the width bound fits and Python ints
-    past it; only the float range that tie location reads bounds them."""
+    past it; only the float range that tie location reads bounds them, and
+    the batch refuses by what it holds: lp:1 holds 2^600 itself, lp:2 its
+    square."""
     ones = np.ones((2, 1), dtype=np.int8)
     v, den = _int_mult_values(Coeffs.from_values([F(3, 2), -7]), ones, 1)
     assert v.dtype == np.int64 and v[:, 0].tolist() == [3, -14] and den == 2
     # denominators count toward the scaled magnitude
     v, den = _int_mult_values(Coeffs.from_values([F(1, 1 << 40), F(1 << 10)]), ones, 1)
     assert v.dtype == object and v[:, 0].tolist() == [1, 1 << 50] and den == 1 << 40
+    wide = Coeffs.from_values([1 << 600])
+    assert LpSpace(1).mult_batch(wide, ones[:1], 1).value(0) == 1 << 600
     with pytest.raises(NoIntegerForm, match="float range"):
-        _int_mult_values(Coeffs.from_values([1 << 500]), ones[:1], 1)
+        LpSpace(2).mult_batch(wide, ones[:1], 1)
     with pytest.raises(NoIntegerForm, match="float range"):
-        _int_mult_values(Coeffs.from_values([F(1, 3**700)]), ones[:1], 1)
+        LpSpace(1).mult_batch(Coeffs.from_values([F(1, 3**700)]), ones[:1], 1)
 
 
 def test_int_values_no_integer_form():

@@ -109,12 +109,13 @@ def test_haar_vs_oracle():
 
 
 def test_grid_caps():
-    tight = WalshL1Space(grid_cap=4)
+    """Indices whose dyadic grid passes DEFAULT_GRID_CAP levels are refused."""
+    from rudlab.dyadic import DEFAULT_GRID_CAP
+
     with pytest.raises(DomainError, match="grid cap"):
-        tight.norm(Coeffs.from_pairs([(1 << 10, 1)]))
-    tight_h = HaarL1Space(grid_cap=3)
+        WalshL1Space().norm(Coeffs.from_pairs([(1 << DEFAULT_GRID_CAP, 1)]))
     with pytest.raises(DomainError, match="grid cap"):
-        tight_h.norm(Coeffs.from_pairs([(200, 1)]))
+        HaarL1Space().norm(Coeffs.from_pairs([((1 << DEFAULT_GRID_CAP) + 1, 1)]))
 
 
 def test_walsh_l2_domination():

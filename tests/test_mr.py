@@ -1,6 +1,6 @@
 """Coding-function spaces: coder audit, tuples, norms, witnesses, blocks."""
 
-import itertools
+import math
 import time
 from fractions import Fraction as F
 
@@ -16,7 +16,6 @@ from rudlab.mr import (
     LevelSequence,
     MrContext,
     SigmaCoder,
-    enumerate_tuples,
     equi_sign_vectors,
     k_m,
     mr_witness,
@@ -78,25 +77,6 @@ def test_coder_assignments(ctx):
     # determinism: a rebuild reproduces every assignment
     again = SigmaCoder(ctx.levels, ctx.universe)
     assert dict(again._index) == dict(cod._index)
-
-
-def test_enumerate_tuples_vs_bruteforce(ctx):
-    """Backtracking enumeration equals a brute-force filter on a small support."""
-    support = tuple(range(6))
-    got = {t.sets for t in enumerate_tuples(support, ctx.coder, ctx.levels, 2)}
-    want = set()
-    for c in (2, 4):
-        for s1 in itertools.combinations(support, c):
-            want.add((frozenset(s1),))
-            nxt = ctx.coder.sigma_in_prefix(frozenset(s1))
-            if nxt is None or nxt <= c:
-                continue
-            rest = [i for i in support if i > max(s1)]
-            for s2 in itertools.combinations(rest, nxt):
-                want.add((frozenset(s1), frozenset(s2)))
-    assert got == want
-    assert enumerate_tuples((0, 1), ctx.coder, ctx.levels, 0) == []
-    assert enumerate_tuples((0,), ctx.coder, ctx.levels, 3) == []
 
 
 def test_tuple_validation():
@@ -212,18 +192,17 @@ def test_coding_batches_match_norm_slow(width, name, full, extra, values, big):
     """Every sign and mask column of a zmr or zrud batch, and a batch with
     multipliers up to 3 in magnitude, equals the supremum of the enumerated
     family over the column's vector, for rational and radical entries,
-    widths 0 and 1, and fully and partly visible levels: ``norm_slow`` of
-    that vector, over the family of its own support, when the column has a
-    zero (every mask column but the full one), and the family of the
-    batch's support otherwise."""
+    widths 0 and 1, and fully and partly visible levels: the family of the
+    column's own support (smaller than the batch's when the column has a
+    zero, as every mask column but the full one).  Each family's products
+    with the entries are formed once per support and summed per column."""
     ctx = _CTX_BY_WIDTH[width]
     space = getattr(ctx, name)
     support = sorted(set(full) | extra) or [7]
     a = Coeffs.from_pairs(zip(support, values))
     m = len(a)
     big = np.array(big[:3 * m], dtype=np.int64).reshape(m, 3)
-    assert QSum.of(space.norm(a)) == QSum.of(space.norm_slow(a))
-    family = space.functionals(a.support)
+    products = {}  # per column support: its family's products with the entries
     slow = {}  # per column, up to a global sign
     for mult in (sign_matrix_full(m), mask_matrix_full(m), big):
         batch = space.mult_batch(a, mult, 1)
@@ -233,14 +212,54 @@ def test_coding_batches_match_norm_slow(width, name, full, extra, values, big):
             lead = next((x for x in c if x), 1)
             key = tuple(x if lead > 0 else -x for x in c)
             if key not in slow:
-                col = Coeffs.from_pairs((i, v * x) for (i, v), x in zip(a.entries, key))
-                slow[key] = (
-                    QSum.of(space.norm_slow(col)) if 0 in key and col
-                    else max((abs(QSum.of(pair(phi, col))) for phi in family),
-                             default=QSum()))
+                keep = tuple(k for k, x in enumerate(key) if x)
+                if keep not in products:
+                    sub = Coeffs(tuple(a.entries[k] for k in keep))
+                    products[keep] = _family_products(space.functionals(sub.support), sub) \
+                        if keep else ({}, 1)
+                slow[key] = _family_sup(*products[keep], [key[k] for k in keep])
             want = slow[key]
             assert QSum.of(batch.value(j)) == want, (c, batch.value(j), want)
             assert floats[j] == pytest.approx(float(want), rel=1e-12, abs=1e-12)
+    assert QSum.of(space.norm(a)) == slow[(1,) * m]
+
+
+def _family_products(family, a):
+    """Each functional's products with the entries of ``a``: per square-free
+    core, an (F, m) matrix of integer numerators over one common
+    denominator, with that denominator.  The functionals share a few
+    weights, so each product is formed once per weight and entry."""
+    cells = {}
+    terms = {}  # (weight, entry slot) -> the product's terms
+    for f, phi in enumerate(family):
+        w = dict(phi.entries)
+        for k, (i, v) in enumerate(a.entries):
+            if i in w:
+                wk = (tuple(w[i].terms.items()) if isinstance(w[i], QSum) else w[i], k)
+                if wk not in terms:
+                    terms[wk] = QSum.of(w[i] * v).terms.items()
+                for core, q in terms[wk]:
+                    cells.setdefault(core, []).append((f, k, q))
+    den = math.lcm(1, *(q.denominator for fkq in cells.values() for _, _, q in fkq))
+    mats = {}
+    for core, fkq in cells.items():
+        mats[core] = np.zeros((len(family), len(a)), dtype=object)
+        for f, k, q in fkq:
+            mats[core][f, k] = q.numerator * (den // q.denominator)
+    return mats, den
+
+
+def _family_sup(mats, den, x):
+    """max over the functionals of |<phi, diag(x) a>| from their products:
+    the float pairings shortlist the functionals within 1e-9 of the
+    largest, and those are compared exactly."""
+    if not mats:
+        return QSum()
+    sums = {c: mat.dot(np.array(x, dtype=object)) for c, mat in mats.items()}
+    approx = np.abs(sum(s.astype(np.float64) * c**0.5 for c, s in sums.items()))
+    top = approx.max()
+    return max(abs(sum((QSum.root(c, F(int(s[f]), den)) for c, s in sums.items()), QSum()))
+               for f in np.flatnonzero(approx >= top - 1e-9 * (1 + top)).tolist())
 
 
 def test_zrud_mask_column_matches_masked_norm_at_width_1():
@@ -362,6 +381,20 @@ def test_zrud_block_sandwich(ctx):
     assert (QSum.of(const) - (3 + 4 * ctx.levels.delta_hat)).sign() == 0
 
 
+def test_zrud_block_sandwich_takes_the_engine_norm_at_width_1():
+    """At width 1 the block sandwich reads the zrud engine, not the width-0
+    closed form: on [1/2, -1, 1] the engine gives 1/2 + 5/8*sqrt(2), about
+    1.3839, where the closed form gives 1/2 + sqrt(2)/2, about 1.2071."""
+    wide = _CTX_BY_WIDTH[1]
+    coeffs = [F(1, 2), -1, 1]
+    x = Coeffs.from_pairs((i, mr._weight(len(s)) * F(a))
+                          for a, s in zip(coeffs, wide.canonical_blocks(3)) for i in s)
+    _, norm, _ = zrud_block_sandwich(wide, coeffs)
+    assert QSum.of(norm) == QSum.of(wide.zrud.norm(x))
+    assert QSum.of(norm) == F(1, 2) + F(5, 8) * sqrt_exact(2)
+    assert float(zrud_block_norm(wide, coeffs)) == pytest.approx(1.2071, abs=1e-4)
+
+
 def test_zruc_norm(ctx):
     # single coordinate: base norm 1, sign average 1, total 2
     assert ctx.zruc.norm(Coeffs.from_pairs([(0, 1)])) == 2
@@ -405,10 +438,8 @@ def test_zrud_ratio_bound(ctx):
 
 
 def test_zrud_block_builder(ctx):
-    from rudlab.mr import zrud_block
-
-    x1 = zrud_block(1, ctx)
+    x1 = ctx.single_block(1)
     assert x1.support == (0, 1)
-    x3 = zrud_block(3, ctx)
+    x3 = ctx.single_block(3)
     assert x3.support == tuple(range(6, 14))
     assert QSum.of(ctx.zrud.norm(x1)) == 1

@@ -32,6 +32,17 @@ def q(x):
     return QSum.of(x)
 
 
+def renorm_reference(space, x):
+    """The renorming of ``x`` from its definition, independent of the
+    renorm batch: the base engine's exact sign average plus delta times the
+    base norm (0 on the zero vector)."""
+    from rudlab.rademacher import expect_exact
+
+    if not x:
+        return 0
+    return expect_exact(space.base, x).value + space.delta * space.base.norm(x)
+
+
 def test_lp_examples():
     assert l2.norm(Coeffs.from_values([3, 4])) == 5
     assert l1.norm(Coeffs.from_values([1, -1, 1])) == 3
@@ -176,8 +187,9 @@ def test_renorm_inner_average_once_per_abs_column(monkeypatch):
         masked = Coeffs.from_pairs(
             (i, v * int(c)) for (i, v), c in zip(a.entries, mult[:, j])
         )
-        assert batch.value(j) == space.norm(masked)
-        assert floats[j] == pytest.approx(float(space.norm(masked)), rel=1e-12)
+        want = renorm_reference(space, masked)
+        assert batch.value(j) == want
+        assert floats[j] == pytest.approx(float(want), rel=1e-12)
 
 
 @pytest.mark.parametrize("spec", ["renorm:summing:1", "zruc", "lp2_half"])
@@ -214,7 +226,7 @@ def test_renorm_grouped_walk_across_chunks(monkeypatch, spec):
             masked = Coeffs.from_pairs(
                 (i, v * int(c)) for (i, v), c in zip(a.entries, mult[:, j])
             )
-            want = space.norm(masked) if masked else 0
+            want = renorm_reference(space, masked)
             assert QSum.of(batch.value(j)) == QSum.of(want), (spec, j)
             assert floats[j] == pytest.approx(float(want), rel=1e-12)
 
@@ -295,9 +307,12 @@ def test_norm_axioms_on_random_pairs():
 
 
 def test_renorm_batch_mixes_grouped_walk_and_monte_carlo():
-    """In a float batch, columns whose support passes the cap take the
-    Monte-Carlo estimate of their masked vector, the others the grouped
-    walk.  Such a batch has no exact form; without those columns it has."""
+    """In a float batch, columns whose support passes the cap take the base
+    engine's seeded Monte-Carlo mean of their masked vector, the others the
+    grouped walk.  Such a batch has no exact form; without those columns it
+    has."""
+    from rudlab.rademacher import expect_mc
+
     space = RenormSpace(SummingSpace(), F(1), enum_cap=4, mc_samples=2000, mc_seed=5)
     a = Coeffs.from_values([1, -1, 2, 1, -2, 1])
     mult = mask_matrix_range(6, 0, 64)[:, [63, 62, 15, 5, 0]]
@@ -308,9 +323,11 @@ def test_renorm_batch_mixes_grouped_walk_and_monte_carlo():
         masked = Coeffs.from_pairs(
             (i, v * int(c)) for (i, v), c in zip(a.entries, mult[:, j])
         )
-        want = space.norm(masked) if masked else 0
-        assert isinstance(want, float) == (j < 2)
-        if j >= 2:
+        if j < 2:
+            want = (expect_mc(space.base, masked, 2000, 5).value
+                    + float(space.base.norm(masked)))
+        else:
+            want = renorm_reference(space, masked)
             assert batch.value(j - 2) == want
         assert floats[j] == pytest.approx(float(want), rel=1e-12)
 
@@ -319,9 +336,9 @@ def test_renorm_batch_mixes_grouped_walk_and_monte_carlo():
                                   "zruc"])
 def test_renorm_batch_means_add_like_their_columns(spec):
     """A renorm batch's mean is the column-by-column sum of the masked
-    vectors' norms over the count, term for term, so it converts to the same
-    float; the root bases' inner-only cores must keep their order of first
-    column for that."""
+    vectors' norms (from the definition) over the count, term for term, so
+    it converts to the same float; the root bases' inner-only cores must
+    keep their order of first column for that."""
     from rudlab.experiments import sample_vector
 
     space = SpaceFactory(RunConfig()).space(spec)
@@ -335,7 +352,7 @@ def test_renorm_batch_means_add_like_their_columns(spec):
             for j in range(mult.shape[1]):
                 masked = Coeffs.from_pairs(
                     (k, v * int(c)) for (k, v), c in zip(a.entries, mult[:, j]))
-                total = total + (space.norm(masked) if masked else 0)
+                total = total + renorm_reference(space, masked)
             want = QSum.of(total * F(1, mult.shape[1]))
             got = QSum.of(space.mult_batch(a, mult, 1).mean())
             assert got == want and float(got) == float(want), (spec, i)
@@ -358,7 +375,7 @@ _RENORM_FAC = SpaceFactory(RunConfig())
 @example(base="james:chain", delta=F(99), values=[1 << 26, -(1 << 26), 1 << 26, -(1 << 26)])
 def test_renorm_integer_batches_match_norms(base, delta, values):
     """Every sign and mask column of a renorm batch is an integer batch
-    entry equal to the per-pattern norm of its masked vector, for rational
+    entry equal to the renorming of its masked vector, for rational
     and radical base classes (zmr) and for any rational delta, also where
     the entries pass int64 (delta 99 on the chain example)."""
     space = RenormSpace(_RENORM_FAC.space(base), delta)
@@ -371,35 +388,41 @@ def test_renorm_integer_batches_match_norms(base, delta, values):
             masked = Coeffs.from_pairs(
                 (i, v * int(c)) for (i, v), c in zip(a.entries, mult[:, j])
             )
-            want = space.norm(masked) if masked else 0
+            want = renorm_reference(space, masked)
             assert QSum.of(batch.value(j)) == QSum.of(want), (j, mult[:, j])
 
 
 def test_renorm_radicands_are_canonical():
     """A delta numerator with a prime factor past the small primes leaves no
     square in the renorm batch's radicands: the sign mean of
-    renorm:lp:2:101 on [1, 2, -1, 3] is 102*sqrt(15), its norm."""
+    renorm:lp:2:101 on [1, 2, -1, 3] is 102*sqrt(15), its renorming."""
     from rudlab.rademacher import sign_stats
 
     space = _RENORM_FAC.space("renorm:lp:2:101")
     a = Coeffs.from_values([1, 2, -1, 3])
     mean = QSum.of(sign_stats(space, a).mean())
     assert mean.terms == {15: F(102)}
-    assert mean == QSum.of(space.norm(a))
+    assert mean == QSum.of(renorm_reference(space, a))
 
 
 def test_renorm_monte_carlo_fallback():
-    """Past the enumeration cap the sign average switches to Monte-Carlo
-    and the norm carries its bracket."""
+    """Under the enumeration cap the norm is exact; past it the norm is a
+    float, the base engine's Monte-Carlo mean at the space's seed plus delta
+    times the base norm.  The seed defaults to DEFAULT_SEED."""
+    from rudlab.rademacher import expect_mc
+    from rudlab.rng import DEFAULT_SEED
+
+    assert RenormSpace(SummingSpace(), F(1)).mc_seed == DEFAULT_SEED
     space = RenormSpace(SummingSpace(), F(1), enum_cap=4, mc_samples=2000, mc_seed=5)
     small = Coeffs.from_values([1, -1, 2])
-    v, (lo, hi) = space.norm_with_bracket(small)
-    assert lo == v == hi  # exact below the cap
+    assert space.norm(small) == renorm_reference(space, small)
     big = Coeffs.from_values([1, -1, 2, 1, -2, 1])
-    v, (lo, hi) = space.norm_with_bracket(big)
-    assert isinstance(v, float) and lo < hi
-    assert lo <= v <= hi
-    assert space.norm(big) == v
+    v = space.norm(big)
+    est = expect_mc(space.base, big, 2000, 5)
+    tail = float(space.base.norm(big))
+    assert isinstance(v, float)
+    assert v == pytest.approx(est.value + tail, rel=1e-12)
+    assert est.lower < v - tail < est.upper
 
 
 # ---------------------------------------------------------------------------
