@@ -341,12 +341,12 @@ class BdBasisSpace(Space):
         self.sweep_indices = tuple(range(gamma.size))
         self.sweep_max_m = 10
 
-    def mult_batch(self, a, mult, den=1):
+    def mult_batch(self, a, mult):
         from .spaces import _int_mult_values
         from .batches import ExactBatch
 
         d = self.gamma.D[:, list(a.support)]
-        v, scale = _int_mult_values(a, mult, den, int(np.abs(d).sum(axis=1).max()))
+        v, scale = _int_mult_values(a, mult, int(np.abs(d).sum(axis=1).max()))
         image = d @ v
         return ExactBatch.from_rational(
             np.abs(image).max(axis=0), scale * self.gamma.d_scale

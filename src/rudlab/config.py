@@ -17,7 +17,6 @@ from .rng import DEFAULT_SEED
 from .spaces import (
     BmoRademacherSpace,
     JamesSpace,
-    JamesXSpace,
     LpSpace,
     NormingSetSpace,
     RenormSpace,
@@ -242,12 +241,15 @@ class SpaceFactory:
         if head == "summing_dual":
             return SummingDualSpace()
         if head == "james":
-            return JamesSpace(rest or "chain")
+            convention = rest or "chain"
+            if convention not in ("chain", "pairs"):
+                raise DomainError(f"unknown convention {convention!r}")
+            return JamesSpace(f"james:{convention}", pairs=convention == "pairs")
         if head == "james_x":
             p = _exponent(spec, rest)
             if not 1 <= p < inf:
                 raise DomainError(f"space spec {spec!r}: james_x requires 1 <= p < inf")
-            return JamesXSpace(p)
+            return JamesSpace(f"james_x:{p}", p)
         if head in ("bmo", "bmo_rademacher"):
             return BmoRademacherSpace()
         if head in ("walsh", "walsh_l1"):

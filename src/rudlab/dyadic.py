@@ -2,7 +2,8 @@
 
 Both systems are piecewise constant on the 2^K dyadic atoms determined by
 the finest index involved, so the L1 norm is an exact average of absolute
-values on the grid; no quadrature is ever used.
+values on the grid; no quadrature is ever used.  The two engines share one
+batch pair; each system supplies only its atom matrix and its level rule.
 
 Canonical enumerations:
 
@@ -39,33 +40,39 @@ def walsh_atom_matrix(indices: tuple[int, ...], levels: int) -> np.ndarray:
     return np.stack(cols, axis=1)
 
 
-class WalshL1Space(Space):
+class _DyadicL1Space(Space):
+    """Exact L1 norm of a finite combination of a system that is constant
+    on the dyadic atoms: the atoms' absolute values, averaged."""
+
+    sweep_max_m = 10
+
+    def _atoms(self, support: tuple[int, ...]) -> np.ndarray:
+        """(2^levels, m) values of the system's functions on the atoms of
+        the coarsest grid that resolves them."""
+        raise NotImplementedError
+
+    def mult_batch(self, a, mult):
+        w = self._atoms(a.support)
+        v, scale = _int_mult_values(a, mult, len(w))
+        return ExactBatch.from_rational(np.abs(w @ v).sum(axis=0), scale * len(w))
+
+    def mult_batch_float(self, a, mult):
+        return np.abs(self._atoms(a.support) @ _float_values(a, mult)).mean(axis=0)
+
+
+class WalshL1Space(_DyadicL1Space):
     """Exact L1 norm of a finite Walsh combination."""
 
     name = "walsh_l1"
     sweep_indices = tuple(range(64))
-    sweep_max_m = 10
 
-    def _levels(self, support: tuple[int, ...]) -> int:
+    def _atoms(self, support):
         k = max((int(i).bit_length() for i in support), default=0)
         if k > DEFAULT_GRID_CAP:
             raise DomainError(
                 f"finest sign-function index {k} exceeds the grid cap {DEFAULT_GRID_CAP}"
             )
-        return k
-
-    def mult_batch(self, a, mult, den=1):
-        levels = self._levels(a.support)
-        v, scale = _int_mult_values(a, mult, den, 1 << levels)
-        w = walsh_atom_matrix(a.support, levels)
-        values = w @ v  # (atoms, N)
-        return ExactBatch.from_rational(np.abs(values).sum(axis=0), scale << levels)
-
-    def mult_batch_float(self, a, mult):
-        v = _float_values(a, mult)
-        levels = self._levels(a.support)
-        w = walsh_atom_matrix(a.support, levels)
-        return np.abs(w @ v).mean(axis=0)
+        return walsh_atom_matrix(support, k)
 
 
 def haar_level(j: int) -> tuple[int, int]:
@@ -94,14 +101,15 @@ def haar_atom_matrix(indices: tuple[int, ...], levels: int) -> np.ndarray:
     return np.stack(cols, axis=1)
 
 
-class HaarL1Space(Space):
+class HaarL1Space(_DyadicL1Space):
     """Exact L1 norm of a finite combination of the dyadic tree system."""
 
     name = "haar_l1"
     sweep_indices = tuple(range(1, 256))
-    sweep_max_m = 10
 
-    def _levels(self, support: tuple[int, ...]) -> int:
+    def _atoms(self, support):
+        if min(support, default=1) < 1:
+            raise DomainError("tree indices start at 1")
         deepest = 0
         for j in support:
             if j >= 2:
@@ -110,18 +118,4 @@ class HaarL1Space(Space):
             raise DomainError(
                 f"finest dyadic level {deepest} exceeds the grid cap {DEFAULT_GRID_CAP}"
             )
-        return deepest
-
-    def mult_batch(self, a, mult, den=1):
-        if min(a.support, default=1) < 1:
-            raise DomainError("tree indices start at 1")
-        levels = self._levels(a.support)
-        v, scale = _int_mult_values(a, mult, den, 1 << levels)
-        h = haar_atom_matrix(a.support, levels)
-        return ExactBatch.from_rational(np.abs(h @ v).sum(axis=0), scale << levels)
-
-    def mult_batch_float(self, a, mult):
-        v = _float_values(a, mult)
-        levels = self._levels(a.support)
-        h = haar_atom_matrix(a.support, levels)
-        return np.abs(h @ v).mean(axis=0)
+        return haar_atom_matrix(support, deepest)

@@ -560,8 +560,9 @@ def exp_bd(cfg: RunConfig) -> Report:
     lam, b = Fraction(g.params.lam), Fraction(g.params.b)
     seed = derive_seed(cfg.seed, 14)
 
+    defect = g.biorthogonality_defect()
     rep.add("bd.biorthogonality", "dual-basis pairings equal the identity, exact",
-            g.biorthogonality_defect(), 0, g.biorthogonality_defect() == 0)
+            defect, 0, defect == 0)
     duals = g.dual_l1_norms()
     rep.add("bd.dual_lower", "every dual vector has l1 norm >= 1",
             float(min(duals)), 1.0, all(n >= 1 for n in duals))
@@ -818,7 +819,7 @@ def exp_haar_blocks(cfg: RunConfig) -> Report:
                 idx = a.entries[r][0]
                 if idx in order:
                     mult[order[idx]] = bsigns[k]
-        batch = haar.mult_batch(combo, mult, 1)
+        batch = haar.mult_batch(combo, mult)
         e = batch.mean()
         n = haar.norm(combo)
         if float(e) <= 0:

@@ -43,8 +43,8 @@ import numpy as np
 from .batches import _peak
 from .coeffs import Coeffs, DomainError, NormingFunctional
 from .exactnum import QSum, Scalar, split_square, sqrt_exact
-from .spaces import (_CACHE_LIMIT, NormingSetSpace, RenormSpace,
-                     _class_values, _normingset_reduce_exact)
+from .spaces import (NormingSetSpace, RenormSpace, _cached, _class_values,
+                     _normingset_reduce_exact)
 
 DEFAULT_LEVELS = (2, 4, 8)
 DEFAULT_UNIVERSE = 14
@@ -64,15 +64,19 @@ def k_m(m: int) -> int:
 def equi_sign_vectors(c: int, width: int = 0) -> list[tuple[int, ...]]:
     """Sign vectors on c slots with |sum| <= width * sqrt(c) (width 0: balanced)."""
     out = []
-    lim_sq = width * width * c
-    for plus in range(c + 1):
-        if (2 * plus - c) ** 2 <= lim_sq:
-            for pos in itertools.combinations(range(c), plus):
-                sv = [-1] * c
-                for p in pos:
-                    sv[p] = 1
-                out.append(tuple(sv))
+    for plus in _plus_counts(c, width):
+        for pos in itertools.combinations(range(c), plus):
+            sv = [-1] * c
+            for p in pos:
+                sv[p] = 1
+            out.append(tuple(sv))
     return out
+
+
+def _plus_counts(c: int, width: int) -> list[int]:
+    """Plus counts P of the sign vectors on c slots that the width rule
+    allows: |2P - c| <= width * sqrt(c)."""
+    return [p for p in range(c + 1) if (2 * p - c) ** 2 <= width * width * c]
 
 
 @dataclass(frozen=True)
@@ -308,9 +312,14 @@ def zmr_functionals(
 @lru_cache(maxsize=None)
 def _restricted_sign_patterns(k: int, card: int, width: int) -> tuple[tuple[int, ...], ...]:
     """Sign patterns on k visible slots of a decorated set of ``card``
-    slots: the restrictions of its sign vectors ``equi_sign_vectors(card,
-    width)`` (the slots are interchangeable, so the first k stand for any)."""
-    return tuple(sorted({sv[:k] for sv in equi_sign_vectors(card, width)}))
+    slots, sorted: the restrictions of its sign vectors
+    ``equi_sign_vectors(card, width)`` (the slots are interchangeable, so
+    the first k stand for any), which are the k-slot patterns whose plus
+    count p has max(0, P - card + k) <= p <= min(k, P) for an allowed P."""
+    plus = {p for big in _plus_counts(card, width)
+            for p in range(max(0, big - card + k), min(k, big) + 1)}
+    # product over (-1, 1) yields the patterns in sorted order
+    return tuple(sv for sv in itertools.product((-1, 1), repeat=k) if sv.count(1) in plus)
 
 
 def zrud_functionals(
@@ -421,7 +430,7 @@ def _plus_range(k: int, card: int, width: int) -> tuple[int, int]:
     ``_restricted_sign_patterns`` lists.  The width rule allows P plus signs
     when |2P - card| <= width * sqrt(card), a range symmetric about card/2,
     so its most plus signs are also its most minus signs."""
-    most = max(p for p in range(card + 1) if (2 * p - card) ** 2 <= width * width * card)
+    most = max(_plus_counts(card, width))
     return max(0, k - most), min(k, most)
 
 
@@ -590,13 +599,10 @@ class _CodingSpace(NormingSetSpace):
         self._layouts: dict[tuple[int, ...], _Layout] = {}
 
     def _layout(self, support: tuple[int, ...]) -> _Layout:
-        if support not in self._layouts:
-            if len(self._layouts) > _CACHE_LIMIT:
-                self._layouts.clear()
-            self._layouts[support] = _layout(self.ctx, support, self.decorated)
-        return self._layouts[support]
+        return _cached(self._layouts, support,
+                       lambda: _layout(self.ctx, support, self.decorated))
 
-    def mult_batch(self, a, mult, den=1):
+    def mult_batch(self, a, mult):
         lay = self._layout(a.support)
         entry_signs = np.array([1 if v > 0 else -1 for _, v in a.entries], dtype=np.int8)
         order = _magnitude_order(a, mult)
@@ -613,7 +619,7 @@ class _CodingSpace(NormingSetSpace):
                 if outer != 1:
                     p *= outer
                 pairs[core] = pairs[core] + p if core in pairs else p
-        return _normingset_reduce_exact(pairs, lay.fscale * vden * den)
+        return _normingset_reduce_exact(pairs, lay.fscale * vden)
 
 
 class ZmrSpace(_CodingSpace):

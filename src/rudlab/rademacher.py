@@ -143,7 +143,7 @@ def _walk(space: Space, a: Coeffs, masks: bool) -> Iterator[tuple[int, ExactBatc
     exact = a.is_exact()
     for start in range(0, total, _CHUNK):
         mult = build(m, start, min(start + _CHUNK, total))
-        batch = space.mult_batch(a, mult, 1) if exact else None
+        batch = space.mult_batch(a, mult) if exact else None
         if batch is None:
             batch = ExactBatch.from_scalars(space.mult_batch_float(a, mult.astype(np.float64)))
         yield start, batch

@@ -15,7 +15,7 @@ the norming-set engines, are refused (``NoIntegerForm``).  The test suite
 cross-checks the batches against independent brute-force oracles.
 
 Engines here: lp / linf, the summing norm and its dual, the chain-difference
-supremum norms (two conventions, plus the lp-accumulating generalisation),
+supremum norms (one class: lp-accumulating chains, and l2 disjoint pairs),
 the square-function-plus-partial-sup norm, the summing/lp maximum, generic
 norming-set suprema, and the sign-average renorming.  Dyadic grid norms live
 in :mod:`rudlab.dyadic`; the coding-function and tree constructions register
@@ -37,22 +37,22 @@ from .exactnum import QSum, Scalar, split_square
 from .rng import DEFAULT_SEED
 
 
-def _int_mult_values(a: Coeffs, mult: np.ndarray, den: int,
+def _int_mult_values(a: Coeffs, mult: np.ndarray,
                      gain: int = 1) -> tuple[np.ndarray, int]:
     """Exact (m, N) integer matrix of ``diag(a) @ mult`` for rational ``a``
-    and its common denominator times ``den``.  With S the numerators'
-    magnitudes summed times the multipliers' peak, ``gain * (2S)^2`` bounds
-    every sum, difference and square a linear or root engine reduces, when
-    ``gain`` bounds the weight a reduction puts on its inputs (2^levels
-    dyadic atoms, a matrix's row sums); the matrix is int64 under that
-    bound and Python ints past it.  The batch an engine builds from it
-    refuses what it would hold past the float range (:class:`ExactBatch`)."""
+    and its common denominator.  With S the numerators' magnitudes summed
+    times the multipliers' peak, ``gain * (2S)^2`` bounds every sum,
+    difference and square a linear or root engine reduces, when ``gain``
+    bounds the weight a reduction puts on its inputs (2^levels dyadic
+    atoms, a matrix's row sums); the matrix is int64 under that bound and
+    Python ints past it.  The batch an engine builds from it refuses what
+    it would hold past the float range (:class:`ExactBatch`)."""
     cols, d = _class_columns(a)
     ints = cols.pop(1, [])
     if cols:
         raise NoIntegerForm("radical-valued entry: no integer form")
     dtype = int_dtype(gain * (2 * sum(map(abs, ints)) * _peak(mult)) ** 2)
-    return np.array(ints, dtype=dtype)[:, None] * mult.astype(dtype), d * den
+    return np.array(ints, dtype=dtype)[:, None] * mult.astype(dtype), d
 
 
 def _float_values(a: Coeffs, mult: np.ndarray) -> np.ndarray:
@@ -74,15 +74,15 @@ class Space:
         if not a:
             return 0
         one = np.ones((len(a), 1), dtype=np.int8)
-        batch = self.mult_batch(a, one, 1) if a.is_exact() else None
+        batch = self.mult_batch(a, one) if a.is_exact() else None
         if batch is not None:
             return batch.value(0)
         return float(self.mult_batch_float(a, one.astype(np.float64))[0])
 
     # -- batched norms ------------------------------------------------------
 
-    def mult_batch(self, a: Coeffs, mult: np.ndarray, den: int = 1) -> ExactBatch | None:
-        """Exact norms of the columns of ``diag(a) @ mult / den``.
+    def mult_batch(self, a: Coeffs, mult: np.ndarray) -> ExactBatch | None:
+        """Exact norms of the columns of ``diag(a) @ mult``.
 
         ``mult`` rows follow the sorted support of ``a``.  Returns None when
         the batch has no exact form; its columns are then evaluated by
@@ -113,10 +113,10 @@ class LpSpace(Space):
         self.p = p
         self.name = "linf" if p == inf else f"lp:{p}"
 
-    def mult_batch(self, a, mult, den=1):
+    def mult_batch(self, a, mult):
         if self.p not in (1, 2, inf):
             return None
-        v, scale = _int_mult_values(a, mult, den)
+        v, scale = _int_mult_values(a, mult)
         if self.p == 1:
             return ExactBatch.from_rational(np.abs(v).sum(axis=0), scale)
         if self.p == inf:
@@ -148,8 +148,8 @@ class SummingSpace(Space):
 
     name = "summing"
 
-    def mult_batch(self, a, mult, den=1):
-        v, scale = _int_mult_values(a, mult, den)
+    def mult_batch(self, a, mult):
+        v, scale = _int_mult_values(a, mult)
         return ExactBatch.from_rational(_tail_maxabs(v), scale)
 
     def mult_batch_float(self, a, mult):
@@ -195,8 +195,8 @@ class SummingDualSpace(Space):
             total = total + (np.abs(v[k]) if j < 0 else np.abs(v[k] - v[j]))
         return total
 
-    def mult_batch(self, a, mult, den=1):
-        v, scale = _int_mult_values(a, mult, den)
+    def mult_batch(self, a, mult):
+        v, scale = _int_mult_values(a, mult)
         return ExactBatch.from_rational(self._reduce(v, a.support), scale)
 
     def mult_batch_float(self, a, mult):
@@ -237,20 +237,21 @@ def _node_matrix(v: np.ndarray, nodes: list[int]) -> np.ndarray:
     return out
 
 
-def _chain_dp(nv: np.ndarray, power: int) -> np.ndarray:
-    """Best accumulated |difference|^power along increasing node chains."""
-    k = nv.shape[0]
-    zero = np.zeros(nv.shape[1], dtype=nv.dtype)
-    best = [zero]
+def _gain(d: np.ndarray, power) -> np.ndarray:
+    return d**2 if power == 2 else d if power == 1 else d.astype(np.float64) ** power
+
+
+def _chain_dp(nv: np.ndarray, power) -> np.ndarray:
+    """Best accumulated |difference|^power along increasing node chains:
+    row j of the table is the best chain ending at node j."""
+    k, n = nv.shape
+    best = np.zeros((k, n), dtype=nv.dtype if power in (1, 2) else np.float64)
     for j in range(1, k):
-        d = np.abs(nv[:j] - nv[j][None, :])
-        gain = d**2 if power == 2 else d if power == 1 else d.astype(np.float64) ** power
-        cand = (np.stack(best) + gain).max(axis=0)
-        best.append(np.maximum(cand, 0))
+        best[j] = (best[:j] + _gain(np.abs(nv[:j] - nv[j]), power)).max(axis=0)
     return best[-1]
 
 
-def _pairs_dp(nv: np.ndarray, power: int) -> np.ndarray:
+def _pairs_dp(nv: np.ndarray, power) -> np.ndarray:
     """Best accumulated |difference|^power over disjoint increasing pairs."""
     k = nv.shape[0]
     zero = np.zeros(nv.shape[1], dtype=nv.dtype)
@@ -258,62 +259,44 @@ def _pairs_dp(nv: np.ndarray, power: int) -> np.ndarray:
     for j in range(k):
         cur = best[j] if j else zero
         for i in range(j):
-            d = np.abs(nv[i] - nv[j])
-            gain = d**2 if power == 2 else d if power == 1 else d.astype(np.float64) ** power
-            cur = np.maximum(cur, best[i] + gain)
+            cur = np.maximum(cur, best[i] + _gain(np.abs(nv[i] - nv[j]), power))
         best.append(cur)
     return best[-1]
 
 
 class JamesSpace(Space):
-    """Supremum of square-summed consecutive differences along index chains."""
+    """Supremum over increasing index chains of the lp sum of consecutive
+    differences (``james:chain`` at p = 2, ``james_x:P``), or at p = 2 over
+    disjoint increasing pairs (``james:pairs``).  Exact for p in {1, 2}."""
 
-    def __init__(self, convention: str = "chain"):
-        if convention not in ("chain", "pairs"):
-            raise DomainError(f"unknown convention {convention!r}")
-        self.convention = convention
-        self.name = f"james:{convention}"
-
-    def _dp(self, v, support):
-        nv = _node_matrix(v, _chain_nodes(support))
-        return (_chain_dp if self.convention == "chain" else _pairs_dp)(nv, 2)
-
-    def mult_batch(self, a, mult, den=1):
-        v, scale = _int_mult_values(a, mult, den)
-        return ExactBatch.from_roots(self._dp(v, a.support), scale)
-
-    def mult_batch_float(self, a, mult):
-        return np.sqrt(self._dp(_float_values(a, mult), a.support))
-
-    def paper_witnesses(self, kind, dim):
-        return [
-            Coeffs.from_values([1] * dim),
-            Coeffs.from_values([(-1) ** i for i in range(dim)]),
-        ]
-
-
-class JamesXSpace(Space):
-    """Chain-difference norm accumulating in lp instead of l2."""
-
-    def __init__(self, p):
+    def __init__(self, name: str, p=2, pairs: bool = False):
+        self.name = name
         self.p = p
-        self.name = f"james_x:{p}"
+        self._dp = _pairs_dp if pairs else _chain_dp
 
-    def _dp(self, v, support):
-        nv = _node_matrix(v, _chain_nodes(support))
-        return _chain_dp(nv, 2 if self.p == 2 else 1 if self.p == 1 else self.p)
+    def _reduce(self, v, support):
+        return self._dp(_node_matrix(v, _chain_nodes(support)), self.p)
 
-    def mult_batch(self, a, mult, den=1):
+    def mult_batch(self, a, mult):
         if self.p not in (1, 2):
             return None
-        v, scale = _int_mult_values(a, mult, den)
-        dp = self._dp(v, a.support)
+        v, scale = _int_mult_values(a, mult)
+        dp = self._reduce(v, a.support)
         if self.p == 1:
             return ExactBatch.from_rational(dp, scale)
         return ExactBatch.from_roots(dp, scale)
 
     def mult_batch_float(self, a, mult):
-        return self._dp(_float_values(a, mult), a.support) ** (1.0 / self.p)
+        dp = self._reduce(_float_values(a, mult), a.support)
+        return np.sqrt(dp) if self.p == 2 else dp ** (1.0 / self.p)
+
+    def paper_witnesses(self, kind, dim):
+        if self.p != 2:
+            return []
+        return [
+            Coeffs.from_values([1] * dim),
+            Coeffs.from_values([(-1) ** i for i in range(dim)]),
+        ]
 
 
 # ---------------------------------------------------------------------------
@@ -330,8 +313,8 @@ class BmoRademacherSpace(Space):
 
     name = "bmo_rademacher"
 
-    def mult_batch(self, a, mult, den=1):
-        v, scale = _int_mult_values(a, mult, den)
+    def mult_batch(self, a, mult):
+        v, scale = _int_mult_values(a, mult)
         pref = _prefix_maxabs(v)
         rad = (v**2).sum(axis=0)
         return ExactBatch(scale=scale, classes={1: pref}, roots=rad, roots_scale=scale)
@@ -350,10 +333,10 @@ class SmaxSpace(Space):
         self.p = p
         self.name = f"smax:{p}"
 
-    def mult_batch(self, a, mult, den=1):
+    def mult_batch(self, a, mult):
         if self.p != 2:
             return None
-        v, scale = _int_mult_values(a, mult, den)
+        v, scale = _int_mult_values(a, mult)
         s = _tail_maxabs(v)
         rad = (v**2).sum(axis=0)
         # per column the max is the summing branch iff s^2 >= rad
@@ -382,6 +365,16 @@ class SmaxSpace(Space):
 _CACHE_LIMIT = 256
 #: a support's functional class matrices, their common denominator and peaks
 _ClassMats = tuple[dict[int, np.ndarray], int, dict[int, int]]
+
+
+def _cached(cache: dict, key, build: Callable[[], object]):
+    """``cache[key]``, built by ``build()`` on a miss; a cache holding more
+    than ``_CACHE_LIMIT`` entries is emptied before it takes another."""
+    if key not in cache:
+        if len(cache) > _CACHE_LIMIT:
+            cache.clear()
+        cache[key] = build()
+    return cache[key]
 
 
 def functional_class_matrices(
@@ -541,19 +534,12 @@ class NormingSetSpace(Space):
         """The family on a support, cached for :meth:`norm_slow`; the batch
         paths keep only its class matrices."""
         key = tuple(support)
-        if key not in self._cache:
-            if len(self._cache) > _CACHE_LIMIT:
-                self._cache.clear()
-            self._cache[key] = self._family(key)
-        return self._cache[key]
+        return _cached(self._cache, key, lambda: self._family(key))
 
     def class_mats(self, support: tuple[int, ...]) -> _ClassMats:
         key = tuple(support)
-        if key not in self._mats_cache:
-            if len(self._mats_cache) > _CACHE_LIMIT:
-                self._mats_cache.clear()
-            self._mats_cache[key] = functional_class_matrices(self._family(key), key)
-        return self._mats_cache[key]
+        return _cached(self._mats_cache, key,
+                       lambda: functional_class_matrices(self._family(key), key))
 
     def norm_slow(self, a: Coeffs) -> Scalar:
         """Reference implementation: explicit pairings, no batching."""
@@ -568,7 +554,7 @@ class NormingSetSpace(Space):
                 best = v
         return best
 
-    def mult_batch(self, a, mult, den=1):
+    def mult_batch(self, a, mult):
         mats, fscale, peaks = self.class_mats(a.support)
         vals, vden, dtype = _class_values(a, mult, peaks)
         pairs: dict[int, np.ndarray] = {}  # (F, N) per class
@@ -578,7 +564,7 @@ class NormingSetSpace(Space):
                 outer, core = split_square(fc * vc)
                 p = m @ v if outer == 1 else (m @ v) * outer
                 pairs[core] = pairs[core] + p if core in pairs else p
-        return _normingset_reduce_exact(pairs, fscale * vden * den)
+        return _normingset_reduce_exact(pairs, fscale * vden)
 
     def mult_batch_float(self, a, mult):
         v = _float_values(a, mult)
@@ -665,7 +651,7 @@ class RenormSpace(Space):
                 inner[g] = inner[g] + mu
         return inner, which
 
-    def mult_batch(self, a, mult, den=1):
+    def mult_batch(self, a, mult):
         """delta * base + inner[which] as one integer batch: the base
         classes and the inner means' numerators over one common scale, the
         base roots times p^2 over ``roots_scale * q`` for delta = p/q.  The
@@ -675,13 +661,13 @@ class RenormSpace(Space):
         has a Monte-Carlo inner mean and no exact form: None."""
         if np.count_nonzero(mult, axis=0).max() > self.enum_cap:
             return None
-        base = self.base.mult_batch(a, mult, den)
+        base = self.base.mult_batch(a, mult)
         if base is None:
             return None
         inner, which = self._inner_columns(
             a, mult,
             lambda pats, starts, overs:
-                self.base.mult_batch(a, pats, den).group_means(starts, overs),
+                self.base.mult_batch(a, pats).group_means(starts, overs),
         )
         p, q = self.delta.numerator, self.delta.denominator
         terms = [QSum.of(v).terms for v in inner]

@@ -21,11 +21,11 @@ def test_renorm_batch_refuses_int64_wrap():
     fac = SpaceFactory(RunConfig())
     chain = fac.space("renorm:james:chain:9")
     assert 81 * int(chain.base.mult_batch(a, one).roots[0]) >= 1 << 63
-    batch = chain.mult_batch(a, one, 1)
+    batch = chain.mult_batch(a, one)
     assert batch.roots.dtype == object and batch.scalars is None
     assert QSum.of(batch.value(0)) == QSum.of(chain.norm(a))
     summing = fac.space(f"renorm:summing:1/{(1 << 40) + 15}")
-    batch = summing.mult_batch(a, one, 1)
+    batch = summing.mult_batch(a, one)
     assert batch.classes[1].dtype == object and batch.scalars is None
     assert batch.value(0) == summing.norm(a)
 

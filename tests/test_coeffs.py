@@ -120,17 +120,17 @@ def test_int_values_magnitude_guard():
     the batch refuses by what it holds: lp:1 holds 2^600 itself, lp:2 its
     square."""
     ones = np.ones((2, 1), dtype=np.int8)
-    v, den = _int_mult_values(Coeffs.from_values([F(3, 2), -7]), ones, 1)
+    v, den = _int_mult_values(Coeffs.from_values([F(3, 2), -7]), ones)
     assert v.dtype == np.int64 and v[:, 0].tolist() == [3, -14] and den == 2
     # denominators count toward the scaled magnitude
-    v, den = _int_mult_values(Coeffs.from_values([F(1, 1 << 40), F(1 << 10)]), ones, 1)
+    v, den = _int_mult_values(Coeffs.from_values([F(1, 1 << 40), F(1 << 10)]), ones)
     assert v.dtype == object and v[:, 0].tolist() == [1, 1 << 50] and den == 1 << 40
     wide = Coeffs.from_values([1 << 600])
-    assert LpSpace(1).mult_batch(wide, ones[:1], 1).value(0) == 1 << 600
+    assert LpSpace(1).mult_batch(wide, ones[:1]).value(0) == 1 << 600
     with pytest.raises(NoIntegerForm, match="float range"):
-        LpSpace(2).mult_batch(wide, ones[:1], 1)
+        LpSpace(2).mult_batch(wide, ones[:1])
     with pytest.raises(NoIntegerForm, match="float range"):
-        LpSpace(1).mult_batch(Coeffs.from_values([F(1, 3**700)]), ones[:1], 1)
+        LpSpace(1).mult_batch(Coeffs.from_values([F(1, 3**700)]), ones[:1])
 
 
 def test_int_values_no_integer_form():
@@ -138,10 +138,10 @@ def test_int_values_no_integer_form():
     DomainError: the CLI exits with 2)."""
     one = np.ones((2, 1), dtype=np.int8)
     with pytest.raises(NoIntegerForm, match="radical"):
-        _int_mult_values(Coeffs.from_values([1, SQRT2]), one, 1)
+        _int_mult_values(Coeffs.from_values([1, SQRT2]), one)
     with pytest.raises(NoIntegerForm, match="rational"):
-        _int_mult_values(Coeffs.from_values([1, 0.5]), one, 1)
-    v, den = _int_mult_values(Coeffs.from_values([QSum.of(F(5, 2))]), one[:1], 1)
+        _int_mult_values(Coeffs.from_values([1, 0.5]), one)
+    v, den = _int_mult_values(Coeffs.from_values([QSum.of(F(5, 2))]), one[:1])
     assert v[:, 0].tolist() == [5] and den == 2
 
 
@@ -150,8 +150,8 @@ def test_int_values_common_denominator_never_wraps():
     beyond 64 bits gives exact Python-int values instead of wrapping, and
     one large denominator normalises exactly."""
     one = np.ones((2, 1), dtype=np.int8)
-    v, den = _int_mult_values(Coeffs.from_values([F(1, 4294967297), F(1, 4294967295)]), one, 1)
+    v, den = _int_mult_values(Coeffs.from_values([F(1, 4294967297), F(1, 4294967295)]), one)
     assert den == 4294967297 * 4294967295 and v[:, 0].tolist() == [4294967295, 4294967297]
-    v, den = _int_mult_values(Coeffs.from_values([F(1, 18446744073709551619)]), one[:1], 1)
+    v, den = _int_mult_values(Coeffs.from_values([F(1, 18446744073709551619)]), one[:1])
     assert v[:, 0].tolist() == [1] and den == 18446744073709551619
     assert isinstance(den, int)

@@ -24,7 +24,7 @@ def test_float_batch_tracks_exact_batch(spec):
         if not a:
             continue
         signs = sign_matrix(seed, len(a), 8)
-        exact = space.mult_batch(a, signs, 1)
+        exact = space.mult_batch(a, signs)
         if exact is None:
             continue
         floaty = space.mult_batch_float(a, signs.astype(np.float64))

@@ -108,6 +108,19 @@ def test_haar_vs_oracle():
         assert haar.norm(a) == _haar_oracle(a)
 
 
+def test_haar_refuses_index_zero_on_both_paths():
+    """The exact and the float batch refuse tree index 0 with one message."""
+    one = np.ones((2, 1), dtype=np.int8)
+    cases = ((haar.mult_batch, Coeffs.from_pairs([(0, 1), (2, 1)]), one),
+             (haar.mult_batch_float, Coeffs.from_pairs([(0, 0.5), (2, 1.0)]), one * 1.0))
+    messages = []
+    for run, a, mult in cases:
+        with pytest.raises(DomainError) as err:
+            run(a, mult)
+        messages.append(str(err.value))
+    assert messages == ["tree indices start at 1"] * 2
+
+
 def test_grid_caps():
     """Indices whose dyadic grid passes DEFAULT_GRID_CAP levels are refused."""
     from rudlab.dyadic import DEFAULT_GRID_CAP

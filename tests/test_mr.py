@@ -50,6 +50,17 @@ def test_equi_sign_vectors():
     assert len(equi_sign_vectors(2, width=2)) == 4
 
 
+def test_restricted_sign_patterns_are_restrictions():
+    """The k-slot patterns are the sorted k-slot restrictions of the sign
+    vectors on ``card`` slots, for every k, card <= 10 and width 0-2."""
+    for card in range(1, 11):
+        for width in range(3):
+            full = equi_sign_vectors(card, width)
+            for k in range(card + 1):
+                want = tuple(sorted({sv[:k] for sv in full}))
+                assert mr._restricted_sign_patterns(k, card, width) == want, (k, card, width)
+
+
 def test_level_sequence():
     lev = LevelSequence((2, 4, 8))
     assert float(lev.delta_hat) == pytest.approx(1 + 2 * 2**0.5)
@@ -97,7 +108,7 @@ def test_zmr_fast_norms_match_exact(ctx):
     support = tuple(range(8))
     signs = sign_matrix(3, len(support), 40)
     base = Coeffs.from_pairs((i, 1) for i in support)
-    batch = ctx.zmr.mult_batch(base, signs, 1)
+    batch = ctx.zmr.mult_batch(base, signs)
     fast = zmr_fast_norms(ctx, support, signs.astype(np.float64))
     for j in range(40):
         assert fast[j] == pytest.approx(float(batch.value(j)), abs=1e-12)
@@ -117,7 +128,7 @@ def test_zmr_float_batch_matches_exact_batch(ctx):
         (i, F(int(rng.integers(-4, 5)) or 1, int(rng.integers(1, 4)))) for i in support
     )
     signs = sign_matrix(7, len(a), 64)
-    exact = ctx.zmr.mult_batch(a, signs, 1)
+    exact = ctx.zmr.mult_batch(a, signs)
     fast = ctx.zmr.mult_batch_float(a, signs.astype(np.float64))
     for j in range(64):
         assert fast[j] == pytest.approx(float(QSum.of(exact.value(j))), rel=1e-12)
@@ -205,7 +216,7 @@ def test_coding_batches_match_norm_slow(width, name, full, extra, values, big):
     products = {}  # per column support: its family's products with the entries
     slow = {}  # per column, up to a global sign
     for mult in (sign_matrix_full(m), mask_matrix_full(m), big):
-        batch = space.mult_batch(a, mult, 1)
+        batch = space.mult_batch(a, mult)
         floats = space.mult_batch_float(a, mult.astype(np.float64))
         for j in range(mult.shape[1]):
             c = mult[:, j].tolist()
@@ -272,7 +283,7 @@ def test_zrud_mask_column_matches_masked_norm_at_width_1():
     masked = Coeffs.from_pairs([(0, 3), (2, -1), (3, -2), (5, -1)])
     want = QSum.of(ctx.zrud.norm_slow(masked))
     assert want == QSum.of(2) + QSum.of(F(3, 2)) * sqrt_exact(2)
-    assert QSum.of(ctx.zrud.mult_batch(a, mask, 1).value(0)) == want
+    assert QSum.of(ctx.zrud.mult_batch(a, mask).value(0)) == want
     assert QSum.of(ctx.zrud.norm(masked)) == want
 
 

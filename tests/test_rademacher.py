@@ -211,7 +211,7 @@ def _full_range_oracle(space, a):
     """Reductions over all 2^m sign patterns, evaluated in one batch."""
     from rudlab.coeffs import sign_matrix_full
 
-    return space.mult_batch(a, sign_matrix_full(len(a)), 1)
+    return space.mult_batch(a, sign_matrix_full(len(a)))
 
 
 @pytest.mark.parametrize("spec", SWEEP_SPECS)
@@ -276,7 +276,7 @@ def test_walk_takes_object_batches_past_int64():
 
     space = SpaceFactory(RunConfig()).space("renorm:james:chain:99")
     a = Coeffs.from_values([1 << 26, -(1 << 26), 1 << 26, -(1 << 26)])
-    batch = space.mult_batch(a, sign_matrix_range(4, 0, 8), 1)
+    batch = space.mult_batch(a, sign_matrix_range(4, 0, 8))
     assert batch.roots.dtype == object and batch.scalars is None
     want = _ExactReductions(
         [space.norm(apply_signs(a, e)) for e in enumerate_sign_patterns(a.support)]
@@ -292,7 +292,7 @@ class _NegatingL1(LpSpace):
     def __init__(self):
         super().__init__(1)
 
-    def mult_batch(self, a, mult, den=1):
+    def mult_batch(self, a, mult):
         raise ValueError("norm batches cannot be negated")
 
 

@@ -14,8 +14,6 @@ from rudlab.config import SpaceFactory, RunConfig
 from rudlab.exactnum import QSum, SQRT2, sqrt_exact
 from rudlab.spaces import (
     BmoRademacherSpace,
-    JamesSpace,
-    JamesXSpace,
     LpSpace,
     NormingSetSpace,
     RenormSpace,
@@ -64,16 +62,57 @@ def test_summing_dual_examples():
 
 
 def test_james_examples():
-    j = JamesSpace("chain")
+    fac = SpaceFactory(RunConfig())
+    j = fac.space("james:chain")
     assert j.norm(Coeffs.from_values([1])) == 1
     assert (q(j.norm(Coeffs.from_values([1, -1]))) - sqrt_exact(5)).sign() == 0
     assert j.norm(Coeffs.from_values([2, 2, 2, 2])) == 2
-    jx1 = JamesXSpace(1)
+    jx1 = fac.space("james_x:1")
     assert jx1.norm(Coeffs.from_values([1, -1])) == 3
     assert jx1.norm(Coeffs.from_values([-6])) == 6
-    jx2 = JamesXSpace(2)
-    a = Coeffs.from_values([1, -1])
-    assert (q(jx2.norm(a)) - q(JamesSpace("chain").norm(a))).sign() == 0
+
+
+def _engine_classes():
+    """Every engine class, the coding and tree engines included."""
+    import rudlab.bd, rudlab.dyadic, rudlab.mr  # noqa: F401  (register their engines)
+    from rudlab.spaces import Space
+
+    todo, seen = [Space], []
+    while todo:
+        cls = todo.pop()
+        seen.append(cls)
+        todo.extend(cls.__subclasses__())
+    return seen
+
+
+def test_engine_batch_contract():
+    """Every batch method of every engine takes exactly ``(self, a, mult)``:
+    ``mult``'s column count is the third positional argument."""
+    import inspect
+
+    classes = _engine_classes()
+    assert len(classes) > 10
+    for cls in classes:
+        for name in ("mult_batch", "mult_batch_float"):
+            params = list(inspect.signature(getattr(cls, name)).parameters)
+            assert params == ["self", "a", "mult"], (cls.__name__, name, params)
+
+
+def test_james_chain_is_james_x_2():
+    """``james:chain`` and ``james_x:2`` are one norm: equal exact batches
+    and bitwise-equal float batches on a 12-entry sign chunk."""
+    fac = SpaceFactory(RunConfig())
+    chain, jx2 = fac.space("james:chain"), fac.space("james_x:2")
+    assert (chain.name, jx2.name) == ("james:chain", "james_x:2")
+    a = Coeffs.from_pairs(zip([0, 1, 2, 4, 5, 7, 8, 9, 12, 13, 14, 17],
+                              [1, F(-1, 2), 3, 2, F(5, 3), -4, 1, 2, F(-7, 2), 1, -1, 6]))
+    mult = sign_matrix_range(12, 0, 1 << 11)
+    want, got = chain.mult_batch(a, mult), jx2.mult_batch(a, mult)
+    assert (got.scale, got.roots_scale) == (want.scale, want.roots_scale)
+    assert got.classes is None and want.classes is None
+    assert np.array_equal(got.roots, want.roots) and got.roots.dtype == want.roots.dtype
+    floats = mult.astype(np.float64)
+    assert chain.mult_batch_float(a, floats).tobytes() == jx2.mult_batch_float(a, floats).tobytes()
 
 
 def _james_oracle(a: Coeffs, convention: str) -> F:
@@ -108,7 +147,7 @@ def _james_oracle(a: Coeffs, convention: str) -> F:
 
 @pytest.mark.parametrize("convention", ["chain", "pairs"])
 def test_james_dp_vs_bruteforce(convention):
-    space = JamesSpace(convention)
+    space = SpaceFactory(RunConfig()).space(f"james:{convention}")
     rng = np.random.default_rng(11)
     for _ in range(25):
         m = int(rng.integers(1, 5))
@@ -178,7 +217,7 @@ def test_renorm_inner_average_once_per_abs_column(monkeypatch):
                             calls.append((name, mult.shape[1])) or method(a, mult, *rest))
     a = Coeffs.from_values([1, F(-1, 2), 2])
     mult = np.array([[1, -1, 1, -1], [-1, 1, 1, 1], [0, 0, 1, -1]], dtype=np.int8)
-    batch = space.mult_batch(a, mult, 1)
+    batch = space.mult_batch(a, mult)
     # the outer batch, then 4 + 2 patterns for |columns| (1,1,0) and (1,1,1)
     assert calls == [("mult_batch", 4), ("mult_batch", 6)]
     floats = space.mult_batch_float(a, mult.astype(np.float64))
@@ -213,13 +252,13 @@ def test_renorm_grouped_walk_across_chunks(monkeypatch, spec):
     base_calls = []
     method = space.base.mult_batch
     monkeypatch.setattr(space.base, "mult_batch",
-                        lambda b, mult, den=1: base_calls.append(mult.shape[1])
-                        or method(b, mult, den))
+                        lambda b, mult: base_calls.append(mult.shape[1])
+                        or method(b, mult))
     masks = mask_matrix_range(m, 0, 1 << m)[:, ::3]
     signs = sign_matrix_range(m, 0, 1 << m)[:, ::5]
     for mult in (masks, signs):
         base_calls.clear()
-        batch = space.mult_batch(a, mult, 1)
+        batch = space.mult_batch(a, mult)
         floats = space.mult_batch_float(a, mult.astype(np.float64))
         assert len(base_calls) > 2 and max(base_calls[1:]) <= 16
         for j in range(mult.shape[1]):
@@ -263,7 +302,7 @@ def _check_batch_against_norm(space, rng):
             [[1, -1, 0, 1][rng.integers(0, 4)] for _ in range(len(a) * 3)],
             dtype=np.int8,
         ).reshape(len(a), 3)
-        batch = space.mult_batch(a, mult, 1)
+        batch = space.mult_batch(a, mult)
         for col in range(3):
             masked = Coeffs.from_pairs(
                 (i, v * int(c)) for (i, v), c in zip(a.entries, mult[:, col])
@@ -316,8 +355,8 @@ def test_renorm_batch_mixes_grouped_walk_and_monte_carlo():
     space = RenormSpace(SummingSpace(), F(1), enum_cap=4, mc_samples=2000, mc_seed=5)
     a = Coeffs.from_values([1, -1, 2, 1, -2, 1])
     mult = mask_matrix_range(6, 0, 64)[:, [63, 62, 15, 5, 0]]
-    assert space.mult_batch(a, mult, 1) is None
-    batch = space.mult_batch(a, mult[:, 2:], 1)
+    assert space.mult_batch(a, mult) is None
+    batch = space.mult_batch(a, mult[:, 2:])
     floats = space.mult_batch_float(a, mult.astype(np.float64))
     for j in range(5):
         masked = Coeffs.from_pairs(
@@ -354,7 +393,7 @@ def test_renorm_batch_means_add_like_their_columns(spec):
                     (k, v * int(c)) for (k, v), c in zip(a.entries, mult[:, j]))
                 total = total + renorm_reference(space, masked)
             want = QSum.of(total * F(1, mult.shape[1]))
-            got = QSum.of(space.mult_batch(a, mult, 1).mean())
+            got = QSum.of(space.mult_batch(a, mult).mean())
             assert got == want and float(got) == float(want), (spec, i)
 
 
@@ -382,7 +421,7 @@ def test_renorm_integer_batches_match_norms(base, delta, values):
     a = Coeffs.from_values(values)
     m = len(a)
     for mult in (sign_matrix_range(m, 0, 1 << m), mask_matrix_range(m, 0, 1 << m)):
-        batch = space.mult_batch(a, mult, 1)
+        batch = space.mult_batch(a, mult)
         assert batch.scalars is None
         for j in range(mult.shape[1]):
             masked = Coeffs.from_pairs(
@@ -464,7 +503,7 @@ def test_exact_batches_past_the_old_cap(spec, picks, values):
     a = Coeffs.from_pairs((universe[k], v) for k, v in zip(picks, values))
     m = len(a)
     for mult in (sign_matrix_range(m, 0, 1 << m), mask_matrix_range(m, 0, 1 << m)):
-        batch = space.mult_batch(a, mult, 1)
+        batch = space.mult_batch(a, mult)
         floats = space.mult_batch_float(a, mult.astype(np.float64))
         for j in range(mult.shape[1]):
             got = QSum.of(batch.value(j))
@@ -488,7 +527,7 @@ def test_wide_walk_is_chunk_invariant():
         space = SpaceFactory.shared(RunConfig()).space(spec)
         stats = sign_stats(space, a)
         assert isinstance(stats, FoldedStats) and stats.scalars is None
-        whole = space.mult_batch(a, sign_matrix_range(16, 0, 1 << 15), 1)
+        whole = space.mult_batch(a, sign_matrix_range(16, 0, 1 << 15))
         arr = whole.roots if whole.roots is not None else whole.classes[1]
         assert arr.dtype == object
         assert stats.mean() == whole.mean() and stats.max() == whole.max()
@@ -504,7 +543,7 @@ def test_sweep_vectors_take_int64_batches(spec):
     space = SpaceFactory.shared(cfg).space(spec)
     for a in _vectors(space, derive_seed(cfg.seed, len(spec), sum(map(ord, spec))), 40):
         m = len(a)
-        batch = space.mult_batch(a, sign_matrix_range(m, 0, 1 << (m - 1)), 1)
+        batch = space.mult_batch(a, sign_matrix_range(m, 0, 1 << (m - 1)))
         arrays = [*(batch.classes or {}).values()]
         if batch.roots is not None:
             arrays.append(batch.roots)

@@ -151,7 +151,7 @@ def test_batches_match_norm_slow(spec):
             continue
         m = len(a)
         for mult in (sign_matrix_full(m), mask_matrix_full(m)):
-            batch = space.mult_batch(a, mult, 1)
+            batch = space.mult_batch(a, mult)
             for col in range(mult.shape[1]):
                 masked = Coeffs.from_pairs(
                     (i, v * int(c)) for (i, v), c in zip(a.entries, mult[:, col])
@@ -262,7 +262,7 @@ def test_norming_set_batches_at_the_integer_limits(family, a):
     space = NormingSetSpace("limits", lambda sup: family)
     m = len(a)
     for mult in (sign_matrix_full(m), mask_matrix_full(m)):
-        batch = space.mult_batch(a, mult, 1)
+        batch = space.mult_batch(a, mult)
         for col in range(mult.shape[1]):
             masked = Coeffs.from_pairs(
                 (i, v * int(c)) for (i, v), c in zip(a.entries, mult[:, col])
