@@ -22,8 +22,9 @@ near-tie in rudlab is settled by :func:`first_extreme`: a float pass locates
 the extreme, and the candidates within ``_TIE_RTOL`` of it are compared
 exactly, one per distinct integer key (equal keys are equal values).  Means
 sum integer numerators, in int64 only where no sum can leave it, and build
-one exact value per result.  Sums of products are taken over Python
-integers so no intermediate can overflow.  Float batches reduce by numpy
+one exact value per result.  Second moments sum squares and products the
+same way: in int64 where a bound shows that no sum can leave it, in Python
+ints otherwise.  Float batches reduce by numpy
 argmax and left-to-right float sums.
 """
 
@@ -278,38 +279,51 @@ class ExactBatch:
         return out
 
     def mean_sq(self, over: int | None = None) -> Scalar:
-        """Exact mean of the squared values (``over`` as in :meth:`mean`)."""
+        """Exact mean of the squared values (``over`` as in :meth:`mean`).
+
+        Sums of squares and products are taken in int64 where their bound
+        fits and in Python ints otherwise.  The terms are added in a fixed
+        order: per class its square, then its cross terms with the later
+        classes; the roots' sum; then the cross terms of the classes with
+        the roots, grouped by radicand in order of first appearance (the
+        first class's, then the later classes' new ones), and per radicand
+        by class."""
         n = len(self) if over is None else over
         if self.scalars is not None:
             return float_group_means([v * v for v in self.scalars], [0], [n])[0]
         total = QSum()
-        items = (
-            [(c, _ints(arr)) for c, arr in self.classes.items()]
-            if self.classes is not None
-            else []
-        )
-        for j, (cj, xj) in enumerate(items):
-            total = total + Fraction(cj * sum(x * x for x in xj), n * self.scale**2)
-            for ck, xk in items[j + 1 :]:
-                cross = sum(a * b for a, b in zip(xj, xk))
+        count = len(self)
+        items = [(c, arr, _peak(arr)) for c, arr in (self.classes or {}).items()]
+        for j, (cj, xj, pj) in enumerate(items):
+            total = total + Fraction(cj * _dot(xj, xj, pj * pj * count), n * self.scale**2)
+            for ck, xk, pk in items[j + 1 :]:
                 outer, core = split_square(cj * ck)
+                cross = _dot(xj, xk, pj * pk * count)
                 total = total + QSum.root(core, Fraction(2 * cross * outer, n * self.scale**2))
         if self.roots is not None:
-            rr = _ints(self.roots)
-            total = total + Fraction(sum(rr), n * self.roots_scale**2)
-            if items:
-                # cross terms 2 * (class part) * sqrt(r)/roots_scale, grouped by r
-                acc: dict[int, dict[int, int]] = {}
-                for cj, xj in items:
-                    for i, r in enumerate(rr):
-                        if r and xj[i]:
-                            acc.setdefault(r, {}).setdefault(cj, 0)
-                            acc[r][cj] += xj[i]
-                for r, per_class in acc.items():
-                    for cj, s in per_class.items():
-                        outer, core = split_square(cj * r)
-                        total = total + QSum.root(
-                            core,
-                            Fraction(2 * s * outer, n * self.scale * self.roots_scale),
-                        )
+            rr = self.roots
+            rsum = int(np.add.reduce(rr, dtype=int_dtype(_peak(rr) * count)))
+            total = total + Fraction(rsum, n * self.roots_scale**2)
+            # cross terms 2 * (class part) * sqrt(r)/roots_scale, grouped by r
+            groups: dict[int, list[tuple[int, int]]] = {}
+            for cj, xj, pj in items:
+                keep = np.flatnonzero((rr != 0) & (xj != 0))
+                rads, first, which = np.unique(rr[keep], return_index=True,
+                                               return_inverse=True)
+                sums = np.zeros(len(rads), dtype=int_dtype(pj * count))
+                np.add.at(sums, which, xj[keep].astype(sums.dtype))
+                for g in np.argsort(first).tolist():
+                    groups.setdefault(int(rads[g]), []).append((cj, int(sums[g])))
+            for r, per_class in groups.items():
+                for cj, x in per_class:
+                    outer, core = split_square(cj * r)
+                    total = total + QSum.root(
+                        core, Fraction(2 * x * outer, n * self.scale * self.roots_scale))
         return total.as_fraction() if total.is_rational() else total
+
+
+def _dot(x: np.ndarray, y: np.ndarray, bound: int) -> int:
+    """Exact ``sum(x * y)`` of two integer arrays whose partial sums
+    ``bound`` bounds: in int64 where it fits, in Python ints otherwise."""
+    dtype = int_dtype(bound)
+    return int(np.dot(x.astype(dtype, copy=False), y.astype(dtype, copy=False)))

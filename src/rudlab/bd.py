@@ -33,9 +33,10 @@ from math import gcd
 
 import numpy as np
 
+from .batches import ExactBatch
 from .coeffs import Coeffs, DomainError
 from .rng import derive_seed
-from .spaces import Space
+from .spaces import Space, _float_values, _int_entries, _int_mult_values, _split_images
 
 DEFAULT_LAMBDA = Fraction(2)
 DEFAULT_B = Fraction(1, 4)
@@ -292,8 +293,8 @@ class Gamma:
     def biorthogonality_defect(self) -> int:
         """max |<d_sigma*, d_tau> - delta| over all built pairs, times scales."""
         prod = self.Dstar @ self.D
-        expected = self.s_scale * self.d_scale * np.eye(self.size, dtype=np.int64)
-        return int(np.abs(prod - expected).max())
+        prod.flat[:: self.size + 1] -= self.s_scale * self.d_scale
+        return int(np.abs(prod, out=prod).max())
 
     def dual_l1_norms(self) -> list[Fraction]:
         return [
@@ -342,9 +343,6 @@ class BdBasisSpace(Space):
         self.sweep_max_m = 10
 
     def mult_batch(self, a, mult):
-        from .spaces import _int_mult_values
-        from .batches import ExactBatch
-
         d = self.gamma.D[:, list(a.support)]
         v, scale = _int_mult_values(a, mult, int(np.abs(d).sum(axis=1).max()))
         image = d @ v
@@ -352,9 +350,14 @@ class BdBasisSpace(Space):
             np.abs(image).max(axis=0), scale * self.gamma.d_scale
         )
 
-    def mult_batch_float(self, a, mult):
-        from .spaces import _float_values
+    def split_batches(self, a, low, highs):
+        d = self.gamma.D[:, list(a.support)]
+        ints, scale = _int_entries(a, gain=int(np.abs(d).sum(axis=1).max()))
+        forms = d.astype(ints.dtype) * ints
+        return (ExactBatch.from_rational(np.abs(image).max(axis=0), scale * self.gamma.d_scale)
+                for image in _split_images(forms, low, highs))
 
+    def mult_batch_float(self, a, mult):
         v = _float_values(a, mult)
         cols = list(a.support)
         image = (self.gamma.D[:, cols].astype(np.float64) / self.gamma.d_scale) @ v

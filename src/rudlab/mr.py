@@ -621,6 +621,11 @@ class _CodingSpace(NormingSetSpace):
                 pairs[core] = pairs[core] + p if core in pairs else p
         return _normingset_reduce_exact(pairs, lay.fscale * vden)
 
+    def split_batches(self, a, low, highs):
+        # the norming-set split would pair the enumerated family's class
+        # matrices; the closed-form rows are built chunk by chunk
+        return None
+
 
 class ZmrSpace(_CodingSpace):
     def __init__(self, ctx: MrContext):

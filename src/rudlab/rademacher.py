@@ -8,10 +8,16 @@ Exact enumeration is one walk over the canonical bitmask range in chunks
 of ``_CHUNK`` columns.  Each chunk is one exact batch; its sums are folded
 by exact addition and its extremes by exact comparison, the earlier index
 winning ties, so results do not depend on the chunking and memory is
-bounded by the chunk, not by 2^m.  Sign averages walk only the 2^(m-1)
-patterns whose top bit is clear: a pattern and its complement give the
-same norm, so the mean, mean square and extremes are those of all 2^m
-patterns.  So is the first maximiser: had it its top bit set, its
+bounded by the chunk, not by 2^m.  Within a chunk only the low
+log2(``_CHUNK``) mask bits vary, so an engine may build the part of its
+batches that the low bits decide once per vector and add each chunk's
+constant high part (:meth:`~rudlab.spaces.Space.split_batches`, the
+split-half idea of Horowitz & Sahni, JACM 1974); its batches are
+array-equal to the ones ``mult_batch`` gives chunk by chunk.
+
+Sign averages walk only the 2^(m-1) patterns whose top bit is clear: a
+pattern and its complement give the same norm, so the mean, mean square
+and extremes are those of all 2^m patterns.  So is the first maximiser: had it its top bit set, its
 complement would be a smaller maximiser.  Subset averages walk all 2^m
 masks.  A vector with float entries, and a chunk whose engine returns no
 exact batch, walk the same chunks through the engine's float batch, and
@@ -46,7 +52,9 @@ from .exactnum import Scalar
 from .rng import DEFAULT_SEED, sign_matrix
 from .spaces import Space
 
-_CHUNK = 1 << 13  # exact-enumeration chunk width (results are chunk-invariant)
+#: exact-enumeration chunk width, a power of two of at least 2 (results are
+#: chunk-invariant)
+_CHUNK = 1 << 13
 _MC_CHUNK = 4096
 
 
@@ -135,12 +143,22 @@ def _walk_length(m: int, masks: bool) -> int:
 def _walk(space: Space, a: Coeffs, masks: bool) -> Iterator[tuple[int, ExactBatch]]:
     """(first bitmask, batch) for each chunk of the walk, in order.
 
-    A vector with float entries, and a chunk for which the engine returns no
-    exact batch, take the engine's float batch."""
+    An exact vector whose walk spans several chunks is offered to the
+    engine's :meth:`~rudlab.spaces.Space.split_batches`: chunk k's masks are
+    the b = log2(``_CHUNK``) low bits of 0..``_CHUNK``-1 over the high bits
+    of k.  Otherwise, and where that returns None, each chunk is one
+    ``mult_batch``.  A vector with float entries, and a chunk for which the
+    engine returns no exact batch, take the engine's float batch."""
     m = len(a)
     build = mask_matrix_range if masks else sign_matrix_range
     total = _walk_length(m, masks)
     exact = a.is_exact()
+    if exact and total > _CHUNK:
+        b = _CHUNK.bit_length() - 1
+        split = space.split_batches(a, build(b, 0, _CHUNK), build(m - b, 0, total >> b))
+        if split is not None:
+            yield from zip(range(0, total, _CHUNK), split)
+            return
     for start in range(0, total, _CHUNK):
         mult = build(m, start, min(start + _CHUNK, total))
         batch = space.mult_batch(a, mult) if exact else None
@@ -150,6 +168,8 @@ def _walk(space: Space, a: Coeffs, masks: bool) -> Iterator[tuple[int, ExactBatc
 
 
 def _stats(space: Space, a: Coeffs, cap: int, masks: bool) -> ExactBatch | FoldedStats:
+    if not a:  # the one pattern of the empty support has norm 0
+        return ExactBatch.from_rational(np.zeros(1, dtype=np.int64), 1)
     m = _check_cap(a, cap)
     total = _walk_length(m, masks)
     if total <= _CHUNK:

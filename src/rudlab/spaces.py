@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import inf, lcm
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -47,12 +47,30 @@ def _int_mult_values(a: Coeffs, mult: np.ndarray,
     atoms, a matrix's row sums); the matrix is int64 under that bound and
     Python ints past it.  The batch an engine builds from it refuses what
     it would hold past the float range (:class:`ExactBatch`)."""
+    ints, d = _int_entries(a, _peak(mult), gain)
+    return ints[:, None] * mult.astype(ints.dtype), d
+
+
+def _int_entries(a: Coeffs, peak: int = 1, gain: int = 1) -> tuple[np.ndarray, int]:
+    """The entries of rational ``a`` as integer numerators over their common
+    denominator, with that denominator, in the dtype
+    :func:`_int_mult_values` gives multipliers of magnitude up to ``peak``."""
     cols, d = _class_columns(a)
     ints = cols.pop(1, [])
     if cols:
         raise NoIntegerForm("radical-valued entry: no integer form")
-    dtype = int_dtype(gain * (2 * sum(map(abs, ints)) * _peak(mult)) ** 2)
-    return np.array(ints, dtype=dtype)[:, None] * mult.astype(dtype), d
+    return np.array(ints, dtype=int_dtype(gain * (2 * sum(map(abs, ints)) * peak) ** 2)), d
+
+
+def _split_images(forms: np.ndarray, low: np.ndarray, highs: np.ndarray) -> Iterator[np.ndarray]:
+    """``forms @ mult`` for each chunk of a split walk (see
+    :meth:`Space.split_batches`), in ``forms``' dtype: the low columns'
+    image is built once, and each chunk adds its high column's image."""
+    b = low.shape[0]
+    t_low = forms[:, :b] @ low.astype(forms.dtype)
+    t_high = forms[:, b:] @ highs.astype(forms.dtype)
+    for k in range(highs.shape[1]):
+        yield t_low + t_high[:, k, None]
 
 
 def _float_values(a: Coeffs, mult: np.ndarray) -> np.ndarray:
@@ -60,7 +78,13 @@ def _float_values(a: Coeffs, mult: np.ndarray) -> np.ndarray:
 
 
 class Space:
-    """Base class for norm engines."""
+    """Base class for norm engines.
+
+    An engine overrides ``mult_batch`` and ``mult_batch_float``, each taking
+    ``(self, a, mult)``.  It may also override ``split_batches``, which an
+    exact walk of several chunks offers first: it returns one batch per
+    chunk, each array-equal to ``mult_batch`` on the chunk, or None.
+    """
 
     name: str = "?"
     #: indices random sweeps may draw support from (None: any small index)
@@ -92,6 +116,23 @@ class Space:
 
     def mult_batch_float(self, a: Coeffs, mult: np.ndarray) -> np.ndarray:
         raise NotImplementedError(f"{self.name}: no float batch path")
+
+    def split_batches(self, a: Coeffs, low: np.ndarray,
+                      highs: np.ndarray) -> Iterator[ExactBatch] | None:
+        """Exact batches of a walk's chunks whose multiplier rows split into
+        low rows that vary within a chunk and high rows that do not.
+
+        Chunk k's multipliers are ``low`` (the first b rows, all chunks
+        alike) over ``highs[:, k]`` repeated across the columns (the other
+        rows).  An engine that can build its low part once per vector
+        returns an iterator of one batch per column of ``highs``, each
+        array-equal to :meth:`mult_batch` on the chunk's multipliers
+        (values, dtypes, scales and class order), and raises what that
+        would raise.  None, the default and the answer wherever
+        :meth:`mult_batch` has no exact batch, makes the walk call
+        :meth:`mult_batch` chunk by chunk.
+        """
+        return None
 
     # -- hooks ---------------------------------------------------------------
 
@@ -241,14 +282,47 @@ def _gain(d: np.ndarray, power) -> np.ndarray:
     return d**2 if power == 2 else d if power == 1 else d.astype(np.float64) ** power
 
 
-def _chain_dp(nv: np.ndarray, power) -> np.ndarray:
+def _chain_table(nv: np.ndarray, power) -> np.ndarray:
     """Best accumulated |difference|^power along increasing node chains:
     row j of the table is the best chain ending at node j."""
     k, n = nv.shape
     best = np.zeros((k, n), dtype=nv.dtype if power in (1, 2) else np.float64)
     for j in range(1, k):
         best[j] = (best[:j] + _gain(np.abs(nv[:j] - nv[j]), power)).max(axis=0)
-    return best[-1]
+    return best
+
+
+def _chain_dp(nv: np.ndarray, power) -> np.ndarray:
+    return _chain_table(nv, power)[-1]
+
+
+def _split_chain_dp(ints: np.ndarray, nodes: list[int], low: np.ndarray,
+                    highs: np.ndarray, power) -> Iterator[np.ndarray]:
+    """:func:`_chain_dp` of each chunk of a split walk (see
+    :meth:`Space.split_batches`) of the entries ``ints``, exact powers only.
+
+    The nodes up to the last low slot take the low rows' values and are
+    tabled once.  Every later node holds one value c per chunk (0 on a
+    zero node), and a chain reaching it from the low nodes is worth
+    ``max_i(best_i + |v_i - c|^power)`` over them, which is memoised on c;
+    each chunk then runs the DP over its later nodes alone."""
+    b = low.shape[0]
+    cut = nodes.index(b - 1) + 1
+    low_nv = _node_matrix(ints[:b, None] * low.astype(ints.dtype), nodes[:cut])
+    best = _chain_table(low_nv, power)
+    reach: dict[int, np.ndarray] = {}
+    high = [slot - b if slot >= 0 else -1 for slot in nodes[cut:]]
+    consts = _node_matrix(ints[b:, None] * highs.astype(ints.dtype), high)
+    for col in consts.T.tolist():
+        rows = []
+        for j, c in enumerate(col):
+            if c not in reach:
+                reach[c] = (best + _gain(np.abs(low_nv - c), power)).max(axis=0)
+            row = reach[c]
+            for i in range(j):
+                row = np.maximum(row, rows[i] + _gain(abs(col[i] - c), power))
+            rows.append(row)
+        yield rows[-1]
 
 
 def _pairs_dp(nv: np.ndarray, power) -> np.ndarray:
@@ -277,14 +351,23 @@ class JamesSpace(Space):
     def _reduce(self, v, support):
         return self._dp(_node_matrix(v, _chain_nodes(support)), self.p)
 
+    def _batch(self, dp, scale):
+        if self.p == 1:
+            return ExactBatch.from_rational(dp, scale)
+        return ExactBatch.from_roots(dp, scale)
+
     def mult_batch(self, a, mult):
         if self.p not in (1, 2):
             return None
         v, scale = _int_mult_values(a, mult)
-        dp = self._reduce(v, a.support)
-        if self.p == 1:
-            return ExactBatch.from_rational(dp, scale)
-        return ExactBatch.from_roots(dp, scale)
+        return self._batch(self._reduce(v, a.support), scale)
+
+    def split_batches(self, a, low, highs):
+        if self.p not in (1, 2) or self._dp is not _chain_dp:
+            return None
+        ints, scale = _int_entries(a)
+        return (self._batch(dp, scale)
+                for dp in _split_chain_dp(ints, _chain_nodes(a.support), low, highs, self.p))
 
     def mult_batch_float(self, a, mult):
         dp = self._reduce(_float_values(a, mult), a.support)
@@ -565,6 +648,23 @@ class NormingSetSpace(Space):
                 p = m @ v if outer == 1 else (m @ v) * outer
                 pairs[core] = pairs[core] + p if core in pairs else p
         return _normingset_reduce_exact(pairs, fscale * vden)
+
+    def split_batches(self, a, low, highs):
+        """Each radicand core's pairings are one integer form matrix, the
+        sum of ``outer * M_fc * diag(a_vc)`` over the class pairs (fc, vc)
+        that land on it; its split images feed the exact reduction."""
+        mats, fscale, peaks = self.class_mats(a.support)
+        vals, vden, dtype = _class_values(a, np.ones((len(a), 1), dtype=np.int8), peaks)
+        forms: dict[int, np.ndarray] = {}  # (F, m) per core, in mult_batch's order
+        for fc, m in mats.items():
+            m = m.astype(dtype, copy=False)
+            for vc, v in vals.items():
+                outer, core = split_square(fc * vc)
+                w = m * (v[:, 0] * outer)
+                forms[core] = forms[core] + w if core in forms else w
+        images = zip(*(_split_images(w, low, highs) for w in forms.values()))
+        return (_normingset_reduce_exact(dict(zip(forms, chunk)), fscale * vden)
+                for chunk in images)
 
     def mult_batch_float(self, a, mult):
         v = _float_values(a, mult)

@@ -4,11 +4,12 @@ bound shows no entry or sum can leave it, and Python ints otherwise."""
 from fractions import Fraction as F
 
 import numpy as np
+import pytest
 
 from rudlab.batches import ExactBatch
 from rudlab.coeffs import Coeffs
 from rudlab.config import RunConfig, SpaceFactory
-from rudlab.exactnum import QSum
+from rudlab.exactnum import QSum, split_square
 
 
 def test_renorm_batch_refuses_int64_wrap():
@@ -70,3 +71,59 @@ def test_group_means_match_sliced_means():
     for k in range(8, 25):  # left to right, as the walk folds a float chunk
         total += 0.1 * k
     assert floats.group_means(starts, overs)[2] == total / 20
+
+
+def _mean_sq_oracle(batch: ExactBatch, n: int):
+    """The second moment summed term by term over Python ints, adding its
+    terms in the order :meth:`ExactBatch.mean_sq` documents."""
+    total = QSum()
+    items = [(c, [int(x) for x in arr.tolist()]) for c, arr in (batch.classes or {}).items()]
+    for j, (cj, xj) in enumerate(items):
+        total = total + F(cj * sum(x * x for x in xj), n * batch.scale**2)
+        for ck, xk in items[j + 1 :]:
+            cross = sum(a * b for a, b in zip(xj, xk))
+            outer, core = split_square(cj * ck)
+            total = total + QSum.root(core, F(2 * cross * outer, n * batch.scale**2))
+    if batch.roots is not None:
+        rr = [int(r) for r in batch.roots.tolist()]
+        total = total + F(sum(rr), n * batch.roots_scale**2)
+        acc: dict[int, dict[int, int]] = {}
+        for cj, xj in items:
+            for i, r in enumerate(rr):
+                if r and xj[i]:
+                    acc.setdefault(r, {}).setdefault(cj, 0)
+                    acc[r][cj] += xj[i]
+        for r, per_class in acc.items():
+            for cj, s in per_class.items():
+                outer, core = split_square(cj * r)
+                total = total + QSum.root(
+                    core, F(2 * s * outer, n * batch.scale * batch.roots_scale))
+    return total.as_fraction() if total.is_rational() else total
+
+
+@pytest.mark.parametrize("width", ["int64", "wide_int64", "object"])
+def test_mean_sq_matches_term_by_term_oracle(width):
+    """Batches with classes and roots: int64 ones, int64 ones near 2^40
+    whose squares and products leave int64, and Python-int ones near 2^62.
+    The vectorised second moment equals the term-by-term one, with its
+    terms in the same order."""
+    rng = np.random.default_rng(11)
+    big, dtype = {"int64": (1, np.int64), "wide_int64": (1 << 40, np.int64),
+                  "object": (1 << 62, object)}[width]
+    for trial in range(20):
+        n = int(rng.integers(1, 60))
+        classes = {c: (rng.integers(-40, 40, size=n).astype(object) * big).astype(dtype)
+                   for c in [1, 2, 3, 6, 12][: int(rng.integers(1, 5))]}
+        roots = rng.integers(0, 9, size=n) ** 2 * rng.choice([0, 1, 2, 3, 5, 8, 18], size=n)
+        roots = (roots.astype(object) * big).astype(dtype)
+        for batch in (
+            ExactBatch(scale=6, classes=classes, roots=roots, roots_scale=4),
+            ExactBatch(scale=5, classes=classes),
+            ExactBatch(roots=roots, roots_scale=3),
+        ):
+            for over in (None, 3 * n):
+                got = batch.mean_sq(over)
+                want = _mean_sq_oracle(batch, len(batch) if over is None else over)
+                assert type(got) is type(want), trial
+                assert QSum.of(got) == QSum.of(want), trial
+                assert list(QSum.of(got).terms.items()) == list(QSum.of(want).terms.items())

@@ -51,6 +51,21 @@ def test_biorthogonality_exact(gamma):
     assert gamma.biorthogonality_defect() == 0
 
 
+def test_biorthogonality_defect_matches_the_subtraction():
+    """The in-place defect is max |Dstar @ D - s_scale * d_scale * I| on a
+    built tree, and after a change off and on the diagonal of D."""
+    g = build_gamma(BDParams(levels=3, cap=12, seed=1))
+
+    def subtracted():
+        expected = g.s_scale * g.d_scale * np.eye(g.size, dtype=np.int64)
+        return int(np.abs(g.Dstar @ g.D - expected).max())
+
+    assert g.biorthogonality_defect() == subtracted() == 0
+    for i, j, delta in ((2, 3, 5), (4, 4, -7)):
+        g.D[i, j] += delta
+        assert g.biorthogonality_defect() == subtracted() > 0
+
+
 def test_biorthogonality_small_vs_fraction_oracle():
     """Independent check: exact Fraction dot products on a small build."""
     g = build_gamma(BDParams(levels=3, cap=12, seed=1))

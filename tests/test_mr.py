@@ -304,9 +304,9 @@ def test_zrud_on_the_block_support_matches_block_norm(ctx):
 
 
 def test_coding_engines_enumerate_no_family(monkeypatch):
-    """The zmr, zruc and zrud walks of the sweep's vectors, and the witness
-    at depth 3, never list a tuple-functional family nor build its class
-    matrices."""
+    """The zmr, zruc and zrud walks of the sweep's vectors and of a
+    6-entry vector in 4-column chunks, and the witness at depth 3, never
+    list a tuple-functional family nor build its class matrices."""
     from rudlab.config import RunConfig, SpaceFactory
     from rudlab.experiments import _vectors, derive_seed
 
@@ -330,6 +330,16 @@ def test_coding_engines_enumerate_no_family(monkeypatch):
             sign_stats(space, a, cfg.cap).mean()
             subset_stats(space, a, cfg.cap).mean()
     mr_witness(3, fac.mr_context, mc_samples=4096)
+    # walks of several chunks, which the norming-set engine would split
+    import rudlab.rademacher as rad
+
+    monkeypatch.setattr(rad, "_CHUNK", 4)
+    for spec in ("zmr", "zruc", "zrud"):
+        space = fac.space(spec)
+        a = Coeffs.from_pairs(zip(space.sweep_indices, [1, -2, F(1, 2), 3, -1, 2]))
+        assert len(a) == 6  # 8 sign chunks, 16 mask chunks
+        sign_stats(space, a).mean()
+        subset_stats(space, a).mean()
     assert calls == {"class_mats": 0, "zmr_functionals": 0, "zrud_functionals": 0}
 
 

@@ -2,8 +2,11 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from rudlab.coeffs import Coeffs, EnumerationCapError
+import rudlab.rademacher as rad
+from rudlab.coeffs import Coeffs, EnumerationCapError, mask_matrix_range, sign_matrix_range
+from rudlab.config import RunConfig, SpaceFactory
 from rudlab.exactnum import QSum, le_times_square
 from rudlab.experiments import SWEEP_SPECS
 from rudlab.rademacher import (
@@ -13,6 +16,7 @@ from rudlab.rademacher import (
     expect_second_moment,
     expect_subsets,
     sign_stats,
+    subset_stats,
 )
 from rudlab.spaces import LpSpace, SummingDualSpace, SummingSpace
 
@@ -347,3 +351,99 @@ def test_float_vector_walks_float_batches(monkeypatch):
             want = want + sum(vals[start:start + chunk]) / half
         assert sign_stats(space, a).mean() == want
     assert calls == []
+
+
+@pytest.mark.parametrize("spec", SWEEP_SPECS)
+def test_stats_of_the_zero_vector(spec):
+    """The zero vector's sign and subset stats are those of its one
+    pattern, of norm 0, as its exact mean and its norm are."""
+    space = SpaceFactory.shared(RunConfig()).space(spec)
+    zero = Coeffs.zero()
+    for stats in (sign_stats(space, zero), subset_stats(space, zero)):
+        assert stats.scalars is None and len(stats) == 1
+        assert [stats.mean(), stats.mean_sq(), stats.min(), stats.max(), stats.argmax()] == [0] * 5
+    assert expect_exact(space, zero).value == 0 == space.norm(zero)
+
+
+#: the engines whose exact walks split (``Space.split_batches``)
+_SPLIT_SPECS = ("norming_set", "james:chain", "james_x:1", "james_x:2", "bd")
+
+
+def _assert_same_batch(got, want, label):
+    assert (got.scale, got.roots_scale, got.scalars) == (want.scale, want.roots_scale, None), label
+    assert list(got.classes or {}) == list(want.classes or {}), label
+    arrays = [(got.classes[c], want.classes[c]) for c in want.classes or {}]
+    assert (got.roots is None) == (want.roots is None), label
+    if want.roots is not None:
+        arrays.append((got.roots, want.roots))
+    for x, y in arrays:
+        assert x.dtype == y.dtype and np.array_equal(x, y), label
+
+
+@pytest.mark.parametrize("spec", _SPLIT_SPECS)
+@settings(max_examples=15, deadline=None)
+@given(
+    chunk=st.sampled_from([4, 8, 16]),
+    masks=st.booleans(),
+    slots=st.lists(st.integers(0, 15), min_size=7, max_size=9, unique=True),
+    values=st.lists(st.fractions(-5, 5, max_denominator=4).filter(bool), min_size=9, max_size=9),
+    wide=st.sampled_from([1, 1 << 41, 1 << 62]),
+)
+@example(chunk=4, masks=False, slots=list(range(7)), values=[1] * 9, wide=1)
+@example(chunk=16, masks=True, slots=[1, 2, 5, 6, 7, 9, 12], values=[F(-1, 3), 2] * 4 + [1],
+         wide=1 << 62)
+def test_split_walk_batches_equal_chunk_batches(spec, chunk, masks, slots, values, wide):
+    """A walk of several chunks on a splitting engine yields, chunk for
+    chunk, the batch ``mult_batch`` gives on that chunk's multipliers:
+    equal arrays, dtypes, scales and class order.  Supports start at 0 or
+    above it and have gaps (the chain engines' zero nodes), and entries
+    past 2^40 and 2^62 take Python-int batches."""
+    space = SpaceFactory.shared(RunConfig()).space(spec)
+    universe = space.sweep_indices or range(16)
+    a = Coeffs.from_pairs((universe[i], v * wide) for i, v in zip(slots, values))
+    m, build = len(a), mask_matrix_range if masks else sign_matrix_range
+    total = rad._walk_length(m, masks)
+    want = [space.mult_batch(a, build(m, start, start + chunk))
+            for start in range(0, total, chunk)]
+    b = chunk.bit_length() - 1
+    split = space.split_batches(a, build(b, 0, chunk), build(m - b, 0, total >> b))
+    assert split is not None
+    split = list(split)
+    assert len(split) == len(want) > 1
+    for k, (got, w) in enumerate(zip(split, want)):
+        _assert_same_batch(got, w, (spec, chunk, masks, k))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rad, "_CHUNK", chunk)
+        walked = list(rad._walk(space, a, masks))
+    assert [start for start, _ in walked] == list(range(0, total, chunk))
+    for k, ((_, got), w) in enumerate(zip(walked, want)):
+        _assert_same_batch(got, w, (spec, chunk, masks, k, "walk"))
+
+
+@pytest.mark.parametrize("spec", ["norming_set", "james:chain"])
+def test_split_walks_call_no_mult_batch(spec, monkeypatch):
+    """Sign and subset walks of several chunks on a splitting engine never
+    evaluate a chunk through ``mult_batch``."""
+    space = SpaceFactory(RunConfig()).space(spec)
+    a = Coeffs.from_values([1, -2, 3, F(1, 2), 2, -1, 3])
+
+    def refuse(self, a, mult):
+        raise AssertionError("mult_batch called on a split walk")
+
+    monkeypatch.setattr(rad, "_CHUNK", 16)  # 4 sign chunks, 8 mask chunks
+    monkeypatch.setattr(type(space), "mult_batch", refuse)
+    stats = sign_stats(space, a)
+    assert isinstance(stats, rad.FoldedStats) and stats.mean() > 0
+    assert subset_stats(space, a).max() > 0
+    assert expect_exact(space, a).value == stats.mean()
+
+
+def test_split_hook_declines_where_mult_batch_has_no_exact_batch():
+    """Off the exact exponents, on disjoint pairs, on the closed-form
+    coding engines and on engines without a split, the hook returns None."""
+    fac = SpaceFactory.shared(RunConfig())
+    a = Coeffs.from_values([1, -2, 3, F(1, 2), 2])
+    low, highs = sign_matrix_range(2, 0, 4), sign_matrix_range(3, 0, 4)
+    for spec in ("james_x:3", "james:pairs", "zmr", "zruc", "zrud", "summing", "lp:2",
+                 "renorm:summing:1"):
+        assert fac.space(spec).split_batches(a, low, highs) is None, spec
