@@ -20,19 +20,21 @@ float entries, or an engine without an exact batch.
 The min/max/mean/second-moment reductions stay exact throughout.  Every
 near-tie in rudlab is settled by :func:`first_extreme`: a float pass locates
 the extreme, and the candidates within ``_TIE_RTOL`` of it are compared
-exactly, one per distinct integer key (equal keys are equal values).  Means
-sum integer numerators, in int64 only where no sum can leave it, and build
-one exact value per result.  Second moments sum squares and products the
-same way: in int64 where a bound shows that no sum can leave it, in Python
-ints otherwise.  Float batches reduce by numpy
-argmax and left-to-right float sums.
+exactly, one per distinct integer key (equal keys are equal values).  Every
+exact value, mean and second moment is one :func:`_fold` of integer sums
+into one running total per square-free core: means sum numerators per
+piece, second moments take the class-pair sums from one Gram product of the
+class arrays and the class-root sums from one grouped sum per radicand, in
+int64 where a bound shows that no sum can leave it and in Python ints
+otherwise.  Float batches reduce by numpy argmax and left-to-right float sums.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Sequence
+from math import lcm
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -78,6 +80,31 @@ def float_group_means(values: Sequence[float], starts: Sequence[int],
             total = total + v
         out.append(total / over)
     return out
+
+
+def _fold(blocks: Sequence[tuple[int, Iterable[tuple[int, int]]]]) -> Scalar:
+    """Exact sum of ``x * sqrt(r) / d`` over the ``(d, [(r, x), ...])``
+    blocks of integers, in order; a zero ``r`` or ``x`` adds nothing.
+
+    Each square-free core keeps one running integer total over the common
+    denominator: it enters at its first nonzero contribution and leaves when
+    its total returns to 0, as :class:`QSum` adds.  One value is built at
+    the end, a ``Fraction`` when it is rational."""
+    den = lcm(*[d for d, _ in blocks])
+    totals: dict[int, int] = {}
+    for d, block in blocks:
+        mul = den // d
+        for r, x in block:
+            if r and x:
+                outer, core = split_square(r)
+                t = totals.get(core, 0) + x * outer * mul
+                if t:
+                    totals[core] = t
+                else:
+                    del totals[core]
+    if totals.keys() <= {1}:
+        return Fraction(totals.get(1, 0), den)
+    return QSum({core: Fraction(t, den) for core, t in totals.items()})
 
 
 def _scalar_gt(a: Scalar, b: Scalar) -> bool:
@@ -165,15 +192,10 @@ class ExactBatch:
     def value(self, i: int) -> Scalar:
         if self.scalars is not None:
             return self.scalars[i]
-        total = QSum()
-        if self.classes is not None:
-            for core, arr in self.classes.items():
-                total = total + QSum.root(core, Fraction(int(arr[i]), self.scale))
+        blocks = [(self.scale, [(c, int(arr[i])) for c, arr in (self.classes or {}).items()])]
         if self.roots is not None:
-            r = int(self.roots[i])
-            if r:
-                total = total + QSum.root(r, Fraction(1, self.roots_scale))
-        return total.as_fraction() if total.is_rational() else total
+            blocks.append((self.roots_scale, [(int(self.roots[i]), 1)]))
+        return _fold(blocks)
 
     def float_values(self) -> np.ndarray:
         if self._floats is None:
@@ -230,9 +252,9 @@ class ExactBatch:
         start, none of them empty, and its sum is divided by ``overs[p]``.
 
         Numerators are summed as integers, in int64 where no sum can leave
-        it, and each piece's value is built once: every class with its own
-        radicand, then the roots part, one term per square-free core in the
-        order the ascending radicands first reach it."""
+        it, and each piece's value is one :func:`_fold` of its sums in a
+        fixed order: every class with its own radicand, then the roots part
+        by ascending radicand, each radicand with its count."""
         if self.scalars is not None:
             return float_group_means(self.scalars, starts, overs)
         n = len(self)
@@ -247,83 +269,57 @@ class ExactBatch:
             piece = np.repeat(np.arange(len(overs)), np.diff(bounds))
             order = np.lexsort((self.roots, piece))
             r, pc = self.roots[order], piece[order]
-            first = np.ones(n, dtype=bool)
-            first[1:] = (r[1:] != r[:-1]) | (pc[1:] != pc[:-1])
-            at = np.flatnonzero(first)
+            at = np.flatnonzero(np.append(True, (r[1:] != r[:-1]) | (pc[1:] != pc[:-1])))
             counts = np.diff(np.append(at, n))
             for p, rad, c in zip(pc[at].tolist(), _ints(r[at]), counts.tolist()):
                 runs[p].append((rad, c))
-        rs = self.roots_scale or 1
-        out = []
-        for p, over in enumerate(overs):
-            # per core: numerators over the class scale and over the roots scale
-            nums: dict[int, list[int]] = {}
-            for core, sums in class_sums:
-                if sums[p]:
-                    outer, c = split_square(core)
-                    nums.setdefault(c, [0, 0])[0] += sums[p] * outer
-            for rad, c in runs[p]:
-                if rad:
-                    outer, core = split_square(rad)
-                    nums.setdefault(core, [0, 0])[1] += c * outer
-            terms = {}
-            for core, (x, y) in nums.items():
-                if x * rs + y * self.scale:
-                    terms[core] = (
-                        Fraction(x, over * self.scale) if not y
-                        else Fraction(y, over * rs) if not x
-                        else Fraction(x * rs + y * self.scale, over * self.scale * rs)
-                    )
-            total = QSum(terms)
-            out.append(total.as_fraction() if total.is_rational() else total)
-        return out
+        return [_fold([(over * self.scale, [(core, sums[p]) for core, sums in class_sums]),
+                       (over * (self.roots_scale or 1), runs[p])])
+                for p, over in enumerate(overs)]
 
     def mean_sq(self, over: int | None = None) -> Scalar:
         """Exact mean of the squared values (``over`` as in :meth:`mean`).
 
-        Sums of squares and products are taken in int64 where their bound
-        fits and in Python ints otherwise.  The terms are added in a fixed
-        order: per class its square, then its cross terms with the later
-        classes; the roots' sum; then the cross terms of the classes with
-        the roots, grouped by radicand in order of first appearance (the
-        first class's, then the later classes' new ones), and per radicand
-        by class."""
+        One :func:`_fold` of integer sums (see the module docstring), with
+        the terms in a fixed order: per class its square, then its cross
+        terms with the later classes; the roots' sum; then the cross terms
+        of the classes with the roots, grouped by radicand in order of first
+        appearance (the first class's, then the later classes' new ones),
+        and per radicand by class."""
         n = len(self) if over is None else over
         if self.scalars is not None:
             return float_group_means([v * v for v in self.scalars], [0], [n])[0]
-        total = QSum()
         count = len(self)
-        items = [(c, arr, _peak(arr)) for c, arr in (self.classes or {}).items()]
-        for j, (cj, xj, pj) in enumerate(items):
-            total = total + Fraction(cj * _dot(xj, xj, pj * pj * count), n * self.scale**2)
-            for ck, xk, pk in items[j + 1 :]:
-                outer, core = split_square(cj * ck)
-                cross = _dot(xj, xk, pj * pk * count)
-                total = total + QSum.root(core, Fraction(2 * cross * outer, n * self.scale**2))
+        cores = list(self.classes or {})
+        blocks: list[tuple[int, list[tuple[int, int]]]] = []
+        if cores:
+            x = np.stack(list(self.classes.values()))
+            x = x.astype(int_dtype(_peak(x) ** 2 * count), copy=False)
+            gram = (x @ x.T).tolist()
+            blocks.append((n * self.scale**2, [
+                (1, cj * gram[j][j]) if j == k else (cj * ck, 2 * gram[j][k])
+                for j, cj in enumerate(cores) for k, ck in enumerate(cores) if j <= k]))
         if self.roots is not None:
             rr = self.roots
-            rsum = int(np.add.reduce(rr, dtype=int_dtype(_peak(rr) * count)))
-            total = total + Fraction(rsum, n * self.roots_scale**2)
-            # cross terms 2 * (class part) * sqrt(r)/roots_scale, grouped by r
-            groups: dict[int, list[tuple[int, int]]] = {}
-            for cj, xj, pj in items:
-                keep = np.flatnonzero((rr != 0) & (xj != 0))
-                rads, first, which = np.unique(rr[keep], return_index=True,
-                                               return_inverse=True)
-                sums = np.zeros(len(rads), dtype=int_dtype(pj * count))
-                np.add.at(sums, which, xj[keep].astype(sums.dtype))
-                for g in np.argsort(first).tolist():
-                    groups.setdefault(int(rads[g]), []).append((cj, int(sums[g])))
-            for r, per_class in groups.items():
-                for cj, x in per_class:
-                    outer, core = split_square(cj * r)
-                    total = total + QSum.root(
-                        core, Fraction(2 * x * outer, n * self.scale * self.roots_scale))
-        return total.as_fraction() if total.is_rational() else total
-
-
-def _dot(x: np.ndarray, y: np.ndarray, bound: int) -> int:
-    """Exact ``sum(x * y)`` of two integer arrays whose partial sums
-    ``bound`` bounds: in int64 where it fits, in Python ints otherwise."""
-    dtype = int_dtype(bound)
-    return int(np.dot(x.astype(dtype, copy=False), y.astype(dtype, copy=False)))
+            blocks.append((n * self.roots_scale**2,
+                           [(1, int(np.add.reduce(rr, dtype=int_dtype(_peak(rr) * count))))]))
+            at = np.flatnonzero((rr != 0) & (x != 0).any(axis=0)) if cores else []
+            if len(at):
+                # per class and distinct radicand of the columns where some
+                # class is nonzero: the class's sum and its first nonzero
+                # column; a radicand's terms come where its first class has it
+                at = at[np.argsort(rr[at], kind="stable")]
+                rad = rr[at]
+                heads = np.flatnonzero(np.append(True, rad[1:] != rad[:-1]))
+                xs = x[:, at]
+                sums = np.add.reduceat(xs, heads, axis=1)
+                firsts = np.minimum.reduceat(np.where(xs != 0, at, count), heads, axis=1)
+                lead = (firsts < count).argmax(axis=0)  # the radicand's first class
+                groups = np.lexsort((firsts[lead, np.arange(len(heads))], lead))
+                per = sums[:, groups].T  # (radicand, class), in term order
+                g, j = np.nonzero(per)
+                blocks.append((n * self.scale * self.roots_scale, [
+                    (cores[c] * r, 2 * v) for c, r, v in
+                    zip(j.tolist(), _ints(rad[heads[groups[g]]]), per[g, j].tolist())
+                ]))
+        return _fold(blocks)

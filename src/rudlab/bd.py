@@ -414,15 +414,30 @@ def chain_replay_value(gamma: Gamma, levels: tuple[int, ...], signs: tuple[int, 
     return val
 
 
+def level_classes(gamma: Gamma) -> list[tuple[int, ...]]:
+    """Classes A (even levels below the top), B (odd ones) and C (the top)."""
+    top = len(gamma.levels) - 1
+    return [
+        tuple(i for m in range(0, top, 2) for i in gamma.level_indices(m)),
+        tuple(i for m in range(1, top, 2) for i in gamma.level_indices(m)),
+        tuple(gamma.level_indices(top)),
+    ]
+
+
+def rud_ratio_bound(gamma: Gamma) -> float:
+    """lambda(2/b + 1), the stated bound on the divergence-side ratio."""
+    return float(gamma.params.lam * (2 / gamma.params.b + 1))
+
+
 def bd_rud_report(gamma: Gamma, samples: int, seed: int, enum_cap: int = 16):
     """Even/odd/top level partition with per-class behavior, global
     divergence ratios against lambda(2/b + 1), and the growth certificate.
 
-    Classes: A = even levels below the top, B = odd levels below the top,
-    C = the top level.  A and B carry the two-sided multilevel estimate
-    with constants 1/lambda and 1/b (checked on full-level sign vectors
-    over gap-2 level sets and on chain vectors), C is lambda-equivalent to
-    the coordinate supremum.  The certificate rows replay the chain
+    Classes (:func:`level_classes`): A = even levels below the top, B = odd
+    levels below the top, C = the top level.  A and B carry the two-sided
+    multilevel estimate with constants 1/lambda and 1/b (checked on
+    full-level sign vectors over gap-2 level sets and on chain vectors), C
+    is lambda-equivalent to the coordinate supremum.  The certificate rows replay the chain
     coordinates 1 + b*l, which grow without bound while coordinate vectors
     keep norm one -- the non-equivalence direction.
     """
@@ -431,11 +446,7 @@ def bd_rud_report(gamma: Gamma, samples: int, seed: int, enum_cap: int = 16):
 
     space = BdBasisSpace(gamma)
     top = len(gamma.levels) - 1
-    classes = [
-        tuple(i for m in range(0, top, 2) for i in gamma.level_indices(m)),
-        tuple(i for m in range(1, top, 2) for i in gamma.level_indices(m)),
-        tuple(gamma.level_indices(top)),
-    ]
+    classes = level_classes(gamma)
     vectors = []
     all_idx = list(range(gamma.size))
     for t in range(samples):
@@ -446,7 +457,6 @@ def bd_rud_report(gamma: Gamma, samples: int, seed: int, enum_cap: int = 16):
         if a:
             vectors.append(a)
     partition = partition_rud_bound(space, classes, vectors, enum_cap=enum_cap)
-    lam, b = Fraction(gamma.params.lam), Fraction(gamma.params.b)
     growth = [
         (l, float(chain_replay_value(gamma, tuple(range(l + 1)))))
         for l in range(1, top)
@@ -454,7 +464,7 @@ def bd_rud_report(gamma: Gamma, samples: int, seed: int, enum_cap: int = 16):
     return {
         "classes": classes,
         "partition": partition,
-        "rud_bound": float(lam * (2 / b + 1)),
+        "rud_bound": rud_ratio_bound(gamma),
         "max_ratio": max((r.full_ratio for r in partition.rows), default=0.0),
         "growth": growth,
         "coordinate_norms": [float(x) for x in gamma.basis_sup_norms()[:4]],

@@ -105,16 +105,20 @@ def _parse_value(key: str, attr: str, raw: str):
 
 
 def load_config_file(path: str) -> dict[str, str]:
+    try:
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DomainError(f"cannot read config file {path!r}: {exc}") from exc
     pairs: dict[str, str] = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise DomainError(f"bad config line {line!r} (expected key=value)")
-            key, _, value = line.partition("=")
-            pairs[key.strip()] = value.strip()
+    for line in lines:
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise DomainError(f"bad config line {line!r} (expected key=value)")
+        key, _, value = line.partition("=")
+        pairs[key.strip()] = value.strip()
     return pairs
 
 

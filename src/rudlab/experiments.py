@@ -484,6 +484,8 @@ def exp_renorm(cfg: RunConfig) -> Report:
 
 
 def exp_partition(cfg: RunConfig) -> Report:
+    from .bd import level_classes, rud_ratio_bound
+
     rep = Report("partition")
     fac = SpaceFactory.shared(cfg)
     seed = derive_seed(cfg.seed, 12)
@@ -502,15 +504,9 @@ def exp_partition(cfg: RunConfig) -> Report:
             max(r.full_ratio for r in pr.rows), pr.sum_bound, pr.all_ok)
 
     bd = fac.space("bd")
-    g = fac.gamma
-    top = len(g.levels) - 1
-    cls_a = tuple(i for m in range(0, top, 2) for i in g.level_indices(m))
-    cls_b = tuple(i for m in range(1, top, 2) for i in g.level_indices(m))
-    cls_c = tuple(g.level_indices(top))
-    pr = partition_rud_bound(bd, [cls_a, cls_b, cls_c], _vectors(bd, seed + 2, 12, max_m=9),
+    pr = partition_rud_bound(bd, level_classes(fac.gamma), _vectors(bd, seed + 2, 12, max_m=9),
                              enum_cap=cfg.cap)
-    lam, b = g.params.lam, g.params.b
-    stated_bound = float(lam * (2 / b + 1))
+    stated_bound = rud_ratio_bound(fac.gamma)
     ok = pr.all_ok and all(r.full_ratio <= stated_bound for r in pr.rows)
     rep.add("partition.bd",
             f"even/odd/top classes: class sum and {stated_bound:g} both bound the ratio",
@@ -551,7 +547,8 @@ def exp_duality(cfg: RunConfig) -> Report:
 
 
 def exp_bd(cfg: RunConfig) -> Report:
-    from .bd import chain_replay_value, chain_vector, chain_witness
+    from .bd import (bd_rud_report, chain_replay_value, chain_vector, chain_witness,
+                     rud_ratio_bound)
 
     rep = Report("bd")
     fac = SpaceFactory.shared(cfg)
@@ -636,7 +633,7 @@ def exp_bd(cfg: RunConfig) -> Report:
             exact=",".join(f"{l}:{y:g}" for l, y in growth))
     rep.curves["bd_chain_growth"] = growth
 
-    bound = float(lam * (2 / b + 1))
+    bound = rud_ratio_bound(g)
 
     def rud(a):
         r = float(space.norm(a)) / float(sign_stats(space, a, cfg.cap).mean())
@@ -645,8 +642,6 @@ def exp_bd(cfg: RunConfig) -> Report:
     worst, bad = _worst(_vectors(space, seed + 3, 30, max_m=10), rud)
     rep.add("bd.rud", f"divergence-side ratio <= lambda(2/b + 1) = {bound:g} [30 vectors]",
             worst, bound, bad == 0)
-
-    from .bd import bd_rud_report
 
     summary = bd_rud_report(g, samples=10, seed=seed + 4, enum_cap=cfg.cap)
     ok = summary["partition"].all_ok and summary["max_ratio"] <= summary["rud_bound"]

@@ -182,15 +182,12 @@ class SigmaCoder:
         return self._index.get(frozenset(s))
 
     def sigma_capped(self, s: frozenset[int], cap: int) -> int | None:
-        """sigma(s) when it is <= cap, else None (avoids huge virtual values)."""
+        """sigma(s) when s is in the domain and sigma(s) <= cap, else None."""
         k = self._index.get(frozenset(s))
         if k is None or k >= len(self.levels.prefix) + max(cap, 2).bit_length():
             return None
         v = self.levels.virtual(k)
         return v if v <= cap else None
-
-    def in_domain(self, s: frozenset[int]) -> bool:
-        return frozenset(s) in self._index
 
     def assignments(self):
         """(subset, level index, value) triples for audit sweeps."""
@@ -256,7 +253,7 @@ def closure_families(coder: SigmaCoder, levels: LevelSequence, max_n: int) -> li
     def extend(prefix: list[frozenset[int]], union: frozenset[int], depth: int):
         if depth >= max_n:
             return
-        card = coder.sigma_capped(union, cap) if coder.in_domain(union) else None
+        card = coder.sigma_capped(union, cap)
         if card is None or card <= len(prefix[-1]):
             return
         lo = max(union)

@@ -30,7 +30,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .batches import (_TIE_RTOL, ExactBatch, _peak, check_float_range,
+from .batches import (_TIE_RTOL, ExactBatch, _fold, _peak, check_float_range,
                       first_extreme, float_group_means, int_dtype)
 from .coeffs import Coeffs, DomainError, NoIntegerForm, NormingFunctional, pair
 from .exactnum import QSum, Scalar, split_square
@@ -572,10 +572,7 @@ def _normingset_reduce_exact(pairs: dict[int, np.ndarray], scale: int) -> ExactB
 
 
 def _qval(pairs: dict[int, np.ndarray], f: int, j: int) -> QSum:
-    total = QSum()
-    for c, p in pairs.items():
-        total = total + QSum.root(c, Fraction(int(p[f, j])))
-    return total
+    return QSum.of(_fold([(1, [(c, int(p[f, j])) for c, p in pairs.items()])]))
 
 
 class NormingSetSpace(Space):

@@ -232,3 +232,37 @@ def test_report_bytes_pinned(tmp_path):
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, name
     exact = {r.rid: r.exact for r in _report("zmr").rows if r.rid.startswith("zmr.norm.")}
     assert exact == {"zmr.norm.n=1": "1", "zmr.norm.n=2": "2", "zmr.norm.n=3": "3"}
+
+
+_REPLAY = """
+import hashlib, sys
+from rudlab.cli import _report_payload, _write_report
+from rudlab.config import RunConfig
+from rudlab.experiments import run_experiment
+cfg = RunConfig()
+for name in sys.argv[2:]:
+    path = f"{sys.argv[1]}/{name}.json"
+    _write_report(path, _report_payload(name, cfg, run_experiment(name, cfg)), cfg.format)
+    with open(path, "rb") as fh:
+        print(name, hashlib.sha256(fh.read()).hexdigest())
+"""
+
+
+def test_pinned_reports_replay_under_another_hash_seed(tmp_path):
+    """The cheapest pinned reports, written by a fresh process under
+    another PYTHONHASHSEED (which reorders sets and dicts of strings), hash
+    to their pinned digests."""
+    import os
+    import subprocess
+    import sys
+
+    import rudlab
+
+    names = ["parallelogram", "renorm", "zrud", "smax"]
+    src = os.path.dirname(os.path.dirname(rudlab.__file__))
+    env = dict(os.environ, PYTHONHASHSEED="12345",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", _REPLAY, str(tmp_path), *names], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert dict(line.split() for line in out.splitlines()) == {
+        name: _REPORT_DIGESTS[name] for name in names}

@@ -2,6 +2,7 @@
 bound shows no entry or sum can leave it, and Python ints otherwise."""
 
 from fractions import Fraction as F
+from functools import cache
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from rudlab.batches import ExactBatch
 from rudlab.coeffs import Coeffs
 from rudlab.config import RunConfig, SpaceFactory
 from rudlab.exactnum import QSum, split_square
+from rudlab.rademacher import expect_exact, sign_stats
 
 
 def test_renorm_batch_refuses_int64_wrap():
@@ -127,3 +129,58 @@ def test_mean_sq_matches_term_by_term_oracle(width):
                 assert type(got) is type(want), trial
                 assert QSum.of(got) == QSum.of(want), trial
                 assert list(QSum.of(got).terms.items()) == list(QSum.of(want).terms.items())
+
+
+
+def test_mean_sq_beside_an_all_zero_class():
+    """One bound covers every class-pair sum: a class of zeros beside a
+    Python-int class past int64 does not cast that class to int64."""
+    wide = np.array([1 << 62, 3 << 62, -(1 << 63)], dtype=object)
+    for classes in ({1: np.zeros(3, dtype=np.int64), 2: wide},
+                    {2: wide, 3: np.zeros(3, dtype=np.int64)}):
+        batch = ExactBatch(scale=5, classes=classes, roots=np.array([2, 0, 8]), roots_scale=3)
+        got = batch.mean_sq()
+        assert list(QSum.of(got).terms.items()) == list(
+            QSum.of(_mean_sq_oracle(batch, 3)).terms.items())
+
+
+_MANY = [1, F(-1, 2), 3, 2, F(5, 3), -4, 1, 2, F(-7, 2), 1, -1, 6]
+
+
+@cache
+def _many_class_walk():
+    """The one-chunk sign batch of a 12-entry vector under
+    ``renorm:james:chain:1/2``: 156 classes (the inner mean's cores) and the
+    chain roots."""
+    space = SpaceFactory(RunConfig()).space("renorm:james:chain:1/2")
+    a = Coeffs.from_values(_MANY)
+    batch = sign_stats(space, a)
+    assert isinstance(batch, ExactBatch) and len(batch.classes) == 156
+    return space, a, batch
+
+
+def test_many_class_mean_sq_matches_the_renorm_identity():
+    """Every column of a renorm sign batch is E + delta*b_i, E the base's
+    sign mean and b_i the base norm, so the second moment is
+    (1 + 2*delta)*E^2 + delta^2 * mean(b^2); E and mean(b^2) come from the
+    base engine alone."""
+    space, a, batch = _many_class_walk()
+    e = QSum.of(expect_exact(space.base, a).value)
+    d = space.delta
+    want = (1 + 2 * d) * e * e + d * d * QSum.of(sign_stats(space.base, a).mean_sq())
+    got = batch.mean_sq()
+    assert len(QSum.of(got).terms) == 11194
+    assert QSum.of(got) == want
+
+
+def test_many_class_mean_sq_adds_no_qsum_per_term(monkeypatch):
+    """The second moment builds one value at the end: its QSum additions do
+    not grow with the class count (it took one per class pair and per
+    class and radicand)."""
+    _, _, batch = _many_class_walk()
+    merges = []
+    merge = QSum._merge
+    monkeypatch.setattr(QSum, "_merge",
+                        lambda self, *args, **kw: merges.append(1) or merge(self, *args, **kw))
+    batch.mean_sq()
+    assert len(merges) <= 2

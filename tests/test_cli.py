@@ -107,6 +107,19 @@ def test_config_file_and_unknown_key(tmp_path, capsys):
     assert code == 2 and "unknown config key" in err
 
 
+def test_unreadable_config_file_is_domain_error(tmp_path, capsys):
+    """A missing config file, a directory and a file that is not text exit
+    2 with an error naming the path, not with a traceback (exit 1 means an
+    assertion failed)."""
+    binary = tmp_path / "binary.cfg"
+    binary.write_bytes(b"seed=1\n\xff\xfe\n")
+    for path in (tmp_path / "missing.cfg", tmp_path, binary):
+        code, out, err = run(capsys, "norm", "--space", "lp:1", "--coeffs", "1,2",
+                             "--config", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: cannot read config file") and str(path) in err
+
+
 def test_config_keys_round_trip():
     """Every key of to_dict(), in its printed form, parses back to an equal
     config, at the defaults and at values off them."""
