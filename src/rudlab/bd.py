@@ -33,15 +33,25 @@ from math import gcd
 
 import numpy as np
 
-from .batches import ExactBatch
+from .batches import ExactBatch, _peak
 from .coeffs import Coeffs, DomainError
 from .rng import derive_seed
-from .spaces import Space, _float_values, _int_entries, _int_mult_values, _split_images
+from .spaces import (Space, _float_values, _int_entries, _int_mult_values, _int_product,
+                     _split_images)
 
 DEFAULT_LAMBDA = Fraction(2)
 DEFAULT_B = Fraction(1, 4)
 DEFAULT_LEVELS = 4
 DEFAULT_CAP = 200
+
+
+def _row_times(row: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """``row @ mat`` for int64 arrays, summed over the nonzeros of ``row``
+    alone: the tree's coordinate rows hold a few nonzeros each, and the
+    int64 product has no fast dense loop.  Integer sums do not depend on
+    their order, so this equals the dense product."""
+    nz = np.flatnonzero(row)
+    return row[nz] @ mat[nz]
 
 
 def _check_headroom(*bounds: int) -> None:
@@ -263,7 +273,7 @@ class Gamma:
             c_rows[r, i1] += e.eps1 * b_num * self.d_scale * self.s_scale
             gm = self.gamma_size(e.m)
             # P_m* u_{s1} = sum over the first gm duals of (d_rho)_{s1} d_rho*
-            proj = self.D[i1, :gm] @ self.Dstar[:gm, :old]
+            proj = _row_times(self.D[i1, :gm], self.Dstar[:gm, :old])
             c_rows[r, :] -= e.eps1 * b_num * proj
         _check_headroom(int(np.abs(c_rows).sum(axis=1).max()) * m_d)
         # dual vectors: d* = u - c*, common scale sc
@@ -274,7 +284,8 @@ class Gamma:
         # basis vectors gain coordinates <c_sigma*, d_tau> at the new slots
         dd = np.zeros((total, total), dtype=np.int64)
         dd[:old, :old] = self.D * (d_scale_new // self.d_scale)
-        dd[old:, :old] = c_rows @ self.D
+        for r, row in enumerate(c_rows):
+            dd[old + r, :old] = _row_times(row, self.D)
         dd[old:, old:] = d_scale_new * np.eye(len(new), dtype=np.int64)
         # reduce common factors to keep entries small
         g = int(np.gcd.reduce(np.abs(dd).ravel()) or 1)
@@ -291,10 +302,18 @@ class Gamma:
     # -- exact queries ----------------------------------------------------------
 
     def biorthogonality_defect(self) -> int:
-        """max |<d_sigma*, d_tau> - delta| over all built pairs, times scales."""
-        prod = self.Dstar @ self.D
-        prod.flat[:: self.size + 1] -= self.s_scale * self.d_scale
-        return int(np.abs(prod, out=prod).max())
+        """max |<d_sigma*, d_tau> - delta| over all built pairs, times scales.
+
+        One row of ``Dstar @ D`` at a time, each over its ``Dstar`` row's
+        nonzeros (3,605 of 393,129 entries at levels 5), in int64, which the
+        build's headroom checks keep from wrapping."""
+        target = self.s_scale * self.d_scale
+        worst = 0
+        for i, row in enumerate(self.Dstar):
+            prod = _row_times(row, self.D)
+            prod[i] -= target
+            worst = max(worst, int(np.abs(prod, out=prod).max()))
+        return worst
 
     def dual_l1_norms(self) -> list[Fraction]:
         return [
@@ -344,18 +363,20 @@ class BdBasisSpace(Space):
 
     def mult_batch(self, a, mult):
         d = self.gamma.D[:, list(a.support)]
-        v, scale = _int_mult_values(a, mult, int(np.abs(d).sum(axis=1).max()))
-        image = d @ v
+        gain = int(np.abs(d).sum(axis=1).max())
+        v, scale = _int_mult_values(a, mult, gain)
+        image = _int_product(d, v, gain * _peak(v))
         return ExactBatch.from_rational(
             np.abs(image).max(axis=0), scale * self.gamma.d_scale
         )
 
     def split_batches(self, a, low, highs):
         d = self.gamma.D[:, list(a.support)]
-        ints, scale = _int_entries(a, gain=int(np.abs(d).sum(axis=1).max()))
+        gain = int(np.abs(d).sum(axis=1).max())
+        ints, scale = _int_entries(a, gain=gain)
         forms = d.astype(ints.dtype) * ints
         return (ExactBatch.from_rational(np.abs(image).max(axis=0), scale * self.gamma.d_scale)
-                for image in _split_images(forms, low, highs))
+                for image in _split_images(forms, low, highs, gain * _peak(ints)))
 
     def mult_batch_float(self, a, mult):
         v = _float_values(a, mult)

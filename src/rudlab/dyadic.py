@@ -19,9 +19,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .batches import ExactBatch
+from .batches import ExactBatch, _peak
 from .coeffs import DomainError
-from .spaces import Space, _float_values, _int_mult_values
+from .spaces import Space, _float_values, _int_mult_values, _int_product
 
 DEFAULT_GRID_CAP = 20
 
@@ -54,7 +54,9 @@ class _DyadicL1Space(Space):
     def mult_batch(self, a, mult):
         w = self._atoms(a.support)
         v, scale = _int_mult_values(a, mult, len(w))
-        return ExactBatch.from_rational(np.abs(w @ v).sum(axis=0), scale * len(w))
+        # every atom value is 1, -1 or 0
+        image = _int_product(w, v, w.shape[1] * _peak(v))
+        return ExactBatch.from_rational(np.abs(image).sum(axis=0), scale * len(w))
 
     def mult_batch_float(self, a, mult):
         return np.abs(self._atoms(a.support) @ _float_values(a, mult)).mean(axis=0)

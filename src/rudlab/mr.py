@@ -40,11 +40,11 @@ from math import comb, lcm, prod
 
 import numpy as np
 
-from .batches import _peak
+from .batches import _peak, int_dtype
 from .coeffs import Coeffs, DomainError, NormingFunctional
 from .exactnum import QSum, Scalar, split_square, sqrt_exact
 from .spaces import (NormingSetSpace, RenormSpace, _cached, _class_values,
-                     _normingset_reduce_exact)
+                     _cumsum_rows, _normingset_reduce_exact)
 
 DEFAULT_LEVELS = (2, 4, 8)
 DEFAULT_UNIVERSE = 14
@@ -603,7 +603,8 @@ class _CodingSpace(NormingSetSpace):
         lay = self._layout(a.support)
         entry_signs = np.array([1 if v > 0 else -1 for _, v in a.entries], dtype=np.int8)
         order = _magnitude_order(a, mult)
-        vals, vden, dtype = _class_values(a, mult, lay.peaks)
+        vals, vden, bound = _class_values(a, mult, lay.peaks)
+        dtype = int_dtype(bound)
         phi = _family_rows(lay, entry_signs[:, None] * np.sign(mult), order).astype(dtype)
         pairs: dict[int, np.ndarray] = {}  # (R + m, N) per class
         for fc, weights in lay.weights.items():
@@ -684,8 +685,8 @@ def zmr_fast_norms(ctx: MrContext, support: tuple[int, ...], values: np.ndarray)
             rows = [pos[i] for i in sup if i > fam.tail_min]
             sub = np.sort(values[rows], axis=0)
             prefixes[fam.tail_min] = (
-                np.maximum(sub[::-1], 0.0).cumsum(axis=0),
-                np.minimum(sub, 0.0).cumsum(axis=0),
+                _cumsum_rows(np.maximum(sub[::-1], 0.0)),
+                _cumsum_rows(np.minimum(sub, 0.0)),
             ) if rows else None
         w = 1.0 / fam.tail_card**0.5
         if prefixes[fam.tail_min] is not None:

@@ -62,13 +62,61 @@ def _int_entries(a: Coeffs, peak: int = 1, gain: int = 1) -> tuple[np.ndarray, i
     return np.array(ints, dtype=int_dtype(gain * (2 * sum(map(abs, ints)) * peak) ** 2)), d
 
 
-def _split_images(forms: np.ndarray, low: np.ndarray, highs: np.ndarray) -> Iterator[np.ndarray]:
+#: float64 holds every integer of magnitude below this exactly
+_FLOAT_EXACT = 1 << 53
+#: entries of the float image one block of :func:`_int_product` builds
+_PRODUCT_BLOCK = 1 << 16
+#: the narrowest batch :func:`_cumsum_rows` scans row by row
+_ROW_SCAN_COLS = 512
+
+
+def _int_product(w: np.ndarray, v: np.ndarray, bound: int) -> np.ndarray:
+    """``w @ v`` for integer arrays, array-equal to the integer product and
+    in its dtype.  ``bound``, a Python int, must bound every row-by-column
+    sum of magnitudes ``sum_k |w_ik * v_kj|``.  Below 2^53 every partial
+    sum a BLAS product forms, in whatever order and with or without fused
+    multiply-adds, is an integer of at most that magnitude, which float64
+    holds exactly, so the product runs in float64 BLAS, a block of rows at
+    a time so that its float image stays small beside the integer one.
+    Otherwise, and for Python-int arrays, it is the integer ``@``."""
+    if bound >= _FLOAT_EXACT or w.dtype == object or v.dtype == object:
+        return w @ v
+    out = np.empty((w.shape[0], v.shape[1]), dtype=np.result_type(w, v))
+    vf = v.astype(np.float64)
+    step = max(1, _PRODUCT_BLOCK // max(v.shape[1], 1))
+    for r in range(0, len(w), step):
+        out[r:r + step] = w[r:r + step].astype(np.float64) @ vf
+    return out
+
+
+def _cumsum_rows(v: np.ndarray) -> np.ndarray:
+    """``np.cumsum(v, axis=0)``, array-equal (the same top-to-bottom sums
+    in the same dtype), for int64, float64 and Python-int arrays, the
+    dtypes that ``cumsum`` keeps.  On batches of at least
+    ``_ROW_SCAN_COLS`` columns it is one vectorised add per row, several
+    times faster than numpy's accumulate down the rows; narrower batches,
+    where the per-row call costs more, keep ``cumsum``."""
+    if v.shape[1] < _ROW_SCAN_COLS:
+        return np.cumsum(v, axis=0)
+    out = np.empty(v.shape, dtype=v.dtype)
+    if len(v):
+        out[0] = v[0]
+    for i in range(1, len(v)):
+        np.add(out[i - 1], v[i], out=out[i])
+    return out
+
+
+def _split_images(forms: np.ndarray, low: np.ndarray, highs: np.ndarray,
+                  bound: int) -> Iterator[np.ndarray]:
     """``forms @ mult`` for each chunk of a split walk (see
     :meth:`Space.split_batches`), in ``forms``' dtype: the low columns'
-    image is built once, and each chunk adds its high column's image."""
+    image is built once, and each chunk adds its high column's image.
+    ``bound``, a Python int, bounds the magnitudes in each row of ``forms``
+    summed (see :func:`_int_product`)."""
     b = low.shape[0]
-    t_low = forms[:, :b] @ low.astype(forms.dtype)
-    t_high = forms[:, b:] @ highs.astype(forms.dtype)
+    bound *= max(_peak(low), _peak(highs))
+    t_low = _int_product(forms[:, :b], low.astype(forms.dtype), bound)
+    t_high = _int_product(forms[:, b:], highs.astype(forms.dtype), bound)
     for k in range(highs.shape[1]):
         yield t_low + t_high[:, k, None]
 
@@ -180,7 +228,7 @@ class LpSpace(Space):
 
 
 def _tail_maxabs(v: np.ndarray) -> np.ndarray:
-    tails = np.cumsum(v[::-1], axis=0)[::-1]
+    tails = _cumsum_rows(v[::-1])[::-1]
     return np.abs(tails).max(axis=0)
 
 
@@ -388,7 +436,7 @@ class JamesSpace(Space):
 
 
 def _prefix_maxabs(v: np.ndarray) -> np.ndarray:
-    return np.abs(np.cumsum(v, axis=0)).max(axis=0)
+    return np.abs(_cumsum_rows(v)).max(axis=0)
 
 
 class BmoRademacherSpace(Space):
@@ -506,12 +554,13 @@ def _class_columns(a: Coeffs) -> tuple[dict[int, list[int]], int]:
 
 
 def _class_values(a: Coeffs, mult: np.ndarray,
-                  peaks: dict[int, int]) -> tuple[dict[int, np.ndarray], int, type]:
+                  peaks: dict[int, int]) -> tuple[dict[int, np.ndarray], int, int]:
     """The columns of ``diag(a) @ mult`` split by the entries' square-free
     classes, as integer numerators over the entries' common denominator,
-    with that denominator and their dtype: int64 when a Python-int bound
-    shows that no pairing sum with functional weights up to ``peaks[c]``
-    (per functional class c) can leave it, Python ints otherwise.  A bound
+    with that denominator and a Python-int bound on every pairing sum with
+    functional weights up to ``peaks[c]`` (per functional class c), summed
+    in magnitude: the columns are int64 (``int_dtype`` of the bound) when
+    it shows that no such sum can leave it, Python ints otherwise.  A bound
     or denominator past the float range is refused: the reduction's float
     pass reads the pairings before any batch is built."""
     vcols, vden = _class_columns(a)
@@ -526,7 +575,7 @@ def _class_values(a: Coeffs, mult: np.ndarray,
     dtype = int_dtype(bound)
     mult = mult.astype(dtype)
     return ({vc: np.array(col, dtype=dtype)[:, None] * mult for vc, col in vcols.items()},
-            vden, dtype)
+            vden, bound)
 
 
 def _normingset_reduce_exact(pairs: dict[int, np.ndarray], scale: int) -> ExactBatch:
@@ -636,13 +685,16 @@ class NormingSetSpace(Space):
 
     def mult_batch(self, a, mult):
         mats, fscale, peaks = self.class_mats(a.support)
-        vals, vden, dtype = _class_values(a, mult, peaks)
+        vals, vden, bound = _class_values(a, mult, peaks)
+        dtype = int_dtype(bound)
         pairs: dict[int, np.ndarray] = {}  # (F, N) per class
         for fc, m in mats.items():
             m = m.astype(dtype, copy=False)
             for vc, v in vals.items():
                 outer, core = split_square(fc * vc)
-                p = m @ v if outer == 1 else (m @ v) * outer
+                p = _int_product(m, v, bound)
+                if outer != 1:
+                    p *= outer
                 pairs[core] = pairs[core] + p if core in pairs else p
         return _normingset_reduce_exact(pairs, fscale * vden)
 
@@ -651,15 +703,15 @@ class NormingSetSpace(Space):
         sum of ``outer * M_fc * diag(a_vc)`` over the class pairs (fc, vc)
         that land on it; its split images feed the exact reduction."""
         mats, fscale, peaks = self.class_mats(a.support)
-        vals, vden, dtype = _class_values(a, np.ones((len(a), 1), dtype=np.int8), peaks)
+        vals, vden, bound = _class_values(a, np.ones((len(a), 1), dtype=np.int8), peaks)
         forms: dict[int, np.ndarray] = {}  # (F, m) per core, in mult_batch's order
         for fc, m in mats.items():
-            m = m.astype(dtype, copy=False)
+            m = m.astype(int_dtype(bound), copy=False)
             for vc, v in vals.items():
                 outer, core = split_square(fc * vc)
                 w = m * (v[:, 0] * outer)
                 forms[core] = forms[core] + w if core in forms else w
-        images = zip(*(_split_images(w, low, highs) for w in forms.values()))
+        images = zip(*(_split_images(w, low, highs, bound) for w in forms.values()))
         return (_normingset_reduce_exact(dict(zip(forms, chunk)), fscale * vden)
                 for chunk in images)
 

@@ -51,19 +51,34 @@ def test_biorthogonality_exact(gamma):
     assert gamma.biorthogonality_defect() == 0
 
 
+def _dense_defect(g):
+    """max |Dstar @ D - s_scale * d_scale * I| from the dense int64 product."""
+    expected = g.s_scale * g.d_scale * np.eye(g.size, dtype=np.int64)
+    return int(np.abs(g.Dstar @ g.D - expected).max())
+
+
 def test_biorthogonality_defect_matches_the_subtraction():
-    """The in-place defect is max |Dstar @ D - s_scale * d_scale * I| on a
-    built tree, and after a change off and on the diagonal of D."""
+    """The sparse-row defect is the dense product's on a built tree, after
+    a change of Dstar where it held 0 (a walk that kept the nonzeros it
+    first saw would miss it), and after changes off and on the diagonal of
+    D."""
     g = build_gamma(BDParams(levels=3, cap=12, seed=1))
-
-    def subtracted():
-        expected = g.s_scale * g.d_scale * np.eye(g.size, dtype=np.int64)
-        return int(np.abs(g.Dstar @ g.D - expected).max())
-
-    assert g.biorthogonality_defect() == subtracted() == 0
+    assert g.biorthogonality_defect() == _dense_defect(g) == 0
+    i, j = (int(k) for k in np.argwhere(g.Dstar == 0)[-1])
+    g.Dstar[i, j] = 3
+    assert g.biorthogonality_defect() == _dense_defect(g) > 0
+    g.Dstar[i, j] = 0
+    assert g.biorthogonality_defect() == 0
     for i, j, delta in ((2, 3, 5), (4, 4, -7)):
         g.D[i, j] += delta
-        assert g.biorthogonality_defect() == subtracted() > 0
+        assert g.biorthogonality_defect() == _dense_defect(g) > 0
+
+
+def test_default_config_defect_matches_the_dense_product():
+    from rudlab.config import RunConfig, SpaceFactory
+
+    g = SpaceFactory.shared(RunConfig()).space("bd").gamma
+    assert g.biorthogonality_defect() == _dense_defect(g) == 0
 
 
 def test_biorthogonality_small_vs_fraction_oracle():

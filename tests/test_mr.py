@@ -174,6 +174,17 @@ def test_zmr_fast_norms_match_per_family_loop(ctx):
         assert np.array_equal(got, want), trial
 
 
+def test_zmr_fast_norms_at_the_monte_carlo_shape(ctx):
+    """The depth-3 witness (14 entries) over one Monte-Carlo chunk of 4,096
+    sign columns, wide enough for the row scans: bit for bit the per-family
+    loop's ``cumsum`` floats."""
+    x = ctx.block_vector(3)
+    assert len(x) == 14
+    values = x.values_float()[:, None] * sign_matrix(1, len(x), 4096).astype(np.float64)
+    got = zmr_fast_norms(ctx, x.support, values)
+    assert np.array_equal(got, _zmr_fast_norms_per_family(ctx, x.support, values))
+
+
 _CTX_BY_WIDTH = {0: MrContext(), 1: MrContext(width=1)}
 _ENTRY = st.builds(
     lambda q, r: q if r == 1 else q * sqrt_exact(r),
