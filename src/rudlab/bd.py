@@ -10,8 +10,8 @@ quintuple (m, e0, e1, s0, s1) is
 
 with P_m* the basis projection onto the first m levels.  Two deliberate
 readings make the desk-scale object closed (see the level-1 bootstrap and
-the s0 bound in ``_candidates``); both preserve every quantitative estimate
-checked by the suite.
+the s0 bound in ``_CandidateStream``); both preserve every quantitative
+estimate checked by the suite.
 
 All arithmetic is exact: coordinates are rationals held as integer matrices
 with one common denominator, reduced after every level.  Caps keep each
@@ -19,14 +19,29 @@ level polynomial; a deterministic seeded sample is retained together with
 the full chain lattice over the per-level designated extremal coordinates,
 so every chain witness the estimates need stays representable.
 
-Candidates are streamed as integer index keys (m, e0, e1, index(s0),
-index(s1)); an element object is built only for the keys a level keeps.
-Elements are canonical and compare by identity (see ``GammaElement``).
+Candidates are integer index keys (m, e0, e1, index(s0), index(s1)); an
+element object is built only for the keys a level keeps.  Elements are
+canonical and compare by identity (see ``GammaElement``).
+
+The candidates of a level form a stream with a closed-form index: one block
+per m, of known size, in (i0, i1, e0, e1) order, so a position decodes to
+its key by ``divmod`` and the chain keys become a sorted list of skipped
+positions (``_CandidateStream``).  The non-chain candidates are sampled by
+reservoir sampling (Vitter's algorithm R, TOMS 1985) whose draws are
+``random.Random(derive_seed(seed, lvl)).randrange`` calls.  The build
+replays those draws exactly from the Mersenne Twister's 32-bit outputs,
+fetched in batches through ``getrandbits`` (``_reservoir``): a draw below
+2^k takes the top k bits of one output and rejects them when they reach
+the range, and the rejections of a batch are the fixed point of that rule
+(``_replay_draws``).  Only each slot's last writer is kept, and only the
+kept positions are decoded, so the tree is the one that one ``randrange``
+call per streamed candidate would sample.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -43,6 +58,7 @@ DEFAULT_LAMBDA = Fraction(2)
 DEFAULT_B = Fraction(1, 4)
 DEFAULT_LEVELS = 4
 DEFAULT_CAP = 200
+_WORDS = 1 << 14  # generator outputs fetched per getrandbits call
 
 
 def _row_times(row: np.ndarray, mat: np.ndarray) -> np.ndarray:
@@ -99,6 +115,112 @@ class GammaElement:
     sigma1: "GammaElement | None" = None
 
 
+class _CandidateStream:
+    """Closed-form index of the candidate stream of Delta_lvl: one block of
+    hi0 * (hi1 - lo1) * 4 index keys (m, e0, e1, index(s0), index(s1)) per
+    m < lvl - 1, in (i0, i1, e0, e1) order with the signs running 1, -1.
+
+    s0 may live anywhere in the union up to level m+1 (the chain recursion
+    requires reaching the elements born at level m+1), s1 anywhere strictly
+    above level m.
+    """
+
+    def __init__(self, gamma: Gamma, lvl: int):
+        n_prev = lvl - 1
+        hi1 = gamma.gamma_size(n_prev)
+        self.blocks: list[tuple[int, int, int]] = []  # (start, lo1, hi1 - lo1)
+        start = 0
+        for m in range(n_prev):
+            lo1 = gamma.gamma_size(m)
+            self.blocks.append((start, lo1, hi1 - lo1))
+            start += gamma.gamma_size(min(m + 1, n_prev)) * (hi1 - lo1) * 4
+        self.starts = [b[0] for b in self.blocks]
+        self.length = start
+
+    def key(self, pos: int) -> tuple:
+        m = bisect_right(self.starts, pos) - 1
+        start, lo1, width = self.blocks[m]
+        i0, rest = divmod(pos - start, 4 * width)
+        i1, e = divmod(rest, 4)
+        return m, 1 - 2 * (e >> 1), 1 - 2 * (e & 1), i0, lo1 + i1
+
+    def position(self, key: tuple) -> int:
+        m, e0, e1, i0, i1 = key
+        start, lo1, width = self.blocks[m]
+        return start + 4 * (i0 * width + i1 - lo1) + (1 - e0) + (1 - e1) // 2
+
+
+def _words(rng: random.Random, count: int) -> np.ndarray:
+    """The generator's next ``count`` 32-bit outputs, in order: CPython's
+    ``getrandbits`` fills its result one output per 32-bit word, from the
+    least significant word up."""
+    return np.frombuffer(rng.getrandbits(32 * count).to_bytes(4 * count, "little"),
+                         dtype="<u4")
+
+
+def _randbelow(rng: random.Random, n: int) -> int:
+    """``rng.randrange(n)``, replayed from 32-bit outputs: CPython draws
+    ``getrandbits(n.bit_length())`` until the draw is below n, and
+    ``getrandbits(k)`` takes ceil(k / 32) outputs, least significant word
+    first, keeping the top bits of the last one."""
+    k = n.bit_length()
+    while True:
+        r = 0
+        for low in range(0, k, 32):
+            r |= rng.getrandbits(32) >> max(0, low + 32 - k) << low
+        if r < n:
+            return r
+
+
+def _replay_draws(r: np.ndarray, n0: int, budget: int, slots: list[int]) -> int:
+    """Replay the draws ``randrange(n0)``, ``randrange(n0 + 1)``, ... that
+    consume the outputs whose top k bits are ``r``, where every range is
+    below 2^k: output q is a draw from range n0 + q - R_q, with R_q the
+    rejected outputs before q, and is rejected when r_q reaches that range.
+    R_q depends only on the outputs before q, so the rule has one fixed
+    point, and iterating it from R = 0 climbs to it: a larger R lowers the
+    ranges and so rejects more, and each round fixes at least one more
+    leading entry.  Draws below ``budget`` overwrite their slot with the
+    candidate's ordinal (range - 1); returns the range of the next draw."""
+    q = np.arange(len(r), dtype=np.int64)
+    rejected_before = np.zeros(len(r), dtype=np.int64)
+    while True:
+        ranges = n0 + q - rejected_before
+        rejected = r >= ranges
+        again = np.cumsum(rejected) - rejected
+        if np.array_equal(again, rejected_before):
+            break
+        rejected_before = again
+    hit = ~rejected & (r < budget)
+    for j, n in zip(r[hit].tolist(), ranges[hit].tolist()):
+        slots[j] = n - 1
+    return n0 + len(r) - int(rejected.sum())
+
+
+def _reservoir(rng: random.Random, budget: int, total: int) -> list[int]:
+    """Ordinals of the candidates that reservoir sampling (Vitter's
+    algorithm R) keeps out of ``total``: the first ``budget`` fill the
+    slots, then candidate c replaces slot ``rng.randrange(c + 1)`` when that
+    is below ``budget``.  The draws are replayed from the generator's
+    outputs in batches of at most ``_WORDS``, and only each slot's last
+    writer is recorded."""
+    slots = list(range(min(budget, total)))
+    n = budget + 1  # the range of the next draw
+    while n <= total:
+        k = n.bit_length()
+        if k > 32:  # past 2^32 candidates a try takes ceil(k / 32) outputs
+            j = _randbelow(rng, n)
+            if j < budget:
+                slots[j] = n - 1
+            n += 1
+            continue
+        # every draw fed by this batch has its range below min(total + 1, 2^k)
+        count = min(total + 1, 1 << k) - n
+        r = _words(rng, min(count, _WORDS)).astype(np.int64) >> (32 - k)
+        n = _replay_draws(r, n, budget, slots)
+    return slots
+
+
 def _level_order(item) -> tuple:
     """Within a level, elements sort by (m, index(s0), index(s1), -e0, -e1)."""
     (m, e0, e1, i0, i1), _ = item
@@ -145,25 +267,6 @@ class Gamma:
 
     # -- construction ---------------------------------------------------------
 
-    def _candidates(self, lvl: int):
-        """Canonical stream of admissible new elements for Delta_lvl, as
-        index keys (m, e0, e1, index(s0), index(s1)).
-
-        s0 may live anywhere in the union up to level m+1 (the chain
-        recursion requires reaching the elements born at level m+1), s1
-        anywhere strictly above level m.
-        """
-        n_prev = lvl - 1
-        for m in range(0, n_prev):
-            hi0 = self.gamma_size(min(m + 1, n_prev))
-            lo1 = self.gamma_size(m)
-            hi1 = self.gamma_size(n_prev)
-            for i0 in range(hi0):
-                for i1 in range(lo1, hi1):
-                    for e0 in (1, -1):
-                        for e1 in (1, -1):
-                            yield (m, e0, e1, i0, i1)
-
     def _chain_elements(self, lvl: int) -> list[GammaElement]:
         """Chain-lattice members of Delta_lvl over designated coordinates.
 
@@ -205,30 +308,25 @@ class Gamma:
                 ((e.m, e.eps0, e.eps1, index[e.sigma0], index[e.sigma1]), e)
                 for e in self._chain_elements(lvl)
             ]
-            seen = {k for k, _ in mandatory}
             # the chain lattice is always kept in full, and at least one
             # further element is sampled so a non-chain designated extremal
             # coordinate exists (the cap is a soft target)
             budget = max(1, params.cap - len(mandatory))
+            stream = _CandidateStream(self, lvl)
+            # the sample skips the chain keys' positions; position minus
+            # rank counts the sampled candidates before each of them
+            skip = sorted({stream.position(k) for k, _ in mandatory})
+            before = np.array(skip, dtype=np.int64) - np.arange(len(skip))
             rng = random.Random(derive_seed(params.seed, lvl))
-            reservoir: list[tuple] = []
-            n_seen = 0
-            for cand in self._candidates(lvl):
-                if cand in seen:
-                    continue
-                n_seen += 1
-                if len(reservoir) < budget:
-                    reservoir.append(cand)
-                else:
-                    j = rng.randrange(n_seen)
-                    if j < budget:
-                        reservoir[j] = cand
+            ords = np.array(_reservoir(rng, budget, stream.length - len(skip)),
+                            dtype=np.int64)
+            positions = ords + np.searchsorted(before, ords, side="right")
             # only the kept keys become elements
             flat = self.elements()
             kept = mandatory + [
                 ((m, e0, e1, i0, i1),
                  GammaElement(lvl, "quin", m, e0, e1, flat[i0], flat[i1]))
-                for m, e0, e1, i0, i1 in reservoir
+                for m, e0, e1, i0, i1 in map(stream.key, positions.tolist())
             ]
             kept.sort(key=_level_order)
             new = [e for _, e in kept]
@@ -343,13 +441,18 @@ def build_gamma(params: BDParams) -> Gamma:
 def projection_matrix(gamma: Gamma, m: int) -> tuple[np.ndarray, int]:
     """The projection onto the first m levels, acting on l1 coordinates.
 
-    Returns (M, scale) with the true matrix M / scale; exact.
+    Returns (M, scale) with the true matrix M / scale; exact.  M is the
+    transpose of ``D[:, :gm] @ Dstar[:gm, :]``, one row at a time over the
+    nonzeros of each ``D`` row.
     """
     if m > len(gamma.levels) - 1:
         raise DomainError("projection level exceeds the built structure")
     gm = gamma.gamma_size(m)
-    mat = (gamma.D[:, :gm] @ gamma.Dstar[:gm, :]).T
-    return mat, gamma.d_scale * gamma.s_scale
+    duals = gamma.Dstar[:gm]
+    mat = np.empty((gamma.size, gamma.size), dtype=np.int64)
+    for i, row in enumerate(gamma.D[:, :gm]):
+        mat[i] = _row_times(row, duals)
+    return mat.T, gamma.d_scale * gamma.s_scale
 
 
 class BdBasisSpace(Space):

@@ -1,5 +1,6 @@
 """Tree construction: biorthogonality, sandwiches, chains, projections."""
 
+import random
 from fractions import Fraction as F
 
 import numpy as np
@@ -8,6 +9,9 @@ import pytest
 from rudlab.bd import (
     BDParams,
     BdBasisSpace,
+    _CandidateStream,
+    _randbelow,
+    _reservoir,
     build_gamma,
     chain_replay_value,
     chain_vector,
@@ -16,6 +20,7 @@ from rudlab.bd import (
 )
 from rudlab.coeffs import Coeffs, DomainError
 from rudlab.rademacher import sign_stats
+from rudlab.rng import derive_seed
 
 
 @pytest.fixture(scope="module")
@@ -262,6 +267,10 @@ _GOLDEN_TREES = [
      "d8949591364b2477e9e4ba76d4cdec8352ea6e5a691e6a6ae75eb97e16f21f8d"),
     (BDParams(lam=F(3), b=F(1, 3), levels=3, cap=40, seed=4),
      "8978f129013251cc5328035ffbeddf34789e91c8a37b79b9e3de61e31e7d77f1"),
+    (BDParams(levels=5),
+     "c13096d0738eeb62f51285e6026e67b042f6f069a870061b69bc281a8a773bc3"),
+    (BDParams(levels=6, cap=50, seed=3),
+     "62e14aad5d6b21699d02eb9db07a1e9dcb2285fc5f9fb2861644b3e91d504622"),
 ]
 
 
@@ -293,3 +302,128 @@ def test_large_scales_raise_domain_error(capsys):
                  "--set", "bd.lambda=97/11", "--set", "bd.b=11/97",
                  "--set", "bd.levels=5", "--set", "bd.cap=30"])
     assert code == 2 and "magnitudes too large" in capsys.readouterr().err
+
+
+# -- the sampled candidate stream against the generator-plus-randrange oracle --
+
+def _old_candidates(g, lvl):
+    """The candidate stream of Delta_lvl as nested loops over the levels of
+    ``g`` below lvl."""
+    n_prev = lvl - 1
+    for m in range(n_prev):
+        hi0 = g.gamma_size(min(m + 1, n_prev))
+        lo1 = g.gamma_size(m)
+        hi1 = g.gamma_size(n_prev)
+        for i0 in range(hi0):
+            for i1 in range(lo1, hi1):
+                for e0 in (1, -1):
+                    for e1 in (1, -1):
+                        yield (m, e0, e1, i0, i1)
+
+
+def _old_reservoir(rng, budget, stream):
+    """Reservoir sampling with one ``randrange`` call per candidate."""
+    reservoir, n_seen = [], 0
+    for cand in stream:
+        n_seen += 1
+        if len(reservoir) < budget:
+            reservoir.append(cand)
+        else:
+            j = rng.randrange(n_seen)
+            if j < budget:
+                reservoir[j] = cand
+    return reservoir
+
+
+def _key(g, e):
+    return (e.m, e.eps0, e.eps1, g.index[e.sigma0], g.index[e.sigma1])
+
+
+def _old_level_keys(g, lvl):
+    """Keys of Delta_lvl as the generator-plus-randrange build keeps them,
+    given the levels of ``g`` below lvl and its chain elements of lvl."""
+    mandatory = [_key(g, e) for e in g.chains.values() if e.level == lvl]
+    seen = set(mandatory)
+    budget = max(1, g.params.cap - len(mandatory))
+    rng = random.Random(derive_seed(g.params.seed, lvl))
+    stream = (c for c in _old_candidates(g, lvl) if c not in seen)
+    return sorted(mandatory + _old_reservoir(rng, budget, stream))
+
+
+_REPLAY_TREES = [
+    BDParams(),
+    BDParams(levels=5),
+    BDParams(levels=5, cap=60, seed=1),
+    BDParams(lam=F(3), b=F(1, 3), levels=3, cap=40, seed=4),
+    BDParams(levels=4, cap=2, seed=7),  # a budget of 1 at every level
+    BDParams(levels=2, cap=24),  # the whole level-2 stream fits: no draws
+    BDParams(levels=2, cap=23),  # one draw
+]
+
+
+@pytest.mark.parametrize("params", _REPLAY_TREES, ids=repr)
+def test_replayed_reservoir_keeps_the_randrange_keys(params):
+    """Level by level, the kept keys are those of the reservoir fed by the
+    generator and one ``randrange`` call per candidate; each level's oracle
+    sees the levels below as built, so agreement on all levels is agreement
+    on the tree."""
+    g = build_gamma(params)
+    for lvl in range(2, len(g.levels)):
+        assert sorted(_key(g, e) for e in g.levels[lvl]) == _old_level_keys(g, lvl)
+
+
+def test_budget_one_and_no_draw_cases_are_reached():
+    g = build_gamma(BDParams(levels=4, cap=2, seed=7))
+    for lvl in (2, 3, 4):
+        chain = sum(e.level == lvl for e in g.chains.values())
+        assert chain >= 2 and len(g.levels[lvl]) == chain + 1
+    assert _CandidateStream(build_gamma(BDParams(levels=1)), 2).length == 24
+
+
+def test_stream_index_lists_the_old_candidate_order():
+    g = build_gamma(BDParams(levels=4, cap=12, seed=2))
+    for lvl in range(2, 5):
+        stream = _CandidateStream(g, lvl)
+        old = list(_old_candidates(g, lvl))
+        assert [stream.key(p) for p in range(stream.length)] == old
+        assert [stream.position(k) for k in old] == list(range(stream.length))
+        # the chain keys the sample skips are stream keys
+        for e in g.chains.values():
+            if e.level == lvl:
+                assert stream.key(stream.position(_key(g, e))) == _key(g, e)
+
+
+@pytest.mark.parametrize("budget,total", [
+    (1, 0), (1, 1), (1, 2), (3, 3), (3, 4), (5, 1000), (2, 2**12), (2, 2**12 + 1),
+    (200, 199), (200, 201), (200, 70_000), (20, 140_000),
+])
+def test_reservoir_replays_randrange(budget, total):
+    for seed in (0, 1, 99):
+        want = _old_reservoir(random.Random(seed), budget, range(total))
+        assert _reservoir(random.Random(seed), budget, total) == want
+
+
+@pytest.mark.parametrize("n", [2**31 - 1, 2**31 + 1, 2**32 - 1, 2**32, 2**32 + 1,
+                               2**33 + 5])
+def test_randbelow_replays_randrange_past_32_bits(n):
+    for seed in range(20):
+        want, got = random.Random(seed), random.Random(seed)
+        assert [_randbelow(got, n) for _ in range(4)] == [want.randrange(n) for _ in range(4)]
+        assert got.getstate() == want.getstate()
+
+
+def test_build_calls_no_randrange(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("randrange called")
+
+    monkeypatch.setattr(random.Random, "randrange", refuse)
+    params, digest = _GOLDEN_TREES[1]
+    assert _tree_digest(build_gamma(params)) == digest
+
+
+def test_projection_matrix_equals_the_dense_product(gamma):
+    for m in range(len(gamma.levels)):
+        gm = gamma.gamma_size(m)
+        P, s = projection_matrix(gamma, m)
+        assert np.array_equal(P, (gamma.D[:, :gm] @ gamma.Dstar[:gm, :]).T)
+        assert s == gamma.d_scale * gamma.s_scale
