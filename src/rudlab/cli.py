@@ -63,7 +63,8 @@ def _cmd_expect(args) -> int:
     if args.method == "exact":
         est = expect_exact(space, a, cap=cfg.cap)
     elif args.method == "mc":
-        est = expect_mc(space, a, args.samples or cfg.samples, cfg.seed, cfg.confidence)
+        samples = cfg.samples if args.samples is None else args.samples
+        est = expect_mc(space, a, samples, cfg.seed, cfg.confidence)
     elif args.method == "subsets":
         est = expect_subsets(space, a, cap=cfg.cap)
     elif args.method == "perm":

@@ -26,7 +26,8 @@ their reductions are float.
 Monte-Carlo sample i is a pure function of (seed, i) via the counter-based
 generator, so for a fixed seed and sample count an estimate is the same in
 every run.  Its last bits depend on ``_MC_CHUNK``, which sets the order of
-the float summation.
+the float summation.  A support with no more sign patterns than samples (up
+to 2^16) is evaluated once per pattern, and the samples read that table.
 """
 
 from __future__ import annotations
@@ -49,13 +50,15 @@ from .coeffs import (
     sign_matrix_range,
 )
 from .exactnum import Scalar
-from .rng import DEFAULT_SEED, sign_matrix
+from .rng import DEFAULT_SEED, sign_codes, sign_matrix
 from .spaces import Space
 
 #: exact-enumeration chunk width, a power of two of at least 2 (results are
 #: chunk-invariant)
 _CHUNK = 1 << 13
 _MC_CHUNK = 4096
+#: largest support table of Monte-Carlo norms: 2^16 float64 values, 512 KiB
+_MC_TABLE = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -286,6 +289,16 @@ def expect_mc(
     sample mean and sample variance; it is statistical, not rigorous.  The
     variance merges each chunk's mean and sum of squared deviations as in
     Chan, Golub & LeVeque (1983), so a constant sample has variance 0.
+
+    A support with at most ``min(samples, _MC_TABLE)`` sign patterns is
+    evaluated once per pattern: the engine's float batch over all 2^m
+    patterns in bitmask order, in slices of ``_MC_CHUNK`` columns, is a table
+    that each chunk reads at its samples' codes (:func:`rudlab.rng.sign_codes`).
+    The chunks, their sums and the merge are those of the per-sample path, and
+    so are the norms wherever the engine gives a column the same float in any
+    batch of two or more columns.  A one-column batch may sum in another order,
+    so a one-column tail chunk (``samples`` one past a multiple of
+    ``_MC_CHUNK``) can differ in its last bits from that path's.
     """
     if not 0 < confidence < 1:
         raise DomainError(f"confidence must lie strictly between 0 and 1, got {confidence}")
@@ -296,14 +309,25 @@ def expect_mc(
             0.0, "monte_carlo", samples, seed, (0.0, 0.0), confidence
         )
     m = len(a)
+    full = 1 << m
+    table = None
+    if full <= min(samples, _MC_TABLE):
+        table = np.concatenate([
+            space.mult_batch_float(a, sign_matrix_range(m, start, min(start + _MC_CHUNK, full))
+                                   .astype(np.float64))
+            for start in range(0, full, _MC_CHUNK)
+        ])
     total = 0.0
     mu = 0.0  # running mean and sum of squared deviations of the done samples
     m2 = 0.0
     done = 0
     while done < samples:
         n = min(_MC_CHUNK, samples - done)
-        signs = sign_matrix(seed, m, n, start=done).astype(np.float64)
-        vals = space.mult_batch_float(a, signs)
+        if table is not None:
+            vals = table[sign_codes(seed, m, n, start=done)]
+        else:
+            signs = sign_matrix(seed, m, n, start=done).astype(np.float64)
+            vals = space.mult_batch_float(a, signs)
         total += float(vals.sum())
         mu_b = float(vals.mean())
         delta = mu_b - mu

@@ -65,6 +65,18 @@ def sign_matrix(seed: int, m: int, count: int, start: int = 0) -> np.ndarray:
     return (1 - 2 * bits.astype(np.int8)).astype(np.int8)
 
 
+def sign_codes(seed: int, m: int, count: int, start: int = 0) -> np.ndarray:
+    """uint64 pattern codes of samples start..start+count-1, for 0 < m <= 64.
+
+    Bit j of a code is the bit that sets row j of :func:`sign_matrix` (1 for
+    a minus sign), so column i of ``sign_matrix(seed, m, count, start)`` is
+    column ``codes[i]`` of ``coeffs.sign_matrix_range(m, 0, 2**m)``."""
+    if not 0 < m <= 64:
+        raise ValueError(f"sign codes need 0 < m <= 64, got {m}")
+    h = counter_u64_np(seed, np.arange(start, start + count, dtype=np.uint64), 0)
+    return h & np.uint64((1 << m) - 1)
+
+
 def sign_vector(seed: int, m: int, index: int) -> list[int]:
     """Scalar twin of :func:`sign_matrix` for a single sample."""
     out = []

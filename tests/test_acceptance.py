@@ -162,6 +162,28 @@ def test_zmr_bound_rows_pinned():
     assert got == _ZMR_BOUND_ROWS
 
 
+# The Monte-Carlo rows at the default config: the depth-3 zmr bracket (a
+# 1,000,000-sample mean on a 14-entry witness), the gap string built from it,
+# and the summing ruc witness (100,000 samples on 16 entries)
+_MC_ROWS = {
+    ("zmr", "zmr.bound.n=3"): (1.577764075482746, 10.52768294287935, "PASS"),
+    ("zmr", "zmr.gap_monotone"): "1.1716,1.5938,1.9014",
+    ("summing", "summing.ruc_witness"): 4.554792404157647,
+}
+
+
+def test_monte_carlo_rows_pinned():
+    got = {}
+    for name, rid in _MC_ROWS:
+        (r,) = [r for r in _report(name).rows if r.rid == rid]
+        got[name, rid] = {
+            "zmr.bound.n=3": (r.measured, r.bound, r.verdict),
+            "zmr.gap_monotone": r.exact,
+            "summing.ruc_witness": r.measured,
+        }[rid]
+    assert got == _MC_ROWS
+
+
 def test_c16_zruc():
     _check(16, "convergence-side construction is 2-bounded on the first two levels",
            _report("zruc"))

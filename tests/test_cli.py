@@ -165,6 +165,25 @@ def test_expect_mc_refuses_confidence_outside_unit_interval(capsys):
     assert "confidence" in err and "bracket" not in err
 
 
+@pytest.mark.parametrize("samples", ["0", "99", "-5"])
+def test_expect_mc_refuses_too_few_samples(capsys, samples):
+    """An explicit sample count under 100, 0 included, is refused; it does
+    not fall back to the configured count."""
+    code, out, err = run(capsys, "expect", "--space", "summing", "--coeffs", "1,1,1",
+                         "--method", "mc", "--samples", samples)
+    assert code == 2 and out == ""
+    assert "at least 100 samples" in err
+
+
+def test_expect_mc_takes_the_configured_samples_by_default(capsys):
+    code, out, _ = run(capsys, "expect", "--space", "summing", "--coeffs", "1,1,1",
+                       "--method", "mc", "--set", "samples=300")
+    assert code == 0 and json.loads(out)["samples"] == 300
+    code, out, _ = run(capsys, "expect", "--space", "summing", "--coeffs", "1,1,1",
+                       "--method", "mc", "--set", "samples=300", "--samples", "200")
+    assert code == 0 and json.loads(out)["samples"] == 200
+
+
 @pytest.mark.parametrize("item", [
     "cap=abc", "confidence=x", "bd.lambda=x", "bd.b=1/0", "mr.levels=a,b",
     "format=xml", "arithmetic=fuzzy", "plot=png",

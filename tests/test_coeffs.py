@@ -15,9 +15,10 @@ from rudlab.coeffs import (
     mask_matrix_full,
     pair,
     sign_matrix_full,
+    sign_matrix_range,
 )
 from rudlab.exactnum import QSum, SQRT2
-from rudlab.rng import sign_matrix, sign_vector
+from rudlab.rng import sign_codes, sign_matrix, sign_vector
 from rudlab.spaces import LpSpace, _int_mult_values
 
 
@@ -112,6 +113,23 @@ def test_counter_rng_chunk_invariance():
     )
     b = sign_matrix(7, 10, 10, start=0)
     assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("m", [1, 13, 14, 16])
+@pytest.mark.parametrize("start", [0, 4095])
+def test_sign_codes_index_the_canonical_patterns(m, start):
+    """Sample i's code picks its sign column out of the 2^m patterns in
+    bitmask order, so a table over those patterns replays the draw stream."""
+    codes = sign_codes(0xC0FFEE, m, 5000, start)
+    assert codes.dtype == np.uint64 and int(codes.max()) < 1 << m
+    full = sign_matrix_range(m, 0, 1 << m)
+    assert np.array_equal(sign_matrix(0xC0FFEE, m, 5000, start), full[:, codes])
+
+
+def test_sign_codes_refuse_past_one_word():
+    for m in (0, 65):
+        with pytest.raises(ValueError, match="0 < m <= 64"):
+            sign_codes(1, m, 3)
 
 
 def test_int_values_magnitude_guard():

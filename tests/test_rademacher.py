@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as F
 
 import numpy as np
@@ -18,6 +19,7 @@ from rudlab.rademacher import (
     sign_stats,
     subset_stats,
 )
+from rudlab.rng import sign_matrix
 from rudlab.spaces import LpSpace, SummingDualSpace, SummingSpace
 
 l1, l2 = LpSpace(1), LpSpace(2)
@@ -447,3 +449,136 @@ def test_split_hook_declines_where_mult_batch_has_no_exact_batch():
     for spec in ("james_x:3", "james:pairs", "zmr", "zruc", "zrud", "summing", "lp:2",
                  "renorm:summing:1"):
         assert fac.space(spec).split_batches(a, low, highs) is None, spec
+
+
+def _loop_mc(space, a, samples, seed, confidence=0.95, widen=False):
+    """(value, bracket) of the per-sample Monte-Carlo loop: each chunk's
+    signs drawn and evaluated in one float batch, with no pattern table.
+    With ``widen``, a one-column chunk is evaluated as the first column of
+    a two-column batch."""
+    m = len(a)
+    total = mu = m2 = 0.0
+    done = 0
+    while done < samples:
+        n = min(rad._MC_CHUNK, samples - done)
+        signs = sign_matrix(seed, m, n, start=done).astype(np.float64)
+        if widen and n == 1:
+            vals = space.mult_batch_float(a, np.repeat(signs, 2, axis=1))[:1]
+        else:
+            vals = space.mult_batch_float(a, signs)
+        total += float(vals.sum())
+        mu_b = float(vals.mean())
+        delta = mu_b - mu
+        m2 += float(((vals - mu_b) ** 2).sum()) + delta * delta * done * n / (done + n)
+        mu += delta * n / (done + n)
+        done += n
+    mean = total / samples
+    half = rad._t_quantile(samples - 1, confidence) * math.sqrt(m2 / (samples - 1) / samples)
+    return mean, (mean - half, mean + half)
+
+
+_MC_EXACT = [1, -2, 3, F(1, 2), -1, 2, F(-3, 4), 5]
+_MC_FLOAT = [1.5, -0.3, 2.25, 0.7, -1.1, 3.0, 0.2, -2.5]
+
+
+def _mc_vectors(space):
+    universe = space.sweep_indices or range(8)
+    return [Coeffs.from_pairs(zip(universe, values)) for values in (_MC_EXACT, _MC_FLOAT)]
+
+
+def _count_columns(monkeypatch, space):
+    """The column counts of the engine's ``mult_batch_float`` calls, as a
+    list that grows with every call."""
+    seen = []
+    inner = space.mult_batch_float
+
+    def counted(a, mult):
+        seen.append(mult.shape[1])
+        return inner(a, mult)
+
+    monkeypatch.setattr(space, "mult_batch_float", counted)
+    return seen
+
+
+@pytest.mark.parametrize("spec", SWEEP_SPECS)
+def test_mc_table_matches_the_per_sample_loop(spec):
+    """A support with at most ``samples`` sign patterns reads each sample's
+    norm from a table of all 2^m patterns; value and bracket are the
+    per-sample loop's bit for bit, on exact and float vectors, at sample
+    counts that end on a full chunk and on tails of 2, 100 and 600, and
+    the engine evaluates each pattern once.  (zruc and zrud have 6
+    indices: their smallest count is the 100 samples ``expect_mc`` needs.)"""
+    space = SpaceFactory.shared(RunConfig()).space(spec)
+    for a in _mc_vectors(space):
+        full = 1 << len(a)
+        for samples in (max(full, 100), 2 * rad._MC_CHUNK, rad._MC_CHUNK + 2, rad._MC_CHUNK + 100,
+                        rad._MC_CHUNK + 600):
+            with pytest.MonkeyPatch.context() as mp:
+                columns = _count_columns(mp, space)
+                est = expect_mc(space, a, samples, seed=5)
+            assert sum(columns) == full, (spec, samples)
+            assert (est.value, est.bracket) == _loop_mc(space, a, samples, 5), (spec, a, samples)
+
+
+@pytest.mark.parametrize("m, table", [(16, True), (17, False)])
+def test_mc_table_stops_at_two_to_the_sixteen(m, table):
+    """2^16 patterns are evaluated once, in slices of ``_MC_CHUNK``
+    columns; 2^17 go through the per-sample loop, one chunk of samples at
+    a time.  Either way the estimate is the loop's bit for bit."""
+    space = SummingSpace()
+    samples = 1 << 17
+    for values in (_MC_EXACT, _MC_FLOAT):
+        a = Coeffs.from_values((values * 3)[:m])
+        with pytest.MonkeyPatch.context() as mp:
+            columns = _count_columns(mp, space)
+            est = expect_mc(space, a, samples, seed=11)
+        assert sum(columns) == (1 << m if table else samples)
+        assert set(columns) == {rad._MC_CHUNK}
+        assert (est.value, est.bracket) == _loop_mc(space, a, samples, 11)
+
+
+def test_mc_table_needs_no_fewer_samples_than_patterns(monkeypatch):
+    """A support with more patterns than samples draws its signs."""
+    a = Coeffs.from_values(_MC_EXACT)
+    columns = _count_columns(monkeypatch, s)
+    est = expect_mc(s, a, 255, seed=2)
+    assert columns == [255]
+    assert (est.value, est.bracket) == _loop_mc(s, a, 255, 2)
+
+
+@pytest.mark.parametrize("spec", SWEEP_SPECS)
+def test_mc_table_one_column_tail_reads_the_wide_batch(spec):
+    """A one-column tail chunk reads its norm from the table, which was
+    evaluated in a wide batch.  Some engines sum a one-column float batch
+    in another order (numpy's pairwise sum or BLAS gemv: ``lp:1`` on 14
+    normal floats differs in the last bits on every column), so the table
+    path is the loop with that chunk widened to two columns, bit for bit,
+    and the plain loop only up to the last bits."""
+    space = SpaceFactory.shared(RunConfig()).space(spec)
+    samples = 2 * rad._MC_CHUNK + 1
+    for a in _mc_vectors(space):
+        est = expect_mc(space, a, samples, seed=7)
+        assert (est.value, est.bracket) == _loop_mc(space, a, samples, 7, widen=True)
+        value, bracket = _loop_mc(space, a, samples, 7)
+        assert est.value == pytest.approx(value, rel=1e-14, abs=0)
+        assert est.bracket == pytest.approx(bracket, rel=1e-14, abs=0)
+
+
+class _OneColumnOff(LpSpace):
+    """lp:1 whose one-column float batches are off by 1: a stand-in for an
+    engine whose one-column sums round differently, with the gap made large
+    enough to see through the estimate's own rounding."""
+
+    def mult_batch_float(self, a, mult):
+        return super().mult_batch_float(a, mult) + (mult.shape[1] == 1)
+
+
+def test_mc_table_never_evaluates_a_one_column_tail():
+    """The table path's tail sample has the wide-batch norm; the per-sample
+    loop evaluates it alone."""
+    a = Coeffs.from_values(_MC_FLOAT)
+    samples = rad._MC_CHUNK + 1
+    est = expect_mc(_OneColumnOff(1), a, samples, seed=4)
+    assert (est.value, est.bracket) == _loop_mc(l1, a, samples, 4)
+    value, _ = _loop_mc(_OneColumnOff(1), a, samples, 4)
+    assert value == pytest.approx(est.value + 1 / samples, rel=1e-12)
