@@ -14,10 +14,14 @@ the s0 bound in ``_CandidateStream``); both preserve every quantitative
 estimate checked by the suite.
 
 All arithmetic is exact: coordinates are rationals held as integer matrices
-with one common denominator, reduced after every level.  Caps keep each
-level polynomial; a deterministic seeded sample is retained together with
-the full chain lattice over the per-level designated extremal coordinates,
-so every chain witness the estimates need stays representable.
+with one common denominator, reduced after every level.  The matrices are
+row-compressed (``SparseRows``): each basis and dual vector has a few
+nonzero coordinates, so the build and every query keep memory proportional
+to the nonzeros.  A level's new rows are Gustavson row products (ACM TOMS
+4(3), 1978) summed in one dense accumulator over the old index set.  Caps
+keep each level polynomial; a deterministic seeded sample is retained
+together with the full chain lattice over the per-level designated extremal
+coordinates, so every chain witness the estimates need stays representable.
 
 Candidates are integer index keys (m, e0, e1, index(s0), index(s1)); an
 element object is built only for the keys a level keeps.  Elements are
@@ -61,13 +65,88 @@ DEFAULT_CAP = 200
 _WORDS = 1 << 14  # generator outputs fetched per getrandbits call
 
 
-def _row_times(row: np.ndarray, mat: np.ndarray) -> np.ndarray:
-    """``row @ mat`` for int64 arrays, summed over the nonzeros of ``row``
-    alone: the tree's coordinate rows hold a few nonzeros each, and the
-    int64 product has no fast dense loop.  Integer sums do not depend on
-    their order, so this equals the dense product."""
-    nz = np.flatnonzero(row)
-    return row[nz] @ mat[nz]
+@dataclass
+class SparseRows:
+    """An int64 matrix in row-compressed form: row i holds the columns
+    ``cols[ptr[i]:ptr[i + 1]]``, ascending, with the values
+    ``vals[ptr[i]:ptr[i + 1]]``; every other entry is 0."""
+
+    ptr: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+    ncols: int
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return len(self.ptr) - 1, self.ncols
+
+    def row(self, i: int) -> tuple[np.ndarray, np.ndarray]:
+        lo, hi = self.ptr[i], self.ptr[i + 1]
+        return self.cols[lo:hi], self.vals[lo:hi]
+
+
+def _segments(ptr: np.ndarray, which: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The storage positions of the rows ``which`` of a compressed matrix
+    with row pointers ``ptr``, concatenated in order, and each row's length."""
+    starts = ptr[which]
+    lens = ptr[which + 1] - starts
+    return np.repeat(starts - np.cumsum(lens) + lens, lens) + np.arange(lens.sum()), lens
+
+
+def _accumulate(acc: np.ndarray, mat: SparseRows, which: np.ndarray, coefs: np.ndarray):
+    """``acc += coefs @ mat[which]``: Gustavson's row product, each row of
+    ``mat`` scaled by its coefficient and scattered into the dense
+    accumulator ``acc``.  Integer sums do not depend on their order."""
+    at, lens = _segments(mat.ptr, which)
+    np.add.at(acc, mat.cols[at], np.repeat(coefs, lens) * mat.vals[at])
+
+
+def _drain(acc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The nonzero columns of ``acc``, ascending, and their values; leaves
+    ``acc`` zero for the next row."""
+    cols = np.flatnonzero(acc)
+    vals = acc[cols]
+    acc[cols] = 0
+    return cols, vals
+
+
+def _stack(head: SparseRows, factor: int, rows: list[tuple[np.ndarray, np.ndarray]],
+           diag: int) -> SparseRows:
+    """``head`` times ``factor`` with ``rows`` appended below it, new row k
+    closed by ``diag`` in column ``head.shape[0] + k``, past its columns."""
+    old = head.shape[0]
+    lens = np.array([len(c) for c, _ in rows], dtype=np.int64)
+    ends = np.cumsum(lens)
+    cols = np.insert(np.concatenate([c for c, _ in rows]), ends, np.arange(old, old + len(rows)))
+    vals = np.insert(np.concatenate([v for _, v in rows]), ends, diag)
+    return SparseRows(
+        np.concatenate((head.ptr, head.ptr[-1] + ends + np.arange(1, len(rows) + 1))),
+        np.concatenate((head.cols, cols)),
+        np.concatenate((head.vals * factor, vals)),
+        old + len(rows),
+    )
+
+
+def _reduce(mat: SparseRows, scale: int) -> tuple[SparseRows, int]:
+    """``mat / scale`` with the common factor of the nonzeros and the scale
+    divided out."""
+    g = gcd(int(np.gcd.reduce(np.abs(mat.vals))), scale)
+    return SparseRows(mat.ptr, mat.cols, mat.vals // g, mat.ncols), scale // g
+
+
+def _column_view(mat: SparseRows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Column pointers, row indices and storage positions of ``mat`` read
+    by columns: column j holds the rows ``rows[ptr[j]:ptr[j + 1]]``,
+    ascending, with the values ``mat.vals[pos[ptr[j]:ptr[j + 1]]]``."""
+    rows = np.repeat(np.arange(mat.shape[0]), np.diff(mat.ptr))
+    pos = np.argsort(mat.cols, kind="stable")
+    ptr = np.concatenate(([0], np.cumsum(np.bincount(mat.cols, minlength=mat.ncols))))
+    return ptr, rows[pos], pos
+
+
+def _unit() -> SparseRows:
+    """The 1 x 1 identity, the matrices of the root alone."""
+    return SparseRows(np.array([0, 1]), np.array([0]), np.array([1], dtype=np.int64), 1)
 
 
 def _check_headroom(*bounds: int) -> None:
@@ -237,11 +316,12 @@ class Gamma:
         self.designated: list[GammaElement] = []
         self.chains: dict[tuple, GammaElement] = {}
         # D[i, j] / d_scale = coordinate i of the j-th basis vector
-        self.D = np.array([[1]], dtype=np.int64)
+        self.D = _unit()
         self.d_scale = 1
         # Dstar[i, j] / s_scale = coordinate j of the i-th dual vector
-        self.Dstar = np.array([[1]], dtype=np.int64)
+        self.Dstar = _unit()
         self.s_scale = 1
+        self._columns = _column_view(self.D)
         root = GammaElement(0, "root")
         self.levels.append([root])
         self.index[root] = 0
@@ -346,55 +426,65 @@ class Gamma:
 
     def _extend_matrices(self, new: list[GammaElement]):
         params = self.params
-        old = self.D.shape[0]
-        total = old + len(new)
+        D, Dstar = self.D, self.Dstar
+        old = D.shape[0]
         b_num, b_den = params.b.numerator, params.b.denominator
         sc = b_den * self.d_scale * self.s_scale
         d_scale_new = sc * self.d_scale
         # Bounds, as Python ints, on every int64 entry filled below, so the
         # arrays cannot wrap silently: c_max bounds the c rows and their
         # projection terms, and the c row sums bound the new rows of D.
-        m_d = int(np.abs(self.D).max())
-        m_s = int(np.abs(self.Dstar).max())
+        m_d = int(np.abs(D.vals).max())
+        m_s = int(np.abs(Dstar.vals).max())
         c_max = sc + b_num * (self.d_scale * self.s_scale + m_d * m_s * old)
         _check_headroom(
             d_scale_new, m_d * sc, m_s * (sc // self.s_scale), c_max * old
         )
-        # c rows: coordinates of c_sigma* over the old index set, times sc
-        c_rows = np.zeros((len(new), old), dtype=np.int64)
-        for r, e in enumerate(new):
-            if e.kind == "boot":
-                c_rows[r, self.index[e.sigma0]] += e.eps0 * sc
-                continue
-            c_rows[r, self.index[e.sigma0]] += e.eps0 * sc
-            i1 = self.index[e.sigma1]
-            c_rows[r, i1] += e.eps1 * b_num * self.d_scale * self.s_scale
-            gm = self.gamma_size(e.m)
-            # P_m* u_{s1} = sum over the first gm duals of (d_rho)_{s1} d_rho*
-            proj = _row_times(self.D[i1, :gm], self.Dstar[:gm, :old])
-            c_rows[r, :] -= e.eps1 * b_num * proj
-        _check_headroom(int(np.abs(c_rows).sum(axis=1).max()) * m_d)
-        # dual vectors: d* = u - c*, common scale sc
-        star = np.zeros((total, total), dtype=np.int64)
-        star[:old, :old] = self.Dstar * (sc // self.s_scale)
-        star[old:, :old] = -c_rows
-        star[old:, old:] = sc * np.eye(len(new), dtype=np.int64)
-        # basis vectors gain coordinates <c_sigma*, d_tau> at the new slots
-        dd = np.zeros((total, total), dtype=np.int64)
-        dd[:old, :old] = self.D * (d_scale_new // self.d_scale)
-        for r, row in enumerate(c_rows):
-            dd[old + r, :old] = _row_times(row, self.D)
-        dd[old:, old:] = d_scale_new * np.eye(len(new), dtype=np.int64)
+        sizes = [self.gamma_size(m) for m in range(len(self.levels))]
+        acc = np.zeros(old, dtype=np.int64)
+        tails = {}
+
+        def tail(i1: int, m: int):
+            """u_{s1}* - P_m* u_{s1}* times d_scale * s_scale, and its product
+            with D, once per (s1, m): P_m* u_{s1} sums (d_rho)_{s1} d_rho*
+            over the first gamma_size(m) duals."""
+            if (i1, m) not in tails:
+                acc[i1] = self.d_scale * self.s_scale
+                cols, vals = D.row(i1)
+                gm = np.searchsorted(cols, sizes[m])
+                _accumulate(acc, Dstar, cols[:gm], -vals[:gm])
+                q = _drain(acc)
+                _accumulate(acc, D, *q)
+                tails[i1, m] = q, _drain(acc)
+            return tails[i1, m]
+
+        # c_sigma* = e0 u_{s0}* + e1 * b * (u_{s1}* - P_m* u_{s1}*), times sc,
+        # over the old index set; the dual row d* = u - c* keeps -c, and the
+        # basis vectors gain the coordinates <c_sigma*, d_tau>, the row c @ D
+        star_rows, dd_rows = [], []
+        for e in new:
+            i0 = self.index[e.sigma0]
+            if e.kind == "quin":
+                (qc, qv), (qdc, qdv) = tail(self.index[e.sigma1], e.m)
+                acc[qc] = -e.eps1 * b_num * qv
+            acc[i0] -= e.eps0 * sc
+            star_rows.append(_drain(acc))
+            if e.kind == "quin":
+                acc[qdc] = e.eps1 * b_num * qdv
+            cols, vals = D.row(i0)
+            acc[cols] += e.eps0 * sc * vals
+            dd_rows.append(_drain(acc))
+        _check_headroom(max(int(np.abs(v).sum()) for _, v in star_rows) * m_d)
+        # dual vectors at common scale sc, basis vectors at d_scale_new
+        star = _stack(Dstar, sc // self.s_scale, star_rows, sc)
+        dd = _stack(D, d_scale_new // self.d_scale, dd_rows, d_scale_new)
         # reduce common factors to keep entries small
-        g = int(np.gcd.reduce(np.abs(dd).ravel()) or 1)
-        g = gcd(g, d_scale_new)
-        self.D, self.d_scale = dd // g, d_scale_new // g
-        g = int(np.gcd.reduce(np.abs(star).ravel()) or 1)
-        g = gcd(g, sc)
-        self.Dstar, self.s_scale = star // g, sc // g
+        self.D, self.d_scale = _reduce(dd, d_scale_new)
+        self.Dstar, self.s_scale = _reduce(star, sc)
+        self._columns = _column_view(self.D)
         # Python ints, so the bound itself cannot wrap
         _check_headroom(
-            int(np.abs(self.D).max()) * int(np.abs(self.Dstar).max()) * self.size
+            int(np.abs(self.D.vals).max()) * int(np.abs(self.Dstar.vals).max()) * self.size
         )
 
     # -- exact queries ----------------------------------------------------------
@@ -402,57 +492,54 @@ class Gamma:
     def biorthogonality_defect(self) -> int:
         """max |<d_sigma*, d_tau> - delta| over all built pairs, times scales.
 
-        One row of ``Dstar @ D`` at a time, each over its ``Dstar`` row's
-        nonzeros (3,605 of 393,129 entries at levels 5), in int64, which the
-        build's headroom checks keep from wrapping."""
+        One row of ``Dstar @ D`` at a time, as a Gustavson row product in a
+        dense accumulator, so a diagonal pairing that no stored entry
+        reaches still counts, in int64, which the build's headroom checks
+        keep from wrapping."""
         target = self.s_scale * self.d_scale
+        acc = np.zeros(self.size, dtype=np.int64)
         worst = 0
-        for i, row in enumerate(self.Dstar):
-            prod = _row_times(row, self.D)
-            prod[i] -= target
-            worst = max(worst, int(np.abs(prod, out=prod).max()))
+        for i in range(self.size):
+            _accumulate(acc, self.D, *self.Dstar.row(i))
+            acc[i] -= target
+            worst = max(worst, int(np.abs(acc).max()))
+            acc[:] = 0
         return worst
 
     def dual_l1_norms(self) -> list[Fraction]:
         return [
-            Fraction(int(np.abs(self.Dstar[i]).sum()), self.s_scale)
+            Fraction(int(np.abs(self.Dstar.row(i)[1]).sum()), self.s_scale)
             for i in range(self.size)
         ]
 
     def basis_sup_norms(self) -> list[Fraction]:
-        return [
-            Fraction(int(np.abs(self.D[:, j]).max()), self.d_scale)
-            for j in range(self.size)
-        ]
+        ptr, _, pos = self._columns
+        peaks = np.maximum.reduceat(np.abs(self.D.vals[pos]), ptr[:-1])
+        return [Fraction(p, self.d_scale) for p in peaks.tolist()]
+
+    def basis_block(self, cols) -> np.ndarray:
+        """``D[:, cols]`` restricted to the rows where some of its columns
+        is nonzero, ascending, as a dense int64 block; the other rows are
+        0.  Every column holds ``d_scale`` on its diagonal, so no column
+        is empty."""
+        ptr, rows, pos = self._columns
+        at, lens = _segments(ptr, np.asarray(cols, dtype=np.int64))
+        keep, slot = np.unique(rows[at], return_inverse=True)
+        block = np.zeros((len(keep), len(lens)), dtype=np.int64)
+        block[slot, np.repeat(np.arange(len(lens)), lens)] = self.D.vals[pos[at]]
+        return block
 
     def coordinate(self, element: GammaElement, combo: Coeffs) -> Fraction:
         """Exact coordinate of sum a_sigma d_sigma at the given element."""
-        i = self.index[element]
+        row = dict(zip(*(x.tolist() for x in self.D.row(self.index[element]))))
         total = Fraction(0)
         for j, v in combo.entries:
-            total += Fraction(v) * Fraction(int(self.D[i, j]), self.d_scale)
+            total += Fraction(v) * Fraction(row.get(j, 0), self.d_scale)
         return total
 
 
 def build_gamma(params: BDParams) -> Gamma:
     return Gamma(params)
-
-
-def projection_matrix(gamma: Gamma, m: int) -> tuple[np.ndarray, int]:
-    """The projection onto the first m levels, acting on l1 coordinates.
-
-    Returns (M, scale) with the true matrix M / scale; exact.  M is the
-    transpose of ``D[:, :gm] @ Dstar[:gm, :]``, one row at a time over the
-    nonzeros of each ``D`` row.
-    """
-    if m > len(gamma.levels) - 1:
-        raise DomainError("projection level exceeds the built structure")
-    gm = gamma.gamma_size(m)
-    duals = gamma.Dstar[:gm]
-    mat = np.empty((gamma.size, gamma.size), dtype=np.int64)
-    for i, row in enumerate(gamma.D[:, :gm]):
-        mat[i] = _row_times(row, duals)
-    return mat.T, gamma.d_scale * gamma.s_scale
 
 
 class BdBasisSpace(Space):
@@ -464,8 +551,11 @@ class BdBasisSpace(Space):
         self.sweep_indices = tuple(range(gamma.size))
         self.sweep_max_m = 10
 
+    # Each engine call pairs the support's columns of D over their nonzero
+    # rows only; the zero rows add nothing to a row sum or a maximum.
+
     def mult_batch(self, a, mult):
-        d = self.gamma.D[:, list(a.support)]
+        d = self.gamma.basis_block(a.support)
         gain = int(np.abs(d).sum(axis=1).max())
         v, scale = _int_mult_values(a, mult, gain)
         image = _int_product(d, v, gain * _peak(v))
@@ -474,7 +564,7 @@ class BdBasisSpace(Space):
         )
 
     def split_batches(self, a, low, highs):
-        d = self.gamma.D[:, list(a.support)]
+        d = self.gamma.basis_block(a.support)
         gain = int(np.abs(d).sum(axis=1).max())
         ints, scale = _int_entries(a, gain=gain)
         forms = d.astype(ints.dtype) * ints
@@ -483,8 +573,8 @@ class BdBasisSpace(Space):
 
     def mult_batch_float(self, a, mult):
         v = _float_values(a, mult)
-        cols = list(a.support)
-        image = (self.gamma.D[:, cols].astype(np.float64) / self.gamma.d_scale) @ v
+        d = self.gamma.basis_block(a.support)
+        image = (d.astype(np.float64) / self.gamma.d_scale) @ v
         return np.abs(image).max(axis=0)
 
     def paper_witnesses(self, kind, dim):

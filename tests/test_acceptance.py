@@ -256,6 +256,26 @@ def test_report_bytes_pinned(tmp_path):
     assert exact == {"zmr.norm.n=1": "1", "zmr.norm.n=2": "2", "zmr.norm.n=3": "3"}
 
 
+# The same reports at ``bd.levels=5``, the benchmark's codings config: the
+# two reports read from the bd tree, so they pin its deeper build as well.
+_LEVELS5_DIGESTS = {
+    "bd": "624a6656a7b915bf6280129d1cc45fc130e8851dac22732d88851c7921f9f93c",
+    "partition": "5840fe4648a39a11627a63a6417197e0894ef4c1a216af2011c39ef3767a8933",
+}
+
+
+def test_levels5_tree_reports_pinned(tmp_path):
+    import hashlib
+
+    from rudlab.cli import _report_payload, _write_report
+
+    cfg = RunConfig().with_overrides({"bd.levels": "5"})
+    for name, digest in _LEVELS5_DIGESTS.items():
+        path = tmp_path / f"{name}.json"
+        _write_report(str(path), _report_payload(name, cfg, run_experiment(name, cfg)), cfg.format)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, name
+
+
 _REPLAY = """
 import hashlib, sys
 from rudlab.cli import _report_payload, _write_report

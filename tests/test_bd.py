@@ -16,9 +16,8 @@ from rudlab.bd import (
     chain_replay_value,
     chain_vector,
     chain_witness,
-    projection_matrix,
 )
-from rudlab.coeffs import Coeffs, DomainError
+from rudlab.coeffs import Coeffs, DomainError, sign_matrix_range
 from rudlab.rademacher import sign_stats
 from rudlab.rng import derive_seed
 
@@ -26,6 +25,48 @@ from rudlab.rng import derive_seed
 @pytest.fixture(scope="module")
 def gamma():
     return build_gamma(BDParams())
+
+
+# -- the tests read the row-compressed matrices through these --------------
+
+def _dense(mat):
+    """A ``SparseRows`` matrix as a dense int64 array."""
+    out = np.zeros(mat.shape, dtype=np.int64)
+    out[np.repeat(np.arange(mat.shape[0]), np.diff(mat.ptr)), mat.cols] = mat.vals
+    return out
+
+
+def _set(mat, i, j, value):
+    """Entry (i, j) of a ``SparseRows`` matrix set to ``value`` in place:
+    inserted where it was 0 and removed when ``value`` is 0, so that only
+    nonzeros stay stored."""
+    lo, hi = int(mat.ptr[i]), int(mat.ptr[i + 1])
+    at = lo + int(np.searchsorted(mat.cols[lo:hi], j))
+    if at < hi and mat.cols[at] == j:
+        mat.cols, mat.vals = np.delete(mat.cols, at), np.delete(mat.vals, at)
+        mat.ptr[i + 1:] -= 1
+    if value:
+        mat.cols, mat.vals = np.insert(mat.cols, at, j), np.insert(mat.vals, at, value)
+        mat.ptr[i + 1:] += 1
+
+
+def projection_matrix(g, m):
+    """The projection onto the first m levels, acting on l1 coordinates.
+
+    Returns (M, scale) with the true matrix M / scale; exact.  M is the
+    transpose of ``D[:, :gm] @ Dstar[:gm, :]``, one row at a time over the
+    stored entries of each ``D`` row.
+    """
+    if m > len(g.levels) - 1:
+        raise DomainError("projection level exceeds the built structure")
+    gm = g.gamma_size(m)
+    duals = _dense(g.Dstar)
+    mat = np.zeros((g.size, g.size), dtype=np.int64)
+    for i in range(g.size):
+        cols, vals = g.D.row(i)
+        keep = cols < gm
+        mat[i] = vals[keep] @ duals[cols[keep]]
+    return mat.T, g.d_scale * g.s_scale
 
 
 def test_params_validation():
@@ -49,7 +90,7 @@ def test_float_params_build_the_fraction_tree():
 def test_level_zero():
     g = build_gamma(BDParams(levels=0))
     assert g.size == 1
-    assert g.D.tolist() == [[1]] and g.Dstar.tolist() == [[1]]
+    assert _dense(g.D).tolist() == [[1]] and _dense(g.Dstar).tolist() == [[1]]
 
 
 def test_biorthogonality_exact(gamma):
@@ -59,7 +100,7 @@ def test_biorthogonality_exact(gamma):
 def _dense_defect(g):
     """max |Dstar @ D - s_scale * d_scale * I| from the dense int64 product."""
     expected = g.s_scale * g.d_scale * np.eye(g.size, dtype=np.int64)
-    return int(np.abs(g.Dstar @ g.D - expected).max())
+    return int(np.abs(_dense(g.Dstar) @ _dense(g.D) - expected).max())
 
 
 def test_biorthogonality_defect_matches_the_subtraction():
@@ -69,14 +110,24 @@ def test_biorthogonality_defect_matches_the_subtraction():
     D."""
     g = build_gamma(BDParams(levels=3, cap=12, seed=1))
     assert g.biorthogonality_defect() == _dense_defect(g) == 0
-    i, j = (int(k) for k in np.argwhere(g.Dstar == 0)[-1])
-    g.Dstar[i, j] = 3
+    i, j = (int(k) for k in np.argwhere(_dense(g.Dstar) == 0)[-1])
+    _set(g.Dstar, i, j, 3)
     assert g.biorthogonality_defect() == _dense_defect(g) > 0
-    g.Dstar[i, j] = 0
+    _set(g.Dstar, i, j, 0)
     assert g.biorthogonality_defect() == 0
     for i, j, delta in ((2, 3, 5), (4, 4, -7)):
-        g.D[i, j] += delta
+        _set(g.D, i, j, _dense(g.D)[i, j] + delta)
         assert g.biorthogonality_defect() == _dense_defect(g) > 0
+
+
+def test_defect_counts_a_diagonal_pairing_no_entry_reaches():
+    """The root's dual vector is its coordinate functional, a row with one
+    entry; removed, it leaves a product row with no entry at all, and the
+    diagonal pairing 0 where it should be 1 must still count."""
+    g = build_gamma(BDParams(levels=3, cap=12, seed=1))
+    assert g.Dstar.row(0)[0].tolist() == [0]
+    _set(g.Dstar, 0, 0, 0)
+    assert g.biorthogonality_defect() == _dense_defect(g) == g.s_scale * g.d_scale
 
 
 def test_default_config_defect_matches_the_dense_product():
@@ -90,8 +141,8 @@ def test_biorthogonality_small_vs_fraction_oracle():
     """Independent check: exact Fraction dot products on a small build."""
     g = build_gamma(BDParams(levels=3, cap=12, seed=1))
     n = g.size
-    D = [[F(int(g.D[i, j]), g.d_scale) for j in range(n)] for i in range(n)]
-    Ds = [[F(int(g.Dstar[i, j]), g.s_scale) for j in range(n)] for i in range(n)]
+    D = [[F(int(x), g.d_scale) for x in row] for row in _dense(g.D)]
+    Ds = [[F(int(x), g.s_scale) for x in row] for row in _dense(g.Dstar)]
     for i in range(n):
         for j in range(n):
             dot = sum(Ds[i][k] * D[k][j] for k in range(n))
@@ -108,7 +159,7 @@ def test_norm_ranges(gamma):
 def test_restriction_identity(gamma):
     for m in range(len(gamma.levels)):
         idxs = gamma.level_indices(m)
-        sub = gamma.D[np.ix_(idxs, idxs)]
+        sub = _dense(gamma.D)[np.ix_(idxs, idxs)]
         assert np.array_equal(sub, gamma.d_scale * np.eye(len(idxs), dtype=np.int64))
 
 
@@ -145,8 +196,9 @@ def test_level_sandwich(gamma):
 
 def test_top_level_basis_vectors_are_coordinates(gamma):
     top = len(gamma.levels) - 1
+    D = _dense(gamma.D)
     for i in gamma.level_indices(top)[:10]:
-        col = gamma.D[:, i]
+        col = D[:, i]
         assert col[i] == gamma.d_scale and np.abs(col).sum() == gamma.d_scale
 
 
@@ -208,9 +260,10 @@ def test_cap_policy_determinism():
     g1 = build_gamma(BDParams(levels=3, cap=40, seed=5))
     g2 = build_gamma(BDParams(levels=3, cap=40, seed=5))
     assert [len(l) for l in g1.levels] == [len(l) for l in g2.levels]
-    assert np.array_equal(g1.D, g2.D) and np.array_equal(g1.Dstar, g2.Dstar)
+    assert np.array_equal(_dense(g1.D), _dense(g2.D))
+    assert np.array_equal(_dense(g1.Dstar), _dense(g2.Dstar))
     g3 = build_gamma(BDParams(levels=3, cap=40, seed=6))
-    assert not np.array_equal(g1.D, g3.D)
+    assert not np.array_equal(_dense(g1.D), _dense(g3.D))
 
 
 def test_uncapped_small_build():
@@ -250,7 +303,8 @@ def _tree_digest(g):
         h.update(b"\n")
 
     idx = lambda e: -1 if e is None else g.index[e]
-    put((g.D.shape, g.D.tolist(), g.Dstar.tolist(), int(g.d_scale), int(g.s_scale)))
+    D, Dstar = _dense(g.D), _dense(g.Dstar)
+    put((D.shape, D.tolist(), Dstar.tolist(), int(g.d_scale), int(g.s_scale)))
     put([len(l) for l in g.levels])
     put([(e.level, e.kind, e.m, e.eps0, e.eps1, idx(e.sigma0), idx(e.sigma1))
          for e in g.elements()])
@@ -425,5 +479,73 @@ def test_projection_matrix_equals_the_dense_product(gamma):
     for m in range(len(gamma.levels)):
         gm = gamma.gamma_size(m)
         P, s = projection_matrix(gamma, m)
-        assert np.array_equal(P, (gamma.D[:, :gm] @ gamma.Dstar[:gm, :]).T)
+        assert np.array_equal(P, (_dense(gamma.D)[:, :gm] @ _dense(gamma.Dstar)[:gm, :]).T)
         assert s == gamma.d_scale * gamma.s_scale
+
+
+# -- the row-compressed storage ------------------------------------------------
+
+def test_rows_store_only_nonzeros_in_ascending_columns(gamma):
+    for mat in (gamma.D, gamma.Dstar):
+        assert mat.shape == (gamma.size, gamma.size)
+        assert mat.ptr[0] == 0 and mat.ptr[-1] == len(mat.cols) == len(mat.vals)
+        assert mat.vals.dtype == np.int64 and mat.vals.all()
+        for i in range(gamma.size):
+            assert np.all(np.diff(mat.row(i)[0]) > 0)
+    # a few nonzeros per row, nowhere near size x size
+    assert len(gamma.D.vals) + len(gamma.Dstar.vals) < 12 * gamma.size
+
+
+def test_queries_match_the_dense_matrices(gamma):
+    D, Dstar = _dense(gamma.D), _dense(gamma.Dstar)
+    assert gamma.dual_l1_norms() == [F(int(x), gamma.s_scale) for x in np.abs(Dstar).sum(axis=1)]
+    assert gamma.basis_sup_norms() == [F(int(x), gamma.d_scale) for x in np.abs(D).max(axis=0)]
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        cols = sorted(rng.choice(gamma.size, size=int(rng.integers(1, 9)), replace=False).tolist())
+        full = D[:, cols]
+        assert np.array_equal(gamma.basis_block(cols), full[np.abs(full).sum(axis=1) > 0])
+        a = Coeffs.from_pairs((j, F(int(rng.integers(1, 7)), int(rng.integers(1, 5))))
+                              for j in cols)
+        for i in rng.choice(gamma.size, size=5).tolist():
+            want = sum((F(v) * F(int(D[i, j]), gamma.d_scale) for j, v in a.entries), F(0))
+            assert gamma.coordinate(gamma.elements()[i], a) == want
+
+
+def test_engine_pairs_the_nonzero_rows_like_the_full_columns(gamma):
+    """The engine's batches over the nonzero rows of the support's columns
+    are array-equal to the same products over the full columns."""
+    from rudlab.spaces import _float_values, _int_mult_values
+
+    space = BdBasisSpace(gamma)
+    D = _dense(gamma.D)
+    rng = np.random.default_rng(11)
+    for m in (1, 3, 7, 10):
+        cols = sorted(rng.choice(gamma.size, size=m, replace=False).tolist())
+        vals = [F(int(rng.integers(-9, 10)) or 1, int(rng.integers(1, 6))) for _ in cols]
+        a = Coeffs.from_pairs(zip(cols, vals))
+        mult = sign_matrix_range(m, 0, 1 << m)
+        full = D[:, cols]
+        gain = int(np.abs(full).sum(axis=1).max())
+        v, scale = _int_mult_values(a, mult, gain)
+        got = space.mult_batch(a, mult)
+        assert got.scale == scale * gamma.d_scale
+        want = np.abs(full @ v).max(axis=0)
+        assert got.classes[1].dtype == want.dtype and np.array_equal(got.classes[1], want)
+        want = np.abs((full.astype(np.float64) / gamma.d_scale) @ _float_values(a, mult)).max(axis=0)
+        assert space.mult_batch_float(a, mult).tobytes() == want.tobytes()
+
+
+def test_deep_build_memory_stays_proportional_to_the_nonzeros():
+    """levels 7, cap 20: 2,199 elements, where one dense size x size int64
+    matrix alone would be 38.7 MB; the traced build peak stays below 16 MB."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        g = build_gamma(BDParams(levels=7, cap=20))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.size == 2199 and len(g.D.vals) == 22358
+    assert peak < 16 * 2**20

@@ -114,10 +114,11 @@ def test_bd_lower_coordinates_vanish():
     from rudlab.bd import BDParams, build_gamma
 
     g = build_gamma(BDParams(levels=3, cap=30, seed=2))
+    first = np.zeros(g.size, dtype=np.int64)  # the first index of each index's level
     for m in range(1, len(g.levels)):
-        below = g.gamma_size(m - 1)
-        for j in g.level_indices(m):
-            assert not g.D[:below, j].any()
+        first[g.level_indices(m)] = g.gamma_size(m - 1)
+    rows = np.repeat(np.arange(g.size), np.diff(g.D.ptr))
+    assert np.all(rows >= first[g.D.cols])
 
 
 def test_bd_nondefault_parameters():

@@ -80,8 +80,10 @@ def _reference(space, x):
         return space.norm_slow(x)
     vals = [F(v) for _, v in x.entries]
     if isinstance(space, bd.BdBasisSpace):
-        rows = space.gamma.D[:, list(x.support)].tolist()
-        return max(abs(sum(c * v for c, v in zip(r, vals))) for r in rows) / space.gamma.d_scale
+        g = space.gamma
+        rows = [dict(zip(*(part.tolist() for part in g.D.row(i)))) for i in range(g.size)]
+        return max(abs(sum(r.get(j, 0) * v for j, v in zip(x.support, vals)))
+                   for r in rows) / g.d_scale
     rows = space._atoms(x.support).tolist()
     return sum(abs(sum(c * v for c, v in zip(r, vals))) for r in rows) / len(rows)
 
