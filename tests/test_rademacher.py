@@ -582,3 +582,78 @@ def test_mc_table_never_evaluates_a_one_column_tail():
     assert (est.value, est.bracket) == _loop_mc(l1, a, samples, 4)
     value, _ = _loop_mc(_OneColumnOff(1), a, samples, 4)
     assert value == pytest.approx(est.value + 1 / samples, rel=1e-12)
+
+
+def _pin_vector(m):
+    return Coeffs.from_values([F((-1) ** i * (i % 7 + 1), i % 3 + 1) for i in range(m)])
+
+
+#: (spec, m, samples, confidence) -> (value, lower, upper) of ``expect_mc``
+#: at seed 3, recorded while the quantile came from ``scipy.special.stdtrit``.
+#: m = 14 with 100,000 samples reads the pattern table; every other case
+#: draws its signs.
+_MC_PINS = {
+    ('summing', 14, 100, 0.5): (13.360000000000003, 12.970717848485718, 13.749282151514288),
+    ('summing', 14, 100, 0.95): (13.360000000000003, 12.219013819579551, 14.500986180420455),
+    ('summing', 14, 100, 0.99): (13.360000000000003, 11.849735546033731, 14.870264453966275),
+    ('summing', 14, 4097, 0.5): (13.516882271580831, 13.458250637310245, 13.575513905851418),
+    ('summing', 14, 4097, 0.95): (13.516882271580831, 13.346472489665489, 13.687292053496174),
+    ('summing', 14, 4097, 0.99): (13.516882271580831, 13.292887655992992, 13.740876887168671),
+    ('summing', 14, 100000, 0.5): (13.686936666666664, 13.674946356405368, 13.698926976927961),
+    ('summing', 14, 100000, 0.95): (13.686936666666664, 13.652094365154722, 13.721778968178606),
+    ('summing', 14, 100000, 0.99): (13.686936666666664, 13.641145800750557, 13.732727532582771),
+    ('summing', 30, 100, 0.5): (19.304999999999996, 18.696532482882315, 19.913467517117677),
+    ('summing', 30, 100, 0.95): (19.304999999999996, 17.52158140357728, 21.088418596422713),
+    ('summing', 30, 100, 0.99): (19.304999999999996, 16.944380950497468, 21.665619049502524),
+    ('summing', 30, 4097, 0.5): (19.24798633146204, 19.163217768570615, 19.332754894353467),
+    ('summing', 30, 4097, 0.95): (19.24798633146204, 19.001610931981634, 19.494361730942448),
+    ('summing', 30, 4097, 0.99): (19.24798633146204, 18.92413894267581, 19.57183372024827),
+    ('summing', 30, 100000, 0.5): (19.215750000000003, 19.19870082933952, 19.23279917066049),
+    ('summing', 30, 100000, 0.95): (19.215750000000003, 19.166207299958398, 19.26529270004161),
+    ('summing', 30, 100000, 0.99): (19.215750000000003, 19.150639400634187, 19.28086059936582),
+    ('james:chain', 14, 100, 0.5): (19.436533431225254, 19.34624001586072, 19.52682684658979),
+    ('james:chain', 14, 100, 0.95): (19.436533431225254, 19.17188338571676, 19.701183476733746),
+    ('james:chain', 14, 100, 0.99): (19.436533431225254, 19.08622984005928, 19.78683702239123),
+    ('james:chain', 14, 4097, 0.5): (19.45246773688398, 19.438125491415473, 19.466809982352483),
+    ('james:chain', 14, 4097, 0.95): (19.45246773688398, 19.410782749711615, 19.49415272405634),
+    ('james:chain', 14, 4097, 0.99): (19.45246773688398, 19.397675033246248, 19.50726044052171),
+    ('james:chain', 14, 100000, 0.5): (19.42157975630966, 19.418660810697272, 19.42449870192205),
+    ('james:chain', 14, 100000, 0.95): (19.42157975630966, 19.413097675286945, 19.430061837332378),
+    ('james:chain', 14, 100000, 0.99): (19.42157975630966, 19.410432334413102, 19.43272717820622),
+    ('james:chain', 30, 100, 0.5): (26.882707071152428, 26.798561529126893, 26.966852613177963),
+    ('james:chain', 30, 100, 0.95): (26.882707071152428, 26.636076445469605, 27.12933769683525),
+    ('james:chain', 30, 100, 0.99): (26.882707071152428, 26.556254854973115, 27.20915928733174),
+    ('james:chain', 30, 4097, 0.5): (26.85237063875067, 26.839987835890557, 26.864753441610784),
+    ('james:chain', 30, 4097, 0.95): (26.85237063875067, 26.816380669152444, 26.888360608348897),
+    ('james:chain', 30, 4097, 0.99): (26.85237063875067, 26.805063733509883, 26.89967754399146),
+    ('norming_set', 14, 100, 0.5): (13.50166666666667, 13.124689531361476, 13.878643801971865),
+    ('norming_set', 14, 100, 0.95): (13.50166666666667, 12.396746494897801, 14.60658683843554),
+    ('norming_set', 14, 100, 0.99): (13.50166666666667, 12.039140924875555, 14.964192408457786),
+    ('norming_set', 14, 4097, 0.5): (13.624155886420958, 13.56702465979571, 13.681287113046206),
+    ('norming_set', 14, 4097, 0.95): (13.624155886420958, 13.458106960941, 13.790204811900916),
+    ('norming_set', 14, 4097, 0.99): (13.624155886420958, 13.405893385209996, 13.84241838763192),
+    ('norming_set', 14, 100000, 0.5): (13.79339666666667, 13.781712501707364, 13.805080831625975),
+    ('norming_set', 14, 100000, 0.95): (13.79339666666667, 13.759443984079176, 13.827349349254163),
+    ('norming_set', 14, 100000, 0.99): (13.79339666666667, 13.748774966365866, 13.838018366967473),
+    ('norming_set', 30, 100, 0.5): (19.304999999999996, 18.696532482882315, 19.913467517117677),
+    ('norming_set', 30, 100, 0.95): (19.304999999999996, 17.52158140357728, 21.088418596422713),
+    ('norming_set', 30, 100, 0.99): (19.304999999999996, 16.944380950497468, 21.665619049502524),
+    ('norming_set', 30, 4097, 0.5): (19.24981693922382, 19.16507858858073, 19.33455528986691),
+    ('norming_set', 30, 4097, 0.95): (19.24981693922382, 19.003529350064824, 19.496104528382816),
+    ('norming_set', 30, 4097, 0.99): (19.24981693922382, 18.92608497244546, 19.57354890600218),
+}
+
+
+@pytest.mark.parametrize("spec", ["summing", "james:chain", "norming_set"])
+def test_mc_estimates_and_brackets_pinned(spec):
+    """The estimate is the recorded float bit for bit; each bracket endpoint
+    is within one ulp of the recorded one (the quantile is correctly
+    rounded, and ``stdtrit`` was one or two ulp off at these points)."""
+    space = SpaceFactory.shared(RunConfig()).space(spec)
+    for (name, m, samples, confidence), (value, lo, hi) in _MC_PINS.items():
+        if name != spec:
+            continue
+        est = expect_mc(space, _pin_vector(m), samples, seed=3, confidence=confidence)
+        assert est.value == value, (m, samples, confidence)
+        assert abs(est.lower - lo) <= math.ulp(lo), (m, samples, confidence)
+        assert abs(est.upper - hi) <= math.ulp(hi), (m, samples, confidence)
