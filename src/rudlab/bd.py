@@ -259,19 +259,31 @@ def _replay_draws(r: np.ndarray, n0: int, budget: int, slots: list[int]) -> int:
     R_q depends only on the outputs before q, so the rule has one fixed
     point, and iterating it from R = 0 climbs to it: a larger R lowers the
     ranges and so rejects more, and each round fixes at least one more
-    leading entry.  Draws below ``budget`` overwrite their slot with the
-    candidate's ordinal (range - 1); returns the range of the next draw."""
-    q = np.arange(len(r), dtype=np.int64)
-    rejected_before = np.zeros(len(r), dtype=np.int64)
-    while True:
-        ranges = n0 + q - rejected_before
-        rejected = r >= ranges
-        again = np.cumsum(rejected) - rejected
-        if np.array_equal(again, rejected_before):
+    leading entry.  Since R_q <= q, no range falls below n0, so only the
+    outputs r_q >= n0 can be rejected and the rounds run over those alone.
+    Once a round leaves R unchanged before some output, R is fixed up to and
+    including it, so the next round rescans only from the first output whose
+    R changed.  Draws below ``budget`` overwrite their slot with the
+    candidate's ordinal (range - 1); ``_reservoir`` keeps n0 > budget, so
+    those draws are never rejected.  Returns the range of the next draw."""
+    at = np.flatnonzero(r >= n0)
+    need = n0 + at - r[at]  # output at[i] is rejected when R reaches need[i]
+    rejected_before = np.zeros(len(at), dtype=np.int64)
+    rejected = need <= 0
+    lo = 0  # R is fixed on [0, lo]
+    while lo < len(at):
+        tail = rejected[lo:]
+        again = np.cumsum(tail) - tail + rejected_before[lo]
+        changed = again != rejected_before[lo:]
+        if not changed.any():
             break
-        rejected_before = again
-    hit = ~rejected & (r < budget)
-    for j, n in zip(r[hit].tolist(), ranges[hit].tolist()):
+        first = int(changed.argmax())
+        lo += first
+        rejected_before[lo:] = again[first:]
+        rejected[lo:] = rejected_before[lo:] >= need[lo:]
+    hit = np.flatnonzero(r < budget)
+    ranges = n0 + hit - np.searchsorted(at[rejected], hit)
+    for j, n in zip(r[hit].tolist(), ranges.tolist()):
         slots[j] = n - 1
     return n0 + len(r) - int(rejected.sum())
 

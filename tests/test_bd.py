@@ -166,11 +166,18 @@ def test_restriction_identity(gamma):
 def test_projections(gamma):
     for m in (0, 1, 2):
         P, s = projection_matrix(gamma, m)
-        assert np.array_equal(P @ P, s * P)  # idempotent, exact
+        # idempotent, exact: row i of P @ P sums P[i, k] * P[k] over P's
+        # nonzero rows k, and is zero where row i of P is
+        rows = np.flatnonzero(P.any(axis=1))
+        square = np.zeros_like(P)
+        square[rows] = P[np.ix_(rows, rows)] @ P[rows]
+        assert np.array_equal(square, s * P)
     P, s = projection_matrix(gamma, len(gamma.levels) - 1)
     assert np.array_equal(P, s * np.eye(gamma.size, dtype=np.int64))
     P0, _ = projection_matrix(gamma, 0)
-    assert np.linalg.matrix_rank(P0.astype(np.float64)) == 1
+    # zero rows add nothing to the rank, and the SVD of the full 427 x 427
+    # matrix is most of the test's time
+    assert np.linalg.matrix_rank(P0[P0.any(axis=1)].astype(np.float64)) == 1
     with pytest.raises(DomainError):
         projection_matrix(gamma, 99)
 

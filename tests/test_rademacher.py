@@ -657,3 +657,110 @@ def test_mc_estimates_and_brackets_pinned(spec):
         assert est.value == value, (m, samples, confidence)
         assert abs(est.lower - lo) <= math.ulp(lo), (m, samples, confidence)
         assert abs(est.upper - hi) <= math.ulp(hi), (m, samples, confidence)
+
+
+_QUANTILE_DFS = [99, 100, 101, 1000, 4095, 99999, 999999, 10**7, 10**8, 10**9]
+_QUANTILE_CONFIDENCES = [1e-9, 1e-6, 1e-3, 0.5, 0.8, 0.9, 0.95, 0.99, 0.999, 1 - 1e-6, 1 - 1e-9]
+
+
+def _t_root_400(df, confidence):
+    """The two-sided Student-t quantile as a 400-bit root, rounded once to
+    a float: I_x(1/2, df/2) = 2p - 1 at x = t^2 / (df + t^2)."""
+    import mpmath
+    from statistics import NormalDist
+
+    p = 0.5 + confidence / 2.0
+    with mpmath.workprec(400):
+        nu = mpmath.mpf(df)
+        mass = 2 * mpmath.mpf(p) - 1
+        t = mpmath.findroot(
+            lambda t: mpmath.betainc(0.5, nu / 2, 0, t * t / (nu + t * t), regularized=True) - mass,
+            NormalDist().inv_cdf(p))
+    return float(abs(t))
+
+
+def test_t_quantile_is_the_correctly_rounded_root():
+    """Stopping once two working precisions round alike gives the float
+    nearest the 400-bit root at every grid point, including the tails
+    (confidence 1e-9 and 1 - 1e-9) and df = 10^9."""
+    for df in _QUANTILE_DFS:
+        for confidence in _QUANTILE_CONFIDENCES:
+            assert rad._t_quantile(df, confidence) == _t_root_400(df, confidence), (df, confidence)
+
+
+def test_t_quantile_stays_near_stdtrit():
+    """For confidence >= 0.5 and df <= 10^8, ``stdtrit`` is within 4 ulp
+    of the correctly rounded quantile (it is hundreds of ulp off at
+    confidence 1e-3 and millions at df = 10^9, so those points are left
+    out)."""
+    from scipy.special import stdtrit
+
+    for df in _QUANTILE_DFS:
+        if df > 10**8:
+            continue
+        for confidence in _QUANTILE_CONFIDENCES:
+            if confidence < 0.5:
+                continue
+            t = rad._t_quantile(df, confidence)
+            ref = float(stdtrit(df, 0.5 + confidence / 2.0))
+            assert abs(t - ref) <= 4 * math.ulp(t), (df, confidence)
+
+
+def test_t_quantile_edges():
+    """p = 0.5 + confidence / 2.0 rounds to 0.5 (quantile 0) for tiny
+    confidences and to 1 (quantile infinite) just below confidence 1."""
+    assert rad._t_quantile(99, 1e-300) == 0.0
+    assert rad._t_quantile(99, 1 - 2**-53) == math.inf
+    assert rad._t_quantile(99, 1 - 2**-52) > rad._t_quantile(99, 1 - 1e-9)
+
+
+def test_t_quantile_evaluates_each_pair_once(monkeypatch):
+    import mpmath
+
+    calls = []
+    inner = mpmath.findroot
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(mpmath, "findroot", counted)
+    first = rad._t_quantile(12345, 0.875)
+    assert len(calls) >= 2  # at least two precisions
+    done = len(calls)
+    assert rad._t_quantile(12345, 0.875) == first
+    assert len(calls) == done
+
+
+_NO_SCIPY = """
+import sys
+from fractions import Fraction as F
+from rudlab.coeffs import Coeffs
+from rudlab.config import RunConfig, SpaceFactory
+from rudlab.rademacher import expect_mc
+space = SpaceFactory.shared(RunConfig()).space("summing")
+for m, samples in ((40, 1000), (14, 1 << 14)):
+    a = Coeffs.from_values([F(i % 5 + 1, i % 3 + 1) for i in range(m)])
+    expect_mc(space, a, samples, seed=1)
+print("scipy" in sys.modules)
+"""
+
+
+def test_monte_carlo_imports_no_scipy():
+    """Monte-Carlo brackets, on the per-sample path (40 entries) and the
+    pattern-table path (14 entries), run in a fresh process without
+    importing scipy, and no module of the package names it."""
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    import rudlab
+
+    pkg = pathlib.Path(rudlab.__file__).parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(pkg.parent), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", _NO_SCIPY], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.split() == ["False"]
+    assert [p.name for p in sorted(pkg.glob("*.py")) if "scipy" in p.read_text()] == []
