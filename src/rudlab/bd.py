@@ -56,7 +56,7 @@ from .batches import ExactBatch, _peak
 from .coeffs import Coeffs, DomainError
 from .rng import derive_seed
 from .spaces import (Space, _float_values, _int_entries, _int_mult_values, _int_product,
-                     _split_images)
+                     _split_terms)
 
 DEFAULT_LAMBDA = Fraction(2)
 DEFAULT_B = Fraction(1, 4)
@@ -579,9 +579,10 @@ class BdBasisSpace(Space):
         d = self.gamma.basis_block(a.support)
         gain = int(np.abs(d).sum(axis=1).max())
         ints, scale = _int_entries(a, gain=gain)
-        forms = d.astype(ints.dtype) * ints
-        return (ExactBatch.from_rational(np.abs(image).max(axis=0), scale * self.gamma.d_scale)
-                for image in _split_images(forms, low, highs, gain * _peak(ints)))
+        t_low, t_high = _split_terms(d.astype(ints.dtype) * ints, low, highs, gain * _peak(ints))
+        return (ExactBatch.from_rational(np.abs(t_low + t_high[:, k, None]).max(axis=0),
+                                         scale * self.gamma.d_scale)
+                for k in range(highs.shape[1]))
 
     def mult_batch_float(self, a, mult):
         v = _float_values(a, mult)

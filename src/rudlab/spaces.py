@@ -64,10 +64,33 @@ def _int_entries(a: Coeffs, peak: int = 1, gain: int = 1) -> tuple[np.ndarray, i
 
 #: float64 holds every integer of magnitude below this exactly
 _FLOAT_EXACT = 1 << 53
-#: entries of the float image one block of :func:`_int_product` builds
+#: entries of the float image one block of :func:`_int_product` builds, and
+#: of any temporary a column-blocked reduction (:func:`_column_blocks`) holds
 _PRODUCT_BLOCK = 1 << 16
 #: the narrowest batch :func:`_cumsum_rows` scans row by row
 _ROW_SCAN_COLS = 512
+#: columns per block of a float BLAS product are a multiple of this; see
+#: :func:`_column_blocks`
+_BLAS_ALIGN = 64
+
+
+def _column_blocks(rows: int, n: int, align: int = 1) -> list[slice]:
+    """The column slices a column-local reduction of a (``rows``, ``n``)
+    batch walks, so that no temporary holds more than ``_PRODUCT_BLOCK``
+    entries: ``[slice(None)]``, the whole batch, when it fits in one block,
+    else blocks of ``_PRODUCT_BLOCK // rows`` columns (at least one).
+
+    A float BLAS product's last bits depend on how the library tiles the
+    product's columns, so ``align > 1`` rounds the block width down to a
+    multiple of ``align`` (at least ``align``) and keeps a batch whose
+    width is not such a multiple whole: its aligned blocks are then tiled
+    as the whole batch is, and the blocked product equals the whole one
+    bit for bit (checked against OpenBLAS in the tests).  Exact integer
+    reductions need no alignment."""
+    step = max(align, _PRODUCT_BLOCK // max(rows, 1) // align * align)
+    if n <= step or n % align:
+        return [slice(None)]
+    return [slice(lo, lo + step) for lo in range(0, n, step)]
 
 
 def _int_product(w: np.ndarray, v: np.ndarray, bound: int) -> np.ndarray:
@@ -106,19 +129,18 @@ def _cumsum_rows(v: np.ndarray) -> np.ndarray:
     return out
 
 
-def _split_images(forms: np.ndarray, low: np.ndarray, highs: np.ndarray,
-                  bound: int) -> Iterator[np.ndarray]:
-    """``forms @ mult`` for each chunk of a split walk (see
+def _split_terms(forms: np.ndarray, low: np.ndarray, highs: np.ndarray,
+                 bound: int) -> tuple[np.ndarray, np.ndarray]:
+    """The two terms of ``forms @ mult`` on a split walk (see
     :meth:`Space.split_batches`), in ``forms``' dtype: the low columns'
-    image is built once, and each chunk adds its high column's image.
-    ``bound``, a Python int, bounds the magnitudes in each row of ``forms``
-    summed (see :func:`_int_product`)."""
+    image, built once, and the high columns' image, whose column k chunk k
+    adds to every column of the low one.  ``bound``, a Python int, bounds
+    the magnitudes in each row of ``forms`` summed (see
+    :func:`_int_product`)."""
     b = low.shape[0]
     bound *= max(_peak(low), _peak(highs))
-    t_low = _int_product(forms[:, :b], low.astype(forms.dtype), bound)
-    t_high = _int_product(forms[:, b:], highs.astype(forms.dtype), bound)
-    for k in range(highs.shape[1]):
-        yield t_low + t_high[:, k, None]
+    return (_int_product(forms[:, :b], low.astype(forms.dtype), bound),
+            _int_product(forms[:, b:], highs.astype(forms.dtype), bound))
 
 
 def _float_values(a: Coeffs, mult: np.ndarray) -> np.ndarray:
@@ -341,7 +363,15 @@ def _chain_table(nv: np.ndarray, power) -> np.ndarray:
 
 
 def _chain_dp(nv: np.ndarray, power) -> np.ndarray:
-    return _chain_table(nv, power)[-1]
+    """The best chain ending at the last node, per column.  The columns'
+    DPs are independent, so they run over column blocks
+    (:func:`_column_blocks`) and the table and its temporaries stay within
+    ``_PRODUCT_BLOCK`` entries; a batch that fits in one block is tabled
+    whole."""
+    blocks = _column_blocks(*nv.shape)
+    if len(blocks) == 1:
+        return _chain_table(nv, power)[-1]
+    return np.concatenate([_chain_table(nv[:, sl], power)[-1] for sl in blocks])
 
 
 def _split_chain_dp(ints: np.ndarray, nodes: list[int], low: np.ndarray,
@@ -580,7 +610,34 @@ def _class_values(a: Coeffs, mult: np.ndarray,
 
 def _normingset_reduce_exact(pairs: dict[int, np.ndarray], scale: int) -> ExactBatch:
     """max over functionals of |sum_c P_c sqrt(c)| / scale as an exact batch,
-    from the (functional, column) pairings ``P_c`` of each radicand class."""
+    from the (functional, column) pairings ``P_c`` of each radicand class.
+
+    Every step (the float argmax, the near-tie candidates and
+    :func:`first_extreme`, the exact orientation) is column-local, so the
+    reduction walks column blocks (:func:`_normingset_reduce_blocks`) and
+    gives the whole-array values."""
+    rows, n = next(iter(pairs.values())).shape
+    return _normingset_reduce_blocks(
+        lambda sl: {c: p[:, sl] for c, p in pairs.items()}, rows, n, scale)
+
+
+def _normingset_reduce_blocks(block: Callable[[slice], dict[int, np.ndarray]],
+                              rows: int, n: int, scale: int) -> ExactBatch:
+    """:func:`_normingset_reduce_exact` of the (``rows``, ``n``) pairings
+    that ``block(sl)`` builds for each column slice ``sl`` of
+    :func:`_column_blocks`: no pairing block and no temporary of the
+    reduction holds more than ``_PRODUCT_BLOCK`` entries, and a batch that
+    fits in one block is reduced whole."""
+    parts = [_normingset_winners(block(sl)) for sl in _column_blocks(rows, n)]
+    if len(parts) == 1:
+        return ExactBatch.from_classes(parts[0], scale)
+    return ExactBatch.from_classes(
+        {c: np.concatenate([part[c] for part in parts]) for c in parts[0]}, scale)
+
+
+def _normingset_winners(pairs: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
+    """Per class, the pairing of each column's winning functional, oriented
+    so that the classes add up to a non-negative value."""
     approx = sum(p.astype(np.float64) * (c**0.5) for c, p in pairs.items())
     gap = np.abs(approx)
     best = gap.argmax(axis=0)
@@ -616,8 +673,7 @@ def _normingset_reduce_exact(pairs: dict[int, np.ndarray], scale: int) -> ExactB
     for j in neg:  # exact orientation for numerically tiny pairings
         s = _qval(pairs, int(best[j]), int(j)).sign()
         signs[j] = s if s else 1
-    classes = {c: (p[best, cols] * signs.astype(np.int64)) for c, p in pairs.items()}
-    return ExactBatch.from_classes(classes, scale)
+    return {c: (p[best, cols] * signs.astype(np.int64)) for c, p in pairs.items()}
 
 
 def _qval(pairs: dict[int, np.ndarray], f: int, j: int) -> QSum:
@@ -636,6 +692,15 @@ class NormingSetSpace(Space):
     vectors: each functional class is paired with each class of the
     vector's entries, in int64 when a Python-int bound shows that no sum
     can leave it, and in Python-int object arrays otherwise.
+
+    The pairings of a batch are built and reduced one column block at a
+    time (:func:`_column_blocks`), so memory grows with family size times
+    ``_PRODUCT_BLOCK // F`` columns, not times the chunk: no pairing block
+    or reduction temporary holds more than ``_PRODUCT_BLOCK`` entries.  A
+    split walk keeps its per-core low images (F x chunk) for the whole
+    walk.  The float batch is blocked likewise at widths that are
+    multiples of ``_BLAS_ALIGN`` (every Monte-Carlo chunk of 4,096 columns)
+    and evaluated whole at other widths.
     """
 
     def __init__(
@@ -686,22 +751,28 @@ class NormingSetSpace(Space):
     def mult_batch(self, a, mult):
         mats, fscale, peaks = self.class_mats(a.support)
         vals, vden, bound = _class_values(a, mult, peaks)
-        dtype = int_dtype(bound)
-        pairs: dict[int, np.ndarray] = {}  # (F, N) per class
-        for fc, m in mats.items():
-            m = m.astype(dtype, copy=False)
-            for vc, v in vals.items():
-                outer, core = split_square(fc * vc)
-                p = _int_product(m, v, bound)
-                if outer != 1:
-                    p *= outer
-                pairs[core] = pairs[core] + p if core in pairs else p
-        return _normingset_reduce_exact(pairs, fscale * vden)
+        mats = {fc: m.astype(int_dtype(bound), copy=False) for fc, m in mats.items()}
+
+        def block(sl):
+            pairs: dict[int, np.ndarray] = {}  # (F, block) per class
+            for fc, m in mats.items():
+                for vc, v in vals.items():
+                    outer, core = split_square(fc * vc)
+                    p = _int_product(m, v[:, sl], bound)
+                    if outer != 1:
+                        p *= outer
+                    pairs[core] = pairs[core] + p if core in pairs else p
+            return pairs
+
+        rows = next(iter(mats.values())).shape[0]
+        return _normingset_reduce_blocks(block, rows, mult.shape[1], fscale * vden)
 
     def split_batches(self, a, low, highs):
         """Each radicand core's pairings are one integer form matrix, the
         sum of ``outer * M_fc * diag(a_vc)`` over the class pairs (fc, vc)
-        that land on it; its split images feed the exact reduction."""
+        that land on it.  Its low image is built once per vector; each
+        chunk adds its high column to it one column block at a time, as the
+        exact reduction walks the blocks."""
         mats, fscale, peaks = self.class_mats(a.support)
         vals, vden, bound = _class_values(a, np.ones((len(a), 1), dtype=np.int8), peaks)
         forms: dict[int, np.ndarray] = {}  # (F, m) per core, in mult_batch's order
@@ -711,17 +782,30 @@ class NormingSetSpace(Space):
                 outer, core = split_square(fc * vc)
                 w = m * (v[:, 0] * outer)
                 forms[core] = forms[core] + w if core in forms else w
-        images = zip(*(_split_images(w, low, highs, bound) for w in forms.values()))
-        return (_normingset_reduce_exact(dict(zip(forms, chunk)), fscale * vden)
-                for chunk in images)
+        terms = {core: _split_terms(w, low, highs, bound) for core, w in forms.items()}
+        rows, n = next(iter(forms.values())).shape[0], low.shape[1]
+        return (_normingset_reduce_blocks(
+                    lambda sl: {c: t_low[:, sl] + t_high[:, k, None]
+                                for c, (t_low, t_high) in terms.items()},
+                    rows, n, fscale * vden)
+                for k in range(highs.shape[1]))
 
     def mult_batch_float(self, a, mult):
+        """One float BLAS product ``M_c @ v`` per class and column block,
+        accumulated per block (:func:`_column_blocks`, aligned so that the
+        blocked products equal the whole-batch ones bit for bit)."""
         v = _float_values(a, mult)
         mats, fscale, _ = self.class_mats(a.support)
-        acc = np.zeros((next(iter(mats.values())).shape[0], v.shape[1]))
-        for c, m in mats.items():
-            acc += (m.astype(np.float64) @ v) * (c**0.5)
-        return np.abs(acc).max(axis=0) / fscale
+        rows = next(iter(mats.values())).shape[0]
+        mats = {c: m.astype(np.float64) for c, m in mats.items()}
+        out = np.empty(v.shape[1])
+        for sl in _column_blocks(rows, v.shape[1], _BLAS_ALIGN):
+            block = v[:, sl]
+            acc = np.zeros((rows, block.shape[1]))
+            for c, m in mats.items():
+                acc += (m @ block) * (c**0.5)
+            out[sl] = np.abs(acc).max(axis=0)
+        return out / fscale
 
 
 # ---------------------------------------------------------------------------

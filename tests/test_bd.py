@@ -482,11 +482,24 @@ def test_build_calls_no_randrange(monkeypatch):
     assert _tree_digest(build_gamma(params)) == digest
 
 
+def _nonzero_product(a, b):
+    """``a @ b`` for int64 matrices, exactly: row i sums a[i, k] * b[k] over
+    the nonzero entries a[i, k] (numpy has no BLAS loop for int64, and the
+    tree's matrices hold a few nonzeros per row)."""
+    i, k = np.nonzero(a)
+    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
+    rows, starts = np.unique(i, return_index=True)
+    if len(rows):
+        out[rows] = np.add.reduceat(a[i, k, None] * b[k], starts)
+    return out
+
+
 def test_projection_matrix_equals_the_dense_product(gamma):
+    D, Dstar = _dense(gamma.D), _dense(gamma.Dstar)
     for m in range(len(gamma.levels)):
         gm = gamma.gamma_size(m)
         P, s = projection_matrix(gamma, m)
-        assert np.array_equal(P, (_dense(gamma.D)[:, :gm] @ _dense(gamma.Dstar)[:gm, :]).T)
+        assert np.array_equal(P, _nonzero_product(D[:, :gm], Dstar[:gm, :]).T)
         assert s == gamma.d_scale * gamma.s_scale
 
 

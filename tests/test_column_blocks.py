@@ -1,0 +1,241 @@
+"""Column-blocked reductions against their whole-array forms.
+
+The family-sup reduction of the norming-set and coding engines, the
+norming-set float batch and the chain DP walk column blocks of at most
+``spaces._PRODUCT_BLOCK`` entries.  Each is compared here, array for array
+and bit for bit, with the whole-array code it replaced, at widths on both
+sides of a block boundary."""
+
+import functools
+from fractions import Fraction as F
+
+import numpy as np
+import pytest
+
+from rudlab import spaces
+from rudlab.batches import _TIE_RTOL, ExactBatch, first_extreme
+from rudlab.coeffs import Coeffs
+from rudlab.config import RunConfig, SpaceFactory
+from rudlab.exactnum import SQRT2
+from rudlab.mr import MrContext, ZmrSpace, ZrudSpace
+from rudlab.spaces import (_BLAS_ALIGN, _PRODUCT_BLOCK, _chain_dp, _chain_table,
+                           _normingset_reduce_exact, _qval)
+
+
+def _whole_reduce(pairs, scale):
+    """The family-sup reduction over the whole (F, N) pairings at once, as
+    it was before the column blocks."""
+    approx = sum(p.astype(np.float64) * (c**0.5) for c, p in pairs.items())
+    gap = np.abs(approx)
+    best = gap.argmax(axis=0)
+    n = gap.shape[1]
+    cols = np.arange(n)
+    fv = gap[best, cols]
+    np.subtract(fv[None, :], gap, out=gap)
+    fi, ji = np.nonzero(gap <= _TIE_RTOL * (1.0 + fv)[None, :])
+    win = best[ji]
+    same = np.ones(len(fi), dtype=bool)
+    flip = np.ones(len(fi), dtype=bool)
+    for p in pairs.values():
+        cv, bv = p[fi, ji], p[win, ji]
+        same &= cv == bv
+        flip &= cv == -bv
+    for j in np.unique(ji[~(same | flip)]).tolist():
+        key = np.stack([p[:, j] for p in pairs.values()])
+        lead = key[(key != 0).argmax(axis=0), np.arange(key.shape[1])]
+        key = key * np.where(lead < 0, -1, 1)
+        best[j] = first_extreme(
+            np.abs(approx[:, j]), key, lambda f: abs(_qval(pairs, f, j)), True
+        )[1]
+    signs = np.sign(approx[best, cols])
+    signs[signs == 0] = 1
+    neg = np.nonzero(np.abs(approx[best, cols]) < 1e-12)[0]
+    for j in neg:
+        s = _qval(pairs, int(best[j]), int(j)).sign()
+        signs[j] = s if s else 1
+    classes = {c: (p[best, cols] * signs.astype(np.int64)) for c, p in pairs.items()}
+    return ExactBatch.from_classes(classes, scale)
+
+
+def _whole_float(space, a, mult):
+    """The norming-set float batch as one (F, N) product per class."""
+    v = a.values_float()[:, None] * mult
+    mats, fscale, _ = space.class_mats(a.support)
+    acc = np.zeros((next(iter(mats.values())).shape[0], v.shape[1]))
+    for c, m in mats.items():
+        acc += (m.astype(np.float64) @ v) * (c**0.5)
+    return np.abs(acc).max(axis=0) / fscale
+
+
+def _assert_same(got, want):
+    """Equal exact batches: scale, class order, dtypes and values."""
+    assert got.scale == want.scale and got.roots is None and want.roots is None
+    assert list(got.classes) == list(want.classes)
+    for c, w in want.classes.items():
+        assert got.classes[c].dtype == w.dtype
+        assert np.array_equal(got.classes[c], w), c
+
+
+#: a block budget small enough that Python-int batches cross several
+#: block boundaries quickly; the boundaries are the same code at any budget
+_SMALL = 1 << 10
+
+
+def _widths(rows, align=1):
+    """block - 1, block, block + 1 and 2 block + 3 columns, for the block
+    width :func:`spaces._column_blocks` gives ``rows`` rows."""
+    block = max(align, spaces._PRODUCT_BLOCK // rows // align * align)
+    return block, (block - 1, block, block + 1, 2 * block + 3)
+
+
+def _whole_engines(monkeypatch):
+    """Makes the engines reduce their whole pairings with
+    :func:`_whole_reduce`, as they did before the column blocks."""
+    monkeypatch.setattr(spaces, "_normingset_reduce_blocks",
+                        lambda block, rows, n, scale: _whole_reduce(block(slice(None)), scale))
+
+
+#: (x, -y) with x = fl(y sqrt(2)) for y = 2^52 + 6: x - y sqrt(2) < 0, and
+#: its float image x * 1.0 - y * sqrt(2) is 0.0
+_CANCEL = (6369051672525781, -(2**52 + 6))
+
+
+def _tie_pairs(rng, rows, n, big):
+    """Random (rows, n) pairings of the classes 1 and 2, entries near 2^70
+    (Python ints) if ``big``, with planted columns on both sides of the
+    middle and at both ends: near-ties of distinct keys, which
+    first_extreme decides; ties up to sign, decided without it; and a
+    pairing x - y sqrt(2) < 0 whose float image is 0.0, which takes the
+    exact orientation."""
+    p1 = rng.integers(-50, 51, size=(rows, n))
+    p2 = rng.integers(-50, 51, size=(rows, n))
+    if big:
+        p1, p2 = p1.astype(object) + (1 << 70), p2.astype(object)
+    plant = sorted({0, 1, n // 2 - 1, n // 2, n // 2 + 1, n - 2, n - 1})
+    for k, j in enumerate(plant):
+        p1[:, j] = p2[:, j] = 0
+        if k % 3 == 0 and big:  # one float, two Python ints
+            p1[1, j], p1[3, j] = (1 << 70) + 5, (1 << 70) + 6
+        elif k % 3 == 0:  # 470832 sqrt(2) = 665857.00000075
+            p1[1, j], p2[3, j] = 665857, 470832
+        elif k % 3 == 1:
+            p1[2, j], p1[4, j] = 97, -97
+        else:
+            p1[0, j], p2[0, j] = _CANCEL
+    return {1: p1, 2: p2}
+
+
+@pytest.mark.parametrize("big, budget", [(False, _PRODUCT_BLOCK), (False, _SMALL), (True, _SMALL)])
+def test_reduction_blocks_equal_the_whole_reduction(big, budget, monkeypatch):
+    monkeypatch.setattr(spaces, "_PRODUCT_BLOCK", budget)
+    rng = np.random.default_rng(7 + big)
+    rows = 5
+    calls = []
+    monkeypatch.setattr(spaces, "first_extreme",
+                        lambda *args: calls.append(1) or first_extreme(*args))
+    for n in _widths(rows)[1]:
+        pairs = _tie_pairs(rng, rows, n, big)
+        _assert_same(_normingset_reduce_exact(pairs, 3), _whole_reduce(pairs, 3))
+    assert calls, "no column reached first_extreme"
+    assert (float(_CANCEL[0]) + float(_CANCEL[1]) * 2**0.5 == 0.0
+            and _CANCEL[0] ** 2 < 2 * _CANCEL[1] ** 2)
+
+
+@functools.cache
+def _engine(spec):
+    if spec == "norming_set":
+        return SpaceFactory.shared(RunConfig()).space(spec)
+    return (ZmrSpace if spec == "zmr" else ZrudSpace)(_ctx())
+
+
+@functools.cache
+def _ctx():
+    return MrContext()
+
+
+_VECTORS = {
+    "rational": [3, -1, F(2, 3), 5, -2, F(1, 2)],
+    "radical": [3, -1, SQRT2, 5, -2 * SQRT2, F(1, 2)],
+    "python-int": [(1 << 70) + 1, -3, (1 << 69) - 5, 7, -(1 << 70), 2],
+}
+
+
+def _rows(space, a, monkeypatch):
+    """The pairing rows the engine reduces on ``a``'s support."""
+    seen = []
+    with monkeypatch.context() as patch:
+        patch.setattr(spaces, "_normingset_reduce_blocks",
+                      lambda block, rows, n, scale: seen.append(rows))
+        space.mult_batch(a, np.ones((len(a), 1), dtype=np.int8))
+    return seen[0]
+
+
+@pytest.mark.parametrize("spec", ["norming_set", "zmr", "zrud"])
+@pytest.mark.parametrize("kind", list(_VECTORS))
+def test_engine_batches_across_block_boundaries(spec, kind, monkeypatch):
+    monkeypatch.setattr(spaces, "_PRODUCT_BLOCK", _SMALL)
+    space = _engine(spec)
+    a = Coeffs.from_pairs(enumerate(_VECTORS[kind]))
+    rng = np.random.default_rng(len(spec) + len(kind))
+    mults = [rng.integers(-2, 3, size=(len(a), n)).astype(np.int8)
+             for n in _widths(_rows(space, a, monkeypatch))[1]]
+    got = [space.mult_batch(a, mult) for mult in mults]
+    _whole_engines(monkeypatch)
+    for mult, batch in zip(mults, got):
+        _assert_same(batch, space.mult_batch(a, mult))
+
+
+@pytest.mark.parametrize("kind", list(_VECTORS))
+def test_norming_set_split_walk_across_block_boundaries(kind, monkeypatch):
+    monkeypatch.setattr(spaces, "_PRODUCT_BLOCK", _SMALL)
+    space = _engine("norming_set")
+    a = Coeffs.from_pairs(enumerate(_VECTORS[kind]))
+    rng = np.random.default_rng(len(kind))
+    highs = rng.choice([-1, 1], size=(2, 3)).astype(np.int8)
+    lows = [rng.choice([-1, 1], size=(4, n)).astype(np.int8)
+            for n in _widths(_rows(space, a, monkeypatch))[1]]
+    got = [list(space.split_batches(a, low, highs)) for low in lows]
+    _whole_engines(monkeypatch)
+    for low, batches in zip(lows, got):
+        want = list(space.split_batches(a, low, highs))
+        assert len(batches) == len(want) == highs.shape[1]
+        for g, w in zip(batches, want):
+            _assert_same(g, w)
+
+
+@pytest.mark.parametrize("kind", ["rational", "radical", "float"])
+def test_norming_set_float_batches_are_bit_equal(kind):
+    space = _engine("norming_set")
+    # 18 entries: a 53-functional family, whose unaligned blocks of 1,236
+    # columns would round differently from the whole product
+    values = {"float": [0.1 * (k + 1) * (-1) ** k + 0.37 for k in range(18)]}
+    a = Coeffs.from_pairs(enumerate(values.get(kind) or _VECTORS[kind] * 3))
+    rng = np.random.default_rng(11)
+    rows = next(iter(space.class_mats(a.support)[0].values())).shape[0]
+    block, widths = _widths(rows, _BLAS_ALIGN)
+    for n in (*widths, 2 * block, 3 * block + _BLAS_ALIGN, 4096, 6 * 4096):
+        mult = rng.standard_normal((len(a), n))
+        if kind == "float":
+            mult = np.sign(mult)
+        got, want = space.mult_batch_float(a, mult), _whole_float(space, a, mult)
+        assert got.dtype == want.dtype and np.array_equal(got, want), n
+
+
+@pytest.mark.parametrize("dtype, power", [
+    (np.int64, 1), (np.int64, 2), (object, 1), (object, 2),
+    (np.float64, 1), (np.float64, 2), (np.float64, 1.5),
+])
+def test_chain_dp_blocks_equal_the_whole_table(dtype, power, monkeypatch):
+    if dtype is object:
+        monkeypatch.setattr(spaces, "_PRODUCT_BLOCK", _SMALL)
+    rng = np.random.default_rng(5)
+    rows = 9
+    for n in _widths(rows)[1]:
+        if dtype is np.float64:
+            nv = rng.standard_normal((rows, n))
+        else:
+            nv = rng.integers(-1000, 1001, size=(rows, n)).astype(dtype)
+            if dtype is object:
+                nv = nv * (1 << 40)
+        got, want = _chain_dp(nv, power), _chain_table(nv, power)[-1]
+        assert got.dtype == want.dtype and np.array_equal(got, want), n

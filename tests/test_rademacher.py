@@ -325,6 +325,36 @@ def test_memory_bounded_by_chunk():
     assert peak < 16 << 20, peak
 
 
+def _traced_peak(fn):
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        out = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+def test_norming_set_memory_bounded_by_column_blocks():
+    """The norming-set engine's family-sup reduction and float batch run
+    over column blocks, so a split walk keeps only its per-core low images
+    (F x 2^13 entries each) and a Monte-Carlo batch no (F x 4096) float
+    temporaries: sign_stats at m = 18 peaked at 31 MB and expect_mc at
+    m = 40 at 10 MB when they were whole-chunk arrays."""
+    space = SpaceFactory.shared(RunConfig()).space("norming_set")
+    palette = (1, -1, 2, -2, 3, -3, F(1, 2), F(-1, 2))
+    st, peak = _traced_peak(lambda: sign_stats(
+        space, Coeffs.from_values([palette[k % 8] for k in range(18)])))
+    assert QSum.of(st.max()).sign() > 0
+    assert peak < 16 << 20, peak
+    est, peak = _traced_peak(lambda: expect_mc(
+        space, Coeffs.from_values([palette[k * 5 % 8] for k in range(40)]), 100_000, seed=1))
+    assert est.lower <= est.value <= est.upper
+    assert peak < 8 << 20, peak
+
+
 def test_mc_zero_vector():
     est = expect_mc(s, Coeffs.zero(), samples=500, seed=1)
     assert est.value == 0.0 and est.bracket == (0.0, 0.0)
