@@ -44,7 +44,7 @@ from .batches import _peak, int_dtype
 from .coeffs import Coeffs, DomainError, NormingFunctional
 from .exactnum import QSum, Scalar, split_square, sqrt_exact
 from .spaces import (NormingSetSpace, RenormSpace, _cached, _class_values,
-                     _cumsum_rows, _normingset_reduce_exact)
+                     _cumsum_rows, _normingset_reduce_blocks)
 
 DEFAULT_LEVELS = (2, 4, 8)
 DEFAULT_UNIVERSE = 14
@@ -136,38 +136,33 @@ class SigmaCoder:
     onward, virtually extended past the prefix) exceeding its cardinality.
     Processing large subsets first is what lets small prefix levels reach
     the consecutive-block unions that the witness vectors are built from;
-    the assignment never depends on query order.
+    the assignment never depends on query order.  It is one int32 table of
+    2^universe entries indexed by the subset's bitmask, -1 off the domain.
     """
 
     def __init__(self, levels: LevelSequence, universe: int = DEFAULT_UNIVERSE):
         self.levels = levels
         self.universe = universe
-        self._index: dict[frozenset[int], int] = {}
-        # smallest level index whose value exceeds a given cardinality
-        threshold: dict[int, int] = {}
-        for card in range(2, universe + 1, 2):
-            k = 1  # codomain starts at the second level
-            while levels.virtual(k) <= card:
-                k += 1
-            threshold[card] = k
-        skip: dict[int, int] = {}  # union-find "next unused level index"
-
-        def take(k: int) -> int:
-            path = []
-            while k in skip:
-                path.append(k)
-                k = skip[k]
-            for p in path:
-                skip[p] = k
-            skip[k] = k + 1
-            return k
-
-        subsets: list[tuple[int, ...]] = []
-        for card in range(2, universe + 1, 2):
-            subsets.extend(itertools.combinations(range(universe), card))
-        subsets.sort(key=lambda s: (-len(s), max(s), s))
-        for s in subsets:
-            self._index[frozenset(s)] = take(threshold[len(s)])
+        masks = np.arange(1 << universe, dtype=np.int32)
+        card, top, rev = (np.zeros_like(masks) for _ in range(3))
+        for i in range(universe):
+            bit = (masks >> i) & 1
+            card += bit
+            top[bit == 1] = i  # the maximum element
+            rev |= bit << (universe - 1 - i)  # element i at bit universe - 1 - i
+        # within a cardinality, lexicographic order is decreasing order of rev
+        domain = np.flatnonzero((card >= 2) & (card % 2 == 0))
+        order = domain[np.lexsort((-rev[domain], top[domain], -card[domain]))]
+        self._table = np.full(1 << universe, -1, dtype=np.int32)
+        # level indices in use; every threshold is below len(prefix) + log2(2 * universe)
+        used = np.zeros(len(levels.prefix) + universe.bit_length() + len(order), dtype=bool)
+        for c in range(universe - universe % 2, 1, -2):
+            # c takes the next unused indices from the first level (second on) above c
+            k = next(k for k in itertools.count(1) if levels.virtual(k) > c)
+            subsets = order[card[order] == c]
+            taken = k + np.flatnonzero(~used[k:])[:len(subsets)]
+            self._table[subsets] = taken
+            used[taken] = True
 
     def sigma(self, s: frozenset[int]) -> int:
         k = self.sigma_index(s)
@@ -179,11 +174,14 @@ class SigmaCoder:
 
     def sigma_index(self, s: frozenset[int]) -> int | None:
         """Position of sigma(s) in the level sequence, or None off-domain."""
-        return self._index.get(frozenset(s))
+        k = -1
+        if all(0 <= i < self.universe for i in s):
+            k = int(self._table[sum(1 << i for i in frozenset(s))])
+        return k if k >= 0 else None
 
     def sigma_capped(self, s: frozenset[int], cap: int) -> int | None:
         """sigma(s) when s is in the domain and sigma(s) <= cap, else None."""
-        k = self._index.get(frozenset(s))
+        k = self.sigma_index(s)
         if k is None or k >= len(self.levels.prefix) + max(cap, 2).bit_length():
             return None
         v = self.levels.virtual(k)
@@ -191,7 +189,9 @@ class SigmaCoder:
 
     def assignments(self):
         """(subset, level index, value) triples for audit sweeps."""
-        for s, k in self._index.items():
+        for mask in np.flatnonzero(self._table >= 0).tolist():
+            k = int(self._table[mask])
+            s = frozenset(i for i in range(self.universe) if mask >> i & 1)
             yield s, k, self.levels.virtual(k)
 
 
@@ -602,22 +602,34 @@ class _CodingSpace(NormingSetSpace):
     def mult_batch(self, a, mult):
         lay = self._layout(a.support)
         entry_signs = np.array([1 if v > 0 else -1 for _, v in a.entries], dtype=np.int8)
-        order = _magnitude_order(a, mult)
         vals, vden, bound = _class_values(a, mult, lay.peaks)
         dtype = int_dtype(bound)
-        phi = _family_rows(lay, entry_signs[:, None] * np.sign(mult), order).astype(dtype)
-        pairs: dict[int, np.ndarray] = {}  # (R + m, N) per class
-        for fc, weights in lay.weights.items():
-            signed = phi * weights.astype(dtype)[:, :, None]
-            for vc, v in vals.items():
-                outer, core = split_square(fc * vc)
-                # the family rows, then the coordinate rows (weight 1)
-                p = np.concatenate([np.einsum("rij,ij->rj", signed, v),
-                                    v * lay.fscale if fc == 1 else np.zeros_like(v)])
-                if outer != 1:
-                    p *= outer
-                pairs[core] = pairs[core] + p if core in pairs else p
-        return _normingset_reduce_exact(pairs, lay.fscale * vden)
+        weights = {fc: w.astype(dtype)[:, :, None] for fc, w in lay.weights.items()}
+
+        def block(sl):
+            # the family rows, their signs and the pairings are column-local
+            cols = mult[:, sl]
+            order = _magnitude_order(a, cols)
+            phi = _family_rows(lay, entry_signs[:, None] * np.sign(cols), order).astype(dtype)
+            pairs: dict[int, np.ndarray] = {}  # (R + m, block) per class
+            for fc, w in weights.items():
+                signed = phi * w
+                for vc, v in vals.items():
+                    v = v[:, sl]
+                    outer, core = split_square(fc * vc)
+                    # the family rows, then the coordinate rows (weight 1)
+                    p = np.concatenate([np.einsum("rij,ij->rj", signed, v),
+                                        v * lay.fscale if fc == 1 else np.zeros_like(v)])
+                    if outer != 1:
+                        p *= outer
+                    pairs[core] = pairs[core] + p if core in pairs else p
+            return pairs
+
+        # per column, the family rows' signs hold R x m entries and the
+        # pairings R + m, both at most (R + 1) x m
+        rows, m = lay.cards.shape
+        return _normingset_reduce_blocks(block, (rows + 1) * m, mult.shape[1],
+                                         lay.fscale * vden)
 
     def split_batches(self, a, low, highs):
         # the norming-set split would pair the enumerated family's class

@@ -356,9 +356,23 @@ def _chain_table(nv: np.ndarray, power) -> np.ndarray:
     """Best accumulated |difference|^power along increasing node chains:
     row j of the table is the best chain ending at node j."""
     k, n = nv.shape
-    best = np.zeros((k, n), dtype=nv.dtype if power in (1, 2) else np.float64)
+    exact = power in (1, 2)
+    best = np.zeros((k, n), dtype=nv.dtype if exact else np.float64)
+    # one buffer per dtype for every node's differences and gains
+    diff = np.empty((k, n), dtype=nv.dtype)
+    gain = diff if exact else np.empty((k, n))
     for j in range(1, k):
-        best[j] = (best[:j] + _gain(np.abs(nv[:j] - nv[j]), power)).max(axis=0)
+        d, g = diff[:j], gain[:j]
+        np.subtract(nv[:j], nv[j], out=d)
+        if power == 2:
+            np.multiply(d, d, out=d)  # (-d)^2 is d^2 exactly, so no abs
+        else:
+            np.abs(d, out=d)
+            if not exact:
+                g[...] = d
+                np.power(g, power, out=g)
+        np.add(best[:j], g, out=g)
+        np.max(g, axis=0, out=best[j])
     return best
 
 
@@ -608,26 +622,20 @@ def _class_values(a: Coeffs, mult: np.ndarray,
             vden, bound)
 
 
-def _normingset_reduce_exact(pairs: dict[int, np.ndarray], scale: int) -> ExactBatch:
-    """max over functionals of |sum_c P_c sqrt(c)| / scale as an exact batch,
-    from the (functional, column) pairings ``P_c`` of each radicand class.
+def _normingset_reduce_blocks(block: Callable[[slice], dict[int, np.ndarray]],
+                              rows: int, n: int, scale: int) -> ExactBatch:
+    """max over functionals of |sum_c P_c sqrt(c)| / scale as an exact batch
+    of ``n`` columns, from the (functional, column) pairings ``P_c`` of each
+    radicand class that ``block(sl)`` builds for each column slice ``sl`` of
+    :func:`_column_blocks`.
 
     Every step (the float argmax, the near-tie candidates and
     :func:`first_extreme`, the exact orientation) is column-local, so the
-    reduction walks column blocks (:func:`_normingset_reduce_blocks`) and
-    gives the whole-array values."""
-    rows, n = next(iter(pairs.values())).shape
-    return _normingset_reduce_blocks(
-        lambda sl: {c: p[:, sl] for c, p in pairs.items()}, rows, n, scale)
-
-
-def _normingset_reduce_blocks(block: Callable[[slice], dict[int, np.ndarray]],
-                              rows: int, n: int, scale: int) -> ExactBatch:
-    """:func:`_normingset_reduce_exact` of the (``rows``, ``n``) pairings
-    that ``block(sl)`` builds for each column slice ``sl`` of
-    :func:`_column_blocks`: no pairing block and no temporary of the
-    reduction holds more than ``_PRODUCT_BLOCK`` entries, and a batch that
-    fits in one block is reduced whole."""
+    blocks give the whole-array values.  ``rows`` bounds the entries per
+    column of every array ``block`` builds, the pairings' functionals
+    included: no such array and no temporary of the reduction holds more
+    than ``_PRODUCT_BLOCK`` entries, and a batch that fits in one block is
+    reduced whole."""
     parts = [_normingset_winners(block(sl)) for sl in _column_blocks(rows, n)]
     if len(parts) == 1:
         return ExactBatch.from_classes(parts[0], scale)
@@ -657,7 +665,8 @@ def _normingset_winners(pairs: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
         cv, bv = p[fi, ji], p[win, ji]
         same &= cv == bv
         flip &= cv == -bv
-    for j in np.unique(ji[~(same | flip)]).tolist():
+    # the sorted distinct columns; np.unique would import numpy.ma
+    for j in np.flatnonzero(np.bincount(ji[~(same | flip)], minlength=n)).tolist():
         # key: the pairings up to sign, normalised by the first non-zero
         # entry (a float sign is unusable: a pairing can round to 0.0)
         key = np.stack([p[:, j] for p in pairs.values()])

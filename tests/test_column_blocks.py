@@ -1,25 +1,28 @@
 """Column-blocked reductions against their whole-array forms.
 
 The family-sup reduction of the norming-set and coding engines, the
-norming-set float batch and the chain DP walk column blocks of at most
+coding engines' family rows, the norming-set float batch and the chain DP
+walk column blocks of at most
 ``spaces._PRODUCT_BLOCK`` entries.  Each is compared here, array for array
 and bit for bit, with the whole-array code it replaced, at widths on both
 sides of a block boundary."""
 
 import functools
+import tracemalloc
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
-from rudlab import spaces
-from rudlab.batches import _TIE_RTOL, ExactBatch, first_extreme
+from rudlab import mr, spaces
+from rudlab.batches import _TIE_RTOL, ExactBatch, first_extreme, int_dtype
 from rudlab.coeffs import Coeffs
 from rudlab.config import RunConfig, SpaceFactory
-from rudlab.exactnum import SQRT2
-from rudlab.mr import MrContext, ZmrSpace, ZrudSpace
+from rudlab.exactnum import SQRT2, split_square
+from rudlab.mr import MrContext, ZmrSpace, ZrudSpace, _family_rows, _magnitude_order
+from rudlab.rng import sign_matrix
 from rudlab.spaces import (_BLAS_ALIGN, _PRODUCT_BLOCK, _chain_dp, _chain_table,
-                           _normingset_reduce_exact, _qval)
+                           _class_values, _normingset_reduce_blocks, _qval)
 
 
 def _whole_reduce(pairs, scale):
@@ -57,6 +60,35 @@ def _whole_reduce(pairs, scale):
     return ExactBatch.from_classes(classes, scale)
 
 
+def _blocked_reduce(pairs, scale):
+    """The blocked reduction of pairings built whole, sliced per block."""
+    rows, n = next(iter(pairs.values())).shape
+    return _normingset_reduce_blocks(
+        lambda sl: {c: p[:, sl] for c, p in pairs.items()}, rows, n, scale)
+
+
+def _whole_coding_batch(space, a, mult):
+    """A coding engine's exact batch with its family rows and pairings built
+    for the whole batch and reduced whole, as before the column blocks."""
+    lay = space._layout(a.support)
+    entry_signs = np.array([1 if v > 0 else -1 for _, v in a.entries], dtype=np.int8)
+    order = _magnitude_order(a, mult)
+    vals, vden, bound = _class_values(a, mult, lay.peaks)
+    dtype = int_dtype(bound)
+    phi = _family_rows(lay, entry_signs[:, None] * np.sign(mult), order).astype(dtype)
+    pairs = {}
+    for fc, weights in lay.weights.items():
+        signed = phi * weights.astype(dtype)[:, :, None]
+        for vc, v in vals.items():
+            outer, core = split_square(fc * vc)
+            p = np.concatenate([np.einsum("rij,ij->rj", signed, v),
+                                v * lay.fscale if fc == 1 else np.zeros_like(v)])
+            if outer != 1:
+                p *= outer
+            pairs[core] = pairs[core] + p if core in pairs else p
+    return _whole_reduce(pairs, lay.fscale * vden)
+
+
 def _whole_float(space, a, mult):
     """The norming-set float batch as one (F, N) product per class."""
     v = a.values_float()[:, None] * mult
@@ -91,8 +123,9 @@ def _widths(rows, align=1):
 def _whole_engines(monkeypatch):
     """Makes the engines reduce their whole pairings with
     :func:`_whole_reduce`, as they did before the column blocks."""
-    monkeypatch.setattr(spaces, "_normingset_reduce_blocks",
-                        lambda block, rows, n, scale: _whole_reduce(block(slice(None)), scale))
+    for module in (spaces, mr):
+        monkeypatch.setattr(module, "_normingset_reduce_blocks",
+                            lambda block, rows, n, scale: _whole_reduce(block(slice(None)), scale))
 
 
 #: (x, -y) with x = fl(y sqrt(2)) for y = 2^52 + 6: x - y sqrt(2) < 0, and
@@ -135,7 +168,7 @@ def test_reduction_blocks_equal_the_whole_reduction(big, budget, monkeypatch):
                         lambda *args: calls.append(1) or first_extreme(*args))
     for n in _widths(rows)[1]:
         pairs = _tie_pairs(rng, rows, n, big)
-        _assert_same(_normingset_reduce_exact(pairs, 3), _whole_reduce(pairs, 3))
+        _assert_same(_blocked_reduce(pairs, 3), _whole_reduce(pairs, 3))
     assert calls, "no column reached first_extreme"
     assert (float(_CANCEL[0]) + float(_CANCEL[1]) * 2**0.5 == 0.0
             and _CANCEL[0] ** 2 < 2 * _CANCEL[1] ** 2)
@@ -161,11 +194,13 @@ _VECTORS = {
 
 
 def _rows(space, a, monkeypatch):
-    """The pairing rows the engine reduces on ``a``'s support."""
+    """The rows per column the engine blocks its batches by on ``a``'s
+    support."""
     seen = []
     with monkeypatch.context() as patch:
-        patch.setattr(spaces, "_normingset_reduce_blocks",
-                      lambda block, rows, n, scale: seen.append(rows))
+        for module in (spaces, mr):
+            patch.setattr(module, "_normingset_reduce_blocks",
+                          lambda block, rows, n, scale: seen.append(rows))
         space.mult_batch(a, np.ones((len(a), 1), dtype=np.int8))
     return seen[0]
 
@@ -183,6 +218,47 @@ def test_engine_batches_across_block_boundaries(spec, kind, monkeypatch):
     _whole_engines(monkeypatch)
     for mult, batch in zip(mults, got):
         _assert_same(batch, space.mult_batch(a, mult))
+
+
+@pytest.mark.parametrize("spec", ["zmr", "zrud"])
+@pytest.mark.parametrize("kind, budget", [
+    ("rational", _PRODUCT_BLOCK), ("rational", _SMALL), ("radical", _SMALL),
+    ("python-int", _SMALL),
+])
+def test_coding_batches_equal_the_whole_batch(spec, kind, budget, monkeypatch):
+    """The coding engines build their family rows and pairings per column
+    block; sign, mask and multiplier batches equal the batch built and
+    reduced whole."""
+    monkeypatch.setattr(spaces, "_PRODUCT_BLOCK", budget)
+    space = _engine(spec)
+    a = Coeffs.from_pairs(enumerate(_VECTORS[kind]))
+    rng = np.random.default_rng(len(spec) * len(kind))
+    rows = _rows(space, a, monkeypatch)
+    widths = _widths(rows)[1]
+    assert len(spaces._column_blocks(rows, widths[-1])) == 3
+    for n in widths:
+        for mult in (rng.choice([-1, 1], size=(len(a), n)), rng.integers(0, 2, size=(len(a), n)),
+                     rng.integers(-2, 3, size=(len(a), n))):
+            mult = mult.astype(np.int8)
+            _assert_same(space.mult_batch(a, mult), _whole_coding_batch(space, a, mult))
+
+
+@pytest.mark.parametrize("spec, m", [("zmr", 8), ("zrud", 6)])
+def test_coding_batch_memory_bounded_by_column_blocks(spec, m):
+    """A traced batch of 8,192 sign columns peaks below 8 MB (20.3 MB on
+    zmr and 22.5 MB on zrud with the family rows built for the whole
+    batch)."""
+    space = _engine(spec)
+    a = Coeffs.from_pairs((i, F((-1) ** i * (i + 2), i % 3 + 1)) for i in range(m))
+    signs = sign_matrix(1, m, 8192)
+    space.mult_batch(a, signs[:, :16])  # layout and caches
+    tracemalloc.start()
+    try:
+        space.mult_batch(a, signs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, peak
 
 
 @pytest.mark.parametrize("kind", list(_VECTORS))

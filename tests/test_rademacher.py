@@ -776,6 +776,45 @@ print("scipy" in sys.modules)
 """
 
 
+_NO_NUMPY_MA = """
+import sys
+import numpy as np
+from rudlab import spaces
+from rudlab.coeffs import Coeffs
+from rudlab.config import RunConfig, SpaceFactory
+from rudlab.rademacher import sign_stats
+calls = []
+first_extreme = spaces.first_extreme
+spaces.first_extreme = lambda *args: calls.append(1) or first_extreme(*args)
+# 665857 and 470832 sqrt(2) = 665856.99999925 are near-tied with distinct keys
+pairs = {1: np.array([[665857, 3], [0, 1]]), 2: np.array([[0, 0], [470832, 1]])}
+batch = spaces._normingset_reduce_blocks(
+    lambda sl: {c: p[:, sl] for c, p in pairs.items()}, 2, 2, 1)
+sign_stats(SpaceFactory.shared(RunConfig()).space("norming_set"),
+           Coeffs.from_values([3, -1, 2, 5, -2, 1])).mean()
+print(len(calls), batch.classes[1].tolist(), "numpy.ma" in sys.modules)
+"""
+
+
+def test_norming_set_batches_import_no_numpy_ma():
+    """The family-sup reduction, through a near-tied column that reaches
+    first_extreme and through a norming-set sign average, runs in a fresh
+    process without importing numpy.ma (a 1-D np.unique imports it)."""
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    import rudlab
+
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(pathlib.Path(rudlab.__file__).parent.parent),
+                      os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", _NO_NUMPY_MA], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.split("\n")[0] == "1 [665857, 3] False"
+
+
 def test_monte_carlo_imports_no_scipy():
     """Monte-Carlo brackets, on the per-sample path (40 entries) and the
     pattern-table path (14 entries), run in a fresh process without
