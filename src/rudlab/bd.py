@@ -533,9 +533,13 @@ class Gamma:
         """``D[:, cols]`` restricted to the rows where some of its columns
         is nonzero, ascending, as a dense int64 block; the other rows are
         0.  Every column holds ``d_scale`` on its diagonal, so no column
-        is empty."""
+        is empty.  An index outside the tree raises :class:`DomainError`."""
         ptr, rows, pos = self._columns
-        at, lens = _segments(ptr, np.asarray(cols, dtype=np.int64))
+        cols = np.asarray(cols, dtype=np.int64)
+        bad = cols[(cols < 0) | (cols >= self.size)]
+        if len(bad):
+            raise DomainError(f"bd index {bad[0]} is outside the tree of {self.size} elements")
+        at, lens = _segments(ptr, cols)
         keep, slot = np.unique(rows[at], return_inverse=True)
         block = np.zeros((len(keep), len(lens)), dtype=np.int64)
         block[slot, np.repeat(np.arange(len(lens)), lens)] = self.D.vals[pos[at]]

@@ -144,8 +144,8 @@ def parse_coeffs(text: str, exact: bool = True) -> Coeffs:
 
 def _demo_norming_family(support: tuple[int, ...]):
     """A fixed small norming family used by the generic norming-set engine:
-    tail functionals joined with root-two-scaled averages of consecutive
-    index pairs (i, i + 1).
+    tail functionals, root-two-scaled averages of consecutive index pairs
+    (i, i + 1) and, last, the coordinate functionals.
 
     Pairing consecutive indices, not neighbours within the support, makes
     the family restrict consistently: on a smaller support a pair that
@@ -161,6 +161,7 @@ def _demo_norming_family(support: tuple[int, ...]):
     for a, b in zip(sup, sup[1:]):
         if b == a + 1:
             out.append(Coeffs.from_pairs([(a, half_rt2), (b, half_rt2)]))
+    out.extend(Coeffs.from_pairs([(i, 1)]) for i in sup)
     return out
 
 
@@ -267,9 +268,7 @@ class SpaceFactory:
         if head == "smax":
             return SmaxSpace(_exponent(spec, rest))
         if head == "norming_set":
-            return NormingSetSpace(
-                "norming_set:demo", _demo_norming_family, include_coord_sup=True
-            )
+            return NormingSetSpace("norming_set:demo", _demo_norming_family)
         if head == "renorm":
             base_spec, _, delta = rest.rpartition(":")
             if not base_spec:

@@ -26,8 +26,10 @@ restriction complete.  The engines never list these members: per family
 and column the supremum is attained by a few members read off the entries
 sorted by magnitude (the best tails, and for the divergence side the best
 decorations), the top-k structure of Ogryczak & Tamir, "Minimizing the sum
-of the k largest functions in linear time" (IPL 2003).  The enumerated
-families serve as the test oracle.
+of the k largest functions in linear time" (IPL 2003).  The engines are
+plain :class:`~rudlab.spaces.Space` subclasses; the family enumerators
+:func:`zmr_functionals` and :func:`zrud_functionals` list the members for a
+reference norming-set engine outside the package and no engine calls them.
 """
 
 from __future__ import annotations
@@ -43,14 +45,17 @@ import numpy as np
 from .batches import _peak, int_dtype
 from .coeffs import Coeffs, DomainError, NormingFunctional
 from .exactnum import QSum, Scalar, split_square, sqrt_exact
-from .spaces import (NormingSetSpace, RenormSpace, _cached, _class_values,
+from .spaces import (RenormSpace, Space, _cached, _class_values, _column_blocks,
                      _cumsum_rows, _normingset_reduce_blocks)
 
 DEFAULT_LEVELS = (2, 4, 8)
 DEFAULT_UNIVERSE = 14
 DEFAULT_MAX_N = 3
-#: most members a zrud family may have on one support when the
-#: ``norm_slow`` oracle enumerates it (the engines never do)
+#: largest coded universe: the sigma coder's table holds 2^universe int32
+#: entries (64 MiB at 24) and its build a few such arrays
+MAX_UNIVERSE = 24
+#: most members a zrud family may have on one support when
+#: :func:`zrud_functionals` enumerates it (the engines never do)
 ZRUD_FAMILY_CAP = 20_000
 
 
@@ -289,7 +294,8 @@ def zmr_functionals(
     ctx: "MrContext", support: tuple[int, ...]
 ) -> list[NormingFunctional]:
     """Undecorated tuple functionals of the base family, restricted to the
-    support, tails enumerated over every admissible intersection."""
+    support, tails enumerated over every admissible intersection, then the
+    coordinate functionals in support order."""
     sup = sorted(set(support))
     out: list[NormingFunctional] = []
     for fam in ctx.families:
@@ -303,6 +309,7 @@ def zmr_functionals(
             pairs = fixed_pairs + [(i, wt) for i in t]
             if pairs:
                 out.append(Coeffs.from_pairs(pairs))
+    out.extend(Coeffs.from_pairs([(i, 1)]) for i in sup)
     return out
 
 
@@ -381,6 +388,10 @@ class MrContext:
         max_n: int = DEFAULT_MAX_N,
         width: int = 0,
     ):
+        if not 0 <= universe <= MAX_UNIVERSE:
+            raise DomainError(f"coded universe {universe} is outside [0, {MAX_UNIVERSE}]")
+        if max_n < 1:
+            raise DomainError(f"maximal tuple length {max_n} is below 1")
         self.levels = LevelSequence(tuple(levels))
         self.universe = universe
         self.max_n = max_n
@@ -578,20 +589,19 @@ def _magnitude_order(a: Coeffs, mult: np.ndarray) -> np.ndarray:
     return out
 
 
-class _CodingSpace(NormingSetSpace):
+class _CodingSpace(Space):
     """A coding-function space: the supremum over its tuple families and
     the coordinate functionals, evaluated in closed form.
 
     The exact batch pairs the few rows of :func:`_family_rows` and the
     coordinate rows with the entries' square-free classes and reduces
-    them with the norming-set reduction.  The enumerated family
-    (:meth:`functionals`) serves only the ``norm_slow`` oracle.
+    them with the norming-set reduction; it never lists a family.
     """
 
     decorated = False
 
-    def __init__(self, name: str, ctx: MrContext, provider, include_coord_sup: bool):
-        super().__init__(name, provider, include_coord_sup)
+    def __init__(self, name: str, ctx: MrContext):
+        self.name = name
         self.ctx = ctx
         self._layouts: dict[tuple[int, ...], _Layout] = {}
 
@@ -631,15 +641,10 @@ class _CodingSpace(NormingSetSpace):
         return _normingset_reduce_blocks(block, (rows + 1) * m, mult.shape[1],
                                          lay.fscale * vden)
 
-    def split_batches(self, a, low, highs):
-        # the norming-set split would pair the enumerated family's class
-        # matrices; the closed-form rows are built chunk by chunk
-        return None
-
 
 class ZmrSpace(_CodingSpace):
     def __init__(self, ctx: MrContext):
-        super().__init__("zmr", ctx, lambda sup: zmr_functionals(ctx, sup), True)
+        super().__init__("zmr", ctx)
         self.sweep_indices = tuple(range(min(8, ctx.universe)))
         self.sweep_max_m = 8
 
@@ -655,18 +660,26 @@ class ZrudSpace(_CodingSpace):
     decorated = True
 
     def __init__(self, ctx: MrContext):
-        super().__init__("zrud", ctx, lambda sup: zrud_functionals(ctx, sup), False)
+        super().__init__("zrud", ctx)
         self.sweep_indices = tuple(range(min(6, ctx.universe)))
         self.sweep_max_m = 6
 
     def mult_batch_float(self, a, mult):
+        """The family rows and their pairings one column block at a time
+        (:func:`_column_blocks`, at the exact batch's (R + 1) x m entries
+        per column); each column's einsum sums in the whole batch's order."""
         v = a.values_float()[:, None] * mult
-        order = np.argsort(-np.abs(v), axis=0, kind="stable")
         lay = self._layout(a.support)
-        phi = _family_rows(lay, np.sign(v), order)
         weights = np.where(lay.cards > 0, 1.0 / np.sqrt(np.maximum(lay.cards, 1)), 0.0)
-        fams = np.abs(np.einsum("rij,ri,ij->rj", phi, weights, v))
-        return np.maximum(fams.max(axis=0, initial=0.0), np.abs(v).max(axis=0, initial=0.0))
+        rows, m = lay.cards.shape
+        out = np.abs(v).max(axis=0, initial=0.0)
+        for sl in _column_blocks((rows + 1) * m, v.shape[1]):
+            block = v[:, sl]
+            order = np.argsort(-np.abs(block), axis=0, kind="stable")
+            phi = _family_rows(lay, np.sign(block), order)
+            fams = np.abs(np.einsum("rij,ri,ij->rj", phi, weights, block))
+            np.maximum(out[sl], fams.max(axis=0, initial=0.0), out=out[sl])
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -752,77 +765,6 @@ def mr_witness(
         inv += Fraction(1, len(s))
     bound = 1 + 2 * ctx.levels.delta_hat + 2 * sqrt_exact(inv)
     return WitnessReport(x, AdmissibleTuple(tuple(blocks)), norm, est, bound)
-
-
-def _greedy_fill(block_units: list[tuple[Scalar, int]], budget: int) -> Scalar:
-    """Largest sum of at most ``budget`` unit slots with positive values;
-    ``block_units`` holds (slot value, slot count) per block, exact.  Used
-    only by the :func:`zrud_block_norm` test oracle."""
-    import functools
-
-    def cmp(x, y):
-        return (QSum.of(x[0]) - QSum.of(y[0])).sign()
-
-    total: Scalar = 0
-    left = budget
-    for val, count in sorted(block_units, key=functools.cmp_to_key(cmp), reverse=True):
-        if left <= 0 or QSum.of(val).sign() <= 0:
-            break
-        take = min(left, count)
-        total = total + val * take
-        left -= take
-    return total
-
-
-def zrud_block_norm(ctx: MrContext, a_blocks: list) -> Scalar:
-    """Exact divergence-side norm of sum_j a_j x_j over the canonical
-    blocks, in closed form: the test oracle for the zrud engine on the
-    block support, where the enumerated family is refused.  No production
-    path calls it; :func:`zrud_block_sandwich` takes the engine's norm.
-
-    Entries are constant on each block, so the supremum over each tail
-    family reduces to a slot-allocation problem across blocks; balanced
-    decorations pair to zero against full blocks and only the capped tails
-    contribute.  Cross-checked against the explicit family enumeration at
-    small scale in the tests.  It assumes width 0 (``ctx.width``): balanced
-    decorations and tails capped at ``tail_card // 2`` entries of each sign.
-    """
-    n = len(a_blocks)
-    blocks = ctx.canonical_blocks(n)
-    entry: dict[int, Scalar] = {}
-    values: list[Scalar] = []
-    for a, s in zip(a_blocks, blocks):
-        e = _weight(len(s)) * Fraction(a)
-        values.append(e)
-        for i in s:
-            entry[i] = e
-    cands: list[Scalar] = [abs(QSum.of(e)) for e in values]  # coordinate functionals
-    for fam in ctx.families:
-        a_fixed = QSum()
-        for s in fam.fixed:
-            w = _weight(len(s))
-            for i in s:
-                if i in entry:
-                    a_fixed = a_fixed + w * entry[i]
-        avail = [
-            (values[j], sum(1 for i in s if i > fam.tail_min))
-            for j, s in enumerate(blocks)
-        ]
-        avail = [(v, c) for v, c in avail if c]
-        w = _weight(fam.tail_card)
-        pos = _greedy_fill(avail, fam.tail_card)
-        neg = _greedy_fill([(QSum.of(v) * -1, c) for v, c in avail], fam.tail_card)
-        # undecorated: best tail aligned with either orientation of the prefix
-        cands.append(abs(a_fixed + w * pos))
-        cands.append(abs(a_fixed - w * neg))
-        # decorated: full prefix sets pair to zero, tails capped per sign
-        half = fam.tail_card // 2
-        dec = _greedy_fill(avail, half) + _greedy_fill(
-            [(QSum.of(v) * -1, c) for v, c in avail], half
-        )
-        cands.append(abs(w * QSum.of(dec)))
-    best = max(cands, key=QSum.of)  # the first of equal maxima
-    return best.as_fraction() if isinstance(best, QSum) and best.is_rational() else best
 
 
 def zrud_block_sandwich(ctx: MrContext, a_blocks: list) -> tuple[Scalar, Scalar, Scalar]:

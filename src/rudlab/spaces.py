@@ -690,12 +690,12 @@ def _qval(pairs: dict[int, np.ndarray], f: int, j: int) -> QSum:
 
 
 class NormingSetSpace(Space):
-    """sup over a norming family of |<phi, a>|, optionally joined with
-    the coordinate supremum.
+    """sup over a norming family of |<phi, a>|.
 
     The provider returns, for a finite support, the restriction of the
     family to that support; the owning construction guarantees that this
-    restriction is complete.
+    restriction is complete.  A family that should include the coordinate
+    supremum lists the coordinate functionals itself.
 
     ``mult_batch`` is the one exact path, for rational and radical-valued
     vectors: each functional class is paired with each class of the
@@ -716,19 +716,15 @@ class NormingSetSpace(Space):
         self,
         name: str,
         provider: Callable[[tuple[int, ...]], list[NormingFunctional]],
-        include_coord_sup: bool = False,
     ):
         self.name = name
         self._provider = provider
-        self.include_coord_sup = include_coord_sup
         self._cache: dict[tuple[int, ...], list[NormingFunctional]] = {}
         self._mats_cache: dict[tuple[int, ...], _ClassMats] = {}
 
     def _family(self, key: tuple[int, ...]) -> list[NormingFunctional]:
         """The family restricted to ``key``, built afresh (not cached)."""
         fams = list(self._provider(key))
-        if self.include_coord_sup:
-            fams.extend(Coeffs.from_pairs([(i, 1)]) for i in key)
         if not fams:
             raise DomainError("empty norming set")
         return fams

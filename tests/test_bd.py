@@ -365,6 +365,32 @@ def test_large_scales_raise_domain_error(capsys):
     assert code == 2 and "magnitudes too large" in capsys.readouterr().err
 
 
+def test_indices_outside_the_tree_raise_domain_error(gamma, capsys):
+    """An index at or past the tree's size is refused by name in every
+    batch path and exits 2 on the command line, instead of an IndexError
+    from the column lookup."""
+    from rudlab.cli import main
+
+    space = BdBasisSpace(gamma)
+    size = gamma.size
+    for a in (Coeffs.from_pairs([(size, 1)]), Coeffs.from_pairs([(0, 1), (499, F(1, 2))])):
+        bad = a.support[-1]
+        match = f"bd index {bad} is outside the tree of {size} elements"
+        mult = sign_matrix_range(len(a), 0, 1 << len(a))
+        with pytest.raises(DomainError, match=match):
+            space.mult_batch(a, mult)
+        with pytest.raises(DomainError, match=match):
+            space.mult_batch_float(a, mult.astype(np.float64))
+        with pytest.raises(DomainError, match=match):
+            sign_stats(space, a)
+    code = main(["norm", "--space", "bd", "--coeffs", ",".join(["0"] * 499 + ["1"])])
+    out = capsys.readouterr()
+    assert code == 2 and out.out == ""
+    assert f"bd index 499 is outside the tree of {size} elements" in out.err
+    # the last element is inside
+    assert space.norm(Coeffs.from_pairs([(size - 1, 1)])) == 1
+
+
 # -- the sampled candidate stream against the generator-plus-randrange oracle --
 
 def _old_candidates(g, lvl):

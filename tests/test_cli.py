@@ -107,6 +107,21 @@ def test_config_file_and_unknown_key(tmp_path, capsys):
     assert code == 2 and "unknown config key" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("norm", "--space", "zmr", "--coeffs", "1", "--set", "mr.universe=-1"),
+    ("norm", "--space", "zrud", "--coeffs", "1", "--set", "mr.universe=40"),
+    ("certify", "zmr", "--set", "mr.max_n=0"),
+])
+def test_mr_context_out_of_range_is_domain_error(tmp_path, capsys, argv):
+    """A coded universe outside [0, 24] or a tuple length below 1 exits 2
+    with one error line, instead of a traceback (or, at universe 40, an
+    attempt to allocate the 2^40-entry sigma table)."""
+    code, out, err = run(capsys, *argv, *(("--out", str(tmp_path / "r.json"))
+                                          if argv[0] == "certify" else ()))
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+
+
 def test_unreadable_config_file_is_domain_error(tmp_path, capsys):
     """A missing config file, a directory and a file that is not text exit
     2 with an error naming the path, not with a traceback (exit 1 means an

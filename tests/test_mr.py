@@ -22,12 +22,13 @@ from rudlab.mr import (
     k_m,
     mr_witness,
     zmr_fast_norms,
-    zrud_block_norm,
     zrud_block_sandwich,
 )
 from rudlab.rademacher import sign_stats, subset_stats
 from rudlab.rng import sign_matrix
 from rudlab.spaces import NormingSetSpace
+
+from oracles import coding_reference, zrud_block_norm
 
 
 @pytest.fixture(scope="module")
@@ -152,6 +153,27 @@ def test_context_memory_is_small():
         tracemalloc.stop()
     assert ctx.families
     assert kept < 2**19 and peak < 2 * 2**20, (kept, peak)
+
+
+@pytest.mark.parametrize("kwargs, match", [
+    ({"universe": -1}, r"coded universe -1 is outside \[0, 24\]"),
+    ({"universe": 25}, r"coded universe 25 is outside \[0, 24\]"),
+    ({"universe": 40}, r"coded universe 40 is outside \[0, 24\]"),
+    ({"max_n": 0}, "maximal tuple length 0 is below 1"),
+    ({"max_n": -2}, "maximal tuple length -2 is below 1"),
+])
+def test_context_refuses_universe_and_depth_out_of_range(kwargs, match):
+    """A negative universe once raised a ValueError from the coder's shift,
+    universe 40 asked for a 4 TiB table, and max_n 0 left the witnesses
+    empty; each is refused before the coder is built."""
+    with pytest.raises(DomainError, match=match):
+        MrContext(**kwargs)
+
+
+def test_context_builds_at_the_smallest_universe_and_depth():
+    for kwargs in ({"universe": 0}, {"universe": 1}, {"max_n": 1}):
+        ctx = MrContext(**kwargs)
+        assert ctx.families and ctx.zmr.norm(Coeffs.from_pairs([(0, 3)])) == 3
 
 
 def test_tuple_validation():
@@ -301,7 +323,8 @@ def test_coding_batches_match_norm_slow(width, name, full, extra, values, big):
                 keep = tuple(k for k, x in enumerate(key) if x)
                 if keep not in products:
                     sub = Coeffs(tuple(a.entries[k] for k in keep))
-                    products[keep] = _family_products(space.functionals(sub.support), sub) \
+                    oracle = coding_reference(ctx, name)
+                    products[keep] = _family_products(oracle.functionals(sub.support), sub) \
                         if keep else ({}, 1)
                 slow[key] = _family_sup(*products[keep], [key[k] for k in keep])
             want = slow[key]
@@ -356,7 +379,7 @@ def test_zrud_mask_column_matches_masked_norm_at_width_1():
     a = Coeffs.from_pairs([(0, 3), (2, -1), (3, -2), (4, 1), (5, -1)])
     mask = np.array([[1], [1], [1], [0], [1]], dtype=np.int8)
     masked = Coeffs.from_pairs([(0, 3), (2, -1), (3, -2), (5, -1)])
-    want = QSum.of(ctx.zrud.norm_slow(masked))
+    want = QSum.of(coding_reference(ctx, "zrud").norm_slow(masked))
     assert want == QSum.of(2) + QSum.of(F(3, 2)) * sqrt_exact(2)
     assert QSum.of(ctx.zrud.mult_batch(a, mask).value(0)) == want
     assert QSum.of(ctx.zrud.norm(masked)) == want
@@ -422,7 +445,7 @@ def test_equi_decorations_kill_constants(ctx):
     """Balanced decorations pair to zero against constant-on-level vectors."""
     sup = tuple(range(6))
     x = Coeffs.from_pairs((i, 1) for i in range(2, 6))  # constant on a 4-set
-    for phi in ctx.zrud.functionals(sup):
+    for phi in coding_reference(ctx, "zrud").functionals(sup):
         # decorated members restricted to exactly that 4-set
         w = {i: v for i, v in phi.entries}
         if set(w) == set(range(2, 6)) and all(
@@ -465,7 +488,7 @@ def test_zrud_family_cap_refuses_quickly(ctx):
     refused within a second."""
     start = time.perf_counter()
     with pytest.raises(DomainError, match="past the cap"):
-        ctx.zrud.functionals(ctx.block_vector(3).support)
+        coding_reference(ctx, "zrud").functionals(ctx.block_vector(3).support)
     assert time.perf_counter() - start < 1.0
 
 

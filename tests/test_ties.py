@@ -18,6 +18,8 @@ from rudlab.rademacher import sign_stats, subset_stats
 from rudlab.rng import derive_seed
 from rudlab.spaces import NormingSetSpace
 
+from oracles import reference
+
 RT2 = QSum({2: F(1)})
 
 # Pell pairs x^2 - 2 y^2 = 1, so x exceeds y*sqrt(2) by about 1/(2x):
@@ -140,9 +142,12 @@ ORACLE_SPECS = ["norming_set", "zmr", "zrud"]
 @pytest.mark.parametrize("spec", ORACLE_SPECS)
 def test_batches_match_norm_slow(spec):
     """Every sign and every mask column of sweep vectors against the
-    explicit pairing oracle ``NormingSetSpace.norm_slow``."""
+    explicit pairing oracle ``NormingSetSpace.norm_slow``, over the
+    enumerated family for the coding engines."""
     cfg = RunConfig()
-    space = SpaceFactory(cfg).space(spec)
+    fac = SpaceFactory(cfg)
+    space = fac.space(spec)
+    oracle = reference(fac, spec)
     seed = derive_seed(cfg.seed, len(spec), sum(map(ord, spec)))
     checked = 0
     for i in range(40):
@@ -156,7 +161,7 @@ def test_batches_match_norm_slow(spec):
                 masked = Coeffs.from_pairs(
                     (i, v * int(c)) for (i, v), c in zip(a.entries, mult[:, col])
                 )
-                want = space.norm_slow(masked) if masked else 0
+                want = oracle.norm_slow(masked) if masked else 0
                 assert _same(batch.value(col), want), (spec, a, col)
         checked += 1
         if checked == 6:
@@ -211,7 +216,7 @@ def test_radical_path_matches_norm_slow():
     cases += [("zrud", a) for a in blocks[:2]]
     for spec, a in cases:
         space = fac.space(spec)
-        assert _same(space.norm(a), space.norm_slow(a)), (spec, a)
+        assert _same(space.norm(a), reference(fac, spec).norm_slow(a)), (spec, a)
     norming_set = fac.space("norming_set")
     assert norming_set.norm(big3) == 3 << 62
     # the two coordinate functionals tie below float resolution
