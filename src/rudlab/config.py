@@ -36,7 +36,6 @@ class RunConfig:
     seed: int = DEFAULT_SEED
     format: str = "json"  # json | csv
     plot: str = "none"  # none | svg
-    threads: int = 1
     mr_levels: tuple[int, ...] = (2, 4, 8)
     mr_universe: int = 14
     mr_max_n: int = 3

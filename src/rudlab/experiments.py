@@ -528,11 +528,11 @@ def exp_duality(cfg: RunConfig) -> Report:
     for spec, dim, n in (("lp:1", 8, 12), ("lp:2", 8, 12), ("linf", 8, 12),
                          ("summing", 8, 12), ("smax:2", 6, 8)):
         drep = duality_report(fac.space(spec), dim, n, seed)
+        kind = "exact" if drep.exact else "a float row: the dual engine has no exact form"
         rep.add(f"duality.{spec}",
-                f"dual divergence ratios <= twice the measured convergence constant "
-                f"(dim {dim}, {n} samples)",
-                drep.max_dual_ratio, 2 * drep.max_primal_ruc + 1e-9,
-                drep.bound_ok(1e-9))
+                f"dual divergence ratios <= twice the measured convergence constant, "
+                f"{kind} (dim {dim}, {n} samples)",
+                drep.max_dual_ratio, 2 * drep.max_primal_ruc, drep.bound_ok)
     ok, rows = reverse_duality_summing(6, 6, derive_seed(cfg.seed, 132))
     rep.add("duality.reverse.summing",
             "primal divergence ratio <= twice the norming functional's dual "

@@ -392,6 +392,8 @@ class MrContext:
             raise DomainError(f"coded universe {universe} is outside [0, {MAX_UNIVERSE}]")
         if max_n < 1:
             raise DomainError(f"maximal tuple length {max_n} is below 1")
+        if width < 0:
+            raise DomainError(f"sign-balance width {width} (config key mr.width) is below 0")
         self.levels = LevelSequence(tuple(levels))
         self.universe = universe
         self.max_n = max_n

@@ -122,6 +122,15 @@ def test_mr_context_out_of_range_is_domain_error(tmp_path, capsys, argv):
     assert err.count("\n") == 1 and err.startswith("error: ")
 
 
+def test_negative_sign_width_is_domain_error(tmp_path, capsys):
+    """A negative mr.width is refused with exit 2 and an error naming the
+    key; before, width -1 silently gave the width-1 norms."""
+    code, out, err = run(capsys, "certify", "zrud", "--set", "mr.width=-1",
+                         "--out", str(tmp_path / "r.json"))
+    assert code == 2 and out == "" and not (tmp_path / "r.json").exists()
+    assert err.count("\n") == 1 and err.startswith("error: ") and "mr.width" in err
+
+
 def test_unreadable_config_file_is_domain_error(tmp_path, capsys):
     """A missing config file, a directory and a file that is not text exit
     2 with an error naming the path, not with a traceback (exit 1 means an

@@ -8,7 +8,7 @@ from math import inf
 import numpy as np
 import pytest
 
-from rudlab.coeffs import Coeffs, DomainError, pair
+from rudlab.coeffs import Coeffs, DomainError, apply_signs, enumerate_sign_patterns, pair
 from rudlab.dual import (
     FiniteBasis,
     biorthogonals,
@@ -17,8 +17,10 @@ from rudlab.dual import (
     duality_report,
     summing_basis,
     _smax_dual,
+    _smax_slices,
     _subspace_dual_norm_summing,
 )
+from rudlab.exactnum import QSum, sqrt_exact
 from rudlab.spaces import LpSpace, SmaxSpace, SummingDualSpace, SummingSpace
 
 
@@ -120,14 +122,18 @@ def test_pairing_vs_dualnorm():
 
 
 def test_duality_reports():
+    """The engine pairs decide their rows exactly: on lp the signs never
+    change a dual norm, so every dual ratio is exactly 1."""
     for spec, dim in ((LpSpace(1), 6), (LpSpace(2), 6), (LpSpace(inf), 6)):
         rep = duality_report(spec, dim, 6, seed=3)
-        assert rep.bound_ok(1e-9)
-        assert rep.max_dual_ratio == pytest.approx(1.0, abs=1e-9)
+        assert rep.exact and rep.bound_ok
+        assert rep.max_dual_ratio == 1.0
     rep = duality_report(SummingSpace(), 6, 6, seed=3)
-    assert rep.bound_ok(1e-9)
+    assert rep.exact and rep.bound_ok
     # the biorthogonal system of the summing basis is divergence-bounded by 2
-    assert rep.max_dual_ratio <= 2 + 1e-9
+    assert rep.max_dual_ratio <= 2
+    rep = duality_report(SmaxSpace(2), 4, 3, seed=3)
+    assert not rep.exact and rep.bound_ok
 
 
 def test_reverse_duality_summing():
@@ -135,8 +141,77 @@ def test_reverse_duality_summing():
 
     ok, rows = reverse_duality_summing(5, 5, seed=13)
     assert ok and rows
-    for _, primal, cstar in rows:
-        assert primal <= 2 * cstar + 1e-9
+    for vals, primal, cstar in rows:
+        assert primal <= 2 * cstar
+        # the norming functional's convergence ratio, enumerated over every
+        # sign pattern of the closed-form subspace dual
+        tails = [sum(vals[m:]) for m in range(5)]
+        m = max(range(5), key=lambda k: (abs(tails[k]), -k))
+        sgn = 1 if tails[m] >= 0 else -1
+        b = Coeffs.from_pairs((k, sgn * (k - m + 1)) for k in range(m, 5))
+        norms = [_subspace_dual_norm_summing(apply_signs(b, e), 5)
+                 for e in enumerate_sign_patterns(b.support)]
+        assert cstar == float(sum(norms, F(0)) / len(norms) / _subspace_dual_norm_summing(b, 5))
+
+
+def _closed_form_dual(f, space, dim):
+    """The classical dual norms, written out: max |f_i| for lp:1, sum |f_i|
+    for linf, sqrt(sum f_i^2) for lp:2, and for summing the l1 norm of
+    f's image sum f_i (u_i - u_{i+1}) in l1(dim + 1)."""
+    vals = [F(f.value(i)) for i in range(dim)]
+    if space.name == "lp:1":
+        return max(map(abs, vals))
+    if space.name == "linf":
+        return sum(map(abs, vals))
+    if space.name == "lp:2":
+        return sqrt_exact(sum(v * v for v in vals))
+    return sum(abs(x - y) for x, y in zip(vals + [0], [0] + vals))
+
+
+_EXACT_PAIRS = (LpSpace(1), LpSpace(inf), LpSpace(2), SummingSpace())
+
+
+def _seeded_functionals(seed, count):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        dim = int(rng.integers(1, 9))
+        vals = [F(int(n), int(d)) for n, d in
+                zip(rng.integers(-5, 6, size=dim), rng.integers(1, 5, size=dim))]
+        yield Coeffs.from_values(vals), dim
+
+
+def test_dual_engines_match_the_closed_forms():
+    """Each exact primal engine's dual engine gives the closed-form dual
+    norm exactly, in dims 1-8."""
+    for f, dim in _seeded_functionals(21, 200):
+        for space in _EXACT_PAIRS:
+            want = _closed_form_dual(f, space, dim)
+            got = dual_norm(f, space, dim)
+            assert got == want, (space.name, f, got, want)
+
+
+def test_norming_vectors_attain_the_dual_norm_exactly():
+    """<f, x> = ||f||* ||x|| exactly for the norming vector x of every
+    exact engine pair (x has norm 1, except on lp:2, where x is f)."""
+    for f, dim in _seeded_functionals(22, 120):
+        for space in _EXACT_PAIRS:
+            value, x = dual_norm_with_maximizer(f, space, dim)
+            assert QSum.of(pair(f, x)) == QSum.of(value) * space.norm(x), (space.name, f)
+            if f and space.name != "lp:2":
+                assert space.norm(x) == 1
+
+
+def test_smax_pseudo_inverses_are_exact():
+    """R pinv(R) = I exactly, and pinv(R) = R^T (R R^T)^-1 has the shape
+    dim x r, for every active set of tail rows in dims 1-6."""
+    for dim in range(1, 7):
+        sets = _smax_slices(dim)[0]
+        assert len(sets) == 2 ** dim
+        for rows, pinv in sets:
+            assert len(pinv) == dim and all(len(col) == len(rows) for col in pinv)
+            for i, row in enumerate(rows):
+                assert [sum(row[k] * pinv[k][j] for k in range(dim))
+                        for j in range(len(rows))] == [int(i == j) for j in range(len(rows))]
 
 
 def test_subspace_dual_vs_ambient():
