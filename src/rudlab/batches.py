@@ -31,6 +31,7 @@ otherwise.  Float batches reduce by numpy argmax and left-to-right float sums.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
@@ -47,6 +48,10 @@ _INT64_MAX = (1 << 63) - 1
 
 def _ints(arr: np.ndarray) -> list[int]:
     return [int(x) for x in arr.tolist()]
+
+
+def _dot(x: Sequence[int], y: Sequence[int]) -> int:
+    return sum(map(operator.mul, x, y))
 
 
 def _peak(arr: np.ndarray) -> int:
@@ -276,6 +281,20 @@ class ExactBatch:
         return [_fold([(over * self.scale, [(core, sums[p]) for core, sums in class_sums]),
                        (over * (self.roots_scale or 1), runs[p])])
                 for p, over in enumerate(overs)]
+
+    def counted_means(self, counts: np.ndarray, over: int) -> tuple[Scalar, Scalar]:
+        """Exact mean and mean square of a distribution: each column of
+        this classes-only batch taken ``counts[j]`` times, the sums divided
+        by ``over``.  Each is one :func:`_fold` of Python-int sums with the
+        terms in the order :meth:`mean` and :meth:`mean_sq` give them."""
+        cores = list(self.classes)
+        xs = [_ints(arr) for arr in self.classes.values()]
+        wx = [[w * x for w, x in zip(_ints(counts), col)] for col in xs]
+        mean = _fold([(over * self.scale, [(c, sum(col)) for c, col in zip(cores, wx)])])
+        square = _fold([(over * self.scale**2, [
+            (1, cj * _dot(wx[j], xs[j])) if j == k else (cj * ck, 2 * _dot(wx[j], xs[k]))
+            for j, cj in enumerate(cores) for k, ck in enumerate(cores) if j <= k])])
+        return mean, square
 
     def mean_sq(self, over: int | None = None) -> Scalar:
         """Exact mean of the squared values (``over`` as in :meth:`mean`).

@@ -11,7 +11,7 @@ from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from math import inf
 
-from .coeffs import Coeffs, DomainError
+from .coeffs import DEFAULT_ENUM_CAP, Coeffs, DomainError
 from .exactnum import Scalar
 from .rng import DEFAULT_SEED
 from .spaces import (
@@ -78,6 +78,13 @@ _CHOICES = {
     "plot": ("none", "svg"),
 }
 
+#: the values a numeric key accepts, and how its refusal states them
+_DOMAINS = {
+    "cap": (lambda v: 1 <= v <= DEFAULT_ENUM_CAP, f"an integer from 1 to {DEFAULT_ENUM_CAP}"),
+    "confidence": (lambda v: 0 < v < 1, "a value strictly between 0 and 1"),
+    "bd_levels": (lambda v: v >= 1, "an integer of at least 1"),
+}
+
 #: parsers of the other keys, by the type of their default
 _PARSERS = {
     int: lambda raw: int(raw, 0),
@@ -88,8 +95,9 @@ _PARSERS = {
 
 
 def _parse_value(key: str, attr: str, raw: str):
-    """The typed value of one config entry; a malformed value is a
-    DomainError that names the key and the raw text."""
+    """The typed value of one config entry; a malformed value, or one
+    outside the key's domain (``_CHOICES``, ``_DOMAINS``), is a DomainError
+    that names the key and the raw text."""
     if attr in _CHOICES:
         if raw not in _CHOICES[attr]:
             raise DomainError(
@@ -98,9 +106,12 @@ def _parse_value(key: str, attr: str, raw: str):
             )
         return raw
     try:
-        return _PARSERS[type(getattr(RunConfig, attr))](raw)
+        value = _PARSERS[type(getattr(RunConfig, attr))](raw)
     except (ValueError, ZeroDivisionError) as exc:
         raise DomainError(f"bad value {raw!r} for config key {key!r}") from exc
+    if attr in _DOMAINS and not _DOMAINS[attr][0](value):
+        raise DomainError(f"config key {key!r} takes {_DOMAINS[attr][1]}, not {raw!r}")
+    return value
 
 
 def load_config_file(path: str) -> dict[str, str]:

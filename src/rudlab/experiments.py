@@ -550,6 +550,9 @@ def exp_bd(cfg: RunConfig) -> Report:
     from .bd import (bd_rud_report, chain_replay_value, chain_vector, chain_witness,
                      rud_ratio_bound)
 
+    if cfg.bd_levels < 2:
+        raise DomainError("the bd experiment's chain growth needs config key 'bd.levels' "
+                          f"of at least 2, not {cfg.bd_levels}")
     rep = Report("bd")
     fac = SpaceFactory.shared(cfg)
     g = fac.gamma

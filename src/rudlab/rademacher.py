@@ -15,6 +15,19 @@ constant high part (:meth:`~rudlab.spaces.Space.split_batches`, the
 split-half idea of Horowitz & Sahni, JACM 1974); its batches are
 array-equal to the ones ``mult_batch`` gives chunk by chunk.
 
+Before it walks several chunks, an exact vector's walk asks the engine for
+the exact distribution of the norm over all its patterns
+(:meth:`~rudlab.spaces.Space.sign_distribution`), and folds the mean, mean
+square and extremes from the distinct values and their counts instead.
+The sign walks of ``lp:1``, ``lp:2``, ``linf`` (one value),
+``summing``, ``bmo``, ``smax:2`` (a DP over the running sum and its
+running maximum) and ``summing_dual`` (a convolution of independent
+two-point terms) and the subset walks of ``summing`` take it while their
+entries' integer form keeps every sum in int64 and the DP table within
+2^16 cells (``spaces._PRODUCT_BLOCK``).  The reductions equal the walk's,
+``QSum`` terms in the same order; the first maximiser is walked for on
+first use.  One-chunk walks, and everything else, walk.
+
 Sign averages walk only the 2^(m-1) patterns whose top bit is clear: a
 pattern and its complement give the same norm, so the mean, mean square
 and extremes are those of all 2^m patterns.  So is the first maximiser: had it its top bit set, its
@@ -35,7 +48,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -112,13 +125,15 @@ def _check_cap(a: Coeffs, cap: int) -> int:
 @dataclass(frozen=True)
 class FoldedStats:
     """Exact reductions of a walk longer than one chunk, folded chunk by
-    chunk in one pass; answers the same queries as an :class:`ExactBatch`."""
+    chunk in one pass or reduced from the engine's distribution; answers the
+    same queries as an :class:`ExactBatch`."""
 
     _mean: Scalar
     _mean_sq: Scalar
     _min: Scalar
     _max: Scalar
-    _argmax: int
+    #: the first maximiser, or the walk that finds it on first use
+    _argmax: int | Callable[[], int]
     #: as on ExactBatch: None unless some chunk was a float batch (then the
     #: number of float columns)
     scalars: int | None = None
@@ -136,6 +151,8 @@ class FoldedStats:
         return self._max
 
     def argmax(self) -> int:
+        if callable(self._argmax):
+            object.__setattr__(self, "_argmax", self._argmax())
         return self._argmax
 
 
@@ -171,6 +188,23 @@ def _walk(space: Space, a: Coeffs, masks: bool) -> Iterator[tuple[int, ExactBatc
         yield start, batch
 
 
+def _distribution(space: Space, a: Coeffs, masks: bool) -> tuple[ExactBatch, np.ndarray] | None:
+    """The engine's exact norm distribution (:meth:`~rudlab.spaces.Space.sign_distribution`)
+    for an exact vector whose walk spans several chunks, or None."""
+    if not a.is_exact() or _walk_length(len(a), masks) <= _CHUNK:
+        return None
+    return space.sign_distribution(a, masks, _CHUNK.bit_length() - 1)
+
+
+def _first_argmax(space: Space, a: Coeffs, masks: bool, top: Scalar) -> int:
+    """The walk's first index whose norm is the maximum ``top``."""
+    for start, batch in _walk(space, a, masks):
+        i = batch.argmax()
+        if not _scalar_gt(top, batch.value(i)):
+            return start + i
+    raise AssertionError("the maximum is the norm of some pattern")
+
+
 def _stats(space: Space, a: Coeffs, cap: int, masks: bool) -> ExactBatch | FoldedStats:
     if not a:  # the one pattern of the empty support has norm 0
         return ExactBatch.from_rational(np.zeros(1, dtype=np.int64), 1)
@@ -178,6 +212,12 @@ def _stats(space: Space, a: Coeffs, cap: int, masks: bool) -> ExactBatch | Folde
     total = _walk_length(m, masks)
     if total <= _CHUNK:
         return next(_walk(space, a, masks))[1]
+    dist = _distribution(space, a, masks)
+    if dist is not None:
+        values, counts = dist
+        top = values.max()
+        return FoldedStats(*values.counted_means(counts, 1 << m), values.min(), top,
+                           lambda: _first_argmax(space, a, masks, top))
     mean: Scalar = 0
     mean_sq: Scalar = 0
     lo = hi = None
@@ -198,7 +238,11 @@ def _stats(space: Space, a: Coeffs, cap: int, masks: bool) -> ExactBatch | Folde
 
 
 def _fold_mean(space: Space, a: Coeffs, cap: int, masks: bool, squared: bool) -> Scalar:
-    total = _walk_length(_check_cap(a, cap), masks)
+    m = _check_cap(a, cap)
+    dist = _distribution(space, a, masks)
+    if dist is not None:
+        return dist[0].counted_means(dist[1], 1 << m)[squared]
+    total = _walk_length(m, masks)
     acc: Scalar = 0
     for _, batch in _walk(space, a, masks):
         acc = acc + (batch.mean_sq(total) if squared else batch.mean(total))
@@ -212,7 +256,9 @@ def sign_stats(space: Space, a: Coeffs, cap: int = DEFAULT_ENUM_CAP) -> ExactBat
     Only the patterns with the top bit clear are evaluated, in chunks of
     ``_CHUNK`` columns.  A walk that fits in one chunk returns that chunk's
     ExactBatch; a longer one returns the reductions folded exactly over its
-    chunks, so memory is bounded by the chunk, not by 2^m.
+    chunks, so memory is bounded by the chunk, not by 2^m, or reduced from
+    the engine's exact distribution where it has one (see the module
+    docstring).
     """
     return _stats(space, a, cap, masks=False)
 

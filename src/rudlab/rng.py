@@ -53,16 +53,14 @@ def counter_words_np(seed: int, index: int, words: np.ndarray) -> np.ndarray:
 
 
 def sign_matrix(seed: int, m: int, count: int, start: int = 0) -> np.ndarray:
-    """(m, count) int8 matrix of +-1 signs for samples start..start+count-1."""
+    """(m, count) int8 matrix of +-1 signs for samples start..start+count-1.
+
+    Row 64 w + b is bit b of counter word w (1 for a minus sign), unpacked
+    from the words' little-endian bytes."""
     idx = np.arange(start, start + count, dtype=np.uint64)
-    rows = []
-    for word in range((m + 63) // 64):
-        h = counter_u64_np(seed, idx, word)
-        take = min(64, m - 64 * word)
-        bits = (h[None, :] >> np.arange(take, dtype=np.uint64)[:, None]) & np.uint64(1)
-        rows.append(bits)
-    bits = np.concatenate(rows, axis=0)
-    return (1 - 2 * bits.astype(np.int8)).astype(np.int8)
+    words = np.stack([counter_u64_np(seed, idx, word) for word in range((m + 63) // 64)], axis=1)
+    bits = np.unpackbits(words.astype("<u8").view(np.uint8), axis=1, bitorder="little")[:, :m]
+    return 1 - 2 * bits.T.astype(np.int8, order="C")
 
 
 def sign_codes(seed: int, m: int, count: int, start: int = 0) -> np.ndarray:

@@ -25,7 +25,7 @@ their engines from their own modules.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import inf, lcm
+from math import inf, isqrt, lcm
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -151,9 +151,11 @@ class Space:
     """Base class for norm engines.
 
     An engine overrides ``mult_batch`` and ``mult_batch_float``, each taking
-    ``(self, a, mult)``.  It may also override ``split_batches``, which an
-    exact walk of several chunks offers first: it returns one batch per
-    chunk, each array-equal to ``mult_batch`` on the chunk, or None.
+    ``(self, a, mult)``.  It may also override ``sign_distribution`` and
+    ``split_batches``, which an exact walk of several chunks offers first,
+    in that order: the one returns the norm's exact distribution over all
+    patterns, the other one batch per chunk, each array-equal to
+    ``mult_batch`` on the chunk; either may return None.
     """
 
     name: str = "?"
@@ -204,6 +206,25 @@ class Space:
         """
         return None
 
+    def sign_distribution(self, a: Coeffs, masks: bool,
+                          chunk_bits: int) -> tuple[ExactBatch, np.ndarray] | None:
+        """The exact distribution of the norm of rational ``a`` over all
+        2^m sign patterns (0/1 masks when ``masks``): a classes-only batch
+        whose columns are the values the norm takes, and the int64 count of
+        the patterns that take each.  A walk of several chunks offers this
+        hook before :meth:`split_batches`, and reduces the distribution
+        instead of walking (see :mod:`rudlab.rademacher`).
+
+        The batch's values are those :meth:`mult_batch` gives, and its
+        class order is the order in which the walk's folded mean meets the
+        radicand cores, chunk by chunk over the low ``chunk_bits`` mask
+        bits, so the reductions equal the walk's, terms in order.  None,
+        the default, makes the walk run; so do the engines with a hook on
+        radical entries, on entries whose batches would leave int64, and
+        past a table of ``_PRODUCT_BLOCK`` cells.
+        """
+        return None
+
     # -- hooks ---------------------------------------------------------------
 
     def paper_witnesses(self, kind: str, dim: int) -> list[Coeffs]:
@@ -212,6 +233,98 @@ class Space:
 
     def __repr__(self) -> str:
         return f"<space {self.name}>"
+
+
+# ---------------------------------------------------------------------------
+# exact sign distributions of the path engines
+# ---------------------------------------------------------------------------
+
+
+def _path_entries(a: Coeffs) -> tuple[list[int], int] | None:
+    """The entries of exact ``a`` as Python-int numerators over their
+    common denominator, for a :meth:`Space.sign_distribution`; None where
+    the hook declines: radical entries, entries whose sums or squares
+    would leave int64, or more than 62 entries (the counts would)."""
+    cols, d = _class_columns(a)
+    ints = cols.get(1)
+    if (len(cols) != 1 or ints is None or len(ints) > 62
+            or int_dtype((2 * sum(map(abs, ints))) ** 2) is object):
+        return None
+    return ints, d
+
+
+def _running_max_counts(v: Sequence[int], masks: bool) -> np.ndarray | None:
+    """``counts[n]``: how many of the 2^m sign patterns (0/1 masks when
+    ``masks``) x give ``max_k |x_0 v_0 + ... + x_k v_k| == n``, or None when
+    the table over (running maximum, running sum) would pass
+    ``_PRODUCT_BLOCK`` cells.
+
+    One row per entry moves every cell's running sum by both of its steps
+    and lifts the maximum of the cells it carries past their row; this is
+    the barrier count of the ballot and reflection problems (Feller, *An
+    Introduction to Probability Theory*, vol. 1, ch. III), for every
+    barrier at once."""
+    top = sum(map(abs, v))
+    width = 2 * top + 1
+    if (top + 1) * width > _PRODUCT_BLOCK:
+        return None
+    table = np.zeros((top + 1, width), dtype=np.int64)  # [max, sum + top]
+    table[0, top] = 1
+    reach = np.abs(np.arange(-top, top + 1))
+    above = np.arange(top + 1)[:, None] < reach  # cells whose sum passes their max
+    cols = np.arange(width)
+    for x in v:
+        moved = np.zeros_like(table)
+        for step in ((0, x) if masks else (x, -x)):
+            if step >= 0:
+                moved[:, step:] += table[:, :width - step]
+            else:
+                moved[:, :step] += table[:, -step:]
+        lifted = np.where(above, moved, 0).sum(axis=0)
+        moved[above] = 0
+        moved[reach, cols] += lifted
+        table = moved
+    return table.sum(axis=1)
+
+
+def _value_counts(classes: dict[int, np.ndarray], counts: np.ndarray,
+                  d: int) -> tuple[ExactBatch, np.ndarray]:
+    """The columns of the class arrays over ``d`` whose ``counts`` are
+    nonzero, with those counts."""
+    keep = np.flatnonzero(counts)
+    return (ExactBatch.from_classes({c: arr[keep] for c, arr in classes.items()}, d),
+            counts[keep])
+
+
+def _l2_first_chunk_meets_sums(v: list[int], rad: int, low_bits: int) -> bool:
+    """On the sign walk of ``smax:2`` over the entries ``v`` (rad = sum of
+    their squares), in chunks that vary the low ``low_bits`` mask bits:
+    whether the first chunk with a column the l2 norm wins (summing value
+    s with s^2 < rad) also has a column the summing norm wins.  Only then
+    does the walk's folded mean meet the rational class before the
+    radical one.  The walk has some l2 column.
+
+    The first l2 column's high bits are the smallest that some low bits
+    complete: a greedy pass from the top row down, the top bit clear,
+    takes bit 0 (a plus sign) wherever a completion keeps every tail sum t
+    at t^2 < rad, read from a table of the tails that can be completed.
+    That chunk reaches the summing value |H| + (the low entries'
+    magnitudes), for H its high rows' tail sum."""
+    w = isqrt(rad - 1)  # t^2 < rad iff |t| <= w
+    free = [np.ones(2 * w + 1, dtype=bool)]  # [k][t + w]: rows k-1..0 completable
+    for x in map(abs, v[:-1]):
+        ok, nxt = free[-1], np.zeros(2 * w + 1, dtype=bool)
+        if x <= 2 * w:
+            nxt[:2 * w + 1 - x] |= ok[x:]
+            nxt[x:] |= ok[:2 * w + 1 - x]
+        free.append(nxt)
+    t = 0
+    for k in range(len(v) - 1, low_bits - 1, -1):
+        for sign in (1, -1) if k < len(v) - 1 else (1,):
+            if abs(t + sign * v[k]) <= w and free[k][t + sign * v[k] + w]:
+                break
+        t += sign * v[k]
+    return (abs(t) + sum(map(abs, v[:low_bits]))) ** 2 >= rad
 
 
 # ---------------------------------------------------------------------------
@@ -240,6 +353,19 @@ class LpSpace(Space):
             return np.abs(v).max(axis=0)
         return (np.abs(v) ** self.p).sum(axis=0) ** (1.0 / self.p)
 
+    def sign_distribution(self, a, masks, chunk_bits):
+        """Signs do not change the norm: one value, taken 2^m times."""
+        ints = None if masks or self.p not in (1, 2, inf) else _path_entries(a)
+        if ints is None:
+            return None
+        v, d = ints
+        if self.p == 2:
+            num, core = split_square(sum(x * x for x in v))
+        else:
+            num, core = (sum if self.p == 1 else max)(map(abs, v)), 1
+        return _value_counts({core: np.array([num], dtype=np.int64)},
+                              np.array([1 << len(v)], dtype=np.int64), d)
+
     def paper_witnesses(self, kind, dim):
         return [Coeffs.from_values([1] * dim)]
 
@@ -265,6 +391,14 @@ class SummingSpace(Space):
 
     def mult_batch_float(self, a, mult):
         return _tail_maxabs(_float_values(a, mult))
+
+    def sign_distribution(self, a, masks, chunk_bits):
+        """The running-maximum DP over the tail sums, sign or mask steps."""
+        ints = _path_entries(a)
+        counts = None if ints is None else _running_max_counts(ints[0][::-1], masks)
+        if counts is None:
+            return None
+        return _value_counts({1: np.arange(len(counts))}, counts, ints[1])
 
     def paper_witnesses(self, kind, dim):
         ones = Coeffs.from_values([1] * dim)
@@ -312,6 +446,33 @@ class SummingDualSpace(Space):
 
     def mult_batch_float(self, a, mult):
         return self._reduce(_float_values(a, mult), a.support)
+
+    def sign_distribution(self, a, masks, chunk_bits):
+        """An edge term |e_k v_k - e_j v_j| = |v_k - e_k e_j v_j| depends
+        on e_k e_j alone, and the products of the adjacent pairs are
+        independent fair signs: the norm is a constant plus independent
+        two-point terms, and its counts are their convolution, times the
+        2^(m - pairs) patterns that give each choice of products."""
+        ints = None if masks else _path_entries(a)
+        if ints is None:
+            return None
+        v, d = ints
+        base, gaps = 0, []
+        for k, j in _dual_edge_terms(a.support):
+            if j < 0:
+                base += abs(v[k])
+            else:
+                lo, hi = sorted((abs(v[k] - v[j]), abs(v[k] + v[j])))
+                base += lo
+                gaps.append(hi - lo)
+        width = sum(gaps) + 1
+        if width > _PRODUCT_BLOCK:
+            return None
+        counts = np.zeros(width, dtype=np.int64)
+        counts[0] = 1 << (len(v) - len(gaps))
+        for g in gaps:
+            counts[g:] = counts[g:] + counts[:width - g]
+        return _value_counts({1: base + np.arange(width)}, counts, d)
 
     def paper_witnesses(self, kind, dim):
         return [Coeffs.from_values([(-1) ** i for i in range(dim)])]
@@ -494,6 +655,19 @@ class BmoRademacherSpace(Space):
         rad = (v**2).sum(axis=0)
         return ExactBatch(scale=scale, classes={1: pref}, roots=rad, roots_scale=scale)
 
+    def sign_distribution(self, a, masks, chunk_bits):
+        """The running-maximum DP over the prefix sums, plus the l2 norm,
+        which signs do not change (masks do: no hook for them)."""
+        ints = None if masks else _path_entries(a)
+        counts = None if ints is None else _running_max_counts(ints[0], False)
+        if counts is None:
+            return None
+        v, d = ints
+        outer, core = split_square(sum(x * x for x in v))
+        n = np.arange(len(counts))
+        classes = {1: n + outer} if core == 1 else {1: n, core: np.full(len(n), outer)}
+        return _value_counts(classes, counts, d)
+
     def mult_batch_float(self, a, mult):
         v = _float_values(a, mult)
         return _prefix_maxabs(v) + np.sqrt((v**2).sum(axis=0))
@@ -522,6 +696,28 @@ class SmaxSpace(Space):
             roots=np.where(use_s, 0, rad),
             roots_scale=scale,
         )
+
+    def sign_distribution(self, a, masks, chunk_bits):
+        """The summing DP, each value n with n^2 below the constant
+        rad = sum v^2 replaced by sqrt(rad); the class order follows the
+        walk's chunks (:func:`_l2_first_chunk_meets_sums`)."""
+        ints = None if masks or self.p != 2 else _path_entries(a)
+        counts = None if ints is None else _running_max_counts(ints[0][::-1], False)
+        if counts is None:
+            return None
+        v, d = ints
+        rad = sum(x * x for x in v)
+        outer, core = split_square(rad)
+        n = np.arange(len(counts))
+        l2 = n * n < rad
+        if not counts[l2].any():
+            return _value_counts({1: n}, counts, d)
+        if core == 1:
+            return _value_counts({1: np.where(l2, outer, n)}, counts, d)
+        sums, roots = np.where(l2, 0, n), np.where(l2, outer, 0)
+        classes = ({1: sums, core: roots} if _l2_first_chunk_meets_sums(v, rad, chunk_bits)
+                   else {core: roots, 1: sums})
+        return _value_counts(classes, counts, d)
 
     def mult_batch_float(self, a, mult):
         v = _float_values(a, mult)

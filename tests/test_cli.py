@@ -131,6 +131,57 @@ def test_negative_sign_width_is_domain_error(tmp_path, capsys):
     assert err.count("\n") == 1 and err.startswith("error: ") and "mr.width" in err
 
 
+_EXPECT = ("expect", "--space", "summing", "--coeffs", "1,-1", "--method", "mc",
+           "--samples", "100")
+
+
+@pytest.mark.parametrize("item,accepted", [
+    ("cap=0", False), ("cap=1", True), ("cap=2", True),
+    ("cap=23", True), ("cap=24", True), ("cap=25", False), ("cap=-1", False),
+    ("confidence=-0.1", False), ("confidence=0", False), ("confidence=0.1", True),
+    ("confidence=0.9", True), ("confidence=1", False), ("confidence=1.1", False),
+    ("confidence=nan", False),
+    ("bd.levels=0", False), ("bd.levels=1", True), ("bd.levels=2", True),
+])
+def test_config_domains_are_checked_where_parsed(capsys, item, accepted):
+    """cap in [1, 24], confidence in (0, 1) and bd.levels >= 1: a value
+    at a boundary or one step off it runs (exit 0) or exits 2 with one
+    error line naming the key and the value, before any work."""
+    key, _, raw = item.partition("=")
+    argv = (("norm", "--space", "bd", "--coeffs", "1,1") if key == "bd.levels"
+            else _EXPECT if key == "confidence"
+            else ("expect", "--space", "summing", "--coeffs", "-1"))
+    code, out, err = run(capsys, *argv, "--set", item)
+    if accepted:
+        assert code == 0 and out and err == ""
+    else:
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert repr(key) in err and repr(raw) in err
+        with pytest.raises(DomainError, match=key):
+            RunConfig().with_overrides({key: raw})
+
+
+@pytest.mark.parametrize("item", ["bd.levels=0", "bd.levels=1", "confidence=2", "cap=-1"])
+def test_certify_refuses_out_of_range_config(tmp_path, capsys, item):
+    """These once ended in an IndexError traceback (exit 1: a failed
+    certificate) or ran with the value in the report (exit 0).  The bd
+    experiment's chain growth needs two levels, so bd.levels=1 is refused
+    there, naming the key."""
+    name = "bd" if item.startswith("bd.") else "zmr"
+    code, out, err = run(capsys, "certify", name, "--set", item,
+                         "--out", str(tmp_path / "r.json"))
+    assert code == 2 and out == "" and not (tmp_path / "r.json").exists()
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert repr(item.partition("=")[0]) in err
+
+
+def test_bd_experiment_runs_at_two_levels(tmp_path, capsys):
+    code, _, err = run(capsys, "certify", "bd", "--set", "bd.levels=2",
+                       "--out", str(tmp_path / "r.json"))
+    assert code in (0, 1) and err == ""
+
+
 def test_unreadable_config_file_is_domain_error(tmp_path, capsys):
     """A missing config file, a directory and a file that is not text exit
     2 with an error naming the path, not with a traceback (exit 1 means an

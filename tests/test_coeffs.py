@@ -107,6 +107,18 @@ def test_counter_rng_scalar_matches_numpy():
             assert sign_vector(seed, 70, 3 + j) == mat[:, j].tolist()
 
 
+@pytest.mark.parametrize("m", [1, 7, 40, 63, 64, 65, 130])
+@pytest.mark.parametrize("start", [0, 3, 4095, 1 << 40])
+def test_sign_matrix_unpacks_the_scalar_draws(m, start):
+    """Every column of the unpacked sign matrix is the scalar draw, across
+    word boundaries (63, 64, 65 and 130 rows) and at far starts."""
+    for seed in (0, 1, 0xC0FFEE):
+        mat = sign_matrix(seed, m, 5, start=start)
+        assert mat.dtype == np.int8 and mat.shape == (m, 5) and mat.flags.c_contiguous
+        for j in range(5):
+            assert sign_vector(seed, m, start + j) == mat[:, j].tolist()
+
+
 def test_counter_rng_chunk_invariance():
     a = np.concatenate(
         [sign_matrix(7, 10, 4, start=0), sign_matrix(7, 10, 6, start=4)], axis=1
