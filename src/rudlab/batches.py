@@ -22,7 +22,7 @@ near-tie in rudlab is settled by :func:`first_extreme`: a float pass locates
 the extreme, and the candidates within ``_TIE_RTOL`` of it are compared
 exactly, one per distinct integer key (equal keys are equal values).  Every
 exact value, mean and second moment is one :func:`_fold` of integer sums
-into one running total per square-free core: means sum numerators per
+into one total per square-free core: means sum numerators per
 piece, second moments take the class-pair sums from one Gram product of the
 class arrays and the class-root sums from one grouped sum per radicand, in
 int64 where a bound shows that no sum can leave it and in Python ints
@@ -89,12 +89,11 @@ def float_group_means(values: Sequence[float], starts: Sequence[int],
 
 def _fold(blocks: Sequence[tuple[int, Iterable[tuple[int, int]]]]) -> Scalar:
     """Exact sum of ``x * sqrt(r) / d`` over the ``(d, [(r, x), ...])``
-    blocks of integers, in order; a zero ``r`` or ``x`` adds nothing.
+    blocks of integers; a zero ``r`` or ``x`` adds nothing.
 
-    Each square-free core keeps one running integer total over the common
-    denominator: it enters at its first nonzero contribution and leaves when
-    its total returns to 0, as :class:`QSum` adds.  One value is built at
-    the end, a ``Fraction`` when it is rational."""
+    Each square-free core keeps one integer total over the common
+    denominator, and the cores whose totals are 0 are dropped.  One value
+    is built at the end, a ``Fraction`` when it is rational."""
     den = lcm(*[d for d, _ in blocks])
     totals: dict[int, int] = {}
     for d, block in blocks:
@@ -102,11 +101,8 @@ def _fold(blocks: Sequence[tuple[int, Iterable[tuple[int, int]]]]) -> Scalar:
         for r, x in block:
             if r and x:
                 outer, core = split_square(r)
-                t = totals.get(core, 0) + x * outer * mul
-                if t:
-                    totals[core] = t
-                else:
-                    del totals[core]
+                totals[core] = totals.get(core, 0) + x * outer * mul
+    totals = {core: t for core, t in totals.items() if t}
     if totals.keys() <= {1}:
         return Fraction(totals.get(1, 0), den)
     return QSum({core: Fraction(t, den) for core, t in totals.items()})
@@ -257,9 +253,8 @@ class ExactBatch:
         start, none of them empty, and its sum is divided by ``overs[p]``.
 
         Numerators are summed as integers, in int64 where no sum can leave
-        it, and each piece's value is one :func:`_fold` of its sums in a
-        fixed order: every class with its own radicand, then the roots part
-        by ascending radicand, each radicand with its count."""
+        it, and each piece's value is one :func:`_fold` of its class sums
+        and its roots part, each distinct radicand with its count."""
         if self.scalars is not None:
             return float_group_means(self.scalars, starts, overs)
         n = len(self)
@@ -285,8 +280,7 @@ class ExactBatch:
     def counted_means(self, counts: np.ndarray, over: int) -> tuple[Scalar, Scalar]:
         """Exact mean and mean square of a distribution: each column of
         this classes-only batch taken ``counts[j]`` times, the sums divided
-        by ``over``.  Each is one :func:`_fold` of Python-int sums with the
-        terms in the order :meth:`mean` and :meth:`mean_sq` give them."""
+        by ``over``.  Each is one :func:`_fold` of Python-int sums."""
         cores = list(self.classes)
         xs = [_ints(arr) for arr in self.classes.values()]
         wx = [[w * x for w, x in zip(_ints(counts), col)] for col in xs]
@@ -297,14 +291,8 @@ class ExactBatch:
         return mean, square
 
     def mean_sq(self, over: int | None = None) -> Scalar:
-        """Exact mean of the squared values (``over`` as in :meth:`mean`).
-
-        One :func:`_fold` of integer sums (see the module docstring), with
-        the terms in a fixed order: per class its square, then its cross
-        terms with the later classes; the roots' sum; then the cross terms
-        of the classes with the roots, grouped by radicand in order of first
-        appearance (the first class's, then the later classes' new ones),
-        and per radicand by class."""
+        """Exact mean of the squared values (``over`` as in :meth:`mean`):
+        one :func:`_fold` of integer sums (see the module docstring)."""
         n = len(self) if over is None else over
         if self.scalars is not None:
             return float_group_means([v * v for v in self.scalars], [0], [n])[0]
@@ -324,21 +312,13 @@ class ExactBatch:
                            [(1, int(np.add.reduce(rr, dtype=int_dtype(_peak(rr) * count))))]))
             at = np.flatnonzero((rr != 0) & (x != 0).any(axis=0)) if cores else []
             if len(at):
-                # per class and distinct radicand of the columns where some
-                # class is nonzero: the class's sum and its first nonzero
-                # column; a radicand's terms come where its first class has it
-                at = at[np.argsort(rr[at], kind="stable")]
-                rad = rr[at]
-                heads = np.flatnonzero(np.append(True, rad[1:] != rad[:-1]))
-                xs = x[:, at]
-                sums = np.add.reduceat(xs, heads, axis=1)
-                firsts = np.minimum.reduceat(np.where(xs != 0, at, count), heads, axis=1)
-                lead = (firsts < count).argmax(axis=0)  # the radicand's first class
-                groups = np.lexsort((firsts[lead, np.arange(len(heads))], lead))
-                per = sums[:, groups].T  # (radicand, class), in term order
-                g, j = np.nonzero(per)
+                # each class's sums over the distinct radicands of the
+                # columns where the root and some class are nonzero
+                at = at[np.argsort(rr[at])]
+                heads = np.flatnonzero(np.append(True, rr[at][1:] != rr[at][:-1]))
+                sums = np.add.reduceat(x[:, at], heads, axis=1)
+                c, g = np.nonzero(sums)
                 blocks.append((n * self.scale * self.roots_scale, [
-                    (cores[c] * r, 2 * v) for c, r, v in
-                    zip(j.tolist(), _ints(rad[heads[groups[g]]]), per[g, j].tolist())
-                ]))
+                    (cores[j] * r, 2 * v) for j, r, v in
+                    zip(c.tolist(), _ints(rr[at[heads[g]]]), sums[c, g].tolist())]))
         return _fold(blocks)

@@ -155,6 +155,15 @@ def _check_headroom(*bounds: int) -> None:
         raise DomainError("integer coordinate magnitudes too large")
 
 
+#: the tree parameters :class:`BDParams` takes
+TREE_PARAMS = "lambda > 1, 0 < b < 1/2 and 1 + 2*b*lambda <= lambda"
+
+
+def tree_params_ok(lam: Fraction, b: Fraction) -> bool:
+    """Whether :class:`BDParams` takes these lambda and b (``TREE_PARAMS``)."""
+    return lam > 1 and 0 < b < Fraction(1, 2) and 1 + 2 * b * lam <= lam
+
+
 @dataclass(frozen=True)
 class BDParams:
     lam: Fraction = DEFAULT_LAMBDA
@@ -167,10 +176,8 @@ class BDParams:
         lam, b = Fraction(self.lam), Fraction(self.b)
         object.__setattr__(self, "lam", lam)  # the build needs exact values
         object.__setattr__(self, "b", b)
-        if not (lam > 1 and 0 < b < Fraction(1, 2)):
-            raise DomainError("need lambda > 1 and 0 < b < 1/2")
-        if 1 + 2 * b * lam > lam:
-            raise DomainError("parameters must satisfy 1 + 2*b*lambda <= lambda")
+        if not tree_params_ok(lam, b):
+            raise DomainError(f"need {TREE_PARAMS}")
         if self.cap < 2 or self.levels < 0:
             raise DomainError("need cap >= 2 and levels >= 0")
 

@@ -9,10 +9,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
+from importlib import import_module
 from math import inf
 
 from .coeffs import DEFAULT_ENUM_CAP, Coeffs, DomainError
 from .exactnum import Scalar
+from .rademacher import confidence_ok, samples_ok
 from .rng import DEFAULT_SEED
 from .spaces import (
     BmoRademacherSpace,
@@ -53,7 +55,13 @@ class RunConfig:
             if attr is None:
                 raise DomainError(f"unknown config key {key!r}")
             updates[attr] = _parse_value(key, attr, raw)
-        return replace(self, **updates)
+        out = replace(self, **updates)
+        if updates.keys() & {"bd_lambda", "bd_b"}:
+            bd = import_module(f"{__package__}.bd")
+            if not bd.tree_params_ok(out.bd_lambda, out.bd_b):
+                raise DomainError(f"config keys 'bd.lambda' and 'bd.b' take {bd.TREE_PARAMS}, "
+                                  f"not bd.lambda={out.bd_lambda}, bd.b={out.bd_b}")
+        return out
 
     def to_dict(self) -> dict:
         out = {}
@@ -78,10 +86,23 @@ _CHOICES = {
     "plot": ("none", "svg"),
 }
 
-#: the values a numeric key accepts, and how its refusal states them
+def _library(module: str, name: str):
+    """The predicate ``name`` of ``rudlab.<module>``, imported when it is
+    first called, so that a config that sets none of its keys does not load
+    that module."""
+    return lambda *values: getattr(import_module(f"{__package__}.{module}"), name)(*values)
+
+
+#: the values a numeric key accepts, by the predicate of the code that
+#: reads the key, and how its refusal states them; ``bd.lambda`` and
+#: ``bd.b`` are checked together (:func:`rudlab.bd.tree_params_ok`)
 _DOMAINS = {
     "cap": (lambda v: 1 <= v <= DEFAULT_ENUM_CAP, f"an integer from 1 to {DEFAULT_ENUM_CAP}"),
-    "confidence": (lambda v: 0 < v < 1, "a value strictly between 0 and 1"),
+    "samples": (samples_ok, "an integer of at least 100"),
+    "confidence": (confidence_ok, "a value strictly between 0 and 1"),
+    "mr_universe": (_library("mr", "universe_ok"), "an integer from 0 to 24"),
+    "mr_max_n": (_library("mr", "max_n_ok"), "an integer of at least 1"),
+    "mr_width": (_library("mr", "width_ok"), "an integer of at least 0"),
     "bd_levels": (lambda v: v >= 1, "an integer of at least 1"),
 }
 

@@ -16,29 +16,35 @@ interval arithmetic with integer-square-root brackets, tightened until the
 interval excludes zero, terminates.  Radicands are kept only semi-canonical
 (small primes divided out, a square cofactor extracted); if an undetected
 square factor ever makes two terms collide, the slow full factorisation
-path merges them before the sign loop continues.
+path merges them before the loop continues.
+
+Conversion to float is correctly rounded, by the same loop: the brackets
+are refined until both ends round to the same float.  So a value has one
+float, whatever the order or form of its terms.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import inf, isqrt, sqrt
-from typing import Iterable, Union
+from math import inf, isqrt, lcm, sqrt
+from typing import Callable, Iterable, TypeVar, Union
 
 _SMALL_PRIMES = (
     2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
     53, 59, 61, 67, 71, 73, 79, 83, 89, 97,
 )
 
-#: Precision at which the sign loop re-canonicalises via full factorisation.
+#: Precision at which the refinement loop re-canonicalises via full factorisation.
 _FACTOR_FALLBACK_BITS = 512
-_MAX_SIGN_BITS = 1 << 16
+_MAX_BITS = 1 << 16
 #: the float filter defers to the exact loop below this magnitude sum, so
 #: that its error bound is computed without underflow
 _FILTER_FLOOR = 2.0**-900
 _UNIT_ROUNDOFF = 2.0**-53
 _MIN_NORMAL = 2.0**-1022
+
+_R = TypeVar("_R")
 
 
 @lru_cache(maxsize=1 << 16)
@@ -70,40 +76,22 @@ def split_square(k: int) -> tuple[int, int]:
     return outer, core * k
 
 
-_BRACKET_CACHE: dict[tuple[int, int], tuple[Fraction, Fraction]] = {}
-
-
-def _sqrt_bracket(core: int, bits: int) -> tuple[Fraction, Fraction]:
-    """Rational bracket lo <= sqrt(core) <= hi of width 2**-bits."""
-    key = (core, bits)
-    hit = _BRACKET_CACHE.get(key)
-    if hit is None:
-        r = isqrt(core << (2 * bits))
-        den = 1 << bits
-        hit = (Fraction(r, den), Fraction(r + 1, den))
-        if len(_BRACKET_CACHE) > 1 << 16:
-            _BRACKET_CACHE.clear()
-        _BRACKET_CACHE[key] = hit
-    return hit
-
-
 def _bracket(terms: dict[int, Fraction], bits: int) -> tuple[Fraction, Fraction]:
-    """Rational bracket lo <= sum q sqrt(core) <= hi, each root to 2**-bits."""
-    lo = Fraction(0)
-    hi = Fraction(0)
+    """Rational bracket lo <= sum q sqrt(core) <= hi, each root to 2**-bits
+    (``r = isqrt(core * 4**bits)``, so sqrt(core) lies in [r, r + 1] / 2**bits),
+    summed as integers over the common denominator."""
+    den = lcm(*(q.denominator for q in terms.values()))
+    lo = hi = 0
     for core, q in terms.items():
+        n = q.numerator * (den // q.denominator)
         if core == 1:
-            lo += q
-            hi += q
+            lo += n << bits
+            hi += n << bits
             continue
-        blo, bhi = _sqrt_bracket(core, bits)
-        if q > 0:
-            lo += q * blo
-            hi += q * bhi
-        else:
-            lo += q * bhi
-            hi += q * blo
-    return lo, hi
+        r = isqrt(core << (2 * bits))
+        lo += n * (r if n > 0 else r + 1)
+        hi += n * (r + 1 if n > 0 else r)
+    return Fraction(lo, den << bits), Fraction(hi, den << bits)
 
 
 def _float_sign(items: Iterable[tuple[int, Fraction]],
@@ -167,6 +155,27 @@ def _canonicalise(terms: dict[int, Fraction]) -> dict[int, Fraction]:
         elif rem in out:
             del out[rem]
     return out
+
+
+def _refine(terms: dict[int, Fraction], settle: Callable[[Fraction, Fraction], _R | None],
+            exact: Callable[[Fraction], _R]) -> _R:
+    """The first answer ``settle(lo, hi)`` gives on the brackets of
+    ``sum q sqrt(core)`` (:func:`_bracket`) at 64, 128, ... bits per root:
+    Ziv's strategy (TOMS 17(3), 1991) of refining until the answer is the
+    same at both ends.  Past ``_FACTOR_FALLBACK_BITS`` the radicands are
+    fully factorised once, so that terms which cancel still terminate: a
+    value that is then rational is answered by ``exact``."""
+    bits = 64
+    while bits <= _MAX_BITS:
+        if bits == 2 * _FACTOR_FALLBACK_BITS:
+            terms = _canonicalise(terms)
+            if terms.keys() <= {1}:
+                return exact(terms.get(1, Fraction(0)))
+        answer = settle(*_bracket(terms, bits))
+        if answer is not None:
+            return answer
+        bits *= 2
+    raise ArithmeticError(f"undecided at {_MAX_BITS} bits: {QSum(terms)!r}")
 
 
 def _product(t1: dict[int, Fraction], t2: dict[int, Fraction]) -> dict[int, Fraction]:
@@ -233,7 +242,12 @@ class QSum:
         raise ValueError(f"not a rational value: {self!r}")
 
     def __float__(self) -> float:
-        return float(sum(float(q) * core ** 0.5 for core, q in self._t.items()))
+        """The float nearest to the value, ties to even, whatever the terms'
+        order or form (``{8: 1}`` and ``{2: 2}`` give the same float)."""
+        t = self._t
+        if t.keys() <= {1}:
+            return float(t.get(1, Fraction(0)))
+        return _refine(t, lambda lo, hi: f if (f := float(lo)) == float(hi) else None, float)
 
     def __bool__(self) -> bool:
         return self.sign() != 0
@@ -321,25 +335,9 @@ class QSum:
         if len(t) == 1:
             ((_, q),) = t.items()
             return 1 if q > 0 else -1
-        s = _float_sign(t.items())
-        if s:
-            return s
-        bits = 32
-        while bits <= _MAX_SIGN_BITS:
-            lo, hi = _bracket(t, bits)
-            if lo > 0:
-                return 1
-            if hi < 0:
-                return -1
-            bits *= 2
-            if bits == _FACTOR_FALLBACK_BITS * 2:
-                t = _canonicalise(t)
-                if not t:
-                    return 0
-                if len(t) == 1:
-                    ((_, q),) = t.items()
-                    return 1 if q > 0 else -1
-        raise ArithmeticError(f"sign undecided at {_MAX_SIGN_BITS} bits: {self!r}")
+        return _float_sign(t.items()) or _refine(
+            t, lambda lo, hi: 1 if lo > 0 else -1 if hi < 0 else None,
+            lambda q: (q > 0) - (q < 0))
 
     def _cmp(self, other) -> int:
         """Sign of ``self - other``: the float filter over the two term

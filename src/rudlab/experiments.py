@@ -428,8 +428,8 @@ def exp_walsh(cfg: RunConfig) -> Report:
     rep.count("walsh.max", "max over signs <= l2 norm of the coefficients [200 samples]",
               bad_max)
     rep.count("walsh.lower", "l2 norm <= root-two times the sign average", bad_kh)
-    rep.add("walsh.rud", "divergence-side ratio <= sqrt(2) + 1e-12",
-            worst_ratio, 2 ** 0.5 + 1e-12, bad_ratio == 0)
+    rep.add("walsh.rud", "divergence-side ratio <= sqrt(2)",
+            worst_ratio, float(sqrt_exact(2)), bad_ratio == 0)
     return rep
 
 
@@ -678,15 +678,16 @@ def exp_zmr(cfg: RunConfig) -> Report:
         rep.add(f"zmr.norm.n={n}", f"witness norm >= {n}, exact",
                 float(QSum.of(w.norm)), float(n), norm_ok,
                 exact=scalar_repr(w.norm))
-        upper = float(w.expectation.upper)
-        ratio = float(QSum.of(w.norm)) / upper
+        upper = w.expectation.upper
+        ratio = float(QSum.of(w.norm)) / float(upper)
         ratios.append(ratio)
         curve.append((n, ratio))
-        bound_ok = upper <= float(QSum.of(w.analytic_bound)) + 1e-9
+        # a Monte-Carlo bracket end is a float, compared as the rational it is
+        bound_ok = _ge(w.analytic_bound, Fraction(upper) if isinstance(upper, float) else upper)
         rep.add(f"zmr.bound.n={n}",
                 f"sign average (upper bracket, method {w.expectation.method}) "
                 "stays under the carried analytic bound",
-                upper, float(QSum.of(w.analytic_bound)), bound_ok)
+                float(upper), float(QSum.of(w.analytic_bound)), bound_ok)
     increasing = all(r2 > r1 for r1, r2 in zip(ratios, ratios[1:]))
     rep.add("zmr.gap_monotone", "gap ratios strictly increase with the depth",
             ratios[-1], None, increasing,
@@ -757,8 +758,8 @@ def exp_zrud(cfg: RunConfig) -> Report:
     worst, bad = _worst([a for a in restricted if a], ratio)
     rep.add("zrud.ratio",
             f"divergence-side ratio <= 1/rho_hat_used = {float(inv_rho):.4f} "
-            "+ 1e-9 on the first two levels [30 vectors]",
-            worst, float(inv_rho) + 1e-9, bad == 0)
+            "on the first two levels [30 vectors]",
+            worst, float(inv_rho), bad == 0)
     return rep
 
 

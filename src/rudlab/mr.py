@@ -378,6 +378,21 @@ def zrud_functionals(
 # ---------------------------------------------------------------------------
 
 
+def universe_ok(universe: int) -> bool:
+    """Whether :class:`MrContext` takes this coded universe."""
+    return 0 <= universe <= MAX_UNIVERSE
+
+
+def max_n_ok(max_n: int) -> bool:
+    """Whether :class:`MrContext` takes this maximal tuple length."""
+    return max_n >= 1
+
+
+def width_ok(width: int) -> bool:
+    """Whether :class:`MrContext` takes this sign-balance width."""
+    return width >= 0
+
+
 class MrContext:
     """Levels, coder, and the three norm engines built on them."""
 
@@ -388,11 +403,11 @@ class MrContext:
         max_n: int = DEFAULT_MAX_N,
         width: int = 0,
     ):
-        if not 0 <= universe <= MAX_UNIVERSE:
+        if not universe_ok(universe):
             raise DomainError(f"coded universe {universe} is outside [0, {MAX_UNIVERSE}]")
-        if max_n < 1:
+        if not max_n_ok(max_n):
             raise DomainError(f"maximal tuple length {max_n} is below 1")
-        if width < 0:
+        if not width_ok(width):
             raise DomainError(f"sign-balance width {width} (config key mr.width) is below 0")
         self.levels = LevelSequence(tuple(levels))
         self.universe = universe

@@ -24,9 +24,9 @@ The sign walks of ``lp:1``, ``lp:2``, ``linf`` (one value),
 running maximum) and ``summing_dual`` (a convolution of independent
 two-point terms) and the subset walks of ``summing`` take it while their
 entries' integer form keeps every sum in int64 and the DP table within
-2^16 cells (``spaces._PRODUCT_BLOCK``).  The reductions equal the walk's,
-``QSum`` terms in the same order; the first maximiser is walked for on
-first use.  One-chunk walks, and everything else, walk.
+2^16 cells (``spaces._PRODUCT_BLOCK``).  The reductions equal the walk's;
+the first maximiser is walked for on first use.  One-chunk walks, and
+everything else, walk.
 
 Sign averages walk only the 2^(m-1) patterns whose top bit is clear: a
 pattern and its complement give the same norm, so the mean, mean square
@@ -89,6 +89,7 @@ class ExpectationEstimate:
     def __post_init__(self):
         if self.method != "monte_carlo" and self.bracket is None:
             object.__setattr__(self, "bracket", (self.value, self.value))
+            return
         lo, hi = self.bracket
         if not float(lo) <= float(self.value) <= float(hi):
             raise DomainError("bracket must contain the estimate")
@@ -193,7 +194,7 @@ def _distribution(space: Space, a: Coeffs, masks: bool) -> tuple[ExactBatch, np.
     for an exact vector whose walk spans several chunks, or None."""
     if not a.is_exact() or _walk_length(len(a), masks) <= _CHUNK:
         return None
-    return space.sign_distribution(a, masks, _CHUNK.bit_length() - 1)
+    return space.sign_distribution(a, masks)
 
 
 def _first_argmax(space: Space, a: Coeffs, masks: bool, top: Scalar) -> int:
@@ -237,18 +238,6 @@ def _stats(space: Space, a: Coeffs, cap: int, masks: bool) -> ExactBatch | Folde
     return FoldedStats(mean, mean_sq, lo, hi[0], hi[1], scalars)
 
 
-def _fold_mean(space: Space, a: Coeffs, cap: int, masks: bool, squared: bool) -> Scalar:
-    m = _check_cap(a, cap)
-    dist = _distribution(space, a, masks)
-    if dist is not None:
-        return dist[0].counted_means(dist[1], 1 << m)[squared]
-    total = _walk_length(m, masks)
-    acc: Scalar = 0
-    for _, batch in _walk(space, a, masks):
-        acc = acc + (batch.mean_sq(total) if squared else batch.mean(total))
-    return acc
-
-
 def sign_stats(space: Space, a: Coeffs, cap: int = DEFAULT_ENUM_CAP) -> ExactBatch | FoldedStats:
     """Exact mean, mean square, min, max and first argmax of the norms of a
     under all 2^m sign patterns (canonical bitmask order).
@@ -272,19 +261,19 @@ def subset_stats(space: Space, a: Coeffs, cap: int = DEFAULT_ENUM_CAP) -> ExactB
 def expect_exact(space: Space, a: Coeffs, cap: int = DEFAULT_ENUM_CAP) -> ExpectationEstimate:
     if not a:
         return ExpectationEstimate(0, "exact")
-    return ExpectationEstimate(_fold_mean(space, a, cap, masks=False, squared=False), "exact")
+    return ExpectationEstimate(_stats(space, a, cap, masks=False).mean(), "exact")
 
 
 def expect_second_moment(space: Space, a: Coeffs, cap: int = DEFAULT_ENUM_CAP) -> ExpectationEstimate:
     if not a:
         return ExpectationEstimate(0, "exact")
-    return ExpectationEstimate(_fold_mean(space, a, cap, masks=False, squared=True), "exact")
+    return ExpectationEstimate(_stats(space, a, cap, masks=False).mean_sq(), "exact")
 
 
 def expect_subsets(space: Space, a: Coeffs, cap: int = DEFAULT_ENUM_CAP) -> ExpectationEstimate:
     if not a:
         return ExpectationEstimate(0, "subsets")
-    return ExpectationEstimate(_fold_mean(space, a, cap, masks=True, squared=False), "subsets")
+    return ExpectationEstimate(_stats(space, a, cap, masks=True).mean(), "subsets")
 
 
 def expect_perm(
@@ -349,6 +338,17 @@ def _t_quantile(df: int, confidence: float) -> float:
             return t
         prec, last = 2 * prec, t
 
+def samples_ok(samples: int) -> bool:
+    """Whether :func:`expect_mc` takes this many samples: at least 100."""
+    return samples >= 100
+
+
+def confidence_ok(confidence: float) -> bool:
+    """Whether :func:`expect_mc` takes this confidence: strictly between 0
+    and 1."""
+    return 0 < confidence < 1
+
+
 def expect_mc(
     space: Space,
     a: Coeffs,
@@ -376,9 +376,9 @@ def expect_mc(
     so a one-column tail chunk (``samples`` one past a multiple of
     ``_MC_CHUNK``) can differ in its last bits from that path's.
     """
-    if not 0 < confidence < 1:
+    if not confidence_ok(confidence):
         raise DomainError(f"confidence must lie strictly between 0 and 1, got {confidence}")
-    if samples < 100:
+    if not samples_ok(samples):
         raise DomainError("Monte-Carlo estimation requires at least 100 samples")
     if not a:
         return ExpectationEstimate(

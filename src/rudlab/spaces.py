@@ -25,7 +25,7 @@ their engines from their own modules.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import inf, isqrt, lcm
+from math import inf, lcm
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -206,8 +206,7 @@ class Space:
         """
         return None
 
-    def sign_distribution(self, a: Coeffs, masks: bool,
-                          chunk_bits: int) -> tuple[ExactBatch, np.ndarray] | None:
+    def sign_distribution(self, a: Coeffs, masks: bool) -> tuple[ExactBatch, np.ndarray] | None:
         """The exact distribution of the norm of rational ``a`` over all
         2^m sign patterns (0/1 masks when ``masks``): a classes-only batch
         whose columns are the values the norm takes, and the int64 count of
@@ -215,11 +214,8 @@ class Space:
         hook before :meth:`split_batches`, and reduces the distribution
         instead of walking (see :mod:`rudlab.rademacher`).
 
-        The batch's values are those :meth:`mult_batch` gives, and its
-        class order is the order in which the walk's folded mean meets the
-        radicand cores, chunk by chunk over the low ``chunk_bits`` mask
-        bits, so the reductions equal the walk's, terms in order.  None,
-        the default, makes the walk run; so do the engines with a hook on
+        The batch's values are those :meth:`mult_batch` gives.  None, the
+        default, makes the walk run; so do the engines with a hook on
         radical entries, on entries whose batches would leave int64, and
         past a table of ``_PRODUCT_BLOCK`` cells.
         """
@@ -296,37 +292,6 @@ def _value_counts(classes: dict[int, np.ndarray], counts: np.ndarray,
             counts[keep])
 
 
-def _l2_first_chunk_meets_sums(v: list[int], rad: int, low_bits: int) -> bool:
-    """On the sign walk of ``smax:2`` over the entries ``v`` (rad = sum of
-    their squares), in chunks that vary the low ``low_bits`` mask bits:
-    whether the first chunk with a column the l2 norm wins (summing value
-    s with s^2 < rad) also has a column the summing norm wins.  Only then
-    does the walk's folded mean meet the rational class before the
-    radical one.  The walk has some l2 column.
-
-    The first l2 column's high bits are the smallest that some low bits
-    complete: a greedy pass from the top row down, the top bit clear,
-    takes bit 0 (a plus sign) wherever a completion keeps every tail sum t
-    at t^2 < rad, read from a table of the tails that can be completed.
-    That chunk reaches the summing value |H| + (the low entries'
-    magnitudes), for H its high rows' tail sum."""
-    w = isqrt(rad - 1)  # t^2 < rad iff |t| <= w
-    free = [np.ones(2 * w + 1, dtype=bool)]  # [k][t + w]: rows k-1..0 completable
-    for x in map(abs, v[:-1]):
-        ok, nxt = free[-1], np.zeros(2 * w + 1, dtype=bool)
-        if x <= 2 * w:
-            nxt[:2 * w + 1 - x] |= ok[x:]
-            nxt[x:] |= ok[:2 * w + 1 - x]
-        free.append(nxt)
-    t = 0
-    for k in range(len(v) - 1, low_bits - 1, -1):
-        for sign in (1, -1) if k < len(v) - 1 else (1,):
-            if abs(t + sign * v[k]) <= w and free[k][t + sign * v[k] + w]:
-                break
-        t += sign * v[k]
-    return (abs(t) + sum(map(abs, v[:low_bits]))) ** 2 >= rad
-
-
 # ---------------------------------------------------------------------------
 # lp / linf
 # ---------------------------------------------------------------------------
@@ -353,7 +318,7 @@ class LpSpace(Space):
             return np.abs(v).max(axis=0)
         return (np.abs(v) ** self.p).sum(axis=0) ** (1.0 / self.p)
 
-    def sign_distribution(self, a, masks, chunk_bits):
+    def sign_distribution(self, a, masks):
         """Signs do not change the norm: one value, taken 2^m times."""
         ints = None if masks or self.p not in (1, 2, inf) else _path_entries(a)
         if ints is None:
@@ -392,7 +357,7 @@ class SummingSpace(Space):
     def mult_batch_float(self, a, mult):
         return _tail_maxabs(_float_values(a, mult))
 
-    def sign_distribution(self, a, masks, chunk_bits):
+    def sign_distribution(self, a, masks):
         """The running-maximum DP over the tail sums, sign or mask steps."""
         ints = _path_entries(a)
         counts = None if ints is None else _running_max_counts(ints[0][::-1], masks)
@@ -447,7 +412,7 @@ class SummingDualSpace(Space):
     def mult_batch_float(self, a, mult):
         return self._reduce(_float_values(a, mult), a.support)
 
-    def sign_distribution(self, a, masks, chunk_bits):
+    def sign_distribution(self, a, masks):
         """An edge term |e_k v_k - e_j v_j| = |v_k - e_k e_j v_j| depends
         on e_k e_j alone, and the products of the adjacent pairs are
         independent fair signs: the norm is a constant plus independent
@@ -655,7 +620,7 @@ class BmoRademacherSpace(Space):
         rad = (v**2).sum(axis=0)
         return ExactBatch(scale=scale, classes={1: pref}, roots=rad, roots_scale=scale)
 
-    def sign_distribution(self, a, masks, chunk_bits):
+    def sign_distribution(self, a, masks):
         """The running-maximum DP over the prefix sums, plus the l2 norm,
         which signs do not change (masks do: no hook for them)."""
         ints = None if masks else _path_entries(a)
@@ -697,10 +662,9 @@ class SmaxSpace(Space):
             roots_scale=scale,
         )
 
-    def sign_distribution(self, a, masks, chunk_bits):
+    def sign_distribution(self, a, masks):
         """The summing DP, each value n with n^2 below the constant
-        rad = sum v^2 replaced by sqrt(rad); the class order follows the
-        walk's chunks (:func:`_l2_first_chunk_meets_sums`)."""
+        rad = sum v^2 replaced by sqrt(rad)."""
         ints = None if masks or self.p != 2 else _path_entries(a)
         counts = None if ints is None else _running_max_counts(ints[0][::-1], False)
         if counts is None:
@@ -714,10 +678,7 @@ class SmaxSpace(Space):
             return _value_counts({1: n}, counts, d)
         if core == 1:
             return _value_counts({1: np.where(l2, outer, n)}, counts, d)
-        sums, roots = np.where(l2, 0, n), np.where(l2, outer, 0)
-        classes = ({1: sums, core: roots} if _l2_first_chunk_meets_sums(v, rad, chunk_bits)
-                   else {core: roots, 1: sums})
-        return _value_counts(classes, counts, d)
+        return _value_counts({1: np.where(l2, 0, n), core: np.where(l2, outer, 0)}, counts, d)
 
     def mult_batch_float(self, a, mult):
         v = _float_values(a, mult)
@@ -1088,11 +1049,9 @@ class RenormSpace(Space):
     def mult_batch(self, a, mult):
         """delta * base + inner[which] as one integer batch: the base
         classes and the inner means' numerators over one common scale, the
-        base roots times p^2 over ``roots_scale * q`` for delta = p/q.  The
-        classes keep the base batch's order, then the inner-only cores in
-        order of first column, so a mean adds its terms in the order a
-        column-by-column sum gives them.  A column past the enumeration cap
-        has a Monte-Carlo inner mean and no exact form: None."""
+        base roots times p^2 over ``roots_scale * q`` for delta = p/q.  A
+        column past the enumeration cap has a Monte-Carlo inner mean and no
+        exact form: None."""
         if np.count_nonzero(mult, axis=0).max() > self.enum_cap:
             return None
         base = self.base.mult_batch(a, mult)
@@ -1109,8 +1068,8 @@ class RenormSpace(Space):
         mul = scale // (q * base.scale) * p
         base_classes = base.classes or {}
         inner_nums: dict[int, list[int]] = {}
-        for g in dict.fromkeys(which.tolist()):  # groups in order of first column
-            for core, x in terms[g].items():
+        for g, t in enumerate(terms):
+            for core, x in t.items():
                 inner_nums.setdefault(core, [0] * len(terms))[g] = int(x * scale)
         classes = {}
         for core in dict.fromkeys([*base_classes, *inner_nums]):

@@ -9,9 +9,12 @@ expected failure, while its true upper half is asserted for every engine
 and the lower half for the unconditional ones.
 """
 
+from fractions import Fraction as F
+
 import pytest
 
 from rudlab.config import RunConfig
+from rudlab.exactnum import QSum
 from rudlab.experiments import EXPERIMENTS, run_experiment
 
 CFG = RunConfig()
@@ -152,7 +155,7 @@ def test_c15_zmr():
 # walks over radical-valued witnesses; zmr has no pinned report digest
 _ZMR_BOUND_ROWS = {
     "zmr.bound.n=1": (0.8535533905932737, 10.071067811865476, "PASS"),
-    "zmr.bound.n=2": (1.254901695296637, 10.388905057061256, "PASS"),
+    "zmr.bound.n=2": (1.254901695296637, 10.388905057061258, "PASS"),
 }
 
 
@@ -160,6 +163,25 @@ def test_zmr_bound_rows_pinned():
     got = {r.rid: (r.measured, r.bound, r.verdict)
            for r in _report("zmr").rows if r.rid in _ZMR_BOUND_ROWS}
     assert got == _ZMR_BOUND_ROWS
+
+
+def test_zmr_bound_decided_exactly(monkeypatch):
+    """An analytic bound 10^-30 below the exact depth-1 sign average fails
+    its row: the comparison is exact, with no float slack."""
+    import rudlab.mr as mr
+
+    witness = mr.mr_witness
+
+    def tight(n, *args, **kw):
+        w = witness(n, *args, **kw)
+        if n == 1:
+            w.analytic_bound = QSum.of(w.expectation.value) - F(1, 10**30)
+        return w
+
+    monkeypatch.setattr(mr, "mr_witness", tight)
+    rows = {r.rid: r for r in run_experiment("zmr", CFG).rows}
+    assert rows["zmr.bound.n=1"].verdict == "FAIL"
+    assert rows["zmr.bound.n=2"].verdict == "PASS"
 
 
 # The Monte-Carlo rows at the default config: the depth-3 zmr bracket (a
@@ -222,15 +244,15 @@ _REPORT_DIGESTS = {
     "parallelogram": "cef2c7b59e5b9afcff3d1d23683edba0495f3983b8b02ae7e5b30aa47a492be1",
     "khintchine-kahane": "2eb5c34edadda34cff5f657e7d88af79866ada17c13e30fe2ab653c6ece2d6a0",
     "contraction": "837a1ba05209d327d03410ebb18b20269b42727dc73fc6c1013a0d852566d55e",
-    "james": "b32f40e08e343357854c7d8d8f86750dd40c358ca4c80dde5574a59001fa508b",
-    "walsh": "dba3ac75cf8a07b93daf867a72112de803a49e4ef132f8a8a11777ecd6f51329",
+    "james": "56b8edd448c3d20eaea140732d03d859e774b06eee1ec97c12127c1b07f6cbd9",
+    "walsh": "753f97b1e387ba8c7a9517d0f6852392da47bb7ee26761b41afdbd58b587a091",
     "bmo": "69363fa9cd2ff0db0aac1f6bca1da454aedb9bfcf63f07d1706f5d7aa24d2b2b",
     "renorm": "342eec67250e56ce3dd22f73154b491bfe478c45cca33dd9762575cbd9be5aa9",
     "partition": "3f4d12439293233f5b8c278060b794567667b2f14ec42edf12228db8f445d24f",
     "duality": "ea6ada1b70ba3e5d024e42964b3224c30b19a6ac9c843d47167147fcd92ef038",
     "bd": "78674a62b61b16e99dc05a516f99a248f04c211d6722e3efe09e8a3761b3d9b9",
-    "zruc": "ae9f74a7203316d6b6cdbc91d5dee03d0d2e72534d126ad2bf90a6f815158918",
-    "zrud": "aa467160b2190d69f07ec5a6a81a386d1c8c2641a34949f76c56ab266c825f61",
+    "zruc": "f660f0a184d6fc66bd7df8ea277c76d86962e88cd520bcf5c782a08a13c89a4f",
+    "zrud": "a34c5bcf8bdfedb8e50ec2199bee824331d6583c9d0a8d6dd346f79f1f6fd1f1",
     "haar-blocks": "753fa4c1c690f1106fd72d91ad8b79a301edd19476ae7a29c17008999fd602ef",
     "smax": "d1c201bcab66e0185642f19cd4dba02a3a950366ee871d9b3464cbdf8b70cc6f",
 }

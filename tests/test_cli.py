@@ -142,14 +142,21 @@ _EXPECT = ("expect", "--space", "summing", "--coeffs", "1,-1", "--method", "mc",
     ("confidence=0.9", True), ("confidence=1", False), ("confidence=1.1", False),
     ("confidence=nan", False),
     ("bd.levels=0", False), ("bd.levels=1", True), ("bd.levels=2", True),
+    ("samples=99", False), ("samples=100", True), ("samples=101", True), ("samples=-1", False),
+    ("mr.universe=-1", False), ("mr.universe=0", True), ("mr.universe=1", True),
+    ("mr.universe=23", True), ("mr.universe=24", True), ("mr.universe=25", False),
+    ("mr.max_n=0", False), ("mr.max_n=1", True), ("mr.max_n=2", True),
+    ("mr.width=-1", False), ("mr.width=0", True), ("mr.width=1", True),
 ])
 def test_config_domains_are_checked_where_parsed(capsys, item, accepted):
-    """cap in [1, 24], confidence in (0, 1) and bd.levels >= 1: a value
+    """cap in [1, 24], samples >= 100, confidence in (0, 1), mr.universe
+    in [0, 24], mr.max_n >= 1, mr.width >= 0 and bd.levels >= 1: a value
     at a boundary or one step off it runs (exit 0) or exits 2 with one
     error line naming the key and the value, before any work."""
     key, _, raw = item.partition("=")
     argv = (("norm", "--space", "bd", "--coeffs", "1,1") if key == "bd.levels"
             else _EXPECT if key == "confidence"
+            else _EXPECT[:-2] if key == "samples"
             else ("expect", "--space", "summing", "--coeffs", "-1"))
     code, out, err = run(capsys, *argv, "--set", item)
     if accepted:
@@ -170,6 +177,43 @@ def test_certify_refuses_out_of_range_config(tmp_path, capsys, item):
     there, naming the key."""
     name = "bd" if item.startswith("bd.") else "zmr"
     code, out, err = run(capsys, "certify", name, "--set", item,
+                         "--out", str(tmp_path / "r.json"))
+    assert code == 2 and out == "" and not (tmp_path / "r.json").exists()
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert repr(item.partition("=")[0]) in err
+
+
+@pytest.mark.parametrize("item,accepted", [
+    ("bd.lambda=1", False), ("bd.lambda=199/100", False), ("bd.lambda=2", True),
+    ("bd.lambda=201/100", True), ("bd.b=0", False), ("bd.b=1/100", True),
+    ("bd.b=1/4", True), ("bd.b=13/50", False), ("bd.b=1/2", False), ("bd.b=1", False),
+])
+def test_bd_tree_parameters_are_checked_where_parsed(capsys, item, accepted):
+    """bd.lambda and bd.b are checked together, by the predicate BDParams
+    applies: beside b = 1/4, 1 + 2*b*lambda <= lambda needs lambda >= 2,
+    and beside lambda = 2 it needs b <= 1/4.  A refused pair exits 2 with
+    one error line naming both keys and the values."""
+    from rudlab.bd import BDParams
+
+    code, out, err = run(capsys, "norm", "--space", "lp:1", "--coeffs", "1", "--set", item)
+    if accepted:
+        assert code == 0 and out and err == ""
+        cfg = RunConfig().with_overrides(dict([item.split("=")]))
+        BDParams(lam=cfg.bd_lambda, b=cfg.bd_b)
+    else:
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert "'bd.lambda'" in err and "'bd.b'" in err and item in err
+        with pytest.raises(DomainError, match="bd.lambda"):
+            RunConfig().with_overrides(dict([item.split("=")]))
+
+
+@pytest.mark.parametrize("item", ["samples=5", "mr.universe=99", "mr.max_n=0", "mr.width=-1",
+                                  "bd.b=1", "bd.lambda=1"])
+def test_certify_refuses_config_the_experiment_does_not_read(tmp_path, capsys, item):
+    """These once exited 0 with the value written into the report of an
+    experiment that never reads the key."""
+    code, out, err = run(capsys, "certify", "parallelogram", "--set", item,
                          "--out", str(tmp_path / "r.json"))
     assert code == 2 and out == "" and not (tmp_path / "r.json").exists()
     assert err.count("\n") == 1 and err.startswith("error: ")

@@ -1,3 +1,5 @@
+import math
+import struct
 from fractions import Fraction as F
 from math import isqrt
 
@@ -224,3 +226,52 @@ def test_rational_product_moves_square_radicands_to_their_cores():
     assert _items(x * F(-3, 7)) == [(2, F, F(-9, 7)), (3, F, F(-3, 7))]
     assert _items(QSum({8: F(1), 2: F(-2)}) * 5) == []
     assert _items(x * 0) == []
+
+
+# cores with and without square factors, and scales near the ends of the
+# range where values stay normal floats
+_ROUND_CORES = st.sampled_from([1, 2, 3, 4, 5, 8, 12, 18, 20, 27, 50, 72, 98, 20402])
+_ROUND_SCALES = st.sampled_from([-502, -500, -499, -1, 0, 1, 499, 500, 502])
+
+
+@st.composite
+def _scaled_terms(draw):
+    e = draw(_ROUND_SCALES)
+    terms = draw(st.dictionaries(_ROUND_CORES, st.fractions(max_denominator=1000).filter(bool),
+                                 min_size=1, max_size=4))
+    return {c: q * F(2) ** e for c, q in terms.items()}
+
+
+def _is_even(f: float) -> bool:
+    return struct.unpack("<q", struct.pack("<d", f))[0] & 1 == 0
+
+
+@given(_scaled_terms(), st.randoms(use_true_random=False))
+@settings(max_examples=300, deadline=None)
+def test_float_is_correctly_rounded(terms, rnd):
+    """float(x) lies within half an ulp of x, decided by exact comparison
+    with the midpoints to its neighbours, and does not depend on the order
+    of the terms or on how their radicands are written."""
+    x = QSum(dict(terms))
+    f = float(x)
+    below, above = math.nextafter(f, -math.inf), math.nextafter(f, math.inf)
+    assert (F(below) + F(f)) / 2 <= x <= (F(f) + F(above)) / 2
+    items = list(terms.items())
+    rnd.shuffle(items)
+    assert float(QSum(dict(items))) == f
+    assert float(QSum({4 * c: q / 2 for c, q in items})) == f
+    assert float(QSum({8: F(1)})) == float(QSum({2: F(2)})) == float(2 * SQRT2)
+
+
+@given(st.floats(min_value=2.0**-600, max_value=2.0**600), st.booleans(),
+       st.fractions(max_denominator=1000).filter(bool), _ROUND_SCALES)
+@settings(max_examples=200, deadline=None)
+def test_cancelling_midpoint_rounds_to_even(f, negative, q, e):
+    """Radical terms that cancel, beside a rational midpoint of two floats,
+    round to the even one, as float(Fraction) does."""
+    f = -f if negative else f
+    mid = (F(f) + F(math.nextafter(f, math.inf))) / 2
+    q *= F(2) ** e
+    for terms in ({1: mid, 2: q, 8: -q / 2}, {8: -q / 2, 1: mid, 2: q}, {18: q, 1: mid, 2: -3 * q}):
+        g = float(QSum(terms))
+        assert g == float(mid) and _is_even(g), terms
