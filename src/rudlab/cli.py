@@ -67,10 +67,8 @@ def _cmd_expect(args) -> int:
         est = expect_mc(space, a, samples, cfg.seed, cfg.confidence)
     elif args.method == "subsets":
         est = expect_subsets(space, a, cap=cfg.cap)
-    elif args.method == "perm":
+    else:  # "perm": argparse's choices refuse any other method
         est = expect_perm(space, a)
-    else:
-        raise DomainError(f"unknown method {args.method!r}")
     print(json.dumps(est.to_json(), sort_keys=True))
     return 0
 

@@ -26,7 +26,8 @@ restriction complete.  The engines never list these members: per family
 and column the supremum is attained by a few members read off the entries
 sorted by magnitude (the best tails, and for the divergence side the best
 decorations), the top-k structure of Ogryczak & Tamir, "Minimizing the sum
-of the k largest functions in linear time" (IPL 2003).  The engines are
+of the k largest functions in linear time" (IPL 2003); the exact and the
+float batches of both engines pair these same rows.  The engines are
 plain :class:`~rudlab.spaces.Space` subclasses; the family enumerators
 :func:`zmr_functionals` and :func:`zrud_functionals` list the members for a
 reference norming-set engine outside the package and no engine calls them.
@@ -46,7 +47,7 @@ from .batches import _peak, int_dtype
 from .coeffs import Coeffs, DomainError, NormingFunctional
 from .exactnum import QSum, Scalar, split_square, sqrt_exact
 from .spaces import (RenormSpace, Space, _cached, _class_values, _column_blocks,
-                     _cumsum_rows, _normingset_reduce_blocks)
+                     _normingset_reduce_blocks)
 
 DEFAULT_LEVELS = (2, 4, 8)
 DEFAULT_UNIVERSE = 14
@@ -57,6 +58,8 @@ MAX_UNIVERSE = 24
 #: most members a zrud family may have on one support when
 #: :func:`zrud_functionals` enumerates it (the engines never do)
 ZRUD_FAMILY_CAP = 20_000
+#: most entries whose sign average :func:`mr_witness` enumerates exactly
+WITNESS_CAP = 12
 
 
 def k_m(m: int) -> int:
@@ -561,10 +564,10 @@ def _family_rows(lay: _Layout, signs: np.ndarray, order: np.ndarray) -> np.ndarr
         parts += [pos & lay.inside, neg & lay.inside]
     masks = np.concatenate(parts)
     # at each entry, the count of its mask's entries up to it in its
-    # column's magnitude order
+    # column's magnitude order (at most m, so in the narrowest unsigned type)
     cols = np.arange(order.shape[1])
-    counts = np.empty(masks.shape, dtype=np.int64)
-    counts[:, order, cols] = masks[:, order, cols].cumsum(axis=1)
+    counts = np.empty(masks.shape, dtype=np.min_scalar_type(masks.shape[1]))
+    counts[:, order, cols] = masks[:, order, cols].cumsum(axis=1, dtype=counts.dtype)
     tp, tn = masks[:g][lay.group], masks[g:2 * g][lay.group]
     cp, cn = counts[:g][lay.group], counts[g:2 * g][lay.group]
     rows = [lay.fixed + (tp & (cp <= lay.tail_card)), lay.fixed + (tn & (cn <= lay.tail_card))]
@@ -612,7 +615,8 @@ class _CodingSpace(Space):
 
     The exact batch pairs the few rows of :func:`_family_rows` and the
     coordinate rows with the entries' square-free classes and reduces
-    them with the norming-set reduction; it never lists a family.
+    them with the norming-set reduction; it never lists a family.  The
+    float batch pairs the same rows with the float entries.
     """
 
     decorated = False
@@ -658,29 +662,6 @@ class _CodingSpace(Space):
         return _normingset_reduce_blocks(block, (rows + 1) * m, mult.shape[1],
                                          lay.fscale * vden)
 
-
-class ZmrSpace(_CodingSpace):
-    def __init__(self, ctx: MrContext):
-        super().__init__("zmr", ctx)
-        self.sweep_indices = tuple(range(min(8, ctx.universe)))
-        self.sweep_max_m = 8
-
-    def mult_batch_float(self, a, mult):
-        return zmr_fast_norms(self.ctx, a.support, a.values_float()[:, None] * mult)
-
-    def paper_witnesses(self, kind, dim):
-        n = min(self.ctx.max_n, len(self.ctx.levels.prefix))
-        return [self.ctx.block_vector(k) for k in range(1, n + 1)]
-
-
-class ZrudSpace(_CodingSpace):
-    decorated = True
-
-    def __init__(self, ctx: MrContext):
-        super().__init__("zrud", ctx)
-        self.sweep_indices = tuple(range(min(6, ctx.universe)))
-        self.sweep_max_m = 6
-
     def mult_batch_float(self, a, mult):
         """The family rows and their pairings one column block at a time
         (:func:`_column_blocks`, at the exact batch's (R + 1) x m entries
@@ -699,47 +680,24 @@ class ZrudSpace(_CodingSpace):
         return out
 
 
-# ---------------------------------------------------------------------------
-# fast float norms over a fixed support (for Monte-Carlo witness runs)
-# ---------------------------------------------------------------------------
+class ZmrSpace(_CodingSpace):
+    def __init__(self, ctx: MrContext):
+        super().__init__("zmr", ctx)
+        self.sweep_indices = tuple(range(min(8, ctx.universe)))
+        self.sweep_max_m = 8
+
+    def paper_witnesses(self, kind, dim):
+        n = min(self.ctx.max_n, len(self.ctx.levels.prefix))
+        return [self.ctx.block_vector(k) for k in range(1, n + 1)]
 
 
-def zmr_fast_norms(ctx: MrContext, support: tuple[int, ...], values: np.ndarray) -> np.ndarray:
-    """Base-space norms of column vectors on ``support`` (float path).
+class ZrudSpace(_CodingSpace):
+    decorated = True
 
-    Equivalent to the explicit family enumeration: per family the best free
-    tail is read off sorted prefix sums, sorted and summed once per distinct
-    ``tail_min`` and read at each family's ``tail_card``.  Cross-checked
-    against the exact engine in the tests.
-    """
-    sup = sorted(set(support))
-    pos = {i: k for k, i in enumerate(sup)}
-    n = values.shape[1]
-    best = np.abs(values).max(axis=0)  # coordinate supremum
-    prefixes: dict[int, tuple[np.ndarray, np.ndarray] | None] = {}
-    for fam in ctx.families:
-        fixed = np.zeros(n)
-        for s in fam.fixed:
-            rows = [pos[i] for i in s if i in pos]
-            if rows:
-                fixed += values[rows].sum(axis=0) / len(s) ** 0.5
-        if fam.tail_min not in prefixes:
-            rows = [pos[i] for i in sup if i > fam.tail_min]
-            sub = np.sort(values[rows], axis=0)
-            prefixes[fam.tail_min] = (
-                _cumsum_rows(np.maximum(sub[::-1], 0.0)),
-                _cumsum_rows(np.minimum(sub, 0.0)),
-            ) if rows else None
-        w = 1.0 / fam.tail_card**0.5
-        if prefixes[fam.tail_min] is not None:
-            gains, losses = prefixes[fam.tail_min]
-            tail_hi = gains[: fam.tail_card].max(axis=0)
-            tail_lo = losses[: fam.tail_card].min(axis=0)
-        else:
-            tail_hi = tail_lo = 0.0
-        cand = np.maximum(fixed + w * tail_hi, -(fixed + w * tail_lo))
-        best = np.maximum(best, cand)
-    return best
+    def __init__(self, ctx: MrContext):
+        super().__init__("zrud", ctx)
+        self.sweep_indices = tuple(range(min(6, ctx.universe)))
+        self.sweep_max_m = 6
 
 
 # ---------------------------------------------------------------------------
@@ -761,13 +719,12 @@ def mr_witness(
     ctx: MrContext,
     mc_samples: int = 1_000_000,
     seed: int | None = None,
-    enum_cap: int = 12,
 ) -> WitnessReport:
     """The depth-n block vector with its norm and sign average.
 
     The norm is certified >= n by the matching tuple functional; the sign
-    average is exact while the support fits under the enumeration cap and a
-    Monte-Carlo bracket beyond it.  The analytic upper bound carried along
+    average is exact on at most ``WITNESS_CAP`` entries and a Monte-Carlo
+    bracket beyond them.  The analytic upper bound carried along
     is 1 + 2*delta_hat + 2*sqrt(sum 1/#s_i) with the measured delta_hat.
     """
     from .rademacher import expect_auto
@@ -776,7 +733,7 @@ def mr_witness(
     blocks = ctx.canonical_blocks(n)
     x = ctx.block_vector(n)
     norm = ctx.zmr.norm(x)
-    est = expect_auto(ctx.zmr, x, enum_cap, mc_samples, DEFAULT_SEED if seed is None else seed)
+    est = expect_auto(ctx.zmr, x, WITNESS_CAP, mc_samples, DEFAULT_SEED if seed is None else seed)
     inv = Fraction(0)
     for s in blocks:
         inv += Fraction(1, len(s))

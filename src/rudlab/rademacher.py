@@ -40,7 +40,9 @@ Monte-Carlo sample i is a pure function of (seed, i) via the counter-based
 generator, so for a fixed seed and sample count an estimate is the same in
 every run.  Its last bits depend on ``_MC_CHUNK``, which sets the order of
 the float summation.  A support with no more sign patterns than samples (up
-to 2^16) is evaluated once per pattern, and the samples read that table.
+to 2^16) is evaluated once per pattern whose top bit is clear, a table of
+at most 2^15 floats, and each sample reads its pattern's norm or its
+complement's.
 """
 
 from __future__ import annotations
@@ -71,7 +73,8 @@ from .spaces import Space
 #: chunk-invariant)
 _CHUNK = 1 << 13
 _MC_CHUNK = 4096
-#: largest support table of Monte-Carlo norms: 2^16 float64 values, 512 KiB
+#: most sign patterns of a support whose Monte-Carlo norms are tabled: the
+#: top-bit-clear half, 2^15 float64 values, 256 KiB
 _MC_TABLE = 1 << 16
 
 
@@ -367,9 +370,12 @@ def expect_mc(
     Chan, Golub & LeVeque (1983), so a constant sample has variance 0.
 
     A support with at most ``min(samples, _MC_TABLE)`` sign patterns is
-    evaluated once per pattern: the engine's float batch over all 2^m
-    patterns in bitmask order, in slices of ``_MC_CHUNK`` columns, is a table
-    that each chunk reads at its samples' codes (:func:`rudlab.rng.sign_codes`).
+    evaluated once per pattern whose top bit is clear: the engine's float
+    batch over those 2^(m-1) patterns in bitmask order, in slices of
+    ``_MC_CHUNK`` columns, is a table that each chunk reads at its samples'
+    codes (:func:`rudlab.rng.sign_codes`), a code with its top bit set at
+    its complement, the negated pattern, whose norm is the same float (an
+    engine's float batch is sign-symmetric, as the float walks assume).
     The chunks, their sums and the merge are those of the per-sample path, and
     so are the norms wherever the engine gives a column the same float in any
     batch of two or more columns.  A one-column batch may sum in another order,
@@ -388,10 +394,11 @@ def expect_mc(
     full = 1 << m
     table = None
     if full <= min(samples, _MC_TABLE):
+        half = full // 2  # the top-bit-clear patterns; a code's complement negates it
         table = np.concatenate([
-            space.mult_batch_float(a, sign_matrix_range(m, start, min(start + _MC_CHUNK, full))
+            space.mult_batch_float(a, sign_matrix_range(m, start, min(start + _MC_CHUNK, half))
                                    .astype(np.float64))
-            for start in range(0, full, _MC_CHUNK)
+            for start in range(0, half, _MC_CHUNK)
         ])
     total = 0.0
     mu = 0.0  # running mean and sum of squared deviations of the done samples
@@ -400,7 +407,8 @@ def expect_mc(
     while done < samples:
         n = min(_MC_CHUNK, samples - done)
         if table is not None:
-            vals = table[sign_codes(seed, m, n, start=done)]
+            codes = sign_codes(seed, m, n, start=done)
+            vals = table[np.minimum(codes, codes ^ np.uint64(full - 1))]
         else:
             signs = sign_matrix(seed, m, n, start=done).astype(np.float64)
             vals = space.mult_batch_float(a, signs)

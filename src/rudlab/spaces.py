@@ -974,6 +974,10 @@ class NormingSetSpace(Space):
 # sign-average renorming
 # ---------------------------------------------------------------------------
 
+#: samples of the Monte-Carlo inner mean of a column past the enumeration
+#: cap, drawn at ``DEFAULT_SEED``
+_RENORM_MC_SAMPLES = 100_000
+
 
 class RenormSpace(Space):
     """norm_delta(a) = E ||sum eps_i a_i x_i||_base + delta * ||a||_base.
@@ -981,18 +985,16 @@ class RenormSpace(Space):
     The norm is the one-column batch.  While a column's support fits under
     the enumeration cap its sign average is exact and the batch is an
     integer batch; a column past the cap takes the base engine's seeded
-    Monte-Carlo mean (``expect_mc``) and the batch is a float batch.
+    Monte-Carlo mean (``expect_mc``, ``_RENORM_MC_SAMPLES`` samples at
+    ``DEFAULT_SEED``) and the batch is a float batch.
     """
 
-    def __init__(self, base: Space, delta: Fraction, enum_cap: int = 20,
-                 mc_samples: int = 100_000, mc_seed: int = DEFAULT_SEED):
+    def __init__(self, base: Space, delta: Fraction, enum_cap: int = 20):
         if delta <= 0:
             raise DomainError("renorm requires delta > 0")
         self.base = base
         self.delta = Fraction(delta)
         self.enum_cap = enum_cap
-        self.mc_samples = mc_samples
-        self.mc_seed = mc_seed
         self.name = f"renorm:{base.name}:{delta}"
         self.sweep_max_m = 8
 
@@ -1022,7 +1024,7 @@ class RenormSpace(Space):
             if k > self.enum_cap:
                 inner[g] = expect_mc(self.base, Coeffs.from_pairs(
                     (i, float(v) * float(c)) for (i, v), c in zip(a.entries, cols[:, g])
-                ), self.mc_samples, self.mc_seed).value
+                ), _RENORM_MC_SAMPLES, DEFAULT_SEED).value
                 continue
             total = (1 << k) >> 1
             for start in range(0, total, _CHUNK):  # the chunks of the group's walk

@@ -273,6 +273,11 @@ def test_expect_other_methods(capsys):
     code, out, _ = run(capsys, "expect", "--space", "summing", "--coeffs", "1,2",
                        "--method", "perm")
     assert code == 0 and json.loads(out)["method"] == "permutation"
+    # argparse refuses any other method with its usage error
+    with pytest.raises(SystemExit) as exc:
+        main(["expect", "--space", "summing", "--coeffs", "1,2", "--method", "foo"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'foo'" in capsys.readouterr().err
 
 
 def test_expect_mc_refuses_confidence_outside_unit_interval(capsys):

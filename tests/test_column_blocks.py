@@ -1,7 +1,7 @@
 """Column-blocked reductions against their whole-array forms.
 
 The family-sup reduction of the norming-set and coding engines, the
-coding engines' family rows, the norming-set and ``zrud`` float batches and
+coding engines' family rows, the norming-set and coding float batches and
 the chain DP walk column blocks of at most
 ``spaces._PRODUCT_BLOCK`` entries.  Each is compared here, array for array
 and bit for bit, with the whole-array code it replaced, at widths on both
@@ -99,9 +99,9 @@ def _whole_float(space, a, mult):
     return np.abs(acc).max(axis=0) / fscale
 
 
-def _whole_zrud_float(space, a, mult):
-    """The zrud float batch with its family rows and einsum built for the
-    whole batch, as before the column blocks."""
+def _whole_coding_float(space, a, mult):
+    """A coding engine's float batch with its family rows and einsum built
+    for the whole batch, as before the column blocks."""
     v = a.values_float()[:, None] * mult
     order = np.argsort(-np.abs(v), axis=0, kind="stable")
     lay = space._layout(a.support)
@@ -273,22 +273,23 @@ def test_coding_batch_memory_bounded_by_column_blocks(spec, m):
     assert peak < 8 * 2**20, peak
 
 
-def _block_vector_rows():
+def _block_vector_rows(name):
     """The depth-3 block vector (14 entries) and the rows per column the
-    zrud float batch blocks by on its support, (R + 1) x m."""
+    coding engine's float batch blocks by on its support, (R + 1) x m."""
     a = _ctx().block_vector(3)
-    rows, m = _engine("zrud")._layout(a.support).cards.shape
-    assert (m, rows) == (14, 18)
+    rows, m = _engine(name)._layout(a.support).cards.shape
+    assert (m, rows) == (14, {"zmr": 12, "zrud": 18}[name])
     return a, (rows + 1) * m
 
 
+@pytest.mark.parametrize("name", ["zmr", "zrud"])
 @pytest.mark.parametrize("kind", ["signs", "gaussian"])
-def test_zrud_float_batch_equals_the_whole_batch(kind):
-    """The zrud float batch builds its family rows and einsum per column
-    block; at block - 1, block, block + 1, 2 block + 3 and 4,096 columns
-    it equals the batch built whole, bit for bit."""
-    space = _engine("zrud")
-    a, rows = _block_vector_rows()
+def test_coding_float_batch_equals_the_whole_batch(name, kind):
+    """The coding engines' float batch builds its family rows and einsum
+    per column block; at block - 1, block, block + 1, 2 block + 3 and 4,096
+    columns it equals the batch built whole, bit for bit."""
+    space = _engine(name)
+    a, rows = _block_vector_rows(name)
     rng = np.random.default_rng(len(kind))
     widths = (*_widths(rows)[1], 4096)
     assert len(spaces._column_blocks(rows, widths[-1])) > 3
@@ -296,16 +297,17 @@ def test_zrud_float_batch_equals_the_whole_batch(kind):
         mult = rng.standard_normal((len(a), n))
         if kind == "signs":
             mult = np.sign(mult)
-        got, want = space.mult_batch_float(a, mult), _whole_zrud_float(space, a, mult)
+        got, want = space.mult_batch_float(a, mult), _whole_coding_float(space, a, mult)
         assert got.dtype == want.dtype and np.array_equal(got, want), n
 
 
-def test_zrud_float_batch_memory_bounded_by_column_blocks():
+@pytest.mark.parametrize("name", ["zmr", "zrud"])
+def test_coding_float_batch_memory_bounded_by_column_blocks(name):
     """A traced Monte-Carlo chunk of 4,096 sign columns on the depth-3 block
-    vector peaks below 4 MB (about 20 MB with the family rows built for
-    the whole batch)."""
-    space = _engine("zrud")
-    a, _ = _block_vector_rows()
+    vector peaks below 4 MB (about 20 MB for zrud with the family rows built
+    for the whole batch)."""
+    space = _engine(name)
+    a, _ = _block_vector_rows(name)
     signs = sign_matrix(2, len(a), 4096).astype(np.float64)
     space.mult_batch_float(a, signs[:, :16])  # layout and caches
     tracemalloc.start()

@@ -21,7 +21,6 @@ from rudlab.mr import (
     equi_sign_vectors,
     k_m,
     mr_witness,
-    zmr_fast_norms,
     zrud_block_sandwich,
 )
 from rudlab.rademacher import sign_stats, subset_stats
@@ -190,18 +189,17 @@ def test_zmr_examples(ctx):
         assert (QSum.of(ctx.zmr.norm(xn)) - n).sign() >= 0
 
 
-def test_zmr_fast_norms_match_exact(ctx):
+def test_zmr_float_batch_matches_exact_norms(ctx):
     support = tuple(range(8))
     signs = sign_matrix(3, len(support), 40)
     base = Coeffs.from_pairs((i, 1) for i in support)
     batch = ctx.zmr.mult_batch(base, signs)
-    fast = zmr_fast_norms(ctx, support, signs.astype(np.float64))
+    fast = ctx.zmr.mult_batch_float(base, signs.astype(np.float64))
     for j in range(40):
         assert fast[j] == pytest.approx(float(batch.value(j)), abs=1e-12)
     # radical-valued entries through the float path
     x = ctx.block_vector(2)
-    xf = x.values_float()
-    vals = zmr_fast_norms(ctx, x.support, xf[:, None] * np.ones((1, 1)))
+    vals = ctx.zmr.mult_batch_float(x, np.ones((len(x), 1)))
     assert vals[0] == pytest.approx(float(QSum.of(ctx.zmr.norm(x))), abs=1e-12)
 
 
@@ -221,8 +219,10 @@ def test_zmr_float_batch_matches_exact_batch(ctx):
 
 
 def _zmr_fast_norms_per_family(ctx, support, values):
-    """The float closed form family by family, sorting each family's tail
-    afresh: the oracle for the shared prefix sums of ``zmr_fast_norms``."""
+    """The base-space norms of the columns of ``values`` on ``support`` in
+    floats, family by family: each family's best free tail read off its
+    tail entries sorted afresh.  An oracle for ``ctx.zmr.mult_batch_float``
+    that shares no code with the engine's family rows."""
     sup = sorted(set(support))
     pos = {i: k for k, i in enumerate(sup)}
     n = values.shape[1]
@@ -247,28 +247,30 @@ def _zmr_fast_norms_per_family(ctx, support, values):
     return best
 
 
-def test_zmr_fast_norms_match_per_family_loop(ctx):
-    """Sorting and summing once per distinct tail_min gives the per-family
-    loop's floats bit for bit, zeros included."""
+def test_zmr_float_batch_matches_per_family_loop(ctx):
+    """The engine's float batch is the per-family loop's floats up to
+    rounding, on random supports (some past the coded universe) with
+    normal entries and sign columns with zeros."""
     rng = np.random.default_rng(12)
     for trial in range(60):
         m = int(rng.integers(1, 15))
         support = tuple(sorted(rng.choice(16, size=m, replace=False).tolist()))
-        values = rng.normal(size=(m, 32)) * rng.integers(0, 2, size=(m, 32))
-        got = zmr_fast_norms(ctx, support, values)
-        want = _zmr_fast_norms_per_family(ctx, support, values)
-        assert np.array_equal(got, want), trial
+        a = Coeffs.from_pairs(zip(support, rng.normal(size=m).tolist()))
+        mult = sign_matrix(trial, m, 32) * rng.integers(0, 2, size=(m, 32))
+        got = ctx.zmr.mult_batch_float(a, mult.astype(np.float64))
+        want = _zmr_fast_norms_per_family(ctx, support, a.values_float()[:, None] * mult)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0, err_msg=str(trial))
 
 
-def test_zmr_fast_norms_at_the_monte_carlo_shape(ctx):
+def test_zmr_float_batch_at_the_monte_carlo_shape(ctx):
     """The depth-3 witness (14 entries) over one Monte-Carlo chunk of 4,096
-    sign columns, wide enough for the row scans: bit for bit the per-family
-    loop's ``cumsum`` floats."""
+    sign columns: the per-family loop's floats up to rounding."""
     x = ctx.block_vector(3)
     assert len(x) == 14
-    values = x.values_float()[:, None] * sign_matrix(1, len(x), 4096).astype(np.float64)
-    got = zmr_fast_norms(ctx, x.support, values)
-    assert np.array_equal(got, _zmr_fast_norms_per_family(ctx, x.support, values))
+    signs = sign_matrix(1, len(x), 4096).astype(np.float64)
+    got = ctx.zmr.mult_batch_float(x, signs)
+    want = _zmr_fast_norms_per_family(ctx, x.support, x.values_float()[:, None] * signs)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
 
 _CTX_BY_WIDTH = {0: MrContext(), 1: MrContext(width=1)}

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 import rudlab.rademacher as rad
 from rudlab.coeffs import Coeffs, EnumerationCapError, mask_matrix_range, sign_matrix_range
 from rudlab.config import RunConfig, SpaceFactory
+from rudlab.dual import SmaxDualSpace
 from rudlab.exactnum import QSum, le_times_square
 from rudlab.experiments import SWEEP_SPECS
 from rudlab.rademacher import (
@@ -530,13 +531,34 @@ def _count_columns(monkeypatch, space):
     return seen
 
 
+@pytest.mark.parametrize("spec", [*SWEEP_SPECS, "lp:3", "james_x:3", "smax:1.5", "smax_dual:6"])
+def test_float_batches_are_sign_symmetric(spec):
+    """Negating every column leaves each float norm the same float: the
+    Monte-Carlo table and the float walks evaluate only the patterns whose
+    top bit is clear and read the others' norms from them.  On exact and
+    float vectors, over sign and 0/1 columns."""
+    if spec == "smax_dual:6":
+        space, universe = SmaxDualSpace(6), range(6)
+    else:
+        space = SpaceFactory.shared(RunConfig()).space(spec)
+        universe = space.sweep_indices or range(8)
+    for values in (_MC_EXACT, _MC_FLOAT):
+        a = Coeffs.from_pairs(zip(universe, values))
+        m = len(a)
+        for mult in (sign_matrix_range(m, 0, 1 << m), mask_matrix_range(m, 0, 1 << m)):
+            mult = mult.astype(np.float64)
+            got = space.mult_batch_float(a, -mult)
+            assert np.array_equal(got, space.mult_batch_float(a, mult)), (spec, a)
+
+
 @pytest.mark.parametrize("spec", SWEEP_SPECS)
 def test_mc_table_matches_the_per_sample_loop(spec):
     """A support with at most ``samples`` sign patterns reads each sample's
-    norm from a table of all 2^m patterns; value and bracket are the
+    norm from a table of the 2^(m-1) patterns whose top bit is clear (a
+    pattern's complement has the same norm); value and bracket are the
     per-sample loop's bit for bit, on exact and float vectors, at sample
     counts that end on a full chunk and on tails of 2, 100 and 600, and
-    the engine evaluates each pattern once.  (zruc and zrud have 6
+    the engine evaluates each table pattern once.  (zruc and zrud have 6
     indices: their smallest count is the 100 samples ``expect_mc`` needs.)"""
     space = SpaceFactory.shared(RunConfig()).space(spec)
     for a in _mc_vectors(space):
@@ -546,15 +568,32 @@ def test_mc_table_matches_the_per_sample_loop(spec):
             with pytest.MonkeyPatch.context() as mp:
                 columns = _count_columns(mp, space)
                 est = expect_mc(space, a, samples, seed=5)
-            assert sum(columns) == full, (spec, samples)
+            assert sum(columns) == full // 2, (spec, samples)
             assert (est.value, est.bracket) == _loop_mc(space, a, samples, 5), (spec, a, samples)
+
+
+@pytest.mark.parametrize("spec", SWEEP_SPECS)
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_mc_table_of_one_to_four_patterns(spec, m):
+    """On one to three entries the table is one batch of one, two or four
+    columns, and value and bracket are the per-sample loop's bit for bit."""
+    space = SpaceFactory.shared(RunConfig()).space(spec)
+    for a in _mc_vectors(space):
+        a = Coeffs(a.entries[:m])
+        for samples in (100, rad._MC_CHUNK + 2):
+            with pytest.MonkeyPatch.context() as mp:
+                columns = _count_columns(mp, space)
+                est = expect_mc(space, a, samples, seed=3)
+            assert columns == [1 << (m - 1)], (spec, samples)
+            assert (est.value, est.bracket) == _loop_mc(space, a, samples, 3), (spec, a, samples)
 
 
 @pytest.mark.parametrize("m, table", [(16, True), (17, False)])
 def test_mc_table_stops_at_two_to_the_sixteen(m, table):
-    """2^16 patterns are evaluated once, in slices of ``_MC_CHUNK``
-    columns; 2^17 go through the per-sample loop, one chunk of samples at
-    a time.  Either way the estimate is the loop's bit for bit."""
+    """Of 2^16 patterns, the 2^15 whose top bit is clear are evaluated
+    once, in slices of ``_MC_CHUNK`` columns; 2^17 go through the
+    per-sample loop, one chunk of samples at a time.  Either way the
+    estimate is the loop's bit for bit."""
     space = SummingSpace()
     samples = 1 << 17
     for values in (_MC_EXACT, _MC_FLOAT):
@@ -562,7 +601,7 @@ def test_mc_table_stops_at_two_to_the_sixteen(m, table):
         with pytest.MonkeyPatch.context() as mp:
             columns = _count_columns(mp, space)
             est = expect_mc(space, a, samples, seed=11)
-        assert sum(columns) == (1 << m if table else samples)
+        assert sum(columns) == (1 << (m - 1) if table else samples)
         assert set(columns) == {rad._MC_CHUNK}
         assert (est.value, est.bracket) == _loop_mc(space, a, samples, 11)
 
@@ -767,6 +806,7 @@ import sys
 from fractions import Fraction as F
 from rudlab.coeffs import Coeffs
 from rudlab.config import RunConfig, SpaceFactory
+from rudlab.dual import SmaxDualSpace
 from rudlab.rademacher import expect_mc
 space = SpaceFactory.shared(RunConfig()).space("summing")
 for m, samples in ((40, 1000), (14, 1 << 14)):
@@ -782,6 +822,7 @@ import numpy as np
 from rudlab import spaces
 from rudlab.coeffs import Coeffs
 from rudlab.config import RunConfig, SpaceFactory
+from rudlab.dual import SmaxDualSpace
 from rudlab.rademacher import sign_stats
 calls = []
 first_extreme = spaces.first_extreme

@@ -13,6 +13,7 @@ from rudlab.coeffs import Coeffs, mask_matrix_range, sign_matrix_range
 from rudlab.config import SpaceFactory, RunConfig
 from rudlab.exactnum import QSum, SQRT2, sqrt_exact
 from rudlab.spaces import (
+    _RENORM_MC_SAMPLES,
     BmoRademacherSpace,
     LpSpace,
     NormingSetSpace,
@@ -352,7 +353,7 @@ def test_renorm_batch_mixes_grouped_walk_and_monte_carlo():
     has."""
     from rudlab.rademacher import expect_mc
 
-    space = RenormSpace(SummingSpace(), F(1), enum_cap=4, mc_samples=2000, mc_seed=5)
+    space = RenormSpace(SummingSpace(), F(1), enum_cap=4)
     a = Coeffs.from_values([1, -1, 2, 1, -2, 1])
     mult = mask_matrix_range(6, 0, 64)[:, [63, 62, 15, 5, 0]]
     assert space.mult_batch(a, mult) is None
@@ -363,7 +364,7 @@ def test_renorm_batch_mixes_grouped_walk_and_monte_carlo():
             (i, v * int(c)) for (i, v), c in zip(a.entries, mult[:, j])
         )
         if j < 2:
-            want = (expect_mc(space.base, masked, 2000, 5).value
+            want = (expect_mc(space.base, masked, _RENORM_MC_SAMPLES).value
                     + float(space.base.norm(masked)))
         else:
             want = renorm_reference(space, masked)
@@ -446,18 +447,17 @@ def test_renorm_radicands_are_canonical():
 
 def test_renorm_monte_carlo_fallback():
     """Under the enumeration cap the norm is exact; past it the norm is a
-    float, the base engine's Monte-Carlo mean at the space's seed plus delta
-    times the base norm.  The seed defaults to DEFAULT_SEED."""
+    float, the base engine's Monte-Carlo mean (``_RENORM_MC_SAMPLES``
+    samples at DEFAULT_SEED) plus delta times the base norm."""
     from rudlab.rademacher import expect_mc
     from rudlab.rng import DEFAULT_SEED
 
-    assert RenormSpace(SummingSpace(), F(1)).mc_seed == DEFAULT_SEED
-    space = RenormSpace(SummingSpace(), F(1), enum_cap=4, mc_samples=2000, mc_seed=5)
+    space = RenormSpace(SummingSpace(), F(1), enum_cap=4)
     small = Coeffs.from_values([1, -1, 2])
     assert space.norm(small) == renorm_reference(space, small)
     big = Coeffs.from_values([1, -1, 2, 1, -2, 1])
     v = space.norm(big)
-    est = expect_mc(space.base, big, 2000, 5)
+    est = expect_mc(space.base, big, _RENORM_MC_SAMPLES, DEFAULT_SEED)
     tail = float(space.base.norm(big))
     assert isinstance(v, float)
     assert v == pytest.approx(est.value + tail, rel=1e-12)
