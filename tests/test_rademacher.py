@@ -556,12 +556,14 @@ def test_mc_table_matches_the_per_sample_loop(spec):
     """A support with at most ``samples`` sign patterns reads each sample's
     norm from a table of the 2^(m-1) patterns whose top bit is clear (a
     pattern's complement has the same norm); value and bracket are the
-    per-sample loop's bit for bit, on exact and float vectors, at sample
+    per-sample loop's bit for bit, on exact and float vectors and their
+    first one to three entries (a table of one to four columns), at sample
     counts that end on a full chunk and on tails of 2, 100 and 600, and
     the engine evaluates each table pattern once.  (zruc and zrud have 6
     indices: their smallest count is the 100 samples ``expect_mc`` needs.)"""
     space = SpaceFactory.shared(RunConfig()).space(spec)
-    for a in _mc_vectors(space):
+    vectors = _mc_vectors(space)
+    for a in vectors + [Coeffs(v.entries[:m]) for v in vectors for m in (1, 2, 3)]:
         full = 1 << len(a)
         for samples in (max(full, 100), 2 * rad._MC_CHUNK, rad._MC_CHUNK + 2, rad._MC_CHUNK + 100,
                         rad._MC_CHUNK + 600):
@@ -570,22 +572,6 @@ def test_mc_table_matches_the_per_sample_loop(spec):
                 est = expect_mc(space, a, samples, seed=5)
             assert sum(columns) == full // 2, (spec, samples)
             assert (est.value, est.bracket) == _loop_mc(space, a, samples, 5), (spec, a, samples)
-
-
-@pytest.mark.parametrize("spec", SWEEP_SPECS)
-@pytest.mark.parametrize("m", [1, 2, 3])
-def test_mc_table_of_one_to_four_patterns(spec, m):
-    """On one to three entries the table is one batch of one, two or four
-    columns, and value and bracket are the per-sample loop's bit for bit."""
-    space = SpaceFactory.shared(RunConfig()).space(spec)
-    for a in _mc_vectors(space):
-        a = Coeffs(a.entries[:m])
-        for samples in (100, rad._MC_CHUNK + 2):
-            with pytest.MonkeyPatch.context() as mp:
-                columns = _count_columns(mp, space)
-                est = expect_mc(space, a, samples, seed=3)
-            assert columns == [1 << (m - 1)], (spec, samples)
-            assert (est.value, est.bracket) == _loop_mc(space, a, samples, 3), (spec, a, samples)
 
 
 @pytest.mark.parametrize("m, table", [(16, True), (17, False)])
