@@ -55,8 +55,7 @@ import numpy as np
 from .batches import ExactBatch, _peak
 from .coeffs import Coeffs, DomainError
 from .rng import derive_seed
-from .spaces import (Space, _float_values, _int_entries, _int_mult_values, _int_product,
-                     _split_terms)
+from .spaces import Space, _float_values, _int_mult_values, _int_product
 
 DEFAULT_LAMBDA = Fraction(2)
 DEFAULT_B = Fraction(1, 4)
@@ -585,15 +584,6 @@ class BdBasisSpace(Space):
         return ExactBatch.from_rational(
             np.abs(image).max(axis=0), scale * self.gamma.d_scale
         )
-
-    def split_batches(self, a, low, highs):
-        d = self.gamma.basis_block(a.support)
-        gain = int(np.abs(d).sum(axis=1).max())
-        ints, scale = _int_entries(a, gain=gain)
-        t_low, t_high = _split_terms(d.astype(ints.dtype) * ints, low, highs, gain * _peak(ints))
-        return (ExactBatch.from_rational(np.abs(t_low + t_high[:, k, None]).max(axis=0),
-                                         scale * self.gamma.d_scale)
-                for k in range(highs.shape[1]))
 
     def mult_batch_float(self, a, mult):
         v = _float_values(a, mult)

@@ -156,15 +156,24 @@ def load_config_file(path: str) -> dict[str, str]:
 def parse_coeff(token: str, exact: bool = True) -> Fraction | float:
     """One coefficient: a rational like 3/2 or a decimal like -0.5.
 
-    Decimal tokens in exact mode parse as exact decimal fractions.
+    Decimal tokens in exact mode parse as exact decimal fractions; in float
+    mode a token past the float range, or a non-zero one whose float is
+    0.0, is refused.
     """
     token = token.strip()
     try:
-        if exact:
-            return Fraction(token)
-        return float(Fraction(token))
+        value = Fraction(token)
     except (ValueError, ZeroDivisionError) as exc:
         raise DomainError(f"bad coefficient {token!r}") from exc
+    if exact:
+        return value
+    try:
+        out = float(value)
+    except OverflowError as exc:
+        raise DomainError(f"coefficient {token!r} is past the float range") from exc
+    if value and not out:
+        raise DomainError(f"coefficient {token!r} is below the float range: it underflows to 0.0")
+    return out
 
 
 def parse_coeffs(text: str, exact: bool = True) -> Coeffs:

@@ -46,7 +46,7 @@ import numpy as np
 from .batches import _peak, int_dtype
 from .coeffs import Coeffs, DomainError, NormingFunctional
 from .exactnum import QSum, Scalar, split_square, sqrt_exact
-from .spaces import (RenormSpace, Space, _cached, _class_values, _column_blocks,
+from .spaces import (RenormSpace, Space, _cached, _column_blocks, _core_forms,
                      _normingset_reduce_blocks)
 
 DEFAULT_LEVELS = (2, 4, 8)
@@ -472,11 +472,12 @@ class _Layout:
 
     decorated: bool
     cards: np.ndarray  # (R, m) cardinality whose 1/sqrt weights an entry (0: none)
-    #: per functional core, ascending, (R, m) integer weight numerators
-    #: over ``fscale``: 1/sqrt(c) = sqrt(core)/(outer*core), c = outer^2*core
+    #: per functional core, ascending, (R + m, m) integer weight numerators
+    #: over ``fscale``: 1/sqrt(c) = sqrt(core)/(outer*core), c = outer^2*core,
+    #: on the R family rows, then the coordinate functionals, ``fscale``
+    #: times the identity under core 1
     weights: dict[int, np.ndarray]
     fscale: int
-    peaks: dict[int, int]  # largest numerator per core, the coordinates' included
     fixed: np.ndarray  # (F, m, 1) int8: 1 on the entries of the fixed sets
     tail_card: np.ndarray  # (F, 1, 1)
     tail_signs: np.ndarray  # (F, 1, 1) most entries of one sign a decorated tail takes
@@ -508,12 +509,12 @@ def _layout(ctx: MrContext, support: tuple[int, ...], decorated: bool) -> _Layou
     cards = np.tile(cards, (3 if decorated else 2, 1))
     split = {c: split_square(c) for c in set(cards[cards > 0].tolist())}
     fscale = lcm(1, *(o * c for o, c in split.values()))
-    weights = {1: np.zeros(cards.shape, dtype=np.int64)}
-    peaks = {1: fscale}
+    shape = (len(cards) + len(sup), len(sup))
+    weights = {1: np.zeros(shape, dtype=np.int64)}
+    weights[1][len(cards):] = fscale * np.eye(len(sup), dtype=np.int64)
     for c, (o, core) in sorted(split.items(), key=lambda kv: kv[1][1]):
-        weights.setdefault(core, np.zeros(cards.shape, dtype=np.int64))[cards == c] = \
+        weights.setdefault(core, np.zeros(shape, dtype=np.int64))[:len(cards)][cards == c] = \
             fscale // (o * core)
-        peaks[core] = max(peaks.get(core, 0), fscale // (o * core))
 
     def col(xs: list[int]) -> np.ndarray:
         return np.array(xs, dtype=np.int64).reshape(-1, 1, 1)
@@ -523,7 +524,6 @@ def _layout(ctx: MrContext, support: tuple[int, ...], decorated: bool) -> _Layou
         cards=cards,
         weights=weights,
         fscale=fscale,
-        peaks=peaks,
         fixed=fixed,
         tail_card=col([fam.tail_card for fam in fams]),
         tail_signs=col([_plus_range(f.tail_card, f.tail_card, ctx.width)[1] for f in fams]),
@@ -613,10 +613,14 @@ class _CodingSpace(Space):
     """A coding-function space: the supremum over its tuple families and
     the coordinate functionals, evaluated in closed form.
 
-    The exact batch pairs the few rows of :func:`_family_rows` and the
-    coordinate rows with the entries' square-free classes and reduces
-    them with the norming-set reduction; it never lists a family.  The
-    float batch pairs the same rows with the float entries.
+    The exact batch never lists a family.  The layout's weights, the R
+    family rows' and the coordinate functionals', make one integer form per
+    square-free core with the entries (:func:`~rudlab.spaces._core_forms`);
+    per column block, one einsum pairs the signs that the few rows of
+    :func:`_family_rows` put on the entries, times the multipliers, with
+    each core's form, the coordinate rows pair each entry alone, and the
+    norming-set reduction takes the supremum.  The float batch pairs the
+    same family rows with the float entries.
     """
 
     decorated = False
@@ -633,32 +637,22 @@ class _CodingSpace(Space):
     def mult_batch(self, a, mult):
         lay = self._layout(a.support)
         entry_signs = np.array([1 if v > 0 else -1 for _, v in a.entries], dtype=np.int8)
-        vals, vden, bound = _class_values(a, mult, lay.peaks)
+        forms, vden, bound = _core_forms(a, lay.weights, _peak(mult))
         dtype = int_dtype(bound)
-        weights = {fc: w.astype(dtype)[:, :, None] for fc, w in lay.weights.items()}
+        rows, m = lay.cards.shape
+        # the coordinate rows of a form are diagonal: each pairs one entry
+        coords = {c: np.diagonal(w[rows:])[:, None] for c, w in forms.items()}
 
         def block(sl):
-            # the family rows, their signs and the pairings are column-local
+            # the family rows' signs are column-local
             cols = mult[:, sl]
-            order = _magnitude_order(a, cols)
-            phi = _family_rows(lay, entry_signs[:, None] * np.sign(cols), order).astype(dtype)
-            pairs: dict[int, np.ndarray] = {}  # (R + m, block) per class
-            for fc, w in weights.items():
-                signed = phi * w
-                for vc, v in vals.items():
-                    v = v[:, sl]
-                    outer, core = split_square(fc * vc)
-                    # the family rows, then the coordinate rows (weight 1)
-                    p = np.concatenate([np.einsum("rij,ij->rj", signed, v),
-                                        v * lay.fscale if fc == 1 else np.zeros_like(v)])
-                    if outer != 1:
-                        p *= outer
-                    pairs[core] = pairs[core] + p if core in pairs else p
-            return pairs
+            phi = _family_rows(lay, entry_signs[:, None] * np.sign(cols), _magnitude_order(a, cols))
+            pm = np.multiply(phi, cols, dtype=dtype)
+            return {c: np.concatenate([np.einsum("ri,rij->rj", w[:rows], pm), coords[c] * cols])
+                    for c, w in forms.items()}
 
-        # per column, the family rows' signs hold R x m entries and the
-        # pairings R + m, both at most (R + 1) x m
-        rows, m = lay.cards.shape
+        # per column, the family rows' signs (and their products with the
+        # multipliers) hold R x m entries, the pairings R + m
         return _normingset_reduce_blocks(block, (rows + 1) * m, mult.shape[1],
                                          lay.fscale * vden)
 

@@ -32,7 +32,7 @@ import numpy as np
 
 from .batches import (_TIE_RTOL, ExactBatch, _fold, _peak, check_float_range,
                       first_extreme, float_group_means, int_dtype)
-from .coeffs import Coeffs, DomainError, NoIntegerForm, NormingFunctional, pair
+from .coeffs import Coeffs, DomainError, NoIntegerForm, NormingFunctional
 from .exactnum import QSum, Scalar, split_square
 from .rng import DEFAULT_SEED
 
@@ -135,10 +135,9 @@ def _split_terms(forms: np.ndarray, low: np.ndarray, highs: np.ndarray,
     :meth:`Space.split_batches`), in ``forms``' dtype: the low columns'
     image, built once, and the high columns' image, whose column k chunk k
     adds to every column of the low one.  ``bound``, a Python int, bounds
-    the magnitudes in each row of ``forms`` summed (see
+    every row-by-column sum of magnitudes of ``forms @ mult`` (see
     :func:`_int_product`)."""
     b = low.shape[0]
-    bound *= max(_peak(low), _peak(highs))
     return (_int_product(forms[:, :b], low.astype(forms.dtype), bound),
             _int_product(forms[:, b:], highs.astype(forms.dtype), bound))
 
@@ -200,9 +199,11 @@ class Space:
         returns an iterator of one batch per column of ``highs``, each
         array-equal to :meth:`mult_batch` on the chunk's multipliers
         (values, dtypes, scales and class order), and raises what that
-        would raise.  None, the default and the answer wherever
-        :meth:`mult_batch` has no exact batch, makes the walk call
-        :meth:`mult_batch` chunk by chunk.
+        would raise: the norming-set engine keeps the low image of each
+        core's integer form, the chain engines the low nodes' DP table.
+        None, the default and the answer wherever :meth:`mult_batch` has
+        no exact batch, makes the walk call :meth:`mult_batch` chunk by
+        chunk.
         """
         return None
 
@@ -692,11 +693,11 @@ class SmaxSpace(Space):
 # norming-set suprema
 # ---------------------------------------------------------------------------
 
-#: supports whose families or class matrices a norming-set engine keeps
-#: before it drops them all
+#: supports whose class matrices (a norming-set engine) or family layouts
+#: (a coding engine) an engine keeps before it drops them all
 _CACHE_LIMIT = 256
-#: a support's functional class matrices, their common denominator and peaks
-_ClassMats = tuple[dict[int, np.ndarray], int, dict[int, int]]
+#: a support's functional class matrices and their common denominator
+_ClassMats = tuple[dict[int, np.ndarray], int]
 
 
 def _cached(cache: dict, key, build: Callable[[], object]):
@@ -713,10 +714,9 @@ def functional_class_matrices(
     functionals: Sequence[NormingFunctional], support: Sequence[int]
 ) -> _ClassMats:
     """Weights of the functionals on ``support`` as per-radicand-class
-    integer matrices with one common denominator, and each matrix's largest
-    magnitude.  A matrix is int64 when that peak fits, Python ints
-    otherwise; functionals that all vanish on the support give one zero
-    matrix."""
+    integer matrices, ascending by class, with one common denominator.  A
+    matrix is int64 when its largest magnitude fits, Python ints otherwise;
+    functionals that all vanish on the support give one zero matrix."""
     pos = {idx: k for k, idx in enumerate(support)}
     cells: dict[int, list[tuple[int, int, Fraction]]] = {}  # (functional, slot, weight)
     scale = 1
@@ -728,15 +728,14 @@ def functional_class_matrices(
             for core, q in (w.terms if isinstance(w, QSum) else {1: Fraction(w)}).items():
                 cells.setdefault(core, []).append((f, k, q))
                 scale = lcm(scale, q.denominator)
-    mats, peaks = {}, {}
+    mats = {}
     for c in sorted(cells) or [1]:
         fkq = cells.get(c, [])
         nums = [int(q * scale) for _, _, q in fkq]
-        peaks[c] = max(map(abs, nums), default=0)
         mats[c] = np.zeros((len(functionals), len(support)),
-                           dtype=int_dtype(peaks[c]))
+                           dtype=int_dtype(max(map(abs, nums), default=0)))
         mats[c][[f for f, _, _ in fkq], [k for _, k, _ in fkq]] = nums
-    return mats, scale, peaks
+    return mats, scale
 
 
 def _class_columns(a: Coeffs) -> tuple[dict[int, list[int]], int]:
@@ -754,29 +753,40 @@ def _class_columns(a: Coeffs) -> tuple[dict[int, list[int]], int]:
             for c, col in cols.items()}, den
 
 
-def _class_values(a: Coeffs, mult: np.ndarray,
-                  peaks: dict[int, int]) -> tuple[dict[int, np.ndarray], int, int]:
-    """The columns of ``diag(a) @ mult`` split by the entries' square-free
-    classes, as integer numerators over the entries' common denominator,
-    with that denominator and a Python-int bound on every pairing sum with
-    functional weights up to ``peaks[c]`` (per functional class c), summed
-    in magnitude: the columns are int64 (``int_dtype`` of the bound) when
-    it shows that no such sum can leave it, Python ints otherwise.  A bound
-    or denominator past the float range is refused: the reduction's float
-    pass reads the pairings before any batch is built."""
+def _core_forms(a: Coeffs, weights: dict[int, np.ndarray],
+                reach: int) -> tuple[dict[int, np.ndarray], int, int]:
+    """One integer form per square-free core for pairing functionals with
+    the entries of ``a``: a weight of class fc (the rows of ``weights[fc]``,
+    numerators over the functionals' common denominator) times an entry of
+    class vc lands on core(fc * vc) with an outer factor, so core c's form
+    is the sum of ``outer * W_fc * diag(a_vc)`` over the class pairs that
+    land on c, in the order first met (fc ascending, vc in order of use).
+
+    Returns the forms, the entries' common denominator and a Python-int
+    bound on every pairing sum with multipliers up to ``reach`` in
+    magnitude: the forms are int64 (``int_dtype`` of the bound) when it
+    shows that no such sum can leave it, Python ints otherwise.  A bound or
+    denominator past the float range is refused: the reduction's float pass
+    reads the pairings before any batch is built."""
     vcols, vden = _class_columns(a)
     # a bound on every partial pairing sum and, its factors being at
     # least 1, on every weight, numerator and multiplier
-    reach = max(_peak(mult), 1)
-    bound = sum(
-        max(peak, 1) * split_square(fc * vc)[0] * reach * sum(map(abs, col))
-        for fc, peak in peaks.items() for vc, col in vcols.items()
-    )
+    peaks = {fc: int(np.abs(w).max(initial=1)) for fc, w in weights.items()}
+    bound = max(reach, 1) * sum(peak * split_square(fc * vc)[0] * sum(map(abs, col))
+                                for fc, peak in peaks.items() for vc, col in vcols.items())
     check_float_range(max(bound, vden))
     dtype = int_dtype(bound)
-    mult = mult.astype(dtype)
-    return ({vc: np.array(col, dtype=dtype)[:, None] * mult for vc, col in vcols.items()},
-            vden, bound)
+    ints = {vc: np.array(col, dtype=dtype) for vc, col in vcols.items()}
+    forms: dict[int, np.ndarray] = {}
+    for fc, w in weights.items():
+        w = w.astype(dtype, copy=False)
+        for vc, col in ints.items():
+            outer, core = split_square(fc * vc)
+            f = w * col
+            if outer != 1:
+                f *= outer
+            forms[core] = forms[core] + f if core in forms else f
+    return forms, vden, bound
 
 
 def _normingset_reduce_blocks(block: Callable[[slice], dict[int, np.ndarray]],
@@ -855,9 +865,11 @@ class NormingSetSpace(Space):
     supremum lists the coordinate functionals itself.
 
     ``mult_batch`` is the one exact path, for rational and radical-valued
-    vectors: each functional class is paired with each class of the
-    vector's entries, in int64 when a Python-int bound shows that no sum
-    can leave it, and in Python-int object arrays otherwise.
+    vectors: the functionals' class matrices and the entries' classes make
+    one integer form per square-free core (:func:`_core_forms`), and each
+    core's pairings are that form times the multipliers, in int64 when a
+    Python-int bound shows that no sum can leave it, and in Python-int
+    object arrays otherwise.
 
     The pairings of a batch are built and reduced one column block at a
     time (:func:`_column_blocks`), so memory grows with family size times
@@ -876,7 +888,6 @@ class NormingSetSpace(Space):
     ):
         self.name = name
         self._provider = provider
-        self._cache: dict[tuple[int, ...], list[NormingFunctional]] = {}
         self._mats_cache: dict[tuple[int, ...], _ClassMats] = {}
 
     def _family(self, key: tuple[int, ...]) -> list[NormingFunctional]:
@@ -886,66 +897,27 @@ class NormingSetSpace(Space):
             raise DomainError("empty norming set")
         return fams
 
-    def functionals(self, support: tuple[int, ...]) -> list[NormingFunctional]:
-        """The family on a support, cached for :meth:`norm_slow`; the batch
-        paths keep only its class matrices."""
-        key = tuple(support)
-        return _cached(self._cache, key, lambda: self._family(key))
-
     def class_mats(self, support: tuple[int, ...]) -> _ClassMats:
         key = tuple(support)
         return _cached(self._mats_cache, key,
                        lambda: functional_class_matrices(self._family(key), key))
 
-    def norm_slow(self, a: Coeffs) -> Scalar:
-        """Reference implementation: explicit pairings, no batching."""
-        best: Scalar = 0
-        for phi in self.functionals(a.support):
-            v = pair(phi, a)
-            v = abs(v) if isinstance(v, QSum) else abs(v)
-            if isinstance(v, QSum) or isinstance(best, QSum):
-                if (QSum.of(v) - QSum.of(best)).sign() > 0:
-                    best = v
-            elif v > best:
-                best = v
-        return best
-
     def mult_batch(self, a, mult):
-        mats, fscale, peaks = self.class_mats(a.support)
-        vals, vden, bound = _class_values(a, mult, peaks)
-        mats = {fc: m.astype(int_dtype(bound), copy=False) for fc, m in mats.items()}
-
-        def block(sl):
-            pairs: dict[int, np.ndarray] = {}  # (F, block) per class
-            for fc, m in mats.items():
-                for vc, v in vals.items():
-                    outer, core = split_square(fc * vc)
-                    p = _int_product(m, v[:, sl], bound)
-                    if outer != 1:
-                        p *= outer
-                    pairs[core] = pairs[core] + p if core in pairs else p
-            return pairs
-
+        mats, fscale = self.class_mats(a.support)
+        forms, vden, bound = _core_forms(a, mats, _peak(mult))
         rows = next(iter(mats.values())).shape[0]
-        return _normingset_reduce_blocks(block, rows, mult.shape[1], fscale * vden)
+        return _normingset_reduce_blocks(
+            lambda sl: {c: _int_product(w, mult[:, sl], bound) for c, w in forms.items()},
+            rows, mult.shape[1], fscale * vden)
 
     def split_batches(self, a, low, highs):
-        """Each radicand core's pairings are one integer form matrix, the
-        sum of ``outer * M_fc * diag(a_vc)`` over the class pairs (fc, vc)
-        that land on it.  Its low image is built once per vector; each
+        """Each core's form has its low image built once per vector; each
         chunk adds its high column to it one column block at a time, as the
         exact reduction walks the blocks."""
-        mats, fscale, peaks = self.class_mats(a.support)
-        vals, vden, bound = _class_values(a, np.ones((len(a), 1), dtype=np.int8), peaks)
-        forms: dict[int, np.ndarray] = {}  # (F, m) per core, in mult_batch's order
-        for fc, m in mats.items():
-            m = m.astype(int_dtype(bound), copy=False)
-            for vc, v in vals.items():
-                outer, core = split_square(fc * vc)
-                w = m * (v[:, 0] * outer)
-                forms[core] = forms[core] + w if core in forms else w
-        terms = {core: _split_terms(w, low, highs, bound) for core, w in forms.items()}
-        rows, n = next(iter(forms.values())).shape[0], low.shape[1]
+        mats, fscale = self.class_mats(a.support)
+        forms, vden, bound = _core_forms(a, mats, max(_peak(low), _peak(highs)))
+        terms = {c: _split_terms(w, low, highs, bound) for c, w in forms.items()}
+        rows, n = next(iter(mats.values())).shape[0], low.shape[1]
         return (_normingset_reduce_blocks(
                     lambda sl: {c: t_low[:, sl] + t_high[:, k, None]
                                 for c, (t_low, t_high) in terms.items()},
@@ -957,7 +929,7 @@ class NormingSetSpace(Space):
         accumulated per block (:func:`_column_blocks`, aligned so that the
         blocked products equal the whole-batch ones bit for bit)."""
         v = _float_values(a, mult)
-        mats, fscale, _ = self.class_mats(a.support)
+        mats, fscale = self.class_mats(a.support)
         rows = next(iter(mats.values())).shape[0]
         mats = {c: m.astype(np.float64) for c, m in mats.items()}
         out = np.empty(v.shape[1])

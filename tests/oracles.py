@@ -1,10 +1,11 @@
 """Reference implementations the tests compare the engines against.
 
-The coding-function engines (``zmr``, ``zrud``) evaluate their norms in
-closed form.  Their reference here enumerates each tuple family on the
-support (``mr.zmr_functionals``, ``mr.zrud_functionals``) and pairs every
-member with the vector through the generic norming-set engine's
-``norm_slow``.  Nothing here uses the engines' closed-form rows.
+:func:`norm_slow` is the norm of a norming-set engine by explicit
+pairings, one functional at a time.  The coding-function engines (``zmr``,
+``zrud``) evaluate their norms in closed form.  Their reference here
+enumerates each tuple family on the support (``mr.zmr_functionals``,
+``mr.zrud_functionals``) and pairs every member with the vector in
+:func:`norm_slow`.  Nothing here uses the engines' closed-form rows.
 """
 
 from __future__ import annotations
@@ -12,11 +13,33 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 
+from rudlab.coeffs import Coeffs, NormingFunctional, pair
 from rudlab.exactnum import QSum, Scalar, sqrt_exact
 from rudlab.mr import MrContext, zmr_functionals, zrud_functionals
 from rudlab.spaces import NormingSetSpace
 
 _ENUMERATORS = {"zmr": zmr_functionals, "zrud": zrud_functionals}
+
+
+@functools.lru_cache(maxsize=256)
+def family(space: NormingSetSpace, support: tuple[int, ...]) -> list[NormingFunctional]:
+    """The family of a norming-set engine restricted to ``support``, listed
+    once per engine and support."""
+    return space._family(tuple(support))
+
+
+def norm_slow(space: NormingSetSpace, a: Coeffs) -> Scalar:
+    """The norm of ``a`` on a norming-set engine by explicit pairings: the
+    largest |<phi, a>| over the family on its support, no batching."""
+    best: Scalar = 0
+    for phi in family(space, a.support):
+        v = abs(pair(phi, a))
+        if isinstance(v, QSum) or isinstance(best, QSum):
+            if (QSum.of(v) - QSum.of(best)).sign() > 0:
+                best = v
+        elif v > best:
+            best = v
+    return best
 
 
 @functools.lru_cache(maxsize=None)
@@ -29,7 +52,7 @@ def coding_reference(ctx: MrContext, name: str) -> NormingSetSpace:
 
 
 def reference(factory, spec: str):
-    """The engine whose ``norm_slow`` and ``functionals`` are the oracle
+    """The engine whose :func:`norm_slow` and :func:`family` are the oracle
     for ``factory.space(spec)``: the enumerated family for ``zmr`` and
     ``zrud``, the engine itself for a norming-set spec."""
     if spec in _ENUMERATORS:

@@ -350,6 +350,19 @@ def test_past_the_float_range_is_domain_error(capsys, spec, command):
     assert err.count("\n") == 1 and "float range" in err
 
 
+@pytest.mark.parametrize("command", ["norm", "expect"])
+@pytest.mark.parametrize("coeff", ["1e400", "-1e400", "1e-400"])
+def test_float_coefficient_past_the_float_range_is_domain_error(capsys, command, coeff):
+    """In float arithmetic a coefficient past the float range exits 2 with
+    a one-line refusal, as in exact arithmetic, not an OverflowError
+    traceback; nor does one below it underflow to 0.0 and leave the
+    vector."""
+    code, out, err = run(capsys, command, "--space", "summing", "--coeffs", f"1,{coeff}",
+                         "--set", "arithmetic=float")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "float range" in err
+
+
 @pytest.mark.parametrize("spec", ["lp:1", "linf", "summing", "walsh"])
 def test_linear_engines_take_values_past_the_squared_bound(capsys, spec):
     """Every value a sum or max engine holds is at most its input's scale,

@@ -15,14 +15,14 @@ import numpy as np
 import pytest
 
 from rudlab import mr, spaces
-from rudlab.batches import _TIE_RTOL, ExactBatch, first_extreme, int_dtype
+from rudlab.batches import _TIE_RTOL, ExactBatch, _peak, first_extreme, int_dtype
 from rudlab.coeffs import Coeffs
 from rudlab.config import RunConfig, SpaceFactory
 from rudlab.exactnum import SQRT2, split_square
 from rudlab.mr import MrContext, ZmrSpace, ZrudSpace, _family_rows, _magnitude_order
 from rudlab.rng import sign_matrix
 from rudlab.spaces import (_BLAS_ALIGN, _PRODUCT_BLOCK, _chain_dp, _chain_table,
-                           _class_values, _normingset_reduce_blocks, _qval)
+                           _normingset_reduce_blocks, _qval)
 
 
 def _whole_reduce(pairs, scale):
@@ -69,16 +69,27 @@ def _blocked_reduce(pairs, scale):
 
 def _whole_coding_batch(space, a, mult):
     """A coding engine's exact batch with its family rows and pairings built
-    for the whole batch and reduced whole, as before the column blocks."""
+    for the whole batch, one class pair at a time, and reduced whole, as
+    before the column blocks and the per-core forms: the family rows take
+    the first R rows of the layout's weights, and the coordinate rows pair
+    each entry at ``fscale`` under core 1."""
     lay = space._layout(a.support)
+    rows = lay.cards.shape[0]
     entry_signs = np.array([1 if v > 0 else -1 for _, v in a.entries], dtype=np.int8)
     order = _magnitude_order(a, mult)
-    vals, vden, bound = _class_values(a, mult, lay.peaks)
+    vcols, vden = spaces._class_columns(a)
+    # the largest weight numerator per class, the coordinates' included
+    peaks = {fc: max(_peak(w[:rows]), lay.fscale if fc == 1 else 1)
+             for fc, w in lay.weights.items()}
+    bound = sum(peak * split_square(fc * vc)[0] * max(_peak(mult), 1) * sum(map(abs, col))
+                for fc, peak in peaks.items() for vc, col in vcols.items())
     dtype = int_dtype(bound)
+    vals = {vc: np.array(col, dtype=dtype)[:, None] * mult.astype(dtype)
+            for vc, col in vcols.items()}
     phi = _family_rows(lay, entry_signs[:, None] * np.sign(mult), order).astype(dtype)
     pairs = {}
     for fc, weights in lay.weights.items():
-        signed = phi * weights.astype(dtype)[:, :, None]
+        signed = phi * weights[:rows].astype(dtype)[:, :, None]
         for vc, v in vals.items():
             outer, core = split_square(fc * vc)
             p = np.concatenate([np.einsum("rij,ij->rj", signed, v),
@@ -92,7 +103,7 @@ def _whole_coding_batch(space, a, mult):
 def _whole_float(space, a, mult):
     """The norming-set float batch as one (F, N) product per class."""
     v = a.values_float()[:, None] * mult
-    mats, fscale, _ = space.class_mats(a.support)
+    mats, fscale = space.class_mats(a.support)
     acc = np.zeros((next(iter(mats.values())).shape[0], v.shape[1]))
     for c, m in mats.items():
         acc += (m.astype(np.float64) @ v) * (c**0.5)

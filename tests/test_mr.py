@@ -27,7 +27,7 @@ from rudlab.rademacher import sign_stats, subset_stats
 from rudlab.rng import sign_matrix
 from rudlab.spaces import NormingSetSpace
 
-from oracles import coding_reference, zrud_block_norm
+from oracles import coding_reference, family, norm_slow, zrud_block_norm
 
 
 @pytest.fixture(scope="module")
@@ -326,7 +326,7 @@ def test_coding_batches_match_norm_slow(width, name, full, extra, values, big):
                 if keep not in products:
                     sub = Coeffs(tuple(a.entries[k] for k in keep))
                     oracle = coding_reference(ctx, name)
-                    products[keep] = _family_products(oracle.functionals(sub.support), sub) \
+                    products[keep] = _family_products(family(oracle, sub.support), sub) \
                         if keep else ({}, 1)
                 slow[key] = _family_sup(*products[keep], [key[k] for k in keep])
             want = slow[key]
@@ -381,7 +381,7 @@ def test_zrud_mask_column_matches_masked_norm_at_width_1():
     a = Coeffs.from_pairs([(0, 3), (2, -1), (3, -2), (4, 1), (5, -1)])
     mask = np.array([[1], [1], [1], [0], [1]], dtype=np.int8)
     masked = Coeffs.from_pairs([(0, 3), (2, -1), (3, -2), (5, -1)])
-    want = QSum.of(coding_reference(ctx, "zrud").norm_slow(masked))
+    want = QSum.of(norm_slow(coding_reference(ctx, "zrud"), masked))
     assert want == QSum.of(2) + QSum.of(F(3, 2)) * sqrt_exact(2)
     assert QSum.of(ctx.zrud.mult_batch(a, mask).value(0)) == want
     assert QSum.of(ctx.zrud.norm(masked)) == want
@@ -447,7 +447,7 @@ def test_equi_decorations_kill_constants(ctx):
     """Balanced decorations pair to zero against constant-on-level vectors."""
     sup = tuple(range(6))
     x = Coeffs.from_pairs((i, 1) for i in range(2, 6))  # constant on a 4-set
-    for phi in coding_reference(ctx, "zrud").functionals(sup):
+    for phi in family(coding_reference(ctx, "zrud"), sup):
         # decorated members restricted to exactly that 4-set
         w = {i: v for i, v in phi.entries}
         if set(w) == set(range(2, 6)) and all(
@@ -490,7 +490,7 @@ def test_zrud_family_cap_refuses_quickly(ctx):
     refused within a second."""
     start = time.perf_counter()
     with pytest.raises(DomainError, match="past the cap"):
-        coding_reference(ctx, "zrud").functionals(ctx.block_vector(3).support)
+        family(coding_reference(ctx, "zrud"), ctx.block_vector(3).support)
     assert time.perf_counter() - start < 1.0
 
 

@@ -23,6 +23,8 @@ from rudlab.rademacher import (
 from rudlab.rng import sign_matrix
 from rudlab.spaces import LpSpace, SummingDualSpace, SummingSpace
 
+from oracles import norm_slow
+
 l1, l2 = LpSpace(1), LpSpace(2)
 s, sd = SummingSpace(), SummingDualSpace()
 
@@ -250,7 +252,7 @@ def test_half_enumeration_scalar_fallback(monkeypatch):
     space = SpaceFactory(RunConfig()).space("norming_set")
     a = Coeffs.from_values([1, SQRT2, F(-1, 2), 2 * SQRT2, 3])
     want = _ExactReductions(
-        [space.norm_slow(apply_signs(a, e)) for e in enumerate_sign_patterns(a.support)]
+        [norm_slow(space, apply_signs(a, e)) for e in enumerate_sign_patterns(a.support)]
     )
     for chunk in (rad._CHUNK, 4):
         monkeypatch.setattr(rad, "_CHUNK", chunk)
@@ -268,7 +270,7 @@ def test_scalar_fallback_beyond_the_coefficient_cap():
     space = SpaceFactory(RunConfig()).space("norming_set")
     a = Coeffs.from_values([1 << 27, 1, -3, 5])
     want = _ExactReductions(
-        [space.norm_slow(apply_signs(a, e)) for e in enumerate_sign_patterns(a.support)]
+        [norm_slow(space, apply_signs(a, e)) for e in enumerate_sign_patterns(a.support)]
     )
     got = sign_stats(space, a)
     assert got.scalars is None
@@ -399,7 +401,7 @@ def test_stats_of_the_zero_vector(spec):
 
 
 #: the engines whose exact walks split (``Space.split_batches``)
-_SPLIT_SPECS = ("norming_set", "james:chain", "james_x:1", "james_x:2", "bd")
+_SPLIT_SPECS = ("norming_set", "james:chain", "james_x:1", "james_x:2")
 
 
 def _assert_same_batch(got, want, label):
@@ -473,12 +475,13 @@ def test_split_walks_call_no_mult_batch(spec, monkeypatch):
 
 def test_split_hook_declines_where_mult_batch_has_no_exact_batch():
     """Off the exact exponents, on disjoint pairs, on the closed-form
-    coding engines and on engines without a split, the hook returns None."""
+    coding engines and on engines without a split (``bd``, whose walks
+    stay within one chunk), the hook returns None."""
     fac = SpaceFactory.shared(RunConfig())
     a = Coeffs.from_values([1, -2, 3, F(1, 2), 2])
     low, highs = sign_matrix_range(2, 0, 4), sign_matrix_range(3, 0, 4)
     for spec in ("james_x:3", "james:pairs", "zmr", "zruc", "zrud", "summing", "lp:2",
-                 "renorm:summing:1"):
+                 "renorm:summing:1", "bd"):
         assert fac.space(spec).split_batches(a, low, highs) is None, spec
 
 

@@ -8,17 +8,19 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import rudlab.rademacher as rad
 from rudlab import exactnum
-from rudlab.batches import ExactBatch, _scalar_gt
-from rudlab.coeffs import Coeffs, mask_matrix_full, sign_matrix_full
+from rudlab.batches import ExactBatch, _peak, _scalar_gt
+from rudlab.coeffs import (Coeffs, mask_matrix_full, mask_matrix_range, sign_matrix_full,
+                           sign_matrix_range)
 from rudlab.config import RunConfig, SpaceFactory
 from rudlab.exactnum import QSum
 from rudlab.experiments import sample_vector
 from rudlab.rademacher import sign_stats, subset_stats
 from rudlab.rng import derive_seed
-from rudlab.spaces import NormingSetSpace
+from rudlab.spaces import NormingSetSpace, _core_forms
 
-from oracles import reference
+from oracles import norm_slow, reference
 
 RT2 = QSum({2: F(1)})
 
@@ -51,7 +53,7 @@ def test_norming_set_distinct_near_tie(sign, radical_first):
     got = space.norm(Coeffs.from_values([sign]))
     assert got == x  # the rational functional is the larger, by about 7.5e-7
     assert (QSum.of(got) - y * RT2).sign() > 0
-    assert _same(got, space.norm_slow(Coeffs.from_values([sign])))
+    assert _same(got, norm_slow(space, Coeffs.from_values([sign])))
 
 
 @pytest.mark.parametrize("radical_first", [False, True])
@@ -69,7 +71,7 @@ def test_norming_set_tie_below_float_resolution(sign, radical_first):
     a = Coeffs.from_values([sign * hi, sign])
     assert float(x) == float(y * 2**0.5)
     assert space.norm(a) == x
-    assert space.norm_slow(a) == x
+    assert norm_slow(space, a) == x
 
 
 def _first_extreme(batch: ExactBatch, want_max: bool) -> int:
@@ -142,7 +144,7 @@ ORACLE_SPECS = ["norming_set", "zmr", "zrud"]
 @pytest.mark.parametrize("spec", ORACLE_SPECS)
 def test_batches_match_norm_slow(spec):
     """Every sign and every mask column of sweep vectors against the
-    explicit pairing oracle ``NormingSetSpace.norm_slow``, over the
+    explicit pairing oracle ``oracles.norm_slow``, over the
     enumerated family for the coding engines."""
     cfg = RunConfig()
     fac = SpaceFactory(cfg)
@@ -161,12 +163,52 @@ def test_batches_match_norm_slow(spec):
                 masked = Coeffs.from_pairs(
                     (i, v * int(c)) for (i, v), c in zip(a.entries, mult[:, col])
                 )
-                want = oracle.norm_slow(masked) if masked else 0
+                want = norm_slow(oracle, masked) if masked else 0
                 assert _same(batch.value(col), want), (spec, a, col)
         checked += 1
         if checked == 6:
             break
     assert checked == 6
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS)
+@pytest.mark.parametrize("past", [False, True])
+def test_pairing_bound_at_the_int64_edge(spec, past):
+    """Integer entries summing to S in magnitude, under sign and mask
+    multipliers, have the pairing bound S times the largest weight
+    numerators summed over the functional classes (each at least 1).  With
+    that bound just below 2^63 the core forms and the batches are int64,
+    just past it Python ints, in ``mult_batch`` and, on ``norming_set``,
+    in ``split_batches``; every column equals the Python-int reference."""
+    fac = SpaceFactory.shared(RunConfig())
+    space = fac.space(spec)
+    support = tuple((space.sweep_indices or range(16))[:3])
+    weights = (space.class_mats(support)[0] if isinstance(space, NormingSetSpace)
+               else space._layout(support).weights)
+    peaks = sum(max(_peak(w), 1) for w in weights.values())
+    s = ((1 << 63) - 1) // peaks + past
+    a = Coeffs.from_pairs(zip(support, [s - 2, -1, 1]))
+    forms, _, bound = _core_forms(a, weights, 1)
+    dtype = object if past else np.int64
+    assert bound == s * peaks and (bound >= 1 << 63) == past
+    assert abs(bound - (1 << 63)) <= peaks
+    assert [w.dtype for w in forms.values()] == [dtype] * len(forms)
+    batches = [(space.mult_batch(a, mult), mult)
+               for mult in (sign_matrix_full(3), mask_matrix_full(3))]
+    if spec == "norming_set":
+        for masks, build in ((False, sign_matrix_range), (True, mask_matrix_range)):
+            total = rad._walk_length(3, masks)
+            split = list(space.split_batches(a, build(1, 0, 2), build(2, 0, total >> 1)))
+            assert len(split) == total >> 1
+            batches += [(batch, build(3, 2 * k, 2 * k + 2)) for k, batch in enumerate(split)]
+    oracle = reference(fac, spec)
+    for batch, mult in batches:
+        assert [c.dtype for c in batch.classes.values()] == [dtype] * len(batch.classes)
+        for col in range(mult.shape[1]):
+            masked = Coeffs.from_pairs(
+                (i, v * int(c)) for (i, v), c in zip(a.entries, mult[:, col]))
+            want = norm_slow(oracle, masked) if masked else 0
+            assert _same(batch.value(col), want), (spec, past, col)
 
 
 @pytest.mark.parametrize("spec", ORACLE_SPECS)
@@ -216,7 +258,7 @@ def test_radical_path_matches_norm_slow():
     cases += [("zrud", a) for a in blocks[:2]]
     for spec, a in cases:
         space = fac.space(spec)
-        assert _same(space.norm(a), reference(fac, spec).norm_slow(a)), (spec, a)
+        assert _same(space.norm(a), norm_slow(reference(fac, spec), a)), (spec, a)
     norming_set = fac.space("norming_set")
     assert norming_set.norm(big3) == 3 << 62
     # the two coordinate functionals tie below float resolution
@@ -272,5 +314,5 @@ def test_norming_set_batches_at_the_integer_limits(family, a):
             masked = Coeffs.from_pairs(
                 (i, v * int(c)) for (i, v), c in zip(a.entries, mult[:, col])
             )
-            want = space.norm_slow(masked) if masked else 0
+            want = norm_slow(space, masked) if masked else 0
             assert _same(batch.value(col), want), (a, col)
