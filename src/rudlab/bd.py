@@ -53,7 +53,7 @@ from math import gcd
 import numpy as np
 
 from .batches import ExactBatch, _peak
-from .coeffs import Coeffs, DomainError
+from .coeffs import DEFAULT_ENUM_CAP, Coeffs, DomainError
 from .rng import derive_seed
 from .spaces import Space, _float_values, _int_mult_values, _int_product
 
@@ -657,7 +657,7 @@ def rud_ratio_bound(gamma: Gamma) -> float:
     return float(gamma.params.lam * (2 / gamma.params.b + 1))
 
 
-def bd_rud_report(gamma: Gamma, samples: int, seed: int, enum_cap: int = 16):
+def bd_rud_report(gamma: Gamma, samples: int, seed: int, enum_cap: int = DEFAULT_ENUM_CAP):
     """Even/odd/top level partition with per-class behavior, global
     divergence ratios against lambda(2/b + 1), and the growth certificate.
 

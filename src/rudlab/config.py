@@ -100,10 +100,12 @@ _DOMAINS = {
     "cap": (lambda v: 1 <= v <= DEFAULT_ENUM_CAP, f"an integer from 1 to {DEFAULT_ENUM_CAP}"),
     "samples": (samples_ok, "an integer of at least 100"),
     "confidence": (confidence_ok, "a value strictly between 0 and 1"),
+    "mr_levels": (_library("mr", "levels_ok"), "strictly increasing even integers >= 2"),
     "mr_universe": (_library("mr", "universe_ok"), "an integer from 0 to 24"),
     "mr_max_n": (_library("mr", "max_n_ok"), "an integer of at least 1"),
     "mr_width": (_library("mr", "width_ok"), "an integer of at least 0"),
     "bd_levels": (lambda v: v >= 1, "an integer of at least 1"),
+    "bd_cap": (lambda v: v >= 2, "an integer of at least 2"),
 }
 
 #: parsers of the other keys, by the type of their default

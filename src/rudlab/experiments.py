@@ -25,7 +25,7 @@ import numpy as np
 from .coeffs import Coeffs, DomainError, sign_matrix_range
 from .config import RunConfig, SpaceFactory
 from .exactnum import QSum, Scalar, le_times_square, scalar_repr, sqrt_exact
-from .rademacher import expect_mc, sign_stats, subset_stats
+from .rademacher import sign_stats, subset_stats
 from .rng import counter_u64, counter_words_np, derive_seed
 from .spaces import LpSpace, Space
 from .witness import partition_rud_bound
@@ -321,13 +321,9 @@ def exp_summing(cfg: RunConfig) -> Report:
     rep.count("summing.upper", "sign average <= twice the l2 norm [200 vectors]", bad_hi)
 
     alt = Coeffs.from_values([(-1) ** i for i in range(16)])
-    nrm = s.norm(alt)
-    est = expect_mc(s, alt, cfg.samples, seed=cfg.seed, confidence=cfg.confidence)
-    ratio_lower = est.lower / float(nrm)
-    rep.add("summing.ruc_witness",
-            f"alternating length-16 witness: MC lower bracket over norm >= 2 "
-            f"({est.samples} samples, seed {est.seed})",
-            ratio_lower, 2.0, ratio_lower >= 2 and nrm == 1)
+    ratio = sign_stats(s, alt, cap=16).mean() / s.norm(alt)
+    rep.add("summing.ruc_witness", "alternating length-16 witness: mean over norm >= 2",
+            float(ratio), 2.0, ratio >= 2, exact=scalar_repr(ratio))
 
     ones = Coeffs.from_values([1] * 16)
     e = sign_stats(s, ones, cap=16).mean()

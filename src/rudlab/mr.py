@@ -87,6 +87,11 @@ def _plus_counts(c: int, width: int) -> list[int]:
     return [p for p in range(c + 1) if (2 * p - c) ** 2 <= width * width * c]
 
 
+def levels_ok(p: tuple[int, ...]) -> bool:
+    """Whether :class:`LevelSequence` takes this prefix."""
+    return bool(p) and all(m >= 2 and not m % 2 for m in p) and all(x < y for x, y in zip(p, p[1:]))
+
+
 @dataclass(frozen=True)
 class LevelSequence:
     """A finite prefix of the even level-cardinality sequence."""
@@ -94,10 +99,7 @@ class LevelSequence:
     prefix: tuple[int, ...] = DEFAULT_LEVELS
 
     def __post_init__(self):
-        p = self.prefix
-        if not p or any(m % 2 or m < 2 for m in p) or any(
-            p[i] >= p[i + 1] for i in range(len(p) - 1)
-        ):
+        if not levels_ok(self.prefix):
             raise DomainError("levels must be strictly increasing even integers >= 2")
 
     def virtual(self, k: int) -> int:
@@ -420,7 +422,7 @@ class MrContext:
         self.families = closure_families(self.coder, self.levels, max_n)
         self.zmr = ZmrSpace(self)
         self.zrud = ZrudSpace(self)
-        self.zruc = RenormSpace(self.zmr, Fraction(1), enum_cap=16)
+        self.zruc = RenormSpace(self.zmr, Fraction(1))
         self.zruc.name = "zruc"
         self.zruc.sweep_max_m = 6
         self.zruc.sweep_indices = tuple(range(min(6, universe)))

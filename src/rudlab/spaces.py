@@ -4,15 +4,15 @@ Every engine evaluates whole batches of entrywise multiplier columns of a
 :class:`~rudlab.coeffs.Coeffs` at once (``mult_batch`` exact over
 integers, ``mult_batch_float`` for Monte-Carlo and float vectors), and its
 ``norm`` is the one-column batch: exact where the batch has an exact form,
-float otherwise.  An exact batch is integer arrays only; an engine or
-batch without one (``lp:P``, ``james_x:P`` and ``smax:P`` off their exact
-exponents, a renorm column past the enumeration cap, whose sign average is
-the base engine's seeded Monte-Carlo mean) returns None and is evaluated
-in floats.  Its arrays are int64 where a Python-int bound shows that no
-value can leave it and Python ints otherwise; a value or denominator that a
-batch would hold past the float range, and radical-valued entries outside
-the norming-set engines, are refused (``NoIntegerForm``).  The test suite
-cross-checks the batches against independent brute-force oracles.
+float otherwise.  An exact batch is integer arrays only; an engine without
+one (``lp:P``, ``james_x:P`` and ``smax:P`` off their exact exponents)
+returns None and is evaluated in floats.  Its arrays are int64 where a
+Python-int bound shows that no value can leave it and Python ints
+otherwise; a value or denominator that a batch would hold past the float
+range, and radical-valued entries outside the norming-set engines, are
+refused (``NoIntegerForm``), and so is a renorm column past the
+enumeration cap (``EnumerationCapError``).  The test suite cross-checks
+the batches against independent brute-force oracles.
 
 Engines here: lp / linf, the summing norm and its dual, the chain-difference
 supremum norms (one class: lp-accumulating chains, and l2 disjoint pairs),
@@ -32,9 +32,9 @@ import numpy as np
 
 from .batches import (_TIE_RTOL, ExactBatch, _fold, _peak, check_float_range,
                       first_extreme, float_group_means, int_dtype)
-from .coeffs import Coeffs, DomainError, NoIntegerForm, NormingFunctional
+from .coeffs import (DEFAULT_ENUM_CAP, Coeffs, DomainError, EnumerationCapError,
+                     NoIntegerForm, NormingFunctional)
 from .exactnum import QSum, Scalar, split_square
-from .rng import DEFAULT_SEED
 
 
 def _int_mult_values(a: Coeffs, mult: np.ndarray,
@@ -946,58 +946,54 @@ class NormingSetSpace(Space):
 # sign-average renorming
 # ---------------------------------------------------------------------------
 
-#: samples of the Monte-Carlo inner mean of a column past the enumeration
-#: cap, drawn at ``DEFAULT_SEED``
-_RENORM_MC_SAMPLES = 100_000
+
+def _check_inner_cap(mult: np.ndarray) -> None:
+    """Refuse a renorm batch with a column past the enumeration cap."""
+    k = int(np.count_nonzero(mult, axis=0).max(initial=0))
+    if k > DEFAULT_ENUM_CAP:
+        raise EnumerationCapError(f"the renorm inner sign average of a column with {k} "
+                                  f"entries exceeds the enumeration cap {DEFAULT_ENUM_CAP}")
 
 
 class RenormSpace(Space):
     """norm_delta(a) = E ||sum eps_i a_i x_i||_base + delta * ||a||_base.
 
-    The norm is the one-column batch.  While a column's support fits under
-    the enumeration cap its sign average is exact and the batch is an
-    integer batch; a column past the cap takes the base engine's seeded
-    Monte-Carlo mean (``expect_mc``, ``_RENORM_MC_SAMPLES`` samples at
-    ``DEFAULT_SEED``) and the batch is a float batch.
+    The norm is the one-column batch.  Each column's sign average is an
+    exact walk of the base engine, so the batch is exact exactly when the
+    base's is; a column past the enumeration cap (``DEFAULT_ENUM_CAP``)
+    is refused with ``EnumerationCapError`` before any base call.
     """
 
-    def __init__(self, base: Space, delta: Fraction, enum_cap: int = 20):
+    def __init__(self, base: Space, delta: Fraction):
         if delta <= 0:
             raise DomainError("renorm requires delta > 0")
         self.base = base
         self.delta = Fraction(delta)
-        self.enum_cap = enum_cap
         self.name = f"renorm:{base.name}:{delta}"
         self.sweep_max_m = 8
 
-    def _inner_columns(self, a: Coeffs, mult: np.ndarray, means) -> tuple[list, np.ndarray]:
+    def _inner_columns(self, a: Coeffs, mult: np.ndarray, exact: bool) -> tuple[list, np.ndarray]:
         """Inner sign averages of the columns' masked vectors: one per
         distinct |column|, since the average is sign-invariant, and each
         column's index into them.
 
-        Under the enumeration cap they come from one grouped walk: each
-        distinct |column| contributes its top-bit-clear sign patterns scaled
-        by the column, in pieces of at most ``_CHUNK`` patterns; the pieces
-        are concatenated and handed to ``means(pats, starts, overs)`` in
-        slices of at most ``_CHUNK`` columns, which returns each piece's
-        share of its group's mean (as :meth:`ExactBatch.group_means`), and
-        each group's shares are folded in walk order, as the sign walk
-        folds its chunks.  A masked full-support column is the norm of the
-        masked vector, so this is the sign average of each masked vector.
-        Past the cap, which only float batches reach, the masked vector
-        takes the base engine's Monte-Carlo mean (``expect_mc``)."""
-        from .rademacher import _CHUNK, expect_mc
+        They come from one grouped walk, never from sampling: each distinct
+        |column| contributes its top-bit-clear sign patterns scaled by the
+        column, in pieces of at most ``_CHUNK`` patterns; the pieces are
+        concatenated and evaluated by the base engine in slices of at most
+        ``_CHUNK`` columns, as an exact batch when ``exact`` and a float
+        batch otherwise, whose group means (:meth:`ExactBatch.group_means`,
+        :func:`float_group_means`) give each piece's share of its group's
+        mean; each group's shares are folded in walk order, as the sign
+        walk folds its chunks.  A masked full-support column is the norm of the
+        masked vector, so this is the sign average of each masked vector."""
+        from .rademacher import _CHUNK
 
         cols, which = np.unique(np.abs(mult), axis=1, return_inverse=True)
         inner: list = [0] * cols.shape[1]
         slices: list[list[tuple[int, int, int, int]]] = []
         width = _CHUNK  # of the open slice; a full one makes the first piece open one
         for g, k in enumerate(np.count_nonzero(cols, axis=0).tolist()):
-            if k > self.enum_cap:
-                inner[g] = expect_mc(self.base, Coeffs.from_pairs(
-                    (i, float(v) * float(c)) for (i, v), c in zip(a.entries, cols[:, g])
-                ), _RENORM_MC_SAMPLES, DEFAULT_SEED).value
-                continue
             total = (1 << k) >> 1
             for start in range(0, total, _CHUNK):  # the chunks of the group's walk
                 stop = min(start + _CHUNK, total)
@@ -1015,7 +1011,9 @@ class RenormSpace(Space):
             # bit j of a pattern's mask flips the j-th row of its group's support
             place = np.maximum(np.cumsum(c != 0, axis=0) - 1, 0)
             pats = np.where((masks >> place) & 1, -c, c)
-            shares = means(pats, starts.tolist(), [p[3] for p in part])
+            at, overs = starts.tolist(), [p[3] for p in part]
+            shares = (self.base.mult_batch(a, pats).group_means(at, overs) if exact else
+                      float_group_means(self.base.mult_batch_float(a, pats).tolist(), at, overs))
             for (g, *_), mu in zip(part, shares):
                 inner[g] = inner[g] + mu
         return inner, which
@@ -1023,19 +1021,12 @@ class RenormSpace(Space):
     def mult_batch(self, a, mult):
         """delta * base + inner[which] as one integer batch: the base
         classes and the inner means' numerators over one common scale, the
-        base roots times p^2 over ``roots_scale * q`` for delta = p/q.  A
-        column past the enumeration cap has a Monte-Carlo inner mean and no
-        exact form: None."""
-        if np.count_nonzero(mult, axis=0).max() > self.enum_cap:
-            return None
+        base roots times p^2 over ``roots_scale * q`` for delta = p/q."""
+        _check_inner_cap(mult)
         base = self.base.mult_batch(a, mult)
         if base is None:
             return None
-        inner, which = self._inner_columns(
-            a, mult,
-            lambda pats, starts, overs:
-                self.base.mult_batch(a, pats).group_means(starts, overs),
-        )
+        inner, which = self._inner_columns(a, mult, exact=True)
         p, q = self.delta.numerator, self.delta.denominator
         terms = [QSum.of(v).terms for v in inner]
         scale = lcm(q * base.scale, *(x.denominator for t in terms for x in t.values()))
@@ -1047,13 +1038,11 @@ class RenormSpace(Space):
                 inner_nums.setdefault(core, [0] * len(terms))[g] = int(x * scale)
         classes = {}
         for core in dict.fromkeys([*base_classes, *inner_nums]):
-            arr, nums = base_classes.get(core), inner_nums.get(core, [0])
+            arr, nums = base_classes.get(core), inner_nums.get(core, [0] * len(terms))
             peak = _peak(arr) * mul if arr is not None else 0
             dtype = int_dtype(peak + max(map(abs, nums)))
-            col = arr.astype(dtype) * mul if arr is not None else np.zeros(len(which), dtype)
-            if core in inner_nums:
-                col = col + np.array(nums, dtype=dtype)[which]
-            classes[core] = col
+            col = arr.astype(dtype) * mul if arr is not None else 0
+            classes[core] = col + np.array(nums, dtype=dtype)[which]
         if base.roots is None:
             return ExactBatch.from_classes(classes, scale)
         # delta * sqrt(R) / rs = sqrt(R * p^2) / (rs * q)
@@ -1062,10 +1051,7 @@ class RenormSpace(Space):
                           roots=roots, roots_scale=base.roots_scale * q)
 
     def mult_batch_float(self, a, mult):
+        _check_inner_cap(mult)
         base = self.base.mult_batch_float(a, mult)
-        inner, which = self._inner_columns(
-            a, mult,
-            lambda pats, starts, overs:
-                float_group_means(self.base.mult_batch_float(a, pats).tolist(), starts, overs),
-        )
+        inner, which = self._inner_columns(a, mult, exact=False)
         return np.array([float(x) for x in inner])[which] + float(self.delta) * base

@@ -18,9 +18,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .coeffs import Coeffs, DomainError, apply_signs, SignPattern
+from .coeffs import DEFAULT_ENUM_CAP, Coeffs, DomainError, apply_signs, SignPattern
 from .exactnum import Scalar
-from .rademacher import expect_auto, sign_stats
+from .rademacher import expect_exact, sign_stats
 from .rng import DEFAULT_SEED, counter_u64
 from .spaces import LpSpace, Space
 
@@ -34,16 +34,16 @@ def _norm_positive(space: Space, a: Coeffs) -> Scalar:
     return n
 
 
-def ratio_ruc(space: Space, a: Coeffs, enum_cap: int = 16) -> float:
-    """Sign average divided by the norm (convergence-side ratio)."""
+def ratio_ruc(space: Space, a: Coeffs, enum_cap: int = DEFAULT_ENUM_CAP) -> float:
+    """Exact sign average over the norm (convergence-side ratio)."""
     n = _norm_positive(space, a)
-    return float(expect_auto(space, a, cap=enum_cap).value) / float(n)
+    return float(expect_exact(space, a, cap=enum_cap).value) / float(n)
 
 
-def ratio_rud(space: Space, a: Coeffs, enum_cap: int = 16) -> float:
-    """Norm divided by the sign average (divergence-side ratio)."""
+def ratio_rud(space: Space, a: Coeffs, enum_cap: int = DEFAULT_ENUM_CAP) -> float:
+    """Norm over the exact sign average (divergence-side ratio)."""
     n = _norm_positive(space, a)
-    e = expect_auto(space, a, cap=enum_cap).value
+    e = expect_exact(space, a, cap=enum_cap).value
     if not float(e) > 0:
         raise DomainError("vanishing sign average")
     return float(n) / float(e)
@@ -67,7 +67,7 @@ class ConstantCertificate:
     method: str  # paper_witness | random_search | coordinate_ascent
     seed: int
 
-    def replay(self, space: Space, enum_cap: int = 16) -> float:
+    def replay(self, space: Space, enum_cap: int = DEFAULT_ENUM_CAP) -> float:
         """Recompute the certified value from the stored witness."""
         return _objective(space, self.kind, self.witness_coeffs, self.witness_signs, enum_cap)
 
@@ -134,7 +134,7 @@ def search_constant(
     budget: int = 64,
     seed: int = DEFAULT_SEED,
     strategy: str = "random_search",
-    enum_cap: int = 16,
+    enum_cap: int = DEFAULT_ENUM_CAP,
 ) -> ConstantCertificate:
     """Best ratio found over the budget; a reproducible lower bound."""
     if dim > enum_cap:
@@ -239,7 +239,7 @@ def partition_rud_bound(
     space: Space,
     partition: list[tuple[int, ...]],
     samples: list[Coeffs],
-    enum_cap: int = 16,
+    enum_cap: int = DEFAULT_ENUM_CAP,
 ) -> PartitionReport:
     """Divergence-side ratio of each full sample against the sum of its
     per-class ratios (restriction = 0/1 multiplier, so the comparison is

@@ -9,21 +9,36 @@ expected failure, while its true upper half is asserted for every engine
 and the lower half for the unconditional ones.
 """
 
+import sys
+from contextlib import ExitStack
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 
+import rudlab.rademacher as rademacher
 from rudlab.config import RunConfig
 from rudlab.exactnum import QSum
 from rudlab.experiments import EXPERIMENTS, run_experiment
 
 CFG = RunConfig()
 _CACHE: dict[str, object] = {}
+#: experiment -> calls of ``rademacher.expect_mc`` in its first run
+_MC_CALLS: dict[str, int] = {}
 
 
 def _report(name: str):
     if name not in _CACHE:
-        _CACHE[name] = run_experiment(name, CFG)
+        real = rademacher.expect_mc
+        spy = mock.Mock(wraps=real)
+        with ExitStack() as stack:
+            # every package module that binds the function, so that a call
+            # through a name imported from rademacher is counted as well
+            for mod in [m for k, m in sys.modules.items() if k.split(".")[0] == "rudlab"]:
+                if getattr(mod, "expect_mc", None) is real:
+                    stack.enter_context(mock.patch.object(mod, "expect_mc", spy))
+            _CACHE[name] = run_experiment(name, CFG)
+        _MC_CALLS[name] = spy.call_count
     return _CACHE[name]
 
 
@@ -185,12 +200,10 @@ def test_zmr_bound_decided_exactly(monkeypatch):
 
 
 # The Monte-Carlo rows at the default config: the depth-3 zmr bracket (a
-# 1,000,000-sample mean on a 14-entry witness), the gap string built from it,
-# and the summing ruc witness (100,000 samples on 16 entries)
+# 1,000,000-sample mean on a 14-entry witness) and the gap string built from it
 _MC_ROWS = {
     ("zmr", "zmr.bound.n=3"): (1.577764075482746, 10.52768294287935, "PASS"),
     ("zmr", "zmr.gap_monotone"): "1.1716,1.5938,1.9014",
-    ("summing", "summing.ruc_witness"): 4.554792404157647,
 }
 
 
@@ -201,9 +214,18 @@ def test_monte_carlo_rows_pinned():
         got[name, rid] = {
             "zmr.bound.n=3": (r.measured, r.bound, r.verdict),
             "zmr.gap_monotone": r.exact,
-            "summing.ruc_witness": r.measured,
         }[rid]
     assert got == _MC_ROWS
+
+
+def test_only_zmr_reaches_monte_carlo():
+    """Every experiment's first run goes through ``_report``, which counts
+    its calls of ``expect_mc``: only zmr's depth-3 witness samples, so a
+    Monte-Carlo row cannot come back elsewhere unnoticed."""
+    for name in EXPERIMENTS:
+        _report(name)
+    assert set(_MC_CALLS) == set(EXPERIMENTS)
+    assert {name for name, calls in _MC_CALLS.items() if calls} == {"zmr"}
 
 
 def test_c16_zruc():
@@ -237,13 +259,14 @@ def test_every_experiment_registered():
 # SHA-256 of the ``certify`` report file at the default config, as
 # ``rudlab certify <name> --out FILE`` writes it.  Reports carrying
 # Monte-Carlo float sums are left out: numpy's summation order may differ
-# across CPUs.  zmr is one of them; its exact norm strings are pinned.
+# across CPUs.  zmr is the one left; its exact norm strings are pinned.
 _REPORT_DIGESTS = {
     "sandwich": "872d3b2234a51ca55412135286b94b3a9ab735c285afd6d5e5b3b812042be625",
     "subsets": "32c7e53a1676e2dee850c599f4412985088b853e2b2723177672dd8dbeb47a45",
     "parallelogram": "cef2c7b59e5b9afcff3d1d23683edba0495f3983b8b02ae7e5b30aa47a492be1",
     "khintchine-kahane": "2eb5c34edadda34cff5f657e7d88af79866ada17c13e30fe2ab653c6ece2d6a0",
     "contraction": "837a1ba05209d327d03410ebb18b20269b42727dc73fc6c1013a0d852566d55e",
+    "summing": "0f88cea6e70ce03513dfa6995a35ac7b39eab251b3bc097be31d47796dc41389",
     "james": "56b8edd448c3d20eaea140732d03d859e774b06eee1ec97c12127c1b07f6cbd9",
     "walsh": "753f97b1e387ba8c7a9517d0f6852392da47bb7ee26761b41afdbd58b587a091",
     "bmo": "69363fa9cd2ff0db0aac1f6bca1da454aedb9bfcf63f07d1706f5d7aa24d2b2b",
@@ -256,8 +279,8 @@ _REPORT_DIGESTS = {
     "haar-blocks": "753fa4c1c690f1106fd72d91ad8b79a301edd19476ae7a29c17008999fd602ef",
     "smax": "d1c201bcab66e0185642f19cd4dba02a3a950366ee871d9b3464cbdf8b70cc6f",
 }
-# summing and zmr carry Monte-Carlo sums
-_UNPINNED = {"summing", "zmr"}
+# zmr carries a Monte-Carlo sum
+_UNPINNED = {"zmr"}
 
 
 def test_every_report_pinned_or_listed_unpinned():
@@ -324,7 +347,7 @@ def test_pinned_reports_replay_under_another_hash_seed(tmp_path):
 
     import rudlab
 
-    names = ["parallelogram", "renorm", "zrud", "smax", "duality"]
+    names = ["parallelogram", "summing", "renorm", "zrud", "smax", "duality"]
     src = os.path.dirname(os.path.dirname(rudlab.__file__))
     env = dict(os.environ, PYTHONHASHSEED="12345", OPENBLAS_CORETYPE="Prescott",
                OPENBLAS_NUM_THREADS="1",

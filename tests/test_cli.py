@@ -2,6 +2,7 @@ import json
 import os
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rudlab.cli import main
 from rudlab.config import RunConfig, load_config_file, parse_coeffs
@@ -44,6 +45,19 @@ def test_expect_json(capsys):
     payload = json.loads(out)
     assert payload["bracket"][0] <= 1.5 <= payload["bracket"][1]
     assert payload["seed"] == 42
+
+
+def test_renorm_norm_is_exact_to_the_cap_and_refused_past_it(capsys):
+    """The renorm norm of 21 ones is its exact value (once a Monte-Carlo
+    mean, 26.3003); 25 ones exit 2 with one error line naming the renorm
+    inner average and the cap."""
+    argv = ("norm", "--space", "renorm:summing:1", "--coeffs")
+    code, out, err = run(capsys, *argv, ",".join(["1"] * 21))
+    assert code == 0 and out.strip() == "13783025/524288" and err == ""
+    code, out, err = run(capsys, *argv, ",".join(["1"] * 25))
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "renorm inner sign average" in err and "enumeration cap 24" in err
 
 
 def test_expect_cap_error(capsys):
@@ -147,10 +161,13 @@ _EXPECT = ("expect", "--space", "summing", "--coeffs", "1,-1", "--method", "mc",
     ("mr.universe=23", True), ("mr.universe=24", True), ("mr.universe=25", False),
     ("mr.max_n=0", False), ("mr.max_n=1", True), ("mr.max_n=2", True),
     ("mr.width=-1", False), ("mr.width=0", True), ("mr.width=1", True),
+    ("mr.levels=5,3", False), ("mr.levels=2,2", False), ("mr.levels=2,4", True),
+    ("bd.cap=1", False), ("bd.cap=2", True),
 ])
 def test_config_domains_are_checked_where_parsed(capsys, item, accepted):
     """cap in [1, 24], samples >= 100, confidence in (0, 1), mr.universe
-    in [0, 24], mr.max_n >= 1, mr.width >= 0 and bd.levels >= 1: a value
+    in [0, 24], mr.max_n >= 1, mr.width >= 0, mr.levels strictly
+    increasing even integers >= 2, bd.levels >= 1 and bd.cap >= 2: a value
     at a boundary or one step off it runs (exit 0) or exits 2 with one
     error line naming the key and the value, before any work."""
     key, _, raw = item.partition("=")
@@ -218,6 +235,34 @@ def test_certify_refuses_config_the_experiment_does_not_read(tmp_path, capsys, i
     assert code == 2 and out == "" and not (tmp_path / "r.json").exists()
     assert err.count("\n") == 1 and err.startswith("error: ")
     assert repr(item.partition("=")[0]) in err
+
+
+#: raw ``--set`` text: number lists, fractions and stray characters
+_RAW = st.one_of(
+    st.lists(st.integers(-3, 12), max_size=4).map(lambda xs: ",".join(map(str, xs))),
+    st.builds("{}/{}".format, st.integers(-3, 9), st.integers(-2, 9)),
+    st.text(alphabet="0123456789,-/.x ", max_size=6),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(key=st.sampled_from(["mr.levels", "bd.lambda", "bd.b", "bd.levels", "bd.cap",
+                            "bd.seed"]), raw=_RAW)
+def test_mr_levels_and_bd_values_accepted_only_where_they_build(key, raw):
+    """Every raw ``--set`` value of mr.levels or a bd key that the config
+    accepts builds the level sequence and the tree parameters, and every
+    value it refuses raises a DomainError naming the key."""
+    from rudlab.bd import BDParams
+    from rudlab.mr import LevelSequence
+
+    try:
+        cfg = RunConfig().with_overrides({key: raw})
+    except DomainError as exc:
+        assert repr(key) in str(exc)
+        return
+    LevelSequence(cfg.mr_levels)
+    BDParams(lam=cfg.bd_lambda, b=cfg.bd_b, levels=cfg.bd_levels, cap=cfg.bd_cap,
+             seed=cfg.bd_seed)
 
 
 def test_bd_experiment_runs_at_two_levels(tmp_path, capsys):

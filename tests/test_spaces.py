@@ -13,7 +13,6 @@ from rudlab.coeffs import Coeffs, mask_matrix_range, sign_matrix_range
 from rudlab.config import SpaceFactory, RunConfig
 from rudlab.exactnum import QSum, SQRT2, sqrt_exact
 from rudlab.spaces import (
-    _RENORM_MC_SAMPLES,
     BmoRademacherSpace,
     LpSpace,
     NormingSetSpace,
@@ -346,30 +345,29 @@ def test_norm_axioms_on_random_pairs():
             assert (na + nb - q(space.norm(a + b))).sign() >= 0, spec
 
 
-def test_renorm_batch_mixes_grouped_walk_and_monte_carlo():
-    """In a float batch, columns whose support passes the cap take the base
-    engine's seeded Monte-Carlo mean of their masked vector, the others the
-    grouped walk.  Such a batch has no exact form; without those columns it
-    has."""
-    from rudlab.rademacher import expect_mc
+def test_renorm_refuses_columns_past_the_cap(monkeypatch):
+    """A column with more entries than the enumeration cap has no exact
+    inner sign average: the integer batch, the float batch and the norm
+    refuse it with an error naming the renorm inner average and the cap,
+    before any call of the base engine, also beside columns under the cap."""
+    from rudlab.coeffs import DEFAULT_ENUM_CAP, EnumerationCapError
 
-    space = RenormSpace(SummingSpace(), F(1), enum_cap=4)
-    a = Coeffs.from_values([1, -1, 2, 1, -2, 1])
-    mult = mask_matrix_range(6, 0, 64)[:, [63, 62, 15, 5, 0]]
-    assert space.mult_batch(a, mult) is None
-    batch = space.mult_batch(a, mult[:, 2:])
-    floats = space.mult_batch_float(a, mult.astype(np.float64))
-    for j in range(5):
-        masked = Coeffs.from_pairs(
-            (i, v * int(c)) for (i, v), c in zip(a.entries, mult[:, j])
-        )
-        if j < 2:
-            want = (expect_mc(space.base, masked, _RENORM_MC_SAMPLES).value
-                    + float(space.base.norm(masked)))
-        else:
-            want = renorm_reference(space, masked)
-            assert batch.value(j - 2) == want
-        assert floats[j] == pytest.approx(float(want), rel=1e-12)
+    space = RenormSpace(SummingSpace(), F(1))
+    for name in ("mult_batch", "mult_batch_float"):
+        monkeypatch.setattr(space.base, name, lambda *args: pytest.fail("base engine called"))
+    m = DEFAULT_ENUM_CAP + 1
+    a = Coeffs.from_values([1, -1, 2] * 8 + [F(1, 2)])
+    mult = np.ones((m, 3), dtype=np.int8)
+    mult[:2, :2] = 0  # two columns under the cap, one past it
+    msg = (f"renorm inner sign average of a column with {m} entries "
+           f"exceeds the enumeration cap {DEFAULT_ENUM_CAP}")
+    with pytest.raises(EnumerationCapError, match=msg):
+        space.mult_batch(a, mult)
+    with pytest.raises(EnumerationCapError, match=msg):
+        space.mult_batch_float(a, mult.astype(np.float64))
+    for x in (a, Coeffs.from_values([float(v) for _, v in a.entries])):
+        with pytest.raises(EnumerationCapError, match=msg):
+            space.norm(x)
 
 
 @pytest.mark.parametrize("spec", ["renorm:lp:2:1", "renorm:bmo:1", "renorm:james:chain:3/2",
@@ -445,23 +443,14 @@ def test_renorm_radicands_are_canonical():
     assert mean == QSum.of(renorm_reference(space, a))
 
 
-def test_renorm_monte_carlo_fallback():
-    """Under the enumeration cap the norm is exact; past it the norm is a
-    float, the base engine's Monte-Carlo mean (``_RENORM_MC_SAMPLES``
-    samples at DEFAULT_SEED) plus delta times the base norm."""
-    from rudlab.rademacher import expect_mc
-    from rudlab.rng import DEFAULT_SEED
-
-    space = RenormSpace(SummingSpace(), F(1), enum_cap=4)
-    small = Coeffs.from_values([1, -1, 2])
-    assert space.norm(small) == renorm_reference(space, small)
-    big = Coeffs.from_values([1, -1, 2, 1, -2, 1])
-    v = space.norm(big)
-    est = expect_mc(space.base, big, _RENORM_MC_SAMPLES, DEFAULT_SEED)
-    tail = float(space.base.norm(big))
-    assert isinstance(v, float)
-    assert v == pytest.approx(est.value + tail, rel=1e-12)
-    assert est.lower < v - tail < est.upper
+def test_zruc_past_the_old_private_cap_is_exact():
+    """zruc once sampled the inner average of a column past 16 entries; on
+    17 entries its norm is now the exact renorming of the vector."""
+    space = _RENORM_FAC.space("zruc")
+    a = Coeffs.from_values([1, -1, 2, F(1, 2), -3, 1, 1, -2, F(3, 2), 1, -1, 2, 1, 1, -1, 3, 1])
+    got = space.norm(a)
+    assert not isinstance(got, float)
+    assert QSum.of(got) == QSum.of(renorm_reference(space, a))
 
 
 # ---------------------------------------------------------------------------

@@ -104,6 +104,24 @@ def test_renormed_ratio_cap():
             assert ratio_ruc(space, a) <= float(1 + delta) + 1e-12
 
 
+def test_ratios_past_the_cap_refuse_instead_of_sampling(monkeypatch):
+    """Past its cap a ratio raises EnumerationCapError and draws no
+    Monte-Carlo sample: at the default cap on 25 entries, and at a cap of 4
+    on 5 entries, where the same ratio at cap 5 is exact."""
+    import rudlab.rademacher as rad
+    from rudlab.coeffs import EnumerationCapError
+
+    monkeypatch.setattr(rad, "expect_mc", lambda *args, **kw: pytest.fail("sampled"))
+    ones = Coeffs.from_values([1] * 5)
+    for ratio in (ratio_ruc, ratio_rud):
+        with pytest.raises(EnumerationCapError, match="enumeration cap 24"):
+            ratio(s, Coeffs.from_values([1] * 25))
+        with pytest.raises(EnumerationCapError, match="enumeration cap 4"):
+            ratio(s, ones, 4)
+    # the sign average of the five ones is 19/8
+    assert ratio_rud(s, ones, 5) == 5 / 2.375
+
+
 def test_renorm_nested_cross_check():
     """Fully nested inner/outer enumeration agrees with the shared-inner
     shortcut on a small instance."""
