@@ -73,8 +73,8 @@ def check_float_range(magnitude: int) -> None:
                             "the float range that exact tie location reads")
 
 
-def float_group_means(values: Sequence[float], starts: Sequence[int],
-                      overs: Sequence[int]) -> list[float]:
+def _float_group_means(values: Sequence[float], starts: Sequence[int],
+                       overs: Sequence[int]) -> list[float]:
     """Float means of consecutive pieces of ``values`` (as in
     :meth:`ExactBatch.group_means`), each summed left to right."""
     bounds = list(starts) + [len(values)]
@@ -256,7 +256,7 @@ class ExactBatch:
         it, and each piece's value is one :func:`_fold` of its class sums
         and its roots part, each distinct radicand with its count."""
         if self.scalars is not None:
-            return float_group_means(self.scalars, starts, overs)
+            return _float_group_means(self.scalars, starts, overs)
         n = len(self)
         bounds = list(starts) + [n]
         class_sums = [
@@ -295,7 +295,7 @@ class ExactBatch:
         one :func:`_fold` of integer sums (see the module docstring)."""
         n = len(self) if over is None else over
         if self.scalars is not None:
-            return float_group_means([v * v for v in self.scalars], [0], [n])[0]
+            return _float_group_means([v * v for v in self.scalars], [0], [n])[0]
         count = len(self)
         cores = list(self.classes or {})
         blocks: list[tuple[int, list[tuple[int, int]]]] = []

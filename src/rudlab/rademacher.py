@@ -13,7 +13,9 @@ log2(``_CHUNK``) mask bits vary, so an engine may build the part of its
 batches that the low bits decide once per vector and add each chunk's
 constant high part (:meth:`~rudlab.spaces.Space.split_batches`, the
 split-half idea of Horowitz & Sahni, JACM 1974); its batches are
-array-equal to the ones ``mult_batch`` gives chunk by chunk.
+array-equal to the ones ``mult_batch`` gives chunk by chunk.  There is no
+other chunked sign walk: the renorm engine's inner averages that span
+several chunks are :func:`sign_stats` walks of the base engine.
 
 Before it walks several chunks, an exact vector's walk asks the engine for
 the exact distribution of the norm over all its patterns
@@ -121,8 +123,7 @@ def _check_cap(a: Coeffs, cap: int) -> int:
     m = len(a)
     if m > cap:
         raise EnumerationCapError(
-            f"support of size {m} exceeds the enumeration cap {cap}; use expect_mc"
-        )
+            f"support of size {m} exceeds the enumeration cap {cap}")
     return m
 
 

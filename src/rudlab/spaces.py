@@ -31,7 +31,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .batches import (_TIE_RTOL, ExactBatch, _fold, _peak, check_float_range,
-                      first_extreme, float_group_means, int_dtype)
+                      first_extreme, int_dtype)
 from .coeffs import (DEFAULT_ENUM_CAP, Coeffs, DomainError, EnumerationCapError,
                      NoIntegerForm, NormingFunctional)
 from .exactnum import QSum, Scalar, split_square
@@ -958,9 +958,9 @@ def _check_inner_cap(mult: np.ndarray) -> None:
 class RenormSpace(Space):
     """norm_delta(a) = E ||sum eps_i a_i x_i||_base + delta * ||a||_base.
 
-    The norm is the one-column batch.  Each column's sign average is an
-    exact walk of the base engine, so the batch is exact exactly when the
-    base's is; a column past the enumeration cap (``DEFAULT_ENUM_CAP``)
+    The norm is the one-column batch.  Each column's inner sign average is
+    the base's sign walk of its masked vector, so the batch is exact exactly
+    when the base's is; a column past the enumeration cap (``DEFAULT_ENUM_CAP``)
     is refused with ``EnumerationCapError`` before any base call.
     """
 
@@ -973,49 +973,46 @@ class RenormSpace(Space):
         self.sweep_max_m = 8
 
     def _inner_columns(self, a: Coeffs, mult: np.ndarray, exact: bool) -> tuple[list, np.ndarray]:
-        """Inner sign averages of the columns' masked vectors: one per
-        distinct |column|, since the average is sign-invariant, and each
-        column's index into them.
-
-        They come from one grouped walk, never from sampling: each distinct
-        |column| contributes its top-bit-clear sign patterns scaled by the
-        column, in pieces of at most ``_CHUNK`` patterns; the pieces are
-        concatenated and evaluated by the base engine in slices of at most
-        ``_CHUNK`` columns, as an exact batch when ``exact`` and a float
-        batch otherwise, whose group means (:meth:`ExactBatch.group_means`,
-        :func:`float_group_means`) give each piece's share of its group's
-        mean; each group's shares are folded in walk order, as the sign
-        walk folds its chunks.  A masked full-support column is the norm of the
-        masked vector, so this is the sign average of each masked vector."""
-        from .rademacher import _CHUNK
+        """Inner sign averages of the columns' masked vectors, one per
+        distinct |column| (the average is sign-invariant; an empty one is
+        0), and each column's index into them.  Each is the base's sign walk
+        of the masked vector: a walk of at most ``_CHUNK`` patterns is packed
+        whole with others into one base batch of at most ``_CHUNK`` columns
+        (exact when ``exact`` and the base gives one, float otherwise, as
+        the sign walk chooses) and read as its :meth:`ExactBatch.group_means`
+        piece; a longer one is :func:`~rudlab.rademacher.sign_stats` of the
+        masked vector, so it takes the base's distribution hook."""
+        from .rademacher import _CHUNK, sign_stats
 
         cols, which = np.unique(np.abs(mult), axis=1, return_inverse=True)
         inner: list = [0] * cols.shape[1]
-        slices: list[list[tuple[int, int, int, int]]] = []
-        width = _CHUNK  # of the open slice; a full one makes the first piece open one
+        batches: list[list[tuple[int, int]]] = []
+        width = _CHUNK  # of the open batch; a full one makes the next walk open one
         for g, k in enumerate(np.count_nonzero(cols, axis=0).tolist()):
             total = (1 << k) >> 1
-            for start in range(0, total, _CHUNK):  # the chunks of the group's walk
-                stop = min(start + _CHUNK, total)
-                if width + stop - start > _CHUNK:
-                    slices.append([])
+            if total > _CHUNK:
+                masked = Coeffs.from_pairs((i, v * int(c)) for (i, v), c in zip(a, cols[:, g]))
+                inner[g] = sign_stats(self.base, masked).mean()
+            elif total:
+                if width + total > _CHUNK:
+                    batches.append([])
                     width = 0
-                slices[-1].append((g, start, stop, total))
-                width += stop - start
-        for part in slices:
-            widths = [stop - start for _, start, stop, _ in part]
-            starts = np.cumsum([0] + widths[:-1])
-            group = np.repeat([p[0] for p in part], widths)
-            masks = np.arange(sum(widths)) + np.repeat([p[1] for p in part] - starts, widths)
-            c = cols[:, group]
+                batches[-1].append((g, total))
+                width += total
+        for part in batches:
+            group, widths = zip(*part)
+            starts = np.cumsum((0,) + widths[:-1])
+            masks = np.arange(sum(widths)) - np.repeat(starts, widths)
+            c = cols[:, np.repeat(group, widths)]
             # bit j of a pattern's mask flips the j-th row of its group's support
             place = np.maximum(np.cumsum(c != 0, axis=0) - 1, 0)
             pats = np.where((masks >> place) & 1, -c, c)
-            at, overs = starts.tolist(), [p[3] for p in part]
-            shares = (self.base.mult_batch(a, pats).group_means(at, overs) if exact else
-                      float_group_means(self.base.mult_batch_float(a, pats).tolist(), at, overs))
-            for (g, *_), mu in zip(part, shares):
-                inner[g] = inner[g] + mu
+            batch = self.base.mult_batch(a, pats) if exact else None
+            if batch is None:
+                floats = self.base.mult_batch_float(a, pats.astype(np.float64))
+                batch = ExactBatch.from_scalars(floats)
+            for g, mu in zip(group, batch.group_means(starts.tolist(), widths)):
+                inner[g] = mu
         return inner, which
 
     def mult_batch(self, a, mult):

@@ -48,12 +48,13 @@ def test_expect_json(capsys):
 
 
 def test_renorm_norm_is_exact_to_the_cap_and_refused_past_it(capsys):
-    """The renorm norm of 21 ones is its exact value (once a Monte-Carlo
-    mean, 26.3003); 25 ones exit 2 with one error line naming the renorm
-    inner average and the cap."""
+    """The renorm norm of 21 and of 24 ones is its exact value (21 ones
+    were once a Monte-Carlo mean, 26.3003); 25 ones exit 2 with one error
+    line naming the renorm inner average and the cap."""
     argv = ("norm", "--space", "renorm:summing:1", "--coeffs")
-    code, out, err = run(capsys, *argv, ",".join(["1"] * 21))
-    assert code == 0 and out.strip() == "13783025/524288" and err == ""
+    for k, want in ((21, "13783025/524288"), (24, "248994781/8388608")):
+        code, out, err = run(capsys, *argv, ",".join(["1"] * k))
+        assert code == 0 and out.strip() == want and err == ""
     code, out, err = run(capsys, *argv, ",".join(["1"] * 25))
     assert code == 2 and out == ""
     assert err.count("\n") == 1 and err.startswith("error: ")
@@ -63,7 +64,8 @@ def test_renorm_norm_is_exact_to_the_cap_and_refused_past_it(capsys):
 def test_expect_cap_error(capsys):
     coeffs = ",".join(["1"] * 30)
     code, _, err = run(capsys, "expect", "--space", "lp:1", "--coeffs", coeffs)
-    assert code == 2 and "expect_mc" in err
+    assert code == 2 and "support of size 30 exceeds the enumeration cap 24" in err
+    assert "expect_mc" not in err
 
 
 def test_certify_report_reproducible(tmp_path, capsys):

@@ -67,7 +67,8 @@ def test_perm_examples():
 
 def test_cap_errors():
     big = Coeffs.from_values([1] * 30)
-    with pytest.raises(EnumerationCapError, match="expect_mc"):
+    with pytest.raises(EnumerationCapError,
+                       match="^support of size 30 exceeds the enumeration cap 24$"):
         expect_exact(s, big)
 
 

@@ -233,10 +233,13 @@ def test_renorm_inner_average_once_per_abs_column(monkeypatch):
 
 @pytest.mark.parametrize("spec", ["renorm:summing:1", "zruc", "lp2_half"])
 def test_renorm_grouped_walk_across_chunks(monkeypatch, spec):
-    """With 16-column chunks the grouped inner walk spans several base
-    batches, and a group larger than a chunk several pieces; every mask and
-    sign column still equals the norm of its masked vector (``lp2_half``,
-    the renorming of lp:2 with delta 1/2, has radical inner averages)."""
+    """With 16-column chunks the inner walks of up to 5 entries are packed
+    whole into several base batches, none wider than a chunk, and each
+    distinct longer |column| is one ``sign_stats`` walk; every mask and sign
+    column still equals the norm of its masked vector (``lp2_half``, the
+    renorming of lp:2 with delta 1/2, has radical inner averages).  The edge
+    batch holds an empty column, a 5-entry one (16 patterns, packed) and a
+    6-entry one (32 patterns, walked)."""
     import rudlab.rademacher as rad
 
     monkeypatch.setattr(rad, "_CHUNK", 16)
@@ -249,18 +252,28 @@ def test_renorm_grouped_walk_across_chunks(monkeypatch, spec):
         vals = [1, F(-1, 2), 2, -3, F(3, 2), 1]
         a = Coeffs.from_pairs(zip(universe, vals))
     m = len(a)
-    base_calls = []
-    method = space.base.mult_batch
+    base_calls, walks = [], []
+    method, walk = space.base.mult_batch, rad.sign_stats
     monkeypatch.setattr(space.base, "mult_batch",
                         lambda b, mult: base_calls.append(mult.shape[1])
                         or method(b, mult))
+    monkeypatch.setattr(rad, "sign_stats",
+                        lambda base, b: walks.append(b) or walk(base, b))
     masks = mask_matrix_range(m, 0, 1 << m)[:, ::3]
     signs = sign_matrix_range(m, 0, 1 << m)[:, ::5]
-    for mult in (masks, signs):
+    edge = np.zeros((m, 3), dtype=np.int8)
+    edge[:5, 1] = [1, -1, 1, 1, -1]
+    edge[:6, 2] = [-1, 1, 1, -1, 1, 1]
+    for mult in (masks, signs, edge):
+        long = {tuple(np.abs(col)) for col in mult.T if np.count_nonzero(col) > 5}
         base_calls.clear()
+        walks.clear()
         batch = space.mult_batch(a, mult)
+        assert max(base_calls[1:], default=0) <= 16 and len(walks) == len(long)
+        base_calls.clear()
+        walks.clear()
         floats = space.mult_batch_float(a, mult.astype(np.float64))
-        assert len(base_calls) > 2 and max(base_calls[1:]) <= 16
+        assert max(base_calls, default=0) <= 16 and len(walks) == len(long)
         for j in range(mult.shape[1]):
             masked = Coeffs.from_pairs(
                 (i, v * int(c)) for (i, v), c in zip(a.entries, mult[:, j])
@@ -451,6 +464,24 @@ def test_zruc_past_the_old_private_cap_is_exact():
     got = space.norm(a)
     assert not isinstance(got, float)
     assert QSum.of(got) == QSum.of(renorm_reference(space, a))
+
+
+def test_renorm_long_inner_walk_takes_the_base_distribution(monkeypatch):
+    """The inner average of 24 ones is the summing engine's sign walk, so it
+    reads ``SummingSpace.sign_distribution`` instead of walking 2^23
+    patterns through base batches; no base batch is wider than a chunk."""
+    from rudlab.rademacher import _CHUNK
+
+    base = SummingSpace()
+    space = RenormSpace(base, F(1))
+    dists, widths = [], []
+    dist, method = base.sign_distribution, base.mult_batch
+    monkeypatch.setattr(base, "sign_distribution",
+                        lambda b, masks: dists.append(len(b)) or dist(b, masks))
+    monkeypatch.setattr(base, "mult_batch",
+                        lambda b, mult: widths.append(mult.shape[1]) or method(b, mult))
+    assert space.norm(Coeffs.from_values([1] * 24)) == F(248994781, 8388608)
+    assert dists == [24] and max(widths) <= _CHUNK
 
 
 # ---------------------------------------------------------------------------
