@@ -23,7 +23,8 @@ class DomainError(ValueError):
 
 
 class EnumerationCapError(DomainError):
-    """Exhaustive sign enumeration refused; use the Monte-Carlo path."""
+    """Exhaustive sign enumeration refused: more entries than the cap
+    (:func:`check_cap`)."""
 
 
 class NoIntegerForm(DomainError):
@@ -33,6 +34,14 @@ class NoIntegerForm(DomainError):
 
 
 DEFAULT_ENUM_CAP = 24
+
+
+def check_cap(m: int, cap: int = DEFAULT_ENUM_CAP, what: str = "support of size {}") -> int:
+    """``m`` when at most ``cap``; past it, :class:`EnumerationCapError`
+    naming ``m`` by ``what``.  Every exhaustive enumeration refuses here."""
+    if m > cap:
+        raise EnumerationCapError(f"{what.format(m)} exceeds the enumeration cap {cap}")
+    return m
 
 
 def _is_zero(v: Scalar) -> bool:
@@ -188,13 +197,7 @@ def enumerate_sign_patterns(
 ) -> Iterator[SignPattern]:
     """All 2^m sign patterns on the support, in canonical bitmask order."""
     sup = tuple(sorted(set(support)))
-    m = len(sup)
-    if m > cap:
-        raise EnumerationCapError(
-            f"support of size {m} exceeds the enumeration cap {cap}; "
-            "use the Monte-Carlo path"
-        )
-    for mask in range(1 << m):
+    for mask in range(1 << check_cap(len(sup), cap)):
         yield SignPattern.from_mask(sup, mask)
 
 

@@ -390,34 +390,11 @@ def is_exact(x: Scalar) -> bool:
     return isinstance(x, (int, Fraction, QSum))
 
 
-def qsum_interval(x: Scalar, bits: int) -> tuple[Fraction, Fraction]:
-    """Exact rational bracket for any exact scalar."""
-    if not isinstance(x, QSum):
-        q = Fraction(x)
-        return q, q
-    return _bracket(x.terms, bits)
-
-
 def le_times_square(x: Scalar, c: Fraction, y: Scalar) -> bool:
-    """Decide x <= c * y**2 exactly for exact scalars with y >= 0.
-
-    Symbolic when the radical sums are small; otherwise interval arithmetic
-    at escalating precision (sound either way), with a final symbolic pass.
-    """
-    X, Y = QSum.of(x), QSum.of(y)
-    if len(Y.terms) <= 8:
-        return (QSum.of(c) * Y * Y - X).sign() >= 0
-    bits = 32
-    while bits <= 1 << 13:
-        xlo, xhi = qsum_interval(X, bits)
-        ylo, yhi = qsum_interval(Y, bits)
-        ylo = max(ylo, Fraction(0))
-        if c * ylo * ylo >= xhi:
-            return True
-        if c * yhi * yhi < xlo:
-            return False
-        bits *= 2
-    return (QSum.of(c) * Y * Y - X).sign() >= 0
+    """Decide x <= c * y**2 exactly for exact scalars with y >= 0: the sign
+    of ``c * y**2 - x`` (:meth:`QSum.sign`, refined until decided)."""
+    Y = QSum.of(y)
+    return (QSum.of(c) * Y * Y - QSum.of(x)).sign() >= 0
 
 
 def scalar_repr(x: Scalar) -> str:

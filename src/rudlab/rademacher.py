@@ -14,8 +14,11 @@ batches that the low bits decide once per vector and add each chunk's
 constant high part (:meth:`~rudlab.spaces.Space.split_batches`, the
 split-half idea of Horowitz & Sahni, JACM 1974); its batches are
 array-equal to the ones ``mult_batch`` gives chunk by chunk.  There is no
-other chunked sign walk: the renorm engine's inner averages that span
-several chunks are :func:`sign_stats` walks of the base engine.
+sign walk outside this module: the renorm engine's inner averages are
+:func:`sign_means`, which packs whole one-chunk walks into shared batches
+and hands each longer one to :func:`sign_stats`.  Every chunk that is not
+split, and every packed batch, is :meth:`~rudlab.spaces.Space.batch`:
+exact or float by the engine's one rule.
 
 Before it walks several chunks, an exact vector's walk asks the engine for
 the exact distribution of the norm over all its patterns
@@ -55,6 +58,7 @@ import math
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -64,12 +68,15 @@ from .coeffs import (
     DomainError,
     EnumerationCapError,
     DEFAULT_ENUM_CAP,
+    check_cap,
     mask_matrix_range,
     sign_matrix_range,
 )
 from .exactnum import Scalar
 from .rng import DEFAULT_SEED, sign_codes, sign_matrix
-from .spaces import Space
+
+if TYPE_CHECKING:
+    from .spaces import Space
 
 #: exact-enumeration chunk width, a power of two of at least 2 (results are
 #: chunk-invariant)
@@ -119,14 +126,6 @@ class ExpectationEstimate:
         }
 
 
-def _check_cap(a: Coeffs, cap: int) -> int:
-    m = len(a)
-    if m > cap:
-        raise EnumerationCapError(
-            f"support of size {m} exceeds the enumeration cap {cap}")
-    return m
-
-
 @dataclass(frozen=True)
 class FoldedStats:
     """Exact reductions of a walk longer than one chunk, folded chunk by
@@ -173,8 +172,8 @@ def _walk(space: Space, a: Coeffs, masks: bool) -> Iterator[tuple[int, ExactBatc
     engine's :meth:`~rudlab.spaces.Space.split_batches`: chunk k's masks are
     the b = log2(``_CHUNK``) low bits of 0..``_CHUNK``-1 over the high bits
     of k.  Otherwise, and where that returns None, each chunk is one
-    ``mult_batch``.  A vector with float entries, and a chunk for which the
-    engine returns no exact batch, take the engine's float batch."""
+    :meth:`~rudlab.spaces.Space.batch`, exact for an exact vector where the
+    engine gives an exact batch and float otherwise."""
     m = len(a)
     build = mask_matrix_range if masks else sign_matrix_range
     total = _walk_length(m, masks)
@@ -186,11 +185,7 @@ def _walk(space: Space, a: Coeffs, masks: bool) -> Iterator[tuple[int, ExactBatc
             yield from zip(range(0, total, _CHUNK), split)
             return
     for start in range(0, total, _CHUNK):
-        mult = build(m, start, min(start + _CHUNK, total))
-        batch = space.mult_batch(a, mult) if exact else None
-        if batch is None:
-            batch = ExactBatch.from_scalars(space.mult_batch_float(a, mult.astype(np.float64)))
-        yield start, batch
+        yield start, space.batch(a, build(m, start, min(start + _CHUNK, total)), exact)
 
 
 def _distribution(space: Space, a: Coeffs, masks: bool) -> tuple[ExactBatch, np.ndarray] | None:
@@ -213,7 +208,7 @@ def _first_argmax(space: Space, a: Coeffs, masks: bool, top: Scalar) -> int:
 def _stats(space: Space, a: Coeffs, cap: int, masks: bool) -> ExactBatch | FoldedStats:
     if not a:  # the one pattern of the empty support has norm 0
         return ExactBatch.from_rational(np.zeros(1, dtype=np.int64), 1)
-    m = _check_cap(a, cap)
+    m = check_cap(len(a), cap)
     total = _walk_length(m, masks)
     if total <= _CHUNK:
         return next(_walk(space, a, masks))[1]
@@ -260,6 +255,49 @@ def subset_stats(space: Space, a: Coeffs, cap: int = DEFAULT_ENUM_CAP) -> ExactB
     """Exact reductions of the norms of a under all 2^m coordinate masks,
     walked and folded as in :func:`sign_stats`."""
     return _stats(space, a, cap, masks=True)
+
+
+def sign_means(space: Space, a: Coeffs, mult: np.ndarray,
+               exact: bool) -> tuple[list[Scalar], np.ndarray]:
+    """Sign averages of the masked vectors ``a * |mult[:, j]|``, one per
+    distinct |column| (the average is sign-invariant; an empty one is 0),
+    and each column's index into them: the renorm engine's inner averages.
+
+    Each is the sign walk of its masked vector.  A walk of at most
+    ``_CHUNK`` patterns is packed whole with others into one batch of at
+    most ``_CHUNK`` columns (:meth:`~rudlab.spaces.Space.batch`, exact when
+    ``exact`` and the engine gives one) and read as its
+    :meth:`~rudlab.batches.ExactBatch.group_means` piece; a longer one is
+    :func:`sign_stats` of the masked vector, so it takes the engine's
+    distribution hook, split walk or chunk fold."""
+    cols, which = np.unique(np.abs(mult), axis=1, return_inverse=True)
+    means: list[Scalar] = [0] * cols.shape[1]
+    batches: list[list[tuple[int, int]]] = []
+    width = _CHUNK  # of the open batch; a full one makes the next walk open one
+    for g, k in enumerate(np.count_nonzero(cols, axis=0).tolist()):
+        if not k:
+            continue
+        total = _walk_length(k, masks=False)
+        if total > _CHUNK:
+            masked = Coeffs.from_pairs((i, v * int(c)) for (i, v), c in zip(a, cols[:, g]))
+            means[g] = sign_stats(space, masked).mean()
+            continue
+        if width + total > _CHUNK:
+            batches.append([])
+            width = 0
+        batches[-1].append((g, total))
+        width += total
+    for part in batches:
+        group, widths = zip(*part)
+        starts = np.cumsum((0,) + widths[:-1])
+        masks = np.arange(sum(widths)) - np.repeat(starts, widths)
+        c = cols[:, np.repeat(group, widths)]
+        # bit j of a pattern's mask flips the j-th row of its group's support
+        place = np.maximum(np.cumsum(c != 0, axis=0) - 1, 0)
+        batch = space.batch(a, np.where((masks >> place) & 1, -c, c), exact)
+        for g, mu in zip(group, batch.group_means(starts.tolist(), widths)):
+            means[g] = mu
+    return means, which
 
 
 def expect_exact(space: Space, a: Coeffs, cap: int = DEFAULT_ENUM_CAP) -> ExpectationEstimate:

@@ -3,16 +3,19 @@
 Every engine evaluates whole batches of entrywise multiplier columns of a
 :class:`~rudlab.coeffs.Coeffs` at once (``mult_batch`` exact over
 integers, ``mult_batch_float`` for Monte-Carlo and float vectors), and its
-``norm`` is the one-column batch: exact where the batch has an exact form,
-float otherwise.  An exact batch is integer arrays only; an engine without
-one (``lp:P``, ``james_x:P`` and ``smax:P`` off their exact exponents)
-returns None and is evaluated in floats.  Its arrays are int64 where a
-Python-int bound shows that no value can leave it and Python ints
-otherwise; a value or denominator that a batch would hold past the float
-range, and radical-valued entries outside the norming-set engines, are
-refused (``NoIntegerForm``), and so is a renorm column past the
-enumeration cap (``EnumerationCapError``).  The test suite cross-checks
-the batches against independent brute-force oracles.
+``batch`` chooses between the two by one rule: exact where asked and the
+batch has an exact form, float otherwise.  The ``norm`` is the one-column
+``batch``, and every sign walk's chunks are ``batch`` calls too.  No sign
+walk lives here: the renorming's inner averages are
+:func:`rudlab.rademacher.sign_means`.  An exact batch is integer arrays
+only; an engine without one (``lp:P``, ``james_x:P`` and ``smax:P`` off
+their exact exponents) returns None and is evaluated in floats.  Its
+arrays are int64 where a Python-int bound shows that no value can leave it
+and Python ints otherwise; a value or denominator that a batch would hold
+past the float range, and radical-valued entries outside the norming-set
+engines, are refused (``NoIntegerForm``), and so is a renorm column past
+the enumeration cap (``EnumerationCapError``).  The test suite
+cross-checks the batches against independent brute-force oracles.
 
 Engines here: lp / linf, the summing norm and its dual, the chain-difference
 supremum norms (one class: lp-accumulating chains, and l2 disjoint pairs),
@@ -32,9 +35,9 @@ import numpy as np
 
 from .batches import (_TIE_RTOL, ExactBatch, _fold, _peak, check_float_range,
                       first_extreme, int_dtype)
-from .coeffs import (DEFAULT_ENUM_CAP, Coeffs, DomainError, EnumerationCapError,
-                     NoIntegerForm, NormingFunctional)
+from .coeffs import Coeffs, DomainError, NoIntegerForm, NormingFunctional, check_cap
 from .exactnum import QSum, Scalar, split_square
+from .rademacher import sign_means
 
 
 def _int_mult_values(a: Coeffs, mult: np.ndarray,
@@ -150,7 +153,8 @@ class Space:
     """Base class for norm engines.
 
     An engine overrides ``mult_batch`` and ``mult_batch_float``, each taking
-    ``(self, a, mult)``.  It may also override ``sign_distribution`` and
+    ``(self, a, mult)``; :meth:`batch` and :meth:`norm` are built on them.
+    It may also override ``sign_distribution`` and
     ``split_batches``, which an exact walk of several chunks offers first,
     in that order: the one returns the norm's exact distribution over all
     patterns, the other one batch per chunk, each array-equal to
@@ -168,13 +172,19 @@ class Space:
     def norm(self, a: Coeffs) -> Scalar:
         if not a:
             return 0
-        one = np.ones((len(a), 1), dtype=np.int8)
-        batch = self.mult_batch(a, one) if a.is_exact() else None
-        if batch is not None:
-            return batch.value(0)
-        return float(self.mult_batch_float(a, one.astype(np.float64))[0])
+        return self.batch(a, np.ones((len(a), 1), dtype=np.int8), a.is_exact()).value(0)
 
     # -- batched norms ------------------------------------------------------
+
+    def batch(self, a: Coeffs, mult: np.ndarray, exact: bool) -> ExactBatch:
+        """The norms of the columns of ``diag(a) @ mult``: :meth:`mult_batch`
+        when ``exact`` and it gives an exact batch, else
+        :meth:`mult_batch_float` as a float batch.  The norm and every sign
+        walk choose by this one rule."""
+        batch = self.mult_batch(a, mult) if exact else None
+        if batch is None:
+            batch = ExactBatch.from_scalars(self.mult_batch_float(a, mult.astype(np.float64)))
+        return batch
 
     def mult_batch(self, a: Coeffs, mult: np.ndarray) -> ExactBatch | None:
         """Exact norms of the columns of ``diag(a) @ mult``.
@@ -202,8 +212,7 @@ class Space:
         would raise: the norming-set engine keeps the low image of each
         core's integer form, the chain engines the low nodes' DP table.
         None, the default and the answer wherever :meth:`mult_batch` has
-        no exact batch, makes the walk call :meth:`mult_batch` chunk by
-        chunk.
+        no exact batch, makes the walk call :meth:`batch` chunk by chunk.
         """
         return None
 
@@ -215,10 +224,13 @@ class Space:
         hook before :meth:`split_batches`, and reduces the distribution
         instead of walking (see :mod:`rudlab.rademacher`).
 
-        The batch's values are those :meth:`mult_batch` gives.  None, the
-        default, makes the walk run; so do the engines with a hook on
-        radical entries, on entries whose batches would leave int64, and
-        past a table of ``_PRODUCT_BLOCK`` cells.
+        The batch's values are those :meth:`mult_batch` gives, and a hook
+        refuses what that would refuse (``NoIntegerForm`` for radical
+        entries).  None, the default, makes the walk run; so do the engines
+        with a hook on entries whose batches would leave int64
+        (:func:`_int_entries` gives them a Python-int dtype), on more than
+        62 entries (the counts would leave it), and past a table of
+        ``_PRODUCT_BLOCK`` cells.
         """
         return None
 
@@ -235,19 +247,6 @@ class Space:
 # ---------------------------------------------------------------------------
 # exact sign distributions of the path engines
 # ---------------------------------------------------------------------------
-
-
-def _path_entries(a: Coeffs) -> tuple[list[int], int] | None:
-    """The entries of exact ``a`` as Python-int numerators over their
-    common denominator, for a :meth:`Space.sign_distribution`; None where
-    the hook declines: radical entries, entries whose sums or squares
-    would leave int64, or more than 62 entries (the counts would)."""
-    cols, d = _class_columns(a)
-    ints = cols.get(1)
-    if (len(cols) != 1 or ints is None or len(ints) > 62
-            or int_dtype((2 * sum(map(abs, ints))) ** 2) is object):
-        return None
-    return ints, d
 
 
 def _running_max_counts(v: Sequence[int], masks: bool) -> np.ndarray | None:
@@ -321,10 +320,12 @@ class LpSpace(Space):
 
     def sign_distribution(self, a, masks):
         """Signs do not change the norm: one value, taken 2^m times."""
-        ints = None if masks or self.p not in (1, 2, inf) else _path_entries(a)
-        if ints is None:
+        if masks or self.p not in (1, 2, inf):
             return None
-        v, d = ints
+        ints, d = _int_entries(a)
+        if ints.dtype == object or len(ints) > 62:
+            return None
+        v = ints.tolist()
         if self.p == 2:
             num, core = split_square(sum(x * x for x in v))
         else:
@@ -360,11 +361,13 @@ class SummingSpace(Space):
 
     def sign_distribution(self, a, masks):
         """The running-maximum DP over the tail sums, sign or mask steps."""
-        ints = _path_entries(a)
-        counts = None if ints is None else _running_max_counts(ints[0][::-1], masks)
+        ints, d = _int_entries(a)
+        if ints.dtype == object or len(ints) > 62:
+            return None
+        counts = _running_max_counts(ints.tolist()[::-1], masks)
         if counts is None:
             return None
-        return _value_counts({1: np.arange(len(counts))}, counts, ints[1])
+        return _value_counts({1: np.arange(len(counts))}, counts, d)
 
     def paper_witnesses(self, kind, dim):
         ones = Coeffs.from_values([1] * dim)
@@ -419,10 +422,12 @@ class SummingDualSpace(Space):
         independent fair signs: the norm is a constant plus independent
         two-point terms, and its counts are their convolution, times the
         2^(m - pairs) patterns that give each choice of products."""
-        ints = None if masks else _path_entries(a)
-        if ints is None:
+        if masks:
             return None
-        v, d = ints
+        ints, d = _int_entries(a)
+        if ints.dtype == object or len(ints) > 62:
+            return None
+        v = ints.tolist()
         base, gaps = 0, []
         for k, j in _dual_edge_terms(a.support):
             if j < 0:
@@ -624,11 +629,15 @@ class BmoRademacherSpace(Space):
     def sign_distribution(self, a, masks):
         """The running-maximum DP over the prefix sums, plus the l2 norm,
         which signs do not change (masks do: no hook for them)."""
-        ints = None if masks else _path_entries(a)
-        counts = None if ints is None else _running_max_counts(ints[0], False)
+        if masks:
+            return None
+        ints, d = _int_entries(a)
+        if ints.dtype == object or len(ints) > 62:
+            return None
+        v = ints.tolist()
+        counts = _running_max_counts(v, False)
         if counts is None:
             return None
-        v, d = ints
         outer, core = split_square(sum(x * x for x in v))
         n = np.arange(len(counts))
         classes = {1: n + outer} if core == 1 else {1: n, core: np.full(len(n), outer)}
@@ -666,11 +675,15 @@ class SmaxSpace(Space):
     def sign_distribution(self, a, masks):
         """The summing DP, each value n with n^2 below the constant
         rad = sum v^2 replaced by sqrt(rad)."""
-        ints = None if masks or self.p != 2 else _path_entries(a)
-        counts = None if ints is None else _running_max_counts(ints[0][::-1], False)
+        if masks or self.p != 2:
+            return None
+        ints, d = _int_entries(a)
+        if ints.dtype == object or len(ints) > 62:
+            return None
+        v = ints.tolist()
+        counts = _running_max_counts(v[::-1], False)
         if counts is None:
             return None
-        v, d = ints
         rad = sum(x * x for x in v)
         outer, core = split_square(rad)
         n = np.arange(len(counts))
@@ -947,21 +960,15 @@ class NormingSetSpace(Space):
 # ---------------------------------------------------------------------------
 
 
-def _check_inner_cap(mult: np.ndarray) -> None:
-    """Refuse a renorm batch with a column past the enumeration cap."""
-    k = int(np.count_nonzero(mult, axis=0).max(initial=0))
-    if k > DEFAULT_ENUM_CAP:
-        raise EnumerationCapError(f"the renorm inner sign average of a column with {k} "
-                                  f"entries exceeds the enumeration cap {DEFAULT_ENUM_CAP}")
-
-
 class RenormSpace(Space):
     """norm_delta(a) = E ||sum eps_i a_i x_i||_base + delta * ||a||_base.
 
-    The norm is the one-column batch.  Each column's inner sign average is
-    the base's sign walk of its masked vector, so the batch is exact exactly
-    when the base's is; a column past the enumeration cap (``DEFAULT_ENUM_CAP``)
-    is refused with ``EnumerationCapError`` before any base call.
+    The norm is the one-column batch.  The columns' inner sign averages are
+    the base's sign walks of their masked vectors
+    (:func:`~rudlab.rademacher.sign_means`), so the batch is exact exactly
+    when the base's is; a column past the enumeration cap
+    (``DEFAULT_ENUM_CAP``) is refused with ``EnumerationCapError`` before
+    any base call.
     """
 
     def __init__(self, base: Space, delta: Fraction):
@@ -972,58 +979,21 @@ class RenormSpace(Space):
         self.name = f"renorm:{base.name}:{delta}"
         self.sweep_max_m = 8
 
-    def _inner_columns(self, a: Coeffs, mult: np.ndarray, exact: bool) -> tuple[list, np.ndarray]:
-        """Inner sign averages of the columns' masked vectors, one per
-        distinct |column| (the average is sign-invariant; an empty one is
-        0), and each column's index into them.  Each is the base's sign walk
-        of the masked vector: a walk of at most ``_CHUNK`` patterns is packed
-        whole with others into one base batch of at most ``_CHUNK`` columns
-        (exact when ``exact`` and the base gives one, float otherwise, as
-        the sign walk chooses) and read as its :meth:`ExactBatch.group_means`
-        piece; a longer one is :func:`~rudlab.rademacher.sign_stats` of the
-        masked vector, so it takes the base's distribution hook."""
-        from .rademacher import _CHUNK, sign_stats
-
-        cols, which = np.unique(np.abs(mult), axis=1, return_inverse=True)
-        inner: list = [0] * cols.shape[1]
-        batches: list[list[tuple[int, int]]] = []
-        width = _CHUNK  # of the open batch; a full one makes the next walk open one
-        for g, k in enumerate(np.count_nonzero(cols, axis=0).tolist()):
-            total = (1 << k) >> 1
-            if total > _CHUNK:
-                masked = Coeffs.from_pairs((i, v * int(c)) for (i, v), c in zip(a, cols[:, g]))
-                inner[g] = sign_stats(self.base, masked).mean()
-            elif total:
-                if width + total > _CHUNK:
-                    batches.append([])
-                    width = 0
-                batches[-1].append((g, total))
-                width += total
-        for part in batches:
-            group, widths = zip(*part)
-            starts = np.cumsum((0,) + widths[:-1])
-            masks = np.arange(sum(widths)) - np.repeat(starts, widths)
-            c = cols[:, np.repeat(group, widths)]
-            # bit j of a pattern's mask flips the j-th row of its group's support
-            place = np.maximum(np.cumsum(c != 0, axis=0) - 1, 0)
-            pats = np.where((masks >> place) & 1, -c, c)
-            batch = self.base.mult_batch(a, pats) if exact else None
-            if batch is None:
-                floats = self.base.mult_batch_float(a, pats.astype(np.float64))
-                batch = ExactBatch.from_scalars(floats)
-            for g, mu in zip(group, batch.group_means(starts.tolist(), widths)):
-                inner[g] = mu
-        return inner, which
+    @staticmethod
+    def _check_cap(mult: np.ndarray) -> None:
+        check_cap(int(np.count_nonzero(mult, axis=0).max(initial=0)),
+                  what="the renorm inner sign average of a column with {} entries")
 
     def mult_batch(self, a, mult):
         """delta * base + inner[which] as one integer batch: the base
         classes and the inner means' numerators over one common scale, the
-        base roots times p^2 over ``roots_scale * q`` for delta = p/q."""
-        _check_inner_cap(mult)
+        base roots times p^2 over ``roots_scale * q`` for delta = p/q, the
+        classes in ascending core order."""
+        self._check_cap(mult)
         base = self.base.mult_batch(a, mult)
         if base is None:
             return None
-        inner, which = self._inner_columns(a, mult, exact=True)
+        inner, which = sign_means(self.base, a, mult, exact=True)
         p, q = self.delta.numerator, self.delta.denominator
         terms = [QSum.of(v).terms for v in inner]
         scale = lcm(q * base.scale, *(x.denominator for t in terms for x in t.values()))
@@ -1034,7 +1004,7 @@ class RenormSpace(Space):
             for core, x in t.items():
                 inner_nums.setdefault(core, [0] * len(terms))[g] = int(x * scale)
         classes = {}
-        for core in dict.fromkeys([*base_classes, *inner_nums]):
+        for core in sorted({*base_classes, *inner_nums}):
             arr, nums = base_classes.get(core), inner_nums.get(core, [0] * len(terms))
             peak = _peak(arr) * mul if arr is not None else 0
             dtype = int_dtype(peak + max(map(abs, nums)))
@@ -1048,7 +1018,7 @@ class RenormSpace(Space):
                           roots=roots, roots_scale=base.roots_scale * q)
 
     def mult_batch_float(self, a, mult):
-        _check_inner_cap(mult)
+        self._check_cap(mult)
         base = self.base.mult_batch_float(a, mult)
-        inner, which = self._inner_columns(a, mult, exact=False)
+        inner, which = sign_means(self.base, a, mult, exact=False)
         return np.array([float(x) for x in inner])[which] + float(self.delta) * base

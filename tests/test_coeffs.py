@@ -55,8 +55,13 @@ def test_enumeration():
     pats = list(enumerate_sign_patterns({1, 2}))
     assert len(pats) == 4 and len({p.signs for p in pats}) == 4
     assert len(list(enumerate_sign_patterns(range(10)))) == 1024
-    with pytest.raises(EnumerationCapError, match="Monte-Carlo"):
+    with pytest.raises(EnumerationCapError,
+                       match="^support of size 30 exceeds the enumeration cap 24$"):
         list(enumerate_sign_patterns(range(30)))
+    with pytest.raises(EnumerationCapError) as err:
+        list(enumerate_sign_patterns(range(5), cap=4))
+    assert str(err.value) == "support of size 5 exceeds the enumeration cap 4"
+    assert "Monte-Carlo" not in str(err.value)
 
 
 def test_sign_mask_matrices():

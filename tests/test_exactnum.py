@@ -10,7 +10,6 @@ from rudlab.exactnum import (
     QSum,
     SQRT2,
     le_times_square,
-    qsum_interval,
     split_square,
     sqrt_exact,
 )
@@ -58,11 +57,27 @@ def test_division():
 
 
 def test_interval_and_square_compare():
-    lo, hi = qsum_interval(SQRT2, 40)
-    assert lo <= F(14142135623730951, 10**16) <= hi
     assert le_times_square(F(2), F(2), 1)          # 2 <= 2*1
     assert not le_times_square(F(3), F(2), 1)      # 3 > 2
     assert le_times_square(4, F(2), SQRT2)         # 4 <= 2*2
+
+
+@pytest.mark.parametrize("n", [9, 10, 11, 12])
+def test_square_compare_with_many_radicals(n):
+    """y with 9 to 12 terms: x on the bound c * y^2, and 1e-30 * sqrt(2)
+    below and above it, is decided exactly, and so is the rational x
+    nearest below and above the bound's float."""
+    y = QSum({k: F(1, k) for k in (1, 2, 3, 5, 6, 7, 10, 11, 13, 14, 15, 17)[:n]})
+    assert len(y.terms) == n
+    c = F(3, 2)
+    bound = QSum.of(c) * y * y
+    tiny = QSum.root(2, F(1, 10**30))
+    assert le_times_square(bound, c, y)
+    assert le_times_square(bound - tiny, c, y)
+    assert not le_times_square(bound + tiny, c, y)
+    f = F(float(bound))
+    for x in (f - F(1, 10**40), f + F(1, 10**40)):
+        assert le_times_square(x, c, y) == ((bound - x).sign() >= 0)
 
 
 def test_float_and_repr():

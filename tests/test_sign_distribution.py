@@ -173,13 +173,21 @@ def test_running_max_table_bound(spec):
 
 @pytest.mark.parametrize("spec", _HOOKED)
 def test_radical_entries_take_the_walk(spec, monkeypatch):
-    """A radical entry has no integer form: the hook declines, and the
-    walk refuses the vector as before."""
+    """A radical entry has no integer form: the hook refuses it as the
+    walk it would take does, on sign patterns and, where the engine has a
+    mask hook, on masks."""
     a = Coeffs.from_values([1, SQRT2, -2, 3, F(1, 3), 2])
     space = _space(spec)
-    assert space.sign_distribution(a, False) is None
-    assert space.sign_distribution(a, True) is None
+    with pytest.raises(NoIntegerForm):
+        space.sign_distribution(a, False)
+    if spec == "summing":
+        with pytest.raises(NoIntegerForm):
+            space.sign_distribution(a, True)
+    else:
+        assert space.sign_distribution(a, True) is None
     monkeypatch.setattr(rad, "_CHUNK", 4)
+    with pytest.raises(NoIntegerForm):
+        _walked(rad.sign_stats, space, a).mean()
     with pytest.raises(NoIntegerForm):
         rad.sign_stats(space, a).mean()
 

@@ -283,6 +283,28 @@ def test_renorm_grouped_walk_across_chunks(monkeypatch, spec):
             assert floats[j] == pytest.approx(float(want), rel=1e-12)
 
 
+def test_renorm_batch_is_the_same_at_every_chunk_size(monkeypatch):
+    """The sign batch of ``renorm:james:chain:3/2`` on a 6-entry vector is
+    array-equal (values, dtypes, scales and class order, ascending by core)
+    whether its 32-pattern inner walk is packed whole, at the default chunk,
+    or folded over two 16-column chunks."""
+    import rudlab.rademacher as rad
+
+    space = SpaceFactory(RunConfig()).space("renorm:james:chain:3/2")
+    a = Coeffs.from_values([1, F(-1, 2), 2, -3, F(3, 2), 1])
+    signs = sign_matrix_range(6, 0, 64)
+    batches = [space.mult_batch(a, signs)]
+    monkeypatch.setattr(rad, "_CHUNK", 16)
+    batches.append(space.mult_batch(a, signs))
+    whole, folded = batches
+    assert len(whole.classes) > 2 and list(whole.classes) == sorted(whole.classes)
+    assert list(folded.classes) == list(whole.classes)
+    assert (folded.scale, folded.roots_scale) == (whole.scale, whole.roots_scale)
+    for got, want in [*zip(folded.classes.values(), whole.classes.values()),
+                      (folded.roots, whole.roots)]:
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
 EXACT_SPECS = [
     "lp:1", "lp:2", "linf", "summing", "summing_dual", "james:chain",
     "james:pairs", "james_x:1", "james_x:2", "bmo", "smax:2", "walsh",
