@@ -632,7 +632,7 @@ def chain_vector(gamma: Gamma, levels: tuple[int, ...], signs: tuple[int, ...] |
     return Coeffs.from_pairs(pairs)
 
 
-def chain_replay_value(gamma: Gamma, levels: tuple[int, ...], signs: tuple[int, ...] | None = None) -> Fraction:
+def chain_replay_value(gamma: Gamma, levels: tuple[int, ...]) -> Fraction:
     """1 + b*l, rebuilt step by step through the recursion (independent of
     the stored matrices), for the unit chain vector."""
     b = Fraction(gamma.params.b)
@@ -695,5 +695,4 @@ def bd_rud_report(gamma: Gamma, samples: int, seed: int, enum_cap: int = DEFAULT
         "rud_bound": rud_ratio_bound(gamma),
         "max_ratio": max((r.full_ratio for r in partition.rows), default=0.0),
         "growth": growth,
-        "coordinate_norms": [float(x) for x in gamma.basis_sup_norms()[:4]],
     }

@@ -391,10 +391,21 @@ def is_exact(x: Scalar) -> bool:
 
 
 def le_times_square(x: Scalar, c: Fraction, y: Scalar) -> bool:
-    """Decide x <= c * y**2 exactly for exact scalars with y >= 0: the sign
-    of ``c * y**2 - x`` (:meth:`QSum.sign`, refined until decided)."""
-    Y = QSum.of(y)
-    return (QSum.of(c) * Y * Y - QSum.of(x)).sign() >= 0
+    """Decide x <= c * y**2 exactly for exact scalars with y >= 0.  One
+    64-bit bracket of each (:func:`_bracket`) decides it where they do not
+    overlap: true if ``c * ylo**2 >= xhi``, false if ``c * yhi**2 < xlo``.
+    Otherwise, and for c < 0 or ylo < 0, it is the sign of
+    ``c * y**2 - x`` (:meth:`QSum.sign`, refined until decided), whose
+    product has up to the square of y's term count."""
+    X, Y = QSum.of(x), QSum.of(y)
+    xlo, xhi = _bracket(X.terms, 64)
+    ylo, yhi = _bracket(Y.terms, 64)
+    if ylo >= 0 and c >= 0:
+        if c * ylo * ylo >= xhi:
+            return True
+        if c * yhi * yhi < xlo:
+            return False
+    return (QSum.of(c) * Y * Y - X).sign() >= 0
 
 
 def scalar_repr(x: Scalar) -> str:

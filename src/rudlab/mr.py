@@ -723,13 +723,16 @@ def mr_witness(
     bracket beyond them.  The analytic upper bound carried along
     is 1 + 2*delta_hat + 2*sqrt(sum 1/#s_i) with the measured delta_hat.
     """
-    from .rademacher import expect_auto
+    from .rademacher import expect_exact, expect_mc
     from .rng import DEFAULT_SEED
 
     blocks = ctx.canonical_blocks(n)
     x = ctx.block_vector(n)
     norm = ctx.zmr.norm(x)
-    est = expect_auto(ctx.zmr, x, WITNESS_CAP, mc_samples, DEFAULT_SEED if seed is None else seed)
+    if len(x) <= WITNESS_CAP:
+        est = expect_exact(ctx.zmr, x)
+    else:
+        est = expect_mc(ctx.zmr, x, mc_samples, DEFAULT_SEED if seed is None else seed)
     inv = Fraction(0)
     for s in blocks:
         inv += Fraction(1, len(s))

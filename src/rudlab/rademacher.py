@@ -20,18 +20,19 @@ and hands each longer one to :func:`sign_stats`.  Every chunk that is not
 split, and every packed batch, is :meth:`~rudlab.spaces.Space.batch`:
 exact or float by the engine's one rule.
 
-Before it walks several chunks, an exact vector's walk asks the engine for
-the exact distribution of the norm over all its patterns
-(:meth:`~rudlab.spaces.Space.sign_distribution`), and folds the mean, mean
-square and extremes from the distinct values and their counts instead.
-The sign walks of ``lp:1``, ``lp:2``, ``linf`` (one value),
-``summing``, ``bmo``, ``smax:2`` (a DP over the running sum and its
-running maximum) and ``summing_dual`` (a convolution of independent
-two-point terms) and the subset walks of ``summing`` take it while their
-entries' integer form keeps every sum in int64 and the DP table within
-2^16 cells (``spaces._PRODUCT_BLOCK``).  The reductions equal the walk's;
-the first maximiser is walked for on first use.  One-chunk walks, and
-everything else, walk.
+Before it walks several chunks, a walk asks the engine for the exact
+distribution of the norm over all its patterns
+(:meth:`~rudlab.spaces.Space.sign_distribution`, the one gate of every
+engine's law), and folds the mean, mean square and extremes from the
+distinct values and their counts instead.  The sign walks of ``lp:1``,
+``lp:2``, ``linf`` (one value), ``summing``, ``bmo``, ``smax:2`` (a DP
+over the running sum and its running maximum) and ``summing_dual`` (a
+convolution of independent two-point terms) and the subset walks of
+``summing`` take it while their entries are exact, their integer form
+keeps every sum in int64 and the count table stays within 2^16 cells
+(``spaces._LAW_CELLS``).  The reductions equal the walk's; the first
+maximiser is walked for on first use.  One-chunk walks, and everything
+else, walk.  The empty support is the one pattern of norm 0.
 
 Sign averages walk only the 2^(m-1) patterns whose top bit is clear: a
 pattern and its complement give the same norm, so the mean, mean square
@@ -66,7 +67,6 @@ from .batches import ExactBatch, _scalar_gt
 from .coeffs import (
     Coeffs,
     DomainError,
-    EnumerationCapError,
     DEFAULT_ENUM_CAP,
     check_cap,
     mask_matrix_range,
@@ -188,14 +188,6 @@ def _walk(space: Space, a: Coeffs, masks: bool) -> Iterator[tuple[int, ExactBatc
         yield start, space.batch(a, build(m, start, min(start + _CHUNK, total)), exact)
 
 
-def _distribution(space: Space, a: Coeffs, masks: bool) -> tuple[ExactBatch, np.ndarray] | None:
-    """The engine's exact norm distribution (:meth:`~rudlab.spaces.Space.sign_distribution`)
-    for an exact vector whose walk spans several chunks, or None."""
-    if not a.is_exact() or _walk_length(len(a), masks) <= _CHUNK:
-        return None
-    return space.sign_distribution(a, masks)
-
-
 def _first_argmax(space: Space, a: Coeffs, masks: bool, top: Scalar) -> int:
     """The walk's first index whose norm is the maximum ``top``."""
     for start, batch in _walk(space, a, masks):
@@ -212,7 +204,7 @@ def _stats(space: Space, a: Coeffs, cap: int, masks: bool) -> ExactBatch | Folde
     total = _walk_length(m, masks)
     if total <= _CHUNK:
         return next(_walk(space, a, masks))[1]
-    dist = _distribution(space, a, masks)
+    dist = space.sign_distribution(a, masks)
     if dist is not None:
         values, counts = dist
         top = values.max()
@@ -269,7 +261,7 @@ def sign_means(space: Space, a: Coeffs, mult: np.ndarray,
     ``exact`` and the engine gives one) and read as its
     :meth:`~rudlab.batches.ExactBatch.group_means` piece; a longer one is
     :func:`sign_stats` of the masked vector, so it takes the engine's
-    distribution hook, split walk or chunk fold."""
+    exact law, split walk or chunk fold."""
     cols, which = np.unique(np.abs(mult), axis=1, return_inverse=True)
     means: list[Scalar] = [0] * cols.shape[1]
     batches: list[list[tuple[int, int]]] = []
@@ -301,20 +293,14 @@ def sign_means(space: Space, a: Coeffs, mult: np.ndarray,
 
 
 def expect_exact(space: Space, a: Coeffs, cap: int = DEFAULT_ENUM_CAP) -> ExpectationEstimate:
-    if not a:
-        return ExpectationEstimate(0, "exact")
     return ExpectationEstimate(_stats(space, a, cap, masks=False).mean(), "exact")
 
 
 def expect_second_moment(space: Space, a: Coeffs, cap: int = DEFAULT_ENUM_CAP) -> ExpectationEstimate:
-    if not a:
-        return ExpectationEstimate(0, "exact")
     return ExpectationEstimate(_stats(space, a, cap, masks=False).mean_sq(), "exact")
 
 
 def expect_subsets(space: Space, a: Coeffs, cap: int = DEFAULT_ENUM_CAP) -> ExpectationEstimate:
-    if not a:
-        return ExpectationEstimate(0, "subsets")
     return ExpectationEstimate(_stats(space, a, cap, masks=True).mean(), "subsets")
 
 
@@ -463,17 +449,3 @@ def expect_mc(
         mean, "monte_carlo", samples, seed, (mean - half, mean + half), confidence
     )
 
-
-def expect_auto(
-    space: Space,
-    a: Coeffs,
-    cap: int = DEFAULT_ENUM_CAP,
-    samples: int = 100_000,
-    seed: int = DEFAULT_SEED,
-    confidence: float = 0.95,
-) -> ExpectationEstimate:
-    """Exact when the support fits under the cap, Monte-Carlo otherwise."""
-    try:
-        return expect_exact(space, a, cap)
-    except EnumerationCapError:
-        return expect_mc(space, a, samples, seed, confidence)

@@ -70,6 +70,9 @@ _FLOAT_EXACT = 1 << 53
 #: entries of the float image one block of :func:`_int_product` builds, and
 #: of any temporary a column-blocked reduction (:func:`_column_blocks`) holds
 _PRODUCT_BLOCK = 1 << 16
+#: cells of an exact law's count table (:func:`_running_max_counts`, the
+#: ``summing_dual`` convolution): past it the engine declines its law
+_LAW_CELLS = 1 << 16
 #: the narrowest batch :func:`_cumsum_rows` scans row by row
 _ROW_SCAN_COLS = 512
 #: columns per block of a float BLAS product are a multiple of this; see
@@ -154,11 +157,12 @@ class Space:
 
     An engine overrides ``mult_batch`` and ``mult_batch_float``, each taking
     ``(self, a, mult)``; :meth:`batch` and :meth:`norm` are built on them.
-    It may also override ``sign_distribution`` and
-    ``split_batches``, which an exact walk of several chunks offers first,
-    in that order: the one returns the norm's exact distribution over all
-    patterns, the other one batch per chunk, each array-equal to
-    ``mult_batch`` on the chunk; either may return None.
+    A walk of several chunks asks :meth:`sign_distribution` first and
+    :meth:`split_batches` next: the one reads the norm's exact law over all
+    patterns, the other gives one batch per chunk, each array-equal to
+    ``mult_batch`` on the chunk; either may give None.  An engine with an
+    exact law names the walks it has one for in ``law_walks`` and
+    implements ``_law``; ``sign_distribution`` itself is never overridden.
     """
 
     name: str = "?"
@@ -166,6 +170,9 @@ class Space:
     sweep_indices: Sequence[int] | None = None
     #: largest support size the exact sweeps should use for this engine
     sweep_max_m: int = 12
+    #: the walks :meth:`_law` answers: False for sign patterns, True for
+    #: 0/1 masks
+    law_walks: tuple[bool, ...] = ()
 
     # -- single-vector norm -------------------------------------------------
 
@@ -217,22 +224,43 @@ class Space:
         return None
 
     def sign_distribution(self, a: Coeffs, masks: bool) -> tuple[ExactBatch, np.ndarray] | None:
-        """The exact distribution of the norm of rational ``a`` over all
-        2^m sign patterns (0/1 masks when ``masks``): a classes-only batch
-        whose columns are the values the norm takes, and the int64 count of
-        the patterns that take each.  A walk of several chunks offers this
-        hook before :meth:`split_batches`, and reduces the distribution
-        instead of walking (see :mod:`rudlab.rademacher`).
+        """The exact distribution of the norm of ``a`` over all 2^m sign
+        patterns (0/1 masks when ``masks``): a classes-only batch whose
+        columns are the values the norm takes, and the int64 count of the
+        patterns that take each.  A walk of several chunks asks this first,
+        and reduces the distribution instead of walking (see
+        :mod:`rudlab.rademacher`).
 
-        The batch's values are those :meth:`mult_batch` gives, and a hook
-        refuses what that would refuse (``NoIntegerForm`` for radical
-        entries).  None, the default, makes the walk run; so do the engines
-        with a hook on entries whose batches would leave int64
-        (:func:`_int_entries` gives them a Python-int dtype), on more than
-        62 entries (the counts would leave it), and past a table of
-        ``_PRODUCT_BLOCK`` cells.
-        """
-        return None
+        This is the one gate of every engine's law.  None, which makes the
+        walk run, is the answer, before any entry is read, for a walk not
+        in ``law_walks``, the empty support, more than 62 entries (the
+        counts would leave int64) and float entries; and then for entries
+        whose batches would leave int64 (:func:`_int_entries` gives them a
+        Python-int dtype) and wherever ``_law`` declines.  Radical entries
+        are refused as :meth:`mult_batch` refuses them
+        (``NoIntegerForm``).  The values are those :meth:`mult_batch`
+        gives."""
+        if masks not in self.law_walks or not 0 < len(a) <= 62 or not a.is_exact():
+            return None
+        ints, d = _int_entries(a)
+        if ints.dtype == object:
+            return None
+        law = self._law(a, ints.tolist(), masks)
+        if law is None:
+            return None
+        classes, counts = law
+        keep = np.flatnonzero(counts)
+        return (ExactBatch.from_classes({c: arr[keep] for c, arr in classes.items()}, d),
+                counts[keep])
+
+    def _law(self, a: Coeffs, v: list[int], masks: bool
+             ) -> tuple[dict[int, np.ndarray], np.ndarray] | None:
+        """The law of the norm on the walk ``masks`` (one of ``law_walks``)
+        of ``a``, whose entries are the integer numerators ``v`` over a
+        common denominator: per square-free class the numerators of each
+        value the norm may take, and the int64 count of the patterns that
+        take it (zero counts are dropped), or None past ``_LAW_CELLS``."""
+        raise NotImplementedError(f"{self.name}: no exact law")
 
     # -- hooks ---------------------------------------------------------------
 
@@ -253,7 +281,7 @@ def _running_max_counts(v: Sequence[int], masks: bool) -> np.ndarray | None:
     """``counts[n]``: how many of the 2^m sign patterns (0/1 masks when
     ``masks``) x give ``max_k |x_0 v_0 + ... + x_k v_k| == n``, or None when
     the table over (running maximum, running sum) would pass
-    ``_PRODUCT_BLOCK`` cells.
+    ``_LAW_CELLS`` cells.
 
     One row per entry moves every cell's running sum by both of its steps
     and lifts the maximum of the cells it carries past their row; this is
@@ -262,7 +290,7 @@ def _running_max_counts(v: Sequence[int], masks: bool) -> np.ndarray | None:
     barrier at once."""
     top = sum(map(abs, v))
     width = 2 * top + 1
-    if (top + 1) * width > _PRODUCT_BLOCK:
+    if (top + 1) * width > _LAW_CELLS:
         return None
     table = np.zeros((top + 1, width), dtype=np.int64)  # [max, sum + top]
     table[0, top] = 1
@@ -283,15 +311,6 @@ def _running_max_counts(v: Sequence[int], masks: bool) -> np.ndarray | None:
     return table.sum(axis=1)
 
 
-def _value_counts(classes: dict[int, np.ndarray], counts: np.ndarray,
-                  d: int) -> tuple[ExactBatch, np.ndarray]:
-    """The columns of the class arrays over ``d`` whose ``counts`` are
-    nonzero, with those counts."""
-    keep = np.flatnonzero(counts)
-    return (ExactBatch.from_classes({c: arr[keep] for c, arr in classes.items()}, d),
-            counts[keep])
-
-
 # ---------------------------------------------------------------------------
 # lp / linf
 # ---------------------------------------------------------------------------
@@ -301,6 +320,7 @@ class LpSpace(Space):
     def __init__(self, p):
         self.p = p
         self.name = "linf" if p == inf else f"lp:{p}"
+        self.law_walks = (False,) if p in (1, 2, inf) else ()
 
     def mult_batch(self, a, mult):
         if self.p not in (1, 2, inf):
@@ -318,20 +338,13 @@ class LpSpace(Space):
             return np.abs(v).max(axis=0)
         return (np.abs(v) ** self.p).sum(axis=0) ** (1.0 / self.p)
 
-    def sign_distribution(self, a, masks):
+    def _law(self, a, v, masks):
         """Signs do not change the norm: one value, taken 2^m times."""
-        if masks or self.p not in (1, 2, inf):
-            return None
-        ints, d = _int_entries(a)
-        if ints.dtype == object or len(ints) > 62:
-            return None
-        v = ints.tolist()
         if self.p == 2:
             num, core = split_square(sum(x * x for x in v))
         else:
             num, core = (sum if self.p == 1 else max)(map(abs, v)), 1
-        return _value_counts({core: np.array([num], dtype=np.int64)},
-                              np.array([1 << len(v)], dtype=np.int64), d)
+        return {core: np.array([num], dtype=np.int64)}, np.array([1 << len(v)], dtype=np.int64)
 
     def paper_witnesses(self, kind, dim):
         return [Coeffs.from_values([1] * dim)]
@@ -351,6 +364,7 @@ class SummingSpace(Space):
     """max over support points of the absolute tail sum from that point."""
 
     name = "summing"
+    law_walks = (False, True)
 
     def mult_batch(self, a, mult):
         v, scale = _int_mult_values(a, mult)
@@ -359,15 +373,10 @@ class SummingSpace(Space):
     def mult_batch_float(self, a, mult):
         return _tail_maxabs(_float_values(a, mult))
 
-    def sign_distribution(self, a, masks):
+    def _law(self, a, v, masks):
         """The running-maximum DP over the tail sums, sign or mask steps."""
-        ints, d = _int_entries(a)
-        if ints.dtype == object or len(ints) > 62:
-            return None
-        counts = _running_max_counts(ints.tolist()[::-1], masks)
-        if counts is None:
-            return None
-        return _value_counts({1: np.arange(len(counts))}, counts, d)
+        counts = _running_max_counts(v[::-1], masks)
+        return None if counts is None else ({1: np.arange(len(counts))}, counts)
 
     def paper_witnesses(self, kind, dim):
         ones = Coeffs.from_values([1] * dim)
@@ -402,6 +411,7 @@ class SummingDualSpace(Space):
     """
 
     name = "summing_dual"
+    law_walks = (False,)
 
     def _reduce(self, v: np.ndarray, support) -> np.ndarray:
         total = np.zeros(v.shape[1], dtype=v.dtype)
@@ -416,18 +426,12 @@ class SummingDualSpace(Space):
     def mult_batch_float(self, a, mult):
         return self._reduce(_float_values(a, mult), a.support)
 
-    def sign_distribution(self, a, masks):
+    def _law(self, a, v, masks):
         """An edge term |e_k v_k - e_j v_j| = |v_k - e_k e_j v_j| depends
         on e_k e_j alone, and the products of the adjacent pairs are
         independent fair signs: the norm is a constant plus independent
         two-point terms, and its counts are their convolution, times the
         2^(m - pairs) patterns that give each choice of products."""
-        if masks:
-            return None
-        ints, d = _int_entries(a)
-        if ints.dtype == object or len(ints) > 62:
-            return None
-        v = ints.tolist()
         base, gaps = 0, []
         for k, j in _dual_edge_terms(a.support):
             if j < 0:
@@ -437,13 +441,13 @@ class SummingDualSpace(Space):
                 base += lo
                 gaps.append(hi - lo)
         width = sum(gaps) + 1
-        if width > _PRODUCT_BLOCK:
+        if width > _LAW_CELLS:
             return None
         counts = np.zeros(width, dtype=np.int64)
         counts[0] = 1 << (len(v) - len(gaps))
         for g in gaps:
             counts[g:] = counts[g:] + counts[:width - g]
-        return _value_counts({1: base + np.arange(width)}, counts, d)
+        return {1: base + np.arange(width)}, counts
 
     def paper_witnesses(self, kind, dim):
         return [Coeffs.from_values([(-1) ** i for i in range(dim)])]
@@ -619,6 +623,7 @@ class BmoRademacherSpace(Space):
     """(sum a_i^2)^(1/2) + sup_n |sum_{k<=n} a_k|."""
 
     name = "bmo_rademacher"
+    law_walks = (False,)
 
     def mult_batch(self, a, mult):
         v, scale = _int_mult_values(a, mult)
@@ -626,22 +631,15 @@ class BmoRademacherSpace(Space):
         rad = (v**2).sum(axis=0)
         return ExactBatch(scale=scale, classes={1: pref}, roots=rad, roots_scale=scale)
 
-    def sign_distribution(self, a, masks):
+    def _law(self, a, v, masks):
         """The running-maximum DP over the prefix sums, plus the l2 norm,
-        which signs do not change (masks do: no hook for them)."""
-        if masks:
-            return None
-        ints, d = _int_entries(a)
-        if ints.dtype == object or len(ints) > 62:
-            return None
-        v = ints.tolist()
+        which signs do not change (masks do: no law for them)."""
         counts = _running_max_counts(v, False)
         if counts is None:
             return None
         outer, core = split_square(sum(x * x for x in v))
         n = np.arange(len(counts))
-        classes = {1: n + outer} if core == 1 else {1: n, core: np.full(len(n), outer)}
-        return _value_counts(classes, counts, d)
+        return ({1: n + outer} if core == 1 else {1: n, core: np.full(len(n), outer)}), counts
 
     def mult_batch_float(self, a, mult):
         v = _float_values(a, mult)
@@ -656,6 +654,7 @@ class SmaxSpace(Space):
             raise DomainError("smax requires 1 < p <= 2")
         self.p = p
         self.name = f"smax:{p}"
+        self.law_walks = (False,) if p == 2 else ()
 
     def mult_batch(self, a, mult):
         if self.p != 2:
@@ -672,15 +671,9 @@ class SmaxSpace(Space):
             roots_scale=scale,
         )
 
-    def sign_distribution(self, a, masks):
+    def _law(self, a, v, masks):
         """The summing DP, each value n with n^2 below the constant
         rad = sum v^2 replaced by sqrt(rad)."""
-        if masks or self.p != 2:
-            return None
-        ints, d = _int_entries(a)
-        if ints.dtype == object or len(ints) > 62:
-            return None
-        v = ints.tolist()
         counts = _running_max_counts(v[::-1], False)
         if counts is None:
             return None
@@ -689,10 +682,10 @@ class SmaxSpace(Space):
         n = np.arange(len(counts))
         l2 = n * n < rad
         if not counts[l2].any():
-            return _value_counts({1: n}, counts, d)
+            return {1: n}, counts
         if core == 1:
-            return _value_counts({1: np.where(l2, outer, n)}, counts, d)
-        return _value_counts({1: np.where(l2, 0, n), core: np.where(l2, outer, 0)}, counts, d)
+            return {1: np.where(l2, outer, n)}, counts
+        return {1: np.where(l2, 0, n), core: np.where(l2, outer, 0)}, counts
 
     def mult_batch_float(self, a, mult):
         v = _float_values(a, mult)

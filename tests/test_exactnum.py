@@ -6,6 +6,7 @@ from math import isqrt
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import rudlab.exactnum as exactnum
 from rudlab.exactnum import (
     QSum,
     SQRT2,
@@ -78,6 +79,24 @@ def test_square_compare_with_many_radicals(n):
     f = F(float(bound))
     for x in (f - F(1, 10**40), f + F(1, 10**40)):
         assert le_times_square(x, c, y) == ((bound - x).sign() >= 0)
+
+
+def test_square_compare_far_from_the_bound_forms_no_product(monkeypatch):
+    """A y of 120 radical terms, with x far below or above c * y^2: one
+    64-bit bracket of each decides, and no symbolic product is formed."""
+    cores = [k for k in range(1, 400) if split_square(k)[0] == 1][:120]
+    y = QSum({k: F(1, i + 1) for i, k in enumerate(cores)})
+    assert len(y.terms) == 120
+    c, y2 = F(3, 2), float(y) ** 2
+    products = []
+    product = exactnum._product
+    monkeypatch.setattr(exactnum, "_product",
+                        lambda t1, t2: products.append(1) or product(t1, t2))
+    assert le_times_square(F(int(y2)), c, y)
+    assert le_times_square(QSum.root(3, F(int(y2) // 2)), c, y)
+    assert not le_times_square(F(2 * int(y2)), c, y)
+    assert not le_times_square(QSum.root(3, F(int(y2))), c, y)
+    assert products == []
 
 
 def test_float_and_repr():

@@ -20,9 +20,8 @@ from rudlab.coeffs import Coeffs, NoIntegerForm
 from rudlab.config import RunConfig, SpaceFactory
 from rudlab.exactnum import SQRT2
 from rudlab.rng import counter_u64
-from rudlab.spaces import Space
 
-#: the engines with a distribution hook, and the walks each takes it for
+#: the engines with an exact law (``law_walks``), and the walks each takes it for
 _HOOKED = ("lp:1", "lp:2", "linf", "summing", "summing_dual", "bmo", "smax:2")
 _SUBSET_HOOKED = ("summing",)
 
@@ -32,10 +31,24 @@ def _space(spec):
 
 
 def _walked(fn, space, *args):
-    """``fn(space, *args)`` with the engine's hook declining: the walk."""
+    """``fn(space, *args)`` with the engine's law switched off: the walk.
+    The law is switched off on the instance, which is where engines whose
+    law depends on p set ``law_walks``, and the walk must evaluate at least
+    one batch."""
+    batches = []
+    walk = rad._walk
+
+    def counted(*walk_args):
+        for item in walk(*walk_args):
+            batches.append(len(item[1]))
+            yield item
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(type(space), "sign_distribution", Space.sign_distribution)
-        return fn(space, *args)
+        mp.setattr(space, "law_walks", ())
+        mp.setattr(rad, "_walk", counted)
+        out = fn(space, *args)
+    assert batches, "the walk evaluated no batch"
+    return out
 
 
 def _identical(x, y) -> bool:
@@ -173,9 +186,9 @@ def test_running_max_table_bound(spec):
 
 @pytest.mark.parametrize("spec", _HOOKED)
 def test_radical_entries_take_the_walk(spec, monkeypatch):
-    """A radical entry has no integer form: the hook refuses it as the
+    """A radical entry has no integer form: the gate refuses it as the
     walk it would take does, on sign patterns and, where the engine has a
-    mask hook, on masks."""
+    mask law, on masks."""
     a = Coeffs.from_values([1, SQRT2, -2, 3, F(1, 3), 2])
     space = _space(spec)
     with pytest.raises(NoIntegerForm):
@@ -190,6 +203,18 @@ def test_radical_entries_take_the_walk(spec, monkeypatch):
         _walked(rad.sign_stats, space, a).mean()
     with pytest.raises(NoIntegerForm):
         rad.sign_stats(space, a).mean()
+
+
+@pytest.mark.parametrize("spec", _HOOKED)
+def test_empty_support_declines_at_the_gate(spec):
+    """The empty support has no law to read: every hooked engine declines,
+    on sign patterns and on masks, and the walk gives the one pattern's
+    norm 0."""
+    space = _space(spec)
+    for masks in (False, True):
+        assert space.sign_distribution(Coeffs.zero(), masks) is None
+    for fn in (rad.expect_exact, rad.expect_second_moment, rad.expect_subsets):
+        assert _identical(fn(space, Coeffs.zero()).value, F(0))
 
 
 def test_wide_entries_and_unhooked_engines_decline():
