@@ -55,7 +55,7 @@ import numpy as np
 from .batches import ExactBatch, _peak
 from .coeffs import DEFAULT_ENUM_CAP, Coeffs, DomainError
 from .rng import derive_seed
-from .spaces import Space, _float_values, _int_mult_values, _int_product
+from .spaces import Space, _column_blocks, _float_values, _int_mult_values, _int_product
 
 DEFAULT_LAMBDA = Fraction(2)
 DEFAULT_B = Fraction(1, 4)
@@ -577,13 +577,17 @@ class BdBasisSpace(Space):
     # rows only; the zero rows add nothing to a row sum or a maximum.
 
     def mult_batch(self, a, mult):
+        """The image under the support's block of D, one column block at a
+        time (:func:`~rudlab.spaces._column_blocks`), so that no image
+        holds more than ``_PRODUCT_BLOCK`` entries however wide the batch."""
         d = self.gamma.basis_block(a.support)
         gain = int(np.abs(d).sum(axis=1).max())
         v, scale = _int_mult_values(a, mult, gain)
-        image = _int_product(d, v, gain * _peak(v))
-        return ExactBatch.from_rational(
-            np.abs(image).max(axis=0), scale * self.gamma.d_scale
-        )
+        bound = gain * _peak(v)
+        peaks = np.empty(v.shape[1], dtype=v.dtype)
+        for sl in _column_blocks(len(d), v.shape[1]):
+            peaks[sl] = np.abs(_int_product(d, v[:, sl], bound)).max(axis=0)
+        return ExactBatch.from_rational(peaks, scale * self.gamma.d_scale)
 
     def mult_batch_float(self, a, mult):
         v = _float_values(a, mult)

@@ -11,7 +11,9 @@ All types are immutable after construction and all operations are pure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from fractions import Fraction
+from math import gcd, lcm
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -101,14 +103,19 @@ class Coeffs:
         return all(is_exact(v) for _, v in self.entries)
 
     def values_float(self) -> np.ndarray:
-        """The entries as floats; an entry past the float range, or one so
-        small that its float is 0.0, is refused (no entry is zero)."""
-        try:
-            out = np.array([float(v) for _, v in self.entries], dtype=np.float64)
-        except OverflowError:
-            raise DomainError("an entry past the float range has no float value") from None
-        if not out.all():
-            raise DomainError("an entry below the float range underflows to 0.0")
+        """The entries as floats, a read-only array computed once per
+        vector; an entry past the float range, or one so small that its
+        float is 0.0, is refused (no entry is zero)."""
+        out = self.__dict__.get("_floats")
+        if out is None:
+            try:
+                out = np.array([float(v) for _, v in self.entries], dtype=np.float64)
+            except OverflowError:
+                raise DomainError("an entry past the float range has no float value") from None
+            if not out.all():
+                raise DomainError("an entry below the float range underflows to 0.0")
+            out.flags.writeable = False
+            object.__setattr__(self, "_floats", out)
         return out
 
     # -- algebra ------------------------------------------------------------
@@ -134,6 +141,87 @@ class Coeffs:
 
 #: A norming functional is just a sparse weight vector paired against Coeffs.
 NormingFunctional = Coeffs
+
+#: largest magnitude of a :func:`family_form` multiplier (int64 columns)
+_FAMILY_PEAK = 1 << 62
+#: indices a pack's union support may reach (:func:`family_packs`); past
+#: it, only a vector at least as wide as the union joins
+_PACK_ROWS = 16
+#: most union indices times columns of a pack's batch
+_PACK_CELLS = 1 << 16
+
+
+def family_packs(vectors: Sequence[Coeffs], widths: Sequence[int],
+                 max_width: int) -> list[list[int]]:
+    """The positions of ``vectors`` cut, in order, into packs, each for one
+    family batch (:func:`family_form`).  A pack takes the next vector
+    while its columns (the packed ``widths`` summed) stay within
+    ``max_width`` and, times its union support, within ``_PACK_CELLS``,
+    and while that union stays within ``_PACK_ROWS`` indices or within the
+    larger of the pack's and the vector's own support.  Engines build
+    temporaries of union rows times columns, and some (the bd engine's
+    block of D) of the union's rows alone, so a pack costs about what its
+    widest member would."""
+    packs: list[list[int]] = []
+    rows: set[int] = set()
+    width = 0
+    for j, (a, w) in enumerate(zip(vectors, widths)):
+        union = rows.union(a.support)
+        if (not packs or width + w > max_width or len(union) * (width + w) > _PACK_CELLS
+                or len(union) > max(_PACK_ROWS, len(rows), len(a))):
+            packs.append([])
+            union, width = set(a.support), 0
+        packs[-1].append(j)
+        rows, width = union, width + w
+    return packs
+
+
+def family_form(vectors: Sequence[Coeffs]) -> tuple[Coeffs, np.ndarray] | None:
+    """One base vector over the union support of the non-empty exact
+    ``vectors`` and an int64 (union, len(vectors)) multiplier matrix whose
+    column j times the base is ``vectors[j]``: zero multipliers restrict the
+    base to each vector's support.
+
+    Each index holds one unit, the rational gcd of the family's entries
+    there (times sqrt(core) when every entry there is a single radical term
+    of that core), with the sign and type of the first vector's entry, so
+    that a family of one is its vector over a column of ones.  None for a
+    float entry, an index whose entries are of two classes (or of several
+    terms), and a multiplier past ``_FAMILY_PEAK``."""
+    cells: dict[int, list[tuple[int, int, int, int]]] = {}  # (column, core, num, den)
+    first: dict[int, Scalar] = {}
+    for j, a in enumerate(vectors):
+        for i, w in a.entries:
+            if isinstance(w, float):
+                return None
+            if isinstance(w, QSum):
+                if len(w.terms) != 1:
+                    return None
+                ((core, q),) = w.terms.items()
+            else:
+                core, q = 1, w
+            cells.setdefault(i, []).append((j, core, q.numerator, q.denominator))
+            first.setdefault(i, w)
+    support = sorted(cells)
+    mult = np.zeros((len(support), len(vectors)), dtype=np.int64)
+    base = []
+    for r, i in enumerate(support):
+        col = cells[i]
+        core = col[0][1]
+        if any(c != core for _, c, _, _ in col):
+            return None
+        g, den = gcd(*(n for _, _, n, _ in col)), lcm(*(d for _, _, _, d in col))
+        units = [n * (den // d) // g for _, _, n, d in col]  # entries over g / den
+        if max(map(abs, units)) > _FAMILY_PEAK:
+            return None
+        sign = 1 if units[0] > 0 else -1
+        w = first[i]
+        if abs(units[0]) != 1:
+            q = Fraction(sign * g, den)
+            w = QSum({core: q}) if isinstance(w, QSum) else q
+        base.append((i, w))
+        mult[r, [j for j, _, _, _ in col]] = [sign * u for u in units]
+    return Coeffs(tuple(base)), mult
 
 
 @dataclass(frozen=True)

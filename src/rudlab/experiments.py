@@ -25,7 +25,7 @@ import numpy as np
 from .coeffs import Coeffs, DomainError, sign_matrix_range
 from .config import RunConfig, SpaceFactory
 from .exactnum import QSum, Scalar, le_times_square, scalar_repr, sqrt_exact
-from .rademacher import sign_stats, subset_stats
+from .rademacher import family_means, sign_stats, subset_stats
 from .rng import counter_u64, counter_words_np, derive_seed
 from .spaces import LpSpace, Space
 from .witness import partition_rud_bound
@@ -105,8 +105,11 @@ def sample_vector(space: Space, seed: int, i: int, max_m: int = 12) -> Coeffs:
 
 
 def _ge(x: Scalar, y: Scalar) -> bool:
-    """Exact x >= y for exact scalars."""
-    return QSum.of(x) >= y
+    """Exact x >= y for exact scalars: rationals compared as they are, a
+    radical through :class:`QSum`."""
+    if isinstance(x, QSum) or isinstance(y, QSum):
+        return QSum.of(x) >= y
+    return x >= y
 
 
 def _ssq(a: Coeffs) -> Fraction:
@@ -122,6 +125,12 @@ def _ssq(a: Coeffs) -> Fraction:
 def _vectors(space: Space, seed: int, count: int, max_m: int = 12) -> list[Coeffs]:
     """The seeded samples 0 .. count-1, in index order (none is zero)."""
     return [sample_vector(space, seed, i, max_m) for i in range(count)]
+
+
+def _means_norms(space: Space, vectors: list[Coeffs], cap: int) -> list[tuple[Scalar, Scalar]]:
+    """(sign mean, norm) of each vector, from family batches
+    (:func:`~rudlab.rademacher.family_means`, :meth:`Space.norms`)."""
+    return list(zip(family_means(space, vectors, cap), space.norms(vectors)))
 
 
 def _tally(vectors, check) -> list[int]:
@@ -566,7 +575,7 @@ def exp_bd(cfg: RunConfig) -> Report:
     rep.add("bd.basis_sup", "every basis vector has sup norm <= lambda",
             float(max(sups)), float(lam), all(n <= lam for n in sups))
 
-    bad = 0
+    level_vectors = []
     rng_seed = seed + 1
     for m in range(len(g.levels)):
         idxs = g.level_indices(m)
@@ -582,33 +591,30 @@ def exp_bd(cfg: RunConfig) -> Report:
             a = Coeffs.from_pairs(
                 (i, v) for i, v in zip(pick, vals) if v
             )
-            if not a:
-                continue
-            n = Fraction(space.norm(a))
-            mx = max(abs(Fraction(v)) for _, v in a.entries)
-            if not (mx <= n <= lam * mx):
-                bad += 1
+            if a:
+                level_vectors.append(a)
+    bad = 0
+    for a, n in zip(level_vectors, space.norms(level_vectors)):
+        mx = max(abs(Fraction(v)) for _, v in a.entries)
+        if not (mx <= Fraction(n) <= lam * mx):
+            bad += 1
     rep.count("bd.level_sandwich",
               "single-level combinations sit between max|a| and lambda max|a|, exact", bad)
 
-    bad = 0
     top = len(g.levels) - 1
     gap_sets = [ms for ms in [(0, 2), (0, 3), (1, 3)] if ms[-1] < top + 1 and ms[-1] <= top]
+    combos = []  # (vector, sum of the level maxima)
     for ms in gap_sets:
         for t in range(5):
             pairs = []
             for m in ms:
                 for i in g.level_indices(m):
                     pairs.append((i, 1 if counter_u64(seed, 7 * t + m, i % 509) & 1 else -1))
-            a = Coeffs.from_pairs(pairs)
-            n = Fraction(space.norm(a))
-            summax = len(ms)
-            if not (n / lam <= summax <= n / b):
-                bad += 1
-    for l in range(1, top):
-        v = chain_vector(g, tuple(range(l + 1)))
-        n = Fraction(space.norm(v))
-        summax = l + 1
+            combos.append((Coeffs.from_pairs(pairs), len(ms)))
+    combos += [(chain_vector(g, tuple(range(l + 1))), l + 1) for l in range(1, top)]
+    bad = 0
+    for (_, summax), n in zip(combos, space.norms([a for a, _ in combos])):
+        n = Fraction(n)
         if not (n / lam <= summax <= n / b):
             bad += 1
     rep.count("bd.multilevel",
@@ -634,11 +640,12 @@ def exp_bd(cfg: RunConfig) -> Report:
 
     bound = rud_ratio_bound(g)
 
-    def rud(a):
-        r = float(space.norm(a)) / float(sign_stats(space, a, cfg.cap).mean())
+    def rud(en):
+        r = float(en[1]) / float(en[0])
         return r, r <= bound
 
-    worst, bad = _worst(_vectors(space, seed + 3, 30, max_m=10), rud)
+    worst, bad = _worst(_means_norms(space, _vectors(space, seed + 3, 30, max_m=10), cfg.cap),
+                        rud)
     rep.add("bd.rud", f"divergence-side ratio <= lambda(2/b + 1) = {bound:g} [30 vectors]",
             worst, bound, bad == 0)
 
@@ -700,12 +707,13 @@ def exp_zruc(cfg: RunConfig) -> Report:
     fac = SpaceFactory.shared(cfg)
     space = fac.space("zruc")
 
-    def check(a):
-        e = sign_stats(space, a, cfg.cap).mean()
-        n = space.norm(a)
+    def check(en):
+        e, n = en
         return float(e) / float(n), _ge(2 * QSum.of(n), e)
 
-    worst, bad = _worst(_vectors(space, derive_seed(cfg.seed, 16), 30, max_m=6), check)
+    worst, bad = _worst(
+        _means_norms(space, _vectors(space, derive_seed(cfg.seed, 16), 30, max_m=6), cfg.cap),
+        check)
     rep.add("zruc.two_ruc",
             "sign average of the convergence-side norm <= twice the norm, "
             "exact on the first two levels [30 vectors]",
@@ -731,11 +739,11 @@ def exp_zrud(cfg: RunConfig) -> Report:
         ]
         return coeffs if any(coeffs) else [Fraction(1)] + coeffs[1:]
 
-    def sandwich(coeffs):
-        sup, norm, const = zrud_block_sandwich(ctx, coeffs)
+    def sandwich(row):
+        sup, norm, const = row
         return (_ge(norm, sup) and _ge(QSum.of(const) * QSum.of(sup), norm),)
 
-    bad, = _tally([blocks(i) for i in range(100)], sandwich)
+    bad, = _tally(zrud_block_sandwich(ctx, [blocks(i) for i in range(100)]), sandwich)
     dh = float(QSum.of(3 + 4 * ctx.levels.delta_hat))
     rep.count("zrud.block_sandwich",
               f"block combinations sit between the partial-sum sup and "
@@ -745,13 +753,12 @@ def exp_zrud(cfg: RunConfig) -> Report:
     rho_used = ctx.levels.rho_used(ctx.levels.prefix[:2])
     inv_rho = Fraction(1) / rho_used
 
-    def ratio(a):
-        e = sign_stats(space, a, cfg.cap).mean()
-        n = space.norm(a)
+    def ratio(en):
+        e, n = en
         return float(n) / float(e), _ge(inv_rho * QSum.of(e), n)
 
     restricted = [a.restrict(first_two) for a in _vectors(space, seed + 1, 30, max_m=6)]
-    worst, bad = _worst([a for a in restricted if a], ratio)
+    worst, bad = _worst(_means_norms(space, [a for a in restricted if a], cfg.cap), ratio)
     rep.add("zrud.ratio",
             f"divergence-side ratio <= 1/rho_hat_used = {float(inv_rho):.4f} "
             "on the first two levels [30 vectors]",

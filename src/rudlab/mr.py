@@ -740,17 +740,24 @@ def mr_witness(
     return WitnessReport(x, AdmissibleTuple(tuple(blocks)), norm, est, bound)
 
 
-def zrud_block_sandwich(ctx: MrContext, a_blocks: list) -> tuple[Scalar, Scalar, Scalar]:
-    """(sup of partial sums, exact norm, upper constant) for sum a_j x_j,
-    the norm from the zrud engine (at any ``ctx.width``)."""
-    blocks = ctx.canonical_blocks(len(a_blocks))
-    norm = ctx.zrud.norm(Coeffs.from_pairs(
-        (i, _weight(len(s)) * Fraction(a)) for a, s in zip(a_blocks, blocks) for i in s))
-    sup: Scalar = 0
-    acc = Fraction(0)
-    for a in a_blocks:
-        acc += Fraction(a)
-        if abs(acc) > sup:
-            sup = abs(acc)
-    return sup, norm, 3 + 4 * ctx.levels.delta_hat
-
+def zrud_block_sandwich(ctx: MrContext, families: list[list]) -> list[tuple[Scalar, Scalar, Scalar]]:
+    """(sup of partial sums, exact norm, upper constant) for each
+    ``sum a_j x_j`` of the block coefficient lists ``families``, the norms
+    from one zrud engine batch (:meth:`~rudlab.spaces.Space.norms`, at any
+    ``ctx.width``)."""
+    vectors = []
+    for a_blocks in families:
+        blocks = ctx.canonical_blocks(len(a_blocks))
+        vectors.append(Coeffs.from_pairs(
+            (i, _weight(len(s)) * Fraction(a)) for a, s in zip(a_blocks, blocks) for i in s))
+    const = 3 + 4 * ctx.levels.delta_hat
+    out = []
+    for a_blocks, norm in zip(families, ctx.zrud.norms(vectors)):
+        sup: Scalar = 0
+        acc = Fraction(0)
+        for a in a_blocks:
+            acc += Fraction(a)
+            if abs(acc) > sup:
+                sup = abs(acc)
+        out.append((sup, norm, const))
+    return out

@@ -16,9 +16,12 @@ split-half idea of Horowitz & Sahni, JACM 1974); its batches are
 array-equal to the ones ``mult_batch`` gives chunk by chunk.  There is no
 sign walk outside this module: the renorm engine's inner averages are
 :func:`sign_means`, which packs whole one-chunk walks into shared batches
-and hands each longer one to :func:`sign_stats`.  Every chunk that is not
-split, and every packed batch, is :meth:`~rudlab.spaces.Space.batch`:
-exact or float by the engine's one rule.
+and hands each longer one to :func:`sign_stats`; :func:`family_means`
+packs the one-chunk walks of a family of vectors the same way, over the
+family's base vector (:func:`~rudlab.coeffs.family_form`).  Every chunk
+that is not split, and every packed float batch, is
+:meth:`~rudlab.spaces.Space.batch`: exact or float by the engine's one
+rule.
 
 Before it walks several chunks, a walk asks the engine for the exact
 distribution of the norm over all its patterns
@@ -56,7 +59,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
@@ -69,6 +72,8 @@ from .coeffs import (
     DomainError,
     DEFAULT_ENUM_CAP,
     check_cap,
+    family_form,
+    family_packs,
     mask_matrix_range,
     sign_matrix_range,
 )
@@ -250,18 +255,20 @@ def subset_stats(space: Space, a: Coeffs, cap: int = DEFAULT_ENUM_CAP) -> ExactB
 
 
 def sign_means(space: Space, a: Coeffs, mult: np.ndarray,
-               exact: bool) -> tuple[list[Scalar], np.ndarray]:
+               exact: bool) -> tuple[list[Scalar], np.ndarray] | None:
     """Sign averages of the masked vectors ``a * |mult[:, j]|``, one per
     distinct |column| (the average is sign-invariant; an empty one is 0),
-    and each column's index into them: the renorm engine's inner averages.
+    and each column's index into them: the renorm engine's inner averages
+    and, over a family's base vector, :func:`family_means`.
 
     Each is the sign walk of its masked vector.  A walk of at most
     ``_CHUNK`` patterns is packed whole with others into one batch of at
-    most ``_CHUNK`` columns (:meth:`~rudlab.spaces.Space.batch`, exact when
-    ``exact`` and the engine gives one) and read as its
+    most ``_CHUNK`` columns (the engine's ``mult_batch`` when ``exact``,
+    else its float :meth:`~rudlab.spaces.Space.batch`) and read as its
     :meth:`~rudlab.batches.ExactBatch.group_means` piece; a longer one is
     :func:`sign_stats` of the masked vector, so it takes the engine's
-    exact law, split walk or chunk fold."""
+    exact law, split walk or chunk fold.  None when ``exact`` and the
+    engine has no exact batch for a pack."""
     cols, which = np.unique(np.abs(mult), axis=1, return_inverse=True)
     means: list[Scalar] = [0] * cols.shape[1]
     batches: list[list[tuple[int, int]]] = []
@@ -286,10 +293,52 @@ def sign_means(space: Space, a: Coeffs, mult: np.ndarray,
         c = cols[:, np.repeat(group, widths)]
         # bit j of a pattern's mask flips the j-th row of its group's support
         place = np.maximum(np.cumsum(c != 0, axis=0) - 1, 0)
-        batch = space.batch(a, np.where((masks >> place) & 1, -c, c), exact)
+        signed = np.where((masks >> place) & 1, -c, c)
+        batch = space.mult_batch(a, signed) if exact else space.batch(a, signed, False)
+        if batch is None:
+            return None
         for g, mu in zip(group, batch.group_means(starts.tolist(), widths)):
             means[g] = mu
     return means, which
+
+
+def family_means(space: Space, vectors: Sequence[Coeffs],
+                 cap: int = DEFAULT_ENUM_CAP) -> list[Scalar]:
+    """``sign_stats(space, a, cap).mean()`` for each of ``vectors``, each
+    refused past ``cap`` (:func:`~rudlab.coeffs.check_cap`) before any
+    walk.
+
+    The exact vectors whose walks fit in one chunk are cut, in order, into
+    packs of at most ``_CHUNK`` patterns within the family budget
+    (:func:`~rudlab.coeffs.family_packs`), and each pack is one
+    :func:`sign_means` of its family's base vector
+    (:func:`~rudlab.coeffs.family_form`).  A longer walk, a float vector,
+    every vector of an engine whose zero multipliers do not restrict
+    (``zeros_restrict``), and a pack with no family form or no exact batch
+    walk on their own, through :func:`sign_stats`."""
+    for a in vectors:
+        check_cap(len(a), cap)
+    means: list[Scalar] = [0] * len(vectors)
+    short = []
+    for j, a in enumerate(vectors):
+        if a and _walk_length(len(a), masks=False) <= _CHUNK and a.is_exact() \
+                and space.zeros_restrict:
+            short.append(j)
+        else:
+            means[j] = _stats(space, a, cap, masks=False).mean()
+    for pack in family_packs([vectors[j] for j in short],
+                             [_walk_length(len(vectors[j]), masks=False) for j in short], _CHUNK):
+        pack = [short[k] for k in pack]
+        family = family_form([vectors[j] for j in pack])
+        packed = None if family is None else sign_means(space, *family, exact=True)
+        if packed is None:
+            for j in pack:
+                means[j] = _stats(space, vectors[j], cap, masks=False).mean()
+            continue
+        values, which = packed
+        for j, g in zip(pack, which.ravel().tolist()):
+            means[j] = values[g]
+    return means
 
 
 def expect_exact(space: Space, a: Coeffs, cap: int = DEFAULT_ENUM_CAP) -> ExpectationEstimate:

@@ -4,8 +4,11 @@ Every engine evaluates whole batches of entrywise multiplier columns of a
 :class:`~rudlab.coeffs.Coeffs` at once (``mult_batch`` exact over
 integers, ``mult_batch_float`` for Monte-Carlo and float vectors), and its
 ``batch`` chooses between the two by one rule: exact where asked and the
-batch has an exact form, float otherwise.  The ``norm`` is the one-column
-``batch``, and every sign walk's chunks are ``batch`` calls too.  No sign
+batch has an exact form, float otherwise.  Every sign walk's chunks are
+``batch`` calls.  ``norms`` evaluates a family of vectors as one exact
+batch of their base vector over the union support
+(:func:`~rudlab.coeffs.family_form`), and ``norm`` is ``norms`` of one
+vector, its one-column batch.  No sign
 walk lives here: the renorming's inner averages are
 :func:`rudlab.rademacher.sign_means`.  An exact batch is integer arrays
 only; an engine without one (``lp:P``, ``james_x:P`` and ``smax:P`` off
@@ -35,7 +38,8 @@ import numpy as np
 
 from .batches import (_TIE_RTOL, ExactBatch, _fold, _peak, check_float_range,
                       first_extreme, int_dtype)
-from .coeffs import Coeffs, DomainError, NoIntegerForm, NormingFunctional, check_cap
+from .coeffs import (Coeffs, DomainError, NoIntegerForm, NormingFunctional, check_cap,
+                     family_form, family_packs)
 from .exactnum import QSum, Scalar, split_square
 from .rademacher import sign_means
 
@@ -173,13 +177,45 @@ class Space:
     #: the walks :meth:`_law` answers: False for sign patterns, True for
     #: 0/1 masks
     law_walks: tuple[bool, ...] = ()
+    #: whether a zero multiplier gives the norm of the vector without that
+    #: entry, which a family's batch over its union support needs
+    #: (:meth:`norms`, :func:`~rudlab.rademacher.family_means`)
+    zeros_restrict: bool = True
 
-    # -- single-vector norm -------------------------------------------------
+    # -- norms ----------------------------------------------------------------
 
     def norm(self, a: Coeffs) -> Scalar:
-        if not a:
-            return 0
-        return self.batch(a, np.ones((len(a), 1), dtype=np.int8), a.is_exact()).value(0)
+        return self.norms([a])[0]
+
+    def norms(self, vectors: Sequence[Coeffs]) -> list[Scalar]:
+        """The norms of ``vectors`` (0 for an empty one), as :meth:`norm`
+        gives them one by one, from few engine calls: the vectors are cut
+        into packs (:func:`~rudlab.coeffs.family_packs`) and each pack is
+        one :meth:`mult_batch` of its family's base vector over the union
+        support, one multiplier column per vector
+        (:func:`~rudlab.coeffs.family_form`; a family of one is its vector
+        over a column of ones).  An engine whose zero multipliers do not
+        restrict (``zeros_restrict``) takes families of one.  Float
+        vectors, indices of mixed classes, an engine without an exact
+        batch, and a union refused as having no integer form fall back to
+        one :meth:`batch` per vector, which gives that vector's own value
+        or refusal."""
+        out: list[Scalar] = [0] * len(vectors)
+        live = [j for j, a in enumerate(vectors) if a]
+        packs = (family_packs([vectors[j] for j in live], [1] * len(live), len(live))
+                 if self.zeros_restrict else [[k] for k in range(len(live))])
+        for pack in packs:
+            pack = [live[k] for k in pack]
+            family = family_form([vectors[j] for j in pack])
+            try:
+                batch = None if family is None else self.mult_batch(*family)
+            except NoIntegerForm:
+                batch = None
+            for k, j in enumerate(pack):
+                a = vectors[j]
+                out[j] = (batch.value(k) if batch is not None else self.batch(
+                    a, np.ones((len(a), 1), dtype=np.int8), a.is_exact()).value(0))
+        return out
 
     # -- batched norms ------------------------------------------------------
 
@@ -575,6 +611,8 @@ class JamesSpace(Space):
         self.name = name
         self.p = p
         self._dp = _pairs_dp if pairs else _chain_dp
+        # a zero entry is one more node a pair may end at
+        self.zeros_restrict = not pairs
 
     def _reduce(self, v, support):
         return self._dp(_node_matrix(v, _chain_nodes(support)), self.p)
@@ -970,6 +1008,7 @@ class RenormSpace(Space):
         self.base = base
         self.delta = Fraction(delta)
         self.name = f"renorm:{base.name}:{delta}"
+        self.zeros_restrict = base.zeros_restrict
         self.sweep_max_m = 8
 
     @staticmethod
@@ -984,9 +1023,10 @@ class RenormSpace(Space):
         classes in ascending core order."""
         self._check_cap(mult)
         base = self.base.mult_batch(a, mult)
-        if base is None:
+        packed = None if base is None else sign_means(self.base, a, mult, exact=True)
+        if packed is None:
             return None
-        inner, which = sign_means(self.base, a, mult, exact=True)
+        inner, which = packed
         p, q = self.delta.numerator, self.delta.denominator
         terms = [QSum.of(v).terms for v in inner]
         scale = lcm(q * base.scale, *(x.denominator for t in terms for x in t.values()))

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .coeffs import DEFAULT_ENUM_CAP, Coeffs, DomainError, apply_signs, SignPattern
 from .exactnum import Scalar
-from .rademacher import expect_exact, sign_stats
+from .rademacher import expect_exact, family_means, sign_stats
 from .rng import DEFAULT_SEED, counter_u64
 from .spaces import LpSpace, Space
 
@@ -42,11 +42,23 @@ def ratio_ruc(space: Space, a: Coeffs, enum_cap: int = DEFAULT_ENUM_CAP) -> floa
 
 def ratio_rud(space: Space, a: Coeffs, enum_cap: int = DEFAULT_ENUM_CAP) -> float:
     """Norm over the exact sign average (divergence-side ratio)."""
-    n = _norm_positive(space, a)
-    e = expect_exact(space, a, cap=enum_cap).value
-    if not float(e) > 0:
+    return ratios_rud(space, [a], enum_cap)[0]
+
+
+def ratios_rud(space: Space, vectors: list[Coeffs],
+               enum_cap: int = DEFAULT_ENUM_CAP) -> list[float]:
+    """:func:`ratio_rud` of each vector, from one family of norms
+    (:meth:`~rudlab.spaces.Space.norms`) and of sign means
+    (:func:`~rudlab.rademacher.family_means`)."""
+    if not all(vectors):
+        raise DomainError("zero vector")
+    norms = space.norms(vectors)
+    if not all(float(n) > 0 for n in norms):
+        raise DomainError("zero vector")
+    means = family_means(space, vectors, enum_cap)
+    if not all(float(e) > 0 for e in means):
         raise DomainError("vanishing sign average")
-    return float(n) / float(e)
+    return [float(n) / float(e) for n, e in zip(norms, means)]
 
 
 def ratio_unc(space: Space, a: Coeffs, e: SignPattern) -> float:
@@ -245,19 +257,20 @@ def partition_rud_bound(
     per-class ratios (restriction = 0/1 multiplier, so the comparison is
     the finite contraction argument made exact sample by sample)."""
     covered = set().union(*map(set, partition)) if partition else set()
+    if not all(set(a.support) <= covered for a in samples):
+        raise DomainError("partition does not cover the sample support")
+    # each sample, then its non-empty class restrictions, as (class, vector)
+    parts = [[(None, a)] + [(k, r) for k, cls in enumerate(partition) if (r := a.restrict(cls))]
+             for a in samples]
+    ratios = iter(ratios_rud(space, [v for part in parts for _, v in part], enum_cap))
     rows = []
     class_constants = [0.0] * len(partition)
-    for a in samples:
-        if not set(a.support) <= covered:
-            raise DomainError("partition does not cover the sample support")
-        full = ratio_rud(space, a, enum_cap)
+    for a, part in zip(samples, parts):
+        full = next(ratios)
         per = []
         bound = 0.0
-        for k, cls in enumerate(partition):
-            r = a.restrict(cls)
-            if not r:
-                continue
-            c = ratio_rud(space, r, enum_cap)
+        for k, _ in part[1:]:
+            c = next(ratios)
             per.append(c)
             bound += c
             class_constants[k] = max(class_constants[k], c)

@@ -495,7 +495,7 @@ def test_zrud_family_cap_refuses_quickly(ctx):
 
 
 def test_zrud_block_sandwich(ctx):
-    sup, norm, const = zrud_block_sandwich(ctx, [1, -1])
+    (sup, norm, const), = zrud_block_sandwich(ctx, [[1, -1]])
     assert sup == 1
     assert (QSum.of(norm) - 1).sign() >= 0
     assert (QSum.of(const) * 1 - QSum.of(norm)).sign() >= 0
@@ -510,7 +510,7 @@ def test_zrud_block_sandwich_takes_the_engine_norm_at_width_1():
     coeffs = [F(1, 2), -1, 1]
     x = Coeffs.from_pairs((i, mr._weight(len(s)) * F(a))
                           for a, s in zip(coeffs, wide.canonical_blocks(3)) for i in s)
-    _, norm, _ = zrud_block_sandwich(wide, coeffs)
+    (_, norm, _), = zrud_block_sandwich(wide, [coeffs])
     assert QSum.of(norm) == QSum.of(wide.zrud.norm(x))
     assert QSum.of(norm) == F(1, 2) + F(5, 8) * sqrt_exact(2)
     assert float(zrud_block_norm(wide, coeffs)) == pytest.approx(1.2071, abs=1e-4)
