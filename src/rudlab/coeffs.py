@@ -148,7 +148,7 @@ _FAMILY_PEAK = 1 << 62
 #: it, only a vector at least as wide as the union joins
 _PACK_ROWS = 16
 #: most union indices times columns of a pack's batch
-_PACK_CELLS = 1 << 16
+_PACK_CELLS = 1 << 10
 
 
 def family_packs(vectors: Sequence[Coeffs], widths: Sequence[int],
