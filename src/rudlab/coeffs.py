@@ -200,7 +200,7 @@ def family_form(vectors: Sequence[Coeffs]) -> tuple[Coeffs, np.ndarray] | None:
                 ((core, q),) = w.terms.items()
             else:
                 core, q = 1, w
-            cells.setdefault(i, []).append((j, core, q.numerator, q.denominator))
+            cells.setdefault(i, []).append((j, core, int(q.numerator), int(q.denominator)))
             first.setdefault(i, w)
     support = sorted(cells)
     mult = np.zeros((len(support), len(vectors)), dtype=np.int64)

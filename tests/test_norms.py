@@ -115,6 +115,11 @@ def test_family_form_rebuilds_every_vector():
     assert base == vectors[0] and mult.tolist() == [[1], [1], [1]]
     assert family_form([Coeffs.from_values([1, 2]), Coeffs.from_values([SQRT2])]) is None
     assert family_form([Coeffs.from_values([0.5])]) is None
+    huge = [Coeffs.from_values([1 << 70, 1]), Coeffs.from_values([1, 3])]
+    assert family_form(huge) is None
+    for spec in ("lp:1", "norming_set", "zmr"):
+        space = _space(spec)
+        assert [QSum.of(n) for n in space.norms(huge)] == [_one_by_one(space, a) for a in huge]
 
 
 def test_family_packs_keep_order_and_budget():
