@@ -31,6 +31,7 @@ otherwise.  Float batches reduce by numpy argmax and left-to-right float sums.
 
 from __future__ import annotations
 
+import itertools
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -102,6 +103,13 @@ def _fold(blocks: Sequence[tuple[int, Iterable[tuple[int, int]]]]) -> Scalar:
             if r and x:
                 outer, core = split_square(r)
                 totals[core] = totals.get(core, 0) + x * outer * mul
+    return _scalar(totals, den)
+
+
+def _scalar(totals: dict[int, int], den: int) -> Scalar:
+    """The exact value of ``sum_core totals[core] * sqrt(core) / den``: a
+    ``Fraction`` when it is rational, else a :class:`QSum` of the cores
+    whose totals are not 0."""
     totals = {core: t for core, t in totals.items() if t}
     if totals.keys() <= {1}:
         return Fraction(totals.get(1, 0), den)
@@ -251,31 +259,56 @@ class ExactBatch:
         """Exact means of consecutive pieces of the batch: piece ``p`` holds
         the values from ``starts[p]`` (``starts[0] == 0``) up to the next
         start, none of them empty, and its sum is divided by ``overs[p]``.
-
-        Numerators are summed as integers, in int64 where no sum can leave
-        it, and each piece's value is one :func:`_fold` of its class sums
-        and its roots part, each distinct radicand with its count."""
+        Each is one value of its piece's :meth:`core_sums`."""
         if self.scalars is not None:
             return _float_group_means(self.scalars, starts, overs)
+        den, sums = self.core_sums(starts)
+        return [_scalar({core: s[p] for core, s in sums.items()}, den * over)
+                for p, over in enumerate(overs)]
+
+    def core_sums(self, starts: Sequence[int]) -> tuple[int, dict[int, list[int]]]:
+        """The sums of the pieces of :meth:`group_means` as integers over one
+        denominator, ``lcm(scale, roots_scale)``: per square-free core, one
+        Python-int numerator per piece.
+
+        Class numerators are summed in int64 where no sum can leave it; the
+        roots part adds each distinct radicand of a piece times its count,
+        split once into its square part and core (:func:`split_square`)."""
         n = len(self)
-        bounds = list(starts) + [n]
-        class_sums = [
-            (core, np.add.reduceat(arr, starts, dtype=int_dtype(_peak(arr) * n)).tolist())
-            for core, arr in (self.classes or {}).items()
-        ]
-        runs: list[list[tuple[int, int]]] = [[] for _ in overs]
+        den = lcm(self.scale, self.roots_scale or 1)
+        runs: list[tuple[int, int, int, int]] = []  # (radicand, piece, integer, multiplier)
+        for r, arr in (self.classes or {}).items():
+            piece = np.add.reduceat(arr, starts, dtype=int_dtype(_peak(arr) * n)).tolist()
+            runs += [(r, p, int(x), den // self.scale) for p, x in enumerate(piece)]
         if self.roots is not None:
             # distinct radicands of each piece, ascending, with their counts
-            piece = np.repeat(np.arange(len(overs)), np.diff(bounds))
+            piece = np.repeat(np.arange(len(starts)), np.diff(list(starts) + [n]))
             order = np.lexsort((self.roots, piece))
             r, pc = self.roots[order], piece[order]
             at = np.flatnonzero(np.append(True, (r[1:] != r[:-1]) | (pc[1:] != pc[:-1])))
             counts = np.diff(np.append(at, n))
-            for p, rad, c in zip(pc[at].tolist(), _ints(r[at]), counts.tolist()):
-                runs[p].append((rad, c))
-        return [_fold([(over * self.scale, [(core, sums[p]) for core, sums in class_sums]),
-                       (over * (self.roots_scale or 1), runs[p])])
-                for p, over in enumerate(overs)]
+            runs += zip(_ints(r[at]), pc[at].tolist(), counts.tolist(),
+                        itertools.repeat(den // self.roots_scale))
+        sums: dict[int, list[int]] = {}
+        for r, p, x, mul in runs:
+            if r and x:
+                outer, core = split_square(r)
+                col = sums.get(core)
+                if col is None:
+                    col = sums[core] = [0] * len(starts)
+                col[p] += x * mul * outer
+        return den, sums
+
+    def columns(self, lo: int, hi: int) -> "ExactBatch":
+        """The batch of columns ``lo`` up to ``hi``: views of the same
+        arrays over the same scales, so every value and reduction is the
+        one a batch of those columns alone gives."""
+        if self.scalars is not None:
+            return ExactBatch(scalars=self.scalars[lo:hi])
+        return ExactBatch(
+            self.scale,
+            None if self.classes is None else {c: arr[lo:hi] for c, arr in self.classes.items()},
+            None if self.roots is None else self.roots[lo:hi], self.roots_scale)
 
     def counted_means(self, counts: np.ndarray, over: int) -> tuple[Scalar, Scalar]:
         """Exact mean and mean square of a distribution: each column of

@@ -229,6 +229,8 @@ class SpaceFactory:
         self._spaces: dict[str, Space] = {}
         #: spec -> vector index -> exact sign mean, filled by the sweep driver
         self.sweep_means: dict[str, dict[int, Scalar]] = {}
+        #: spec -> vector index -> exact subset mean, filled beside it
+        self.sweep_subset_means: dict[str, dict[int, Scalar]] = {}
 
     @classmethod
     def shared(cls, cfg: RunConfig) -> "SpaceFactory":

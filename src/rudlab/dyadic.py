@@ -21,7 +21,7 @@ import numpy as np
 
 from .batches import ExactBatch, _peak
 from .coeffs import DomainError
-from .spaces import Space, _float_values, _int_mult_values, _int_product
+from .spaces import Space, _column_blocks, _float_values, _int_mult_values, _int_product
 
 DEFAULT_GRID_CAP = 20
 
@@ -52,11 +52,15 @@ class _DyadicL1Space(Space):
         raise NotImplementedError
 
     def mult_batch(self, a, mult):
+        """The atoms' absolute values summed per column, one column block
+        of the image at a time (:func:`~rudlab.spaces._column_blocks`), so
+        that no image past ``_PRODUCT_BLOCK`` entries is held."""
         w = self._atoms(a.support)
         v, scale = _int_mult_values(a, mult, len(w))
-        # every atom value is 1, -1 or 0
-        image = _int_product(w, v, w.shape[1] * _peak(v))
-        return ExactBatch.from_rational(np.abs(image).sum(axis=0), scale * len(w))
+        bound = w.shape[1] * _peak(v)  # every atom value is 1, -1 or 0
+        sums = [np.abs(_int_product(w, v[:, sl], bound)).sum(axis=0)
+                for sl in _column_blocks(len(w), v.shape[1])]
+        return ExactBatch.from_rational(np.concatenate(sums), scale * len(w))
 
     def mult_batch_float(self, a, mult):
         return np.abs(self._atoms(a.support) @ _float_values(a, mult)).mean(axis=0)

@@ -12,7 +12,7 @@ coefficient vectors, :func:`_tally` counts the vectors failing each boolean
 a check returns, :func:`_worst` also keeps the largest ratio, and
 :meth:`Report.count` turns a failure count into a row.  :func:`_sweep` runs
 one check over every engine in ``SWEEP_SPECS`` and memoises each vector's
-sign mean for the run.
+sign and subset means for the run, both from one walk.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ import numpy as np
 from .coeffs import Coeffs, DomainError, sign_matrix_range
 from .config import RunConfig, SpaceFactory
 from .exactnum import QSum, Scalar, le_times_square, scalar_repr, sqrt_exact
-from .rademacher import family_means, sign_stats, subset_stats
-from .rng import counter_u64, counter_words_np, derive_seed
+from .rademacher import family_means, pair_stats, sign_stats
+from .rng import counter_grid_np, counter_u64, derive_seed
 from .spaces import LpSpace, Space
 from .witness import partition_rud_bound
 
@@ -88,20 +88,28 @@ _PALETTE = (1, -1, 2, -2, 3, -3, Fraction(1, 2), Fraction(-1, 2))
 
 
 def sample_vector(space: Space, seed: int, i: int, max_m: int = 12) -> Coeffs:
-    """A seeded random coefficient vector inside the engine's index universe."""
+    """A seeded random coefficient vector inside the engine's index universe:
+    sample ``i`` of :func:`_draw`."""
+    return _draw(space, seed, np.array([i]), max_m)[0]
+
+
+def _draw(space: Space, seed: int, index: np.ndarray, max_m: int) -> list[Coeffs]:
+    """The seeded samples ``index``, drawn in one pass.
+
+    Sample i has ``1 + counter_u64(seed, i, 0) % mm`` entries on the first
+    indices of the universe in the order of the keys
+    ``counter_u64(seed, i, 100 + k)``, ties by position, and its slot-th
+    entry is ``_PALETTE[counter_u64(seed, i, 200 + slot) % 8]``; each
+    family of counter words is one mixer call over all samples."""
     universe = space.sweep_indices if space.sweep_indices is not None else tuple(range(48))
     mm = min(max_m, space.sweep_max_m, len(universe))
-    m = 1 + counter_u64(seed, i, 0) % mm
-    # the universe in the order of the keys counter_u64(seed, i, 100 + k),
-    # ties by position
-    keys = counter_words_np(seed, i, np.arange(100, 100 + len(universe), dtype=np.uint64))
-    order = np.argsort(keys, kind="stable")
-    support = sorted(universe[k] for k in order[:m].tolist())
-    pairs = []
-    for slot, idx in enumerate(support):
-        v = _PALETTE[counter_u64(seed, i, 200 + slot) % len(_PALETTE)]
-        pairs.append((idx, v))
-    return Coeffs.from_pairs(pairs)
+    sizes = counter_grid_np(seed, index, np.zeros(1))[:, 0] % np.uint64(mm) + np.uint64(1)
+    keys = counter_grid_np(seed, index, np.arange(100, 100 + len(universe)))
+    order = np.argsort(keys, axis=1, kind="stable")
+    picks = counter_grid_np(seed, index, np.arange(200, 200 + mm)) % np.uint64(len(_PALETTE))
+    return [Coeffs.from_pairs(zip(sorted(universe[k] for k in row[:m]),
+                                  (_PALETTE[p] for p in slots)))
+            for row, m, slots in zip(order.tolist(), sizes.tolist(), picks.tolist())]
 
 
 def _ge(x: Scalar, y: Scalar) -> bool:
@@ -123,8 +131,9 @@ def _ssq(a: Coeffs) -> Fraction:
 
 
 def _vectors(space: Space, seed: int, count: int, max_m: int = 12) -> list[Coeffs]:
-    """The seeded samples 0 .. count-1, in index order (none is zero)."""
-    return [sample_vector(space, seed, i, max_m) for i in range(count)]
+    """The seeded samples 0 .. count-1, in index order (none is zero), each
+    equal to its :func:`sample_vector`."""
+    return _draw(space, seed, np.arange(count), max_m)
 
 
 def _means_norms(space: Space, vectors: list[Coeffs], cap: int) -> list[tuple[Scalar, Scalar]]:
@@ -160,27 +169,42 @@ def _worst(vectors, check) -> tuple:
 
 
 class _SignView:
-    """One sweep vector's sign-walk statistics, for the length of a check.
+    """One sweep vector's walk statistics, for the length of a check.
 
-    ``mean()`` reads or fills ``memo`` under the vector's index; ``min``,
-    ``max`` and ``mean_sq`` come from the walk's batch, taken on first use
-    and dropped with the view."""
+    ``mean()`` reads or fills ``memo`` under the vector's index, and
+    ``subset_mean()`` reads or fills ``subset_memo`` the same way.  ``min``, ``max`` and ``mean_sq`` come from the
+    sign walk, taken on first use and dropped with the view.  The first
+    walk is the pair walk (:func:`~rudlab.rademacher.pair_stats`), one
+    engine batch for the sign patterns and the masks together, which fills
+    the subset memo too; once the subset mean is memoised, a walk is the
+    sign walk alone."""
 
-    __slots__ = ("_space", "_a", "_cap", "_memo", "_i", "_stats")
+    __slots__ = ("_space", "_a", "_cap", "_memo", "_subsets", "_i", "_stats")
 
-    def __init__(self, space: Space, a: Coeffs, cap: int, memo: dict[int, Scalar], i: int):
-        self._space, self._a, self._cap, self._memo, self._i = space, a, cap, memo, i
+    def __init__(self, space: Space, a: Coeffs, cap: int, memo: dict[int, Scalar],
+                 subset_memo: dict[int, Scalar], i: int):
+        self._space, self._a, self._cap, self._i = space, a, cap, i
+        self._memo, self._subsets = memo, subset_memo
         self._stats = None
 
     def _walk(self):
         if self._stats is None:
-            self._stats = sign_stats(self._space, self._a, self._cap)
+            if self._i in self._subsets:
+                self._stats = sign_stats(self._space, self._a, self._cap)
+            else:
+                self._stats, subsets = pair_stats(self._space, self._a, self._cap)
+                self._subsets[self._i] = subsets.mean()
         return self._stats
 
     def mean(self) -> Scalar:
         if self._i not in self._memo:
             self._memo[self._i] = self._walk().mean()
         return self._memo[self._i]
+
+    def subset_mean(self) -> Scalar:
+        if self._i not in self._subsets:
+            self._walk()
+        return self._subsets[self._i]
 
     def mean_sq(self) -> Scalar:
         return self._walk().mean_sq()
@@ -198,19 +222,22 @@ def _sweep(cfg, name, rows, check) -> Report:
     boolean of ``check(space, a, st)``, where ``st`` is the vector's
     :class:`_SignView`.
 
-    The sign means are memoised on the config's shared factory, keyed on
-    (spec, vector index), so the sweep experiments of one run walk each
-    vector's signs once for its mean.  The key is sound because vector i
-    of an engine is a pure function of ``(cfg.seed, spec, i)`` and the
+    The sign and subset means are memoised on the config's shared factory
+    (``sweep_means`` and ``sweep_subset_means``), keyed on (spec, vector
+    index), so the sweep experiments of one run walk each vector once for
+    both means: ``sandwich`` takes the pair walks, and ``subsets`` then
+    reads their means and walks nothing.  The key is sound because vector
+    i of an engine is a pure function of ``(cfg.seed, spec, i)`` and the
     factory is one per config."""
     rep = Report(name)
     fac = SpaceFactory.shared(cfg)
     for spec in SWEEP_SPECS:
         space = fac.space(spec)
         memo = fac.sweep_means.setdefault(spec, {})
+        subset_memo = fac.sweep_subset_means.setdefault(spec, {})
         vectors = _vectors(space, derive_seed(cfg.seed, len(spec), sum(map(ord, spec))), 200)
         bad = _tally(range(len(vectors)), lambda i: check(
-            space, vectors[i], _SignView(space, vectors[i], cfg.cap, memo, i)))
+            space, vectors[i], _SignView(space, vectors[i], cfg.cap, memo, subset_memo, i)))
         for (rid, statement), b in zip(rows, bad):
             rep.count(f"{rid}.{spec}", f"{statement} [{len(vectors)} vectors]", b)
     return rep
@@ -236,8 +263,8 @@ def exp_subsets(cfg: RunConfig) -> Report:
     """
     def check(space, a, st):
         mean = st.mean()
-        e0 = subset_stats(space, a, cfg.cap).mean()
-        return _ge(2 * QSum.of(e0), mean), _ge(mean, e0)
+        e0 = st.subset_mean()
+        return _ge(2 * e0, mean), _ge(mean, e0)
 
     return _sweep(cfg, "subsets", [
         ("subsets.upper", "sign average <= twice the subset average, exact"),

@@ -13,12 +13,25 @@ log2(``_CHUNK``) mask bits vary, so an engine may build the part of its
 batches that the low bits decide once per vector and add each chunk's
 constant high part (:meth:`~rudlab.spaces.Space.split_batches`, the
 split-half idea of Horowitz & Sahni, JACM 1974); its batches are
-array-equal to the ones ``mult_batch`` gives chunk by chunk.  There is no
-sign walk outside this module: the renorm engine's inner averages are
-:func:`sign_means`, which packs whole one-chunk walks into shared batches
-and hands each longer one to :func:`sign_stats`; :func:`family_means`
-packs the one-chunk walks of a family of vectors the same way, over the
-family's base vector (:func:`~rudlab.coeffs.family_form`).  Every chunk
+array-equal to the ones ``mult_batch`` gives chunk by chunk.  The walks of
+one vector are ``_stats`` over a tuple of walk kinds: :func:`sign_stats`
+and :func:`subset_stats` are its one-walk cases, and :func:`pair_stats`
+takes both.  Where the 2^(m-1) sign patterns and the 2^m masks of an exact
+vector fit in one chunk together (m <= 12, every sweep vector), the pair
+walk is one engine batch over both pattern sets side by side, and each
+walk's statistics are its column view of it
+(:meth:`~rudlab.batches.ExactBatch.columns`); otherwise it is the two
+walks.
+
+There is no sign walk outside this module: the renorm engine's inner
+averages are :func:`sign_means`, which packs whole one-chunk walks into
+shared batches and hands each longer one to :func:`sign_stats`, and
+returns the averages as one exact batch, one column per distinct
+|column|: integer numerators over one scale, summed from the packed
+batches' pieces (:meth:`~rudlab.batches.ExactBatch.core_sums`), never a
+``Fraction`` per average.  :func:`family_means` packs the one-chunk walks
+of a family of vectors the same way, over the family's base vector
+(:func:`~rudlab.coeffs.family_form`), and reads that batch.  Every chunk
 that is not split, and every packed float batch, is
 :meth:`~rudlab.spaces.Space.batch`: exact or float by the engine's one
 rule.
@@ -59,6 +72,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from math import gcd, lcm
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -66,7 +80,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .batches import ExactBatch, _scalar_gt
+from .batches import ExactBatch, _scalar_gt, int_dtype
 from .coeffs import (
     Coeffs,
     DomainError,
@@ -77,7 +91,7 @@ from .coeffs import (
     mask_matrix_range,
     sign_matrix_range,
 )
-from .exactnum import Scalar
+from .exactnum import QSum, Scalar
 from .rng import DEFAULT_SEED, sign_codes, sign_matrix
 
 if TYPE_CHECKING:
@@ -202,19 +216,39 @@ def _first_argmax(space: Space, a: Coeffs, masks: bool, top: Scalar) -> int:
     raise AssertionError("the maximum is the norm of some pattern")
 
 
-def _stats(space: Space, a: Coeffs, cap: int, masks: bool) -> ExactBatch | FoldedStats:
+def _stats(space: Space, a: Coeffs, cap: int,
+           kinds: tuple[bool, ...]) -> tuple[ExactBatch | FoldedStats, ...]:
+    """The statistics of each walk of ``kinds`` (False for the sign
+    patterns, True for the 0/1 masks) over a.
+
+    Walks of an exact vector that fit in one chunk together are one
+    :meth:`~rudlab.spaces.Space.batch` over their patterns side by side,
+    and each walk's statistics are its columns of it
+    (:meth:`~rudlab.batches.ExactBatch.columns`); a single walk of any
+    vector that fits is its one chunk.  Otherwise each walk runs on its
+    own: several chunks take the engine's law or fold chunk by chunk."""
     if not a:  # the one pattern of the empty support has norm 0
-        return ExactBatch.from_rational(np.zeros(1, dtype=np.int64), 1)
+        return (ExactBatch.from_rational(np.zeros(1, dtype=np.int64), 1),) * len(kinds)
     m = check_cap(len(a), cap)
-    total = _walk_length(m, masks)
-    if total <= _CHUNK:
-        return next(_walk(space, a, masks))[1]
+    totals = [_walk_length(m, masks) for masks in kinds]
+    if sum(totals) <= _CHUNK and (len(kinds) == 1 or a.is_exact()):
+        if len(kinds) == 1:
+            return (next(_walk(space, a, kinds[0]))[1],)
+        mult = np.concatenate([(mask_matrix_range if masks else sign_matrix_range)(m, 0, total)
+                               for masks, total in zip(kinds, totals)], axis=1)
+        batch = space.batch(a, mult, True)
+        ends = np.cumsum(totals).tolist()
+        return tuple(batch.columns(hi - total, hi) for total, hi in zip(totals, ends))
+    if len(kinds) > 1:
+        return tuple(_stats(space, a, cap, (masks,))[0] for masks in kinds)
+    masks, = kinds
+    total, = totals
     dist = space.sign_distribution(a, masks)
     if dist is not None:
         values, counts = dist
         top = values.max()
-        return FoldedStats(*values.counted_means(counts, 1 << m), values.min(), top,
-                           lambda: _first_argmax(space, a, masks, top))
+        return (FoldedStats(*values.counted_means(counts, 1 << m), values.min(), top,
+                            lambda: _first_argmax(space, a, masks, top)),)
     mean: Scalar = 0
     mean_sq: Scalar = 0
     lo = hi = None
@@ -231,7 +265,7 @@ def _stats(space: Space, a: Coeffs, cap: int, masks: bool) -> ExactBatch | Folde
             hi = (v, start + i)
         if batch.scalars is not None:
             scalars = (scalars or 0) + len(batch)
-    return FoldedStats(mean, mean_sq, lo, hi[0], hi[1], scalars)
+    return (FoldedStats(mean, mean_sq, lo, hi[0], hi[1], scalars),)
 
 
 def sign_stats(space: Space, a: Coeffs, cap: int = DEFAULT_ENUM_CAP) -> ExactBatch | FoldedStats:
@@ -245,32 +279,54 @@ def sign_stats(space: Space, a: Coeffs, cap: int = DEFAULT_ENUM_CAP) -> ExactBat
     the engine's exact distribution where it has one (see the module
     docstring).
     """
-    return _stats(space, a, cap, masks=False)
+    return _stats(space, a, cap, (False,))[0]
 
 
 def subset_stats(space: Space, a: Coeffs, cap: int = DEFAULT_ENUM_CAP) -> ExactBatch | FoldedStats:
     """Exact reductions of the norms of a under all 2^m coordinate masks,
     walked and folded as in :func:`sign_stats`."""
-    return _stats(space, a, cap, masks=True)
+    return _stats(space, a, cap, (True,))[0]
+
+
+def pair_stats(space: Space, a: Coeffs, cap: int = DEFAULT_ENUM_CAP
+               ) -> tuple[ExactBatch | FoldedStats, ExactBatch | FoldedStats]:
+    """``(sign_stats(space, a, cap), subset_stats(space, a, cap))`` from one
+    engine batch where the 2^(m-1) sign patterns and the 2^m masks of an
+    exact vector fit in one chunk together (m <= 12 at the default chunk):
+    each is a column view of that batch, with the values, reductions and
+    first argmax of its own walk.  Otherwise, and for a float vector, the
+    two walks run one after the other."""
+    return _stats(space, a, cap, (False, True))
 
 
 def sign_means(space: Space, a: Coeffs, mult: np.ndarray,
-               exact: bool) -> tuple[list[Scalar], np.ndarray] | None:
-    """Sign averages of the masked vectors ``a * |mult[:, j]|``, one per
-    distinct |column| (the average is sign-invariant; an empty one is 0),
-    and each column's index into them: the renorm engine's inner averages
-    and, over a family's base vector, :func:`family_means`.
+               exact: bool) -> tuple[ExactBatch, np.ndarray] | None:
+    """Sign averages of the masked vectors ``a * |mult[:, j]|`` as one batch
+    with one column per distinct |column| (the average is sign-invariant;
+    an empty one is 0), and each column's index into it: the renorm
+    engine's inner averages and, over a family's base vector,
+    :func:`family_means`.
 
     Each is the sign walk of its masked vector.  A walk of at most
     ``_CHUNK`` patterns is packed whole with others into one batch of at
     most ``_CHUNK`` columns (the engine's ``mult_batch`` when ``exact``,
-    else its float :meth:`~rudlab.spaces.Space.batch`) and read as its
-    :meth:`~rudlab.batches.ExactBatch.group_means` piece; a longer one is
-    :func:`sign_stats` of the masked vector, so it takes the engine's
-    exact law, split walk or chunk fold.  None when ``exact`` and the
-    engine has no exact batch for a pack."""
+    else its float :meth:`~rudlab.spaces.Space.batch`), and its piece of
+    the batch gives its sum (:meth:`~rudlab.batches.ExactBatch.core_sums`);
+    a longer one is :func:`sign_stats` of the masked vector, so it takes
+    the engine's exact law, split walk or chunk fold.
+
+    When ``exact`` the batch is classes only, in ascending core order:
+    integer numerators over one scale, the lcm of the averages' reduced
+    denominators.  The scale is a function of the averages alone, so the
+    batch is array-equal however the walks are packed or chunked.
+    Otherwise it is a float batch.  None when ``exact`` and the engine has
+    no exact batch for a pack."""
     cols, which = np.unique(np.abs(mult), axis=1, return_inverse=True)
-    means: list[Scalar] = [0] * cols.shape[1]
+    n = cols.shape[1]
+    means: list[float] = [0.0] * n
+    # exact: per core the numerator of each average over its denominator
+    nums: dict[int, list[int]] = {}
+    dens = [1] * n
     batches: list[list[tuple[int, int]]] = []
     width = _CHUNK  # of the open batch; a full one makes the next walk open one
     for g, k in enumerate(np.count_nonzero(cols, axis=0).tolist()):
@@ -279,7 +335,14 @@ def sign_means(space: Space, a: Coeffs, mult: np.ndarray,
         total = _walk_length(k, masks=False)
         if total > _CHUNK:
             masked = Coeffs.from_pairs((i, v * int(c)) for (i, v), c in zip(a, cols[:, g]))
-            means[g] = sign_stats(space, masked).mean()
+            mu = sign_stats(space, masked).mean()
+            if not exact:
+                means[g] = float(mu)
+                continue
+            terms = QSum.of(mu).terms
+            dens[g] = lcm(*(x.denominator for x in terms.values()))
+            for core, x in terms.items():
+                nums.setdefault(core, [0] * n)[g] = x.numerator * (dens[g] // x.denominator)
             continue
         if width + total > _CHUNK:
             batches.append([])
@@ -294,12 +357,29 @@ def sign_means(space: Space, a: Coeffs, mult: np.ndarray,
         # bit j of a pattern's mask flips the j-th row of its group's support
         place = np.maximum(np.cumsum(c != 0, axis=0) - 1, 0)
         signed = np.where((masks >> place) & 1, -c, c)
-        batch = space.mult_batch(a, signed) if exact else space.batch(a, signed, False)
+        if not exact:
+            for g, mu in zip(group, space.batch(a, signed, False).group_means(
+                    starts.tolist(), widths)):
+                means[g] = mu
+            continue
+        batch = space.mult_batch(a, signed)
         if batch is None:
             return None
-        for g, mu in zip(group, batch.group_means(starts.tolist(), widths)):
-            means[g] = mu
-    return means, which
+        den, sums = batch.core_sums(starts.tolist())
+        for g, w in part:
+            dens[g] = den * w
+        for core, piece in sums.items():
+            col = nums.setdefault(core, [0] * n)
+            for g, x in zip(group, piece):
+                col[g] = x
+    if not exact:
+        return ExactBatch.from_scalars(means), which
+    scale = lcm(*(d // gcd(x, d) for col in nums.values() for x, d in zip(col, dens) if x))
+    classes = {}
+    for core in sorted(nums):
+        col = [x * scale // d for x, d in zip(nums[core], dens)]
+        classes[core] = np.array(col, dtype=int_dtype(max(map(abs, col))))
+    return ExactBatch.from_classes(classes or {1: np.zeros(n, dtype=np.int64)}, scale), which
 
 
 def family_means(space: Space, vectors: Sequence[Coeffs],
@@ -325,7 +405,7 @@ def family_means(space: Space, vectors: Sequence[Coeffs],
                 and space.zeros_restrict:
             short.append(j)
         else:
-            means[j] = _stats(space, a, cap, masks=False).mean()
+            means[j] = _stats(space, a, cap, (False,))[0].mean()
     for pack in family_packs([vectors[j] for j in short],
                              [_walk_length(len(vectors[j]), masks=False) for j in short], _CHUNK):
         pack = [short[k] for k in pack]
@@ -333,24 +413,24 @@ def family_means(space: Space, vectors: Sequence[Coeffs],
         packed = None if family is None else sign_means(space, *family, exact=True)
         if packed is None:
             for j in pack:
-                means[j] = _stats(space, vectors[j], cap, masks=False).mean()
+                means[j] = _stats(space, vectors[j], cap, (False,))[0].mean()
             continue
         values, which = packed
         for j, g in zip(pack, which.ravel().tolist()):
-            means[j] = values[g]
+            means[j] = values.value(g)
     return means
 
 
 def expect_exact(space: Space, a: Coeffs, cap: int = DEFAULT_ENUM_CAP) -> ExpectationEstimate:
-    return ExpectationEstimate(_stats(space, a, cap, masks=False).mean(), "exact")
+    return ExpectationEstimate(_stats(space, a, cap, (False,))[0].mean(), "exact")
 
 
 def expect_second_moment(space: Space, a: Coeffs, cap: int = DEFAULT_ENUM_CAP) -> ExpectationEstimate:
-    return ExpectationEstimate(_stats(space, a, cap, masks=False).mean_sq(), "exact")
+    return ExpectationEstimate(_stats(space, a, cap, (False,))[0].mean_sq(), "exact")
 
 
 def expect_subsets(space: Space, a: Coeffs, cap: int = DEFAULT_ENUM_CAP) -> ExpectationEstimate:
-    return ExpectationEstimate(_stats(space, a, cap, masks=True).mean(), "subsets")
+    return ExpectationEstimate(_stats(space, a, cap, (True,))[0].mean(), "subsets")
 
 
 def expect_perm(

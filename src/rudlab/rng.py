@@ -43,13 +43,15 @@ def counter_u64_np(seed: int, indices: np.ndarray, word: int = 0) -> np.ndarray:
     return _mix_np(base + np.uint64((_WORDK * word) & _MASK))
 
 
-def counter_words_np(seed: int, index: int, words: np.ndarray) -> np.ndarray:
-    """``counter_u64(seed, index, w)`` for every word ``w`` of ``words``.
+def counter_grid_np(seed: int, indices: np.ndarray, words: np.ndarray) -> np.ndarray:
+    """``counter_u64(seed, i, w)`` for every index ``i`` of ``indices`` (the
+    rows) and word ``w`` of ``words`` (the columns), in one mixer call.
 
-    The scalar part is summed in Python ints, masked to 64 bits: a numpy
-    *scalar* wrapping past 2^64 raises a RuntimeWarning, an array does not."""
-    base = ((seed & _MASK) + _GOLDEN * (index + 1)) & _MASK
-    return _mix_np(np.uint64(base) + np.uint64(_WORDK) * words.astype(np.uint64))
+    The seed is masked in Python ints before it becomes a numpy scalar, and
+    every sum wraps in uint64 arrays: a numpy *scalar* wrapping past 2^64
+    raises a RuntimeWarning, an array does not."""
+    base = np.uint64(seed & _MASK) + np.uint64(_GOLDEN) * (indices.astype(np.uint64) + np.uint64(1))
+    return _mix_np(base[:, None] + np.uint64(_WORDK) * words.astype(np.uint64)[None, :])
 
 
 def sign_matrix(seed: int, m: int, count: int, start: int = 0) -> np.ndarray:

@@ -524,12 +524,17 @@ def _gain(d: np.ndarray, power) -> np.ndarray:
     return d**2 if power == 2 else d if power == 1 else d.astype(np.float64) ** power
 
 
-def _chain_table(nv: np.ndarray, power) -> np.ndarray:
+def _chain_table(nv: np.ndarray, power, pairs: bool = False) -> np.ndarray:
     """Best accumulated |difference|^power along increasing node chains:
-    row j of the table is the best chain ending at node j."""
+    row j of the table is the best chain ending at node j.
+
+    With ``pairs``, over disjoint increasing pairs instead: row j + 1 is
+    the best using nodes 0..j, the better of leaving node j out (row j)
+    and pairing it with an earlier node i after the best over the nodes
+    before i (row i), so the table has one more row."""
     k, n = nv.shape
     exact = power in (1, 2)
-    best = np.zeros((k, n), dtype=nv.dtype if exact else np.float64)
+    best = np.zeros((k + pairs, n), dtype=nv.dtype if exact else np.float64)
     # one buffer per dtype for every node's differences and gains
     diff = np.empty((k, n), dtype=nv.dtype)
     gain = diff if exact else np.empty((k, n))
@@ -544,20 +549,32 @@ def _chain_table(nv: np.ndarray, power) -> np.ndarray:
                 g[...] = d
                 np.power(g, power, out=g)
         np.add(best[:j], g, out=g)
-        np.max(g, axis=0, out=best[j])
+        np.max(g, axis=0, out=best[j + pairs])
+        if pairs:
+            np.maximum(best[j + 1], best[j], out=best[j + 1])
     return best
 
 
-def _chain_dp(nv: np.ndarray, power) -> np.ndarray:
-    """The best chain ending at the last node, per column.  The columns'
-    DPs are independent, so they run over column blocks
-    (:func:`_column_blocks`) and the table and its temporaries stay within
-    ``_PRODUCT_BLOCK`` entries; a batch that fits in one block is tabled
+def _by_column_blocks(dp: Callable[[np.ndarray], np.ndarray], nv: np.ndarray) -> np.ndarray:
+    """``dp(nv)`` for a DP whose columns are independent, run over column
+    blocks (:func:`_column_blocks`) so that its table and temporaries stay
+    within ``_PRODUCT_BLOCK`` entries; a batch that fits in one block runs
     whole."""
     blocks = _column_blocks(*nv.shape)
     if len(blocks) == 1:
-        return _chain_table(nv, power)[-1]
-    return np.concatenate([_chain_table(nv[:, sl], power)[-1] for sl in blocks])
+        return dp(nv)
+    return np.concatenate([dp(nv[:, sl]) for sl in blocks])
+
+
+def _chain_dp(nv: np.ndarray, power) -> np.ndarray:
+    """The best chain ending at the last node, per column, by column
+    blocks.  At power 1 the best chain takes every node (triangle
+    inequality), so on integers it is the total variation, the sum of
+    |difference| down the nodes, exactly; floats keep the table, whose
+    sums it would round in another order."""
+    if power == 1 and nv.dtype != np.float64:
+        return _by_column_blocks(lambda v: np.abs(np.diff(v, axis=0)).sum(axis=0), nv)
+    return _by_column_blocks(lambda v: _chain_table(v, power)[-1], nv)
 
 
 def _split_chain_dp(ints: np.ndarray, nodes: list[int], low: np.ndarray,
@@ -590,16 +607,9 @@ def _split_chain_dp(ints: np.ndarray, nodes: list[int], low: np.ndarray,
 
 
 def _pairs_dp(nv: np.ndarray, power) -> np.ndarray:
-    """Best accumulated |difference|^power over disjoint increasing pairs."""
-    k = nv.shape[0]
-    zero = np.zeros(nv.shape[1], dtype=nv.dtype)
-    best = [zero]  # best[j+1] = optimum using nodes 0..j
-    for j in range(k):
-        cur = best[j] if j else zero
-        for i in range(j):
-            cur = np.maximum(cur, best[i] + _gain(np.abs(nv[i] - nv[j]), power))
-        best.append(cur)
-    return best[-1]
+    """The best over disjoint increasing pairs of all the nodes
+    (:func:`_chain_table` with ``pairs``), per column, by column blocks."""
+    return _by_column_blocks(lambda v: _chain_table(v, power, pairs=True)[-1], nv)
 
 
 class JamesSpace(Space):
@@ -996,10 +1006,11 @@ class RenormSpace(Space):
 
     The norm is the one-column batch.  The columns' inner sign averages are
     the base's sign walks of their masked vectors
-    (:func:`~rudlab.rademacher.sign_means`), so the batch is exact exactly
-    when the base's is; a column past the enumeration cap
-    (``DEFAULT_ENUM_CAP``) is refused with ``EnumerationCapError`` before
-    any base call.
+    (:func:`~rudlab.rademacher.sign_means`), one integer batch with one
+    column per distinct |column|, so the batch is exact exactly when the
+    base's is, and its two terms add as integer arrays; a column past the
+    enumeration cap (``DEFAULT_ENUM_CAP``) is refused with
+    ``EnumerationCapError`` before any base call.
     """
 
     def __init__(self, base: Space, delta: Fraction):
@@ -1012,37 +1023,46 @@ class RenormSpace(Space):
         self.sweep_max_m = 8
 
     @staticmethod
-    def _check_cap(mult: np.ndarray) -> None:
-        check_cap(int(np.count_nonzero(mult, axis=0).max(initial=0)),
-                  what="the renorm inner sign average of a column with {} entries")
+    def _check_cap(mult: np.ndarray) -> int:
+        """The most entries of a column, refused past the cap."""
+        return check_cap(int(np.count_nonzero(mult, axis=0).max(initial=0)),
+                         what="the renorm inner sign average of a column with {} entries")
 
     def mult_batch(self, a, mult):
         """delta * base + inner[which] as one integer batch: the base
         classes and the inner means' numerators over one common scale, the
         base roots times p^2 over ``roots_scale * q`` for delta = p/q, the
-        classes in ascending core order."""
-        self._check_cap(mult)
+        classes in ascending core order.  The inner means come as integer
+        numerators (:func:`~rudlab.rademacher.sign_means`), so both terms
+        are integer arrays.
+
+        The scale is ``q`` times the base scale and the inner walks' common
+        denominator, the base batch's denominator times 2^(k-1) for the
+        longest column's k entries (and the inner means' own scale where
+        that does not divide it): a function of ``a`` and the columns, not
+        of the means, so a column's entries are the same in every batch of
+        columns as long, however its inner walks are packed or chunked."""
+        k = self._check_cap(mult)
         base = self.base.mult_batch(a, mult)
         packed = None if base is None else sign_means(self.base, a, mult, exact=True)
         if packed is None:
             return None
         inner, which = packed
         p, q = self.delta.numerator, self.delta.denominator
-        terms = [QSum.of(v).terms for v in inner]
-        scale = lcm(q * base.scale, *(x.denominator for t in terms for x in t.values()))
+        walks = lcm(base.scale, base.roots_scale or 1) << max(k - 1, 0)
+        scale = lcm(q * base.scale, walks, inner.scale)
         mul = scale // (q * base.scale) * p
+        imul = scale // inner.scale
         base_classes = base.classes or {}
-        inner_nums: dict[int, list[int]] = {}
-        for g, t in enumerate(terms):
-            for core, x in t.items():
-                inner_nums.setdefault(core, [0] * len(terms))[g] = int(x * scale)
+        inner_classes = {core: arr for core, arr in inner.classes.items() if arr.any()}
         classes = {}
-        for core in sorted({*base_classes, *inner_nums}):
-            arr, nums = base_classes.get(core), inner_nums.get(core, [0] * len(terms))
+        for core in sorted({*base_classes, *inner_classes}):
+            arr, nums = base_classes.get(core), inner_classes.get(core)
             peak = _peak(arr) * mul if arr is not None else 0
-            dtype = int_dtype(peak + max(map(abs, nums)))
+            ipeak = _peak(nums) * imul if nums is not None else 0
+            dtype = int_dtype(peak + ipeak)
             col = arr.astype(dtype) * mul if arr is not None else 0
-            classes[core] = col + np.array(nums, dtype=dtype)[which]
+            classes[core] = col if nums is None else col + (nums.astype(dtype) * imul)[which]
         if base.roots is None:
             return ExactBatch.from_classes(classes, scale)
         # delta * sqrt(R) / rs = sqrt(R * p^2) / (rs * q)
@@ -1054,4 +1074,4 @@ class RenormSpace(Space):
         self._check_cap(mult)
         base = self.base.mult_batch_float(a, mult)
         inner, which = sign_means(self.base, a, mult, exact=False)
-        return np.array([float(x) for x in inner])[which] + float(self.delta) * base
+        return inner.float_values()[which] + float(self.delta) * base

@@ -6,17 +6,26 @@ pairings, one functional at a time.  The coding-function engines (``zmr``,
 enumerates each tuple family on the support (``mr.zmr_functionals``,
 ``mr.zrud_functionals``) and pairs every member with the vector in
 :func:`norm_slow`.  Nothing here uses the engines' closed-form rows.
+
+:func:`pairs_dp_loop` is the disjoint-pairs DP one node pair at a time, and
+:func:`renorm_batch_reference` the renorm batch built from each column's
+inner sign mean as a ``Fraction`` scaled to the common denominator.
 """
 
 from __future__ import annotations
 
 import functools
 from fractions import Fraction
+from math import lcm
 
+import numpy as np
+
+from rudlab.batches import ExactBatch, _peak, int_dtype
 from rudlab.coeffs import Coeffs, NormingFunctional, pair
 from rudlab.exactnum import QSum, Scalar, sqrt_exact
 from rudlab.mr import MrContext, zmr_functionals, zrud_functionals
-from rudlab.spaces import NormingSetSpace
+from rudlab.rademacher import sign_stats
+from rudlab.spaces import NormingSetSpace, RenormSpace, _gain
 
 _ENUMERATORS = {"zmr": zmr_functionals, "zrud": zrud_functionals}
 
@@ -132,3 +141,50 @@ def zrud_block_norm(ctx: MrContext, a_blocks: list) -> Scalar:
         cands.append(abs(w * QSum.of(dec)))
     best = max(cands, key=QSum.of)  # the first of equal maxima
     return best.as_fraction() if isinstance(best, QSum) and best.is_rational() else best
+
+
+def pairs_dp_loop(nv: np.ndarray, power) -> np.ndarray:
+    """Best accumulated |difference|^power over disjoint increasing pairs
+    of the rows of ``nv``, per column, one pair (i, j) at a time."""
+    k = nv.shape[0]
+    zero = np.zeros(nv.shape[1], dtype=nv.dtype)
+    best = [zero]  # best[j+1] = optimum using nodes 0..j
+    for j in range(k):
+        cur = best[j] if j else zero
+        for i in range(j):
+            cur = np.maximum(cur, best[i] + _gain(np.abs(nv[i] - nv[j]), power))
+        best.append(cur)
+    return best[-1]
+
+
+def renorm_batch_reference(space: RenormSpace, a: Coeffs, mult: np.ndarray) -> ExactBatch:
+    """``space.mult_batch(a, mult)`` built per distinct |column|: the inner
+    mean is ``sign_stats`` of the masked vector, its terms are scaled as
+    ``Fraction``s to the lcm of their denominators and ``q`` times the base
+    scale, and the classes are in ascending core order."""
+    base = space.base.mult_batch(a, mult)
+    cols, which = np.unique(np.abs(mult), axis=1, return_inverse=True)
+    terms = []
+    for col in cols.T:
+        masked = Coeffs.from_pairs((i, v * int(c)) for (i, v), c in zip(a.entries, col))
+        terms.append(QSum.of(sign_stats(space.base, masked).mean() if masked else 0).terms)
+    p, q = space.delta.numerator, space.delta.denominator
+    scale = lcm(q * base.scale, *(x.denominator for t in terms for x in t.values()))
+    mul = scale // (q * base.scale) * p
+    base_classes = base.classes or {}
+    inner: dict[int, list[int]] = {}
+    for g, t in enumerate(terms):
+        for core, x in t.items():
+            inner.setdefault(core, [0] * len(terms))[g] = int(x * scale)
+    classes = {}
+    for core in sorted({*base_classes, *inner}):
+        arr, nums = base_classes.get(core), inner.get(core, [0] * len(terms))
+        peak = _peak(arr) * mul if arr is not None else 0
+        dtype = int_dtype(peak + max(map(abs, nums)))
+        col = arr.astype(dtype) * mul if arr is not None else 0
+        classes[core] = col + np.array(nums, dtype=dtype)[which.ravel()]
+    if base.roots is None:
+        return ExactBatch.from_classes(classes, scale)
+    roots = base.roots.astype(int_dtype(_peak(base.roots) * p * p)) * (p * p)
+    return ExactBatch(scale=scale, classes=classes or None,
+                      roots=roots, roots_scale=base.roots_scale * q)

@@ -75,6 +75,50 @@ def test_group_means_match_sliced_means():
     assert floats.group_means(starts, overs)[2] == total / 20
 
 
+def test_core_sums_are_the_pieces_sums_over_one_denominator():
+    """Each piece's numerators over ``lcm(scale, roots_scale)``, one per
+    square-free core (class keys and radicands with square factors move to
+    their cores), sum to the piece's values."""
+    rng = np.random.default_rng(11)
+    n = 50
+    batch = ExactBatch(
+        scale=6,
+        classes={1: rng.integers(-40, 50, size=n), 8: rng.integers(-5, 50, size=n)},
+        roots=rng.integers(0, 30, size=n) ** 2 * rng.choice([1, 2, 3, 8, 12], size=n),
+        roots_scale=4,
+    )
+    starts = [0, 3, 4, 30]
+    den, sums = batch.core_sums(starts)
+    assert den == 12 and all(split_square(core) == (1, core) for core in sums)
+    assert all(len(piece) == len(starts) for piece in sums.values())
+    for p, (lo, hi) in enumerate(zip(starts, starts[1:] + [n])):
+        got = QSum({core: F(piece[p], den) for core, piece in sums.items() if piece[p]})
+        assert got == sum(QSum.of(batch.value(i)) for i in range(lo, hi))
+
+
+def test_columns_is_the_batch_of_those_columns():
+    """A column view holds the same arrays' slices over the same scales, so
+    its values and reductions are those of a batch of those columns; a
+    float batch's view is its slice of floats."""
+    rng = np.random.default_rng(12)
+    n = 30
+    classes = {1: rng.integers(-9, 9, size=n), 2: rng.integers(0, 5, size=n)}
+    roots = rng.integers(0, 40, size=n)
+    batch = ExactBatch(scale=5, classes=classes, roots=roots, roots_scale=3)
+    for lo, hi in ((0, n), (4, 17), (29, 30)):
+        view = batch.columns(lo, hi)
+        alone = ExactBatch(scale=5, classes={c: x[lo:hi].copy() for c, x in classes.items()},
+                           roots=roots[lo:hi].copy(), roots_scale=3)
+        assert len(view) == hi - lo
+        for q in ("mean", "mean_sq", "min", "max"):
+            assert QSum.of(getattr(view, q)()) == QSum.of(getattr(alone, q)())
+        assert view.argmax() == alone.argmax()
+        assert [QSum.of(view.value(i)) for i in range(hi - lo)] == \
+            [QSum.of(batch.value(i)) for i in range(lo, hi)]
+    floats = ExactBatch.from_scalars([0.5 * k for k in range(n)])
+    assert floats.columns(3, 6).scalars == [1.5, 2.0, 2.5]
+
+
 def _mean_sq_oracle(batch: ExactBatch, n: int):
     """The second moment summed term by term over Python ints."""
     total = QSum()

@@ -262,6 +262,25 @@ def test_rational_product_moves_square_radicands_to_their_cores():
     assert _items(x * 0) == []
 
 
+def test_rational_factor_scales_the_terms_as_the_product_does():
+    """A rational factor, on either side, gives the terms of the general
+    product (``exactnum._product``), in order and of the same types, on
+    values whose cores are their own splits, as every core rudlab forms
+    is; a zero factor gives no terms."""
+    values = [
+        QSum({5: F(1, 3), 1: F(-2), 2: F(7, 4)}),
+        QSum.root(12, F(3, 4)) + QSum.of(F(7, 5)) + QSum.root(20402),
+        QSum({2 * 101 * 103: F(-9, 8)}),
+        QSum.of(F(11, 6)),
+        QSum(),
+    ]
+    for x in values:
+        for r in (2, -3, F(7, 9), F(-1, 2), 0, F(0)):
+            want = _items(QSum(exactnum._product(x.terms, QSum.of(r).terms)))
+            assert _items(x * r) == want and _items(r * x) == want, (x, r)
+            assert not (r == 0 and want)
+
+
 # cores with and without square factors, and scales near the ends of the
 # range where values stay normal floats
 _ROUND_CORES = st.sampled_from([1, 2, 3, 4, 5, 8, 12, 18, 20, 27, 50, 72, 98, 20402])

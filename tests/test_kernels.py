@@ -14,7 +14,7 @@ from rudlab.exactnum import QSum
 from rudlab.rng import sign_matrix
 from rudlab.spaces import _ROW_SCAN_COLS, _cumsum_rows, _int_mult_values, _int_product
 
-from oracles import norm_slow
+from oracles import norm_slow, pairs_dp_loop
 
 _EXACT = 1 << 53
 
@@ -213,6 +213,57 @@ def test_chain_table_matches_the_fresh_temporaries(dtype, power):
             assert got.dtype == want.dtype and got.shape == want.shape
             if got.dtype == object:
                 assert [type(x) for x in got.flat] == [type(x) for x in want.flat]
+                assert got.tolist() == want.tolist(), (k, n)
+            else:
+                assert got.tobytes() == want.tobytes(), (k, n)
+
+
+@pytest.mark.parametrize("dtype", [np.int64, object, np.float64])
+def test_chain_dp_at_power_1_is_the_total_variation(dtype):
+    """At power 1 the best chain takes every node, so ``_chain_dp`` on
+    integers is the sum of |difference| down the nodes and equals the
+    table's last row in value, dtype and element type; floats keep the
+    table, and the total variation agrees with it to rounding."""
+    rng = np.random.default_rng(21)
+    for k in range(1, 15):
+        for n in (1, 7, 600):
+            if dtype is np.float64:
+                nv = rng.normal(size=(k, n)) * 10.0 ** rng.integers(-6, 6, (k, n))
+            elif dtype is object:
+                nv = rng.integers(-9, 10, (k, n)).astype(object) * ((1 << 70) + 1)
+            else:
+                nv = rng.integers(-(1 << 40), 1 << 40, (k, n))
+            got, want = spaces._chain_dp(nv, 1), spaces._chain_table(nv, 1)[-1]
+            assert got.dtype == want.dtype
+            if dtype is object:
+                assert [type(x) for x in got] == [int] * n and got.tolist() == want.tolist()
+            else:
+                assert got.tobytes() == want.tobytes(), (k, n)
+            assert np.abs(np.diff(nv, axis=0)).sum(axis=0).astype(np.float64) == \
+                pytest.approx(want.astype(np.float64), rel=1e-12)
+
+
+@pytest.mark.parametrize("dtype, power", [
+    (np.int64, 1), (np.int64, 2), (object, 1), (object, 2),
+    (np.float64, 1), (np.float64, 2), (np.float64, 1.5),
+])
+def test_pairs_dp_matches_the_pair_loop(dtype, power):
+    """The disjoint-pairs DP, one vectorised step per node, equals the loop
+    over node pairs in value, dtype and element type, floats bit for bit,
+    on 0 to 20 nodes."""
+    rng = np.random.default_rng(22)
+    for k in (0, 1, 2, 3, 9, 20):
+        for n in (1, 7, 300):
+            if dtype is np.float64:
+                nv = rng.normal(size=(k, n)) * 10.0 ** rng.integers(-6, 6, (k, n))
+            elif dtype is object:
+                nv = rng.integers(-9, 10, (k, n)).astype(object) * ((1 << 70) + 1)
+            else:
+                nv = rng.integers(-(1 << 20), 1 << 20, (k, n))
+            got, want = spaces._pairs_dp(nv, power), pairs_dp_loop(nv, power)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            if got.dtype == object:
+                assert [type(x) for x in got] == [type(x) for x in want]
                 assert got.tolist() == want.tolist(), (k, n)
             else:
                 assert got.tobytes() == want.tobytes(), (k, n)

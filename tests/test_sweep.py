@@ -10,7 +10,7 @@ from rudlab.coeffs import Coeffs
 from rudlab.config import RunConfig, SpaceFactory
 from rudlab.exactnum import QSum
 from rudlab.experiments import SWEEP_SPECS, _PALETTE, _SignView, run_experiment, sample_vector
-from rudlab.rademacher import sign_stats
+from rudlab.rademacher import sign_stats, subset_stats
 from rudlab.rng import counter_u64, derive_seed
 
 
@@ -39,6 +39,24 @@ def test_sample_vector_matches_the_scalar_sort():
                 assert all(type(idx) is int for idx, _ in got.entries)
 
 
+def test_vectors_are_the_samples_drawn_one_by_one():
+    """``_vectors`` draws all its samples in one pass, and each is the
+    ``sample_vector`` of its index and the scalar sort's vector: the same
+    indices and values, of the same types."""
+    fac = SpaceFactory(RunConfig())
+    for spec in SWEEP_SPECS:
+        space = fac.space(spec)
+        for seed in (1, (1 << 63) + 5, (1 << 64) - 1, 0xC0FFEE):
+            for max_m in (12, 5):
+                got = experiments._vectors(space, seed, 60, max_m)
+                for i, a in enumerate(got):
+                    want = _sample_vector_sorted(space, seed, i, max_m)
+                    one = sample_vector(space, seed, i, max_m)
+                    assert a.entries == one.entries == want.entries, (spec, seed, i)
+                    assert [tuple(map(type, e)) for e in a.entries] == \
+                        [tuple(map(type, e)) for e in want.entries]
+
+
 def _same(x, y):
     return type(x) is type(y) and (QSum.of(x) - QSum.of(y)).sign() == 0
 
@@ -48,46 +66,49 @@ def test_sign_view_matches_the_batch(spec):
     cfg = RunConfig()
     space = SpaceFactory(cfg).space(spec)
     seed = derive_seed(cfg.seed, len(spec), sum(map(ord, spec)))
-    memo = {}
+    memo, subset_memo = {}, {}
     for i in range(6):
         a = sample_vector(space, seed, i)
         want = sign_stats(space, a, cfg.cap)
-        view = _SignView(space, a, cfg.cap, memo, i)
+        view = _SignView(space, a, cfg.cap, memo, subset_memo, i)
         assert _same(view.mean(), want.mean())
         assert _same(view.min(), want.min())
         assert _same(view.max(), want.max())
         assert _same(view.mean_sq(), want.mean_sq())
-        # a second view reads the memo and agrees
-        assert _same(_SignView(space, a, cfg.cap, memo, i).mean(), want.mean())
-    assert sorted(memo) == list(range(6))
-    assert all(type(k) is int and isinstance(v, (int, F, QSum)) for k, v in memo.items())
+        assert _same(view.subset_mean(), subset_stats(space, a, cfg.cap).mean())
+        # a second view reads the memos and agrees
+        again = _SignView(space, a, cfg.cap, memo, subset_memo, i)
+        assert _same(again.mean(), want.mean())
+        assert _same(again.subset_mean(), view.subset_mean())
+    for m in (memo, subset_memo):
+        assert sorted(m) == list(range(6))
+        assert all(type(k) is int and isinstance(v, (int, F, QSum)) for k, v in m.items())
 
 
 def test_memoised_sweeps_give_the_same_reports(monkeypatch):
-    """Run on one factory after ``sandwich`` and ``subsets``, ``subsets``
-    walks no sign pattern and ``khintchine-kahane`` reports exactly what it
-    reports alone on a fresh factory."""
+    """Run on one factory, ``sandwich`` takes one pair walk per vector,
+    ``subsets`` then walks nothing, and ``khintchine-kahane`` reports
+    exactly what it reports alone on a fresh factory."""
     specs = ["lp:1", "summing", "renorm:summing:1", "zmr"]
     monkeypatch.setattr(experiments, "SWEEP_SPECS", specs)
     monkeypatch.setattr(SpaceFactory, "_shared", {})
     cfg = RunConfig().with_overrides({"seed": "4242"})
-    walks = 0
-    walk = experiments.sign_stats
+    walks = {"pair_stats": 0, "sign_stats": 0}
+    for name in walks:
+        def counting(*args, name=name, walk=getattr(experiments, name)):
+            walks[name] += 1
+            return walk(*args)
 
-    def counting(*args):
-        nonlocal walks
-        walks += 1
-        return walk(*args)
-
-    monkeypatch.setattr(experiments, "sign_stats", counting)
+        monkeypatch.setattr(experiments, name, counting)
     run_experiment("sandwich", cfg)
-    assert walks == 4 * 200
+    assert walks == {"pair_stats": 4 * 200, "sign_stats": 0}
     run_experiment("subsets", cfg)
-    assert walks == 4 * 200
+    assert walks == {"pair_stats": 4 * 200, "sign_stats": 0}
     after = run_experiment("khintchine-kahane", cfg)
-    memo = SpaceFactory.shared(cfg).sweep_means
-    assert sorted(memo) == sorted(specs)
-    assert all(sorted(m) == list(range(200)) for m in memo.values())
+    fac = SpaceFactory.shared(cfg)
+    for memo in (fac.sweep_means, fac.sweep_subset_means):
+        assert sorted(memo) == sorted(specs)
+        assert all(sorted(m) == list(range(200)) for m in memo.values())
 
     monkeypatch.setattr(SpaceFactory, "_shared", {})
     alone = run_experiment("khintchine-kahane", cfg)
