@@ -72,10 +72,10 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from math import gcd, lcm
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import TYPE_CHECKING
 
 import numpy as np

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 import rudlab.rademacher as rad
-from rudlab import experiments
 from rudlab.batches import ExactBatch
 from rudlab.coeffs import Coeffs, mask_matrix_range, sign_matrix_range
 from rudlab.config import RunConfig, SpaceFactory
