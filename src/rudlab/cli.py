@@ -115,6 +115,8 @@ def _write_report(path: str, payload: dict, fmt: str):
 def _cmd_certify(args) -> int:
     cfg = _build_config(args)
     names = list(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
+    # a sweep walk takes the masks with the signs only for a later subsets
+    SpaceFactory.shared(cfg).subsets_pending = "subsets" in names
     all_pass = True
     for name in names:
         report = run_experiment(name, cfg)

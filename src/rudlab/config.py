@@ -231,6 +231,11 @@ class SpaceFactory:
         self.sweep_means: dict[str, dict[int, Scalar]] = {}
         #: spec -> vector index -> exact subset mean, filled beside it
         self.sweep_subset_means: dict[str, dict[int, Scalar]] = {}
+        #: whether the run will read the sweep's subset means, which decides
+        #: whether a sweep walk takes the masks with the signs; the CLI sets
+        #: it from its experiment list, and None (a caller that has not
+        #: said) counts as yes
+        self.subsets_pending: bool | None = None
 
     @classmethod
     def shared(cls, cfg: RunConfig) -> "SpaceFactory":

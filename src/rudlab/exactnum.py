@@ -297,16 +297,7 @@ class QSum:
     def __mul__(self, other):
         if isinstance(other, float):
             return NotImplemented
-        if isinstance(other, QSum):
-            return QSum(_product(self._t, other._t))
-        r = Fraction(other)
-        if not r:
-            return QSum()
-        # a rational factor scales each term in order, where every core is
-        # its own split (as every core rudlab forms is)
-        if all(c == 1 or split_square(c) == (1, c) for c in self._t):
-            return QSum({c: q * r for c, q in self._t.items()})
-        return QSum(_product(self._t, {1: r}))
+        return QSum(_product(self._t, QSum.of(other)._t))
 
     __rmul__ = __mul__
 

@@ -12,7 +12,8 @@ coefficient vectors, :func:`_tally` counts the vectors failing each boolean
 a check returns, :func:`_worst` also keeps the largest ratio, and
 :meth:`Report.count` turns a failure count into a row.  :func:`_sweep` runs
 one check over every engine in ``SWEEP_SPECS`` and memoises each vector's
-sign and subset means for the run, both from one walk.
+sign and subset means for the run, both from one walk when the run reads
+both.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 from .coeffs import Coeffs, DomainError, sign_matrix_range
 from .config import RunConfig, SpaceFactory
 from .exactnum import QSum, Scalar, le_times_square, scalar_repr, sqrt_exact
-from .rademacher import family_means, pair_stats, sign_stats
+from .rademacher import family_means, pair_stats, sign_stats, subset_stats
 from .rng import counter_grid_np, counter_u64, derive_seed
 from .spaces import LpSpace, Space
 from .witness import partition_rud_bound
@@ -172,28 +173,30 @@ class _SignView:
     """One sweep vector's walk statistics, for the length of a check.
 
     ``mean()`` reads or fills ``memo`` under the vector's index, and
-    ``subset_mean()`` reads or fills ``subset_memo`` the same way.  ``min``, ``max`` and ``mean_sq`` come from the
-    sign walk, taken on first use and dropped with the view.  The first
-    walk is the pair walk (:func:`~rudlab.rademacher.pair_stats`), one
-    engine batch for the sign patterns and the masks together, which fills
-    the subset memo too; once the subset mean is memoised, a walk is the
-    sign walk alone."""
+    ``subset_mean()`` reads or fills ``subset_memo`` the same way.
+    ``min``, ``max`` and ``mean_sq`` come from the sign walk, taken on
+    first use and dropped with the view.  With ``pair`` (the run reads the
+    subset means) a sign walk whose subset mean is not yet memoised is the
+    pair walk (:func:`~rudlab.rademacher.pair_stats`), one engine batch for
+    the sign patterns and the masks together, which fills the subset memo
+    too; otherwise it is the sign walk alone, and a subset mean wanted
+    without the signs' is the mask walk alone."""
 
-    __slots__ = ("_space", "_a", "_cap", "_memo", "_subsets", "_i", "_stats")
+    __slots__ = ("_space", "_a", "_cap", "_memo", "_subsets", "_i", "_pair", "_stats")
 
     def __init__(self, space: Space, a: Coeffs, cap: int, memo: dict[int, Scalar],
-                 subset_memo: dict[int, Scalar], i: int):
+                 subset_memo: dict[int, Scalar], i: int, pair: bool):
         self._space, self._a, self._cap, self._i = space, a, cap, i
-        self._memo, self._subsets = memo, subset_memo
+        self._memo, self._subsets, self._pair = memo, subset_memo, pair
         self._stats = None
 
     def _walk(self):
         if self._stats is None:
-            if self._i in self._subsets:
-                self._stats = sign_stats(self._space, self._a, self._cap)
-            else:
+            if self._pair and self._i not in self._subsets:
                 self._stats, subsets = pair_stats(self._space, self._a, self._cap)
                 self._subsets[self._i] = subsets.mean()
+            else:
+                self._stats = sign_stats(self._space, self._a, self._cap)
         return self._stats
 
     def mean(self) -> Scalar:
@@ -203,7 +206,10 @@ class _SignView:
 
     def subset_mean(self) -> Scalar:
         if self._i not in self._subsets:
-            self._walk()
+            if self._pair and self._stats is None and self._i not in self._memo:
+                self._walk()
+            else:
+                self._subsets[self._i] = subset_stats(self._space, self._a, self._cap).mean()
         return self._subsets[self._i]
 
     def mean_sq(self) -> Scalar:
@@ -225,19 +231,23 @@ def _sweep(cfg, name, rows, check) -> Report:
     The sign and subset means are memoised on the config's shared factory
     (``sweep_means`` and ``sweep_subset_means``), keyed on (spec, vector
     index), so the sweep experiments of one run walk each vector once for
-    both means: ``sandwich`` takes the pair walks, and ``subsets`` then
-    reads their means and walks nothing.  The key is sound because vector
-    i of an engine is a pure function of ``(cfg.seed, spec, i)`` and the
-    factory is one per config."""
+    both means: while the run will read the subset means (the factory's
+    ``subsets_pending`` is not False) the first walk of a vector is the
+    pair walk, so ``sandwich`` before
+    ``subsets`` takes the pair walks and ``subsets`` then reads their means
+    and walks nothing; a run without ``subsets`` walks the signs alone.
+    The key is sound because vector i of an engine is a pure function of
+    ``(cfg.seed, spec, i)`` and the factory is one per config."""
     rep = Report(name)
     fac = SpaceFactory.shared(cfg)
+    pair = fac.subsets_pending is not False
     for spec in SWEEP_SPECS:
         space = fac.space(spec)
         memo = fac.sweep_means.setdefault(spec, {})
         subset_memo = fac.sweep_subset_means.setdefault(spec, {})
         vectors = _vectors(space, derive_seed(cfg.seed, len(spec), sum(map(ord, spec))), 200)
         bad = _tally(range(len(vectors)), lambda i: check(
-            space, vectors[i], _SignView(space, vectors[i], cfg.cap, memo, subset_memo, i)))
+            space, vectors[i], _SignView(space, vectors[i], cfg.cap, memo, subset_memo, i, pair)))
         for (rid, statement), b in zip(rows, bad):
             rep.count(f"{rid}.{spec}", f"{statement} [{len(vectors)} vectors]", b)
     return rep

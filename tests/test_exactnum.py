@@ -264,9 +264,8 @@ def test_rational_product_moves_square_radicands_to_their_cores():
 
 def test_rational_factor_scales_the_terms_as_the_product_does():
     """A rational factor, on either side, gives the terms of the general
-    product (``exactnum._product``), in order and of the same types, on
-    values whose cores are their own splits, as every core rudlab forms
-    is; a zero factor gives no terms."""
+    product (``exactnum._product``) with the factor as a one-term value,
+    in order and of the same types; a zero factor gives no terms."""
     values = [
         QSum({5: F(1, 3), 1: F(-2), 2: F(7, 4)}),
         QSum.root(12, F(3, 4)) + QSum.of(F(7, 5)) + QSum.root(20402),
