@@ -26,12 +26,18 @@ into one total per square-free core: means sum numerators per
 piece, second moments take the class-pair sums from one Gram product of the
 class arrays and the class-root sums from one grouped sum per radicand, in
 int64 where a bound shows that no sum can leave it and in Python ints
-otherwise.  Float batches reduce by numpy argmax and left-to-right float sums.
+otherwise.  Each value is built once, its cores ascending, so a value has
+one form however its sums were gathered: several batches' sums gather as
+integers per denominator and radicand (:class:`BatchSums`), and their
+extremes are compared as :class:`Pick` values, by integers or floats where
+those decide, so a walk of many chunks builds its values as one batch does.
+Float batches reduce by numpy argmax and left-to-right float sums.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -88,9 +94,10 @@ def _float_group_means(values: Sequence[float], starts: Sequence[int],
     return out
 
 
-def _fold(blocks: Sequence[tuple[int, Iterable[tuple[int, int]]]]) -> Scalar:
-    """Exact sum of ``x * sqrt(r) / d`` over the ``(d, [(r, x), ...])``
-    blocks of integers; a zero ``r`` or ``x`` adds nothing.
+def _fold(blocks: Sequence[tuple[int, Iterable[tuple[int, int]]]], over: int = 1) -> Scalar:
+    """Exact sum, divided by ``over``, of ``x * sqrt(r) / d`` over the
+    ``(d, [(r, x), ...])`` blocks of integers; a zero ``r`` or ``x`` adds
+    nothing.
 
     Each square-free core keeps one integer total over the common
     denominator, and the cores whose totals are 0 are dropped.  One value
@@ -103,14 +110,15 @@ def _fold(blocks: Sequence[tuple[int, Iterable[tuple[int, int]]]]) -> Scalar:
             if r and x:
                 outer, core = split_square(r)
                 totals[core] = totals.get(core, 0) + x * outer * mul
-    return _scalar(totals, den)
+    return _scalar(totals, den * over)
 
 
 def _scalar(totals: dict[int, int], den: int) -> Scalar:
     """The exact value of ``sum_core totals[core] * sqrt(core) / den``: a
     ``Fraction`` when it is rational, else a :class:`QSum` of the cores
-    whose totals are not 0."""
-    totals = {core: t for core, t in totals.items() if t}
+    whose totals are not 0, in ascending core order, so that a value has
+    one form however its sums were gathered."""
+    totals = {core: t for core, t in sorted(totals.items()) if t}
     if totals.keys() <= {1}:
         return Fraction(totals.get(1, 0), den)
     return QSum({core: Fraction(t, den) for core, t in totals.items()})
@@ -122,29 +130,113 @@ def _scalar_gt(a: Scalar, b: Scalar) -> bool:
     return a > b
 
 
+class BatchSums:
+    """The sums of the values and of the squared values of exact batches,
+    held as integers: per denominator, one Python-int total per radicand,
+    from each batch's :meth:`ExactBatch.sum_blocks` and
+    :meth:`ExactBatch.square_blocks`.  :meth:`mean` and :meth:`mean_sq`
+    fold the totals once (:func:`_fold`), so batches added one by one
+    reduce as one batch of all their columns does."""
+
+    def __init__(self):
+        self._sums: dict[int, dict[int, int]] = {}
+        self._squares: dict[int, dict[int, int]] = {}
+
+    def add(self, batch: "ExactBatch") -> None:
+        for r, _, x, d in batch._runs([0]):
+            acc = self._sums.setdefault(d, {})
+            acc[r] = acc.get(r, 0) + x
+        for d, block in batch.square_blocks():
+            acc = self._squares.setdefault(d, {})
+            for r, x in block:
+                acc[r] = acc.get(r, 0) + x
+
+    def mean(self, over: int) -> Scalar:
+        return _fold([(d, acc.items()) for d, acc in self._sums.items()], over)
+
+    def mean_sq(self, over: int) -> Scalar:
+        return _fold([(d, acc.items()) for d, acc in self._squares.items()], over)
+
+
+class Pick:
+    """Value ``index`` of ``batch``, compared with another pick without
+    building either value where their integers or floats decide.
+
+    Two exact picks of equal integers under equal scales are equal.  Apart
+    from that, their floats decide where they differ by more than twice the
+    sum of their error bounds: each float is the sum of its k terms
+    ``x / scale * sqrt(c)`` and ``sqrt(R) / roots_scale``, each within 3
+    ulp of its term, so within ``(k + 4) * 2^-52`` of the terms' magnitude
+    sum.  Otherwise, and for a float batch's pick, the values are compared
+    exactly."""
+
+    __slots__ = ("batch", "index", "_key", "_approx", "_err")
+
+    def __init__(self, batch: "ExactBatch", index: int):
+        self.batch, self.index = batch, index
+        if batch.scalars is not None:
+            self._key = None
+            return
+        items = [(c, int(arr[index])) for c, arr in (batch.classes or {}).items()]
+        root = None if batch.roots is None else int(batch.roots[index])
+        self._key = (batch.scale, batch.roots_scale, tuple(items), root)
+        terms = [x / batch.scale * c**0.5 for c, x in items]
+        if root is not None:
+            terms.append(math.sqrt(root) / batch.roots_scale)
+        self._approx = math.fsum(terms)
+        self._err = (len(terms) + 4) * 2.0**-52 * math.fsum(map(abs, terms)) + 2.0**-1020
+
+    def value(self) -> Scalar:
+        return self.batch.value(self.index)
+
+    def gt(self, other: "Pick") -> bool:
+        """Whether this value exceeds ``other``'s, exactly."""
+        if self._key is not None and other._key is not None:
+            if self._key == other._key:
+                return False
+            gap = self._approx - other._approx
+            if abs(gap) > 2 * (self._err + other._err):
+                return gap > 0
+        return _scalar_gt(self.value(), other.value())
+
+
 def first_extreme(
     approx: np.ndarray,
     keys: Sequence[np.ndarray],
     value: Callable[[int], Scalar],
     want_max: bool,
+    slack: float = 0.0,
 ) -> tuple[Scalar, int]:
     """(value, index) of the first exact extreme of ``value(i)`` over the
-    items ``i`` whose float approximations are ``approx``.
+    items ``i`` whose float approximations are ``approx``, each within
+    ``slack`` of its value: the first of :func:`_extreme_candidates`
+    compared exactly."""
+    return _first_of(_extreme_candidates(approx, keys, want_max, slack), value, want_max)
 
-    The candidates are the items within ``_TIE_RTOL`` of the float extreme.
+
+def _extreme_candidates(approx: np.ndarray, keys: Sequence[np.ndarray], want_max: bool,
+                        slack: float = 0.0) -> list[int]:
+    """The items within ``_TIE_RTOL`` (plus twice ``slack``) of the float
+    extreme, one per distinct key, ascending.
+
     Each item's integer key is its entry in every array of ``keys``; equal
     keys must mean equal values, so each key is represented by its first
-    index, and the distinct keys are compared exactly in first-index order.
-    """
+    index."""
     target = approx.max() if want_max else approx.min()
-    tol = _TIE_RTOL * (1.0 + abs(target))
+    tol = _TIE_RTOL * (1.0 + abs(target)) + 2 * slack
     cand = np.nonzero(np.abs(approx - target) <= tol)[0]
     k = np.stack([key[cand] for key in keys])
     order = np.lexsort(k)  # stable: equal keys stay in index order
     k = k[:, order]
     first = np.ones(len(cand), dtype=bool)
     first[1:] = (k[:, 1:] != k[:, :-1]).any(axis=0)
-    cand = np.sort(cand[order[first]]).tolist()
+    return np.sort(cand[order[first]]).tolist()
+
+
+def _first_of(cand: list[int], value: Callable[[int], Scalar],
+              want_max: bool) -> tuple[Scalar, int]:
+    """(value, index) of the first exact extreme of the candidates, compared
+    exactly in index order."""
     best, vb = cand[0], value(cand[0])
     for i in cand[1:]:
         vi = value(i)
@@ -222,23 +314,28 @@ class ExactBatch:
 
     # -- exact reductions -------------------------------------------------------
 
-    def _extreme(self, want_max: bool) -> tuple[Scalar, int]:
+    def _extreme_index(self, want_max: bool) -> int:
+        """The first index of the largest value (the smallest unless
+        ``want_max``)."""
         if self.scalars is not None:
             f = self.float_values()
-            i = int(np.argmax(f) if want_max else np.argmin(f))
-            return self.scalars[i], i
+            return int(np.argmax(f) if want_max else np.argmin(f))
         if self.classes is None and self.roots is not None:
-            i = int(np.argmax(self.roots) if want_max else np.argmin(self.roots))
-            return self.value(i), i
+            return int(np.argmax(self.roots) if want_max else np.argmin(self.roots))
         if self.roots is None and len(self.classes) == 1:
             ((_, arr),) = self.classes.items()
-            i = int(np.argmax(arr) if want_max else np.argmin(arr))
-            return self.value(i), i
+            return int(np.argmax(arr) if want_max else np.argmin(arr))
         keys = list((self.classes or {}).values())
         if self.roots is not None:
             keys.append(self.roots)
-        # one batch shares one scale, so equal keys are equal values
-        return first_extreme(self.float_values(), keys, self.value, want_max)
+        # one batch shares one scale, so equal keys are equal values; a
+        # single key near the float extreme needs no exact value
+        cand = _extreme_candidates(self.float_values(), keys, want_max)
+        return cand[0] if len(cand) == 1 else _first_of(cand, self.value, want_max)[1]
+
+    def _extreme(self, want_max: bool) -> tuple[Scalar, int]:
+        i = self._extreme_index(want_max)
+        return self.value(i), i
 
     def max(self) -> Scalar:
         return self._extreme(True)[0]
@@ -247,13 +344,33 @@ class ExactBatch:
         return self._extreme(False)[0]
 
     def argmax(self) -> int:
-        return self._extreme(True)[1]
+        return self._extreme_index(True)
 
-    def mean(self, over: int | None = None) -> Scalar:
+    def argmin(self) -> int:
+        return self._extreme_index(False)
+
+    def mean(self, over: int | None = None, counts: np.ndarray | None = None) -> Scalar:
         """Exact mean of the values.  With ``over``, their sum is divided by
         ``over`` instead of by their count: one chunk's share of the mean of
-        a longer walk."""
-        return self.group_means([0], [len(self) if over is None else over])[0]
+        a longer walk.  With ``counts``, a distribution: column j of this
+        classes-only batch is taken ``counts[j]`` times."""
+        n = len(self) if over is None else over
+        if self.scalars is not None:
+            return _float_group_means(self.scalars, [0], [n])[0]
+        return _fold(self.sum_blocks(counts), n)
+
+    def sum_blocks(self, counts: np.ndarray | None = None) -> list[tuple[int, list[tuple[int, int]]]]:
+        """The sum of the values as :func:`_fold` blocks of Python ints, its
+        radicands not yet split: the one-piece :meth:`_runs`, a block per
+        denominator; with ``counts`` (as in :meth:`mean`), the classes'
+        count-weighted sums in Python ints."""
+        if counts is not None:
+            w = _ints(counts)
+            return [(self.scale, [(c, _dot(w, _ints(arr))) for c, arr in self.classes.items()])]
+        blocks: dict[int, list[tuple[int, int]]] = {}
+        for r, _, x, d in self._runs([0]):
+            blocks.setdefault(d, []).append((r, x))
+        return list(blocks.items())
 
     def group_means(self, starts: Sequence[int], overs: Sequence[int]) -> list[Scalar]:
         """Exact means of consecutive pieces of the batch: piece ``p`` holds
@@ -269,35 +386,42 @@ class ExactBatch:
     def core_sums(self, starts: Sequence[int]) -> tuple[int, dict[int, list[int]]]:
         """The sums of the pieces of :meth:`group_means` as integers over one
         denominator, ``lcm(scale, roots_scale)``: per square-free core, one
-        Python-int numerator per piece.
-
-        Class numerators are summed in int64 where no sum can leave it; the
-        roots part adds each distinct radicand of a piece times its count,
-        split once into its square part and core (:func:`split_square`)."""
-        n = len(self)
+        Python-int numerator per piece, each of :meth:`_runs` split once
+        into its square part and core (:func:`split_square`)."""
         den = lcm(self.scale, self.roots_scale or 1)
-        runs: list[tuple[int, int, int, int]] = []  # (radicand, piece, integer, multiplier)
-        for r, arr in (self.classes or {}).items():
-            piece = np.add.reduceat(arr, starts, dtype=int_dtype(_peak(arr) * n)).tolist()
-            runs += [(r, p, int(x), den // self.scale) for p, x in enumerate(piece)]
-        if self.roots is not None:
-            # distinct radicands of each piece, ascending, with their counts
-            piece = np.repeat(np.arange(len(starts)), np.diff(list(starts) + [n]))
-            order = np.lexsort((self.roots, piece))
-            r, pc = self.roots[order], piece[order]
-            at = np.flatnonzero(np.append(True, (r[1:] != r[:-1]) | (pc[1:] != pc[:-1])))
-            counts = np.diff(np.append(at, n))
-            runs += zip(_ints(r[at]), pc[at].tolist(), counts.tolist(),
-                        itertools.repeat(den // self.roots_scale))
         sums: dict[int, list[int]] = {}
-        for r, p, x, mul in runs:
+        for r, p, x, d in self._runs(starts):
             if r and x:
                 outer, core = split_square(r)
                 col = sums.get(core)
                 if col is None:
                     col = sums[core] = [0] * len(starts)
-                col[p] += x * mul * outer
+                col[p] += x * (den // d) * outer
         return den, sums
+
+    def _runs(self, starts: Sequence[int]) -> list[tuple[int, int, int, int]]:
+        """(radicand, piece, integer, denominator) of the pieces' sums (see
+        :meth:`group_means`): each class's sum per piece over ``scale``, in
+        int64 where no sum can leave it, and each distinct radicand of the
+        roots part in a piece, ascending, times its count over
+        ``roots_scale``."""
+        n = len(self)
+        runs: list[tuple[int, int, int, int]] = []
+        for r, arr in (self.classes or {}).items():
+            piece = np.add.reduceat(arr, starts, dtype=int_dtype(_peak(arr) * n)).tolist()
+            runs += [(r, p, int(x), self.scale) for p, x in enumerate(piece)]
+        if self.roots is not None and n:
+            if len(starts) == 1:  # a sort, several times faster than lexsort
+                r, pc = np.sort(self.roots), np.zeros(n, dtype=np.intp)
+            else:
+                piece = np.repeat(np.arange(len(starts)), np.diff(list(starts) + [n]))
+                order = np.lexsort((self.roots, piece))
+                r, pc = self.roots[order], piece[order]
+            at = np.flatnonzero(np.append(True, (r[1:] != r[:-1]) | (pc[1:] != pc[:-1])))
+            counts = np.diff(np.append(at, n))
+            runs += zip(_ints(r[at]), pc[at].tolist(), counts.tolist(),
+                        itertools.repeat(self.roots_scale))
+        return runs
 
     def columns(self, lo: int, hi: int) -> "ExactBatch":
         """The batch of columns ``lo`` up to ``hi``: views of the same
@@ -310,48 +434,50 @@ class ExactBatch:
             None if self.classes is None else {c: arr[lo:hi] for c, arr in self.classes.items()},
             None if self.roots is None else self.roots[lo:hi], self.roots_scale)
 
-    def counted_means(self, counts: np.ndarray, over: int) -> tuple[Scalar, Scalar]:
-        """Exact mean and mean square of a distribution: each column of
-        this classes-only batch taken ``counts[j]`` times, the sums divided
-        by ``over``.  Each is one :func:`_fold` of Python-int sums."""
-        cores = list(self.classes)
-        xs = [_ints(arr) for arr in self.classes.values()]
-        wx = [[w * x for w, x in zip(_ints(counts), col)] for col in xs]
-        mean = _fold([(over * self.scale, [(c, sum(col)) for c, col in zip(cores, wx)])])
-        square = _fold([(over * self.scale**2, [
-            (1, cj * _dot(wx[j], xs[j])) if j == k else (cj * ck, 2 * _dot(wx[j], xs[k]))
-            for j, cj in enumerate(cores) for k, ck in enumerate(cores) if j <= k])])
-        return mean, square
-
-    def mean_sq(self, over: int | None = None) -> Scalar:
-        """Exact mean of the squared values (``over`` as in :meth:`mean`):
-        one :func:`_fold` of integer sums (see the module docstring)."""
+    def mean_sq(self, over: int | None = None, counts: np.ndarray | None = None) -> Scalar:
+        """Exact mean of the squared values (``over`` and ``counts`` as in
+        :meth:`mean`): one :func:`_fold` of :meth:`square_blocks`."""
         n = len(self) if over is None else over
         if self.scalars is not None:
             return _float_group_means([v * v for v in self.scalars], [0], [n])[0]
+        return _fold(self.square_blocks(counts), n)
+
+    def square_blocks(self, counts: np.ndarray | None = None
+                      ) -> list[tuple[int, list[tuple[int, int]]]]:
+        """The sum of the squared values as :func:`_fold` blocks of Python
+        ints (see the module docstring): the class-pair sums over
+        ``scale**2`` from one Gram product of the class arrays, the
+        radicands' sum over ``roots_scale**2``, and each class's sums over
+        the distinct radicands of the columns where the root and some class
+        are nonzero, over ``scale * roots_scale``.  With ``counts`` (as in
+        :meth:`mean`), the Gram product of the count-weighted classes with
+        the classes, in Python ints."""
         count = len(self)
         cores = list(self.classes or {})
         blocks: list[tuple[int, list[tuple[int, int]]]] = []
-        if cores:
+        if counts is not None:
+            xs = [_ints(arr) for arr in self.classes.values()]
+            wx = [[w * v for w, v in zip(_ints(counts), col)] for col in xs]
+            gram = [[_dot(row, col) for col in xs] for row in wx]
+        elif cores:
             x = np.stack(list(self.classes.values()))
             x = x.astype(int_dtype(_peak(x) ** 2 * count), copy=False)
             gram = (x @ x.T).tolist()
-            blocks.append((n * self.scale**2, [
+        if cores:
+            blocks.append((self.scale**2, [
                 (1, cj * gram[j][j]) if j == k else (cj * ck, 2 * gram[j][k])
                 for j, cj in enumerate(cores) for k, ck in enumerate(cores) if j <= k]))
         if self.roots is not None:
             rr = self.roots
-            blocks.append((n * self.roots_scale**2,
+            blocks.append((self.roots_scale**2,
                            [(1, int(np.add.reduce(rr, dtype=int_dtype(_peak(rr) * count))))]))
             at = np.flatnonzero((rr != 0) & (x != 0).any(axis=0)) if cores else []
             if len(at):
-                # each class's sums over the distinct radicands of the
-                # columns where the root and some class are nonzero
                 at = at[np.argsort(rr[at])]
                 heads = np.flatnonzero(np.append(True, rr[at][1:] != rr[at][:-1]))
                 sums = np.add.reduceat(x[:, at], heads, axis=1)
                 c, g = np.nonzero(sums)
-                blocks.append((n * self.scale * self.roots_scale, [
+                blocks.append((self.scale * self.roots_scale, [
                     (cores[j] * r, 2 * v) for j, r, v in
                     zip(c.tolist(), _ints(rr[at[heads[g]]]), sums[c, g].tolist())]))
-        return _fold(blocks)
+        return blocks

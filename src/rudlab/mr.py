@@ -47,7 +47,7 @@ from .batches import _peak, int_dtype
 from .coeffs import Coeffs, DomainError, NormingFunctional
 from .exactnum import QSum, Scalar, split_square, sqrt_exact
 from .spaces import (RenormSpace, Space, _cached, _column_blocks, _core_forms,
-                     _normingset_reduce_blocks)
+                     _image_slack, _normingset_reduce_blocks)
 
 DEFAULT_LEVELS = (2, 4, 8)
 DEFAULT_UNIVERSE = 14
@@ -656,7 +656,7 @@ class _CodingSpace(Space):
         # per column, the family rows' signs (and their products with the
         # multipliers) hold R x m entries, the pairings R + m
         return _normingset_reduce_blocks(block, (rows + 1) * m, mult.shape[1],
-                                         lay.fscale * vden)
+                                         lay.fscale * vden, _image_slack(bound, forms, m))
 
     def mult_batch_float(self, a, mult):
         """The family rows and their pairings one column block at a time

@@ -5,15 +5,22 @@ permutation averages, second moments, and seeded Monte-Carlo estimation
 with Student-t confidence brackets.
 
 Exact enumeration is one walk over the canonical bitmask range in chunks
-of ``_CHUNK`` columns.  Each chunk is one exact batch; its sums are folded
-by exact addition and its extremes by exact comparison, the earlier index
-winning ties, so results do not depend on the chunking and memory is
-bounded by the chunk, not by 2^m.  Within a chunk only the low
+of ``_CHUNK`` columns.  Each chunk is one exact batch.  Its sums are folded
+as integers, one Python-int total per denominator and radicand, and the
+walk's mean and mean square are each built once from those totals, as one
+batch of the whole walk would build them (:class:`_Fold`).  Its extremes
+are compared with the walk's by their integers, or their floats where
+those decide, and exactly otherwise, the earlier index winning ties.  So
+results, and the form of each exact value, do not depend on the chunking,
+and memory is bounded by the chunk, not by 2^m.  Within a chunk only the low
 log2(``_CHUNK``) mask bits vary, so an engine may build the part of its
 batches that the low bits decide once per vector and add each chunk's
 constant high part (:meth:`~rudlab.spaces.Space.split_batches`, the
 split-half idea of Horowitz & Sahni, JACM 1974); its batches are
-array-equal to the ones ``mult_batch`` gives chunk by chunk.  The walks of
+array-equal to the ones ``mult_batch`` gives chunk by chunk: the
+norming-set engine picks each column's winner from one float image and
+reads exact pairings only where the floats cannot decide, and the renorm
+engine walks a sign walk's inner average once.  The walks of
 one vector are ``_stats`` over a tuple of walk kinds: :func:`sign_stats`
 and :func:`subset_stats` are its one-walk cases, and :func:`pair_stats`
 takes both.  Where the 2^(m-1) sign patterns and the 2^m masks of an exact
@@ -56,7 +63,9 @@ and extremes are those of all 2^m patterns.  So is the first maximiser: had it i
 complement would be a smaller maximiser.  Subset averages walk all 2^m
 masks.  A vector with float entries, and a chunk whose engine returns no
 exact batch, walk the same chunks through the engine's float batch, and
-their reductions are float.
+their reductions are float: a walk's means are the exact sums of the chunks
+before its first float chunk plus each later chunk's float mean, added
+left to right.
 
 Monte-Carlo sample i is a pure function of (seed, i) via the counter-based
 generator, so for a fixed seed and sample count an estimate is the same in
@@ -80,7 +89,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .batches import ExactBatch, _scalar_gt, int_dtype
+from .batches import BatchSums, ExactBatch, Pick, _scalar_gt, int_dtype
 from .coeffs import (
     Coeffs,
     DomainError,
@@ -148,8 +157,10 @@ class ExpectationEstimate:
 @dataclass(frozen=True)
 class FoldedStats:
     """Exact reductions of a walk longer than one chunk, folded chunk by
-    chunk in one pass or reduced from the engine's distribution; answers the
-    same queries as an :class:`ExactBatch`."""
+    chunk in one pass (:class:`_Fold`: integer sums, each exact value built
+    once per walk) or reduced from the engine's distribution; answers the
+    same queries as an :class:`ExactBatch`, with the values and value forms
+    one batch of the whole walk gives."""
 
     _mean: Scalar
     _mean_sq: Scalar
@@ -177,6 +188,50 @@ class FoldedStats:
         if callable(self._argmax):
             object.__setattr__(self, "_argmax", self._argmax())
         return self._argmax
+
+
+class _Fold:
+    """The chunk-by-chunk fold of one walk of ``total`` patterns into its
+    :class:`FoldedStats`.
+
+    While every chunk is exact, its sums stay integers
+    (:class:`~rudlab.batches.BatchSums`), and the mean and mean square are
+    each built once, at the end, as one batch over the whole walk would
+    build them.  From the first float chunk on, the means are floats: the
+    exact sums so far, then each later chunk's mean added left to right.
+    The extremes are picks (:class:`~rudlab.batches.Pick`), each chunk's
+    first extreme against the walk's so far, the earlier index winning
+    ties, so only the walk's two extremes are built."""
+
+    def __init__(self, total: int):
+        self.total = total
+        self.sums = BatchSums()
+        self.means: tuple[Scalar, Scalar] | None = None  # from the first float chunk on
+        self.lo: Pick | None = None
+        self.hi: Pick | None = None
+        self.hi_at = 0
+        self.scalars: int | None = None
+
+    def add(self, start: int, batch: ExactBatch) -> None:
+        if batch.scalars is None and self.means is None:
+            self.sums.add(batch)
+        else:
+            mean, mean_sq = self.means or self._exact_means()
+            self.means = (mean + batch.mean(self.total), mean_sq + batch.mean_sq(self.total))
+            self.scalars = (self.scalars or 0) + len(batch)
+        lo = Pick(batch, batch.argmin())
+        if self.lo is None or self.lo.gt(lo):
+            self.lo = lo
+        hi = Pick(batch, batch.argmax())
+        if self.hi is None or hi.gt(self.hi):  # ties keep the earlier index
+            self.hi, self.hi_at = hi, start + hi.index
+
+    def _exact_means(self) -> tuple[Scalar, Scalar]:
+        return self.sums.mean(self.total), self.sums.mean_sq(self.total)
+
+    def stats(self) -> FoldedStats:
+        return FoldedStats(*(self.means or self._exact_means()), self.lo.value(),
+                           self.hi.value(), self.hi_at, self.scalars)
 
 
 def _walk_length(m: int, masks: bool) -> int:
@@ -247,25 +302,12 @@ def _stats(space: Space, a: Coeffs, cap: int,
     if dist is not None:
         values, counts = dist
         top = values.max()
-        return (FoldedStats(*values.counted_means(counts, 1 << m), values.min(), top,
-                            lambda: _first_argmax(space, a, masks, top)),)
-    mean: Scalar = 0
-    mean_sq: Scalar = 0
-    lo = hi = None
-    scalars = None
+        return (FoldedStats(values.mean(1 << m, counts), values.mean_sq(1 << m, counts),
+                            values.min(), top, lambda: _first_argmax(space, a, masks, top)),)
+    fold = _Fold(total)
     for start, batch in _walk(space, a, masks):
-        mean = mean + batch.mean(total)
-        mean_sq = mean_sq + batch.mean_sq(total)
-        v = batch.min()
-        if lo is None or _scalar_gt(lo, v):
-            lo = v
-        i = batch.argmax()
-        v = batch.value(i)
-        if hi is None or _scalar_gt(v, hi[0]):  # ties keep the earlier index
-            hi = (v, start + i)
-        if batch.scalars is not None:
-            scalars = (scalars or 0) + len(batch)
-    return (FoldedStats(mean, mean_sq, lo, hi[0], hi[1], scalars),)
+        fold.add(start, batch)
+    return (fold.stats(),)
 
 
 def sign_stats(space: Space, a: Coeffs, cap: int = DEFAULT_ENUM_CAP) -> ExactBatch | FoldedStats:

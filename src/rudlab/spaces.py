@@ -30,9 +30,10 @@ their engines from their own modules.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from math import inf, lcm
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -139,19 +140,6 @@ def _cumsum_rows(v: np.ndarray) -> np.ndarray:
     return out
 
 
-def _split_terms(forms: np.ndarray, low: np.ndarray, highs: np.ndarray,
-                 bound: int) -> tuple[np.ndarray, np.ndarray]:
-    """The two terms of ``forms @ mult`` on a split walk (see
-    :meth:`Space.split_batches`), in ``forms``' dtype: the low columns'
-    image, built once, and the high columns' image, whose column k chunk k
-    adds to every column of the low one.  ``bound``, a Python int, bounds
-    every row-by-column sum of magnitudes of ``forms @ mult`` (see
-    :func:`_int_product`)."""
-    b = low.shape[0]
-    return (_int_product(forms[:, :b], low.astype(forms.dtype), bound),
-            _int_product(forms[:, b:], highs.astype(forms.dtype), bound))
-
-
 def _float_values(a: Coeffs, mult: np.ndarray) -> np.ndarray:
     return a.values_float()[:, None] * mult
 
@@ -252,8 +240,9 @@ class Space:
         returns an iterator of one batch per column of ``highs``, each
         array-equal to :meth:`mult_batch` on the chunk's multipliers
         (values, dtypes, scales and class order), and raises what that
-        would raise: the norming-set engine keeps the low image of each
-        core's integer form, the chain engines the low nodes' DP table.
+        would raise: the norming-set engine keeps the low columns' float
+        image and each core's integer one, the chain engines the low nodes'
+        DP table, the renorm engine the vector's inner sign average.
         None, the default and the answer wherever :meth:`mult_batch` has
         no exact batch, makes the walk call :meth:`batch` chunk by chunk.
         """
@@ -585,8 +574,12 @@ def _split_chain_dp(ints: np.ndarray, nodes: list[int], low: np.ndarray,
     The nodes up to the last low slot take the low rows' values and are
     tabled once.  Every later node holds one value c per chunk (0 on a
     zero node), and a chain reaching it from the low nodes is worth
-    ``max_i(best_i + |v_i - c|^power)`` over them, which is memoised on c;
-    each chunk then runs the DP over its later nodes alone."""
+    ``max_i(best_i + |v_i - c|^power)`` over them, which is memoised on c.
+    A chain then runs on over the later nodes alone, whose values are the
+    chunk's constants, so the best chain is ``max_i(reach[c_i] + D_i)``
+    with ``D_i`` the best integer sum along later nodes from node i to the
+    last (max and + distribute: the chunk's DP over its later nodes, taken
+    on scalars)."""
     b = low.shape[0]
     cut = nodes.index(b - 1) + 1
     low_nv = _node_matrix(ints[:b, None] * low.astype(ints.dtype), nodes[:cut])
@@ -595,15 +588,17 @@ def _split_chain_dp(ints: np.ndarray, nodes: list[int], low: np.ndarray,
     high = [slot - b if slot >= 0 else -1 for slot in nodes[cut:]]
     consts = _node_matrix(ints[b:, None] * highs.astype(ints.dtype), high)
     for col in consts.T.tolist():
-        rows = []
-        for j, c in enumerate(col):
+        tail = [0] * len(col)
+        for i in range(len(col) - 2, -1, -1):
+            tail[i] = max(_gain(abs(col[j] - col[i]), power) + tail[j]
+                          for j in range(i + 1, len(col)))
+        out = None
+        for c, d in zip(col, tail):
             if c not in reach:
                 reach[c] = (best + _gain(np.abs(low_nv - c), power)).max(axis=0)
-            row = reach[c]
-            for i in range(j):
-                row = np.maximum(row, rows[i] + _gain(abs(col[i] - c), power))
-            rows.append(row)
-        yield rows[-1]
+            row = reach[c] + d
+            out = row if out is None else np.maximum(out, row, out=out)
+        yield out
 
 
 def _pairs_dp(nv: np.ndarray, power) -> np.ndarray:
@@ -843,71 +838,143 @@ def _core_forms(a: Coeffs, weights: dict[int, np.ndarray],
     return forms, vden, bound
 
 
+def _image_slack(bound: int, cores: Iterable[int], m: int) -> float:
+    """How far a float image of pairings ``sum_c P_c sqrt(c)`` over ``m``
+    entries may be from their exact value, when ``bound``, a Python int,
+    bounds every sum of magnitudes over the entries and all cores
+    (:func:`_core_forms`).  Each core's float is its exact integer rounded,
+    or a float product within ``(m + 1) * eps`` of the magnitude sum; its
+    scaling by sqrt(c), each core added and a low image added to a high
+    one round once more, so ``(m + 2 * cores + 4) * 2^-52 * bound * max
+    sqrt(c)`` bounds the error with room."""
+    cores = list(cores)
+    return (m + 2 * len(cores) + 4) * 2.0**-52 * float(bound) * max(cores)**0.5
+
+
 def _normingset_reduce_blocks(block: Callable[[slice], dict[int, np.ndarray]],
-                              rows: int, n: int, scale: int) -> ExactBatch:
+                              rows: int, n: int, scale: int, slack: float = 0.0) -> ExactBatch:
     """max over functionals of |sum_c P_c sqrt(c)| / scale as an exact batch
     of ``n`` columns, from the (functional, column) pairings ``P_c`` of each
     radicand class that ``block(sl)`` builds for each column slice ``sl`` of
-    :func:`_column_blocks`.
+    :func:`_column_blocks`: :func:`_normingset_winners` of each block's
+    float image, read exactly from the pairings, its entries within
+    ``slack`` of them (:func:`_image_slack`).
 
-    Every step (the float argmax, the near-tie candidates and
-    :func:`first_extreme`, the exact orientation) is column-local, so the
-    blocks give the whole-array values.  ``rows`` bounds the entries per
-    column of every array ``block`` builds, the pairings' functionals
-    included: no such array and no temporary of the reduction holds more
-    than ``_PRODUCT_BLOCK`` entries, and a batch that fits in one block is
-    reduced whole."""
-    parts = [_normingset_winners(block(sl)) for sl in _column_blocks(rows, n)]
+    Every step is column-local, so the blocks give the whole-array values.
+    ``rows`` bounds the entries per column of every array ``block`` builds,
+    the pairings' functionals included: no such array and no temporary of
+    the reduction holds more than ``_PRODUCT_BLOCK`` entries, and a batch
+    that fits in one block is reduced whole."""
+    parts = []
+    for sl in _column_blocks(rows, n):
+        pairs = block(sl)
+        approx = sum(p.astype(np.float64) * (c**0.5) for c, p in pairs.items())
+        parts.append(_normingset_winners(
+            approx, lambda f, j: {c: p[f, j] for c, p in pairs.items()}, slack))
+    return _sup_batch(parts, scale)
+
+
+def _sup_batch(parts: list[dict[int, np.ndarray]], scale: int) -> ExactBatch:
+    """The batch of the winners' pairings of consecutive column blocks."""
     if len(parts) == 1:
         return ExactBatch.from_classes(parts[0], scale)
     return ExactBatch.from_classes(
         {c: np.concatenate([part[c] for part in parts]) for c in parts[0]}, scale)
 
 
-def _normingset_winners(pairs: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
+def _split_images(lows: dict[int, np.ndarray], low: np.ndarray, high: dict[int, np.ndarray],
+                  bound: int, m: int
+                  ) -> tuple[dict[int, np.ndarray], np.ndarray, np.ndarray, float]:
+    """The images of a split walk's pairings (see
+    :meth:`Space.split_batches`), each (columns, functionals): per core the
+    low columns' exact integer image, in the narrowest integer dtype that
+    ``bound`` allows; the float image ``sum_c P_c sqrt(c)`` of the low
+    columns, and that of the high columns (chunks, functionals) from the
+    exact high pairings ``high``; and how far the float images' sum may be
+    from the exact pairing sum (:func:`_image_slack`)."""
+    rows = next(iter(lows.values())).shape[0]
+    n = low.shape[1]
+    dtype = next(t for t in (np.int8, np.int16, np.int32, np.int64, object)
+                 if t is object or bound <= np.iinfo(t).max)
+    ints = {c: np.empty((n, rows), dtype=dtype) for c in lows}
+    image = np.zeros((n, rows))
+    for sl in _column_blocks(rows, n):
+        at = low[:, sl].T
+        for c, w in lows.items():
+            p = _int_product(at, w.T, bound)
+            ints[c][sl] = p
+            image[sl] += p.astype(np.float64) * (c**0.5)
+    high_image = sum(h.T.astype(np.float64) * (c**0.5) for c, h in high.items())
+    return ints, image, high_image, _image_slack(bound, lows, m)
+
+
+def _normingset_winners(approx: np.ndarray,
+                        pairing: Callable[[np.ndarray, np.ndarray], dict[int, np.ndarray]],
+                        slack: float = 0.0) -> dict[int, np.ndarray]:
     """Per class, the pairing of each column's winning functional, oriented
-    so that the classes add up to a non-negative value."""
-    approx = sum(p.astype(np.float64) * (c**0.5) for c, p in pairs.items())
+    so that the classes add up to a non-negative value.
+
+    ``approx`` is a (functional, column) float image of the pairings
+    ``sum_c P_c sqrt(c)``, each within ``slack`` of its exact value, in
+    either memory layout; ``pairing(f, j)`` gives the exact ``P_c[f, j]``
+    of each class at index arrays ``f`` and ``j``.  The float image picks
+    each column's winner and its rivals, the functionals within
+    ``_TIE_RTOL`` (plus twice ``slack``) of it; exact pairings are read
+    only at the winners and the rivals, and the whole column only where a
+    rival's pairings are neither the winner's nor all negated
+    (:func:`first_extreme` decides those).  A winner whose float image is
+    within 1e-12 (or twice ``slack``) of 0 takes its exact orientation."""
     gap = np.abs(approx)
     best = gap.argmax(axis=0)
     n = gap.shape[1]
     cols = np.arange(n)
     fv = gap[best, cols]
-    # Certify the float argmax on near-tied columns.  A candidate whose
-    # per-class entries equal the winner's, or are all negated, has exactly
-    # the winner's absolute value and cannot beat it; only columns holding a
-    # candidate with another key go to first_extreme.
-    np.subtract(fv[None, :], gap, out=gap)
-    fi, ji = np.nonzero(gap <= _TIE_RTOL * (1.0 + fv)[None, :])
-    win = best[ji]
+    near = gap >= (fv - _TIE_RTOL * (1.0 + fv) - 2 * slack)[None, :]
+    near[best, cols] = False
+    # the rivals, in the columns that hold any
+    held = np.flatnonzero(near.any(axis=0))
+    if near.flags.c_contiguous:
+        fi, ji = np.nonzero(near[:, held])
+    else:  # a column-major image: scan it in memory order
+        ji, fi = np.nonzero(near.T[held])
+    ji = held[ji]
+    won = pairing(best, cols)
+    # A rival whose per-class entries equal the winner's, or are all
+    # negated, has exactly the winner's absolute value and cannot beat it;
+    # only columns holding a rival with another key go to first_extreme.
     same = np.ones(len(fi), dtype=bool)
     flip = np.ones(len(fi), dtype=bool)
-    for p in pairs.values():
-        cv, bv = p[fi, ji], p[win, ji]
+    for c, cv in pairing(fi, ji).items():
+        bv = won[c][ji]
         same &= cv == bv
         flip &= cv == -bv
     # the sorted distinct columns; np.unique would import numpy.ma
-    for j in np.flatnonzero(np.bincount(ji[~(same | flip)], minlength=n)).tolist():
+    ties = np.flatnonzero(np.bincount(ji[~(same | flip)], minlength=n))
+    funcs = np.arange(approx.shape[0])
+    for j in ties.tolist():
+        col = pairing(funcs, np.full(len(funcs), j))
         # key: the pairings up to sign, normalised by the first non-zero
         # entry (a float sign is unusable: a pairing can round to 0.0)
-        key = np.stack([p[:, j] for p in pairs.values()])
-        lead = key[(key != 0).argmax(axis=0), np.arange(key.shape[1])]
+        key = np.stack(list(col.values()))
+        lead = key[(key != 0).argmax(axis=0), funcs]
         key = key * np.where(lead < 0, -1, 1)
-        best[j] = first_extreme(
-            np.abs(approx[:, j]), key, lambda f: abs(_qval(pairs, f, j)), True
-        )[1]
+        best[j] = first_extreme(np.abs(approx[:, j]), key,
+                                lambda f: abs(_qval(col, f)), True, slack)[1]
+    if len(ties):
+        for c, v in pairing(best[ties], ties).items():
+            won[c][ties] = v
     # orient so the stored class entries add up to a non-negative value
-    signs = np.sign(approx[best, cols])
-    signs[signs == 0] = 1
-    neg = np.nonzero(np.abs(approx[best, cols]) < 1e-12)[0]
-    for j in neg:  # exact orientation for numerically tiny pairings
-        s = _qval(pairs, int(best[j]), int(j)).sign()
+    at = approx[best, cols]
+    signs = np.where(at < 0, -1, 1)
+    for j in np.flatnonzero(np.abs(at) < max(1e-12, 2 * slack)).tolist():
+        s = _qval(won, j).sign()  # exact orientation for tiny pairings
         signs[j] = s if s else 1
-    return {c: (p[best, cols] * signs.astype(np.int64)) for c, p in pairs.items()}
+    return {c: v * signs for c, v in won.items()}
 
 
-def _qval(pairs: dict[int, np.ndarray], f: int, j: int) -> QSum:
-    return QSum.of(_fold([(1, [(c, int(p[f, j])) for c, p in pairs.items()])]))
+def _qval(pairs: dict[int, np.ndarray], *at: int) -> QSum:
+    """The exact pairing ``sum_c pairs[c][at] sqrt(c)``."""
+    return QSum.of(_fold([(1, [(c, int(p[at])) for c, p in pairs.items()])]))
 
 
 class NormingSetSpace(Space):
@@ -928,11 +995,18 @@ class NormingSetSpace(Space):
     The pairings of a batch are built and reduced one column block at a
     time (:func:`_column_blocks`), so memory grows with family size times
     ``_PRODUCT_BLOCK // F`` columns, not times the chunk: no pairing block
-    or reduction temporary holds more than ``_PRODUCT_BLOCK`` entries.  A
-    split walk keeps its per-core low images (F x chunk) for the whole
-    walk.  The float batch is blocked likewise at widths that are
-    multiples of ``_BLAS_ALIGN`` (every Monte-Carlo chunk of 4,096 columns)
-    and evaluated whole at other widths.
+    or reduction temporary holds more than ``_PRODUCT_BLOCK`` entries.
+    Every reduction is :func:`_normingset_winners`, which picks each
+    column's winning functional from a float image and reads exact
+    pairings only at the winners and their near rivals.  A split walk
+    keeps, for the whole walk, one float image of its low columns (F x
+    chunk float64) and per-core low integer images in the narrowest
+    integer dtype their bound allows (int16 at the benchmark's m = 18);
+    each chunk adds its high column to the float image and reads its
+    exact pairings from the integer ones (:meth:`split_batches`).  The
+    float batch is blocked likewise at widths that are multiples of
+    ``_BLAS_ALIGN`` (every Monte-Carlo chunk of 4,096 columns) and
+    evaluated whole at other widths.
     """
 
     def __init__(
@@ -962,21 +1036,34 @@ class NormingSetSpace(Space):
         rows = next(iter(mats.values())).shape[0]
         return _normingset_reduce_blocks(
             lambda sl: {c: _int_product(w, mult[:, sl], bound) for c, w in forms.items()},
-            rows, mult.shape[1], fscale * vden)
+            rows, mult.shape[1], fscale * vden, _image_slack(bound, forms, len(a)))
 
     def split_batches(self, a, low, highs):
-        """Each core's form has its low image built once per vector; each
-        chunk adds its high column to it one column block at a time, as the
-        exact reduction walks the blocks."""
+        """Each chunk's winners come from a float image: the low columns'
+        image, built once per vector, plus the chunk's high column, one
+        column block at a time (:func:`_split_images`).  The exact pairings
+        are read only where :func:`_normingset_winners` asks: each core's
+        low integer image, kept in the narrowest integer dtype its bound
+        allows, plus the chunk's exact high pairing."""
         mats, fscale = self.class_mats(a.support)
         forms, vden, bound = _core_forms(a, mats, max(_peak(low), _peak(highs)))
-        terms = {c: _split_terms(w, low, highs, bound) for c, w in forms.items()}
         rows, n = next(iter(mats.values())).shape[0], low.shape[1]
-        return (_normingset_reduce_blocks(
-                    lambda sl: {c: t_low[:, sl] + t_high[:, k, None]
-                                for c, (t_low, t_high) in terms.items()},
-                    rows, n, fscale * vden)
-                for k in range(highs.shape[1]))
+        b = low.shape[0]
+        high = {c: _int_product(w[:, b:], highs.astype(w.dtype), bound) for c, w in forms.items()}
+        ints, image, high_image, slack = _split_images(
+            {c: w[:, :b] for c, w in forms.items()}, low, high, bound, len(a))
+
+        def chunk(k: int) -> ExactBatch:
+            parts = []
+            for sl in _column_blocks(rows, n):
+                def pairing(f, j, sl=sl):
+                    at = j * rows + f
+                    return {c: p[sl].take(at) + high[c][f, k] for c, p in ints.items()}
+
+                parts.append(_normingset_winners((image[sl] + high_image[k]).T, pairing, slack))
+            return _sup_batch(parts, fscale * vden)
+
+        return (chunk(k) for k in range(highs.shape[1]))
 
     def mult_batch_float(self, a, mult):
         """One float BLAS product ``M_c @ v`` per class and column block,
@@ -1047,7 +1134,40 @@ class RenormSpace(Space):
         packed = None if base is None else sign_means(self.base, a, mult, exact=True)
         if packed is None:
             return None
-        inner, which = packed
+        return self._renormed(base, *packed, k)
+
+    def split_batches(self, a, low, highs):
+        """A sign walk's chunks all have the all-ones |column|, so the
+        vector's own inner sign average is walked once and serves every
+        chunk; each chunk's base batch is the base's split batch, or its
+        ``mult_batch`` on the chunk.  A mask walk, whose chunks hold
+        |columns| of their own, and a vector whose inner walk fits in one
+        chunk (each chunk packs it into one base batch, and no walk past
+        one chunk asks for it) take ``mult_batch`` chunk by chunk."""
+        from .rademacher import _CHUNK, _walk_length
+
+        m = len(a)
+        if not (low.all() and highs.all()) or _walk_length(m, masks=False) <= _CHUNK:
+            return None
+        ones = np.ones((m, 1), dtype=np.int8)
+        k = self._check_cap(ones)
+        n = low.shape[1]
+        bases = self.base.split_batches(a, low, highs) or (
+            self.base.mult_batch(a, np.vstack([low, np.repeat(highs[:, j:j + 1], n, axis=1)]))
+            for j in range(highs.shape[1]))
+        first = next(bases)
+        packed = None if first is None else sign_means(self.base, a, ones, exact=True)
+        if packed is None:
+            return None
+        inner = packed[0]
+        which = np.zeros(n, dtype=np.intp)
+        return (self._renormed(base, inner, which, k) for base in itertools.chain([first], bases))
+
+    def _renormed(self, base: ExactBatch, inner: ExactBatch, which: np.ndarray,
+                  k: int) -> ExactBatch:
+        """The batch of :meth:`mult_batch` from the base batch, the inner
+        averages and each column's index into them, for columns of at most
+        ``k`` entries."""
         p, q = self.delta.numerator, self.delta.denominator
         walks = lcm(base.scale, base.roots_scale or 1) << max(k - 1, 0)
         scale = lcm(q * base.scale, walks, inner.scale)

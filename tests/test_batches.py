@@ -228,3 +228,27 @@ def test_many_class_mean_sq_adds_no_qsum_per_term(monkeypatch):
                         lambda self, *args, **kw: merges.append(1) or merge(self, *args, **kw))
     batch.mean_sq()
     assert len(merges) <= 2
+
+
+def test_picks_compare_exactly_below_float_resolution(monkeypatch):
+    """Picks of two batches whose values round to one float (x and
+    y sqrt(2) for a Pell pair near 4.5e9, 2.5e-20 apart relatively) are
+    compared exactly; equal integers under equal scales are equal, and
+    floats further apart than their error bounds decide, neither building
+    a value."""
+    from rudlab import batches
+    from rudlab.batches import Pick
+
+    x, y = 4478554083, 3166815962
+    assert x * x - 2 * y * y == 1 and float(x) == float(y * 2**0.5)
+    radical = ExactBatch.from_classes({1: np.array([0, 1]), 2: np.array([y, 0])}, 1)
+    rational = ExactBatch.from_rational(np.array([x, 1]), 1)
+    assert Pick(rational, 0).gt(Pick(radical, 0))
+    assert not Pick(radical, 0).gt(Pick(rational, 0))
+    built = []
+    scalar = batches._scalar
+    monkeypatch.setattr(batches, "_scalar", lambda t, d: built.append(1) or scalar(t, d))
+    again = ExactBatch.from_rational(np.array([7, x]), 1)
+    assert not Pick(rational, 0).gt(Pick(again, 1)) and not Pick(again, 1).gt(Pick(rational, 0))
+    assert Pick(rational, 0).gt(Pick(rational, 1)) and not Pick(radical, 1).gt(Pick(radical, 0))
+    assert built == []

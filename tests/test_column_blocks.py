@@ -148,7 +148,8 @@ def _whole_engines(monkeypatch):
     :func:`_whole_reduce`, as they did before the column blocks."""
     for module in (spaces, mr):
         monkeypatch.setattr(module, "_normingset_reduce_blocks",
-                            lambda block, rows, n, scale: _whole_reduce(block(slice(None)), scale))
+                            lambda block, rows, n, scale, slack: _whole_reduce(
+                                block(slice(None)), scale))
 
 
 #: (x, -y) with x = fl(y sqrt(2)) for y = 2^52 + 6: x - y sqrt(2) < 0, and
@@ -223,7 +224,7 @@ def _rows(space, a, monkeypatch):
     with monkeypatch.context() as patch:
         for module in (spaces, mr):
             patch.setattr(module, "_normingset_reduce_blocks",
-                          lambda block, rows, n, scale: seen.append(rows))
+                          lambda block, rows, n, scale, slack: seen.append(rows))
         space.mult_batch(a, np.ones((len(a), 1), dtype=np.int8))
     return seen[0]
 
@@ -332,6 +333,9 @@ def test_coding_float_batch_memory_bounded_by_column_blocks(name):
 
 @pytest.mark.parametrize("kind", list(_VECTORS))
 def test_norming_set_split_walk_across_block_boundaries(kind, monkeypatch):
+    """A split walk's chunks, reduced one column block at a time from the
+    float image, equal ``mult_batch`` on each chunk's multipliers reduced
+    whole."""
     monkeypatch.setattr(spaces, "_PRODUCT_BLOCK", _SMALL)
     space = _engine("norming_set")
     a = Coeffs.from_pairs(enumerate(_VECTORS[kind]))
@@ -342,7 +346,9 @@ def test_norming_set_split_walk_across_block_boundaries(kind, monkeypatch):
     got = [list(space.split_batches(a, low, highs)) for low in lows]
     _whole_engines(monkeypatch)
     for low, batches in zip(lows, got):
-        want = list(space.split_batches(a, low, highs))
+        n = low.shape[1]
+        want = [space.mult_batch(a, np.vstack([low, np.repeat(highs[:, k:k + 1], n, axis=1)]))
+                for k in range(highs.shape[1])]
         assert len(batches) == len(want) == highs.shape[1]
         for g, w in zip(batches, want):
             _assert_same(g, w)

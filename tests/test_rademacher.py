@@ -6,10 +6,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import rudlab.rademacher as rad
+from rudlab.batches import ExactBatch
 from rudlab.coeffs import Coeffs, EnumerationCapError, mask_matrix_range, sign_matrix_range
 from rudlab.config import RunConfig, SpaceFactory
 from rudlab.dual import SmaxDualSpace
-from rudlab.exactnum import QSum, le_times_square
+from rudlab.exactnum import SQRT2 as RT2, QSum, le_times_square
 from rudlab.experiments import SWEEP_SPECS
 from rudlab.rademacher import (
     expect_exact,
@@ -192,29 +193,124 @@ def _assert_same_reductions(got, want, label):
     assert garg == warg, (label, "argmax", garg, warg)
 
 
-def test_chunked_enumeration_matches_full(monkeypatch):
-    """Splitting the bitmask range into chunks cannot change exact results."""
-    import rudlab.rademacher as rad
-    from rudlab.config import RunConfig, SpaceFactory
+def _same_form(x, y) -> bool:
+    """Equal values of one type, a ``QSum``'s cores in one order."""
+    if isinstance(x, QSum) or isinstance(y, QSum):
+        return type(x) is type(y) and list(x.terms.items()) == list(y.terms.items())
+    return type(x) is type(y) and x == y
 
+
+#: entries of the folded walks: rational, past int64 (Python-int batches)
+#: and, on the norming-set engine, radical
+_FOLD_VECTORS = {
+    "rational": [1, -2, 3, -1, 2, 1, F(1, 2), -3],
+    "python-int": [v * (1 << 62) for v in (1, -2, 3, -1, 2, 1, F(1, 2), -3)],
+    "radical": [1, -2 * RT2, 3, -1, RT2, 1, F(1, 2), -3],
+}
+
+
+def test_chunked_enumeration_matches_full(monkeypatch):
+    """Splitting the bitmask range into chunks cannot change exact results.
+
+    On every sweep engine with an exact batch, with its law switched off
+    so that the chunks fold, on rational entries and on entries past 2^62
+    (Python-int batches), and on radical entries on the norming-set
+    engine: the folded mean, mean square, extremes and first maximiser,
+    the second moment and the subset average are those of the one-chunk
+    batch, as values of one type with their cores in one order.  Engines
+    whose sweep draws from fewer than 8 indices fold 6 entries."""
     fac = SpaceFactory(RunConfig())
     default = rad._CHUNK
-    for spec in ("summing", "bmo", "smax:2", "norming_set", "james:chain", "zmr"):
+    cases = [(spec, kind) for spec in SWEEP_SPECS for kind in ("rational", "python-int")]
+    for spec, kind in cases + [("norming_set", "radical")]:
         space = fac.space(spec)
+        monkeypatch.setattr(space, "law_walks", ())
         universe = space.sweep_indices or tuple(range(8))
-        a = Coeffs.from_pairs(zip(universe[:8], [1, -2, 3, -1, 2, 1, F(1, 2), -3]))
+        a = Coeffs.from_pairs(zip(universe[:8], _FOLD_VECTORS[kind]))
+        assert space.mult_batch(a, np.ones((len(a), 1), dtype=np.int8)) is not None, spec
         monkeypatch.setattr(rad, "_CHUNK", default)
         want = sign_stats(space, a)  # one chunk: 128 sign patterns, 256 masks
+        assert isinstance(want, ExactBatch) and want.scalars is None
         want_sq = expect_second_moment(space, a).value
         want_sub = expect_subsets(space, a).value
-        for chunk in (4, 16, 64):
+        for chunk in (4, 8, 16):
             monkeypatch.setattr(rad, "_CHUNK", chunk)
             got = sign_stats(space, a)
-            assert isinstance(got, rad.FoldedStats)
-            _assert_same_reductions(got, want, (spec, chunk))
-            assert _same(expect_exact(space, a).value, want.mean())
-            assert _same(expect_second_moment(space, a).value, want_sq)
-            assert _same(expect_subsets(space, a).value, want_sub)
+            label = (spec, kind, chunk)
+            assert isinstance(got, rad.FoldedStats) and got.scalars is None, label
+            _assert_same_reductions(got, want, label)
+            for x, y in zip(_reductions(got), _reductions(want)):
+                assert _same_form(x, y), (label, x, y)
+            assert _same_form(expect_exact(space, a).value, want.mean()), label
+            assert _same_form(expect_second_moment(space, a).value, want_sq), label
+            assert _same_form(expect_subsets(space, a).value, want_sub), label
+
+
+class _FloatFrom(SummingSpace):
+    """The summing norm, walked, whose exact batches stop after ``exact``
+    calls: every later chunk is a float batch."""
+
+    law_walks = ()
+
+    def __init__(self, exact: int):
+        self.left = exact
+
+    def mult_batch(self, a, mult):
+        self.left -= 1
+        return super().mult_batch(a, mult) if self.left >= 0 else None
+
+
+@pytest.mark.parametrize("exact", [0, 2])
+def test_walk_with_float_chunks_keeps_the_float_sum(exact, monkeypatch):
+    """A walk with float chunks sums as before the integer fold: the exact
+    means of the chunks before the first float one, summed exactly, then
+    each later chunk's mean added left to right; the extremes are compared
+    exactly and the float columns counted."""
+    monkeypatch.setattr(rad, "_CHUNK", 16)
+    a = Coeffs.from_values([3, -1, F(1, 2), 2, -2, 1, F(5, 3)])
+    total = rad._walk_length(len(a), masks=False)
+    plain = SummingSpace()
+    mean = mean_sq = 0
+    values = []
+    for k, start in enumerate(range(0, total, 16)):
+        mult = sign_matrix_range(len(a), start, start + 16)
+        batch = (plain.mult_batch(a, mult) if k < exact else
+                 ExactBatch.from_scalars(plain.mult_batch_float(a, mult.astype(np.float64))))
+        mean, mean_sq = mean + batch.mean(total), mean_sq + batch.mean_sq(total)
+        values += [batch.value(i) for i in range(len(batch))]
+    got = sign_stats(_FloatFrom(exact), a)
+    assert type(got.mean()) is float and got.mean() == mean
+    assert type(got.mean_sq()) is float and got.mean_sq() == mean_sq
+    assert got.scalars == total - 16 * exact
+    order = sorted(range(total), key=lambda i: (QSum.of(values[i]), -i))
+    assert got.max() == values[order[-1]] and got.argmax() == order[-1]
+    assert got.min() == min(values, key=QSum.of)
+
+
+def test_fold_builds_each_value_once_per_walk(monkeypatch):
+    """A folded walk builds its mean, mean square, min and max once each,
+    however many chunks it spans: the batches build four exact values
+    (``batches._scalar``) at 2, 4 and 8 chunks alike, where a fold of exact
+    chunk means and chunk extremes built several per chunk."""
+    from rudlab import batches
+
+    built = []
+    scalar = batches._scalar
+    monkeypatch.setattr(batches, "_scalar", lambda t, d: built.append(1) or scalar(t, d))
+    fac = SpaceFactory(RunConfig())
+    for spec in ("summing", "james:chain", "norming_set", "smax:2"):
+        space = fac.space(spec)
+        monkeypatch.setattr(space, "law_walks", ())
+        a = Coeffs.from_values([1, -2, 3, -1, 2, 1, F(1, 2), -3])
+        counts = []
+        for chunk in (64, 32, 16):
+            monkeypatch.setattr(rad, "_CHUNK", chunk)
+            built.clear()
+            st = sign_stats(space, a)
+            assert isinstance(st, rad.FoldedStats)
+            st.mean(), st.mean_sq(), st.min(), st.max()
+            counts.append(len(built))
+        assert counts == [4] * 3, (spec, counts)
 
 
 def _full_range_oracle(space, a):
@@ -343,16 +439,20 @@ def _traced_peak(fn):
 
 def test_norming_set_memory_bounded_by_column_blocks():
     """The norming-set engine's family-sup reduction and float batch run
-    over column blocks, so a split walk keeps only its per-core low images
-    (F x 2^13 entries each) and a Monte-Carlo batch no (F x 4096) float
-    temporaries: sign_stats at m = 18 peaked at 31 MB and expect_mc at
-    m = 40 at 10 MB when they were whole-chunk arrays."""
+    over column blocks, so a split walk keeps only its float image and its
+    per-core low integer images (F x 2^13 entries each, the integers in the
+    narrowest dtype their bound allows) and a Monte-Carlo batch no
+    (F x 4096) float temporaries: sign_stats at m = 18 peaked at 31 MB and
+    expect_mc at m = 40 at 10 MB when they were whole-chunk arrays, and the
+    split walk at 9.4 MB with int64 images and no float image.  It peaks at
+    6.9 MB: the 3.5 MB float image, two int16 images of 0.9 MB and one
+    column block's temporaries; the bound leaves 1.1 MB of room."""
     space = SpaceFactory.shared(RunConfig()).space("norming_set")
     palette = (1, -1, 2, -2, 3, -3, F(1, 2), F(-1, 2))
     st, peak = _traced_peak(lambda: sign_stats(
         space, Coeffs.from_values([palette[k % 8] for k in range(18)])))
     assert QSum.of(st.max()).sign() > 0
-    assert peak < 16 << 20, peak
+    assert peak < 8 << 20, peak
     est, peak = _traced_peak(lambda: expect_mc(
         space, Coeffs.from_values([palette[k * 5 % 8] for k in range(40)]), 100_000, seed=1))
     assert est.lower <= est.value <= est.upper
@@ -484,6 +584,162 @@ def test_split_hook_declines_where_mult_batch_has_no_exact_batch():
     for spec in ("james_x:3", "james:pairs", "zmr", "zruc", "zrud", "summing", "lp:2",
                  "renorm:summing:1", "bd"):
         assert fac.space(spec).split_batches(a, low, highs) is None, spec
+
+
+def _split(space, a, masks, chunk):
+    """The split batches of each chunk of a's walk at ``chunk`` columns."""
+    m, build = len(a), mask_matrix_range if masks else sign_matrix_range
+    total = rad._walk_length(m, masks)
+    b = chunk.bit_length() - 1
+    split = space.split_batches(a, build(b, 0, chunk), build(m - b, 0, total >> b))
+    assert split is not None
+    return list(split)
+
+
+def _chunks(space, a, masks, chunk):
+    """``mult_batch`` on the multipliers of each chunk of a's walk."""
+    m, build = len(a), mask_matrix_range if masks else sign_matrix_range
+    return [space.mult_batch(a, build(m, start, start + chunk))
+            for start in range(0, rad._walk_length(m, masks), chunk)]
+
+
+def _spy_winners(monkeypatch):
+    """Records, per call of the norming-set winners routine, the number of
+    exact pairings it reads, and the columns ``first_extreme`` decides."""
+    from rudlab import spaces
+
+    reads, decided = [], []
+    winners, first = spaces._normingset_winners, spaces.first_extreme
+
+    def spy(approx, pairing, slack=0.0):
+        reads.append([approx.shape[1]])
+        return winners(approx, lambda f, j: reads[-1].append(len(f)) or pairing(f, j), slack)
+
+    monkeypatch.setattr(spaces, "_normingset_winners", spy)
+    monkeypatch.setattr(spaces, "first_extreme", lambda *args: decided.append(1) or first(*args))
+    return reads, decided
+
+
+@pytest.mark.parametrize("kind", ["palette", "python-int"])
+@pytest.mark.parametrize("masks", [False, True])
+def test_norming_set_split_reads_pairings_at_winners_and_rivals(kind, masks, monkeypatch):
+    """The demo family ties structurally: on a 12-entry vector many columns
+    hold functionals whose pairings are the winner's or all negated, which
+    tie with it exactly and are decided without first_extreme.  The split
+    batches read exact pairings only at each column's winner and at those
+    rivals, 1.3 to 2.3 per column, and are array-equal to ``mult_batch``
+    chunk by chunk; entries past 2^63 make Python-int images."""
+    space = SpaceFactory.shared(RunConfig()).space("norming_set")
+    palette = (1, -1, 2, -2, 3, -3, F(1, 2), F(-1, 2))
+    wide = (1 << 64) + 1 if kind == "python-int" else 1
+    a = Coeffs.from_values([palette[k % 8] * wide for k in range(12)])
+    reads, decided = _spy_winners(monkeypatch)
+    split = _split(space, a, masks, 256)
+    monkeypatch.undo()
+    want = _chunks(space, a, masks, 256)
+    assert len(split) == len(want) == (16 if masks else 8)
+    for k, (got, w) in enumerate(zip(split, want)):
+        _assert_same_batch(got, w, (kind, masks, k))
+    dtype = object if kind == "python-int" else np.int64
+    assert all(arr.dtype == dtype for batch in split for arr in batch.classes.values())
+    columns = sum(r[0] for r in reads)
+    rivals = sum(sum(r[2:]) for r in reads)
+    assert [r[1] for r in reads] == [r[0] for r in reads]  # every winner, once
+    # far from the 53 functionals per column a whole integer image holds
+    assert 0 < rivals < 2 * columns and not decided
+
+
+#: Pell pairs x^2 - 2 y^2 = 1 near 6.7e5 (x - y sqrt(2) about 7.5e-7, a
+#: relative gap about 1e-12, inside the float tie tolerance) and near 8.9e11
+#: (about 4e-13, below 1e-12)
+_PELL_NEAR = (665857, 470832)
+_PELL_TINY = (886731088897, 627013566048)
+
+
+def _pell_space(weights):
+    from rudlab.spaces import NormingSetSpace
+
+    family = [Coeffs.from_pairs(list(enumerate(w))) for w in weights]
+    return NormingSetSpace("pell", lambda sup: family)
+
+
+def test_norming_set_split_decides_near_ties_exactly(monkeypatch):
+    """Two functionals whose pairings x and y sqrt(2) are near-tied in every
+    column, with distinct keys: first_extreme decides each column on the
+    split walk, and its batches equal ``mult_batch`` chunk by chunk, the
+    rational functional winning by about 7.5e-7."""
+    x, y = _PELL_NEAR
+    assert x * x - 2 * y * y == 1
+    space = _pell_space([[x, 0, 0, 0], [y * RT2, 0, 0, 0]])
+    a = Coeffs.from_values([1, 2, -3, 5])
+    reads, decided = _spy_winners(monkeypatch)
+    split = _split(space, a, False, 2)
+    monkeypatch.undo()
+    want = _chunks(space, a, False, 2)
+    for k, (got, w) in enumerate(zip(split, want)):
+        _assert_same_batch(got, w, k)
+        assert [got.value(j) for j in range(2)] == [x, x]
+    assert len(decided) == 8  # every column of the 8 sign patterns
+
+
+@pytest.mark.parametrize("pair", [_PELL_TINY, (6369051672525781, 2**52 + 6),
+                                  (34761632124320657, 24580185800219268)])
+def test_norming_set_split_orients_a_tiny_winner_exactly(pair):
+    """A winner whose float image is below 1e-12, or within the image's
+    error bound of 0, takes its exact orientation: the pairing x - y sqrt(2)
+    of 4e-13 (x near 8.9e11); one whose float image is 0.0 (x - y sqrt(2) <
+    0 for y = 2^52 + 6, int64 images past 2^53); and a Pell pair near 2^55,
+    x - y sqrt(2) = 1.4e-17, whose float image is -4.0 (float(x) rounds),
+    which ``mult_batch`` and the norm oriented by that float, to a negative
+    norm, before the bound.  The split batches equal ``mult_batch`` chunk by
+    chunk, and every value is the exact |x +- y sqrt(2)|."""
+    x, y = pair
+    space = _pell_space([[1, RT2, 0]])
+    a = Coeffs.from_values([x, -y, 1])
+    tiny = QSum({1: F(x), 2: F(-y)})
+    assert abs(float(tiny)) < 1e-12 or float(x) - float(y) * 2**0.5 == 0.0
+    split = _split(space, a, False, 2)
+    for k, (got, w) in enumerate(zip(split, _chunks(space, a, False, 2))):
+        _assert_same_batch(got, w, (pair, k))
+    values = [QSum.of(batch.value(j)) for batch in split for j in range(2)]
+    # sign patterns 0..3 of (x, -y, 1): the first and last pair to +-(x - y sqrt(2))
+    assert values[0] == values[3] == abs(tiny) and abs(tiny).sign() > 0
+    assert values[1] == values[2] == QSum({1: F(x), 2: F(y)})
+    assert QSum.of(space.norm(Coeffs.from_values([x, -y]))) == abs(tiny)
+
+
+def test_renorm_sign_walk_takes_its_inner_mean_once(monkeypatch):
+    """A renorm sign walk past one chunk walks the vector's own inner sign
+    average once (it took one walk per chunk); its batches are array-equal
+    to ``mult_batch`` chunk by chunk, over a base that splits and one that
+    does not, and its reductions are those of the walk chunk by chunk.  A
+    mask walk keeps ``mult_batch`` chunk by chunk."""
+    from rudlab.spaces import RenormSpace
+
+    monkeypatch.setattr(rad, "_CHUNK", 16)
+    fac = SpaceFactory(RunConfig())
+    a = Coeffs.from_values([3, -1, F(1, 2), 2, -2, 1, F(5, 3)])  # 64 patterns, 4 chunks
+    walks = []
+    walk = rad.sign_stats
+    monkeypatch.setattr(rad, "sign_stats", lambda space, b, cap=24: walks.append(b) or walk(
+        space, b, cap))
+    for spec in ("renorm:summing:1", "renorm:james:chain:3/2"):
+        space = fac.space(spec)
+        walks.clear()
+        got = rad._stats(space, a, 24, (False,))[0]
+        assert walks == [a], spec
+        split = _split(space, a, False, 16)
+        assert len(split) == 4
+        for k, (g, w) in enumerate(zip(split, _chunks(space, a, False, 16))):
+            _assert_same_batch(g, w, (spec, k))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(RenormSpace, "split_batches", lambda self, a, low, highs: None)
+            walks.clear()
+            chunked = rad._stats(space, a, 24, (False,))[0]
+            assert len(walks) == 4
+        _assert_same_reductions(got, chunked, spec)
+        low, highs = mask_matrix_range(4, 0, 16), mask_matrix_range(3, 0, 8)
+        assert space.split_batches(a, low, highs) is None
 
 
 def _loop_mc(space, a, samples, seed, confidence=0.95, widen=False):

@@ -112,22 +112,21 @@ def test_distribution_reductions_equal_the_walk(spec, values, steps, chunk_bits,
 
 
 def test_smax_mean_float_is_chunk_invariant(monkeypatch):
-    """The ``smax:2`` sign mean meets its rational and radical terms in an
-    order that depends on the chunk, and the distribution in another; at
-    every chunk from 2 to 32, walked or reduced from the distribution, it
-    is one value and converts to one float."""
+    """The ``smax:2`` sign mean, at every chunk from 2 to 32, walked or
+    reduced from the distribution, is one value, converts to one float and
+    holds its rational and radical terms in one order: a folded walk builds
+    its mean once, its cores ascending, as one batch does."""
     space = _space("smax:2")
-    orders = set()
     for values in ([1, 1, 5, 5, 5], [3, 1, 2, -1, 2, 1]):
         a = Coeffs.from_values(values)
         means = []
         for bits in range(1, 6):
             monkeypatch.setattr(rad, "_CHUNK", 1 << bits)
             means += [rad.sign_stats(space, a).mean(), _walked(rad.sign_stats, space, a).mean()]
-        orders |= {tuple(x.terms) for x in means}
         assert all(x == means[0] for x in means), values
         assert len({float(x) for x in means}) == 1, values
-    assert any(o[::-1] in orders for o in orders)  # one vector meets both orders
+        orders = {tuple(x.terms) for x in means}
+        assert len(orders) == 1 and len(next(iter(orders))) > 1, (values, orders)
 
 
 def _bigm_vector(seed, tag, m):
