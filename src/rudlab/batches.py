@@ -10,10 +10,11 @@ patterns produces values of a very constrained shape:
   (Euclidean and chain-difference norms).  The two parts may coexist
   (square function plus partial-sum supremum, branchwise maxima).
 
-Every exact batch is these integer arrays, int64 where a Python-int bound
-shows that no entry can leave it (:func:`int_dtype`) and Python ints
-otherwise; a batch refuses to hold a value or scale past 2^1000, the float
-range its float approximations read (:func:`check_float_range`).  The one
+Every exact batch is these integer arrays, each in the narrowest of int8,
+int16, int32 and int64 that a Python-int bound shows no entry can leave
+(:func:`int_dtype`) and in Python ints past int64; a batch refuses to hold
+a value or scale past 2^1000, the float range its float approximations
+read (:func:`check_float_range`).  The one
 other kind, ``scalars``, holds the floats of a float chunk: a vector with
 float entries, or an engine without an exact batch.
 
@@ -25,9 +26,10 @@ exact value, mean and second moment is one :func:`_fold` of integer sums
 into one total per square-free core: means sum numerators per
 piece, second moments take the class-pair sums from one Gram product of the
 class arrays and the class-root sums from one grouped sum per radicand, in
-int64 where a bound shows that no sum can leave it and in Python ints
-otherwise.  Each value is built once, its cores ascending, so a value has
-one form however its sums were gathered: several batches' sums gather as
+the narrowest integer dtype a bound shows that no sum can leave
+(:func:`int_dtype`) and in Python ints past int64.  Each value is built
+once, its cores ascending, so a value has one form however its sums were
+gathered: several batches' sums gather as
 integers per denominator and radicand (:class:`BatchSums`), and their
 extremes are compared as :class:`Pick` values, by integers or floats where
 those decide, so a walk of many chunks builds its values as one batch does.
@@ -50,7 +52,9 @@ from .coeffs import NoIntegerForm
 from .exactnum import QSum, Scalar, split_square
 
 _TIE_RTOL = 1e-9
-_INT64_MAX = (1 << 63) - 1
+#: the fixed-width integer dtypes, narrowest first, with their largest values
+_INT_WIDTHS = ((np.int8, (1 << 7) - 1), (np.int16, (1 << 15) - 1),
+               (np.int32, (1 << 31) - 1), (np.int64, (1 << 63) - 1))
 
 
 def _ints(arr: np.ndarray) -> list[int]:
@@ -67,9 +71,15 @@ def _peak(arr: np.ndarray) -> int:
 
 
 def int_dtype(bound: int) -> type:
-    """int64 when ``bound``, a Python int, bounds every magnitude an integer
-    array will hold; Python-int object arrays otherwise."""
-    return np.int64 if bound <= _INT64_MAX else object
+    """The narrowest of int8, int16, int32 and int64 whose largest value is
+    at least ``bound``, a Python int that bounds every magnitude an integer
+    array will hold; Python-int object arrays past int64.  numpy wraps a
+    fixed-width result silently, so ``bound`` must cover every
+    intermediate the array's arithmetic forms, not only its entries."""
+    for dtype, top in _INT_WIDTHS:
+        if bound <= top:
+            return dtype
+    return object
 
 
 def check_float_range(magnitude: int) -> None:
@@ -257,7 +267,8 @@ class ExactBatch:
     _floats: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        # int64 arrays are inside the float range; Python-int ones are checked
+        # fixed-width integer arrays are inside the float range; Python-int
+        # ones are checked
         arrays = [*(self.classes or {}).values(), *(() if self.roots is None else (self.roots,))]
         check_float_range(max(self.scale, self.roots_scale or 1,
                               *(_peak(arr) for arr in arrays if arr.dtype == object)))
@@ -402,9 +413,9 @@ class ExactBatch:
     def _runs(self, starts: Sequence[int]) -> list[tuple[int, int, int, int]]:
         """(radicand, piece, integer, denominator) of the pieces' sums (see
         :meth:`group_means`): each class's sum per piece over ``scale``, in
-        int64 where no sum can leave it, and each distinct radicand of the
-        roots part in a piece, ascending, times its count over
-        ``roots_scale``."""
+        the narrowest dtype no sum can leave (:func:`int_dtype`), and each
+        distinct radicand of the roots part in a piece, ascending, times
+        its count over ``roots_scale``."""
         n = len(self)
         runs: list[tuple[int, int, int, int]] = []
         for r, arr in (self.classes or {}).items():

@@ -584,7 +584,7 @@ class BdBasisSpace(Space):
         gain = int(np.abs(d).sum(axis=1).max())
         v, scale = _int_mult_values(a, mult, gain)
         bound = gain * _peak(v)
-        peaks = np.empty(v.shape[1], dtype=v.dtype)
+        peaks = np.empty(v.shape[1], dtype=np.result_type(d, v))
         for sl in _column_blocks(len(d), v.shape[1]):
             peaks[sl] = np.abs(_int_product(d, v[:, sl], bound)).max(axis=0)
         return ExactBatch.from_rational(peaks, scale * self.gamma.d_scale)

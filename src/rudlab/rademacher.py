@@ -69,8 +69,9 @@ left to right.
 
 Monte-Carlo sample i is a pure function of (seed, i) via the counter-based
 generator, so for a fixed seed and sample count an estimate is the same in
-every run.  Its last bits depend on ``_MC_CHUNK``, which sets the order of
-the float summation.  A support with no more sign patterns than samples (up
+every run; its int8 signs go to the engine's float batch uncast.  Its
+last bits depend on ``_MC_CHUNK``, which sets the order of the float
+summation.  A support with no more sign patterns than samples (up
 to 2^16) is evaluated once per pattern whose top bit is clear, a table of
 at most 2^15 floats, and each sample reads its pattern's norm or its
 complement's.
@@ -565,6 +566,14 @@ def expect_mc(
     variance merges each chunk's mean and sum of squared deviations as in
     Chan, Golub & LeVeque (1983), so a constant sample has variance 0.
 
+    Each chunk's signs reach the engine's float batch as the int8 sign
+    matrix, never cast to floats.  The linear and root engines run that
+    batch through their integer kernel for a rational vector over a
+    power-of-two denominator whose kernel bound is below 2^53, such as the
+    benchmark's m = 40 palette vectors, with the float kernel's floats bit
+    for bit (:class:`~rudlab.spaces._KernelSpace`), so the estimate and
+    bracket do not depend on which kernel ran.
+
     A support with at most ``min(samples, _MC_TABLE)`` sign patterns is
     evaluated once per pattern whose top bit is clear: the engine's float
     batch over those 2^(m-1) patterns in bitmask order, in slices of
@@ -592,8 +601,7 @@ def expect_mc(
     if full <= min(samples, _MC_TABLE):
         half = full // 2  # the top-bit-clear patterns; a code's complement negates it
         table = np.concatenate([
-            space.mult_batch_float(a, sign_matrix_range(m, start, min(start + _MC_CHUNK, half))
-                                   .astype(np.float64))
+            space.mult_batch_float(a, sign_matrix_range(m, start, min(start + _MC_CHUNK, half)))
             for start in range(0, half, _MC_CHUNK)
         ])
     total = 0.0
@@ -606,8 +614,7 @@ def expect_mc(
             codes = sign_codes(seed, m, n, start=done)
             vals = table[np.minimum(codes, codes ^ np.uint64(full - 1))]
         else:
-            signs = sign_matrix(seed, m, n, start=done).astype(np.float64)
-            vals = space.mult_batch_float(a, signs)
+            vals = space.mult_batch_float(a, sign_matrix(seed, m, n, start=done))
         total += float(vals.sum())
         mu_b = float(vals.mean())
         delta = mu_b - mu

@@ -13,12 +13,25 @@ walk lives here: the renorming's inner averages are
 :func:`rudlab.rademacher.sign_means`.  An exact batch is integer arrays
 only; an engine without one (``lp:P``, ``james_x:P`` and ``smax:P`` off
 their exact exponents) returns None and is evaluated in floats.  Its
-arrays are int64 where a Python-int bound shows that no value can leave it
-and Python ints otherwise; a value or denominator that a batch would hold
-past the float range, and radical-valued entries outside the norming-set
-engines, are refused (``NoIntegerForm``), and so is a renorm column past
-the enumeration cap (``EnumerationCapError``).  The test suite
+arrays are in the narrowest of int8, int16, int32 and int64 that a
+Python-int bound shows no value can leave (:func:`~rudlab.batches.int_dtype`)
+and in Python ints past int64; a value or denominator that a batch would
+hold past the float range, and radical-valued entries outside the
+norming-set engines, are refused (``NoIntegerForm``), and so is a renorm
+column past the enumeration cap (``EnumerationCapError``).  The test suite
 cross-checks the batches against independent brute-force oracles.
+
+The linear and root engines (``lp:1``, ``lp:2``, ``linf``, ``summing``,
+``summing_dual``, the ``james`` chains and pairs at p in {1, 2}, ``bmo``
+and ``smax:2``) are one integer kernel each, whose working arrays take the
+dtype of :func:`_kernel_bound`, and a float kernel that is the same
+arithmetic on floats (:class:`_KernelSpace`).  Their float batch of a
+rational vector over a power-of-two denominator with integer multipliers,
+every Monte-Carlo chunk on such a vector included, is the float image of
+the integer kernel where the kernel bound is below 2^53
+(:func:`_dyadic_values`): the float kernel's floats bit for bit, from
+int16 arrays at the benchmark's m = 40.  The norming-set and coding
+engines keep their float batches.
 
 Engines here: lp / linf, the summing norm and its dual, the chain-difference
 supremum norms (one class: lp-accumulating chains, and l2 disjoint pairs),
@@ -48,12 +61,8 @@ from .rademacher import sign_means
 def _int_mult_values(a: Coeffs, mult: np.ndarray,
                      gain: int = 1) -> tuple[np.ndarray, int]:
     """Exact (m, N) integer matrix of ``diag(a) @ mult`` for rational ``a``
-    and its common denominator.  With S the numerators' magnitudes summed
-    times the multipliers' peak, ``gain * (2S)^2`` bounds every sum,
-    difference and square a linear or root engine reduces, when ``gain``
-    bounds the weight a reduction puts on its inputs (2^levels dyadic
-    atoms, a matrix's row sums); the matrix is int64 under that bound and
-    Python ints past it.  The batch an engine builds from it refuses what
+    and its common denominator, in the dtype of :func:`_int_entries` for
+    the multipliers' peak.  The batch an engine builds from it refuses what
     it would hold past the float range (:class:`ExactBatch`)."""
     ints, d = _int_entries(a, _peak(mult), gain)
     return ints[:, None] * mult.astype(ints.dtype), d
@@ -61,17 +70,61 @@ def _int_mult_values(a: Coeffs, mult: np.ndarray,
 
 def _int_entries(a: Coeffs, peak: int = 1, gain: int = 1) -> tuple[np.ndarray, int]:
     """The entries of rational ``a`` as integer numerators over their common
-    denominator, with that denominator, in the dtype
-    :func:`_int_mult_values` gives multipliers of magnitude up to ``peak``."""
+    denominator, with that denominator, in the narrowest dtype that
+    :func:`_kernel_bound` allows for multipliers of magnitude up to
+    ``peak``."""
     cols, d = _class_columns(a)
     ints = cols.pop(1, [])
     if cols:
         raise NoIntegerForm("radical-valued entry: no integer form")
-    return np.array(ints, dtype=int_dtype(gain * (2 * sum(map(abs, ints)) * peak) ** 2)), d
+    return np.array(ints, dtype=int_dtype(_kernel_bound(ints, peak, gain))), d
+
+
+def _kernel_bound(ints: Sequence[int], peak: int, gain: int) -> int:
+    """``gain * S * max(S, 4M)``, with S the numerators' magnitudes summed
+    and M their largest magnitude, each times the multipliers' ``peak``: a
+    bound on every magnitude the integer kernels of the linear and root
+    engines form on ``diag(ints) @ mult`` when ``gain`` bounds the weight
+    a reduction puts on its inputs (2^levels dyadic atoms, a matrix's row
+    sums).  Every linear form is at most S; every squared entry, and the
+    sum of squares, at most S * M; a chain's or pair set's squared steps,
+    each at most 2M, sum to at most 2M * 2S; the summing branch squared
+    (``smax:2``) is at most S^2.  A peak below 1 counts as 1: the
+    numerators themselves are held."""
+    peak = max(peak, 1)
+    s = sum(map(abs, ints)) * peak
+    return gain * s * max(s, 4 * max(map(abs, ints), default=0) * peak)
+
+
+def _dyadic_values(a: Coeffs, mult: np.ndarray) -> tuple[np.ndarray, int] | None:
+    """:func:`_int_mult_values` of ``a`` and ``mult`` where the float kernel
+    of a linear or root engine on them is exact: integer multipliers, and
+    rational entries over a power-of-two denominator of at most
+    ``_DYADIC_DEN`` whose :func:`_kernel_bound` is below 2^53.  Every float
+    the kernel forms is then an integer below 2^53 over a power of two
+    whose nonzero magnitudes stay normal, so each float operation is exact
+    and sqrt commutes with the power-of-two scale: the integer kernel's
+    float image equals the float kernel's bit for bit.  None otherwise,
+    and for the empty vector."""
+    if not a or mult.dtype.kind not in "iu" or not a.is_exact():
+        return None
+    cols, d = _class_columns(a)
+    ints = cols.pop(1, None)
+    if cols or d & (d - 1) or d > _DYADIC_DEN:
+        return None
+    bound = _kernel_bound(ints, _peak(mult), 1)
+    if bound >= _FLOAT_EXACT:
+        return None
+    v = np.array(ints, dtype=int_dtype(bound))
+    return v[:, None] * mult.astype(v.dtype), d
 
 
 #: float64 holds every integer of magnitude below this exactly
 _FLOAT_EXACT = 1 << 53
+#: largest common denominator :func:`_dyadic_values` takes: a nonzero
+#: float the float kernels form on such entries, an integer over at most
+#: its square, stays above 2^-1022, the smallest normal float
+_DYADIC_DEN = 1 << 511
 #: entries of the float image one block of :func:`_int_product` builds, and
 #: of any temporary a column-blocked reduction (:func:`_column_blocks`) holds
 _PRODUCT_BLOCK = 1 << 16
@@ -124,14 +177,13 @@ def _int_product(w: np.ndarray, v: np.ndarray, bound: int) -> np.ndarray:
 
 
 def _cumsum_rows(v: np.ndarray) -> np.ndarray:
-    """``np.cumsum(v, axis=0)``, array-equal (the same top-to-bottom sums
-    in the same dtype), for int64, float64 and Python-int arrays, the
-    dtypes that ``cumsum`` keeps.  On batches of at least
+    """``np.cumsum(v, axis=0, dtype=v.dtype)``, array-equal (the same
+    top-to-bottom sums in the same dtype).  On batches of at least
     ``_ROW_SCAN_COLS`` columns it is one vectorised add per row, several
     times faster than numpy's accumulate down the rows; narrower batches,
     where the per-row call costs more, keep ``cumsum``."""
     if v.shape[1] < _ROW_SCAN_COLS:
-        return np.cumsum(v, axis=0)
+        return np.cumsum(v, axis=0, dtype=v.dtype)
     out = np.empty(v.shape, dtype=v.dtype)
     if len(v):
         out[0] = v[0]
@@ -214,7 +266,7 @@ class Space:
         walk choose by this one rule."""
         batch = self.mult_batch(a, mult) if exact else None
         if batch is None:
-            batch = ExactBatch.from_scalars(self.mult_batch_float(a, mult.astype(np.float64)))
+            batch = ExactBatch.from_scalars(self.mult_batch_float(a, mult))
         return batch
 
     def mult_batch(self, a: Coeffs, mult: np.ndarray) -> ExactBatch | None:
@@ -227,6 +279,9 @@ class Space:
         return None
 
     def mult_batch_float(self, a: Coeffs, mult: np.ndarray) -> np.ndarray:
+        """Float norms of the columns of ``diag(a) @ mult``, whose integer
+        (sign and mask matrices come as int8) or float multipliers it
+        takes alike."""
         raise NotImplementedError(f"{self.name}: no float batch path")
 
     def split_batches(self, a: Coeffs, low: np.ndarray,
@@ -297,6 +352,41 @@ class Space:
         return f"<space {self.name}>"
 
 
+class _KernelSpace(Space):
+    """An engine whose exact batch is one integer kernel, :meth:`_kernel`,
+    over the matrix ``diag(a) @ mult`` (:func:`_int_mult_values`), and whose
+    float batch is :meth:`_float_kernel`, the same arithmetic on floats.
+    ``_exact`` is False for an exponent with no exact batch.
+
+    The float batch of a vector that :func:`_dyadic_values` takes, such as
+    every Monte-Carlo chunk of the sign matrix on a rational vector over a
+    power-of-two denominator, is the float image of the integer kernel:
+    the same floats bit for bit, from integer arrays in the narrowest dtype
+    the kernel bound allows.  Every other float batch runs the float
+    kernel."""
+
+    _exact = True
+
+    def _kernel(self, v: np.ndarray, support: tuple[int, ...], scale: int) -> ExactBatch:
+        raise NotImplementedError
+
+    def _float_kernel(self, v: np.ndarray, support: tuple[int, ...]) -> np.ndarray:
+        raise NotImplementedError
+
+    def mult_batch(self, a, mult):
+        if not self._exact:
+            return None
+        v, scale = _int_mult_values(a, mult)
+        return self._kernel(v, a.support, scale)
+
+    def mult_batch_float(self, a, mult):
+        dyadic = _dyadic_values(a, mult) if self._exact else None
+        if dyadic is not None:
+            v, scale = dyadic
+            return self._kernel(v, a.support, scale).float_values()
+        return self._float_kernel(_float_values(a, mult), a.support)
+
+
 # ---------------------------------------------------------------------------
 # exact sign distributions of the path engines
 # ---------------------------------------------------------------------------
@@ -341,24 +431,23 @@ def _running_max_counts(v: Sequence[int], masks: bool) -> np.ndarray | None:
 # ---------------------------------------------------------------------------
 
 
-class LpSpace(Space):
+class LpSpace(_KernelSpace):
     def __init__(self, p):
         self.p = p
         self.name = "linf" if p == inf else f"lp:{p}"
         self.law_walks = (False,) if p in (1, 2, inf) else ()
+        self._exact = p in (1, 2, inf)
 
-    def mult_batch(self, a, mult):
-        if self.p not in (1, 2, inf):
-            return None
-        v, scale = _int_mult_values(a, mult)
+    def _kernel(self, v, support, scale):
+        """Sums and maxima of |v|, at most S, and the sum of squares, at
+        most S * M (:func:`_kernel_bound`)."""
         if self.p == 1:
             return ExactBatch.from_rational(np.abs(v).sum(axis=0), scale)
         if self.p == inf:
             return ExactBatch.from_rational(np.abs(v).max(axis=0), scale)
         return ExactBatch.from_roots((v**2).sum(axis=0), scale)
 
-    def mult_batch_float(self, a, mult):
-        v = _float_values(a, mult)
+    def _float_kernel(self, v, support):
         if self.p == inf:
             return np.abs(v).max(axis=0)
         return (np.abs(v) ** self.p).sum(axis=0) ** (1.0 / self.p)
@@ -385,18 +474,18 @@ def _tail_maxabs(v: np.ndarray) -> np.ndarray:
     return np.abs(tails).max(axis=0)
 
 
-class SummingSpace(Space):
+class SummingSpace(_KernelSpace):
     """max over support points of the absolute tail sum from that point."""
 
     name = "summing"
     law_walks = (False, True)
 
-    def mult_batch(self, a, mult):
-        v, scale = _int_mult_values(a, mult)
+    def _kernel(self, v, support, scale):
+        """Tail sums, at most S (:func:`_kernel_bound`)."""
         return ExactBatch.from_rational(_tail_maxabs(v), scale)
 
-    def mult_batch_float(self, a, mult):
-        return _tail_maxabs(_float_values(a, mult))
+    def _float_kernel(self, v, support):
+        return _tail_maxabs(v)
 
     def _law(self, a, v, masks):
         """The running-maximum DP over the tail sums, sign or mask steps."""
@@ -427,7 +516,7 @@ def _dual_edge_terms(support: tuple[int, ...]) -> list[tuple[int, int]]:
     return terms
 
 
-class SummingDualSpace(Space):
+class SummingDualSpace(_KernelSpace):
     """l1 norm of the image under the difference substitution.
 
     On a contiguous support this is |a_1| + sum |a_i - a_{i+1}| + |a_n|; the
@@ -444,12 +533,13 @@ class SummingDualSpace(Space):
             total = total + (np.abs(v[k]) if j < 0 else np.abs(v[k] - v[j]))
         return total
 
-    def mult_batch(self, a, mult):
-        v, scale = _int_mult_values(a, mult)
-        return ExactBatch.from_rational(self._reduce(v, a.support), scale)
+    def _kernel(self, v, support, scale):
+        """Edge terms, each entry in at most two: at most 2S
+        (:func:`_kernel_bound`)."""
+        return ExactBatch.from_rational(self._reduce(v, support), scale)
 
-    def mult_batch_float(self, a, mult):
-        return self._reduce(_float_values(a, mult), a.support)
+    def _float_kernel(self, v, support):
+        return self._reduce(v, support)
 
     def _law(self, a, v, masks):
         """An edge term |e_k v_k - e_j v_j| = |v_k - e_k e_j v_j| depends
@@ -547,9 +637,11 @@ def _chain_table(nv: np.ndarray, power, pairs: bool = False) -> np.ndarray:
 def _by_column_blocks(dp: Callable[[np.ndarray], np.ndarray], nv: np.ndarray) -> np.ndarray:
     """``dp(nv)`` for a DP whose columns are independent, run over column
     blocks (:func:`_column_blocks`) so that its table and temporaries stay
-    within ``_PRODUCT_BLOCK`` entries; a batch that fits in one block runs
-    whole."""
-    blocks = _column_blocks(*nv.shape)
+    within the bytes of ``_PRODUCT_BLOCK`` 8-byte entries, so more entries
+    of a narrower integer dtype (one block of 4,096 int16 columns at
+    m = 40, where each block's per-node calls cost more than its
+    arithmetic); a batch that fits in one block runs whole."""
+    blocks = _column_blocks(-(-nv.shape[0] * nv.itemsize // 8), nv.shape[1])
     if len(blocks) == 1:
         return dp(nv)
     return np.concatenate([dp(nv[:, sl]) for sl in blocks])
@@ -562,7 +654,8 @@ def _chain_dp(nv: np.ndarray, power) -> np.ndarray:
     |difference| down the nodes, exactly; floats keep the table, whose
     sums it would round in another order."""
     if power == 1 and nv.dtype != np.float64:
-        return _by_column_blocks(lambda v: np.abs(np.diff(v, axis=0)).sum(axis=0), nv)
+        return _by_column_blocks(
+            lambda v: np.abs(np.diff(v, axis=0)).sum(axis=0, dtype=v.dtype), nv)
     return _by_column_blocks(lambda v: _chain_table(v, power)[-1], nv)
 
 
@@ -607,7 +700,7 @@ def _pairs_dp(nv: np.ndarray, power) -> np.ndarray:
     return _by_column_blocks(lambda v: _chain_table(v, power, pairs=True)[-1], nv)
 
 
-class JamesSpace(Space):
+class JamesSpace(_KernelSpace):
     """Supremum over increasing index chains of the lp sum of consecutive
     differences (``james:chain`` at p = 2, ``james_x:P``), or at p = 2 over
     disjoint increasing pairs (``james:pairs``).  Exact for p in {1, 2}."""
@@ -616,6 +709,7 @@ class JamesSpace(Space):
         self.name = name
         self.p = p
         self._dp = _pairs_dp if pairs else _chain_dp
+        self._exact = p in (1, 2)
         # a zero entry is one more node a pair may end at
         self.zeros_restrict = not pairs
 
@@ -627,22 +721,22 @@ class JamesSpace(Space):
             return ExactBatch.from_rational(dp, scale)
         return ExactBatch.from_roots(dp, scale)
 
-    def mult_batch(self, a, mult):
-        if self.p not in (1, 2):
-            return None
-        v, scale = _int_mult_values(a, mult)
-        return self._batch(self._reduce(v, a.support), scale)
+    def _kernel(self, v, support, scale):
+        """The DP table: node differences, at most 2M, their squares, and
+        sums of steps along a chain or pair set, at most 2M * 2S
+        (:func:`_kernel_bound`)."""
+        return self._batch(self._reduce(v, support), scale)
+
+    def _float_kernel(self, v, support):
+        dp = self._reduce(v, support)
+        return np.sqrt(dp) if self.p == 2 else dp ** (1.0 / self.p)
 
     def split_batches(self, a, low, highs):
-        if self.p not in (1, 2) or self._dp is not _chain_dp:
+        if not self._exact or self._dp is not _chain_dp:
             return None
         ints, scale = _int_entries(a)
         return (self._batch(dp, scale)
                 for dp in _split_chain_dp(ints, _chain_nodes(a.support), low, highs, self.p))
-
-    def mult_batch_float(self, a, mult):
-        dp = self._reduce(_float_values(a, mult), a.support)
-        return np.sqrt(dp) if self.p == 2 else dp ** (1.0 / self.p)
 
     def paper_witnesses(self, kind, dim):
         if self.p != 2:
@@ -662,17 +756,21 @@ def _prefix_maxabs(v: np.ndarray) -> np.ndarray:
     return np.abs(_cumsum_rows(v)).max(axis=0)
 
 
-class BmoRademacherSpace(Space):
+class BmoRademacherSpace(_KernelSpace):
     """(sum a_i^2)^(1/2) + sup_n |sum_{k<=n} a_k|."""
 
     name = "bmo_rademacher"
     law_walks = (False,)
 
-    def mult_batch(self, a, mult):
-        v, scale = _int_mult_values(a, mult)
+    def _kernel(self, v, support, scale):
+        """Prefix sums, at most S, and the sum of squares, at most S * M
+        (:func:`_kernel_bound`)."""
         pref = _prefix_maxabs(v)
         rad = (v**2).sum(axis=0)
         return ExactBatch(scale=scale, classes={1: pref}, roots=rad, roots_scale=scale)
+
+    def _float_kernel(self, v, support):
+        return _prefix_maxabs(v) + np.sqrt((v**2).sum(axis=0))
 
     def _law(self, a, v, masks):
         """The running-maximum DP over the prefix sums, plus the l2 norm,
@@ -684,12 +782,8 @@ class BmoRademacherSpace(Space):
         n = np.arange(len(counts))
         return ({1: n + outer} if core == 1 else {1: n, core: np.full(len(n), outer)}), counts
 
-    def mult_batch_float(self, a, mult):
-        v = _float_values(a, mult)
-        return _prefix_maxabs(v) + np.sqrt((v**2).sum(axis=0))
 
-
-class SmaxSpace(Space):
+class SmaxSpace(_KernelSpace):
     """max of the summing norm and the lp norm of the coefficients."""
 
     def __init__(self, p):
@@ -698,11 +792,11 @@ class SmaxSpace(Space):
         self.p = p
         self.name = f"smax:{p}"
         self.law_walks = (False,) if p == 2 else ()
+        self._exact = p == 2
 
-    def mult_batch(self, a, mult):
-        if self.p != 2:
-            return None
-        v, scale = _int_mult_values(a, mult)
+    def _kernel(self, v, support, scale):
+        """Tail sums s, at most S, s^2, at most S^2, and the sum of
+        squares, at most S * M (:func:`_kernel_bound`)."""
         s = _tail_maxabs(v)
         rad = (v**2).sum(axis=0)
         # per column the max is the summing branch iff s^2 >= rad
@@ -713,6 +807,9 @@ class SmaxSpace(Space):
             roots=np.where(use_s, 0, rad),
             roots_scale=scale,
         )
+
+    def _float_kernel(self, v, support):
+        return np.maximum(_tail_maxabs(v), (np.abs(v) ** self.p).sum(axis=0) ** (1 / self.p))
 
     def _law(self, a, v, masks):
         """The summing DP, each value n with n^2 below the constant
@@ -729,10 +826,6 @@ class SmaxSpace(Space):
         if core == 1:
             return {1: np.where(l2, outer, n)}, counts
         return {1: np.where(l2, 0, n), core: np.where(l2, outer, 0)}, counts
-
-    def mult_batch_float(self, a, mult):
-        v = _float_values(a, mult)
-        return np.maximum(_tail_maxabs(v), (np.abs(v) ** self.p).sum(axis=0) ** (1 / self.p))
 
     def paper_witnesses(self, kind, dim):
         return SummingSpace().paper_witnesses(kind, dim)
@@ -764,7 +857,8 @@ def functional_class_matrices(
 ) -> _ClassMats:
     """Weights of the functionals on ``support`` as per-radicand-class
     integer matrices, ascending by class, with one common denominator.  A
-    matrix is int64 when its largest magnitude fits, Python ints otherwise;
+    matrix is in the narrowest integer dtype its largest magnitude fits
+    (:func:`int_dtype`), Python ints past int64;
     functionals that all vanish on the support give one zero matrix."""
     pos = {idx: k for k, idx in enumerate(support)}
     cells: dict[int, list[tuple[int, int, Fraction]]] = {}  # (functional, slot, weight)
@@ -813,10 +907,10 @@ def _core_forms(a: Coeffs, weights: dict[int, np.ndarray],
 
     Returns the forms, the entries' common denominator and a Python-int
     bound on every pairing sum with multipliers up to ``reach`` in
-    magnitude: the forms are int64 (``int_dtype`` of the bound) when it
-    shows that no such sum can leave it, Python ints otherwise.  A bound or
-    denominator past the float range is refused: the reduction's float pass
-    reads the pairings before any batch is built."""
+    magnitude: the forms are in ``int_dtype`` of the bound, the narrowest
+    integer dtype no such sum can leave, and Python ints past int64.  A
+    bound or denominator past the float range is refused: the reduction's
+    float pass reads the pairings before any batch is built."""
     vcols, vden = _class_columns(a)
     # a bound on every partial pairing sum and, its factors being at
     # least 1, on every weight, numerator and multiplier
@@ -894,9 +988,7 @@ def _split_images(lows: dict[int, np.ndarray], low: np.ndarray, high: dict[int, 
     from the exact pairing sum (:func:`_image_slack`)."""
     rows = next(iter(lows.values())).shape[0]
     n = low.shape[1]
-    dtype = next(t for t in (np.int8, np.int16, np.int32, np.int64, object)
-                 if t is object or bound <= np.iinfo(t).max)
-    ints = {c: np.empty((n, rows), dtype=dtype) for c in lows}
+    ints = {c: np.empty((n, rows), dtype=int_dtype(bound)) for c in lows}
     image = np.zeros((n, rows))
     for sl in _column_blocks(rows, n):
         at = low[:, sl].T
@@ -923,8 +1015,13 @@ def _normingset_winners(approx: np.ndarray,
     only at the winners and the rivals, and the whole column only where a
     rival's pairings are neither the winner's nor all negated
     (:func:`first_extreme` decides those).  A winner whose float image is
-    within 1e-12 (or twice ``slack``) of 0 takes its exact orientation."""
-    gap = np.abs(approx)
+    within 1e-12 (or twice ``slack``) of 0 takes its exact orientation.
+
+    ``approx`` is overwritten by its absolute values: every caller passes
+    a temporary, and no block then allocates a second image-sized array,
+    whose paging-in cost would depend on the allocator's state."""
+    neg = approx < 0  # the image's signs, read at the winners
+    gap = np.abs(approx, out=approx)
     best = gap.argmax(axis=0)
     n = gap.shape[1]
     cols = np.arange(n)
@@ -950,7 +1047,7 @@ def _normingset_winners(approx: np.ndarray,
         flip &= cv == -bv
     # the sorted distinct columns; np.unique would import numpy.ma
     ties = np.flatnonzero(np.bincount(ji[~(same | flip)], minlength=n))
-    funcs = np.arange(approx.shape[0])
+    funcs = np.arange(gap.shape[0])
     for j in ties.tolist():
         col = pairing(funcs, np.full(len(funcs), j))
         # key: the pairings up to sign, normalised by the first non-zero
@@ -958,15 +1055,13 @@ def _normingset_winners(approx: np.ndarray,
         key = np.stack(list(col.values()))
         lead = key[(key != 0).argmax(axis=0), funcs]
         key = key * np.where(lead < 0, -1, 1)
-        best[j] = first_extreme(np.abs(approx[:, j]), key,
-                                lambda f: abs(_qval(col, f)), True, slack)[1]
+        best[j] = first_extreme(gap[:, j], key, lambda f: abs(_qval(col, f)), True, slack)[1]
     if len(ties):
         for c, v in pairing(best[ties], ties).items():
             won[c][ties] = v
     # orient so the stored class entries add up to a non-negative value
-    at = approx[best, cols]
-    signs = np.where(at < 0, -1, 1)
-    for j in np.flatnonzero(np.abs(at) < max(1e-12, 2 * slack)).tolist():
+    signs = np.where(neg[best, cols], -1, 1)
+    for j in np.flatnonzero(gap[best, cols] < max(1e-12, 2 * slack)).tolist():
         s = _qval(won, j).sign()  # exact orientation for tiny pairings
         signs[j] = s if s else 1
     return {c: v * signs for c, v in won.items()}
@@ -988,9 +1083,9 @@ class NormingSetSpace(Space):
     ``mult_batch`` is the one exact path, for rational and radical-valued
     vectors: the functionals' class matrices and the entries' classes make
     one integer form per square-free core (:func:`_core_forms`), and each
-    core's pairings are that form times the multipliers, in int64 when a
-    Python-int bound shows that no sum can leave it, and in Python-int
-    object arrays otherwise.
+    core's pairings are that form times the multipliers, in the narrowest
+    integer dtype a Python-int bound shows that no sum can leave, and in
+    Python-int object arrays past int64.
 
     The pairings of a batch are built and reduced one column block at a
     time (:func:`_column_blocks`), so memory grows with family size times
@@ -1053,14 +1148,19 @@ class NormingSetSpace(Space):
         ints, image, high_image, slack = _split_images(
             {c: w[:, :b] for c, w in forms.items()}, low, high, bound, len(a))
 
+        blocks = _column_blocks(rows, n)
+        # each block's float image is summed into one buffer of the walk
+        buf = np.empty(image[blocks[0]].shape)
+
         def chunk(k: int) -> ExactBatch:
             parts = []
-            for sl in _column_blocks(rows, n):
+            for sl in blocks:
                 def pairing(f, j, sl=sl):
                     at = j * rows + f
                     return {c: p[sl].take(at) + high[c][f, k] for c, p in ints.items()}
 
-                parts.append(_normingset_winners((image[sl] + high_image[k]).T, pairing, slack))
+                approx = np.add(image[sl], high_image[k], out=buf[:len(image[sl])])
+                parts.append(_normingset_winners(approx.T, pairing, slack))
             return _sup_batch(parts, fscale * vden)
 
         return (chunk(k) for k in range(highs.shape[1]))
@@ -1086,6 +1186,12 @@ class NormingSetSpace(Space):
 # ---------------------------------------------------------------------------
 # sign-average renorming
 # ---------------------------------------------------------------------------
+
+
+def _wide_dtype(bound: int) -> type:
+    """int64, or Python ints past it: :func:`int_dtype` no narrower than
+    int64."""
+    return np.int64 if int_dtype(bound) is not object else object
 
 
 class RenormSpace(Space):
@@ -1167,7 +1273,9 @@ class RenormSpace(Space):
                   k: int) -> ExactBatch:
         """The batch of :meth:`mult_batch` from the base batch, the inner
         averages and each column's index into them, for columns of at most
-        ``k`` entries."""
+        ``k`` entries.  Its arrays are int64 at least (:func:`_wide_dtype`):
+        their bounds are the peaks of the columns at hand, so a narrower
+        dtype would depend on which columns a batch holds."""
         p, q = self.delta.numerator, self.delta.denominator
         walks = lcm(base.scale, base.roots_scale or 1) << max(k - 1, 0)
         scale = lcm(q * base.scale, walks, inner.scale)
@@ -1180,13 +1288,13 @@ class RenormSpace(Space):
             arr, nums = base_classes.get(core), inner_classes.get(core)
             peak = _peak(arr) * mul if arr is not None else 0
             ipeak = _peak(nums) * imul if nums is not None else 0
-            dtype = int_dtype(peak + ipeak)
+            dtype = _wide_dtype(peak + ipeak)
             col = arr.astype(dtype) * mul if arr is not None else 0
             classes[core] = col if nums is None else col + (nums.astype(dtype) * imul)[which]
         if base.roots is None:
             return ExactBatch.from_classes(classes, scale)
         # delta * sqrt(R) / rs = sqrt(R * p^2) / (rs * q)
-        roots = base.roots.astype(int_dtype(_peak(base.roots) * p * p)) * (p * p)
+        roots = base.roots.astype(_wide_dtype(_peak(base.roots) * p * p)) * (p * p)
         return ExactBatch(scale=scale, classes=classes or None,
                           roots=roots, roots_scale=base.roots_scale * q)
 

@@ -10,6 +10,9 @@ enumerates each tuple family on the support (``mr.zmr_functionals``,
 :func:`pairs_dp_loop` is the disjoint-pairs DP one node pair at a time, and
 :func:`renorm_batch_reference` the renorm batch built from each column's
 inner sign mean as a ``Fraction`` scaled to the common denominator.
+:func:`definition_norm` is the norm of the linear and root engines from
+their definitions, in ``Fraction`` and :func:`~rudlab.exactnum.sqrt_exact`,
+with no engine code.
 """
 
 from __future__ import annotations
@@ -188,3 +191,67 @@ def renorm_batch_reference(space: RenormSpace, a: Coeffs, mult: np.ndarray) -> E
     roots = base.roots.astype(int_dtype(_peak(base.roots) * p * p)) * (p * p)
     return ExactBatch(scale=scale, classes=classes or None,
                       roots=roots, roots_scale=base.roots_scale * q)
+
+
+def _chain_values(entries: list[tuple[int, Fraction]]) -> list[Fraction]:
+    """The values at the nodes of a chain norm: the entries in index order
+    (zero-valued ones included), one zero before the first index when
+    there is room below it, one in every gap between indices, and one
+    after the last."""
+    out, prev = [], -1
+    for i, v in entries:
+        if i - prev >= 2:
+            out.append(Fraction(0))
+        out.append(v)
+        prev = i
+    return out + [Fraction(0)]
+
+
+def _best_steps(x: list[Fraction], power: int, pairs: bool) -> Fraction:
+    """The largest sum of |x_j - x_i|^power over the steps i < j of an
+    increasing chain of nodes, or over disjoint increasing pairs."""
+    if pairs:
+        best = [Fraction(0)]  # best[j]: pairs within the first j nodes
+        for j in range(len(x)):
+            best.append(max([best[j]] + [best[i] + abs(x[j] - x[i]) ** power
+                                         for i in range(j)]))
+        return best[-1]
+    ends: list[Fraction] = []  # ends[j]: chains ending at node j
+    for j in range(len(x)):
+        ends.append(max([Fraction(0)] + [ends[i] + abs(x[j] - x[i]) ** power
+                                         for i in range(j)]))
+    return max(ends)
+
+
+def _larger(x: Scalar, y: Scalar) -> Scalar:
+    return x if (QSum.of(x) - QSum.of(y)).sign() >= 0 else y
+
+
+def definition_norm(spec: str, entries: list[tuple[int, Fraction]]) -> Scalar:
+    """The norm on ``spec`` of the vector with ``entries``, (index, value)
+    in index order, zero values allowed (a zero entry is still a node of
+    the chain and pair norms), from the engine's definition."""
+    vals = [v for _, v in entries]
+    l2 = sqrt_exact(sum(v * v for v in vals))
+    tails = max(abs(sum(vals[k:])) for k in range(len(vals)))
+    if spec == "lp:1":
+        return sum(map(abs, vals))
+    if spec == "lp:2":
+        return l2
+    if spec == "linf":
+        return max(map(abs, vals))
+    if spec == "summing":
+        return tails
+    if spec == "smax:2":
+        return _larger(tails, l2)
+    if spec == "bmo":
+        return l2 + max(abs(sum(vals[:k + 1])) for k in range(len(vals)))
+    if spec == "summing_dual":
+        dense = dict(entries)
+        lo, hi = entries[0][0] - 1, entries[-1][0] + 1
+        x = [dense.get(i, Fraction(0)) for i in range(lo, hi + 1)]
+        return sum(abs(x[i + 1] - x[i]) for i in range(len(x) - 1))
+    power, pairs = {"james:chain": (2, False), "james:pairs": (2, True),
+                    "james_x:1": (1, False), "james_x:2": (2, False)}[spec]
+    best = _best_steps(_chain_values(entries), power, pairs)
+    return best if power == 1 else sqrt_exact(best)

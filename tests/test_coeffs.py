@@ -17,6 +17,7 @@ from rudlab.coeffs import (
     sign_matrix_full,
     sign_matrix_range,
 )
+from rudlab.batches import int_dtype
 from rudlab.exactnum import QSum, SQRT2
 from rudlab.rng import sign_codes, sign_matrix, sign_vector
 from rudlab.spaces import LpSpace, _int_mult_values
@@ -150,13 +151,19 @@ def test_sign_codes_refuse_past_one_word():
 
 
 def test_int_values_magnitude_guard():
-    """Integer values take int64 while the width bound fits and Python ints
-    past it; only the float range that tie location reads bounds them, and
-    the batch refuses by what it holds: lp:1 holds 2^600 itself, lp:2 its
-    square."""
+    """Integer values take the narrowest of int8, int16, int32 and int64
+    that holds the kernel bound, S * max(S, 4M) for [3, -14] is 17 * 56,
+    and Python ints past int64; each width holds its largest value and
+    passes the next one up.  Only the float range that tie location reads
+    bounds them, and the batch refuses by what it holds: lp:1 holds 2^600
+    itself, lp:2 its square."""
     ones = np.ones((2, 1), dtype=np.int8)
     v, den = _int_mult_values(Coeffs.from_values([F(3, 2), -7]), ones)
-    assert v.dtype == np.int64 and v[:, 0].tolist() == [3, -14] and den == 2
+    assert v.dtype == np.int16 and v[:, 0].tolist() == [3, -14] and den == 2
+    for bits, dtype, wider in ((15, np.int16, np.int32), (31, np.int32, np.int64),
+                               (63, np.int64, object)):
+        assert int_dtype((1 << bits) - 1) is dtype and int_dtype(1 << bits) is wider
+    assert int_dtype(0) is np.int8 and int_dtype(127) is np.int8
     # denominators count toward the scaled magnitude
     v, den = _int_mult_values(Coeffs.from_values([F(1, 1 << 40), F(1 << 10)]), ones)
     assert v.dtype == object and v[:, 0].tolist() == [1, 1 << 50] and den == 1 << 40

@@ -1,20 +1,26 @@
 """Engine kernels: exact integer products through float64 BLAS, and row
-scans, against Python-int products and numpy's ``cumsum``."""
+scans, against Python-int products and numpy's ``cumsum``; the integer
+kernels at the edges of each dtype, against the engines' definitions; and
+the float batches of dyadic vectors, which run the integer kernels, against
+the float kernels bit for bit."""
 
 from fractions import Fraction as F
+from math import isqrt
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from rudlab import bd, dyadic, spaces
+from rudlab.batches import int_dtype
 from rudlab.coeffs import Coeffs, mask_matrix_range, sign_matrix_range
 from rudlab.config import RunConfig, SpaceFactory
 from rudlab.exactnum import QSum
 from rudlab.rng import sign_matrix
-from rudlab.spaces import _ROW_SCAN_COLS, _cumsum_rows, _int_mult_values, _int_product
+from rudlab.spaces import (_ROW_SCAN_COLS, _cumsum_rows, _float_values, _int_entries,
+                           _int_mult_values, _int_product)
 
-from oracles import norm_slow, pairs_dp_loop
+from oracles import definition_norm, norm_slow, pairs_dp_loop
 
 _EXACT = 1 << 53
 
@@ -267,3 +273,154 @@ def test_pairs_dp_matches_the_pair_loop(dtype, power):
                 assert got.tolist() == want.tolist(), (k, n)
             else:
                 assert got.tobytes() == want.tobytes(), (k, n)
+
+
+#: the engines whose float batch runs the integer kernel on dyadic vectors
+_ROUTED = ["lp:1", "lp:2", "linf", "summing", "summing_dual", "james:chain", "james:pairs",
+           "james_x:1", "james_x:2", "bmo", "smax:2"]
+_FAC = SpaceFactory.shared(RunConfig())
+
+
+def _spread_vector(total: int) -> Coeffs:
+    """Five entries of alternating sign on a gapped support, their
+    magnitudes summing to ``total`` and none past a quarter of it, so that
+    the kernel bound S * max(S, 4M) is total^2; the sign pattern that
+    aligns them takes every tail sum and s^2 (``smax:2``) to the bound."""
+    q = total // 5
+    mags = [q, q, q, q, total - 4 * q]
+    return Coeffs.from_pairs(zip((1, 2, 4, 7, 8), [(-1) ** k * x for k, x in enumerate(mags)]))
+
+
+def _dominant_vector(n: int) -> Coeffs:
+    """One entry n beside four of magnitude 1, on the gapped support: the
+    kernel bound is 4 * n * (n + 4), and a chain's squared steps (0 to n
+    and n to -1 and on) pass (n + 4)^2."""
+    return Coeffs.from_pairs(zip((1, 2, 4, 7, 8), [1, -1, n, -1, 1]))
+
+
+def _edge_pair(shape, bound_of, limit: int) -> tuple[Coeffs, Coeffs]:
+    """The vectors of ``shape`` whose bounds sit just below and just above
+    ``limit``: the largest parameter k with ``bound_of(k) < limit`` (by
+    bisection; ``bound_of`` increases), and k + 1."""
+    lo, hi = 5, isqrt(limit) + 1  # bound_of(lo) < limit <= bound_of(hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if bound_of(mid) < limit else (lo, mid)
+    return shape(lo), shape(hi)
+
+
+@pytest.mark.parametrize("bits", [15, 31, 63])
+@pytest.mark.parametrize("spec", _ROUTED)
+def test_integer_kernels_at_the_dtype_edges(spec, bits):
+    """Vectors whose kernel bound sits just inside the signed ``bits``-bit
+    range take that dtype, and the next ones the next dtype up (Python
+    ints past int64); on all of them, spread and with one dominant entry,
+    every sign and mask column of the exact batch is the definition's norm
+    (numpy would wrap silently).  Below 2^53 the float batch of the signs
+    is the float kernel's, bit for bit."""
+    space = _FAC.space(spec)
+    limit = 1 << bits
+    signs, masks = sign_matrix_range(5, 0, 32), mask_matrix_range(5, 0, 32)
+    for shape, bound_of in ((_spread_vector, lambda t: t * t),
+                            (_dominant_vector, lambda n: 4 * n * (n + 4))):
+        for a, bound in zip(_edge_pair(shape, bound_of, limit), (limit - 1, limit)):
+            assert _int_entries(a)[0].dtype == int_dtype(bound), a
+            for mult in (signs, masks):
+                batch = space.mult_batch(a, mult)
+                for j in range(mult.shape[1]):
+                    x = [(i, F(v) * int(c)) for (i, v), c in zip(a.entries, mult[:, j])]
+                    assert QSum.of(batch.value(j)) == QSum.of(definition_norm(spec, x)), (a, j)
+            if bits < 53:
+                want = space._float_kernel(_float_values(a, signs), a.support)
+                assert space.mult_batch_float(a, signs).tobytes() == want.tobytes()
+
+
+def _float_kernel_of(space, a, mult):
+    return space._float_kernel(_float_values(a, mult), a.support)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    spec=st.sampled_from(_ROUTED),
+    data=st.data(),
+    m=st.integers(1, 40),
+    width=st.sampled_from([1, 2, 7, 64, 600, 4096]),
+    masks=st.booleans(),
+    shift=st.integers(0, 14),
+)
+def test_dyadic_float_batches_equal_the_float_kernel(spec, data, m, width, masks, shift):
+    """On a rational vector over a power-of-two denominator, on a gapped
+    support of up to 40 entries, its numerators shifted by up to 14 bits
+    (the kernel bound stays below 2^53), the float batch of
+    integer sign or mask columns runs the integer kernel and gives the
+    float kernel's floats bit for bit; float64 multipliers run the float
+    kernel."""
+    space = _FAC.space(spec)
+    support = sorted(data.draw(st.sets(st.integers(0, 3 * m), min_size=m, max_size=m)))
+    nums = data.draw(st.lists(st.integers(-9, 9).filter(bool), min_size=m, max_size=m))
+    dens = data.draw(st.lists(st.sampled_from([1, 2, 4, 8]), min_size=m, max_size=m))
+    a = Coeffs.from_pairs((i, F(x << shift, d)) for i, x, d in zip(support, nums, dens))
+    build = mask_matrix_range if masks else sign_matrix_range
+    mult = build(m, 0, min(1 << m, width)) if m < 20 else sign_matrix(shift, m, width)
+    if masks and m >= 20:
+        mult = (mult + 1) // 2
+    calls = []
+    kernel = space._kernel
+    try:
+        space._kernel = lambda *args: calls.append(1) or kernel(*args)
+        got = space.mult_batch_float(a, mult)
+        assert calls, (spec, a)
+        calls.clear()
+        assert space.mult_batch_float(a, mult.astype(np.float64)).tobytes() == got.tobytes()
+        assert not calls
+    finally:
+        del space._kernel
+    assert got.tobytes() == _float_kernel_of(space, a, mult).tobytes(), (spec, a)
+
+
+@pytest.mark.parametrize("spec", _ROUTED)
+def test_other_vectors_reach_the_float_kernel(spec, monkeypatch):
+    """An odd denominator, a bound of 2^53 or more, a denominator past
+    2^511 (squares of its entries would be subnormal floats), a radical or
+    float entry, and float multipliers keep the float kernel; a bound just
+    below 2^53 and a denominator of 2^511 take the integer one, with the
+    float kernel's floats."""
+    space = _FAC.space(spec)
+    below, past = _edge_pair(_spread_vector, lambda t: t * t, 1 << 53)
+    signs = sign_matrix_range(5, 0, 16)
+    tiny = [3, -5, 7, 2, -4]
+    routed = [below, Coeffs.from_values([1, F(-3, 4), 2, F(1, 2), -5]),
+              Coeffs.from_values([F(x, 1 << 511) for x in tiny])]
+    others = [past, Coeffs.from_values([1, F(-3, 4), 2, F(1, 3), -5]),
+              Coeffs.from_values([F(x, 1 << 512) for x in tiny]),
+              Coeffs.from_values([1, 0.75, 2, 0.5, -5])]
+    calls = []
+    kernel = type(space)._kernel
+    monkeypatch.setattr(type(space), "_kernel",
+                        lambda self, *args: calls.append(1) or kernel(self, *args))
+    for a in routed + others:
+        calls.clear()
+        got = space.mult_batch_float(a, signs)
+        assert bool(calls) == (a in routed), (spec, a)
+        assert got.tobytes() == _float_kernel_of(space, a, signs).tobytes(), (spec, a)
+    calls.clear()
+    space.mult_batch_float(routed[1], signs.astype(np.float64))
+    assert not calls
+
+
+@pytest.mark.parametrize("dtype, top", [(np.int8, 1), (np.int16, 9), (np.int32, 1000)])
+def test_chain_dp_blocks_of_narrow_dtypes_equal_the_whole_table(dtype, top):
+    """A narrower integer table takes wider column blocks, as many bytes as
+    ``_PRODUCT_BLOCK`` 8-byte entries: at widths on both sides of a block
+    boundary the chain and pair DPs, at powers 1 and 2, equal the whole
+    table in value and dtype (node values up to ``top``, whose chains stay
+    inside the dtype)."""
+    rng = np.random.default_rng(8)
+    rows = 9
+    block = spaces._PRODUCT_BLOCK // -(-rows * np.dtype(dtype).itemsize // 8)
+    for n in (block - 1, block, block + 1, 2 * block + 3):
+        nv = rng.integers(-top, top + 1, size=(rows, n)).astype(dtype)
+        for power in (1, 2):
+            for dp, pairs in ((spaces._chain_dp, False), (spaces._pairs_dp, True)):
+                got, want = dp(nv, power), spaces._chain_table(nv, power, pairs)[-1]
+                assert got.dtype == want.dtype and np.array_equal(got, want), (n, power, pairs)

@@ -21,7 +21,7 @@ from rudlab.rademacher import (
     sign_stats,
     subset_stats,
 )
-from rudlab.rng import sign_matrix
+from rudlab.rng import counter_u64, sign_matrix
 from rudlab.spaces import LpSpace, SummingDualSpace, SummingSpace
 
 from oracles import norm_slow
@@ -897,6 +897,42 @@ def test_mc_table_never_evaluates_a_one_column_tail():
     assert (est.value, est.bracket) == _loop_mc(l1, a, samples, 4)
     value, _ = _loop_mc(_OneColumnOff(1), a, samples, 4)
     assert value == pytest.approx(est.value + 1 / samples, rel=1e-12)
+
+
+class _CastSigns:
+    """An engine's float batch, its multipliers cast to ``dtype`` first."""
+
+    def __init__(self, space, dtype):
+        self.space, self.dtype = space, dtype
+
+    def mult_batch_float(self, a, mult):
+        return self.space.mult_batch_float(a, mult.astype(self.dtype))
+
+
+_PALETTE = (1, -1, 2, -2, 3, -3, F(1, 2), F(-1, 2))
+
+
+def _palette_vector(seed, tag, m=40):
+    """The benchmark's Monte-Carlo vector: the palette repeated to length
+    m, in a seeded order."""
+    order = sorted(range(m), key=lambda k: counter_u64(seed, tag, k))
+    return Coeffs.from_values([_PALETTE[k % len(_PALETTE)] for k in order])
+
+
+@pytest.mark.parametrize("spec", ["lp:2", "summing", "james:chain", "smax:2", "bmo"])
+def test_mc_on_palette_vectors_equals_the_float_kernel_loop(spec):
+    """On m = 40 palette vectors (denominator 2: their float batches run
+    the integer kernels), ``expect_mc`` gives the value and bracket of the
+    per-sample loop bit for bit, with the loop's signs as float64 (the
+    float kernel) and as int8 (the integer kernel)."""
+    space = SpaceFactory.shared(RunConfig()).space(spec)
+    samples = 4 * rad._MC_CHUNK + 100
+    for seed, tag in ((0, 300), (7, 302)):
+        a = _palette_vector(seed, tag)
+        est = expect_mc(space, a, samples, seed=seed)
+        for dtype in (np.float64, np.int8):
+            want = _loop_mc(_CastSigns(space, dtype), a, samples, seed)
+            assert (est.value, est.bracket) == want, (spec, seed, dtype)
 
 
 def _pin_vector(m):

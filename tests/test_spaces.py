@@ -20,6 +20,7 @@ from rudlab.spaces import (
     SmaxSpace,
     SummingDualSpace,
     SummingSpace,
+    _int_mult_values,
 )
 
 l1, l2, li = LpSpace(1), LpSpace(2), LpSpace(inf)
@@ -507,7 +508,7 @@ def test_renorm_long_inner_walk_takes_the_base_distribution(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# integer width: int64 under the bound, Python ints past it
+# integer width: fixed-width integers under the bound, Python ints past it
 # ---------------------------------------------------------------------------
 
 _WIDE_SPECS = [
@@ -577,8 +578,9 @@ def test_wide_walk_is_chunk_invariant():
 
 @pytest.mark.parametrize("spec", _WIDE_SPECS)
 def test_sweep_vectors_take_int64_batches(spec):
-    """The sweep's default vectors stay on int64 batches on every integer
-    engine: the width rule moves only wider vectors to Python ints."""
+    """The sweep's default vectors stay on fixed-width integer batches on
+    every integer engine, from int8 or int16 working matrices: the width
+    rule moves only wider vectors to Python ints."""
     from rudlab.experiments import _vectors, derive_seed
 
     cfg = RunConfig()
@@ -589,7 +591,8 @@ def test_sweep_vectors_take_int64_batches(spec):
         arrays = [*(batch.classes or {}).values()]
         if batch.roots is not None:
             arrays.append(batch.roots)
-        assert all(arr.dtype == np.int64 for arr in arrays), (spec, a)
+        assert all(arr.dtype.kind == "i" for arr in arrays), (spec, a)
+        assert _int_mult_values(a, np.ones((m, 1), dtype=np.int8))[0].dtype in (np.int8, np.int16)
 
 
 @pytest.mark.parametrize("spec", ["lp:1", "lp:2", "summing", "james:chain", "bmo",
