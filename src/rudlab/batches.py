@@ -134,12 +134,6 @@ def _scalar(totals: dict[int, int], den: int) -> Scalar:
     return QSum({core: Fraction(t, den) for core, t in totals.items()})
 
 
-def _scalar_gt(a: Scalar, b: Scalar) -> bool:
-    if isinstance(a, QSum) or isinstance(b, QSum):
-        return QSum.of(a) > b
-    return a > b
-
-
 class BatchSums:
     """The sums of the values and of the squared values of exact batches,
     held as integers: per denominator, one Python-int total per radicand,
@@ -207,7 +201,7 @@ class Pick:
             gap = self._approx - other._approx
             if abs(gap) > 2 * (self._err + other._err):
                 return gap > 0
-        return _scalar_gt(self.value(), other.value())
+        return self.value() > other.value()
 
 
 def first_extreme(
@@ -250,7 +244,7 @@ def _first_of(cand: list[int], value: Callable[[int], Scalar],
     best, vb = cand[0], value(cand[0])
     for i in cand[1:]:
         vi = value(i)
-        if _scalar_gt(vi, vb) if want_max else _scalar_gt(vb, vi):
+        if (vi > vb) if want_max else (vb > vi):
             best, vb = i, vi
     return vb, best
 

@@ -13,7 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Iterator, Sequence
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -118,6 +119,26 @@ class Coeffs:
             object.__setattr__(self, "_floats", out)
         return out
 
+    def class_columns(self) -> tuple[Mapping[int, tuple[int, ...]], int]:
+        """The entries split by square-free class: per class, in order of
+        first use, the integer numerators over one common denominator (0
+        where an entry has no term of that class), and that denominator.
+        Computed once per vector, as :meth:`values_float` is, and
+        read-only.  Float entries raise :class:`NoIntegerForm`."""
+        out = self.__dict__.get("_classes")
+        if out is None:
+            cols: dict[int, list[Fraction | int]] = {}
+            for k, (_, w) in enumerate(self.entries):
+                if isinstance(w, float):
+                    raise NoIntegerForm("exact path requires rational coefficients")
+                for core, q in (w.terms.items() if isinstance(w, QSum) else ((1, w),)):
+                    cols.setdefault(core, [0] * len(self))[k] = q
+            den = lcm(*(q.denominator for col in cols.values() for q in col))
+            out = (MappingProxyType({c: tuple(q.numerator * (den // q.denominator) for q in col)
+                                     for c, col in cols.items()}), den)
+            object.__setattr__(self, "_classes", out)
+        return out
+
     # -- algebra ------------------------------------------------------------
 
     def scale(self, c: Scalar) -> "Coeffs":
@@ -180,7 +201,9 @@ def family_form(vectors: Sequence[Coeffs]) -> tuple[Coeffs, np.ndarray] | None:
     """One base vector over the union support of the non-empty exact
     ``vectors`` and an int64 (union, len(vectors)) multiplier matrix whose
     column j times the base is ``vectors[j]``: zero multipliers restrict the
-    base to each vector's support.
+    base to each vector's support, and on every engine a zero multiplier
+    gives the norm of the vector without that entry, so column j of the
+    base's batch is the norm of ``vectors[j]``.
 
     Each index holds one unit, the rational gcd of the family's entries
     there (times sqrt(core) when every entry there is a single radical term

@@ -113,14 +113,6 @@ def _draw(space: Space, seed: int, index: np.ndarray, max_m: int) -> list[Coeffs
             for row, m, slots in zip(order.tolist(), sizes.tolist(), picks.tolist())]
 
 
-def _ge(x: Scalar, y: Scalar) -> bool:
-    """Exact x >= y for exact scalars: rationals compared as they are, a
-    radical through :class:`QSum`."""
-    if isinstance(x, QSum) or isinstance(y, QSum):
-        return QSum.of(x) >= y
-    return x >= y
-
-
 def _ssq(a: Coeffs) -> Fraction:
     """Exact square sum of the coefficients."""
     return sum((Fraction(v) ** 2 for _, v in a.entries), Fraction(0))
@@ -256,7 +248,7 @@ def _sweep(cfg, name, rows, check) -> Report:
 def exp_sandwich(cfg: RunConfig) -> Report:
     def check(space, a, st):
         mean = st.mean()
-        return (_ge(mean, st.min()) and _ge(st.max(), mean),)
+        return (mean >= st.min() and st.max() >= mean,)
 
     return _sweep(cfg, "sandwich",
                   [("sandwich", "min over signs <= mean <= max over signs, exact")], check)
@@ -274,7 +266,7 @@ def exp_subsets(cfg: RunConfig) -> Report:
     def check(space, a, st):
         mean = st.mean()
         e0 = st.subset_mean()
-        return _ge(2 * e0, mean), _ge(mean, e0)
+        return 2 * e0 >= mean, mean >= e0
 
     return _sweep(cfg, "subsets", [
         ("subsets.upper", "sign average <= twice the subset average, exact"),
@@ -318,7 +310,7 @@ def exp_contraction(cfg: RunConfig) -> Report:
                 if not ba:
                     continue
                 trials += 1
-                if not _ge(ea, sign_stats(space, ba, cfg.cap).mean()):
+                if not ea >= sign_stats(space, ba, cfg.cap).mean():
                     bad += 1
         rep.count(f"contraction.{spec}",
                   f"mean norm never grows under multipliers in {{0,+-1/2,+-1}} [{trials} pairs]",
@@ -360,7 +352,7 @@ def exp_summing(cfg: RunConfig) -> Report:
     def sandwich(a):
         e = QSum.of(sign_stats(s, a, cfg.cap).mean())
         e2 = e * e
-        return _ge(e2 * 2, _ssq(a)), _ge(4 * _ssq(a), e2)
+        return e2 * 2 >= _ssq(a), 4 * _ssq(a) >= e2
 
     bad_lo, bad_hi = _tally(_vectors(s, seed, 200), sandwich)
     rep.count("summing.lower", "l2 norm over root-two <= sign average [200 vectors]", bad_lo)
@@ -418,13 +410,13 @@ def exp_james(cfg: RunConfig) -> Report:
                   lambda a: (le_times_square(norm_sq(a), Fraction(4), sqrt_exact(_ssq(a))),))
     rep.count("james.upper", "chain norm <= twice the l2 norm [500 vectors]", bad)
     bad, = _tally([_gapped_vector(seed + 1, i) for i in range(120)],
-                  lambda a: (_ge(norm_sq(a), _ssq(a)),))
+                  lambda a: (norm_sq(a) >= _ssq(a),))
     rep.count("james.skipped", "gap-2 supports: chain norm >= l2 norm [120 vectors]", bad)
 
     def rud(space, a):
         e = sign_stats(space, a, cfg.cap).mean()
         n = space.norm(a)
-        return float(n) / float(e), _ge(4 * QSum.of(e), n)
+        return float(n) / float(e), 4 * QSum.of(e) >= n
 
     for spec, bound in (("james:chain", 4.0), ("james:pairs", 4.0),
                         ("james_x:1", 4.0), ("james_x:2", 4.0)):
@@ -462,7 +454,7 @@ def exp_walsh(cfg: RunConfig) -> Report:
         e = st.mean()
         n = Fraction(w.norm(a))
         ssq = _ssq(a)
-        return (float(n) / float(e), _ge(sqrt_exact(ssq), st.max()),
+        return (float(n) / float(e), sqrt_exact(ssq) >= st.max(),
                 le_times_square(ssq, Fraction(2), e), le_times_square(n * n, Fraction(2), e))
 
     worst_ratio, bad_max, bad_kh, bad_ratio = _worst(
@@ -488,7 +480,7 @@ def exp_bmo(cfg: RunConfig) -> Report:
     def check(a):
         e = QSum.of(sign_stats(b, a, cfg.cap).mean())
         l2 = sqrt_exact(_ssq(a))
-        return le_times_square(e * e, Fraction(9), l2), _ge(b.norm(a), l2)
+        return le_times_square(e * e, Fraction(9), l2), b.norm(a) >= l2
 
     bad_e, bad_n = _tally(_vectors(b, derive_seed(cfg.seed, 10), 200), check)
     rep.count("bmo.mean", "sign average <= three times the l2 norm [200 vectors]", bad_e)
@@ -511,7 +503,7 @@ def exp_renorm(cfg: RunConfig) -> Report:
         def check(a):
             e = sign_stats(space, a, cfg.cap).mean()
             n = space.norm(a)
-            return float(e) / float(n), _ge((1 + delta) * QSum.of(n), e)
+            return float(e) / float(n), (1 + delta) * QSum.of(n) >= e
 
         worst, bad = _worst(_vectors(space, seed, 100, max_m=10), check)
         rep.add(f"renorm.delta={delta}",
@@ -714,7 +706,7 @@ def exp_zmr(cfg: RunConfig) -> Report:
     depth = min(3, ctx.max_n, len(ctx.levels.prefix))
     for n in range(1, depth + 1):
         w = mr_witness(n, ctx, mc_samples=min(cfg.samples * 10, 1_000_000), seed=seed)
-        norm_ok = _ge(w.norm, n)
+        norm_ok = w.norm >= n
         rep.add(f"zmr.norm.n={n}", f"witness norm >= {n}, exact",
                 float(QSum.of(w.norm)), float(n), norm_ok,
                 exact=scalar_repr(w.norm))
@@ -723,7 +715,7 @@ def exp_zmr(cfg: RunConfig) -> Report:
         ratios.append(ratio)
         curve.append((n, ratio))
         # a Monte-Carlo bracket end is a float, compared as the rational it is
-        bound_ok = _ge(w.analytic_bound, Fraction(upper) if isinstance(upper, float) else upper)
+        bound_ok = w.analytic_bound >= (Fraction(upper) if isinstance(upper, float) else upper)
         rep.add(f"zmr.bound.n={n}",
                 f"sign average (upper bracket, method {w.expectation.method}) "
                 "stays under the carried analytic bound",
@@ -746,7 +738,7 @@ def exp_zruc(cfg: RunConfig) -> Report:
 
     def check(en):
         e, n = en
-        return float(e) / float(n), _ge(2 * QSum.of(n), e)
+        return float(e) / float(n), 2 * QSum.of(n) >= e
 
     worst, bad = _worst(
         _means_norms(space, _vectors(space, derive_seed(cfg.seed, 16), 30, max_m=6), cfg.cap),
@@ -778,7 +770,7 @@ def exp_zrud(cfg: RunConfig) -> Report:
 
     def sandwich(row):
         sup, norm, const = row
-        return (_ge(norm, sup) and _ge(QSum.of(const) * QSum.of(sup), norm),)
+        return (norm >= sup and QSum.of(const) * QSum.of(sup) >= norm,)
 
     bad, = _tally(zrud_block_sandwich(ctx, [blocks(i) for i in range(100)]), sandwich)
     dh = float(QSum.of(3 + 4 * ctx.levels.delta_hat))
@@ -792,7 +784,7 @@ def exp_zrud(cfg: RunConfig) -> Report:
 
     def ratio(en):
         e, n = en
-        return float(n) / float(e), _ge(inv_rho * QSum.of(e), n)
+        return float(n) / float(e), inv_rho * QSum.of(e) >= n
 
     restricted = [a.restrict(first_two) for a in _vectors(space, seed + 1, 30, max_m=6)]
     worst, bad = _worst(_means_norms(space, [a for a in restricted if a], cfg.cap), ratio)
@@ -889,8 +881,8 @@ def exp_smax(cfg: RunConfig) -> Report:
         e = QSum.of(sign_stats(space, a, cfg.cap).mean())
         l2 = sqrt_exact(_ssq(a))
         n = space.norm(a)
-        return (float(e) / float(n), _ge(3 * QSum.of(n), e), _ge(e + l2, l2),
-                _ge(e, Fraction(1, 2) * l2), _ge(3 * l2, e))
+        return (float(e) / float(n), 3 * QSum.of(n) >= e, e + l2 >= l2,
+                e >= Fraction(1, 2) * l2, 3 * l2 >= e)
 
     worst_ruc, bad_ruc, bad_triv, bad_lo, bad_hi = _worst(
         _vectors(space, derive_seed(cfg.seed, 19), 200), check)

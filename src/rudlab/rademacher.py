@@ -90,7 +90,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .batches import BatchSums, ExactBatch, Pick, _scalar_gt, int_dtype
+from .batches import BatchSums, ExactBatch, Pick, int_dtype
 from .coeffs import (
     Coeffs,
     DomainError,
@@ -267,7 +267,7 @@ def _first_argmax(space: Space, a: Coeffs, masks: bool, top: Scalar) -> int:
     """The walk's first index whose norm is the maximum ``top``."""
     for start, batch in _walk(space, a, masks):
         i = batch.argmax()
-        if not _scalar_gt(top, batch.value(i)):
+        if not top > batch.value(i):
             return start + i
     raise AssertionError("the maximum is the norm of some pattern")
 
@@ -435,17 +435,17 @@ def family_means(space: Space, vectors: Sequence[Coeffs],
     packs of at most ``_CHUNK`` patterns within the family budget
     (:func:`~rudlab.coeffs.family_packs`), and each pack is one
     :func:`sign_means` of its family's base vector
-    (:func:`~rudlab.coeffs.family_form`).  A longer walk, a float vector,
-    every vector of an engine whose zero multipliers do not restrict
-    (``zeros_restrict``), and a pack with no family form or no exact batch
-    walk on their own, through :func:`sign_stats`."""
+    (:func:`~rudlab.coeffs.family_form`): a zero multiplier gives the norm
+    of the vector without that entry on every engine, so each masked walk
+    is its vector's.  A longer walk, a float vector, and a pack with no
+    family form or no exact batch walk on their own, through
+    :func:`sign_stats`."""
     for a in vectors:
         check_cap(len(a), cap)
     means: list[Scalar] = [0] * len(vectors)
     short = []
     for j, a in enumerate(vectors):
-        if a and _walk_length(len(a), masks=False) <= _CHUNK and a.is_exact() \
-                and space.zeros_restrict:
+        if a and _walk_length(len(a), masks=False) <= _CHUNK and a.is_exact():
             short.append(j)
         else:
             means[j] = _stats(space, a, cap, (False,))[0].mean()

@@ -73,10 +73,10 @@ def _int_entries(a: Coeffs, peak: int = 1, gain: int = 1) -> tuple[np.ndarray, i
     denominator, with that denominator, in the narrowest dtype that
     :func:`_kernel_bound` allows for multipliers of magnitude up to
     ``peak``."""
-    cols, d = _class_columns(a)
-    ints = cols.pop(1, [])
-    if cols:
+    cols, d = a.class_columns()
+    if cols.keys() - {1}:
         raise NoIntegerForm("radical-valued entry: no integer form")
+    ints = cols.get(1, ())
     return np.array(ints, dtype=int_dtype(_kernel_bound(ints, peak, gain))), d
 
 
@@ -105,18 +105,15 @@ def _dyadic_values(a: Coeffs, mult: np.ndarray) -> tuple[np.ndarray, int] | None
     whose nonzero magnitudes stay normal, so each float operation is exact
     and sqrt commutes with the power-of-two scale: the integer kernel's
     float image equals the float kernel's bit for bit.  None otherwise,
-    and for the empty vector."""
-    if not a or mult.dtype.kind not in "iu" or not a.is_exact():
+    and for the empty vector.  The checks read the vector's integer form,
+    built once per vector (:meth:`~rudlab.coeffs.Coeffs.class_columns`)."""
+    if mult.dtype.kind not in "iu" or not a.is_exact():
         return None
-    cols, d = _class_columns(a)
-    ints = cols.pop(1, None)
-    if cols or d & (d - 1) or d > _DYADIC_DEN:
+    cols, d = a.class_columns()
+    if cols.keys() != {1} or d & (d - 1) or d > _DYADIC_DEN \
+            or _kernel_bound(cols[1], _peak(mult), 1) >= _FLOAT_EXACT:
         return None
-    bound = _kernel_bound(ints, _peak(mult), 1)
-    if bound >= _FLOAT_EXACT:
-        return None
-    v = np.array(ints, dtype=int_dtype(bound))
-    return v[:, None] * mult.astype(v.dtype), d
+    return _int_mult_values(a, mult)
 
 
 #: float64 holds every integer of magnitude below this exactly
@@ -217,10 +214,6 @@ class Space:
     #: the walks :meth:`_law` answers: False for sign patterns, True for
     #: 0/1 masks
     law_walks: tuple[bool, ...] = ()
-    #: whether a zero multiplier gives the norm of the vector without that
-    #: entry, which a family's batch over its union support needs
-    #: (:meth:`norms`, :func:`~rudlab.rademacher.family_means`)
-    zeros_restrict: bool = True
 
     # -- norms ----------------------------------------------------------------
 
@@ -234,17 +227,15 @@ class Space:
         one :meth:`mult_batch` of its family's base vector over the union
         support, one multiplier column per vector
         (:func:`~rudlab.coeffs.family_form`; a family of one is its vector
-        over a column of ones).  An engine whose zero multipliers do not
-        restrict (``zeros_restrict``) takes families of one.  Float
-        vectors, indices of mixed classes, an engine without an exact
-        batch, and a union refused as having no integer form fall back to
-        one :meth:`batch` per vector, which gives that vector's own value
-        or refusal."""
+        over a column of ones).  On every engine a zero multiplier gives the
+        norm of the vector without that entry, so each column is its
+        vector's norm.  Float vectors, indices of mixed classes, an engine
+        without an exact batch, and a union refused as having no integer
+        form fall back to one :meth:`batch` per vector, which gives that
+        vector's own value or refusal."""
         out: list[Scalar] = [0] * len(vectors)
         live = [j for j, a in enumerate(vectors) if a]
-        packs = (family_packs([vectors[j] for j in live], [1] * len(live), len(live))
-                 if self.zeros_restrict else [[k] for k in range(len(live))])
-        for pack in packs:
+        for pack in family_packs([vectors[j] for j in live], [1] * len(live), len(live)):
             pack = [live[k] for k in pack]
             family = family_form([vectors[j] for j in pack])
             try:
@@ -573,19 +564,25 @@ class SummingDualSpace(_KernelSpace):
 # ---------------------------------------------------------------------------
 
 
-def _chain_nodes(support: tuple[int, ...]) -> list[int]:
+def _chain_nodes(support: tuple[int, ...], pairs: bool = False) -> list[int]:
     """Node slots for the difference DP: -1 is a zero-valued node.
 
-    A zero node is available before the first support index (when there is
-    room below it), in every gap of length >= 2, and always after the last
-    index (coefficients vanish eventually).
+    The norm is a supremum over the zero-padded sequence, every index from
+    0 to one past the last a node; the slots keep each support index and,
+    of each run of zeros, the nodes a chain or pair set can use.  A chain
+    gains nothing from a second zero in a row, so every run keeps one: the
+    one before the first index (when there is room below it), each gap's
+    and the one after the last index (coefficients vanish eventually).
+    With ``pairs`` a gap of two or more missing indices keeps two, since
+    one pair may end at the first and the next start at the second.  A
+    zero multiplier then gives the norm of the vector without that entry:
+    its zero node stands in for the padded zero it becomes.
     """
     nodes: list[int] = []
-    if support and support[0] >= 1:
-        nodes.append(-1)
     for k, idx in enumerate(support):
-        if k > 0 and idx - support[k - 1] >= 2:
-            nodes.append(-1)
+        missing = idx - (support[k - 1] if k else -1) - 1
+        if missing:
+            nodes += [-1] * (2 if pairs and k and missing >= 2 else 1)
         nodes.append(k)
     nodes.append(-1)
     return nodes
@@ -703,18 +700,19 @@ def _pairs_dp(nv: np.ndarray, power) -> np.ndarray:
 class JamesSpace(_KernelSpace):
     """Supremum over increasing index chains of the lp sum of consecutive
     differences (``james:chain`` at p = 2, ``james_x:P``), or at p = 2 over
-    disjoint increasing pairs (``james:pairs``).  Exact for p in {1, 2}."""
+    disjoint increasing pairs (``james:pairs``), of the zero-padded
+    sequence of the entries (:func:`_chain_nodes`), so that a zero
+    multiplier restricts, as on every engine.  Exact for p in {1, 2}."""
 
     def __init__(self, name: str, p=2, pairs: bool = False):
         self.name = name
         self.p = p
+        self.pairs = pairs
         self._dp = _pairs_dp if pairs else _chain_dp
         self._exact = p in (1, 2)
-        # a zero entry is one more node a pair may end at
-        self.zeros_restrict = not pairs
 
     def _reduce(self, v, support):
-        return self._dp(_node_matrix(v, _chain_nodes(support)), self.p)
+        return self._dp(_node_matrix(v, _chain_nodes(support, self.pairs)), self.p)
 
     def _batch(self, dp, scale):
         if self.p == 1:
@@ -732,7 +730,7 @@ class JamesSpace(_KernelSpace):
         return np.sqrt(dp) if self.p == 2 else dp ** (1.0 / self.p)
 
     def split_batches(self, a, low, highs):
-        if not self._exact or self._dp is not _chain_dp:
+        if not self._exact or self.pairs:
             return None
         ints, scale = _int_entries(a)
         return (self._batch(dp, scale)
@@ -881,21 +879,6 @@ def functional_class_matrices(
     return mats, scale
 
 
-def _class_columns(a: Coeffs) -> tuple[dict[int, list[int]], int]:
-    """Entries of ``a`` split by square-free class: per class, integer
-    numerators over one common denominator, in the order of first use.
-    Float entries raise :class:`NoIntegerForm`."""
-    cols: dict[int, list[int | Fraction]] = {}
-    for k, (_, w) in enumerate(a.entries):
-        if isinstance(w, float):
-            raise NoIntegerForm("exact path requires rational coefficients")
-        for core, q in (w.terms.items() if isinstance(w, QSum) else ((1, w),)):
-            cols.setdefault(core, [0] * len(a))[k] = q
-    den = lcm(*(q.denominator for col in cols.values() for q in col))
-    return {c: [q.numerator * (den // q.denominator) for q in col]
-            for c, col in cols.items()}, den
-
-
 def _core_forms(a: Coeffs, weights: dict[int, np.ndarray],
                 reach: int) -> tuple[dict[int, np.ndarray], int, int]:
     """One integer form per square-free core for pairing functionals with
@@ -911,7 +894,7 @@ def _core_forms(a: Coeffs, weights: dict[int, np.ndarray],
     integer dtype no such sum can leave, and Python ints past int64.  A
     bound or denominator past the float range is refused: the reduction's
     float pass reads the pairings before any batch is built."""
-    vcols, vden = _class_columns(a)
+    vcols, vden = a.class_columns()
     # a bound on every partial pairing sum and, its factors being at
     # least 1, on every weight, numerator and multiplier
     peaks = {fc: int(np.abs(w).max(initial=1)) for fc, w in weights.items()}
@@ -1212,7 +1195,6 @@ class RenormSpace(Space):
         self.base = base
         self.delta = Fraction(delta)
         self.name = f"renorm:{base.name}:{delta}"
-        self.zeros_restrict = base.zeros_restrict
         self.sweep_max_m = 8
 
     @staticmethod

@@ -12,7 +12,8 @@ enumerates each tuple family on the support (``mr.zmr_functionals``,
 inner sign mean as a ``Fraction`` scaled to the common denominator.
 :func:`definition_norm` is the norm of the linear and root engines from
 their definitions, in ``Fraction`` and :func:`~rudlab.exactnum.sqrt_exact`,
-with no engine code.
+with no engine code: the chain and pair norms run over every index of the
+zero-padded sequence, not over the engines' node layout.
 """
 
 from __future__ import annotations
@@ -193,18 +194,11 @@ def renorm_batch_reference(space: RenormSpace, a: Coeffs, mult: np.ndarray) -> E
                       roots=roots, roots_scale=base.roots_scale * q)
 
 
-def _chain_values(entries: list[tuple[int, Fraction]]) -> list[Fraction]:
-    """The values at the nodes of a chain norm: the entries in index order
-    (zero-valued ones included), one zero before the first index when
-    there is room below it, one in every gap between indices, and one
-    after the last."""
-    out, prev = [], -1
-    for i, v in entries:
-        if i - prev >= 2:
-            out.append(Fraction(0))
-        out.append(v)
-        prev = i
-    return out + [Fraction(0)]
+def _padded(entries: list[tuple[int, Fraction]]) -> list[Fraction]:
+    """The zero-padded sequence of a vector: its value at every index from
+    0 to one past the last entry, 0 where it has none."""
+    dense = dict(entries)
+    return [dense.get(i, Fraction(0)) for i in range(entries[-1][0] + 2)]
 
 
 def _best_steps(x: list[Fraction], power: int, pairs: bool) -> Fraction:
@@ -229,8 +223,9 @@ def _larger(x: Scalar, y: Scalar) -> Scalar:
 
 def definition_norm(spec: str, entries: list[tuple[int, Fraction]]) -> Scalar:
     """The norm on ``spec`` of the vector with ``entries``, (index, value)
-    in index order, zero values allowed (a zero entry is still a node of
-    the chain and pair norms), from the engine's definition."""
+    in index order, zero values allowed, from the engine's definition: the
+    chain and pair norms over the zero-padded sequence, where a zero entry
+    is a zero like any missing index."""
     vals = [v for _, v in entries]
     l2 = sqrt_exact(sum(v * v for v in vals))
     tails = max(abs(sum(vals[k:])) for k in range(len(vals)))
@@ -253,5 +248,5 @@ def definition_norm(spec: str, entries: list[tuple[int, Fraction]]) -> Scalar:
         return sum(abs(x[i + 1] - x[i]) for i in range(len(x) - 1))
     power, pairs = {"james:chain": (2, False), "james:pairs": (2, True),
                     "james_x:1": (1, False), "james_x:2": (2, False)}[spec]
-    best = _best_steps(_chain_values(entries), power, pairs)
+    best = _best_steps(_padded(entries), power, pairs)
     return best if power == 1 else sqrt_exact(best)

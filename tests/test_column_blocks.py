@@ -77,7 +77,7 @@ def _whole_coding_batch(space, a, mult):
     rows = lay.cards.shape[0]
     entry_signs = np.array([1 if v > 0 else -1 for _, v in a.entries], dtype=np.int8)
     order = _magnitude_order(a, mult)
-    vcols, vden = spaces._class_columns(a)
+    vcols, vden = a.class_columns()
     # the largest weight numerator per class, the coordinates' included
     peaks = {fc: max(_peak(w[:rows]), lay.fscale if fc == 1 else 1)
              for fc, w in lay.weights.items()}

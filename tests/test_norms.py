@@ -9,7 +9,7 @@ from rudlab.coeffs import (Coeffs, DomainError, EnumerationCapError, NoIntegerFo
                            family_form, family_packs)
 from rudlab.config import RunConfig, SpaceFactory
 from rudlab.exactnum import QSum, SQRT2, sqrt_exact
-from rudlab.experiments import SWEEP_SPECS, _ge, _vectors, exp_zruc, exp_zrud
+from rudlab.experiments import SWEEP_SPECS, _vectors, exp_zruc, exp_zrud
 from rudlab.rademacher import family_means, sign_stats
 from rudlab.rng import derive_seed
 
@@ -160,9 +160,17 @@ def test_values_float_is_cached_and_read_only():
 
 
 def test_ge_compares_rationals_and_radicals_exactly():
-    assert _ge(F(1, 3), F(1, 3)) and not _ge(F(1, 3), F(1, 2)) and _ge(2, F(3, 2))
-    assert _ge(SQRT2, F(141, 100)) and not _ge(F(141, 100), SQRT2)
-    assert _ge(QSum.of(F(1, 2)), F(1, 2))
+    """``>=`` between ints, ``Fraction``s and radicals is exact: an int or a
+    ``Fraction`` on the left hands the comparison to the radical's
+    reflected one, and radicals refuse floats."""
+    assert F(1, 3) >= F(1, 3) and not F(1, 3) >= F(1, 2) and 2 >= F(3, 2)
+    assert SQRT2 >= F(141, 100) and not F(141, 100) >= SQRT2
+    assert QSum.of(F(1, 2)) >= F(1, 2) and F(1, 2) >= QSum.of(F(1, 2))
+    assert 2 >= SQRT2 and not 1 >= SQRT2 and 2 > SQRT2 and not SQRT2 > SQRT2
+    with pytest.raises(TypeError):
+        SQRT2 >= 1.5
+    with pytest.raises(TypeError):
+        1.5 >= SQRT2
 
 
 def _count_engine_calls(monkeypatch, spaces):
@@ -192,14 +200,20 @@ def test_codings_reports_batch_their_vector_families(monkeypatch):
     assert 0 < len(calls) <= 16, calls
 
 
-def test_pairs_engine_takes_families_of_one():
-    """A zero entry is one more node a james:pairs pair may end at, so a
-    union batch would not restrict: {0: 3, 4: 1, 5: 1} has norm sqrt(10),
-    but its batch over {0, 1, 3, 4, 5} with zeros at 1 and 3 gives sqrt(11)."""
+def test_pairs_union_batch_restricts(monkeypatch):
+    """On james:pairs, as on every engine, a zero multiplier gives the norm
+    of the vector without that entry.  Over the zero-padded sequence
+    3, 0, 0, 0, 1, 1, 0 of {0: 3, 4: 1, 5: 1} the pairs (0, 1), (3, 4) and
+    (5, 6) give sqrt(11), and so do its norm alone, its column of a batch
+    of {0, 1, 3, 4, 5} with zeros at 1 and 3, and its norm in a family with
+    that vector, which is one engine batch."""
     pairs = _space("james:pairs")
     a = Coeffs.from_pairs([(0, 3), (4, 1), (5, 1)])
     b = Coeffs.from_pairs([(0, 3), (1, 3), (3, 2), (4, 1), (5, 1)])
-    assert not pairs.zeros_restrict
+    assert QSum.of(pairs.norm(a)) == sqrt_exact(11)
     assert QSum.of(pairs.mult_batch(b, np.array([[1], [0], [0], [1], [1]])).value(0)) == \
         sqrt_exact(11)
-    assert [QSum.of(n) for n in pairs.norms([a, b])] == [sqrt_exact(10), pairs.norm(b)]
+    want = [sqrt_exact(11), QSum.of(pairs.norm(b))]
+    calls = _count_engine_calls(monkeypatch, [pairs])
+    assert [QSum.of(n) for n in pairs.norms([a, b])] == want
+    assert calls == [("james:pairs", "mult_batch")]

@@ -220,6 +220,24 @@ def test_renorm_batch_equals_the_fraction_route(name):
         _same_entries(both.columns(1 << m, 2 << m), space.mult_batch(a, masks))
 
 
+def test_pairs_renorm_columns_on_each_side_of_the_chunk_boundary():
+    """``renorm:james:pairs:1`` columns of a 17-entry vector that mask two
+    neighbouring entries into a two-index gap: with 14 entries left the
+    inner walk is packed into one batch of the whole vector, its masked
+    zeros as nodes, and with 15 it is the masked vector's own walk past one
+    chunk.  Both equal the reference from each masked vector's own sign
+    walk, since a zero multiplier restricts on the pairs engine too."""
+    space = _FAC.space("renorm:james:pairs:1")
+    a = Coeffs.from_values([3, -1, 2, F(1, 2), -2, 1, 3, -3, 1, 2, -1, F(3, 2), 2, -1, 1, 2, 1])
+    mult = np.ones((len(a), 2), dtype=np.int8)
+    mult[[5, 6]] = 0
+    mult[12, 0] = 0
+    mult[[0, 9], 1] = -1
+    assert np.count_nonzero(mult, axis=0).tolist() == [14, 15]
+    assert rad._walk_length(14, masks=False) <= rad._CHUNK < rad._walk_length(15, masks=False)
+    _same_values(space.mult_batch(a, mult), renorm_batch_reference(space, a, mult))
+
+
 def test_renorm_inner_batch_with_only_empty_columns():
     """Columns that are all zero give inner means 0 and leave a roots-only
     base batch without classes."""

@@ -117,16 +117,10 @@ def test_james_chain_is_james_x_2():
 
 
 def _james_oracle(a: Coeffs, convention: str) -> F:
-    """Brute force over all chains on support plus gap and boundary zeros."""
-    nodes = []
-    sup = a.support
-    if sup and sup[0] >= 1:
-        nodes.append(F(0))
-    for k, i in enumerate(sup):
-        if k and i - sup[k - 1] >= 2:
-            nodes.append(F(0))
-        nodes.append(F(a.value(i)))
-    nodes.append(F(0))
+    """Brute force over all chains, or all disjoint increasing pairs, of the
+    zero-padded sequence: every index from 0 to one past the last entry is
+    a node."""
+    nodes = [F(a.value(i)) for i in range(a.support[-1] + 2)]
     best = F(0)
     n = len(nodes)
     for size in range(2, n + 1):
@@ -320,15 +314,21 @@ def test_batch_matches_per_pattern_loop(spec):
     _check_batch_against_norm(space, np.random.default_rng(zlib.crc32(spec.encode())))
 
 
-def _check_batch_against_norm(space, rng):
+def _check_batch_against_norm(space, rng, gapped=False):
     """Random sign-and-mask columns of ``mult_batch`` against ``norm`` of
-    each masked vector."""
+    each masked vector; with ``gapped``, on supports of steps 1 to 4 with
+    at least one gap of two or more missing indices."""
     universe = space.sweep_indices or tuple(range(12))
     for trial in range(4):
         m = int(rng.integers(1, 5))
-        support = sorted(
-            int(universe[k]) for k in rng.choice(len(universe), size=m, replace=False)
-        )
+        if gapped:
+            steps = rng.integers(1, 5, size=m)
+            steps[rng.integers(0, m)] = rng.integers(3, 5)
+            support = np.cumsum(steps).tolist()
+        else:
+            support = sorted(
+                int(universe[k]) for k in rng.choice(len(universe), size=m, replace=False)
+            )
         vals = [F(int(x), int(d)) for x, d in zip(
             rng.integers(-3, 4, size=m), rng.integers(1, 3, size=m))]
         a = Coeffs.from_pairs([(i, v) for i, v in zip(support, vals) if v])
@@ -358,7 +358,61 @@ def test_norming_set_masked_columns_match_norm():
         _check_batch_against_norm(space, np.random.default_rng(seed))
 
 
+_CHAIN_SPECS = ["james:chain", "james:pairs", "james_x:1", "james_x:2"]
+
+
+@pytest.mark.parametrize("spec", _CHAIN_SPECS)
+def test_chain_batches_restrict_on_gapped_supports(spec):
+    """On supports with gaps of two or more missing indices, where a pair
+    set may end one pair and start the next inside a gap, every masked
+    column of the chain and pair engines is the norm of its masked
+    vector."""
+    space = SpaceFactory(RunConfig()).space(spec)
+    for seed in range(60):
+        _check_batch_against_norm(space, np.random.default_rng(seed), gapped=True)
+
+
+@pytest.mark.parametrize("spec", _CHAIN_SPECS)
+def test_chain_engines_are_their_definition_on_gapped_supports(spec):
+    """Norms and every sign and mask column of the chain and pair engines
+    on gapped supports equal the definition over the zero-padded sequence
+    (``oracles.definition_norm``), not over any node layout."""
+    from oracles import definition_norm
+
+    space = SpaceFactory(RunConfig()).space(spec)
+    rng = np.random.default_rng(zlib.crc32(spec.encode()))
+    for _ in range(30):
+        m = int(rng.integers(1, 7))
+        support = np.cumsum(rng.integers(1, 5, size=m)).tolist()
+        vals = [F(int(x), int(d)) for x, d in zip(
+            rng.choice([-3, -2, -1, 1, 2, 3], size=m), rng.integers(1, 3, size=m))]
+        a = Coeffs.from_pairs(zip(support, vals))
+        assert QSum.of(space.norm(a)) == QSum.of(definition_norm(spec, list(a.entries)))
+        for mult in (sign_matrix_range(m, 0, 1 << max(m - 1, 0)),
+                     mask_matrix_range(m, 0, 1 << m)):
+            batch = space.mult_batch(a, mult)
+            for j in range(mult.shape[1]):
+                x = [(i, v * int(c)) for (i, v), c in zip(a.entries, mult[:, j])]
+                assert QSum.of(batch.value(j)) == QSum.of(definition_norm(spec, x)), (a, j)
+
+
+def test_pairs_triangle_inequality_across_a_gap():
+    """A gap of two missing indices can end one disjoint pair and start the
+    next: x = {0: 3, 3: 1, 4: 1} has norm sqrt(11) over 3, 0, 0, 1, 1, 0,
+    so y = {1: 1/1000}, filling the gap's first index, gives
+    ||x + y|| <= ||x|| + ||y||."""
+    pairs = SpaceFactory(RunConfig()).space("james:pairs")
+    x = Coeffs.from_pairs([(0, 3), (3, 1), (4, 1)])
+    y = Coeffs.from_pairs([(1, F(1, 1000))])
+    nx, ny = q(pairs.norm(x)), q(pairs.norm(y))
+    assert nx == sqrt_exact(11) and ny == F(1, 1000)
+    assert (nx + ny - q(pairs.norm(x + y))).sign() >= 0
+
+
 def test_norm_axioms_on_random_pairs():
+    """Definiteness, homogeneity and the triangle inequality, with ``a``
+    and ``b`` on supports drawn apart, so that entries of one land in the
+    gaps of the other."""
     fac = SpaceFactory(RunConfig())
     rng = np.random.default_rng(5)
     for spec in EXACT_SPECS:
@@ -366,11 +420,12 @@ def test_norm_axioms_on_random_pairs():
         universe = space.sweep_indices or tuple(range(12))
         for _ in range(3):
             m = int(rng.integers(1, 5))
-            idx = sorted(int(universe[k]) for k in rng.choice(len(universe), m, replace=False))
+            ia, ib = (sorted(int(universe[k]) for k in rng.choice(len(universe), m, replace=False))
+                      for _ in range(2))
             va = rng.integers(-3, 4, size=m)
             vb = rng.integers(-3, 4, size=m)
-            a = Coeffs.from_pairs([(i, int(x)) for i, x in zip(idx, va) if x])
-            b = Coeffs.from_pairs([(i, int(x)) for i, x in zip(idx, vb) if x])
+            a = Coeffs.from_pairs([(i, int(x)) for i, x in zip(ia, va) if x])
+            b = Coeffs.from_pairs([(i, int(x)) for i, x in zip(ib, vb) if x])
             if not a or not b:
                 continue
             na, nb = q(space.norm(a)), q(space.norm(b))

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import rudlab.rademacher as rad
 from rudlab import exactnum
-from rudlab.batches import ExactBatch, _peak, _scalar_gt
+from rudlab.batches import ExactBatch, _peak
 from rudlab.coeffs import (Coeffs, mask_matrix_full, mask_matrix_range, sign_matrix_full,
                            sign_matrix_range)
 from rudlab.config import RunConfig, SpaceFactory
@@ -79,7 +79,7 @@ def _first_extreme(batch: ExactBatch, want_max: bool) -> int:
     best = 0
     for i in range(1, len(batch)):
         vi, vb = batch.value(i), batch.value(best)
-        if _scalar_gt(vi, vb) if want_max else _scalar_gt(vb, vi):
+        if (vi > vb) if want_max else (vb > vi):
             best = i
     return best
 
