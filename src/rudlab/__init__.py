@@ -22,15 +22,7 @@ from .rademacher import (
     expect_second_moment,
     expect_subsets,
 )
-from .witness import (
-    ConstantCertificate,
-    besselian_hilbertian_ratios,
-    partition_rud_bound,
-    ratio_ruc,
-    ratio_rud,
-    ratio_unc,
-    search_constant,
-)
+from .witness import partition_rud_bound, ratio_ruc, ratio_rud, ratio_unc
 
 __version__ = "0.1.0"
 
@@ -40,6 +32,5 @@ __all__ = [
     "enumerate_sign_patterns", "RunConfig", "SpaceFactory", "parse_coeffs",
     "ExpectationEstimate", "expect_exact", "expect_mc", "expect_subsets",
     "expect_perm", "expect_second_moment", "ratio_ruc", "ratio_rud",
-    "ratio_unc", "search_constant", "ConstantCertificate",
-    "besselian_hilbertian_ratios", "partition_rud_bound",
+    "ratio_unc", "partition_rud_bound",
 ]

@@ -595,14 +595,6 @@ class BdBasisSpace(Space):
         image = (d.astype(np.float64) / self.gamma.d_scale) @ v
         return np.abs(image).max(axis=0)
 
-    def paper_witnesses(self, kind, dim):
-        g = self.gamma
-        out = []
-        for l in range(1, len(g.levels)):
-            pairs = [(g.index[g.designated[i]], 1) for i in range(l + 1)]
-            out.append(Coeffs.from_pairs(pairs))
-        return out
-
 
 def chain_witness(
     gamma: Gamma, levels: tuple[int, ...], signs: tuple[int, ...] | None = None

@@ -152,9 +152,6 @@ class Coeffs:
             acc[i] = acc.get(i, 0) + v
         return Coeffs.from_pairs(acc.items())
 
-    def __sub__(self, other: "Coeffs") -> "Coeffs":
-        return self + other.scale(-1)
-
     def restrict(self, keep: Iterable[int]) -> "Coeffs":
         ks = set(keep)
         return Coeffs(tuple((i, v) for i, v in self.entries if i in ks))
@@ -275,12 +272,6 @@ class SignPattern:
     @property
     def support(self) -> frozenset[int]:
         return frozenset(i for i, _ in self.signs)
-
-    def sign(self, i: int) -> int:
-        for j, s in self.signs:
-            if j == i:
-                return s
-        raise KeyError(i)
 
 
 def apply_signs(a: Coeffs, e: SignPattern) -> Coeffs:

@@ -1,11 +1,10 @@
-"""Biorthogonal systems, dual norms, and the convergence/divergence duality
-check.
+"""Dual norms and the convergence/divergence duality check.
 
-``biorthogonals`` solves the biorthogonality linear system exactly.  Dual
-norms come from engine pairs: ``_DUALS`` gives each primal engine its dual
-engine (``lp:1`` and ``linf`` are dual to each other, ``lp:2`` to itself,
-``summing`` to ``summing_dual``, ``smax:2`` to the float engine
-:class:`SmaxDualSpace`) and its norming vectors.  ``duality_report`` takes
+Dual norms come from engine pairs: ``_DUALS`` gives each primal engine its
+dual engine (``lp:1`` and ``linf`` are dual to each other, ``lp:2`` to
+itself, ``summing`` to ``summing_dual``, ``smax:2`` to the float engine
+:class:`SmaxDualSpace`), its norming vectors and its convergence-side
+witness (all ones, or alternating signs).  ``duality_report`` takes
 each dual sign average in one ``sign_stats`` walk of the dual engine and
 decides its rows exactly by cross-multiplication, except the float
 ``smax:2`` row.  The summing norm's dual restricted to the span of the
@@ -31,27 +30,6 @@ from .rng import counter_u64
 from .spaces import LpSpace, Space, SummingDualSpace, SummingSpace
 
 
-@dataclass(frozen=True)
-class FiniteBasis:
-    """n exactly independent vectors over an n-dimensional coordinate space."""
-
-    vectors: tuple[Coeffs, ...]
-    dim: int
-
-    @staticmethod
-    def from_vectors(vectors: list[Coeffs], dim: int | None = None) -> "FiniteBasis":
-        if dim is None:
-            dim = max((max(v.support, default=-1) for v in vectors), default=-1) + 1
-        if len(vectors) != dim:
-            raise DomainError("square systems only: need as many vectors as dimensions")
-        return FiniteBasis(tuple(vectors), dim)
-
-    def matrix(self) -> list[list[Fraction]]:
-        return [
-            [Fraction(v.value(i)) for i in range(self.dim)] for v in self.vectors
-        ]
-
-
 def _solve_exact(mat: list[list[Fraction]], rhs: list[list[Fraction]]):
     """Gauss-Jordan with exact pivoting; raises on dependent input."""
     n = len(mat)
@@ -68,24 +46,6 @@ def _solve_exact(mat: list[list[Fraction]], rhs: list[list[Fraction]]):
                 f = a[r][col]
                 a[r] = [x - f * y for x, y in zip(a[r], a[col])]
     return [row[n:] for row in a]
-
-
-def biorthogonals(basis: FiniteBasis) -> list[Coeffs]:
-    """The exact dual system: <x_i*, x_j> = delta_ij."""
-    n = basis.dim
-    mat = basis.matrix()  # rows are the basis vectors
-    eye = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    inv_t = _solve_exact(mat, eye)  # solves M X = I; columns of X are duals
-    return [
-        Coeffs.from_pairs((i, inv_t[i][k]) for i in range(n)) for k in range(n)
-    ]
-
-
-def summing_basis(dim: int) -> FiniteBasis:
-    """Partial-sum vectors (1..1, 0..) in the coordinate space."""
-    return FiniteBasis.from_vectors(
-        [Coeffs.from_pairs((i, 1) for i in range(k + 1)) for k in range(dim)], dim
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -195,40 +155,25 @@ def _smax_dual(f: Coeffs, dim: int) -> tuple[float, Coeffs]:
 
 
 #: primal engine name -> (its dual engine on R^dim, the norming vector x of a
-#: functional f on R^dim: <f, x> = ||f||* ||x||)
-_DUALS: dict[str, tuple[Callable[[int], Space], Callable[[Coeffs, int], Coeffs]]] = {
-    "lp:1": (lambda dim: LpSpace(inf), _norming_lp1),
-    "linf": (lambda dim: LpSpace(1), _norming_linf),
-    "lp:2": (lambda dim: LpSpace(2), lambda f, dim: f),
-    "summing": (lambda dim: SummingDualSpace(), _norming_summing),
-    "smax:2": (SmaxDualSpace, lambda f, dim: _smax_dual(f, dim)[1]),
+#: functional f on R^dim: <f, x> = ||f||* ||x||, the ratio r of the primal's
+#: convergence-side witness (r^0, ..., r^(dim-1)): all ones or alternating)
+_DUALS: dict[str, tuple[Callable[[int], Space], Callable[[Coeffs, int], Coeffs], int]] = {
+    "lp:1": (lambda dim: LpSpace(inf), _norming_lp1, 1),
+    "linf": (lambda dim: LpSpace(1), _norming_linf, 1),
+    "lp:2": (lambda dim: LpSpace(2), lambda f, dim: f, 1),
+    "summing": (lambda dim: SummingDualSpace(), _norming_summing, -1),
+    "smax:2": (SmaxDualSpace, lambda f, dim: _smax_dual(f, dim)[1], -1),
 }
 
 
-def _dual_pair(space: Space, dim: int) -> tuple[Space, Callable[[Coeffs, int], Coeffs]]:
-    """The dual engine of ``space`` on R^dim and its norming-vector builder."""
+def _dual_pair(space: Space, dim: int
+               ) -> tuple[Space, Callable[[Coeffs, int], Coeffs], Coeffs]:
+    """The dual engine of ``space`` on R^dim, its norming-vector builder and
+    the primal's convergence-side witness on R^dim."""
     if space.name not in _DUALS:
         raise DomainError(f"no dual-norm branch for space {space.name}")
-    make, norming = _DUALS[space.name]
-    return make(dim), norming
-
-
-def dual_norm(f: Coeffs, space: Space, dim: int) -> Scalar:
-    """Norm of the functional with coefficients f against the space on
-    R^dim: its dual engine's norm of f."""
-    return _dual_pair(space, dim)[0].norm(f)
-
-
-def dual_norm_with_maximizer(f: Coeffs, space: Space, dim: int):
-    """(norm, norming vector) of a coefficient functional.
-
-    The norming vector x satisfies <f, x> = norm * space-norm(x), exactly
-    for lp:1, lp:2, linf and summing (x has norm 1, except lp:2's, which is
-    f itself), numerically for smax:2.  Spaces without a dual engine raise
-    DomainError.
-    """
-    engine, norming = _dual_pair(space, dim)
-    return engine.norm(f), norming(f, dim)
+    make, norming, r = _DUALS[space.name]
+    return make(dim), norming, Coeffs.from_values([r ** i for i in range(dim)])
 
 
 # ---------------------------------------------------------------------------
@@ -282,11 +227,12 @@ def duality_report(
     norming vector enters the primal measurement, which is exactly the
     vector the duality argument evaluates, so the inequality is sound per
     sample; the constant E ||sum eps_i a_i|| / ||a|| is also measured on
-    the engine's RUC witnesses and on raw samples.  A row with a float
-    value compares its ratios in floats, any other row exactly.
+    the engine's convergence-side witness (``_DUALS``) and on raw samples.
+    A row with a float value compares its ratios in floats, any other row
+    exactly.
     """
-    dual, norming = _dual_pair(space, dim)
-    dual_ratios, primal = [], list(space.paper_witnesses("RUC", dim))
+    dual, norming, witness = _dual_pair(space, dim)
+    dual_ratios, primal = [], [witness]
     for t in range(samples):
         b = _sample(seed, t, dim) or Coeffs.from_values([1])
         dual_ratios.append((dual.norm(b), sign_stats(dual, b).mean()))

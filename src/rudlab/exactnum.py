@@ -285,9 +285,6 @@ class QSum:
             return NotImplemented
         return self._merge(QSum.of(other)._t, flip=True)
 
-    def __rsub__(self, other):
-        return QSum.of(other)._merge(self._t, flip=True)
-
     def __neg__(self):
         return QSum({c: -q for c, q in self._t.items()})
 
@@ -300,14 +297,6 @@ class QSum:
         return QSum(_product(self._t, QSum.of(other)._t))
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if n < 0 or int(n) != n:
-            raise ValueError("only non-negative integer powers")
-        acc = QSum({1: Fraction(1)})
-        for _ in range(int(n)):
-            acc = acc * self
-        return acc
 
     def __truediv__(self, other):
         if isinstance(other, float):

@@ -15,9 +15,9 @@ cardinalities are forced by sigma.  Three norms are built on top:
 Desk-scale soundness notes.  The classical smallness condition on the level
 sequence cannot hold with small numbers, so the pair-interaction sum
 ``delta_hat`` is computed from the declared prefix and carried through every
-bound.  Likewise the product of equi-distributed fractions ``rho_hat`` is
-measured, never assumed close to 1, and the divergence-side ratio bound is
-stated against ``1/rho_hat``.
+bound.  Likewise the product of equi-distributed fractions
+(``LevelSequence.rho_used``) is measured, never assumed close to 1, and the
+divergence-side ratio bound is stated against its inverse.
 
 Norming families are restricted to a finite support by enumerating, for
 every sigma-consistent tuple prefix, all intersections a free final set can
@@ -69,18 +69,6 @@ def k_m(m: int) -> int:
     return comb(m, m // 2)
 
 
-def equi_sign_vectors(c: int, width: int = 0) -> list[tuple[int, ...]]:
-    """Sign vectors on c slots with |sum| <= width * sqrt(c) (width 0: balanced)."""
-    out = []
-    for plus in _plus_counts(c, width):
-        for pos in itertools.combinations(range(c), plus):
-            sv = [-1] * c
-            for p in pos:
-                sv[p] = 1
-            out.append(tuple(sv))
-    return out
-
-
 def _plus_counts(c: int, width: int) -> list[int]:
     """Plus counts P of the sign vectors on c slots that the width rule
     allows: |2P - c| <= width * sqrt(c)."""
@@ -118,14 +106,6 @@ class LevelSequence:
                     r = Fraction(min(mj, mk), max(mj, mk))
                     total = total + sqrt_exact(r)
         return total
-
-    @property
-    def rho_hat(self) -> Fraction:
-        """Product over the prefix of k_m / 2^m."""
-        rho = Fraction(1)
-        for m in self.prefix:
-            rho *= Fraction(k_m(m), 1 << m)
-        return rho
 
     def rho_used(self, cards: tuple[int, ...]) -> Fraction:
         """The same product over the level cardinalities actually present."""
@@ -174,14 +154,6 @@ class SigmaCoder:
             self._table[subsets] = taken
             used[taken] = True
 
-    def sigma(self, s: frozenset[int]) -> int:
-        k = self.sigma_index(s)
-        if k is None:
-            raise DomainError(
-                f"sigma is undefined for {sorted(s)} (outside the coded universe)"
-            )
-        return self.levels.virtual(k)
-
     def sigma_index(self, s: frozenset[int]) -> int | None:
         """Position of sigma(s) in the level sequence, or None off-domain."""
         k = -1
@@ -196,13 +168,6 @@ class SigmaCoder:
             return None
         v = self.levels.virtual(k)
         return v if v <= cap else None
-
-    def assignments(self):
-        """(subset, level index, value) triples for audit sweeps."""
-        for mask in np.flatnonzero(self._table >= 0).tolist():
-            k = int(self._table[mask])
-            s = frozenset(i for i in range(self.universe) if mask >> i & 1)
-            yield s, k, self.levels.virtual(k)
 
 
 @dataclass(frozen=True)
@@ -321,10 +286,11 @@ def zmr_functionals(
 @lru_cache(maxsize=None)
 def _restricted_sign_patterns(k: int, card: int, width: int) -> tuple[tuple[int, ...], ...]:
     """Sign patterns on k visible slots of a decorated set of ``card``
-    slots, sorted: the restrictions of its sign vectors
-    ``equi_sign_vectors(card, width)`` (the slots are interchangeable, so
-    the first k stand for any), which are the k-slot patterns whose plus
-    count p has max(0, P - card + k) <= p <= min(k, P) for an allowed P."""
+    slots, sorted: the restrictions of its sign vectors, those with a plus
+    count P of ``_plus_counts(card, width)`` (the slots are
+    interchangeable, so the first k stand for any), which are the k-slot
+    patterns whose plus count p has max(0, P - card + k) <= p <= min(k, P)
+    for an allowed P."""
     plus = {p for big in _plus_counts(card, width)
             for p in range(max(0, big - card + k), min(k, big) + 1)}
     # product over (-1, 1) yields the patterns in sorted order
@@ -447,11 +413,6 @@ class MrContext:
             w = _weight(len(s))
             pairs.extend((i, w) for i in s)
         return Coeffs.from_pairs(pairs)
-
-    def single_block(self, n: int) -> Coeffs:
-        s = self.canonical_blocks(n)[n - 1]
-        w = _weight(len(s))
-        return Coeffs.from_pairs((i, w) for i in s)
 
 
 def _plus_range(k: int, card: int, width: int) -> tuple[int, int]:
@@ -681,10 +642,6 @@ class ZmrSpace(_CodingSpace):
         super().__init__("zmr", ctx)
         self.sweep_indices = tuple(range(min(8, ctx.universe)))
         self.sweep_max_m = 8
-
-    def paper_witnesses(self, kind, dim):
-        n = min(self.ctx.max_n, len(self.ctx.levels.prefix))
-        return [self.ctx.block_vector(k) for k in range(1, n + 1)]
 
 
 class ZrudSpace(_CodingSpace):

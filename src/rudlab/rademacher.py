@@ -116,19 +116,29 @@ _MC_CHUNK = 4096
 _MC_TABLE = 1 << 16
 
 
+#: the method tags of an :class:`ExpectationEstimate`
+_METHODS = ("exact", "monte_carlo", "subsets", "permutation")
+
+
 @dataclass(frozen=True)
 class ExpectationEstimate:
-    """Value of a sign average with its method tag and rigor bracket."""
+    """Value of a sign average with its method tag (one of ``_METHODS``) and
+    rigor bracket, which a Monte-Carlo estimate must give and an exact one
+    may leave to default to (value, value)."""
 
     value: Scalar
-    method: str  # exact | monte_carlo | subsets | permutation
+    method: str
     samples: int = 0
     seed: int | None = None
     bracket: tuple[Scalar, Scalar] | None = None
     confidence: float | None = None
 
     def __post_init__(self):
-        if self.method != "monte_carlo" and self.bracket is None:
+        if self.method not in _METHODS:
+            raise DomainError(f"unknown method {self.method!r}")
+        if self.bracket is None:
+            if self.method == "monte_carlo":
+                raise DomainError("a Monte-Carlo estimate needs a bracket")
             object.__setattr__(self, "bracket", (self.value, self.value))
             return
         lo, hi = self.bracket

@@ -77,16 +77,6 @@ def sign_codes(seed: int, m: int, count: int, start: int = 0) -> np.ndarray:
     return h & np.uint64((1 << m) - 1)
 
 
-def sign_vector(seed: int, m: int, index: int) -> list[int]:
-    """Scalar twin of :func:`sign_matrix` for a single sample."""
-    out = []
-    for word in range((m + 63) // 64):
-        h = counter_u64(seed, index, word)
-        take = min(64, m - 64 * word)
-        out.extend(1 - 2 * ((h >> b) & 1) for b in range(take))
-    return out
-
-
 def derive_seed(seed: int, *tags: int) -> int:
     """A child seed for a named sub-stream (worker, experiment, ...)."""
     z = seed & _MASK

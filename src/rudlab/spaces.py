@@ -333,12 +333,6 @@ class Space:
         take it (zero counts are dropped), or None past ``_LAW_CELLS``."""
         raise NotImplementedError(f"{self.name}: no exact law")
 
-    # -- hooks ---------------------------------------------------------------
-
-    def paper_witnesses(self, kind: str, dim: int) -> list[Coeffs]:
-        """Engine-specific extremal candidates for constant searches."""
-        return []
-
     def __repr__(self) -> str:
         return f"<space {self.name}>"
 
@@ -451,9 +445,6 @@ class LpSpace(_KernelSpace):
             num, core = (sum if self.p == 1 else max)(map(abs, v)), 1
         return {core: np.array([num], dtype=np.int64)}, np.array([1 << len(v)], dtype=np.int64)
 
-    def paper_witnesses(self, kind, dim):
-        return [Coeffs.from_values([1] * dim)]
-
 
 # ---------------------------------------------------------------------------
 # summing norm and its dual
@@ -482,15 +473,6 @@ class SummingSpace(_KernelSpace):
         """The running-maximum DP over the tail sums, sign or mask steps."""
         counts = _running_max_counts(v[::-1], masks)
         return None if counts is None else ({1: np.arange(len(counts))}, counts)
-
-    def paper_witnesses(self, kind, dim):
-        ones = Coeffs.from_values([1] * dim)
-        alt = Coeffs.from_values([(-1) ** i for i in range(dim)])
-        if kind == "RUC":
-            return [alt]
-        if kind == "RUD":
-            return [ones]
-        return [ones, alt]
 
 
 def _dual_edge_terms(support: tuple[int, ...]) -> list[tuple[int, int]]:
@@ -554,9 +536,6 @@ class SummingDualSpace(_KernelSpace):
         for g in gaps:
             counts[g:] = counts[g:] + counts[:width - g]
         return {1: base + np.arange(width)}, counts
-
-    def paper_witnesses(self, kind, dim):
-        return [Coeffs.from_values([(-1) ** i for i in range(dim)])]
 
 
 # ---------------------------------------------------------------------------
@@ -736,14 +715,6 @@ class JamesSpace(_KernelSpace):
         return (self._batch(dp, scale)
                 for dp in _split_chain_dp(ints, _chain_nodes(a.support), low, highs, self.p))
 
-    def paper_witnesses(self, kind, dim):
-        if self.p != 2:
-            return []
-        return [
-            Coeffs.from_values([1] * dim),
-            Coeffs.from_values([(-1) ** i for i in range(dim)]),
-        ]
-
 
 # ---------------------------------------------------------------------------
 # square function + partial-sum supremum
@@ -824,9 +795,6 @@ class SmaxSpace(_KernelSpace):
         if core == 1:
             return {1: np.where(l2, outer, n)}, counts
         return {1: np.where(l2, 0, n), core: np.where(l2, outer, 0)}, counts
-
-    def paper_witnesses(self, kind, dim):
-        return SummingSpace().paper_witnesses(kind, dim)
 
 
 # ---------------------------------------------------------------------------

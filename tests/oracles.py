@@ -79,6 +79,12 @@ def _weight(card: int) -> QSum:
     return QSum({1: Fraction(1)}) / sqrt_exact(card)
 
 
+def single_block(ctx: MrContext, n: int) -> Coeffs:
+    """The n-th canonical block of ``ctx`` alone, each entry 1/sqrt(#block)."""
+    s = ctx.canonical_blocks(n)[n - 1]
+    return Coeffs.from_pairs((i, _weight(len(s))) for i in s)
+
+
 def _greedy_fill(block_units: list[tuple[Scalar, int]], budget: int) -> Scalar:
     """Largest sum of at most ``budget`` unit slots with positive values;
     ``block_units`` holds (slot value, slot count) per block, exact."""

@@ -19,7 +19,7 @@ from rudlab.coeffs import (
 )
 from rudlab.batches import int_dtype
 from rudlab.exactnum import QSum, SQRT2
-from rudlab.rng import sign_codes, sign_matrix, sign_vector
+from rudlab.rng import counter_u64, sign_codes, sign_matrix
 from rudlab.spaces import LpSpace, _int_mult_values
 
 
@@ -104,6 +104,16 @@ def test_enumeration_symmetry(values):
     for e in enumerate_sign_patterns(a.support):
         total = total + apply_signs(a, e)
     assert total == Coeffs.zero()
+
+
+def sign_vector(seed, m, index):
+    """Scalar twin of :func:`sign_matrix` for a single sample: bit b of
+    counter word w is the sign of row 64 w + b (1 for a minus sign)."""
+    out = []
+    for word in range((m + 63) // 64):
+        h = counter_u64(seed, index, word)
+        out.extend(1 - 2 * ((h >> b) & 1) for b in range(min(64, m - 64 * word)))
+    return out
 
 
 def test_counter_rng_scalar_matches_numpy():

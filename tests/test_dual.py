@@ -2,6 +2,7 @@
 subspace dual norm."""
 
 import itertools
+from dataclasses import dataclass
 from fractions import Fraction as F
 from math import inf
 
@@ -10,18 +11,61 @@ import pytest
 
 from rudlab.coeffs import Coeffs, DomainError, apply_signs, enumerate_sign_patterns, pair
 from rudlab.dual import (
-    FiniteBasis,
-    biorthogonals,
-    dual_norm,
-    dual_norm_with_maximizer,
     duality_report,
-    summing_basis,
+    _dual_pair,
     _smax_dual,
     _smax_slices,
+    _solve_exact,
     _subspace_dual_norm_summing,
 )
 from rudlab.exactnum import QSum, sqrt_exact
 from rudlab.spaces import LpSpace, SmaxSpace, SummingDualSpace, SummingSpace
+
+
+@dataclass(frozen=True)
+class FiniteBasis:
+    """n exactly independent vectors over an n-dimensional coordinate space."""
+
+    vectors: tuple[Coeffs, ...]
+    dim: int
+
+    @staticmethod
+    def from_vectors(vectors: list[Coeffs], dim: int) -> "FiniteBasis":
+        if len(vectors) != dim:
+            raise DomainError("square systems only: need as many vectors as dimensions")
+        return FiniteBasis(tuple(vectors), dim)
+
+    def matrix(self) -> list[list[F]]:
+        return [[F(v.value(i)) for i in range(self.dim)] for v in self.vectors]
+
+
+def biorthogonals(basis: FiniteBasis) -> list[Coeffs]:
+    """The exact dual system: <x_i*, x_j> = delta_ij."""
+    n = basis.dim
+    eye = [[F(int(i == j)) for j in range(n)] for i in range(n)]
+    inv_t = _solve_exact(basis.matrix(), eye)  # solves M X = I; columns of X are duals
+    return [Coeffs.from_pairs((i, inv_t[i][k]) for i in range(n)) for k in range(n)]
+
+
+def summing_basis(dim: int) -> FiniteBasis:
+    """Partial-sum vectors (1..1, 0..) in the coordinate space."""
+    return FiniteBasis.from_vectors(
+        [Coeffs.from_pairs((i, 1) for i in range(k + 1)) for k in range(dim)], dim
+    )
+
+
+def dual_norm(f, space, dim):
+    """Norm of the functional with coefficients f against the space on
+    R^dim: its dual engine's norm of f."""
+    return _dual_pair(space, dim)[0].norm(f)
+
+
+def dual_norm_with_maximizer(f, space, dim):
+    """(norm, norming vector) of a coefficient functional: <f, x> = norm *
+    space-norm(x), exactly for lp:1, lp:2, linf and summing (x has norm 1,
+    except lp:2's, which is f itself)."""
+    engine, norming, _ = _dual_pair(space, dim)
+    return engine.norm(f), norming(f, dim)
 
 
 def test_biorthogonals_identity():

@@ -18,7 +18,6 @@ from rudlab.mr import (
     LevelSequence,
     MrContext,
     SigmaCoder,
-    equi_sign_vectors,
     k_m,
     mr_witness,
     zrud_block_sandwich,
@@ -27,7 +26,7 @@ from rudlab.rademacher import sign_stats, subset_stats
 from rudlab.rng import sign_matrix
 from rudlab.spaces import NormingSetSpace
 
-from oracles import coding_reference, family, norm_slow, zrud_block_norm
+from oracles import coding_reference, family, norm_slow, single_block, zrud_block_norm
 
 
 @pytest.fixture(scope="module")
@@ -41,6 +40,11 @@ def test_k_m():
     assert k_m(6) == 20
     with pytest.raises(DomainError):
         k_m(3)
+
+
+def equi_sign_vectors(c, width=0):
+    """Sign vectors on c slots with |sum| <= width * sqrt(c) (width 0: balanced)."""
+    return [sv for sv in itertools.product((-1, 1), repeat=c) if sum(sv) ** 2 <= width * width * c]
 
 
 def test_equi_sign_vectors():
@@ -66,7 +70,7 @@ def test_restricted_sign_patterns_are_restrictions():
 def test_level_sequence():
     lev = LevelSequence((2, 4, 8))
     assert float(lev.delta_hat) == pytest.approx(1 + 2 * 2**0.5)
-    assert lev.rho_hat == F(2, 4) * F(6, 16) * F(70, 256)
+    assert lev.rho_used(lev.prefix) == F(2, 4) * F(6, 16) * F(70, 256)
     assert lev.virtual(3) == 16 and lev.virtual(4) == 32
     with pytest.raises(DomainError):
         LevelSequence((2, 3))
@@ -74,24 +78,36 @@ def test_level_sequence():
         LevelSequence((4, 2))
 
 
+def assignments(cod):
+    """(subset, level index, value) triples of every subset the coder's
+    table assigns."""
+    for mask in np.flatnonzero(cod._table >= 0).tolist():
+        k = int(cod._table[mask])
+        s = frozenset(i for i in range(cod.universe) if mask >> i & 1)
+        yield s, k, cod.levels.virtual(k)
+
+
 def test_coder_assignments(ctx):
     cod = ctx.coder
-    assert cod.sigma(frozenset({0, 1})) == 4
-    assert cod.sigma(frozenset(range(6))) == 8
-    assert cod.sigma(frozenset(range(14))) == 16
-    with pytest.raises(DomainError):
-        cod.sigma(frozenset({0, 1, 2}))  # odd cardinality: never queried
+
+    def sigma(s):
+        return cod.levels.virtual(cod.sigma_index(frozenset(s)))
+
+    assert sigma({0, 1}) == 4
+    assert sigma(range(6)) == 8
+    assert sigma(range(14)) == 16
+    assert cod.sigma_index(frozenset({0, 1, 2})) is None  # odd cardinality: never queried
     # injectivity and growth over the whole memo
     seen = set()
-    for s, k, value in cod.assignments():
+    for s, k, value in assignments(cod):
         assert k not in seen
         seen.add(k)
         assert value > len(s)
     # determinism: a rebuild reproduces every assignment, the oracle's
     want = _union_find_coder(ctx.levels, ctx.universe)
     again = SigmaCoder(ctx.levels, ctx.universe)
-    assert {s: k for s, k, _ in again.assignments()} == want
-    assert {s: k for s, k, _ in cod.assignments()} == want
+    assert {s: k for s, k, _ in assignments(again)} == want
+    assert {s: k for s, k, _ in assignments(cod)} == want
 
 
 def _union_find_coder(levels, universe):
@@ -133,7 +149,7 @@ def test_coder_table_equals_the_union_find_assignment(levels):
     for universe in range(2, 15):
         want = _union_find_coder(lev, universe)
         cod = SigmaCoder(lev, universe)
-        assert {s: k for s, k, _ in cod.assignments()} == want, universe
+        assert {s: k for s, k, _ in assignments(cod)} == want, universe
         assert all(cod.sigma_index(s) == k for s, k in want.items()), universe
         for off in (frozenset(), frozenset({0}), frozenset(range(3)),
                     frozenset({0, universe}), frozenset({-1, 0})):
@@ -559,8 +575,8 @@ def test_zrud_ratio_bound(ctx):
 
 
 def test_zrud_block_builder(ctx):
-    x1 = ctx.single_block(1)
+    x1 = single_block(ctx, 1)
     assert x1.support == (0, 1)
-    x3 = ctx.single_block(3)
+    x3 = single_block(ctx, 3)
     assert x3.support == tuple(range(6, 14))
     assert QSum.of(ctx.zrud.norm(x1)) == 1

@@ -119,6 +119,22 @@ def test_mc_requires_samples():
         expect_mc(s, Coeffs.from_values([1]), samples=10)
 
 
+def test_estimate_refuses_a_bracketless_sample_and_an_unknown_method():
+    """A Monte-Carlo estimate must carry its bracket and a method tag must
+    be one of the four; an exact estimate defaults to the point bracket."""
+    from rudlab import DomainError, ExpectationEstimate
+
+    with pytest.raises(DomainError, match="bracket"):
+        ExpectationEstimate(1.0, "monte_carlo")
+    with pytest.raises(DomainError, match="unknown method 'bogus'"):
+        ExpectationEstimate(1.0, "bogus")
+    with pytest.raises(DomainError, match="contain"):
+        ExpectationEstimate(2.0, "monte_carlo", 100, 1, (0.0, 1.0))
+    assert ExpectationEstimate(F(3, 2), "exact").bracket == (F(3, 2), F(3, 2))
+    for method in ("subsets", "permutation"):
+        assert ExpectationEstimate(1, method).to_json()["bracket"] == [1.0, 1.0]
+
+
 def test_sandwich_subsets_kk_small():
     rng = np.random.default_rng(0)
     for space in (l1, l2, s, sd):

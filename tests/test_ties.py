@@ -20,7 +20,7 @@ from rudlab.rademacher import sign_stats, subset_stats
 from rudlab.rng import derive_seed
 from rudlab.spaces import NormingSetSpace, _core_forms
 
-from oracles import norm_slow, reference
+from oracles import norm_slow, reference, single_block
 
 RT2 = QSum({2: F(1)})
 
@@ -250,7 +250,7 @@ def test_radical_path_matches_norm_slow():
     pell = Coeffs.from_pairs([(0, y * RT2), (1, -x)])
     # mr block vectors: entries 1/sqrt(#s) on the canonical blocks
     blocks = [ctx.block_vector(1), ctx.block_vector(2),
-              ctx.single_block(1) + ctx.single_block(2).scale(-3)]
+              single_block(ctx, 1) + single_block(ctx, 2).scale(-3)]
     cases = [(spec, big3) for spec in ORACLE_SPECS]
     cases.append(("norming_set", Coeffs.from_values([1 << 61] * 4)))
     cases += [("norming_set", a) for a in blocks + [ctx.block_vector(3), pell]]

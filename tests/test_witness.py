@@ -6,14 +6,7 @@ import pytest
 from rudlab.coeffs import Coeffs, DomainError, SignPattern
 from rudlab.rademacher import sign_stats
 from rudlab.spaces import LpSpace, RenormSpace, SummingDualSpace, SummingSpace
-from rudlab.witness import (
-    besselian_hilbertian_ratios,
-    partition_rud_bound,
-    ratio_ruc,
-    ratio_rud,
-    ratio_unc,
-    search_constant,
-)
+from rudlab.witness import partition_rud_bound, ratio_ruc, ratio_rud, ratio_unc
 
 l1, l2 = LpSpace(1), LpSpace(2)
 s, sd = SummingSpace(), SummingDualSpace()
@@ -46,37 +39,6 @@ def test_growth_of_summing_witnesses():
         assert r > prev
         prev = r
     assert prev > 2  # at length 16 the ratio certifies constant >= 2
-
-
-def test_search_certificates():
-    c = search_constant(s, "RUD", 16, strategy="paper_witness")
-    assert c.value >= 2 and c.method == "paper_witness"
-    assert c.replay(s) == pytest.approx(c.value, abs=1e-12)
-    c = search_constant(s, "RUC", 16, strategy="paper_witness")
-    assert c.value >= 2
-    c = search_constant(l2, "UNC", 5, strategy="random_search", budget=8)
-    assert c.value == pytest.approx(1.0, abs=1e-12)
-    assert c.witness_signs is not None
-    c = search_constant(s, "RUD", 8, strategy="coordinate_ascent", budget=6)
-    assert c.value > 1
-    with pytest.raises(DomainError, match="strategy"):
-        search_constant(s, "RUD", 8, strategy="annealing")
-
-
-def test_search_determinism():
-    a = search_constant(s, "RUD", 8, strategy="random_search", budget=16, seed=3)
-    b = search_constant(s, "RUD", 8, strategy="random_search", budget=16, seed=3)
-    assert a.value == b.value and a.witness_coeffs == b.witness_coeffs
-
-
-def test_besselian_hilbertian():
-    bes, hil = besselian_hilbertian_ratios(l2, 6, budget=6)
-    assert bes.value == pytest.approx(1, abs=1e-9)
-    assert hil.value == pytest.approx(1, abs=1e-9)
-    bes, hil = besselian_hilbertian_ratios(s, 16, budget=6)
-    assert bes.value >= 2
-    bes, hil = besselian_hilbertian_ratios(sd, 4, budget=6)
-    assert hil.value >= 2
 
 
 def test_partition_bound():
